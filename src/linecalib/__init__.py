@@ -11,7 +11,7 @@ from .cloud_features import (
     ransac_line3d,
 )
 from .config import PipelineConfig, RefinementConfig, load_config
-from .cost import CostEvaluator, cost
+from .cost import CostEvaluator
 from .geometry import (
     Extrinsic,
     Intrinsics,
@@ -39,6 +39,5 @@ from .image_features import (
 )
 from .p3l import P3LProblem, solve_p3l
 from .pipeline import calibrate, coarse_calibrate
-from .refine import refine
 
 __version__ = "0.1.0"

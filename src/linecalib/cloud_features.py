@@ -20,7 +20,7 @@ from .errors import (
     NoLanePoints,
     NoPolePoints,
 )
-from .geometry import Line3D, Plane3D
+from .geometry import Line3D, Plane3D, _line_distance
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,11 @@ def ransac_line3d(
     """Greedy sequential RANSAC line fitting.
 
     Fits the best-supported line, removes its inliers, repeats while a
-    line with >= min_inliers support exists.  Each line is refined by a
+    line with >= min_inliers support exists.  Each round draws the point
+    pairs of all its trials in one call, which yields the same stream as
+    one draw per trial in trial order, and scores every hypothesis against
+    every point in batched blocks of bounded size; the first trial with
+    the most inliers wins.  Each line is refined by a
     principal-axis least-squares fit over its inliers, so collinear
     dashed segments merge into a single line.
     """
@@ -167,20 +171,8 @@ def ransac_line3d(
     out: list[ScoredLine3D] = []
     while len(pool) >= max(2, min_inliers):
         sub = points[pool]
-        best_count = -1
-        best_line = None
-        for _ in range(trials):
-            i, j = rng.integers(0, len(pool), size=2)
-            if i == j:
-                continue
-            d = sub[j] - sub[i]
-            nd = np.linalg.norm(d)
-            if nd < 1e-9:
-                continue
-            line = Line3D(sub[i], d / nd)
-            count = int((line.distance(sub) <= inlier_tol).sum())
-            if count > best_count:
-                best_count, best_line = count, line
+        pairs = rng.integers(0, len(pool), size=(trials, 2))
+        best_line, best_count = _best_hypothesis(sub, pairs, inlier_tol)
         if best_line is None or best_count < min_inliers:
             break
         inl = best_line.distance(sub) <= inlier_tol
@@ -191,6 +183,59 @@ def ransac_line3d(
         out.append(ScoredLine3D(line=refined, inliers=pool[inl]))
         pool = pool[~inl]
     return out
+
+
+# Distances per block of hypotheses x points when scoring RANSAC trials, so
+# the block's temporaries stay a few MB whatever the point count.
+_SCORE_BLOCK = 1 << 16
+
+
+def _best_hypothesis(sub: np.ndarray, pairs: np.ndarray, inlier_tol: float):
+    """(line, inlier count) of the first trial pair with the most inliers.
+
+    Pairs that repeat an index or join coincident points are skipped;
+    (None, -1) if no pair is left.  Directions are normalised as Line3D
+    does it (divide by the norm, then renormalise), with the same row
+    norms, so each hypothesis has the bits of its per-trial Line3D.
+    """
+    i, j = pairs[:, 0], pairs[:, 1]
+    d = sub[j] - sub[i]
+    nd = _row_norms(d)
+    ok = (i != j) & ~(nd < 1e-9)
+    if not ok.any():
+        return None, -1
+    anchors = sub[i[ok]]
+    unit = d[ok] / nd[ok, None]
+    dirs = unit / _row_norms(unit)[:, None]
+    xyz = sub.T.copy()
+    counts = np.empty(len(dirs), dtype=np.int64)
+    step = max(1, _SCORE_BLOCK // len(sub))
+    for k in range(0, len(dirs), step):
+        dist = _line_distances(xyz, anchors[k:k + step], dirs[k:k + step])
+        counts[k:k + step] = (dist <= inlier_tol).sum(axis=1)
+    best = int(np.argmax(counts))
+    return Line3D(anchors[best], unit[best]), int(counts[best])
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of v, bit for bit: a 1-D norm and a
+    vector @ vector matmul both reduce through the same BLAS dot, where
+    norm(v, axis=1) sums in another order."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+
+
+def _line_distances(xyz: np.ndarray, anchors: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """(L, N) distances of the points xyz (3, N) to the L lines through
+    anchors (L, 3) along unit dirs (L, 3), equal to Line3D.distance."""
+    q = tuple(c - a[:, None] for c, a in zip(xyz, anchors.T))
+    return _line_distance(q, dirs.T[:, :, None])
+
+
+def _nearest_line_distance(pts: np.ndarray, lines: list[ScoredLine3D]) -> np.ndarray:
+    """Distance of each point (N, 3) to the nearest of the fitted lines."""
+    anchors = np.stack([s.line.point for s in lines])
+    dirs = np.stack([s.line.direction for s in lines])
+    return _line_distances(pts.T, anchors, dirs).min(axis=0)
 
 
 def _fit_line_lsq(pts: np.ndarray) -> Line3D:
@@ -228,7 +273,7 @@ def extract_lane_points(
     )
     if not lines:
         raise NoLanePoints("no line structure among high-intensity points")
-    d_min = np.min(np.stack([s.line.distance(pts) for s in lines]), axis=0)
+    d_min = _nearest_line_distance(pts, lines)
     keep = bright[d_min < cfg.lane_dist_max]
     if len(keep) < cfg.min_feature_points:
         raise NoLanePoints(f"only {len(keep)} lane points survive the line filter")
@@ -341,9 +386,7 @@ def extract_cloud_features(
     # only supported rejected lines (e.g. bright clutter edges) are
     # dropped so they cannot bias the alignment cost
     if ground_lines:
-        d_min = np.min(
-            np.stack([s.line.distance(lane_pts) for s in ground_lines]), axis=0
-        )
+        d_min = _nearest_line_distance(lane_pts, ground_lines)
         lane_pts = lane_pts[d_min < cfg.lane_dist_max]
     # P3L uses only the lines that follow the driving direction
     lane_lines = _canonical_lane_lines(lane_lines, frame)

@@ -93,7 +93,24 @@ class Line3D:
 
     def distance(self, points: np.ndarray) -> np.ndarray:
         q = np.atleast_2d(np.asarray(points, dtype=float)) - self.point
-        return np.linalg.norm(np.cross(q, self.direction), axis=-1)
+        return _line_distance(np.moveaxis(q, -1, 0), self.direction)
+
+
+def _line_distance(q, d) -> np.ndarray:
+    """Distance |q x d| of offsets q from a line with unit direction d.
+
+    q and d are component triples (q0, q1, q2), (d0, d1, d2) that
+    broadcast, so one call can score many lines against many points.  The
+    cross product is spelled out so the result is bit-identical to
+    np.linalg.norm(np.cross(q, d), axis=-1); the |q|^2 - (q.d)^2 form is
+    not, and would move inlier decisions that sit on the tolerance.
+    """
+    q0, q1, q2 = q
+    d0, d1, d2 = d
+    c0 = q1 * d2 - q2 * d1
+    c1 = q2 * d0 - q0 * d2
+    c2 = q0 * d1 - q1 * d0
+    return np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
 
 
 @dataclass(frozen=True)

@@ -171,12 +171,24 @@ class ScoredLine2D:
     support: int
 
 
+# (theta, pixel) votes per block of angles, so a block's temporaries stay
+# about 0.5 MB each however many pixels the mask has.
+_VOTE_BLOCK = 1 << 16
+
+
 def _vote(us, vs, cos_t, sin_t, n_rho, rho_off):
-    """Accumulate Hough votes for the given set pixels."""
-    acc = np.zeros((len(cos_t), n_rho), dtype=np.int64)
-    for i in range(len(cos_t)):
-        rho = np.rint(us * cos_t[i] + vs * sin_t[i]).astype(int) + rho_off
-        acc[i] = np.bincount(rho, minlength=n_rho)
+    """Accumulate Hough votes for the given set pixels: one bincount over
+    flat (theta, rho) cells per block of angles."""
+    n_theta = len(cos_t)
+    acc = np.empty((n_theta, n_rho), dtype=np.int64)
+    step = max(1, _VOTE_BLOCK // max(1, len(us)))
+    for t0 in range(0, n_theta, step):
+        c, s = cos_t[t0:t0 + step, None], sin_t[t0:t0 + step, None]
+        rho = np.rint(us * c + vs * s).astype(np.int64)
+        rho += rho_off + n_rho * np.arange(len(c))[:, None]
+        acc[t0:t0 + len(c)] = np.bincount(
+            rho.ravel(), minlength=len(c) * n_rho
+        ).reshape(len(c), n_rho)
     return acc
 
 
@@ -198,9 +210,12 @@ def hough_lines(
     band_px: float = 3.0,
     lane_theta_margin_deg: float = 10.0,
 ) -> list[ScoredLine2D]:
-    """Iterative Hough transform: peak, erase the supporting band, re-vote.
+    """Iterative Hough transform: peak, claim the supporting band, repeat.
 
-    Resolution is 1 degree in theta and 1 px in rho.  For the lane class,
+    The mask is voted once; each emitted peak's claimed pixels are voted
+    again and subtracted, which leaves exactly the votes of the pixels
+    not yet claimed (the accumulator holds integer counts).  Resolution is
+    1 degree in theta and 1 px in rho.  For the lane class,
     near-horizontal image lines are discarded as non-lane artifacts.
     """
     cls = cls or mask.cls
@@ -213,13 +228,11 @@ def hough_lines(
     rho_off = diag
     n_rho = 2 * diag + 1
 
-    remaining = mask.bits.copy()
+    # unclaimed pixels, kept in row-major order
+    vs, us = np.nonzero(mask.bits)
+    acc = _vote(us, vs, cos_t, sin_t, n_rho, rho_off)
     out: list[ScoredLine2D] = []
-    while len(out) < max_lines:
-        vs, us = np.nonzero(remaining)
-        if len(us) < min_support:
-            break
-        acc = _vote(us.astype(float), vs.astype(float), cos_t, sin_t, n_rho, rho_off)
+    while len(out) < max_lines and len(us) >= min_support:
         it, ir = np.unravel_index(np.argmax(acc), acc.shape)
         if acc[it, ir] < min_support:
             break
@@ -227,15 +240,16 @@ def hough_lines(
         line = Line2D(cos_t[it], sin_t[it], -rho)
         # support: not-yet-claimed pixels within the band, so the residual
         # edge of an already-emitted thick stroke cannot outrank a real line
-        dist = line.distance(us, vs)
-        claimed = dist <= band_px
+        claimed = line.distance(us, vs) <= band_px
         support = int(claimed.sum())
-        remaining[vs[claimed], us[claimed]] = False
+        cu, cv = us[claimed], vs[claimed]
+        acc -= _vote(cu, cv, cos_t, sin_t, n_rho, rho_off)
+        us, vs = us[~claimed], vs[~claimed]
         if support < min_support:
             continue
         # sub-cell accuracy: the accumulator is 1 degree x 1 px, so refit
         # the line to its claimed pixels by total least squares
-        line = _fit_line2d(us[claimed].astype(float), vs[claimed].astype(float))
+        line = _fit_line2d(cu.astype(float), cv.astype(float))
         if cls == "lane":
             # theta is the normal angle: ~90 deg means a horizontal line
             if abs(math.degrees(thetas[it]) - 90.0) < lane_theta_margin_deg:
@@ -290,10 +304,28 @@ def extract_image_features(
     )
 
 
+# a pole line's image direction must lie within this angle of the image
+# vertical: a gantry beam or sign board in the pole mask is no pole
+_POLE_MAX_TILT_DEG = 45.0
+
+
 def select_principal_lines(features: FeatureSetImage):
-    """The two lane lines and one pole line with the most supporting pixels."""
+    """The two lane lines with the most supporting pixels, and the pole
+    line with the most supporting pixels among those within 45 degrees of
+    the image vertical."""
     if len(features.lane_lines) < 2 or len(features.pole_lines) < 1:
         raise InsufficientLines("principal line selection needs 2 lane + 1 pole")
     lanes = sorted(features.lane_lines, key=lambda s: (-s.support, s.line.rho))
-    poles = sorted(features.pole_lines, key=lambda s: (-s.support, s.line.rho))
+    # Line2D is a*u + b*v + c = 0 with a >= 0: its direction (-b, a) makes
+    # an angle acos(a) with the image vertical
+    min_a = math.cos(math.radians(_POLE_MAX_TILT_DEG))
+    poles = sorted(
+        (s for s in features.pole_lines if s.line.a >= min_a),
+        key=lambda s: (-s.support, s.line.rho),
+    )
+    if not poles:
+        raise InsufficientLines(
+            f"none of {len(features.pole_lines)} pole image lines lies within "
+            f"{_POLE_MAX_TILT_DEG:g} deg of vertical"
+        )
     return lanes[0].line, lanes[1].line, poles[0].line

@@ -67,9 +67,9 @@ def coarse_calibrate(
 ) -> Extrinsic:
     """Enumerate lane-pair x pole correspondences, keep the best-cost P3L result.
 
-    The image triple (two strongest lane lines, strongest pole line) is
-    fixed; every ordered assignment of cloud lane lines and every cloud
-    pole line is tried: n1 * (n1 - 1) * n2 solves.
+    The image triple (two strongest lane lines, strongest upright pole
+    line) is fixed; every ordered assignment of cloud lane lines and every
+    cloud pole line is tried: n1 * (n1 - 1) * n2 solves.
     """
     lane1_img, lane2_img, pole_img = select_principal_lines(image_features)
     lanes = cloud_features.lane_lines

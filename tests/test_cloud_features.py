@@ -8,6 +8,10 @@ from hypothesis import strategies as st
 
 from linecalib.cloud_features import (
     PointCloud,
+    ScoredLine3D,
+    _best_hypothesis,
+    _fit_line_lsq,
+    _row_norms,
     cluster_cells,
     extract_cloud_features,
     extract_lane_points,
@@ -94,6 +98,167 @@ def test_ransac_separates_two_lines():
     assert len(lines) == 2
     ys = sorted(l.line.point[1] for l in lines)
     assert abs(ys[0] + 1.8) < 0.05 and abs(ys[1] - 1.8) < 0.05
+
+
+def _ransac_line3d_per_trial(points, inlier_tol, seed, trials=100, min_inliers=20):
+    """The loop ransac_line3d batches: one draw, one Line3D and one
+    distance call per trial.  Kept as the oracle of the batched scorer."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    rng = np.random.default_rng(seed)
+    pool = np.arange(len(points))
+    out = []
+    while len(pool) >= max(2, min_inliers):
+        sub = points[pool]
+        best_count = -1
+        best_line = None
+        for _ in range(trials):
+            i, j = rng.integers(0, len(pool), size=2)
+            if i == j:
+                continue
+            d = sub[j] - sub[i]
+            nd = np.linalg.norm(d)
+            if nd < 1e-9:
+                continue
+            line = Line3D(sub[i], d / nd)
+            count = int((line.distance(sub) <= inlier_tol).sum())
+            if count > best_count:
+                best_count, best_line = count, line
+        if best_line is None or best_count < min_inliers:
+            break
+        inl = best_line.distance(sub) <= inlier_tol
+        refined = _fit_line_lsq(sub[inl])
+        inl = refined.distance(sub) <= inlier_tol
+        if int(inl.sum()) < min_inliers:
+            break
+        out.append(ScoredLine3D(line=refined, inliers=pool[inl]))
+        pool = pool[~inl]
+    return out
+
+
+def assert_same_fits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.line.point, w.line.point)
+        assert np.array_equal(g.line.direction, w.line.direction)
+        assert np.array_equal(g.inliers, w.inliers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_ransac_matches_per_trial_oracle(seed):
+    """Noisy lines, clutter and repeated points: the batched scorer fits
+    the same lines with the same inliers as the per-trial loop."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for _ in range(int(rng.integers(1, 5))):
+        p0 = rng.uniform(-20, 20, 3)
+        d = rng.normal(size=3)
+        ts = rng.uniform(-15, 15, int(rng.integers(10, 200)))
+        parts.append(p0 + ts[:, None] * d / np.linalg.norm(d))
+    parts.append(rng.uniform(-20, 20, (int(rng.integers(0, 100)), 3)))
+    pts = np.concatenate(parts)
+    pts = pts + rng.normal(0, 0.03, pts.shape)
+    pts = np.concatenate([pts, pts[rng.integers(0, len(pts), int(rng.integers(0, 50)))]])
+    tol = float(rng.uniform(0.02, 0.2))
+    trials = int(rng.integers(1, 150))
+    min_inl = int(rng.integers(2, 30))
+    s = int(rng.integers(2**31))
+    assert_same_fits(
+        ransac_line3d(pts, tol, s, trials=trials, min_inliers=min_inl),
+        _ransac_line3d_per_trial(pts, tol, s, trials=trials, min_inliers=min_inl),
+    )
+
+
+def test_best_hypothesis_bits_match_per_trial_line():
+    """Each hypothesis is scored with the bits of its per-trial Line3D:
+    with the tolerance set to one of its distances exactly, a point on
+    the boundary still counts, and the first best trial wins."""
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        sub = rng.normal(0, 10.0 ** rng.uniform(-2, 2), (int(rng.integers(2, 300)), 3))
+        pairs = rng.integers(0, len(sub), size=(int(rng.integers(1, 8)), 2))
+        lines = [
+            Line3D(sub[i], (sub[j] - sub[i]) / np.linalg.norm(sub[j] - sub[i]))
+            for i, j in pairs
+            if i != j and np.linalg.norm(sub[j] - sub[i]) >= 1e-9
+        ]
+        if not lines:
+            assert _best_hypothesis(sub, pairs, 1.0) == (None, -1)
+            continue
+        dist = lines[int(rng.integers(len(lines)))].distance(sub)
+        tol = float(dist[int(rng.integers(len(sub)))])
+        counts = [int((line.distance(sub) <= tol).sum()) for line in lines]
+        want = lines[int(np.argmax(counts))]
+        got, got_count = _best_hypothesis(sub, pairs, tol)
+        assert got_count == max(counts)
+        assert np.array_equal(got.point, want.point)
+        assert np.array_equal(got.direction, want.direction)
+
+
+def test_row_norms_bits_match_linalg_norm():
+    rng = np.random.default_rng(12)
+    v = rng.normal(0, 10.0 ** rng.uniform(-3, 3, (20000, 1)), (20000, 3))
+    assert np.array_equal(_row_norms(v), [np.linalg.norm(r) for r in v])
+
+
+def test_ransac_matches_oracle_on_degenerate_pools():
+    rng = np.random.default_rng(11)
+    p = rng.uniform(-5, 5, 3)
+    q = p + np.array([1.0, 0.5, 0.0])
+    all_same_seeds = 0
+    for seed in range(100):
+        cases = [
+            (np.tile(p, (30, 1)), 10, 5),                  # one point repeated
+            (np.array([p, q]), 3, 2),                      # two points
+            (np.concatenate([np.tile(p, (20, 1)), np.tile(q, (20, 1))]), 20, 2),
+            (np.concatenate([np.tile(p, (25, 1)), rng.uniform(-5, 5, (5, 3))]), 40, 3),
+        ]
+        for pts, trials, min_inl in cases:
+            assert_same_fits(
+                ransac_line3d(pts, 0.05, seed, trials=trials, min_inliers=min_inl),
+                _ransac_line3d_per_trial(pts, 0.05, seed, trials=trials, min_inliers=min_inl),
+            )
+        # a two-point pool whose every draw repeats an index fits nothing
+        draws = np.random.default_rng(seed).integers(0, 2, size=(3, 2))
+        if (draws[:, 0] == draws[:, 1]).all():
+            all_same_seeds += 1
+            assert ransac_line3d(np.array([p, q]), 0.05, seed, trials=3, min_inliers=2) == []
+    assert all_same_seeds > 0
+
+
+def test_line_filters_match_per_line_distance_loop(canonical_frame, canonical_features):
+    """The d_min filters of extract_lane_points and extract_cloud_features
+    keep exactly the points a per-line Line3D.distance loop keeps."""
+    spec, cloud, lane_mask, pole_mask, gt = canonical_frame
+    _, cf, _, _ = canonical_features
+    cfg = PipelineConfig()
+
+    def nearest(pts, lines):
+        return np.min(np.stack([s.line.distance(pts) for s in lines]), axis=0)
+
+    def fit(pts, seed):
+        return ransac_line3d(
+            pts, cfg.line_inlier_tol, seed,
+            trials=cfg.line_trials, min_inliers=cfg.line_min_inliers,
+        )
+
+    seg = fit_ground_plane(cloud, cfg.seed, cfg)
+    gi = seg.ground_indices
+    inten = cloud.intensity[gi]
+    bright = gi[inten > inten.mean() + cfg.intensity_sigma_scale * inten.std()]
+    near = nearest(cloud.xyz[bright], fit(cloud.xyz[bright], cfg.seed + 1)) < cfg.lane_dist_max
+    assert 0 < near.sum() < len(near)
+    lane_idx = extract_lane_points(seg, cloud, cfg.seed + 1, cfg)
+    assert np.array_equal(lane_idx, bright[near])
+
+    lane_pts = cloud.xyz[lane_idx]
+    ground = [
+        s for s in fit(lane_pts, cfg.seed + 2)
+        if abs(cf.frame.to_ground(s.line.direction)[2]) < 0.1
+    ]
+    near = nearest(lane_pts, ground) < cfg.lane_dist_max
+    assert near.sum() > 0
+    assert np.array_equal(cf.lane_points, lane_pts[near])
 
 
 def test_ground_parallel_rotation_frame_axes():

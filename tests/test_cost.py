@@ -88,3 +88,13 @@ def test_ground_truth_beats_100_random_perturbations(canonical_evaluator):
     for _ in range(100):
         p = perturb(gt, rng, 0.5, math.radians(3.0))
         assert cost(p, ev) < c_gt
+
+
+def test_package_attributes_are_the_modules():
+    """The package re-exports no function under a submodule's name, so
+    these imports bind the modules the README's module table names."""
+    import linecalib.cost as cost_module
+    import linecalib.refine as refine_module
+
+    assert callable(cost_module.cost)
+    assert callable(refine_module.refine)

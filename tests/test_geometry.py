@@ -242,6 +242,18 @@ def test_line3d_distance_zero_on_line(p, d):
     assert line.distance(on)[0] < 1e-6 * max(1.0, np.abs(on).max())
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_line3d_distance_bits_match_cross_norm(seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3)
+    pts = rng.normal(0, scale, (int(rng.integers(1, 500)), 3)) + rng.normal(0, 30, 3)
+    line = Line3D(rng.normal(0, 30, 3), rng.normal(size=3))
+    want = np.linalg.norm(np.cross(pts - line.point, line.direction), axis=-1)
+    assert np.array_equal(line.distance(pts), want)
+    assert np.array_equal(line.distance(pts[0]), want[:1])
+
+
 def test_plane3d_normalizes():
     pl = Plane3D(np.array([0.0, 0.0, 2.0]), -4.0)
     assert np.abs(pl.normal - [0, 0, 1]).max() < 1e-12

@@ -1,18 +1,32 @@
 """Distance fields, height maps, and Hough extraction, against brute force."""
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linecalib.errors import EmptyTarget, NoLines
+from linecalib.cloud_features import extract_cloud_features
+from linecalib.config import PipelineConfig
+from linecalib.errors import EmptyTarget, InsufficientLines, NoLines
+from linecalib.evaluation import calibration_error
+from linecalib.geometry import Line2D
 from linecalib.image_features import (
+    FeatureSetImage,
     HeightMap,
+    ScoredLine2D,
     SemanticMask,
+    _fit_line2d,
     _l1_distance_with_border,
+    extract_image_features,
     hough_lines,
     idt_height_map,
     l1_distance_field,
+    select_principal_lines,
 )
+from linecalib.pipeline import build_evaluator, coarse_calibrate
+from linecalib.synth import canonical_spec, generate
 
 MANY = settings(max_examples=1000, deadline=None)
 
@@ -239,8 +253,113 @@ def test_hough_lane_near_horizontal_rejected():
     assert hough_lines(SemanticMask("pole", bits), min_support=30)
 
 
+def _hough_lines_revote(mask, cls, min_support, max_lines=8, band_px=3.0,
+                        lane_theta_margin_deg=10.0):
+    """hough_lines before it subtracted claimed votes: every round re-votes
+    all 180 angles, one bincount each, over the unclaimed pixels.  Kept
+    as the oracle of the vote-once-and-subtract accumulator."""
+    h, w = mask.bits.shape
+    thetas = np.deg2rad(np.arange(180.0))
+    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
+    diag = int(math.ceil(math.hypot(w, h)))
+    n_rho = 2 * diag + 1
+    remaining = mask.bits.copy()
+    out = []
+    while len(out) < max_lines:
+        vs, us = np.nonzero(remaining)
+        if len(us) < min_support:
+            break
+        acc = np.zeros((180, n_rho), dtype=np.int64)
+        for i in range(180):
+            rho = np.rint(us * cos_t[i] + vs * sin_t[i]).astype(int) + diag
+            acc[i] = np.bincount(rho, minlength=n_rho)
+        it, ir = np.unravel_index(np.argmax(acc), acc.shape)
+        if acc[it, ir] < min_support:
+            break
+        line = Line2D(cos_t[it], sin_t[it], -float(ir - diag))
+        claimed = line.distance(us, vs) <= band_px
+        support = int(claimed.sum())
+        remaining[vs[claimed], us[claimed]] = False
+        if support < min_support:
+            continue
+        line = _fit_line2d(us[claimed].astype(float), vs[claimed].astype(float))
+        if cls == "lane" and abs(math.degrees(thetas[it]) - 90.0) < lane_theta_margin_deg:
+            continue
+        out.append(ScoredLine2D(line=line, support=support))
+    out.sort(key=lambda s: (-s.support, s.line.rho))
+    return out
+
+
+def test_hough_matches_revote_oracle():
+    """Random masks with drawn strokes and clutter, small to large enough
+    that the vote splits into many angle blocks: same lines, same supports."""
+    rng = np.random.default_rng(21)
+    for k in range(24):
+        h, w = int(rng.integers(20, 160)), int(rng.integers(20, 200))
+        bits = rng.random((h, w)) < rng.uniform(0.0, 0.3)
+        for _ in range(int(rng.integers(0, 5))):
+            t = rng.uniform(0, math.pi)
+            draw_line(bits, math.cos(t), math.sin(t), -rng.uniform(0, min(h, w)))
+        cls = ("lane", "pole")[k % 2]
+        min_support = int(rng.integers(5, 40))
+        mask = SemanticMask(cls, bits)
+        want = _hough_lines_revote(mask, cls, min_support)
+        if not want:
+            with pytest.raises(NoLines):
+                hough_lines(mask, min_support=min_support)
+            continue
+        got = hough_lines(mask, min_support=min_support)
+        assert [(s.line.coeffs().tolist(), s.support) for s in got] == [
+            (s.line.coeffs().tolist(), s.support) for s in want
+        ]
+
+
 def test_hough_needs_support():
     bits = np.zeros((32, 32), dtype=bool)
     bits[4, 4:10] = True
     with pytest.raises(NoLines):
         hough_lines(SemanticMask("pole", bits), min_support=50)
+
+
+def _scored(a, b, c, support):
+    return ScoredLine2D(Line2D(a, b, c), support)
+
+
+def test_principal_pole_line_must_be_upright():
+    lanes = [_scored(1.0, 0.5, -300.0, 900), _scored(1.0, -0.5, -200.0, 800)]
+    beam = _scored(0.0, 1.0, -100.0, 1200)        # horizontal, strongest
+    tilted = _scored(0.6, 0.8, -50.0, 1100)       # 53 deg from vertical
+    upright = _scored(0.9, 0.1, -400.0, 500)      # 6 deg from vertical
+    bits = np.ones((4, 4), dtype=bool)
+    hm = HeightMap(np.full((4, 4), 0.5))
+
+    def features(poles):
+        m = SemanticMask("pole", bits)
+        return FeatureSetImage(m, m, hm, hm, lane_lines=lanes, pole_lines=poles)
+
+    _, _, pole = select_principal_lines(features([beam, tilted, upright]))
+    assert pole == upright.line
+    with pytest.raises(InsufficientLines):
+        select_principal_lines(features([beam, tilted]))
+
+
+def test_gantry_beam_is_not_taken_for_a_pole():
+    """With three more uprights the gantry beam is the best-supported pole
+    image line; coarse calibration must still use an upright pole."""
+    base = canonical_spec(0)
+    spec = replace(
+        base,
+        pole_xy=base.pole_xy + ((16.0, 7.5), (24.0, -7.5), (34.0, 7.0)),
+        pole_heights=base.pole_heights + (6.5, 5.5, 6.0),
+        pole_radii=base.pole_radii + (0.2, 0.2, 0.2),
+    )
+    cfg = PipelineConfig()
+    cloud, lane_mask, pole_mask, gt = generate(spec)
+    cf = extract_cloud_features(cloud, seed=cfg.seed, cfg=cfg)
+    imf = extract_image_features(lane_mask, pole_mask, cfg)
+    strongest = max(imf.pole_lines, key=lambda s: s.support)
+    assert abs(strongest.line.a) < 0.1   # the horizontal beam
+    err = calibration_error(
+        coarse_calibrate(cf, imf, build_evaluator(cf, imf, spec.intrinsics)), gt
+    )
+    assert err.dt < 0.5 and math.degrees(err.dtheta) < 3.0
