@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from linecalib.errors import DegenerateNormals, NoSolution
+from linecalib.errors import DegenerateNormals, MisalignedLine, NoSolution
 from linecalib.evaluation import rotation_error, translation_error
 from linecalib.p3l import P3LProblem, solve_p3l
 from linecalib.synth import random_spec, true_frame, true_lines
@@ -45,7 +45,7 @@ def main(argv=None):
         spec = random_spec(seed=args.seed + i)
         try:
             prob = exact_problem(spec)
-        except ValueError:
+        except (ValueError, MisalignedLine):
             failed += 1
             continue
         t0 = time.perf_counter()

@@ -81,6 +81,10 @@ class PipelineConfig:
             raise ValueError("gamma0 and gamma1 must lie in (0, 1)")
         if self.plane_inlier_band <= 0 or self.line_inlier_tol <= 0:
             raise ValueError("inlier tolerances must be positive")
+        if not self.hough_band_px >= 0.5:
+            # a peak's own cell lies within 0.5 px of its line, so a band
+            # this wide always claims the pixels that voted for the peak
+            raise ValueError("hough_band_px must be at least 0.5")
         self.refinement()  # validates the shared refinement fields
 
     def refinement(self) -> RefinementConfig:

@@ -249,19 +249,22 @@ def project(k: Intrinsics, p_c: np.ndarray):
 
 
 def project_points(k: Intrinsics, pts_c: np.ndarray):
-    """Vectorized projection.
+    """Vectorized projection of camera-frame points (..., 3), such as
+    (N, 3) for one pose or (K, N, 3) for K poses.
 
-    Returns (uv, valid) where uv is (N, 2) and valid marks points with
-    depth > EPS_Z; uv rows for invalid points are undefined.
+    Returns (uv, valid) where uv is (..., 2) and valid (...) marks points
+    with depth > EPS_Z; uv rows for invalid points are undefined.  Each
+    valid point's uv is bit-identical to projecting it alone.
     """
     pts_c = np.atleast_2d(np.asarray(pts_c, dtype=float))
-    z = pts_c[:, 2]
+    z = pts_c[..., 2]
     valid = z > EPS_Z
     zs = np.where(valid, z, 1.0)
-    uv = np.empty((len(pts_c), 2))
-    uv[:, 0] = k.fx * pts_c[:, 0] / zs + k.cx
-    uv[:, 1] = k.fy * pts_c[:, 1] / zs + k.cy
-    return uv, valid
+    # u and v planes stay contiguous for the lookups that follow
+    uv = np.empty((2,) + pts_c.shape[:-1])
+    uv[0] = k.fx * pts_c[..., 0] / zs + k.cx
+    uv[1] = k.fy * pts_c[..., 1] / zs + k.cy
+    return np.moveaxis(uv, 0, -1), valid
 
 
 def backproject_line(k: Intrinsics, line: Line2D) -> np.ndarray:

@@ -66,7 +66,8 @@ class HeightMap:
 
     def sample_bilinear(self, u, v):
         """Bilinear lookup, so the alignment cost varies smoothly with the
-        pose; out-of-frame coordinates give 0."""
+        pose; out-of-frame coordinates give 0.  u and v may have any
+        (matching) shape; the result has that shape."""
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         h, w = self.values.shape
@@ -77,13 +78,16 @@ class HeightMap:
         v0 = np.minimum(vc.astype(int), h - 2)
         fu = uc - u0
         fv = vc - v0
-        g = self.values
-        val = (
-            g[v0, u0] * (1 - fu) * (1 - fv)
-            + g[v0, u0 + 1] * fu * (1 - fv)
-            + g[v0 + 1, u0] * (1 - fu) * fv
-            + g[v0 + 1, u0 + 1] * fu * fv
-        )
+        gu = 1 - fu
+        gv = 1 - fv
+        # flat gathers of the four neighbours: the same values as 2-D
+        # fancy indexing, at a fraction of its cost
+        g = self.values.ravel()
+        i = v0 * w + u0
+        val = g.take(i) * gu * gv
+        val += g[1:].take(i) * fu * gv
+        val += g[w:].take(i) * gu * fv
+        val += g[w + 1:].take(i) * fu * fv
         return np.where(ok, val, 0.0)
 
 
@@ -242,6 +246,9 @@ def hough_lines(
         # edge of an already-emitted thick stroke cannot outrank a real line
         claimed = line.distance(us, vs) <= band_px
         support = int(claimed.sum())
+        if support == 0:
+            # nothing to subtract: the same peak would come back forever
+            break
         cu, cv = us[claimed], vs[claimed]
         acc -= _vote(cu, cv, cos_t, sin_t, n_rho, rho_off)
         us, vs = us[~claimed], vs[~claimed]

@@ -4,10 +4,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .cloud_features import FeatureSetCloud, PointCloud, extract_cloud_features
 from .config import PipelineConfig
-from .cost import CostEvaluator, cost
-from .errors import DegenerateNormals, NoSolution, NoValidCandidate
+from .cost import CostEvaluator, cost, cost_batch
+from .errors import DegenerateNormals, MisalignedLine, NoValidCandidate
 from .geometry import Extrinsic, Intrinsics
 from .image_features import (
     FeatureSetImage,
@@ -15,7 +17,16 @@ from .image_features import (
     extract_image_features,
     select_principal_lines,
 )
-from .p3l import P3LProblem, solve_p3l
+# P3LProblem is unused here but stays importable as pipeline.P3LProblem,
+# where perfbench's tracer wraps it
+from .p3l import (  # noqa: F401
+    ImageSolution,
+    P3LProblem,
+    check_lane_direction,
+    check_pole_direction,
+    solve_rotations,
+    solve_translations,
+)
 from .refine import refine
 
 
@@ -68,48 +79,58 @@ def coarse_calibrate(
     """Enumerate lane-pair x pole correspondences, keep the best-cost P3L result.
 
     The image triple (two strongest lane lines, strongest upright pole
-    line) is fixed; every ordered assignment of cloud lane lines and every
-    cloud pole line is tried: n1 * (n1 - 1) * n2 solves.
+    line) is fixed, so its (at most four) P3L rotations are solved once;
+    every ordered assignment of cloud lane lines and every cloud pole line
+    then only needs its translation: n1 * (n1 - 1) * n2 triples.  All
+    candidates are scored in one batch; the earliest of equal best wins.
     """
     lane1_img, lane2_img, pole_img = select_principal_lines(image_features)
-    lanes = cloud_features.lane_lines
-    poles = cloud_features.pole_lines
-    best = None
-    best_key = (0.0, 0)
-    n_candidates = 0
-    for a in range(len(lanes)):
-        for b in range(len(lanes)):
-            if a == b:
-                continue
-            for c in range(len(poles)):
-                try:
-                    prob = P3LProblem(
-                        lane1_img=lane1_img,
-                        lane2_img=lane2_img,
-                        pole_img=pole_img,
-                        lane1_cloud=lanes[a].line,
-                        lane2_cloud=lanes[b].line,
-                        pole_cloud=poles[c].line,
-                        frame=cloud_features.frame,
-                        intrinsics=ev.intrinsics,
-                    )
-                    cands = solve_p3l(prob)
-                except (NoSolution, DegenerateNormals, ValueError):
-                    continue
-                for e in cands:
-                    n_candidates += 1
-                    score = cost(e, ev)
-                    # deterministic argmax: cost first, earliest candidate wins ties
-                    if best is None or score > best_key[0]:
-                        best, best_key = e, (score, n_candidates)
+    frame = cloud_features.frame
+    lanes = _aligned(cloud_features.lane_lines, frame, check_lane_direction)
+    poles = _aligned(cloud_features.pole_lines, frame, check_pole_direction)
+    try:
+        sol = solve_rotations(lane1_img, lane2_img, pole_img, ev.intrinsics, frame)
+    except DegenerateNormals:
+        # the image side is shared by every triple: none gives a candidate
+        sol = ImageSolution(normals=np.eye(3), rotations=())
+    triples = [
+        (a, b, c)
+        for a in range(len(lanes))
+        for b in range(len(lanes))
+        if a != b
+        for c in range(len(poles))
+    ]
+    which, ts = solve_translations(
+        sol, [line.point for line in lanes], [line.point for line in poles], triples
+    )
+    # a candidate is scored, like any Extrinsic, at the matrix of its
+    # angle-axis vector, which depends on the rotation alone
+    matrices = np.array(
+        [Extrinsic.from_matrix(R, np.zeros(3)).matrix() for R in sol.rotations]
+    ).reshape(-1, 3, 3)
+    scores = cost_batch(matrices[which], ts, ev)
+    best = int(np.argmax(scores)) if len(scores) else None
+    best_cost = 0.0 if best is None else float(scores[best])
     if report is not None:
-        report.candidates = n_candidates
-        report.coarse_cost = best_key[0]
-    if best is None or best_key[0] <= 0.0:
+        report.candidates = len(scores)
+        report.coarse_cost = best_cost
+    if best is None or best_cost <= 0.0:
         raise NoValidCandidate(
-            f"{n_candidates} candidates evaluated, none scored above zero"
+            f"{len(scores)} candidates evaluated, none scored above zero"
         )
-    return best
+    return Extrinsic.from_matrix(sol.rotations[which[best]], ts[best])
+
+
+def _aligned(scored_lines, frame, check) -> list:
+    """The cloud lines that pass a P3L direction gate, in their order."""
+    out = []
+    for s in scored_lines:
+        try:
+            check(frame, s.line)
+        except MisalignedLine:
+            continue
+        out.append(s.line)
+    return out
 
 
 def calibrate(

@@ -106,8 +106,10 @@ class SceneSpec:
     pole_radii: tuple = (0.20, 0.20, 0.22, 0.22, 0.18, 0.18)
     pole_intensity: float = 0.4
     # overhead sign-gantry beam off the road edge: (x, y0, y1, z, r).
-    # Short and low-support so an upright stays the strongest pole-class
-    # image line for the coarse correspondence search.
+    # It adds a near-horizontal pole-class image line; the coarse search
+    # takes its pole line only within 45 deg of the image vertical
+    # (select_principal_lines), so the beam cannot stand in for an upright
+    # however much support it has.
     gantries: tuple = ((30.0, -8.0, 1.5, 5.5, 0.15),)
     boxes: tuple = (Box(12.0, -3.5, 4.0, 1.8, 1.5),)
     # dull paint: low box points sit inside the ground segment, and a

@@ -13,7 +13,7 @@ import pytest
 
 from linecalib.cloud_features import extract_cloud_features
 from linecalib.config import PipelineConfig
-from linecalib.errors import DegenerateNormals, NoSolution
+from linecalib.errors import DegenerateNormals, MisalignedLine, NoSolution
 from linecalib.evaluation import (
     calibration_error,
     robustness_sweep,
@@ -87,7 +87,7 @@ def test_criterion_1_three_line_solver_oracle():
         spec = random_spec(seed=i)
         try:
             prob = _exact_problem(spec)
-        except ValueError:
+        except (ValueError, MisalignedLine):
             continue
         t0 = time.perf_counter()
         try:

@@ -161,6 +161,29 @@ def test_sweep_subcommand(bundle, tmp_path, capsys):
     assert len(lines) == 4  # header + 2 trials + aggregate
 
 
+def test_sweep_output_independent_of_jobs(bundle, tmp_path, capsys):
+    """Two frames swept serially and by two worker processes print the
+    same bytes: each trial's seed depends only on its frame and index."""
+    spec_path = tmp_path / "scene1.txt"
+    spec_path.write_text(format_scene_spec(canonical_spec(1)), encoding="utf-8")
+    frame1 = tmp_path / "frame1"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(frame1)]) == 0
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("max_samples = 200\n", encoding="utf-8")
+    capsys.readouterr()
+    outputs = []
+    for jobs in ("1", "2"):
+        code = main(
+            ["sweep", "--frames", str(bundle), str(frame1),
+             "--ref", str(bundle / "extrinsic_gt.txt"),
+             "--trials", "2", "--config", str(cfg), "--jobs", jobs]
+        )
+        assert code == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(outputs[0].splitlines()) == 6  # header + 2 frames x 2 trials + MAE
+    assert outputs[0] == outputs[1]
+
+
 def test_exit_code_parse_error(tmp_path, capsys):
     code = main(
         ["calibrate",

@@ -51,6 +51,16 @@ def test_load_config_validates(tmp_path):
         load_config(p)
 
 
+def test_load_config_rejects_hough_band_below_half_pixel(tmp_path):
+    p = tmp_path / "cfg.txt"
+    p.write_text("hough_band_px = -1\n", encoding="utf-8")
+    with pytest.raises(ParseError):
+        load_config(p)
+    with pytest.raises(ValueError):
+        PipelineConfig(hough_band_px=0.4)
+    assert PipelineConfig(hough_band_px=0.5).hough_band_px == 0.5
+
+
 def test_replace_returns_new_config():
     cfg = PipelineConfig()
     cfg2 = cfg.replace(seed=9)

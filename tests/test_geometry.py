@@ -180,6 +180,17 @@ def test_project_points_matches_scalar(seed):
                 project(K, pts[i])
 
 
+def test_project_points_batch_bits_match_one_pose_at_a_time():
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(4, 50, 3)) * np.array([2.0, 2.0, 5.0])
+    uv, valid = project_points(K, pts)
+    assert uv.shape == (4, 50, 2) and valid.shape == (4, 50)
+    for k in range(4):
+        uv_k, valid_k = project_points(K, pts[k])
+        assert np.array_equal(valid[k], valid_k)
+        assert uv[k][valid_k].tobytes() == uv_k[valid_k].tobytes()
+
+
 def test_intrinsics_validation():
     with pytest.raises(ValueError):
         Intrinsics(fx=-1.0, fy=700.0, cx=600.0, cy=180.0, width=1242, height=375)

@@ -1,5 +1,6 @@
 """Distance fields, height maps, and Hough extraction, against brute force."""
 import math
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -194,6 +195,33 @@ def test_bilinear_interpolates_between_neighbors(seed):
     assert abs(val - grid[v0, u0]) < 1e-12
 
 
+def test_bilinear_flat_gathers_match_2d_indexing():
+    """Any input shape; the same bits as 2-D fancy indexing of the grid."""
+    rng = np.random.default_rng(4)
+    grid = rng.random((37, 53))
+    hm = HeightMap(grid)
+    u = rng.uniform(-5.0, 58.0, size=(6, 40))
+    v = rng.uniform(-5.0, 42.0, size=(6, 40))
+    u[0, :4] = [0.0, 52.0, 51.5, 52.0]      # frame edges
+    v[0, :4] = [0.0, 36.0, 36.0, 35.25]
+    got = hm.sample_bilinear(u, v)
+    assert got.shape == u.shape
+    h, w = grid.shape
+    ok = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
+    uc, vc = np.where(ok, u, 0.0), np.where(ok, v, 0.0)
+    u0 = np.minimum(uc.astype(int), w - 2)
+    v0 = np.minimum(vc.astype(int), h - 2)
+    fu, fv = uc - u0, vc - v0
+    want = np.where(ok, (
+        grid[v0, u0] * (1 - fu) * (1 - fv)
+        + grid[v0, u0 + 1] * fu * (1 - fv)
+        + grid[v0 + 1, u0] * (1 - fu) * fv
+        + grid[v0 + 1, u0 + 1] * fu * fv
+    ), 0.0)
+    assert got.tobytes() == want.tobytes()
+    assert hm.sample_bilinear(u[2], v[2]).tobytes() == want[2].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # hough lines
 
@@ -312,6 +340,26 @@ def test_hough_matches_revote_oracle():
         assert [(s.line.coeffs().tolist(), s.support) for s in got] == [
             (s.line.coeffs().tolist(), s.support) for s in want
         ]
+
+
+def test_hough_stops_when_a_peak_claims_no_pixel():
+    """A band below 0.5 px can miss every pixel of its own peak; a negative
+    one always does.  The peak then stays in the accumulator, so the
+    search must stop instead of picking it again."""
+    bits = np.zeros((40, 40), dtype=bool)
+    bits[5:35, 20] = True   # 30-pixel vertical stroke
+
+    def timeout(signum, frame):
+        raise TimeoutError("hough_lines did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(20)
+    try:
+        with pytest.raises(NoLines):
+            hough_lines(SemanticMask("pole", bits), min_support=10, band_px=-1.0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_hough_needs_support():

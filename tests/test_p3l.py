@@ -8,15 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linecalib.cloud_features import GroundParallelFrame
-from linecalib.errors import DegenerateNormals, NoSolution
+from linecalib.errors import DegenerateNormals, MisalignedLine, NoSolution
 from linecalib.geometry import (
     Extrinsic,
     Line2D,
     backproject_line,
+    matrix_to_angle_axis,
     project,
+    rot_x,
+    rot_z,
     rotation_geodesic,
 )
-from linecalib.p3l import P3LProblem, solve_p3l
+from linecalib.p3l import (
+    MAX_CONDITION,
+    P3LProblem,
+    _orthonormal_from_first,
+    solve_p3l,
+)
 from linecalib.synth import canonical_spec, random_spec, true_frame, true_lines
 
 MANY = settings(max_examples=1000, deadline=None)
@@ -141,9 +149,9 @@ def test_problem_rejects_misaligned_cloud_lines():
     import dataclasses
 
     prob, _ = exact_problem(spec)
-    with pytest.raises(ValueError):
+    with pytest.raises(MisalignedLine):
         dataclasses.replace(prob, lane1_cloud=poles3d[0])
-    with pytest.raises(ValueError):
+    with pytest.raises(MisalignedLine):
         dataclasses.replace(prob, pole_cloud=lanes3d[0])
 
 
@@ -162,3 +170,76 @@ def test_candidate_rotations_orthonormal(seed):
         R = c.matrix()
         assert np.abs(R @ R.T - np.eye(3)).max() < 1e-9
         assert abs(np.linalg.det(R) - 1.0) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the image-side / cloud-side split against the solver it replaced
+
+
+def _oracle_solve_p3l(prob):
+    """solve_p3l as one routine: every (alpha, beta) rotation and its
+    translation solved together for this one triple."""
+    k = prob.intrinsics
+    n1 = backproject_line(k, prob.lane1_img)
+    n2 = backproject_line(k, prob.lane2_img)
+    n3 = backproject_line(k, prob.pole_img)
+    N = np.stack([n1, n2, n3])
+    sv = np.linalg.svd(N, compute_uv=False)
+    if sv[-1] < 1e-6:
+        raise DegenerateNormals("back-projected normals span < 3 dimensions")
+    well_conditioned = sv[0] / sv[-1] <= MAX_CONDITION
+    R_prime = _orthonormal_from_first(n3)
+    m1 = R_prime.T @ n1
+    m2 = R_prime.T @ n2
+    A = m2[0] * m1[1] - m1[0] * m2[1]
+    B = m2[0] * m1[2] - m1[0] * m2[2]
+    if abs(A) < 1e-14 and abs(B) < 1e-14:
+        raise DegenerateNormals("lane constraints do not determine alpha")
+    alpha0 = math.atan2(-A, B)
+    R_LG = prob.frame.rotation
+    pts_l = [prob.lane1_cloud.point, prob.lane2_cloud.point, prob.pole_cloud.point]
+    candidates = []
+    for alpha in (alpha0, alpha0 + math.pi):
+        ca, sa = math.cos(alpha), math.sin(alpha)
+        k1 = m1[1] * ca + m1[2] * sa
+        k2 = m2[1] * ca + m2[2] * sa
+        if abs(m1[0]) + abs(k1) >= abs(m2[0]) + abs(k2):
+            beta0 = math.atan2(m1[0], -k1)
+        else:
+            beta0 = math.atan2(m2[0], -k2)
+        for beta in (beta0, beta0 + math.pi):
+            R = R_prime @ rot_x(alpha) @ rot_z(beta) @ R_LG
+            if not well_conditioned:
+                continue
+            b = np.array([-(N[i] @ (R @ pts_l[i])) for i in range(3)])
+            t = np.linalg.solve(N, b)
+            if min((R @ p + t)[2] for p in pts_l) <= 0:
+                continue
+            candidates.append(Extrinsic(matrix_to_angle_axis(R), t))
+    if not candidates:
+        raise NoSolution("every (alpha, beta) candidate was dropped")
+    return candidates
+
+
+def _outcome(solve, prob):
+    try:
+        return [(e.r.tobytes(), e.t.tobytes()) for e in solve(prob)]
+    except (DegenerateNormals, NoSolution) as err:
+        return type(err)
+
+
+def test_split_solver_bits_match_oracle_on_criterion_1_scenes():
+    """The 500 random scenes of acceptance criterion 1: same candidates,
+    byte for byte, and the same failures."""
+    solved = 0
+    for i in range(500):
+        spec = random_spec(seed=i)
+        try:
+            prob, _ = exact_problem(spec)
+        except (ValueError, MisalignedLine):
+            continue
+        want = _outcome(_oracle_solve_p3l, prob)
+        assert _outcome(solve_p3l, prob) == want
+        solved += isinstance(want, list)
+    assert solved > 400
+
