@@ -22,9 +22,7 @@ from .geometry import (
     backproject_line,
     euler_zyx,
     matrix_to_angle_axis,
-    project,
     rotation_geodesic,
-    transform_point,
 )
 from .image_features import (
     FeatureSetImage,

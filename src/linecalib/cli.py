@@ -7,6 +7,7 @@ Pipeline failures map to stable exit codes: 1 parse, 2 extraction,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -14,16 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, fileio, synth
-from .cloud_features import (
-    PointCloud,
-    extract_cloud_features,
-    extract_lane_points,
-    extract_pole_points,
-    fit_ground_plane,
-    ground_parallel_rotation,
-    ransac_line3d,
-)
+from . import evaluation, synth
+from .cloud_features import PointCloud, extract_cloud_features
 from .config import PipelineConfig, load_config
 from .cost import cost
 from .errors import STAGE_EXIT_CODES, CalibError
@@ -37,9 +30,9 @@ from .fileio import (
     save_pgm,
     save_ppm,
 )
-from .geometry import EPS_Z, Extrinsic
-from .image_features import extract_image_features, load_mask
-from .pipeline import CalibrationReport, build_evaluator, calibrate, coarse_calibrate
+from .geometry import project_points
+from .image_features import load_mask
+from .pipeline import CalibrationReport, calibrate, coarse_calibrate, extract_features
 from .refine import refine
 
 
@@ -63,7 +56,7 @@ def _load_cfg(args) -> PipelineConfig:
     return cfg
 
 
-def _load_bundle(args, cfg):
+def _load_bundle(args):
     intr = load_intrinsics(args.intrinsics)
     cloud = PointCloud.from_array(load_cloud(args.cloud))
     lane_mask = load_mask(args.lane_mask, "lane", intr)
@@ -73,8 +66,7 @@ def _load_bundle(args, cfg):
 
 def cmd_calibrate(args) -> int:
     cfg = _load_cfg(args)
-    cloud, lane_mask, pole_mask, intr = _load_bundle(args, cfg)
-    extrinsic, report = calibrate(cloud, lane_mask, pole_mask, intr, cfg)
+    extrinsic, report = calibrate(*_load_bundle(args), cfg)
     save_extrinsic(args.out, extrinsic)
     report_text = report.format()
     if args.report:
@@ -85,10 +77,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_coarse(args) -> int:
     cfg = _load_cfg(args)
-    cloud, lane_mask, pole_mask, intr = _load_bundle(args, cfg)
-    cf = extract_cloud_features(cloud, seed=cfg.seed, cfg=cfg)
-    imf = extract_image_features(lane_mask, pole_mask, cfg)
-    ev = build_evaluator(cf, imf, intr)
+    cf, imf, ev = extract_features(*_load_bundle(args), cfg)
     report = CalibrationReport()
     extrinsic = coarse_calibrate(cf, imf, ev, report)
     save_extrinsic(args.out, extrinsic)
@@ -99,11 +88,9 @@ def cmd_coarse(args) -> int:
 
 def cmd_refine(args) -> int:
     cfg = _load_cfg(args)
-    cloud, lane_mask, pole_mask, intr = _load_bundle(args, cfg)
+    bundle = _load_bundle(args)
     initial = load_extrinsic(args.init)
-    cf = extract_cloud_features(cloud, seed=cfg.seed, cfg=cfg)
-    imf = extract_image_features(lane_mask, pole_mask, cfg)
-    ev = build_evaluator(cf, imf, intr)
+    _, _, ev = extract_features(*bundle, cfg)
     result = refine(initial, ev, cfg.refinement())
     save_extrinsic(args.out, result)
     sys.stdout.write(f"initial_cost: {cost(initial, ev):.6f}\n")
@@ -132,40 +119,30 @@ def cmd_project(args) -> int:
     img = load_image(args.image).copy()
     lane_mask = load_mask(args.lane_mask, "lane") if args.lane_mask else None
 
-    lane_sel = np.zeros(len(cloud), dtype=bool)
-    pole_sel = np.zeros(len(cloud), dtype=bool)
     try:
-        seg = fit_ground_plane(cloud, cfg.seed, cfg)
-        lane_idx = extract_lane_points(seg, cloud, cfg.seed + 1, cfg)
-        lane_sel[lane_idx] = True
-        lines = ransac_line3d(
-            cloud.xyz[lane_idx], cfg.line_inlier_tol, cfg.seed + 2,
-            trials=cfg.line_trials, min_inliers=cfg.line_min_inliers,
-        )
-        if lines:
-            frame = ground_parallel_rotation(seg.plane, lines[0].line)
-            pole_idx, _ = extract_pole_points(seg, cloud, frame, cfg)
-            pole_sel[pole_idx] = True
+        cf = extract_cloud_features(cloud, seed=cfg.seed, cfg=cfg)
+        lane_pts, pole_pts = cf.lane_points, cf.pole_points
     except CalibError:
-        pass  # plain intensity overlay when feature extraction fails
+        # plain intensity overlay when feature extraction fails
+        lane_pts = pole_pts = np.zeros((0, 3))
 
-    p_c = extrinsic.apply(cloud.xyz)
-    z = p_c[:, 2]
-    valid = z > EPS_Z
-    zs = np.where(valid, z, 1.0)
-    iu = np.rint(intr.fx * p_c[:, 0] / zs + intr.cx).astype(int)
-    iv = np.rint(intr.fy * p_c[:, 1] / zs + intr.cy).astype(int)
     h, w = img.shape[:2]
-    ok = valid & (iu >= 0) & (iu < w) & (iv >= 0) & (iv < h)
+
+    def pixels(pts):
+        """Rows, columns and in-frame flags of the points' rounded pixels."""
+        uv, valid = project_points(intr, extrinsic.apply(pts))
+        iu, iv = np.rint(uv).astype(int).T
+        ok = valid & (iu >= 0) & (iu < w) & (iv >= 0) & (iv < h)
+        return iv[ok], iu[ok], ok
 
     imax = cloud.intensity.max() if cloud.intensity.max() > 0 else 1.0
     shade = np.clip(cloud.intensity / imax * 255.0, 0, 255).astype(np.uint8)
-    other = ok & ~lane_sel & ~pole_sel
-    img[iv[other], iu[other]] = np.column_stack([shade[other]] * 3)
-    sel = ok & lane_sel
-    img[iv[sel], iu[sel]] = (0, 255, 0)
-    sel = ok & pole_sel
-    img[iv[sel], iu[sel]] = (255, 0, 0)
+    iv, iu, ok = pixels(cloud.xyz)
+    img[iv, iu] = np.column_stack([shade[ok]] * 3)
+    lane_iv, lane_iu, _ = pixels(lane_pts)
+    img[lane_iv, lane_iu] = (0, 255, 0)
+    iv, iu, _ = pixels(pole_pts)
+    img[iv, iu] = (255, 0, 0)
     save_ppm(args.out, img)
 
     if args.stats:
@@ -173,9 +150,8 @@ def cmd_project(args) -> int:
             sys.stderr.write("--stats needs --lane-mask\n")
             return 1
         dil = _dilate(lane_mask.bits, 2)
-        sel = ok & lane_sel
-        total = int(sel.sum())
-        inside = int(dil[iv[sel], iu[sel]].sum()) if total else 0
+        total = len(lane_iv)
+        inside = int(dil[lane_iv, lane_iu].sum())
         frac = inside / total if total else 0.0
         sys.stdout.write(f"lane_points_projected: {total}\n")
         sys.stdout.write(f"lane_points_in_mask: {inside}\n")
@@ -198,8 +174,6 @@ def _dilate(bits: np.ndarray, radius: int) -> np.ndarray:
 def cmd_synth(args) -> int:
     spec = synth.load_scene_spec(args.spec)
     if args.seed is not None:
-        import dataclasses
-
         spec = dataclasses.replace(spec, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -219,31 +193,27 @@ def cmd_synth(args) -> int:
 
 
 def _sweep_worker(task):
-    frame_dir, ref_path, n_trials, max_t, max_theta, seed, cfg_kw, fi = task
-    cfg = PipelineConfig(**cfg_kw)
+    frame_dir, ref_path, n_trials, max_t, max_theta, cfg, fi = task
     frame = Path(frame_dir)
-    intr = load_intrinsics(frame / "intrinsics.txt")
-    cloud = PointCloud.from_array(load_cloud(frame / "frame_cloud.bin"))
-    lane_mask = load_mask(frame / "frame_lane.pgm", "lane", intr)
-    pole_mask = load_mask(frame / "frame_pole.pgm", "pole", intr)
-    cf = extract_cloud_features(cloud, seed=cfg.seed, cfg=cfg)
-    imf = extract_image_features(lane_mask, pole_mask, cfg)
-    ev = build_evaluator(cf, imf, intr)
+    bundle = argparse.Namespace(
+        cloud=frame / "frame_cloud.bin",
+        lane_mask=frame / "frame_lane.pgm",
+        pole_mask=frame / "frame_pole.pgm",
+        intrinsics=frame / "intrinsics.txt",
+    )
+    _, _, ev = extract_features(*_load_bundle(bundle), cfg)
     ref = load_extrinsic(ref_path)
     return evaluation.robustness_sweep(
         [ev], ref, n_trials, max_t, max_theta,
-        seed + 10007 * fi, refine_cfg=cfg.refinement(),
+        cfg.seed + 10007 * fi, refine_cfg=cfg.refinement(),
     )
 
 
 def cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
-    import dataclasses
-
-    cfg_kw = dataclasses.asdict(cfg)
     max_theta = math.radians(args.max_theta_deg)
     tasks = [
-        (frame, args.ref, args.trials, args.max_t, max_theta, cfg.seed, cfg_kw, fi)
+        (frame, args.ref, args.trials, args.max_t, max_theta, cfg, fi)
         for fi, frame in enumerate(args.frames)
     ]
     if args.jobs > 1:

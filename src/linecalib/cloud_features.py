@@ -77,9 +77,6 @@ class GroundParallelFrame:
     def to_ground(self, p: np.ndarray) -> np.ndarray:
         return np.asarray(p, dtype=float) @ self.rotation.T
 
-    def to_lidar(self, p: np.ndarray) -> np.ndarray:
-        return np.asarray(p, dtype=float) @ self.rotation
-
 
 @dataclass(frozen=True)
 class ScoredLine3D:

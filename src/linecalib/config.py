@@ -36,7 +36,9 @@ class RefinementConfig:
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(RefinementConfig):
+    """Every pipeline threshold, plus the inherited refinement fields."""
+
     # ground plane
     plane_trials: int = 200
     plane_inlier_band: float = 0.1     # meters, half of the 0.2 m thickness
@@ -65,16 +67,6 @@ class PipelineConfig:
     hough_max_lines: int = 8
     hough_band_px: float = 3.0
     hough_lane_theta_margin_deg: float = 25.0
-    # refinement
-    t_range: float = 1.0
-    theta_range_deg: float = 0.1
-    rot_scale: float = 60.0
-    step_init: float = 1.0
-    step_final: float = 0.001
-    step_decay: float = 0.1
-    reject_limit: int = 50
-    max_samples: int = 10000
-    seed: int = 0
 
     def __post_init__(self):
         if not (0 < self.gamma0 < 1) or not (0 < self.gamma1 < 1):
@@ -85,19 +77,11 @@ class PipelineConfig:
             # a peak's own cell lies within 0.5 px of its line, so a band
             # this wide always claims the pixels that voted for the peak
             raise ValueError("hough_band_px must be at least 0.5")
-        self.refinement()  # validates the shared refinement fields
+        super().__post_init__()
 
     def refinement(self) -> RefinementConfig:
         return RefinementConfig(
-            t_range=self.t_range,
-            theta_range_deg=self.theta_range_deg,
-            rot_scale=self.rot_scale,
-            step_init=self.step_init,
-            step_final=self.step_final,
-            step_decay=self.step_decay,
-            reject_limit=self.reject_limit,
-            max_samples=self.max_samples,
-            seed=self.seed,
+            **{f.name: getattr(self, f.name) for f in dataclasses.fields(RefinementConfig)}
         )
 
     def replace(self, **kw) -> "PipelineConfig":

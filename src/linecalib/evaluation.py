@@ -9,7 +9,7 @@ import numpy as np
 
 from .config import RefinementConfig
 from .cost import CostEvaluator
-from .errors import EmptyList
+from .errors import CalibError, EmptyList
 from .geometry import (
     Extrinsic,
     angle_axis_to_matrix,
@@ -147,7 +147,7 @@ def robustness_sweep(
                 result = refine(
                     start, ev, dataclasses.replace(refine_cfg, seed=trial_seed)
                 )
-            except Exception as e:  # noqa: BLE001 - recorded per-trial, not fatal
+            except CalibError as e:  # recorded per trial, not fatal
                 trials.append(
                     SweepTrial(mag0, init_err, init_err, mag0, failure=str(e))
                 )

@@ -232,22 +232,6 @@ def matrix_to_angle_axis(R: np.ndarray) -> np.ndarray:
     return axis * theta
 
 
-def transform_point(e: Extrinsic, p: np.ndarray) -> np.ndarray:
-    return e.apply(p)
-
-
-class Behind(Exception):
-    """Raised when a point has non-positive depth in the camera frame."""
-
-
-def project(k: Intrinsics, p_c: np.ndarray):
-    """Project one camera-frame point; raises Behind if z <= EPS_Z."""
-    x, y, z = np.asarray(p_c, dtype=float).reshape(3)
-    if z <= EPS_Z:
-        raise Behind(f"depth {z:.3g} m")
-    return np.array([k.fx * x / z + k.cx, k.fy * y / z + k.cy])
-
-
 def project_points(k: Intrinsics, pts_c: np.ndarray):
     """Vectorized projection of camera-frame points (..., 3), such as
     (N, 3) for one pose or (K, N, 3) for K poses.

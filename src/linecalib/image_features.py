@@ -54,16 +54,6 @@ class HeightMap:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def sample(self, u, v):
-        """Nearest-pixel lookup; out-of-frame coordinates give 0."""
-        iu = np.rint(np.asarray(u)).astype(int)
-        iv = np.rint(np.asarray(v)).astype(int)
-        h, w = self.values.shape
-        ok = (iu >= 0) & (iu < w) & (iv >= 0) & (iv < h)
-        out = np.zeros(np.shape(iu))
-        out[ok] = self.values[iv[ok], iu[ok]]
-        return out
-
     def sample_bilinear(self, u, v):
         """Bilinear lookup, so the alignment cost varies smoothly with the
         pose; out-of-frame coordinates give 0.  u and v may have any
@@ -115,34 +105,26 @@ def _sweep_rows(init: np.ndarray) -> np.ndarray:
     return d
 
 
-def l1_distance_field(mask: SemanticMask, from_set: bool) -> np.ndarray:
+def l1_distance_field(
+    mask: SemanticMask, from_set: bool, border: bool = False
+) -> np.ndarray:
     """Exact per-pixel L1 distance to the nearest set (or unset) pixel.
 
     Two forward/backward unit-cost sweeps (rows then columns); equal to
-    the brute-force minimum over all target pixels.
+    the brute-force minimum over all target pixels.  With border=True,
+    every pixel outside the frame counts as a target too.
     """
     target = mask.bits if from_set else ~mask.bits
-    if not target.any():
-        raise EmptyTarget("mask has no target pixel for the distance field")
     init = np.where(target, 0, _INF).astype(np.int64)
-    d = _sweep_rows(init)
-    d = _sweep_rows(d.T).T
-    return d
-
-
-def _l1_distance_with_border(mask: SemanticMask, from_set: bool) -> np.ndarray:
-    """L1 distance where everything outside the frame counts as unset."""
-    h, w = mask.bits.shape
-    target = mask.bits if from_set else ~mask.bits
-    init = np.where(target, 0, _INF).astype(np.int64)
-    if not from_set:
-        # virtual unset pixels just outside every border
+    if border:
+        # virtual target pixels just outside every border
+        h, w = mask.bits.shape
         ys = np.arange(h)[:, None]
         xs = np.arange(w)[None, :]
-        border = np.minimum(np.minimum(ys + 1, h - ys), np.minimum(xs + 1, w - xs))
-        init = np.minimum(init, border)
+        ring = np.minimum(np.minimum(ys + 1, h - ys), np.minimum(xs + 1, w - xs))
+        init = np.minimum(init, ring)
     elif not target.any():
-        raise EmptyTarget("mask has no set pixel")
+        raise EmptyTarget("mask has no target pixel for the distance field")
     d = _sweep_rows(init)
     d = _sweep_rows(d.T).T
     return d
@@ -159,7 +141,7 @@ def idt_height_map(mask: SemanticMask, gamma0: float, gamma1: float) -> HeightMa
         raise ValueError("gamma0, gamma1 must lie in (0, 1)")
     if not mask.bits.any():
         raise EmptyTarget("empty mask")
-    d_to_unset = _l1_distance_with_border(mask, from_set=False)
+    d_to_unset = l1_distance_field(mask, from_set=False, border=True)
     d_to_set = l1_distance_field(mask, from_set=True)
     values = np.where(
         mask.bits,

@@ -133,6 +133,33 @@ def _aligned(scored_lines, frame, check) -> list:
     return out
 
 
+def extract_features(
+    cloud: PointCloud,
+    lane_mask: SemanticMask,
+    pole_mask: SemanticMask,
+    intrinsics: Intrinsics,
+    cfg: PipelineConfig,
+    report: CalibrationReport | None = None,
+):
+    """Cloud and image features and their cost evaluator: (cf, imf, ev).
+
+    With a report, records the two extraction timings and line counts.
+    """
+    t0 = time.perf_counter()
+    cf = extract_cloud_features(cloud, seed=cfg.seed, cfg=cfg)
+    t1 = time.perf_counter()
+    imf = extract_image_features(lane_mask, pole_mask, cfg)
+    t2 = time.perf_counter()
+    if report is not None:
+        report.timings["cloud_extraction"] = t1 - t0
+        report.timings["image_extraction"] = t2 - t1
+        report.lane_lines_cloud = len(cf.lane_lines)
+        report.pole_lines_cloud = len(cf.pole_lines)
+        report.lane_lines_image = len(imf.lane_lines)
+        report.pole_lines_image = len(imf.pole_lines)
+    return cf, imf, build_evaluator(cf, imf, intrinsics)
+
+
 def calibrate(
     cloud: PointCloud,
     lane_mask: SemanticMask,
@@ -143,20 +170,7 @@ def calibrate(
     """Full pipeline; returns (refined extrinsic, report)."""
     cfg = cfg or PipelineConfig()
     report = CalibrationReport()
-
-    t0 = time.perf_counter()
-    cf = extract_cloud_features(cloud, seed=cfg.seed, cfg=cfg)
-    report.timings["cloud_extraction"] = time.perf_counter() - t0
-    report.lane_lines_cloud = len(cf.lane_lines)
-    report.pole_lines_cloud = len(cf.pole_lines)
-
-    t0 = time.perf_counter()
-    imf = extract_image_features(lane_mask, pole_mask, cfg)
-    report.timings["image_extraction"] = time.perf_counter() - t0
-    report.lane_lines_image = len(imf.lane_lines)
-    report.pole_lines_image = len(imf.pole_lines)
-
-    ev = build_evaluator(cf, imf, intrinsics)
+    cf, imf, ev = extract_features(cloud, lane_mask, pole_mask, intrinsics, cfg, report)
 
     t0 = time.perf_counter()
     coarse = coarse_calibrate(cf, imf, ev, report)

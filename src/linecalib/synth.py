@@ -23,6 +23,7 @@ from .geometry import (
     Plane3D,
     angle_axis_to_matrix,
     matrix_to_angle_axis,
+    project_points,
     rot_y,
 )
 from .image_features import SemanticMask
@@ -319,16 +320,11 @@ def _ray_box(origin, dirs, lo, hi):
 
 
 def _project_w(spec: SceneSpec, pts_w: np.ndarray):
-    """Road-frame points -> pixel coordinates and validity under the gt pose."""
-    pts_l = road_to_lidar(spec, pts_w)
-    p_c = pts_l @ spec.extrinsic.matrix().T + spec.extrinsic.t
-    z = p_c[:, 2]
-    valid = z > 1e-6
-    zs = np.where(valid, z, 1.0)
-    k = spec.intrinsics
-    u = k.fx * p_c[:, 0] / zs + k.cx
-    v = k.fy * p_c[:, 1] / zs + k.cy
-    return u, v, valid
+    """Road-frame points -> pixel coordinates, validity and camera depth
+    under the gt pose."""
+    p_c = spec.extrinsic.apply(road_to_lidar(spec, pts_w))
+    uv, valid = project_points(spec.intrinsics, p_c)
+    return uv[:, 0], uv[:, 1], valid, p_c[:, 2]
 
 
 def _fill_spans(bits, u_lo, u_hi, v, valid):
@@ -369,8 +365,8 @@ def _rasterize_lanes(spec: SceneSpec) -> SemanticMask:
         center = np.column_stack([x, np.full(len(x), off), np.zeros(len(x))])
         left = center + np.array([0.0, -half, 0.0])
         right = center + np.array([0.0, half, 0.0])
-        ul, vl, okl = _project_w(spec, left)
-        ur, vr, okr = _project_w(spec, right)
+        ul, vl, okl, _ = _project_w(spec, left)
+        ur, vr, okr, _ = _project_w(spec, right)
         _fill_spans(bits, ul, ur, (vl + vr) / 2.0, okl & okr)
     for x0, x1, y0, y1 in spec.cross_stripes:
         # perpendicular bars cover few rows; dense area sampling is enough
@@ -378,7 +374,7 @@ def _rasterize_lanes(spec: SceneSpec) -> SemanticMask:
             np.arange(x0, x1, 0.005), np.arange(y0, y1, 0.005), indexing="ij"
         )
         pts = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
-        u, v, ok = _project_w(spec, pts)
+        u, v, ok, _ = _project_w(spec, pts)
         iu = np.rint(u).astype(int)
         iv = np.rint(v).astype(int)
         ok &= (iu >= 0) & (iu < k.width) & (iv >= 0) & (iv < k.height)
@@ -392,17 +388,13 @@ def _rasterize_poles(spec: SceneSpec) -> SemanticMask:
     for (px, py), h, r in zip(spec.pole_xy, spec.pole_heights, spec.pole_radii):
         zs = np.arange(0.0, h, 0.01)
         axis = np.column_stack([np.full(len(zs), px), np.full(len(zs), py), zs])
-        u, v, ok = _project_w(spec, axis)
-        pts_l = road_to_lidar(spec, axis)
-        depth = (pts_l @ spec.extrinsic.matrix().T + spec.extrinsic.t)[:, 2]
+        u, v, ok, depth = _project_w(spec, axis)
         r_px = k.fx * r / np.where(ok, depth, 1.0)
         _fill_spans(bits, u - r_px, u + r_px, v, ok)
     for gx_, gy0, gy1, gz, gr in spec.gantries:
         ys = np.arange(gy0, gy1, 0.01)
         axis = np.column_stack([np.full(len(ys), gx_), ys, np.full(len(ys), gz)])
-        u, v, ok = _project_w(spec, axis)
-        pts_l = road_to_lidar(spec, axis)
-        depth = (pts_l @ spec.extrinsic.matrix().T + spec.extrinsic.t)[:, 2]
+        u, v, ok, depth = _project_w(spec, axis)
         r_px = k.fy * gr / np.where(ok, depth, 1.0)
         _fill_spans_v(bits, v - r_px, v + r_px, u, ok)
     return SemanticMask(cls="pole", bits=bits)
@@ -431,12 +423,10 @@ def true_lines(spec: SceneSpec):
 
 
 def _project_line(spec: SceneSpec, p0_l, p1_l) -> Line2D:
-    e, k = spec.extrinsic, spec.intrinsics
-    q0 = e.apply(p0_l)
-    q1 = e.apply(p1_l)
-    uv0 = np.array([k.fx * q0[0] / q0[2] + k.cx, k.fy * q0[1] / q0[2] + k.cy])
-    uv1 = np.array([k.fx * q1[0] / q1[2] + k.cx, k.fy * q1[1] / q1[2] + k.cy])
-    return Line2D.through(uv0, uv1)
+    # one apply per endpoint: a stacked (2, 3) transform rounds differently
+    e = spec.extrinsic
+    uv, _ = project_points(spec.intrinsics, np.stack([e.apply(p0_l), e.apply(p1_l)]))
+    return Line2D.through(uv[0], uv[1])
 
 
 def true_frame(spec: SceneSpec) -> GroundParallelFrame:

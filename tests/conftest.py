@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from linecalib.config import PipelineConfig
-from linecalib.cloud_features import extract_cloud_features
-from linecalib.image_features import extract_image_features
-from linecalib.pipeline import build_evaluator
+from linecalib.pipeline import build_evaluator, extract_features
 from linecalib.synth import canonical_spec, generate
 
 
@@ -19,22 +17,17 @@ def canonical_frame():
 
 
 @pytest.fixture(scope="session")
-def canonical_evaluator(canonical_frame):
-    """(evaluator, gt) ready for cost/refine tests."""
+def canonical_features(canonical_frame):
     spec, cloud, lane_mask, pole_mask, gt = canonical_frame
-    cfg = PipelineConfig()
-    cf = extract_cloud_features(cloud, seed=cfg.seed, cfg=cfg)
-    imf = extract_image_features(lane_mask, pole_mask, cfg)
-    return build_evaluator(cf, imf, spec.intrinsics), gt
+    cf, imf, _ = extract_features(cloud, lane_mask, pole_mask, spec.intrinsics, PipelineConfig())
+    return spec, cf, imf, gt
 
 
 @pytest.fixture(scope="session")
-def canonical_features(canonical_frame):
-    spec, cloud, lane_mask, pole_mask, gt = canonical_frame
-    cfg = PipelineConfig()
-    cf = extract_cloud_features(cloud, seed=cfg.seed, cfg=cfg)
-    imf = extract_image_features(lane_mask, pole_mask, cfg)
-    return spec, cf, imf, gt
+def canonical_evaluator(canonical_features):
+    """(evaluator, gt) ready for cost/refine tests."""
+    spec, cf, imf, gt = canonical_features
+    return build_evaluator(cf, imf, spec.intrinsics), gt
 
 
 def rng_for(seed: int) -> np.random.Generator:

@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linecalib.cloud_features import extract_cloud_features
 from linecalib.config import PipelineConfig
 from linecalib.errors import DegenerateNormals, MisalignedLine, NoSolution
 from linecalib.evaluation import (
@@ -20,13 +19,9 @@ from linecalib.evaluation import (
     rotation_error,
     translation_error,
 )
-from linecalib.image_features import (
-    SemanticMask,
-    extract_image_features,
-    idt_height_map,
-)
+from linecalib.image_features import SemanticMask, idt_height_map
 from linecalib.p3l import P3LProblem, solve_p3l
-from linecalib.pipeline import build_evaluator, calibrate, coarse_calibrate
+from linecalib.pipeline import calibrate, coarse_calibrate, extract_features
 from linecalib.synth import canonical_spec, generate, random_spec, true_frame, true_lines
 
 CFG = PipelineConfig(seed=0)
@@ -57,9 +52,7 @@ def fifty_scene_runs():
     for s in range(50):
         spec = canonical_spec(s)
         cloud, lane_mask, pole_mask, gt = generate(spec)
-        cf = extract_cloud_features(cloud, seed=CFG.seed, cfg=CFG)
-        imf = extract_image_features(lane_mask, pole_mask, CFG)
-        ev = build_evaluator(cf, imf, spec.intrinsics)
+        cf, imf, ev = extract_features(cloud, lane_mask, pole_mask, spec.intrinsics, CFG)
         t0 = time.perf_counter()
         coarse = coarse_calibrate(cf, imf, ev)
         coarse_time = time.perf_counter() - t0
@@ -195,9 +188,9 @@ def test_criterion_5_robustness_sweep():
     for s in range(20):
         spec = canonical_spec(s)
         cloud, lane_mask, pole_mask, gt = generate(spec)
-        cf = extract_cloud_features(cloud, seed=CFG.seed, cfg=CFG)
-        imf = extract_image_features(lane_mask, pole_mask, CFG)
-        evaluators.append(build_evaluator(cf, imf, spec.intrinsics))
+        evaluators.append(
+            extract_features(cloud, lane_mask, pole_mask, spec.intrinsics, CFG)[2]
+        )
         ref = gt
     trials = robustness_sweep(
         evaluators, ref, 10, 1.0, math.radians(6.0), seed=0,

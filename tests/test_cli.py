@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from linecalib.cli import main
+from linecalib.cloud_features import PointCloud, extract_cloud_features
+from linecalib.config import PipelineConfig
 from linecalib.errors import STAGE_EXIT_CODES
-from linecalib.fileio import load_extrinsic
+from linecalib.fileio import load_cloud, load_extrinsic
+from linecalib.geometry import project_points
 from linecalib.synth import canonical_spec, format_scene_spec
 
 
@@ -137,9 +140,15 @@ def test_project_subcommand(bundle, tmp_path, capsys):
          "--lane-mask", str(bundle / "frame_lane.pgm"), "--stats"]
     )
     assert code == 0
-    stdout = capsys.readouterr().out
-    frac = float(stdout.strip().splitlines()[-1].split(": ")[1])
-    assert frac > 0.95
+    stats = dict(line.split(": ") for line in capsys.readouterr().out.strip().splitlines())
+    assert float(stats["lane_in_mask_fraction"]) > 0.95
+    # the lane points counted are the cost's, the ones calibrate extracts
+    cloud = PointCloud.from_array(load_cloud(bundle / "frame_cloud.bin"))
+    lane_pts = extract_cloud_features(cloud, seed=0, cfg=PipelineConfig()).lane_points
+    uv, valid = project_points(intr, load_extrinsic(bundle / "extrinsic_gt.txt").apply(lane_pts))
+    iu, iv = np.rint(uv).T
+    in_frame = valid & (iu >= 0) & (iu < intr.width) & (iv >= 0) & (iv < intr.height)
+    assert int(stats["lane_points_projected"]) == int(in_frame.sum()) > 0
     overlay = load_image(out)
     # some lane pixels were painted green
     green = (overlay == np.array([0, 255, 0])).all(axis=2)

@@ -1,12 +1,11 @@
 """The coarse stage against the per-triple enumeration it replaced."""
 import pytest
 
-from linecalib.cloud_features import extract_cloud_features
 from linecalib.config import PipelineConfig
 from linecalib.errors import DegenerateNormals, MisalignedLine, NoSolution
-from linecalib.image_features import extract_image_features, select_principal_lines
+from linecalib.image_features import select_principal_lines
 from linecalib.p3l import P3LProblem, solve_p3l
-from linecalib.pipeline import CalibrationReport, build_evaluator, coarse_calibrate
+from linecalib.pipeline import CalibrationReport, coarse_calibrate, extract_features
 from linecalib.synth import canonical_spec, generate
 from test_cost import oracle_cost
 
@@ -50,9 +49,7 @@ def _oracle_coarse(cf, imf, ev):
 def test_coarse_matches_per_triple_oracle(spec):
     cfg = PipelineConfig()
     cloud, lane_mask, pole_mask, _ = generate(spec)
-    cf = extract_cloud_features(cloud, seed=cfg.seed, cfg=cfg)
-    imf = extract_image_features(lane_mask, pole_mask, cfg)
-    ev = build_evaluator(cf, imf, spec.intrinsics)
+    cf, imf, ev = extract_features(cloud, lane_mask, pole_mask, spec.intrinsics, cfg)
     want, want_cost, want_n = _oracle_coarse(cf, imf, ev)
     report = CalibrationReport()
     got = coarse_calibrate(cf, imf, ev, report)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linecalib.errors import EmptyList
+from linecalib import evaluation
+from linecalib.errors import EmptyList, NotARotation
 from linecalib.evaluation import (
     CalibrationError,
     aggregate,
@@ -14,6 +15,7 @@ from linecalib.evaluation import (
     percentile,
     perturb,
     perturbation_magnitude,
+    robustness_sweep,
     rotation_error,
     translation_error,
 )
@@ -118,3 +120,22 @@ def test_perturbation_magnitude_definition():
     assert perturbation_magnitude(0.0, 0.0, 1.0, 1.0) == 0.0
     assert abs(perturbation_magnitude(0.6, 0.8, 1.0, 1.0) - 1.0) < 1e-12
     assert abs(perturbation_magnitude(1.0, 0.0, 2.0, 1.0) - 0.5) < 1e-12
+
+
+def _raising_refine(exc):
+    def refine(initial, ev, cfg=None):
+        raise exc
+    return refine
+
+
+def test_sweep_records_calib_error_as_trial_failure(monkeypatch):
+    monkeypatch.setattr(evaluation, "refine", _raising_refine(NotARotation("bad pose")))
+    trials = robustness_sweep([None], Extrinsic.identity(), 2, 1.0, 0.1, seed=0)
+    assert [t.failure for t in trials] == ["bad pose", "bad pose"]
+    assert all(t.refined_error == t.initial_error for t in trials)
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    monkeypatch.setattr(evaluation, "refine", _raising_refine(ValueError("bug")))
+    with pytest.raises(ValueError, match="bug"):
+        robustness_sweep([None], Extrinsic.identity(), 2, 1.0, 0.1, seed=0)

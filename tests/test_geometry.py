@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from linecalib.errors import NotARotation
 from linecalib.geometry import (
-    Behind,
+    EPS_Z,
     Extrinsic,
     Intrinsics,
     Line2D,
@@ -18,13 +18,11 @@ from linecalib.geometry import (
     backproject_line,
     euler_zyx,
     matrix_to_angle_axis,
-    project,
     project_points,
     rotation_geodesic,
     rot_x,
     rot_y,
     rot_z,
-    transform_point,
 )
 
 MANY = settings(max_examples=1000, deadline=None)
@@ -69,10 +67,9 @@ def test_rotation_round_trip(r):
 
 @MANY
 @given(angle_axis, vec3)
-def test_transform_point_bijection(r, p):
+def test_extrinsic_inverse_undoes_apply(r, p):
     e = Extrinsic(r, np.array([0.3, -1.2, 2.0]))
-    q = transform_point(e, p)
-    back = e.inverse().apply(q)
+    back = e.inverse().apply(e.apply(p))
     assert np.abs(back - p).max() < 1e-9 * max(1.0, np.abs(p).max())
 
 
@@ -154,16 +151,19 @@ K = Intrinsics(fx=700.0, fy=700.0, cx=620.0, cy=180.0, width=1242, height=375)
     st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(0.1, 100.0)
 )
 def test_project_matches_pinhole(x, y, z):
-    uv = project(K, np.array([x, y, z]))
-    assert abs(uv[0] - (K.fx * x / z + K.cx)) < 1e-9
-    assert abs(uv[1] - (K.fy * y / z + K.cy)) < 1e-9
+    uv, valid = project_points(K, np.array([x, y, z]))
+    assert valid[0]
+    assert abs(uv[0, 0] - (K.fx * x / z + K.cx)) < 1e-9
+    assert abs(uv[0, 1] - (K.fy * y / z + K.cy)) < 1e-9
 
 
-def test_project_behind_raises():
-    with pytest.raises(Behind):
-        project(K, np.array([0.0, 0.0, -1.0]))
-    with pytest.raises(Behind):
-        project(K, np.array([0.0, 0.0, 0.0]))
+def pinhole(k, p):
+    """Scalar pinhole oracle: (u, v) of one camera-frame point, None when
+    its depth is not above EPS_Z."""
+    x, y, z = p
+    if z <= EPS_Z:
+        return None
+    return np.array([k.fx * x / z + k.cx, k.fy * y / z + k.cy])
 
 
 @MANY
@@ -173,11 +173,10 @@ def test_project_points_matches_scalar(seed):
     pts = rng.normal(size=(8, 3)) * np.array([2.0, 2.0, 5.0])
     uv, valid = project_points(K, pts)
     for i in range(len(pts)):
+        ref = pinhole(K, pts[i])
+        assert valid[i] == (ref is not None)
         if valid[i]:
-            assert np.abs(uv[i] - project(K, pts[i])).max() < 1e-9
-        else:
-            with pytest.raises(Behind):
-                project(K, pts[i])
+            assert np.abs(uv[i] - ref).max() < 1e-9
 
 
 def test_project_points_batch_bits_match_one_pose_at_a_time():

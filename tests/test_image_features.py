@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linecalib.cloud_features import extract_cloud_features
 from linecalib.config import PipelineConfig
 from linecalib.errors import EmptyTarget, InsufficientLines, NoLines
 from linecalib.evaluation import calibration_error
@@ -19,14 +18,12 @@ from linecalib.image_features import (
     ScoredLine2D,
     SemanticMask,
     _fit_line2d,
-    _l1_distance_with_border,
-    extract_image_features,
     hough_lines,
     idt_height_map,
     l1_distance_field,
     select_principal_lines,
 )
-from linecalib.pipeline import build_evaluator, coarse_calibrate
+from linecalib.pipeline import coarse_calibrate, extract_features
 from linecalib.synth import canonical_spec, generate
 
 MANY = settings(max_examples=1000, deadline=None)
@@ -70,6 +67,10 @@ def test_l1_brute_force_equivalence_100_masks():
         )
         assert np.array_equal(
             l1_distance_field(mask, from_set=False), brute_l1(~mask.bits)
+        )
+        assert np.array_equal(
+            l1_distance_field(mask, from_set=False, border=True),
+            brute_l1_with_border(mask.bits),
         )
 
 
@@ -140,7 +141,7 @@ def test_idt_monotone_in_distance(seed, g0, g1):
     mask = random_mask(rng, 16, 16, p=float(rng.uniform(0.05, 0.5)))
     hm = idt_height_map(mask, g0, g1)
     d_out = l1_distance_field(mask, from_set=True)
-    d_in = _l1_distance_with_border(mask, from_set=False)
+    d_in = l1_distance_field(mask, from_set=False, border=True)
     v = hm.values
     assert ((v > 0) & (v <= 1)).all()
     # value depends only on the respective L1 distance, decreasing in it
@@ -173,7 +174,7 @@ def test_idt_rejects_bad_gamma_and_empty():
 
 def test_heightmap_sampling_out_of_frame_zero():
     hm = HeightMap(np.ones((4, 4)))
-    assert hm.sample(np.array([-1]), np.array([0]))[0] == 0.0
+    assert hm.sample_bilinear(np.array([-1.0]), np.array([0.0]))[0] == 0.0
     assert hm.sample_bilinear(np.array([3.5]), np.array([1.0]))[0] == 0.0
     assert hm.sample_bilinear(np.array([3.0]), np.array([3.0]))[0] == 1.0
 
@@ -403,11 +404,8 @@ def test_gantry_beam_is_not_taken_for_a_pole():
     )
     cfg = PipelineConfig()
     cloud, lane_mask, pole_mask, gt = generate(spec)
-    cf = extract_cloud_features(cloud, seed=cfg.seed, cfg=cfg)
-    imf = extract_image_features(lane_mask, pole_mask, cfg)
+    cf, imf, ev = extract_features(cloud, lane_mask, pole_mask, spec.intrinsics, cfg)
     strongest = max(imf.pole_lines, key=lambda s: s.support)
     assert abs(strongest.line.a) < 0.1   # the horizontal beam
-    err = calibration_error(
-        coarse_calibrate(cf, imf, build_evaluator(cf, imf, spec.intrinsics)), gt
-    )
+    err = calibration_error(coarse_calibrate(cf, imf, ev), gt)
     assert err.dt < 0.5 and math.degrees(err.dtheta) < 3.0

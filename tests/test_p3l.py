@@ -14,7 +14,6 @@ from linecalib.geometry import (
     Line2D,
     backproject_line,
     matrix_to_angle_axis,
-    project,
     rot_x,
     rot_z,
     rotation_geodesic,
