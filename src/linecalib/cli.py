@@ -19,8 +19,9 @@ from . import evaluation, synth
 from .cloud_features import PointCloud, extract_cloud_features
 from .config import PipelineConfig, load_config
 from .cost import cost
-from .errors import STAGE_EXIT_CODES, CalibError
+from .errors import STAGE_EXIT_CODES, CalibError, DimensionMismatch
 from .fileio import (
+    format_intrinsics,
     load_cloud,
     load_extrinsic,
     load_image,
@@ -117,7 +118,14 @@ def cmd_project(args) -> int:
     cloud = PointCloud.from_array(load_cloud(args.cloud))
     extrinsic = load_extrinsic(args.extrinsic)
     img = load_image(args.image).copy()
+    h, w = img.shape[:2]
     lane_mask = load_mask(args.lane_mask, "lane") if args.lane_mask else None
+    if lane_mask is not None and lane_mask.bits.shape != (h, w):
+        # the stats look up the mask at the overlay's pixels
+        raise DimensionMismatch(
+            f"{args.lane_mask}: mask is {lane_mask.bits.shape[1]}x{lane_mask.bits.shape[0]}, "
+            f"--image is {w}x{h}"
+        )
 
     try:
         cf = extract_cloud_features(cloud, seed=cfg.seed, cfg=cfg)
@@ -125,8 +133,6 @@ def cmd_project(args) -> int:
     except CalibError:
         # plain intensity overlay when feature extraction fails
         lane_pts = pole_pts = np.zeros((0, 3))
-
-    h, w = img.shape[:2]
 
     def pixels(pts):
         """Rows, columns and in-frame flags of the points' rounded pixels."""
@@ -181,12 +187,7 @@ def cmd_synth(args) -> int:
     save_cloud(out / "frame_cloud.bin", cloud.to_array())
     save_pgm(out / "frame_lane.pgm", np.where(lane_mask.bits, 255, 0).astype(np.uint8))
     save_pgm(out / "frame_pole.pgm", np.where(pole_mask.bits, 255, 0).astype(np.uint8))
-    k = spec.intrinsics
-    (out / "intrinsics.txt").write_text(
-        f"fx = {k.fx:.17g}\nfy = {k.fy:.17g}\ncx = {k.cx:.17g}\ncy = {k.cy:.17g}\n"
-        f"width = {k.width}\nheight = {k.height}\n",
-        encoding="utf-8",
-    )
+    (out / "intrinsics.txt").write_text(format_intrinsics(spec.intrinsics), encoding="utf-8")
     save_extrinsic(out / "extrinsic_gt.txt", gt)
     sys.stdout.write(f"wrote 5 files to {out}\n")
     return 0

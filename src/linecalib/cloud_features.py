@@ -22,6 +22,12 @@ from .errors import (
 )
 from .geometry import Line3D, Plane3D, _line_distance
 
+# The P3L direction gates in the ground-parallel frame G: a lane line runs
+# within 2 deg of X, a pole line within 15 deg of Z.  FeatureSetCloud holds
+# only lines that pass them, re-oriented along +X and +Z.
+LANE_COS = math.cos(math.radians(2.0))
+POLE_COS = math.cos(math.radians(15.0))
+
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -385,8 +391,9 @@ def extract_cloud_features(
     if ground_lines:
         d_min = _nearest_line_distance(lane_pts, ground_lines)
         lane_pts = lane_pts[d_min < cfg.lane_dist_max]
-    # P3L uses only the lines that follow the driving direction
-    lane_lines = _canonical_lane_lines(lane_lines, frame)
+    # P3L uses only the lines that follow the driving direction; the 2 deg
+    # gate also rejects diagonal artifacts across dashes
+    lane_lines = _canonical_lines(lane_lines, frame, 0, LANE_COS)
     pole_idx, cells = extract_pole_points(seg, cloud, frame, cfg)
     pole_pts = cloud.xyz[pole_idx]
     nx = int(math.ceil((cfg.grid_x_max - cfg.grid_x_min) / cfg.grid_cell))
@@ -405,7 +412,7 @@ def extract_cloud_features(
         )
         if fitted:
             pole_lines.append(fitted[0])
-    pole_lines = _canonical_pole_lines(pole_lines, frame)
+    pole_lines = _canonical_lines(pole_lines, frame, 2, POLE_COS)
     if len(lane_lines) < 2 or len(pole_lines) < 1:
         raise InsufficientLines(
             f"need >= 2 lane and >= 1 pole cloud lines, "
@@ -425,29 +432,15 @@ def _inlier_span(s: ScoredLine3D, pts: np.ndarray) -> float:
     return float(proj.max() - proj.min())
 
 
-def _canonical_lane_lines(lines, frame):
-    # keep ground-parallel lines within 2 deg of the reference direction,
-    # re-oriented along +X in G; rejects diagonal artifacts across dashes
+def _canonical_lines(lines, frame, axis: int, min_cos: float) -> list:
+    """The lines within acos(min_cos) of axis `axis` of G, re-oriented
+    along its + direction."""
     out = []
     for s in lines:
-        dg = frame.to_ground(s.line.direction)
-        if abs(dg[2]) >= 0.1:
+        c = frame.to_ground(s.line.direction)[axis]
+        if abs(c) < min_cos:
             continue
-        if abs(dg[0]) < math.cos(math.radians(2.0)):
-            continue
-        if dg[0] < 0:
-            s = ScoredLine3D(Line3D(s.line.point, -s.line.direction), s.inliers)
-        out.append(s)
-    return out
-
-
-def _canonical_pole_lines(lines, frame):
-    out = []
-    for s in lines:
-        dg = frame.to_ground(s.line.direction)
-        if abs(dg[2]) <= 0.9:
-            continue
-        if dg[2] < 0:
+        if c < 0:
             s = ScoredLine3D(Line3D(s.line.point, -s.line.direction), s.inliers)
         out.append(s)
     return out

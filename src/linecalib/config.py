@@ -9,7 +9,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .fileio import load_kv_file
+from .fileio import load_kv_file, parse_fields
 
 
 @dataclass(frozen=True)
@@ -89,18 +89,7 @@ class PipelineConfig(RefinementConfig):
 
 
 def load_config(path) -> PipelineConfig:
-    kv = load_kv_file(path)
-    fields = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
-    unknown = set(kv) - set(fields)
-    if unknown:
-        raise ParseError(f"{path}: unknown config keys {sorted(unknown)}")
-    kwargs = {}
-    for key, raw in kv.items():
-        default = getattr(PipelineConfig, key)
-        try:
-            kwargs[key] = type(default)(raw) if not isinstance(default, int) else int(raw)
-        except ValueError as e:
-            raise ParseError(f"{path}: bad value for {key}: {raw!r}") from e
+    kwargs = parse_fields(PipelineConfig, load_kv_file(path), path)
     try:
         return PipelineConfig(**kwargs)
     except ValueError as e:

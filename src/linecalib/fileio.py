@@ -1,12 +1,15 @@
-"""On-disk formats: intrinsics/extrinsic text files, point clouds, PGM/PPM.
+"""On-disk formats: `key = value` records, point clouds, PGM/PPM.
 
-Text files are UTF-8 `key = value` lines; `#` starts a comment.  Point
-clouds are the usual velodyne layout (contiguous little-endian float32
-x, y, z, intensity records) with an ASCII fallback of one
-`x y z intensity` line per point.
+Record files (config, scene spec, intrinsics, extrinsic) are UTF-8
+`key = value` lines; `#` starts a comment.  This module is the only
+code that reads or writes them.  Point clouds are the usual velodyne
+layout (contiguous little-endian float32 x, y, z, intensity records)
+with an ASCII fallback of one `x y z intensity` line per point.
 """
 from __future__ import annotations
 
+import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,8 @@ import numpy as np
 from .errors import ParseError
 from .geometry import Extrinsic, Intrinsics
 
-_INTRINSIC_KEYS = {"fx", "fy", "cx", "cy", "width", "height"}
+INTRINSIC_KEYS = ("fx", "fy", "cx", "cy", "width", "height")
+EXTRINSIC_KEYS = ("r", "t")
 
 
 def parse_kv_text(text: str, path="<string>") -> dict:
@@ -45,13 +49,96 @@ def load_kv_file(path) -> dict:
     return parse_kv_text(text, path=str(path))
 
 
-def load_intrinsics(path) -> Intrinsics:
-    kv = load_kv_file(path)
-    extra = set(kv) - _INTRINSIC_KEYS
+# A field's value is a scalar or a space-separated tuple of items.  An item
+# is a scalar (a bool is written 0 or 1) or a `:`-separated record: a tuple
+# of scalars or a dataclass such as synth.Box.  Each value is read as the
+# type of its field's default.
+
+
+def _record(v) -> tuple:
+    return dataclasses.astuple(v) if dataclasses.is_dataclass(v) else v
+
+
+def _parse_item(default, tok: str):
+    if isinstance(default, bool):
+        if tok not in ("0", "1"):
+            raise ValueError(f"expected 0 or 1, got {tok!r}")
+        return tok == "1"
+    if isinstance(default, int):
+        return int(tok)
+    if isinstance(default, float):
+        value = float(tok)
+        if not math.isfinite(value):
+            raise ValueError("not finite")
+        return value
+    fields, parts = _record(default), tok.split(":")
+    if len(parts) != len(fields):
+        raise ValueError(f"expected {len(fields)} ':'-separated values, got {tok!r}")
+    values = tuple(_parse_item(f, p) for f, p in zip(fields, parts))
+    return type(default)(*values) if dataclasses.is_dataclass(default) else values
+
+
+def _format_item(default, v) -> str:
+    if isinstance(default, bool):
+        return "1" if v else "0"
+    if isinstance(default, int):
+        return "%d" % v
+    if isinstance(default, float):
+        return "%.17g" % v
+    return ":".join(
+        _format_item(f, x) for f, x in zip(_record(default), _record(v), strict=True)
+    )
+
+
+def _field_defaults(cls) -> dict:
+    """Name -> default of the fields of dataclass `cls` stored as plain
+    values (scalars and tuples); fields holding an object are left out."""
+    return {
+        f.name: f.default
+        for f in dataclasses.fields(cls)
+        if isinstance(f.default, (int, float, tuple))
+    }
+
+
+def parse_fields(cls, kv: dict, path) -> dict:
+    """Constructor keywords for the fields of dataclass `cls` named in `kv`."""
+    defaults = _field_defaults(cls)
+    unknown = set(kv) - set(defaults)
+    if unknown:
+        raise ParseError(f"{path}: unknown keys {sorted(unknown)}")
+    out = {}
+    for key, raw in kv.items():
+        default = defaults[key]
+        try:
+            if isinstance(default, tuple):
+                out[key] = tuple(_parse_item(default[0], tok) for tok in raw.split())
+            else:
+                out[key] = _parse_item(default, raw)
+        except ValueError as e:
+            raise ParseError(f"{path}: bad value for {key}: {raw!r} ({e})") from e
+    return out
+
+
+def format_fields(obj) -> str:
+    """`key = value` lines for the plain-value fields of a dataclass, in
+    field order; `parse_fields` reads them back."""
+    lines = []
+    for key, default in _field_defaults(type(obj)).items():
+        v = getattr(obj, key)
+        if isinstance(default, tuple):
+            text = " ".join(_format_item(default[0], x) for x in v)
+        else:
+            text = _format_item(default, v)
+        lines.append(f"{key} = {text}\n")
+    return "".join(lines)
+
+
+def parse_intrinsics(kv: dict, path) -> Intrinsics:
+    extra = set(kv) - set(INTRINSIC_KEYS)
     if extra:
         # distortion models are deliberately rejected: rectified pinhole only
         raise ParseError(f"{path}: unsupported intrinsics keys {sorted(extra)}")
-    missing = _INTRINSIC_KEYS - set(kv)
+    missing = set(INTRINSIC_KEYS) - set(kv)
     if missing:
         raise ParseError(f"{path}: missing intrinsics keys {sorted(missing)}")
     try:
@@ -67,6 +154,16 @@ def load_intrinsics(path) -> Intrinsics:
         raise ParseError(f"{path}: {e}") from e
 
 
+def format_intrinsics(k: Intrinsics) -> str:
+    return "fx = %.17g\nfy = %.17g\ncx = %.17g\ncy = %.17g\nwidth = %d\nheight = %d\n" % (
+        k.fx, k.fy, k.cx, k.cy, k.width, k.height
+    )
+
+
+def load_intrinsics(path) -> Intrinsics:
+    return parse_intrinsics(load_kv_file(path), path)
+
+
 def _parse_vec3(s: str, what: str):
     parts = s.replace('"', "").split()
     if len(parts) != 3:
@@ -77,12 +174,20 @@ def _parse_vec3(s: str, what: str):
         raise ParseError(f"{what}: {e}") from e
 
 
-def load_extrinsic(path) -> Extrinsic:
-    kv = load_kv_file(path)
-    for key in ("r", "t"):
+def parse_extrinsic(kv: dict, path) -> Extrinsic:
+    for key in EXTRINSIC_KEYS:
         if key not in kv:
             raise ParseError(f"{path}: missing key {key!r}")
-    return Extrinsic(_parse_vec3(kv["r"], f"{path}: r"), _parse_vec3(kv["t"], f"{path}: t"))
+    r = _parse_vec3(kv["r"], f"{path}: r")
+    t = _parse_vec3(kv["t"], f"{path}: t")
+    try:
+        return Extrinsic(r, t)
+    except ValueError as e:  # non-finite components
+        raise ParseError(f"{path}: {e}") from e
+
+
+def load_extrinsic(path) -> Extrinsic:
+    return parse_extrinsic(load_kv_file(path), path)
 
 
 def format_extrinsic(e: Extrinsic) -> str:
@@ -133,14 +238,13 @@ def load_cloud(path) -> np.ndarray:
     if not path.exists():
         raise ParseError(f"file not found: {path}")
     data = path.read_bytes()
-    ascii_pts = _try_ascii_cloud(data)
-    if ascii_pts is not None:
-        return ascii_pts
-    if len(data) == 0 or len(data) % 16 != 0:
-        raise ParseError(
-            f"{path}: binary cloud size {len(data)} is not a multiple of 16 bytes"
-        )
-    pts = np.frombuffer(data, dtype="<f4").reshape(-1, 4).astype(np.float64)
+    pts = _try_ascii_cloud(data)
+    if pts is None:
+        if len(data) == 0 or len(data) % 16 != 0:
+            raise ParseError(
+                f"{path}: binary cloud size {len(data)} is not a multiple of 16 bytes"
+            )
+        pts = np.frombuffer(data, dtype="<f4").reshape(-1, 4).astype(np.float64)
     if not np.isfinite(pts).all():
         raise ParseError(f"{path}: cloud contains non-finite values")
     return pts
@@ -151,14 +255,18 @@ def save_cloud(path, pts: np.ndarray) -> None:
     Path(path).write_bytes(pts.astype("<f4").tobytes())
 
 
-def _read_pnm_header(data: bytes, path):
-    """Parse a PGM/PPM header; returns (magic, width, height, maxval, offset)."""
-    pos = 0
-    fields = []
+def _read_pnm(path) -> np.ndarray:
+    """A binary PGM (P5) or PPM (P6) with maxval 255 as an (h, w, 1 or 3)
+    uint8 array."""
+    path = Path(path)
+    if not path.exists():
+        raise ParseError(f"file not found: {path}")
+    data = path.read_bytes()
     if data[:2] not in (b"P5", b"P6"):
         raise ParseError(f"{path}: not a binary PGM/PPM (magic {data[:2]!r})")
-    magic = data[:2].decode()
+    channels = 1 if data[:2] == b"P5" else 3
     pos = 2
+    fields = []
     while len(fields) < 3:
         if pos >= len(data):
             raise ParseError(f"{path}: truncated header at byte {pos}")
@@ -176,42 +284,27 @@ def _read_pnm_header(data: bytes, path):
         else:
             raise ParseError(f"{path}: bad header byte {ch!r} at offset {pos}")
     pos += 1  # single whitespace after maxval
-    width, height, maxval = fields
+    w, h, maxval = fields
     if maxval != 255:
         raise ParseError(f"{path}: only maxval 255 supported, got {maxval}")
-    return magic, width, height, maxval, pos
+    need = w * h * channels
+    if len(data) - pos < need:
+        raise ParseError(f"{path}: expected {need} pixel bytes at offset {pos}")
+    return np.frombuffer(data[pos : pos + need], dtype=np.uint8).reshape(h, w, channels)
 
 
 def load_pgm(path):
     """Load a binary (P5) 8-bit PGM as a (h, w) uint8 array."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"file not found: {path}")
-    data = path.read_bytes()
-    magic, w, h, _, off = _read_pnm_header(data, path)
-    if magic != "P5":
-        raise ParseError(f"{path}: expected P5, got {magic}")
-    need = w * h
-    if len(data) - off < need:
-        raise ParseError(f"{path}: expected {need} pixel bytes at offset {off}")
-    return np.frombuffer(data[off : off + need], dtype=np.uint8).reshape(h, w)
+    img = _read_pnm(path)
+    if img.shape[2] != 1:
+        raise ParseError(f"{path}: expected P5, got P6")
+    return img[:, :, 0]
 
 
 def load_image(path):
     """Load P5 or P6; returns (h, w, 3) uint8 (grayscale replicated)."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"file not found: {path}")
-    data = path.read_bytes()
-    magic, w, h, _, off = _read_pnm_header(data, path)
-    ch = 1 if magic == "P5" else 3
-    need = w * h * ch
-    if len(data) - off < need:
-        raise ParseError(f"{path}: expected {need} pixel bytes at offset {off}")
-    img = np.frombuffer(data[off : off + need], dtype=np.uint8)
-    if ch == 1:
-        return np.repeat(img.reshape(h, w, 1), 3, axis=2)
-    return img.reshape(h, w, 3).copy()
+    img = _read_pnm(path)
+    return np.repeat(img, 3, axis=2) if img.shape[2] == 1 else img.copy()
 
 
 def save_pgm(path, img: np.ndarray) -> None:

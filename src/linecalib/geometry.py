@@ -41,10 +41,6 @@ class Extrinsic:
         p = np.asarray(points, dtype=float)
         return p @ self.matrix().T + self.t
 
-    def inverse(self) -> "Extrinsic":
-        R = self.matrix()
-        return Extrinsic(matrix_to_angle_axis(R.T), -R.T @ self.t)
-
     @staticmethod
     def identity() -> "Extrinsic":
         return Extrinsic(np.zeros(3), np.zeros(3))
@@ -64,8 +60,8 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise ValueError("focal lengths must be positive and finite")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):
             raise ValueError("principal point outside image")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud_features import GroundParallelFrame
+from .cloud_features import LANE_COS, POLE_COS, GroundParallelFrame
 from .errors import DegenerateNormals, MisalignedLine, NoSolution
 from .geometry import (
     Extrinsic,
@@ -32,13 +32,7 @@ from .geometry import (
     rot_z,
 )
 
-_LANE_DIR_G = np.array([1.0, 0.0, 0.0])
-_POLE_DIR_G = np.array([0.0, 0.0, 1.0])
-
 MAX_CONDITION = 1e6
-
-_LANE_COS = math.cos(math.radians(2.0))
-_POLE_COS = math.cos(math.radians(15.0))
 
 
 @dataclass(frozen=True)
@@ -60,15 +54,13 @@ class P3LProblem:
 
 def check_lane_direction(frame: GroundParallelFrame, line: Line3D) -> None:
     """Raise MisalignedLine unless the cloud line runs within 2 deg of X in G."""
-    d = frame.rotation @ line.direction
-    if abs(float(d @ _LANE_DIR_G)) < _LANE_COS:
+    if abs(frame.to_ground(line.direction)[0]) < LANE_COS:
         raise MisalignedLine("cloud lane direction deviates > 2 deg from X in G")
 
 
 def check_pole_direction(frame: GroundParallelFrame, line: Line3D) -> None:
     """Raise MisalignedLine unless the cloud line runs within 15 deg of Z in G."""
-    d = frame.rotation @ line.direction
-    if abs(float(d @ _POLE_DIR_G)) < _POLE_COS:
+    if abs(frame.to_ground(line.direction)[2]) < POLE_COS:
         raise MisalignedLine("cloud pole direction deviates > 15 deg from Z in G")
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from .cloud_features import FeatureSetCloud, PointCloud, extract_cloud_features
 from .config import PipelineConfig
 from .cost import CostEvaluator, cost, cost_batch
-from .errors import DegenerateNormals, MisalignedLine, NoValidCandidate
+from .errors import DegenerateNormals, NoValidCandidate
 from .geometry import Extrinsic, Intrinsics
 from .image_features import (
     FeatureSetImage,
@@ -19,14 +19,7 @@ from .image_features import (
 )
 # P3LProblem is unused here but stays importable as pipeline.P3LProblem,
 # where perfbench's tracer wraps it
-from .p3l import (  # noqa: F401
-    ImageSolution,
-    P3LProblem,
-    check_lane_direction,
-    check_pole_direction,
-    solve_rotations,
-    solve_translations,
-)
+from .p3l import ImageSolution, P3LProblem, solve_rotations, solve_translations  # noqa: F401
 from .refine import refine
 
 
@@ -86,8 +79,9 @@ def coarse_calibrate(
     """
     lane1_img, lane2_img, pole_img = select_principal_lines(image_features)
     frame = cloud_features.frame
-    lanes = _aligned(cloud_features.lane_lines, frame, check_lane_direction)
-    poles = _aligned(cloud_features.pole_lines, frame, check_pole_direction)
+    # every cloud line already passes its P3L direction gate
+    lanes = [s.line for s in cloud_features.lane_lines]
+    poles = [s.line for s in cloud_features.pole_lines]
     try:
         sol = solve_rotations(lane1_img, lane2_img, pole_img, ev.intrinsics, frame)
     except DegenerateNormals:
@@ -119,18 +113,6 @@ def coarse_calibrate(
             f"{len(scores)} candidates evaluated, none scored above zero"
         )
     return Extrinsic.from_matrix(sol.rotations[which[best]], ts[best])
-
-
-def _aligned(scored_lines, frame, check) -> list:
-    """The cloud lines that pass a P3L direction gate, in their order."""
-    out = []
-    for s in scored_lines:
-        try:
-            check(frame, s.line)
-        except MisalignedLine:
-            continue
-        out.append(s.line)
-    return out
 
 
 def extract_features(

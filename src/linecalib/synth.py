@@ -15,6 +15,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cloud_features import GroundParallelFrame, PointCloud, ground_parallel_rotation
+from .errors import ParseError
+from .fileio import (
+    EXTRINSIC_KEYS,
+    INTRINSIC_KEYS,
+    format_extrinsic,
+    format_fields,
+    format_intrinsics,
+    load_kv_file,
+    parse_extrinsic,
+    parse_fields,
+    parse_intrinsics,
+)
 from .geometry import (
     Extrinsic,
     Intrinsics,
@@ -223,28 +235,20 @@ def generate(spec: SceneSpec):
     gy = origin[1] + tg[ok] * dirs[ok, 1]
     material[ok] = np.where(_on_stripe(spec, gx, gy), 1, 0)
 
-    # pole cylinders
-    for (px, py), h, r in zip(spec.pole_xy, spec.pole_heights, spec.pole_radii):
-        t_hit = _ray_cylinder(origin, dirs, px, py, r, 0.0, h)
+    # poles (cylinders along Z), gantry beams (along Y) and clutter boxes
+    solids = [
+        (2, _ray_cylinder(origin, dirs, 2, (px, py), r, 0.0, h))
+        for (px, py), h, r in zip(spec.pole_xy, spec.pole_heights, spec.pole_radii)
+    ]
+    solids += [
+        (2, _ray_cylinder(origin, dirs, 1, (gx_, gz), gr, gy0, gy1))
+        for gx_, gy0, gy1, gz, gr in spec.gantries
+    ]
+    solids += [(3, _ray_box(origin, dirs, box)) for box in spec.boxes]
+    for mat, t_hit in solids:
         closer = t_hit < best_t
         best_t[closer] = t_hit[closer]
-        material[closer] = 2
-
-    # gantry beams (horizontal cylinders along Y)
-    for gx_, gy0, gy1, gz, gr in spec.gantries:
-        t_hit = _ray_gantry(origin, dirs, gx_, gy0, gy1, gz, gr)
-        closer = t_hit < best_t
-        best_t[closer] = t_hit[closer]
-        material[closer] = 2
-
-    # clutter boxes
-    for box in spec.boxes:
-        lo = np.array([box.cx - box.sx / 2, box.cy - box.sy / 2, 0.0])
-        hi = np.array([box.cx + box.sx / 2, box.cy + box.sy / 2, box.sz])
-        t_hit = _ray_box(origin, dirs, lo, hi)
-        closer = t_hit < best_t
-        best_t[closer] = t_hit[closer]
-        material[closer] = 3
+        material[closer] = mat
 
     hit = np.isfinite(best_t) & (best_t < spec.max_range)
     best_t = best_t[hit]
@@ -264,49 +268,38 @@ def generate(spec: SceneSpec):
     return cloud, lane_mask, pole_mask, spec.extrinsic
 
 
-def _ray_cylinder(origin, dirs, px, py, r, z0, z1):
-    """Hit parameter for rays passing within r of the axis, inf where missed.
+def _ray_cylinder(origin, dirs, axis, center, r, lo, hi):
+    """Hit parameter for rays passing within r of a cylinder's axis, inf
+    where missed.
 
-    Poles are thin relative to the beam spacing, so the return is modeled
-    at the ray's closest approach to the axis rather than the entry point
-    on the surface; the sub-radius depth difference is negligible but a
-    surface-entry model would bias every return toward the sensor side.
+    The cylinder runs along road-frame axis `axis` from `lo` to `hi`;
+    `center` holds its coordinates on the other two axes, in order.
+    Poles and beams are thin relative to the beam spacing, so the return
+    is modeled at the ray's closest approach to the axis rather than the
+    entry point on the surface; the sub-radius depth difference is
+    negligible but a surface-entry model would bias every return toward
+    the sensor side.
     """
-    ox, oy = origin[0] - px, origin[1] - py
-    dx, dy = dirs[:, 0], dirs[:, 1]
-    a = dx * dx + dy * dy
-    b = 2.0 * (ox * dx + oy * dy)
-    c = ox * ox + oy * oy - r * r
+    i, j = (k for k in range(3) if k != axis)
+    oi, oj = origin[i] - center[0], origin[j] - center[1]
+    di, dj = dirs[:, i], dirs[:, j]
+    a = di * di + dj * dj
+    b = 2.0 * (oi * di + oj * dj)
+    c = oi * oi + oj * oj - r * r
     disc = b * b - 4.0 * a * c
     out = np.full(len(dirs), np.inf)
     ok = (disc >= 0) & (a > 1e-12)
     t1 = -b / np.where(ok, 2.0 * a, 1.0)
-    z = origin[2] + t1 * dirs[:, 2]
-    good = ok & (t1 > 1e-6) & (z >= z0) & (z <= z1)
+    along = origin[axis] + t1 * dirs[:, axis]
+    good = ok & (t1 > 1e-6) & (along >= lo) & (along <= hi)
     out[good] = t1[good]
     return out
 
 
-def _ray_gantry(origin, dirs, gx, gy0, gy1, gz, r):
-    """Horizontal cylinder along Y at (x, z); closest-approach thin-target
-    model as in _ray_cylinder, inf where missed."""
-    ox, oz = origin[0] - gx, origin[2] - gz
-    dx, dz = dirs[:, 0], dirs[:, 2]
-    a = dx * dx + dz * dz
-    b = 2.0 * (ox * dx + oz * dz)
-    c = ox * ox + oz * oz - r * r
-    disc = b * b - 4.0 * a * c
-    out = np.full(len(dirs), np.inf)
-    ok = (disc >= 0) & (a > 1e-12)
-    t1 = -b / np.where(ok, 2.0 * a, 1.0)
-    y = origin[1] + t1 * dirs[:, 1]
-    good = ok & (t1 > 1e-6) & (y >= gy0) & (y <= gy1)
-    out[good] = t1[good]
-    return out
-
-
-def _ray_box(origin, dirs, lo, hi):
-    """Slab-method ray/AABB intersection; inf where missed."""
+def _ray_box(origin, dirs, box: Box):
+    """Slab-method ray/box intersection; inf where missed."""
+    lo = np.array([box.cx - box.sx / 2, box.cy - box.sy / 2, 0.0])
+    hi = np.array([box.cx + box.sx / 2, box.cy + box.sy / 2, box.sz])
     out = np.full(len(dirs), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / dirs
@@ -337,18 +330,6 @@ def _fill_spans(bits, u_lo, u_hi, v, valid):
     hi = np.clip(hi, 0, w - 1)
     for i in np.nonzero(ok)[0]:
         bits[iv[i], lo[i] : hi[i] + 1] = True
-
-
-def _fill_spans_v(bits, v_lo, v_hi, u, valid):
-    h, w = bits.shape
-    iu = np.rint(u).astype(int)
-    lo = np.rint(np.minimum(v_lo, v_hi)).astype(int)
-    hi = np.rint(np.maximum(v_lo, v_hi)).astype(int)
-    ok = valid & (iu >= 0) & (iu < w) & (hi >= 0) & (lo < h)
-    lo = np.clip(lo, 0, h - 1)
-    hi = np.clip(hi, 0, h - 1)
-    for i in np.nonzero(ok)[0]:
-        bits[lo[i] : hi[i] + 1, iu[i]] = True
 
 
 def _rasterize_lanes(spec: SceneSpec) -> SemanticMask:
@@ -396,7 +377,8 @@ def _rasterize_poles(spec: SceneSpec) -> SemanticMask:
         axis = np.column_stack([np.full(len(ys), gx_), ys, np.full(len(ys), gz)])
         u, v, ok, depth = _project_w(spec, axis)
         r_px = k.fy * gr / np.where(ok, depth, 1.0)
-        _fill_spans_v(bits, v - r_px, v + r_px, u, ok)
+        # a horizontal beam fills columns: the same spans, transposed
+        _fill_spans(bits.T, v - r_px, v + r_px, u, ok)
     return SemanticMask(cls="pole", bits=bits)
 
 
@@ -475,130 +457,26 @@ def canonical_spec(seed: int = 0, **overrides) -> SceneSpec:
     return replace(SceneSpec(seed=seed), **overrides)
 
 
-_SCALAR_FIELDS = {
-    "lane_x0": float,
-    "lane_x1": float,
-    "lane_width": float,
-    "dash_period": float,
-    "dash_fill": float,
-    "lane_intensity": float,
-    "ground_intensity": float,
-    "pole_intensity": float,
-    "box_intensity": float,
-    "lidar_height": float,
-    "ground_tilt_deg": float,
-    "rings": int,
-    "azimuth_steps": int,
-    "elevation_min_deg": float,
-    "elevation_max_deg": float,
-    "max_range": float,
-    "noise_sigma": float,
-    "intensity_sigma": float,
-    "seed": int,
-}
-
-
 def format_scene_spec(spec: SceneSpec) -> str:
-    k = spec.intrinsics
-    lines = [
-        "lane_offsets = " + " ".join("%.17g" % v for v in spec.lane_offsets),
-        "lane_dashed = " + " ".join("1" if d else "0" for d in spec.lane_dashed),
-        "pole_xy = " + " ".join("%.17g:%.17g" % xy for xy in spec.pole_xy),
-        "pole_heights = " + " ".join("%.17g" % v for v in spec.pole_heights),
-        "pole_radii = " + " ".join("%.17g" % v for v in spec.pole_radii),
-        "boxes = "
-        + " ".join(
-            "%.17g:%.17g:%.17g:%.17g:%.17g" % (b.cx, b.cy, b.sx, b.sy, b.sz)
-            for b in spec.boxes
-        ),
-        "cross_stripes = "
-        + " ".join("%.17g:%.17g:%.17g:%.17g" % s for s in spec.cross_stripes),
-        "gantries = "
-        + " ".join("%.17g:%.17g:%.17g:%.17g:%.17g" % g for g in spec.gantries),
-        'r = "%.17g %.17g %.17g"' % tuple(spec.extrinsic.r),
-        't = "%.17g %.17g %.17g"' % tuple(spec.extrinsic.t),
-        "fx = %.17g" % k.fx,
-        "fy = %.17g" % k.fy,
-        "cx = %.17g" % k.cx,
-        "cy = %.17g" % k.cy,
-        "width = %d" % k.width,
-        "height = %d" % k.height,
-    ]
-    for name, typ in _SCALAR_FIELDS.items():
-        v = getattr(spec, name)
-        lines.append(f"{name} = " + ("%d" % v if typ is int else "%.17g" % v))
-    return "\n".join(lines) + "\n"
+    return (
+        format_fields(spec)
+        + format_extrinsic(spec.extrinsic)
+        + format_intrinsics(spec.intrinsics)
+    )
 
 
 def load_scene_spec(path) -> SceneSpec:
-    from .errors import ParseError
-    from .fileio import load_kv_file
-
+    """Read a spec file; a key left out keeps its SceneSpec default."""
     kv = load_kv_file(path)
-    known = (
-        set(_SCALAR_FIELDS)
-        | {
-            "lane_offsets",
-            "lane_dashed",
-            "pole_xy",
-            "pole_heights",
-            "pole_radii",
-            "boxes",
-            "cross_stripes",
-            "gantries",
-        }
-        | {"r", "t", "fx", "fy", "cx", "cy", "width", "height"}
-    )
-    unknown = set(kv) - known
-    if unknown:
-        raise ParseError(f"{path}: unknown scene keys {sorted(unknown)}")
     kwargs = {}
-    try:
-        for name, typ in _SCALAR_FIELDS.items():
-            if name in kv:
-                kwargs[name] = typ(kv[name])
-        if "lane_offsets" in kv:
-            kwargs["lane_offsets"] = tuple(float(v) for v in kv["lane_offsets"].split())
-        if "lane_dashed" in kv:
-            kwargs["lane_dashed"] = tuple(v == "1" for v in kv["lane_dashed"].split())
-        if "pole_xy" in kv:
-            kwargs["pole_xy"] = tuple(
-                tuple(float(c) for c in item.split(":")) for item in kv["pole_xy"].split()
-            )
-        if "pole_heights" in kv:
-            kwargs["pole_heights"] = tuple(float(v) for v in kv["pole_heights"].split())
-        if "pole_radii" in kv:
-            kwargs["pole_radii"] = tuple(float(v) for v in kv["pole_radii"].split())
-        if "boxes" in kv:
-            kwargs["boxes"] = tuple(
-                Box(*(float(c) for c in item.split(":"))) for item in kv["boxes"].split()
-            )
-        if "cross_stripes" in kv:
-            kwargs["cross_stripes"] = tuple(
-                tuple(float(c) for c in item.split(":"))
-                for item in kv["cross_stripes"].split()
-            )
-        if "gantries" in kv:
-            kwargs["gantries"] = tuple(
-                tuple(float(c) for c in item.split(":"))
-                for item in kv["gantries"].split()
-            )
-        if "r" in kv or "t" in kv:
-            r = [float(v) for v in kv["r"].replace('"', "").split()]
-            t = [float(v) for v in kv["t"].replace('"', "").split()]
-            kwargs["extrinsic"] = Extrinsic(np.array(r), np.array(t))
-        intr_keys = {"fx", "fy", "cx", "cy", "width", "height"}
-        if intr_keys & set(kv):
-            kwargs["intrinsics"] = Intrinsics(
-                fx=float(kv["fx"]),
-                fy=float(kv["fy"]),
-                cx=float(kv["cx"]),
-                cy=float(kv["cy"]),
-                width=int(kv["width"]),
-                height=int(kv["height"]),
-            )
-    except (KeyError, ValueError, TypeError) as e:
-        raise ParseError(f"{path}: bad scene spec ({e})") from e
+    for name, keys, parse in (
+        ("extrinsic", EXTRINSIC_KEYS, parse_extrinsic),
+        ("intrinsics", INTRINSIC_KEYS, parse_intrinsics),
+    ):
+        sub = {key: kv.pop(key) for key in keys if key in kv}
+        if sub:
+            kwargs[name] = parse(sub, path)
+    kwargs.update(parse_fields(SceneSpec, kv, path))
     try:
         return SceneSpec(**kwargs)
     except InvalidSpec as e:

@@ -122,6 +122,34 @@ def test_evaluate_subcommand(bundle, tmp_path, capsys):
     assert abs(dt - 0.5) < 1e-9
 
 
+def test_evaluate_non_finite_extrinsic_exits_1(bundle, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text('r = "nan 0 0"\nt = "0 0 0"\n', encoding="utf-8")
+    code = main(["evaluate", str(bad), str(bundle / "extrinsic_gt.txt")])
+    assert code == STAGE_EXIT_CODES["parse"] == 1
+    assert "error (parse)" in capsys.readouterr().err
+
+
+def test_project_rejects_lane_mask_smaller_than_image(bundle, tmp_path, capsys):
+    from linecalib.fileio import load_intrinsics, load_pgm, save_pgm
+
+    intr = load_intrinsics(bundle / "intrinsics.txt")
+    img = tmp_path / "bg.pgm"
+    save_pgm(img, np.zeros((intr.height, intr.width), dtype=np.uint8))
+    crop = tmp_path / "lane_crop.pgm"
+    save_pgm(crop, load_pgm(bundle / "frame_lane.pgm")[:200, :600])
+    code = main(
+        ["project",
+         "--cloud", str(bundle / "frame_cloud.bin"),
+         "--intrinsics", str(bundle / "intrinsics.txt"),
+         "--extrinsic", str(bundle / "extrinsic_gt.txt"),
+         "--image", str(img), "--out", str(tmp_path / "overlay.ppm"),
+         "--lane-mask", str(crop), "--stats"]
+    )
+    assert code == STAGE_EXIT_CODES["parse"] == 1
+    assert "600x200" in capsys.readouterr().err
+
+
 def test_project_subcommand(bundle, tmp_path, capsys):
     from linecalib.fileio import load_image, save_pgm
 

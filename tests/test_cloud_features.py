@@ -7,9 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linecalib.cloud_features import (
+    LANE_COS,
+    POLE_COS,
+    GroundParallelFrame,
     PointCloud,
     ScoredLine3D,
     _best_hypothesis,
+    _canonical_lines,
     _fit_line_lsq,
     _row_norms,
     cluster_cells,
@@ -23,6 +27,7 @@ from linecalib.cloud_features import (
 from linecalib.config import PipelineConfig
 from linecalib.errors import DegenerateFrame, NoGroundPlane
 from linecalib.geometry import Line3D, Plane3D, angle_axis_to_matrix
+from linecalib.p3l import check_lane_direction, check_pole_direction
 
 MANY = settings(max_examples=1000, deadline=None)
 
@@ -312,6 +317,34 @@ def test_pole_line_directions_vertical_in_frame(canonical_features):
     for s in cf.pole_lines:
         dg = cf.frame.to_ground(s.line.direction)
         assert abs(dg[2]) > 0.9
+
+
+def _line_at(deg, axis, flip=False):
+    """A unit line tilted `deg` degrees off G's `axis` toward the next axis."""
+    d = np.zeros(3)
+    d[axis] = math.cos(math.radians(deg))
+    d[(axis + 1) % 3] = math.sin(math.radians(deg))
+    return ScoredLine3D(Line3D(np.zeros(3), -d if flip else d), np.arange(3))
+
+
+def test_direction_gates_keep_lanes_within_2_and_poles_within_15_deg():
+    frame = GroundParallelFrame(rotation=np.eye(3))
+    lanes = [_line_at(1.9, 0, flip=True), _line_at(2.1, 0), _line_at(0.0, 0)]
+    kept = _canonical_lines(lanes, frame, 0, LANE_COS)
+    assert [s.line.direction[0] > 0 for s in kept] == [True, True]
+    assert np.allclose(kept[0].line.direction, -lanes[0].line.direction)
+    # 20 deg passes a |z| > 0.9 test but not the 15 deg P3L gate
+    poles = [_line_at(14.0, 2, flip=True), _line_at(20.0, 2), _line_at(16.0, 2)]
+    kept = _canonical_lines(poles, frame, 2, POLE_COS)
+    assert len(kept) == 1 and kept[0].line.direction[2] > 0
+
+
+def test_extracted_lines_pass_the_p3l_checks(canonical_features):
+    spec, cf, imf, gt = canonical_features
+    for s in cf.lane_lines:
+        check_lane_direction(cf.frame, s.line)
+    for s in cf.pole_lines:
+        check_pole_direction(cf.frame, s.line)
 
 
 def test_extraction_commutes_with_z_rotation(canonical_frame):

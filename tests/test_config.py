@@ -39,9 +39,10 @@ def test_load_config_rejects_unknown_key(tmp_path):
 
 def test_load_config_rejects_bad_value(tmp_path):
     p = tmp_path / "cfg.txt"
-    p.write_text("gamma0 = fast\n", encoding="utf-8")
-    with pytest.raises(ParseError):
-        load_config(p)
+    for text in ("gamma0 = fast\n", "grid_x_max = inf\n", "max_samples = 1e3\n"):
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError):
+            load_config(p)
 
 
 def test_load_config_validates(tmp_path):

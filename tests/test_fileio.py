@@ -1,4 +1,5 @@
 """Round trips and error handling for every on-disk format."""
+import dataclasses
 import math
 
 import numpy as np
@@ -9,11 +10,14 @@ from hypothesis import strategies as st
 from linecalib.errors import ParseError
 from linecalib.fileio import (
     format_extrinsic,
+    format_fields,
+    format_intrinsics,
     load_cloud,
     load_extrinsic,
     load_image,
     load_intrinsics,
     load_pgm,
+    parse_fields,
     parse_kv_text,
     save_cloud,
     save_extrinsic,
@@ -56,6 +60,51 @@ def test_parse_kv_round_trip(kv):
     assert parse_kv_text(text) == kv
 
 
+@dataclasses.dataclass(frozen=True)
+class _Point:
+    x: float
+    y: float
+
+
+@dataclasses.dataclass(frozen=True)
+class _Record:
+    scale: float = 1.5
+    count: int = 3
+    offsets: tuple = (0.25, -1.0)
+    flags: tuple = (True, False)
+    pairs: tuple = ((1.0, 2.0),)
+    points: tuple = (_Point(0.5, 0.5),)
+    frame: _Point = _Point(0.0, 0.0)   # holds an object: not a record field
+
+
+def test_fields_round_trip_every_value_type():
+    rec = _Record(
+        scale=0.1, count=-7, offsets=(1e-300, 3.0, -0.0), flags=(False, True, True),
+        pairs=((0.1, 0.2), (-3.0, 4.5)), points=(), frame=_Point(1.0, 2.0),
+    )
+    text = format_fields(rec)
+    assert text == (
+        "scale = 0.10000000000000001\ncount = -7\noffsets = 1e-300 3 -0\n"
+        "flags = 0 1 1\npairs = 0.10000000000000001:0.20000000000000001 -3:4.5\npoints = \n"
+    )
+    kw = parse_fields(_Record, parse_kv_text(text), "rec")
+    assert _Record(**kw, frame=rec.frame) == rec
+    assert isinstance(kw["count"], int) and kw["flags"] == (False, True, True)
+
+
+@pytest.mark.parametrize("line", [
+    "frame = 1:2",          # an object field is no record field
+    "scale = fast",
+    "count = 2.5",
+    "flags = 1 true",
+    "pairs = 1:2:3",
+    "points = 1",
+])
+def test_parse_fields_rejects(line):
+    with pytest.raises(ParseError):
+        parse_fields(_Record, parse_kv_text(line), "rec")
+
+
 # ---------------------------------------------------------------------------
 # intrinsics / extrinsic
 
@@ -71,6 +120,8 @@ def test_intrinsics_round_trip(tmp_path):
     assert (k.fx, k.fy, k.cx, k.cy, k.width, k.height) == (
         430.0, 430.0, 609.6, 172.9, 1242, 375,
     )
+    p.write_text(format_intrinsics(k), encoding="utf-8")
+    assert load_intrinsics(p) == k
 
 
 def test_intrinsics_rejects_unknown_and_missing(tmp_path):
@@ -111,6 +162,14 @@ def test_extrinsic_file_round_trip(tmp_path):
     assert np.array_equal(back.r, e.r) and np.array_equal(back.t, e.t)
 
 
+def test_extrinsic_non_finite_is_a_parse_error(tmp_path):
+    p = tmp_path / "extr.txt"
+    for r, t in (("nan 0 0", "0 0 0"), ("0 0 0", "0 inf 0")):
+        p.write_text(f'r = "{r}"\nt = "{t}"\n')
+        with pytest.raises(ParseError):
+            load_extrinsic(p)
+
+
 def test_extrinsic_missing_key(tmp_path):
     p = tmp_path / "extr.txt"
     p.write_text('r = "0 0 0"\n')
@@ -148,6 +207,10 @@ def test_cloud_errors(tmp_path):
     with pytest.raises(ParseError):
         load_cloud(p)
     p.write_bytes(np.array([np.inf, 0, 0, 0], dtype="<f4").tobytes())
+    with pytest.raises(ParseError):
+        load_cloud(p)
+    # the ASCII path runs the same finite check as the binary one
+    p.write_text("1 2 3 0.5\n4 nan 6 0.25\n")
     with pytest.raises(ParseError):
         load_cloud(p)
     with pytest.raises(ParseError):

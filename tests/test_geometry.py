@@ -66,14 +66,6 @@ def test_rotation_round_trip(r):
 
 
 @MANY
-@given(angle_axis, vec3)
-def test_extrinsic_inverse_undoes_apply(r, p):
-    e = Extrinsic(r, np.array([0.3, -1.2, 2.0]))
-    back = e.inverse().apply(e.apply(p))
-    assert np.abs(back - p).max() < 1e-9 * max(1.0, np.abs(p).max())
-
-
-@MANY
 @given(angle_axis, st.floats(-math.pi + 1e-6, math.pi))
 def test_geodesic_symmetry_and_angle(r, theta):
     R1 = angle_axis_to_matrix(r)
@@ -193,6 +185,8 @@ def test_project_points_batch_bits_match_one_pose_at_a_time():
 def test_intrinsics_validation():
     with pytest.raises(ValueError):
         Intrinsics(fx=-1.0, fy=700.0, cx=600.0, cy=180.0, width=1242, height=375)
+    with pytest.raises(ValueError):
+        Intrinsics(fx=math.nan, fy=700.0, cx=600.0, cy=180.0, width=1242, height=375)
     with pytest.raises(ValueError):
         Intrinsics(fx=700.0, fy=700.0, cx=2000.0, cy=180.0, width=1242, height=375)
 

@@ -1,10 +1,13 @@
 """Synthetic scene generator: geometric consistency and serialization."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from linecalib.geometry import project_points
+from linecalib.errors import ParseError
+from linecalib.fileio import parse_kv_text
+from linecalib.geometry import Extrinsic, project_points
 from linecalib.synth import (
     InvalidSpec,
     SceneSpec,
@@ -111,31 +114,85 @@ def test_true_lines_project_onto_masks():
     assert np.median(d) < 30.0
 
 
+def _nudged(v):
+    """A value of the same type as v that differs from it."""
+    if isinstance(v, bool):
+        return not v
+    if isinstance(v, (int, float)):
+        return v + 1
+    if isinstance(v, tuple):
+        return tuple(_nudged(x) for x in v)
+    if isinstance(v, Extrinsic):
+        return Extrinsic(v.r + 0.01, v.t + 0.25)
+    return type(v)(*(_nudged(x) for x in dataclasses.astuple(v)))
+
+
+def _same(a, b):
+    if isinstance(a, Extrinsic):
+        return np.array_equal(a.r, b.r) and np.array_equal(a.t, b.t)
+    return a == b
+
+
 def test_spec_serialization_round_trip(tmp_path):
-    spec = canonical_spec(4)
-    text = format_scene_spec(spec)
-    path = tmp_path / "scene.txt"
-    path.write_text(text, encoding="utf-8")
-    back = load_scene_spec(path)
-    assert back.lane_offsets == spec.lane_offsets
-    assert back.lane_dashed == spec.lane_dashed
-    assert back.pole_xy == spec.pole_xy
-    assert back.pole_heights == spec.pole_heights
-    assert back.gantries == spec.gantries
-    assert back.cross_stripes == spec.cross_stripes
-    assert back.rings == spec.rings
-    assert back.seed == spec.seed
-    assert np.abs(back.extrinsic.t - spec.extrinsic.t).max() < 1e-15
-    assert np.abs(back.extrinsic.r - spec.extrinsic.r).max() < 1e-15
-    k1, k2 = back.intrinsics, spec.intrinsics
-    assert (k1.fx, k1.fy, k1.cx, k1.cy, k1.width, k1.height) == (
-        k2.fx, k2.fy, k2.cx, k2.cy, k2.width, k2.height
+    # every field moved off its default, so a field the codec drops or
+    # garbles reads back different
+    default = SceneSpec()
+    spec = SceneSpec(
+        **{f.name: _nudged(getattr(default, f.name)) for f in dataclasses.fields(SceneSpec)}
     )
+    path = tmp_path / "scene.txt"
+    path.write_text(format_scene_spec(spec), encoding="utf-8")
+    back = load_scene_spec(path)
+    for f in dataclasses.fields(SceneSpec):
+        value = getattr(spec, f.name)
+        assert not _same(value, getattr(default, f.name)), f.name
+        assert _same(getattr(back, f.name), value), f.name
     # and the round-tripped spec generates an identical scene
     c1, l1, p1, g1 = generate(spec)
     c2, l2, p2, g2 = generate(back)
     assert np.array_equal(c1.to_array(), c2.to_array())
     assert np.array_equal(l1.bits, l2.bits)
+    assert np.array_equal(p1.bits, p2.bits)
+
+
+# the key order of spec files written before the fields were written in
+# field order; such files carry no comment lines
+_OLD_KEY_ORDER = (
+    "lane_offsets", "lane_dashed", "pole_xy", "pole_heights", "pole_radii", "boxes",
+    "cross_stripes", "gantries", "r", "t", "fx", "fy", "cx", "cy", "width", "height",
+    "lane_x0", "lane_x1", "lane_width", "dash_period", "dash_fill", "lane_intensity",
+    "ground_intensity", "pole_intensity", "box_intensity", "lidar_height",
+    "ground_tilt_deg", "rings", "azimuth_steps", "elevation_min_deg",
+    "elevation_max_deg", "max_range", "noise_sigma", "intensity_sigma", "seed",
+)
+
+
+def test_spec_in_old_key_order_loads_to_the_same_spec(tmp_path):
+    spec = random_spec(seed=7)
+    kv = parse_kv_text(format_scene_spec(spec))
+    assert set(kv) == set(_OLD_KEY_ORDER)
+    path = tmp_path / "old.txt"
+    path.write_text("".join(f"{k} = {kv[k]}\n" for k in _OLD_KEY_ORDER), encoding="utf-8")
+    back = load_scene_spec(path)
+    for f in dataclasses.fields(SceneSpec):
+        assert _same(getattr(back, f.name), getattr(spec, f.name)), f.name
+
+
+def test_spec_rejects_malformed_values(tmp_path):
+    path = tmp_path / "scene.txt"
+    for text in (
+        "lane_dashd = 0 0 0\n",            # unknown key
+        "lane_dashed = 0 2 0\n",           # a flag is 0 or 1
+        "pole_xy = 12:-6:1 20:6 28:-5\n",  # records have a fixed arity
+        "boxes = 12:-3.5:4:1.8\n",
+        "rings = 12.5\n",
+        "lane_width = nan\n",
+        "fx = 430\n",                      # intrinsics come whole
+        'r = "nan 0 0"\nt = "0 0 0"\n',
+    ):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError):
+            load_scene_spec(path)
 
 
 def test_random_specs_are_deterministic_and_varied():
