@@ -47,7 +47,6 @@ def _add_bundle_args(p):
 def _add_common(p):
     p.add_argument("--config", default=None, help="pipeline config file")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for batch loops")
 
 
 def _load_cfg(args) -> PipelineConfig:
@@ -128,7 +127,7 @@ def cmd_project(args) -> int:
         )
 
     try:
-        cf = extract_cloud_features(cloud, seed=cfg.seed, cfg=cfg)
+        cf = extract_cloud_features(cloud, cfg.seed, cfg)
         lane_pts, pole_pts = cf.lane_points, cf.pole_points
     except CalibError:
         # plain intensity overlay when feature extraction fails
@@ -286,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--max-t", type=float, default=1.0)
     p.add_argument("--max-theta-deg", type=float, default=6.0)
+    p.add_argument("--jobs", type=int, default=1, help="frames swept in parallel")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 

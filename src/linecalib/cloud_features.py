@@ -99,11 +99,8 @@ class FeatureSetCloud:
     frame: GroundParallelFrame = None
 
 
-def fit_ground_plane(
-    cloud: PointCloud, seed: int, cfg: PipelineConfig | None = None
-) -> GroundSegmentation:
+def fit_ground_plane(cloud: PointCloud, seed: int, cfg: PipelineConfig) -> GroundSegmentation:
     """RANSAC plane fit over the whole cloud, normal oriented towards +Z."""
-    cfg = cfg or PipelineConfig()
     pts = cloud.xyz
     n = len(pts)
     if n < 1000:
@@ -148,33 +145,29 @@ def fit_ground_plane(
     )
 
 
-def ransac_line3d(
-    points: np.ndarray,
-    inlier_tol: float,
-    seed: int,
-    trials: int = 100,
-    min_inliers: int = 20,
-) -> list[ScoredLine3D]:
+def ransac_line3d(points: np.ndarray, seed: int, cfg: PipelineConfig) -> list[ScoredLine3D]:
     """Greedy sequential RANSAC line fitting.
 
-    Fits the best-supported line, removes its inliers, repeats while a
-    line with >= min_inliers support exists.  Each round draws the point
-    pairs of all its trials in one call, which yields the same stream as
-    one draw per trial in trial order, and scores every hypothesis against
-    every point in batched blocks of bounded size; the first trial with
-    the most inliers wins.  Each line is refined by a
+    Fits the best-supported line (cfg.line_trials point pairs, inliers
+    within cfg.line_inlier_tol), removes its inliers, repeats while a line
+    with >= cfg.line_min_inliers support exists.  Each round draws the
+    point pairs of all its trials in one call, which yields the same
+    stream as one draw per trial in trial order, and scores every
+    hypothesis against every point in batched blocks of bounded size; the
+    first trial with the most inliers wins.  Each line is refined by a
     principal-axis least-squares fit over its inliers, so collinear
     dashed segments merge into a single line.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(points) < 2:
         raise ValueError("ransac_line3d needs at least 2 points")
+    inlier_tol, min_inliers = cfg.line_inlier_tol, cfg.line_min_inliers
     rng = np.random.default_rng(seed)
     pool = np.arange(len(points))
     out: list[ScoredLine3D] = []
     while len(pool) >= max(2, min_inliers):
         sub = points[pool]
-        pairs = rng.integers(0, len(pool), size=(trials, 2))
+        pairs = rng.integers(0, len(pool), size=(cfg.line_trials, 2))
         best_line, best_count = _best_hypothesis(sub, pairs, inlier_tol)
         if best_line is None or best_count < min_inliers:
             break
@@ -253,13 +246,9 @@ def _fit_line_lsq(pts: np.ndarray) -> Line3D:
 
 
 def extract_lane_points(
-    seg: GroundSegmentation,
-    cloud: PointCloud,
-    seed: int,
-    cfg: PipelineConfig | None = None,
+    seg: GroundSegmentation, cloud: PointCloud, seed: int, cfg: PipelineConfig
 ) -> np.ndarray:
     """Indices of lane points: intensity filter then distance-to-line filter."""
-    cfg = cfg or PipelineConfig()
     gi = seg.ground_indices
     inten = cloud.intensity[gi]
     thr = inten.mean() + cfg.intensity_sigma_scale * inten.std()
@@ -267,13 +256,7 @@ def extract_lane_points(
     if len(bright) < 2:
         raise NoLanePoints(f"{len(bright)} points above intensity threshold")
     pts = cloud.xyz[bright]
-    lines = ransac_line3d(
-        pts,
-        cfg.line_inlier_tol,
-        seed,
-        trials=cfg.line_trials,
-        min_inliers=cfg.line_min_inliers,
-    )
+    lines = ransac_line3d(pts, seed, cfg)
     if not lines:
         raise NoLanePoints("no line structure among high-intensity points")
     d_min = _nearest_line_distance(pts, lines)
@@ -299,7 +282,7 @@ def extract_pole_points(
     seg: GroundSegmentation,
     cloud: PointCloud,
     frame: GroundParallelFrame,
-    cfg: PipelineConfig | None = None,
+    cfg: PipelineConfig,
 ):
     """Indices of pole points plus a grid-cell id per point.
 
@@ -307,7 +290,6 @@ def extract_pole_points(
     an x-y grid, and only cells whose maximum elevation clears pole_h1
     survive; near-ground points below pole_h0 are dropped.
     """
-    cfg = cfg or PipelineConfig()
     oi = seg.object_indices
     g = frame.to_ground(cloud.xyz[oi])
     in_grid = (
@@ -356,21 +338,12 @@ def cluster_cells(cells: np.ndarray, nx: int) -> np.ndarray:
     return np.array([label_of[int(c)] for c in cells])
 
 
-def extract_cloud_features(
-    cloud: PointCloud, seed: int = 0, cfg: PipelineConfig | None = None
-) -> FeatureSetCloud:
+def extract_cloud_features(cloud: PointCloud, seed: int, cfg: PipelineConfig) -> FeatureSetCloud:
     """Run the full point-cloud extraction chain."""
-    cfg = cfg or PipelineConfig()
     seg = fit_ground_plane(cloud, seed, cfg)
     lane_idx = extract_lane_points(seg, cloud, seed + 1, cfg)
     lane_pts = cloud.xyz[lane_idx]
-    lane_lines = ransac_line3d(
-        lane_pts,
-        cfg.line_inlier_tol,
-        seed + 2,
-        trials=cfg.line_trials,
-        min_inliers=cfg.line_min_inliers,
-    )
+    lane_lines = ransac_line3d(lane_pts, seed + 2, cfg)
     if not lane_lines:
         raise InsufficientLines("no lane line could be fitted")
     # the dominant paint line sets the driving direction; span keeps short
@@ -403,13 +376,7 @@ def extract_cloud_features(
         sub = pole_pts[labels == lab]
         if len(sub) < cfg.line_min_inliers:
             continue
-        fitted = ransac_line3d(
-            sub,
-            cfg.line_inlier_tol,
-            seed + 3 + lab,
-            trials=cfg.line_trials,
-            min_inliers=cfg.line_min_inliers,
-        )
+        fitted = ransac_line3d(sub, seed + 3 + lab, cfg)
         if fitted:
             pole_lines.append(fitted[0])
     pole_lines = _canonical_lines(pole_lines, frame, 2, POLE_COS)

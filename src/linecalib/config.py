@@ -16,9 +16,8 @@ from .fileio import load_kv_file, parse_fields
 class RefinementConfig:
     """Random-search refinement parameters."""
 
-    t_range: float = 1.0          # meters, per-axis translation sample bound
-    theta_range_deg: float = 0.1  # degrees, base rotation sample bound
-    rot_scale: float = 60.0       # multiplier on theta_range (see README)
+    t_range: float = 1.0          # meters, per-axis translation bound at eta = 1
+    theta_range_deg: float = 6.0  # degrees, rotation angle bound at eta = 1
     step_init: float = 1.0        # initial step size eta
     step_final: float = 0.001     # terminate when eta drops below this
     step_decay: float = 0.1       # eta multiplier on decay

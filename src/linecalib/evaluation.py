@@ -75,17 +75,6 @@ def aggregate(errors: list[CalibrationError]) -> CalibrationError:
     )
 
 
-def percentile(values, q: float) -> float:
-    """Nearest-rank percentile (no interpolation)."""
-    if len(values) == 0:
-        raise EmptyList("no values")
-    if not 0 < q <= 100:
-        raise ValueError("percentile must be in (0, 100]")
-    ordered = sorted(values)
-    rank = math.ceil(q / 100.0 * len(ordered))
-    return float(ordered[rank - 1])
-
-
 def perturbation_magnitude(dt: float, dtheta: float, max_t: float, max_theta: float) -> float:
     """Scalar miscalibration size, translation and rotation each normalized
     by its sweep bound."""
@@ -125,14 +114,13 @@ def robustness_sweep(
     max_t: float,
     max_theta: float,
     seed: int,
-    refine_cfg: RefinementConfig | None = None,
+    refine_cfg: RefinementConfig,
 ) -> list[SweepTrial]:
     """Perturb the reference pose and measure how far refinement recovers.
 
     Each (frame, trial) pair gets its own derived seed, so trials are
     independent and the whole sweep is reproducible.
     """
-    refine_cfg = refine_cfg or RefinementConfig()
     trials: list[SweepTrial] = []
     index = 0
     for ev in evaluators:

@@ -210,26 +210,32 @@ def save_extrinsic(path, e: Extrinsic) -> None:
     Path(path).write_text(format_extrinsic(e), encoding="utf-8")
 
 
-def _try_ascii_cloud(data: bytes):
+def _try_ascii_cloud(data: bytes, path):
+    """The rows of an ASCII cloud, or None if data is not one.
+
+    Text whose first non-blank line is four numbers is ASCII; a later row
+    that is not is a ParseError, so a malformed text file is never read
+    as binary records.
+    """
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError:
         return None
     rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
-        if len(parts) != 4:
-            return None
         try:
-            rows.append([float(p) for p in parts])
+            row = [float(p) for p in parts]
         except ValueError:
-            return None
-    if not rows:
-        return None
-    return np.array(rows, dtype=np.float64)
+            row = []
+        if len(row) != 4:
+            if not rows:
+                return None
+            raise ParseError(f"{path}: line {lineno}: expected 4 numbers x y z intensity")
+        rows.append(row)
+    return np.array(rows, dtype=np.float64) if rows else None
 
 
 def load_cloud(path) -> np.ndarray:
@@ -238,7 +244,7 @@ def load_cloud(path) -> np.ndarray:
     if not path.exists():
         raise ParseError(f"file not found: {path}")
     data = path.read_bytes()
-    pts = _try_ascii_cloud(data)
+    pts = _try_ascii_cloud(data, path)
     if pts is None:
         if len(data) == 0 or len(data) % 16 != 0:
             raise ParseError(

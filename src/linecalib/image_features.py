@@ -33,14 +33,6 @@ class SemanticMask:
         object.__setattr__(self, "bits", b)
 
     @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
-    @property
     def set_count(self) -> int:
         return int(self.bits.sum())
 
@@ -130,23 +122,21 @@ def l1_distance_field(
     return d
 
 
-def idt_height_map(mask: SemanticMask, gamma0: float, gamma1: float) -> HeightMap:
+def idt_height_map(mask: SemanticMask, cfg: PipelineConfig) -> HeightMap:
     """Inverse distance transform of a binary mask.
 
-    Inside the mask the value is gamma0 ** d(complement), outside it is
-    gamma1 ** d(mask), d the L1 distance.  Out-of-frame pixels count as
-    complement, so a mask touching the border still decays there.
+    Inside the mask the value is cfg.gamma0 ** d(complement), outside it
+    is cfg.gamma1 ** d(mask), d the L1 distance.  Out-of-frame pixels
+    count as complement, so a mask touching the border still decays there.
     """
-    if not (0 < gamma0 < 1 and 0 < gamma1 < 1):
-        raise ValueError("gamma0, gamma1 must lie in (0, 1)")
     if not mask.bits.any():
         raise EmptyTarget("empty mask")
     d_to_unset = l1_distance_field(mask, from_set=False, border=True)
     d_to_set = l1_distance_field(mask, from_set=True)
     values = np.where(
         mask.bits,
-        np.power(gamma0, d_to_unset.astype(float)),
-        np.power(gamma1, d_to_set.astype(float)),
+        np.power(cfg.gamma0, d_to_unset.astype(float)),
+        np.power(cfg.gamma1, d_to_set.astype(float)),
     )
     return HeightMap(values)
 
@@ -188,23 +178,19 @@ def _fit_line2d(us: np.ndarray, vs: np.ndarray) -> Line2D:
     return Line2D(a, b, -(a * mu + b * mv))
 
 
-def hough_lines(
-    mask: SemanticMask,
-    cls: str | None = None,
-    min_support: int = 50,
-    max_lines: int = 8,
-    band_px: float = 3.0,
-    lane_theta_margin_deg: float = 10.0,
-) -> list[ScoredLine2D]:
+def hough_lines(mask: SemanticMask, cfg: PipelineConfig) -> list[ScoredLine2D]:
     """Iterative Hough transform: peak, claim the supporting band, repeat.
 
     The mask is voted once; each emitted peak's claimed pixels are voted
     again and subtracted, which leaves exactly the votes of the pixels
     not yet claimed (the accumulator holds integer counts).  Resolution is
-    1 degree in theta and 1 px in rho.  For the lane class,
-    near-horizontal image lines are discarded as non-lane artifacts.
+    1 degree in theta and 1 px in rho.  A peak claims the pixels within
+    cfg.hough_band_px of its line and is emitted with at least
+    cfg.hough_min_support of them, up to cfg.hough_max_lines lines.  For
+    a lane mask, lines within cfg.hough_lane_theta_margin_deg of the
+    image horizontal are discarded as non-lane artifacts.
     """
-    cls = cls or mask.cls
+    min_support = cfg.hough_min_support
     if mask.set_count < min_support:
         raise NoLines(f"only {mask.set_count} set pixels, need {min_support}")
     h, w = mask.bits.shape
@@ -218,7 +204,7 @@ def hough_lines(
     vs, us = np.nonzero(mask.bits)
     acc = _vote(us, vs, cos_t, sin_t, n_rho, rho_off)
     out: list[ScoredLine2D] = []
-    while len(out) < max_lines and len(us) >= min_support:
+    while len(out) < cfg.hough_max_lines and len(us) >= min_support:
         it, ir = np.unravel_index(np.argmax(acc), acc.shape)
         if acc[it, ir] < min_support:
             break
@@ -226,7 +212,7 @@ def hough_lines(
         line = Line2D(cos_t[it], sin_t[it], -rho)
         # support: not-yet-claimed pixels within the band, so the residual
         # edge of an already-emitted thick stroke cannot outrank a real line
-        claimed = line.distance(us, vs) <= band_px
+        claimed = line.distance(us, vs) <= cfg.hough_band_px
         support = int(claimed.sum())
         if support == 0:
             # nothing to subtract: the same peak would come back forever
@@ -239,10 +225,10 @@ def hough_lines(
         # sub-cell accuracy: the accumulator is 1 degree x 1 px, so refit
         # the line to its claimed pixels by total least squares
         line = _fit_line2d(cu.astype(float), cv.astype(float))
-        if cls == "lane":
-            # theta is the normal angle: ~90 deg means a horizontal line
-            if abs(math.degrees(thetas[it]) - 90.0) < lane_theta_margin_deg:
-                continue
+        # theta is the normal angle: ~90 deg means a horizontal line
+        off_horizontal = abs(math.degrees(thetas[it]) - 90.0)
+        if mask.cls == "lane" and off_horizontal < cfg.hough_lane_theta_margin_deg:
+            continue
         out.append(ScoredLine2D(line=line, support=support))
     if not out:
         raise NoLines("no line reached the support threshold")
@@ -252,8 +238,6 @@ def hough_lines(
 
 @dataclass(frozen=True)
 class FeatureSetImage:
-    lane_mask: SemanticMask
-    pole_mask: SemanticMask
     lane_height: HeightMap
     pole_height: HeightMap
     lane_lines: list[ScoredLine2D] = field(default_factory=list)
@@ -263,31 +247,16 @@ class FeatureSetImage:
 def extract_image_features(
     lane_mask: SemanticMask, pole_mask: SemanticMask, cfg: PipelineConfig
 ) -> FeatureSetImage:
-    lane_lines = hough_lines(
-        lane_mask,
-        "lane",
-        min_support=cfg.hough_min_support,
-        max_lines=cfg.hough_max_lines,
-        band_px=cfg.hough_band_px,
-        lane_theta_margin_deg=cfg.hough_lane_theta_margin_deg,
-    )
-    pole_lines = hough_lines(
-        pole_mask,
-        "pole",
-        min_support=cfg.hough_min_support,
-        max_lines=cfg.hough_max_lines,
-        band_px=cfg.hough_band_px,
-    )
+    lane_lines = hough_lines(lane_mask, cfg)
+    pole_lines = hough_lines(pole_mask, cfg)
     if len(lane_lines) < 2 or len(pole_lines) < 1:
         raise InsufficientLines(
             f"need >= 2 lane and >= 1 pole image lines, "
             f"got {len(lane_lines)} / {len(pole_lines)}"
         )
     return FeatureSetImage(
-        lane_mask=lane_mask,
-        pole_mask=pole_mask,
-        lane_height=idt_height_map(lane_mask, cfg.gamma0, cfg.gamma1),
-        pole_height=idt_height_map(pole_mask, cfg.gamma0, cfg.gamma1),
+        lane_height=idt_height_map(lane_mask, cfg),
+        pole_height=idt_height_map(pole_mask, cfg),
         lane_lines=lane_lines,
         pole_lines=pole_lines,
     )

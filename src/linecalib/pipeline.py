@@ -128,7 +128,7 @@ def extract_features(
     With a report, records the two extraction timings and line counts.
     """
     t0 = time.perf_counter()
-    cf = extract_cloud_features(cloud, seed=cfg.seed, cfg=cfg)
+    cf = extract_cloud_features(cloud, cfg.seed, cfg)
     t1 = time.perf_counter()
     imf = extract_image_features(lane_mask, pole_mask, cfg)
     t2 = time.perf_counter()
@@ -147,10 +147,9 @@ def calibrate(
     lane_mask: SemanticMask,
     pole_mask: SemanticMask,
     intrinsics: Intrinsics,
-    cfg: PipelineConfig | None = None,
+    cfg: PipelineConfig,
 ):
     """Full pipeline; returns (refined extrinsic, report)."""
-    cfg = cfg or PipelineConfig()
     report = CalibrationReport()
     cf, imf, ev = extract_features(cloud, lane_mask, pole_mask, intrinsics, cfg, report)
 

@@ -3,10 +3,11 @@
 At step size eta the translation perturbation is uniform per axis in
 [-eta * t_range, eta * t_range] and the rotation perturbation is a
 uniform-sphere axis with angle uniform in
-[-eta * theta_range * rot_scale, +...].  Only strict cost improvements
-are accepted; after reject_limit consecutive rejections eta decays by
-step_decay, and the search stops when eta < step_final or the sample
-budget runs out.
+[-eta * theta_range_deg, eta * theta_range_deg] degrees.  Only strict
+cost improvements are accepted; after reject_limit consecutive rejections
+eta decays by step_decay, and the search stops when eta < step_final or
+the sample budget runs out.  A search that never rises above zero cost has no
+alignment to refine and fails with RefineError.
 """
 from __future__ import annotations
 
@@ -16,16 +17,14 @@ import numpy as np
 
 from .config import RefinementConfig
 from .cost import CostEvaluator
+from .errors import RefineError
 from .geometry import Extrinsic, angle_axis_to_matrix, matrix_to_angle_axis
 
 
-def refine(
-    initial: Extrinsic, ev: CostEvaluator, cfg: RefinementConfig | None = None
-) -> Extrinsic:
+def refine(initial: Extrinsic, ev: CostEvaluator, cfg: RefinementConfig) -> Extrinsic:
     """Hill-climb the alignment cost; never returns a worse pose."""
-    cfg = cfg or RefinementConfig()
     rng = np.random.default_rng(cfg.seed)
-    theta_max = math.radians(cfg.theta_range_deg) * cfg.rot_scale
+    theta_max = math.radians(cfg.theta_range_deg)
 
     best = initial
     best_R = initial.matrix()
@@ -51,4 +50,6 @@ def refine(
             if rejects >= cfg.reject_limit:
                 eta *= cfg.step_decay
                 rejects = 0
+    if not best_cost > 0.0:
+        raise RefineError(f"best cost {best_cost:.6f} after refinement is not above zero")
     return best

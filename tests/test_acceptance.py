@@ -141,7 +141,7 @@ def test_criterion_2_idt_matches_brute_force():
             bits[16, 16] = True
             bits[0, 0] = False
         mask = SemanticMask("lane", bits)
-        fast = idt_height_map(mask, CFG.gamma0, CFG.gamma1)
+        fast = idt_height_map(mask, CFG)
         brute = _brute_idt(bits, CFG.gamma0, CFG.gamma1)
         assert np.array_equal(fast.values, brute), f"mask {i} differs"
     print("\n[criterion 2] 100/100 masks bitwise equal to brute force")

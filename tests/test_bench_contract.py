@@ -1,0 +1,108 @@
+"""What the benchmark under perfbench/ reaches of the program still exists.
+
+perfbench/run.py, workloads.py, tracer.py and gen.py look linecalib up by
+module attribute and call it with fixed arguments; the tracer rebinds the
+functions it wraps by identity.  A cleanup that renames or reshapes one
+of them would break the benchmark without failing any other test, so
+each name and call shape they use is listed here.
+"""
+import dataclasses
+import importlib
+import inspect
+
+import pytest
+
+from linecalib import cli, cloud_features, config, cost, evaluation, image_features, pipeline
+from linecalib import refine as refine_module
+from linecalib.geometry import Extrinsic, Line3D
+
+# module -> attributes the benchmark reads (workloads.py, tracer.py, gen.py)
+REACHED = {
+    "cli": ("main", "build_parser", "load_intrinsics", "load_cloud", "load_mask",
+            "load_extrinsic", "save_extrinsic"),
+    "cloud_features": ("PointCloud", "fit_ground_plane", "extract_lane_points",
+                       "ransac_line3d", "extract_pole_points", "cluster_cells",
+                       "extract_cloud_features"),
+    "config": ("PipelineConfig",),
+    "cost": ("cost",),
+    "evaluation": ("refine", "robustness_sweep"),
+    "fileio": ("load_intrinsics", "load_cloud", "load_extrinsic"),
+    "geometry": ("Line3D",),
+    "image_features": ("load_mask", "hough_lines", "idt_height_map",
+                       "extract_image_features"),
+    "p3l": ("solve_p3l",),
+    "pipeline": ("build_evaluator", "coarse_calibrate", "calibrate", "P3LProblem"),
+    "refine": ("refine",),
+    "synth": ("canonical_spec", "format_scene_spec"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(REACHED))
+def test_every_reached_attribute_exists(module):
+    mod = importlib.import_module(f"linecalib.{module}")
+    missing = [a for a in REACHED[module] if not hasattr(mod, a)]
+    assert not missing, f"linecalib.{module} lacks {missing}"
+
+
+def test_the_tracer_wraps_the_functions_the_callers_hold():
+    """The tracer rebinds every module global that *is* the wrapped
+    function, so the callers must hold the defining module's object."""
+    assert cli.load_mask is image_features.load_mask
+    assert pipeline.extract_cloud_features is cloud_features.extract_cloud_features
+    assert pipeline.extract_image_features is image_features.extract_image_features
+    assert pipeline.cost is cost.cost
+    assert pipeline.refine is evaluation.refine is refine_module.refine
+    assert callable(Line3D.distance)  # wrapped on the class
+
+
+# (module, function, positional arguments, keyword arguments) of each call
+CALLS = (
+    ("cloud_features", "extract_cloud_features", ("cloud",), {"seed": 0, "cfg": "cfg"}),
+    ("image_features", "extract_image_features", ("lane", "pole", "cfg"), {}),
+    ("image_features", "load_mask", ("path", "lane", "intrinsics"), {}),
+    ("pipeline", "build_evaluator", ("cf", "imf", "intrinsics"), {}),
+    ("evaluation", "robustness_sweep", ("evs", "ref", 1, 1.0, 0.1, 0), {"refine_cfg": "r"}),
+    ("evaluation", "refine", ("initial", "ev", "cfg"), {}),
+    ("pipeline", "coarse_calibrate", ("cf", "imf", "ev", "report"), {}),
+    ("cost", "cost", ("e", "ev"), {}),
+    ("synth", "canonical_spec", (0,), {"lane_offsets": (), "lane_dashed": ()}),
+    ("synth", "format_scene_spec", ("spec",), {}),
+    ("cli", "main", (["argv"],), {}),
+)
+
+
+@pytest.mark.parametrize("module, name, args, kwargs", CALLS)
+def test_every_call_shape_binds(module, name, args, kwargs):
+    fn = getattr(importlib.import_module(f"linecalib.{module}"), name)
+    inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_the_tracer_finds_the_report_as_fourth_argument():
+    assert list(inspect.signature(pipeline.coarse_calibrate).parameters)[3] == "report"
+
+
+def test_results_carry_the_fields_the_checks_read():
+    cfg = config.PipelineConfig()
+    assert isinstance(cfg.seed, int)
+    assert isinstance(cfg.refinement(), config.RefinementConfig)
+    trial_fields = {f.name for f in dataclasses.fields(evaluation.SweepTrial)}
+    assert {"failure", "refined_error"} <= trial_fields
+    error_fields = {f.name for f in dataclasses.fields(evaluation.CalibrationError)}
+    assert {"dt", "dtheta"} <= error_fields
+    report = pipeline.CalibrationReport()
+    assert report.candidates == 0
+    e = Extrinsic.identity()
+    assert e.matrix().shape == (3, 3) and e.r.shape == e.t.shape == (3,)
+    cloud_fields = {f.name for f in dataclasses.fields(cloud_features.FeatureSetCloud)}
+    assert {"lane_lines", "pole_lines", "lane_points", "pole_points"} <= cloud_fields
+    ev_fields = {f.name for f in dataclasses.fields(cost.CostEvaluator)}
+    assert {"lane_points", "pole_points"} <= ev_fields
+
+
+def test_the_cli_accepts_the_benchmark_argv():
+    parser = cli.build_parser()
+    bundle = ["--cloud", "c.bin", "--lane-mask", "l.pgm", "--pole-mask", "p.pgm",
+              "--intrinsics", "k.txt"]
+    for command in ("calibrate", "coarse"):
+        assert parser.parse_args([command, *bundle, "--out", "e.txt"]).command == command
+    assert parser.parse_args(["synth", "--spec", "s.txt", "--out", "d"]).command == "synth"

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from linecalib.cli import main
+from linecalib.cli import build_parser, main
 from linecalib.cloud_features import PointCloud, extract_cloud_features
 from linecalib.config import PipelineConfig
 from linecalib.errors import STAGE_EXIT_CODES
-from linecalib.fileio import load_cloud, load_extrinsic
-from linecalib.geometry import project_points
+from linecalib.fileio import load_cloud, load_extrinsic, save_extrinsic
+from linecalib.geometry import Extrinsic, angle_axis_to_matrix, project_points
 from linecalib.synth import canonical_spec, format_scene_spec
 
 
@@ -172,7 +172,7 @@ def test_project_subcommand(bundle, tmp_path, capsys):
     assert float(stats["lane_in_mask_fraction"]) > 0.95
     # the lane points counted are the cost's, the ones calibrate extracts
     cloud = PointCloud.from_array(load_cloud(bundle / "frame_cloud.bin"))
-    lane_pts = extract_cloud_features(cloud, seed=0, cfg=PipelineConfig()).lane_points
+    lane_pts = extract_cloud_features(cloud, 0, PipelineConfig()).lane_points
     uv, valid = project_points(intr, load_extrinsic(bundle / "extrinsic_gt.txt").apply(lane_pts))
     iu, iv = np.rint(uv).T
     in_frame = valid & (iu >= 0) & (iu < intr.width) & (iv >= 0) & (iv < intr.height)
@@ -251,6 +251,36 @@ def test_exit_code_extraction_error(bundle, tmp_path, capsys):
     )
     assert code == STAGE_EXIT_CODES["extraction"] == 2
     assert "error (extraction)" in capsys.readouterr().err
+
+
+def test_exit_code_refine_error(bundle, tmp_path, capsys):
+    """From the ground truth turned 180 degrees about the camera's y axis
+    no cost point is in view, so refinement cannot rise above zero."""
+    gt = load_extrinsic(bundle / "extrinsic_gt.txt")
+    flip = angle_axis_to_matrix(np.array([0.0, math.pi, 0.0]))
+    init = tmp_path / "init.txt"
+    save_extrinsic(init, Extrinsic.from_matrix(flip @ gt.matrix(), flip @ gt.t))
+    out = tmp_path / "out.txt"
+    code = main(["refine", *_bundle_args(bundle), "--init", str(init), "--out", str(out)])
+    assert code == STAGE_EXIT_CODES["refine"] == 4
+    assert "error (refine)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_only_sweep_takes_jobs(bundle):
+    parser = build_parser()
+    argv = {
+        "calibrate": [*_bundle_args(bundle), "--out", "e.txt"],
+        "coarse": [*_bundle_args(bundle), "--out", "e.txt"],
+        "refine": [*_bundle_args(bundle), "--init", "e0.txt", "--out", "e.txt"],
+        "project": ["--cloud", "c.bin", "--intrinsics", "k.txt", "--extrinsic", "e.txt",
+                    "--image", "bg.pgm", "--out", "o.ppm"],
+    }
+    for command, args in argv.items():
+        parser.parse_args([command, *args])
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, *args, "--jobs", "2"])
+    assert parser.parse_args(["sweep", "--frames", "f", "--ref", "r", "--jobs", "2"]).jobs == 2
 
 
 def test_stage_exit_codes_table():

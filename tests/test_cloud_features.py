@@ -30,6 +30,12 @@ from linecalib.geometry import Line3D, Plane3D, angle_axis_to_matrix
 from linecalib.p3l import check_lane_direction, check_pole_direction
 
 MANY = settings(max_examples=1000, deadline=None)
+CFG = PipelineConfig()
+
+
+def line_cfg(tol, trials=100, min_inliers=20):
+    """The config of a line fit with these RANSAC thresholds."""
+    return PipelineConfig(line_inlier_tol=tol, line_trials=trials, line_min_inliers=min_inliers)
 
 
 def flat_cloud(rng, n=2000, tilt=0.0):
@@ -50,8 +56,8 @@ def test_pointcloud_validation():
 def test_ground_plane_partition_and_determinism():
     rng = np.random.default_rng(5)
     cloud = flat_cloud(rng)
-    seg1 = fit_ground_plane(cloud, seed=3)
-    seg2 = fit_ground_plane(cloud, seed=3)
+    seg1 = fit_ground_plane(cloud, 3, CFG)
+    seg2 = fit_ground_plane(cloud, 3, CFG)
     assert np.array_equal(seg1.ground_indices, seg2.ground_indices)
     # exact partition
     merged = np.sort(np.concatenate([seg1.ground_indices, seg1.object_indices]))
@@ -75,7 +81,7 @@ def test_ground_plane_needs_enough_points():
     rng = np.random.default_rng(7)
     cloud = flat_cloud(rng, n=500)
     with pytest.raises(NoGroundPlane):
-        fit_ground_plane(cloud, 0)
+        fit_ground_plane(cloud, 0, CFG)
 
 
 @MANY
@@ -87,7 +93,7 @@ def test_ransac_line_recovers_exact_line(seed):
     d /= np.linalg.norm(d)
     ts = rng.uniform(-10, 10, 40)
     pts = p0 + ts[:, None] * d
-    lines = ransac_line3d(pts, inlier_tol=0.05, seed=int(rng.integers(2**31)))
+    lines = ransac_line3d(pts, int(rng.integers(2**31)), line_cfg(0.05))
     assert len(lines) == 1
     got = lines[0].line
     assert abs(abs(got.direction @ d) - 1.0) < 1e-9
@@ -99,7 +105,7 @@ def test_ransac_separates_two_lines():
     a = np.stack([np.linspace(0, 20, 60), np.full(60, 1.8), np.zeros(60)], axis=1)
     b = np.stack([np.linspace(0, 20, 60), np.full(60, -1.8), np.zeros(60)], axis=1)
     pts = np.concatenate([a, b]) + rng.normal(0, 0.01, (120, 3))
-    lines = ransac_line3d(pts, inlier_tol=0.1, seed=4)
+    lines = ransac_line3d(pts, 4, line_cfg(0.1))
     assert len(lines) == 2
     ys = sorted(l.line.point[1] for l in lines)
     assert abs(ys[0] + 1.8) < 0.05 and abs(ys[1] - 1.8) < 0.05
@@ -169,7 +175,7 @@ def test_ransac_matches_per_trial_oracle(seed):
     min_inl = int(rng.integers(2, 30))
     s = int(rng.integers(2**31))
     assert_same_fits(
-        ransac_line3d(pts, tol, s, trials=trials, min_inliers=min_inl),
+        ransac_line3d(pts, s, line_cfg(tol, trials, min_inl)),
         _ransac_line3d_per_trial(pts, tol, s, trials=trials, min_inliers=min_inl),
     )
 
@@ -220,14 +226,14 @@ def test_ransac_matches_oracle_on_degenerate_pools():
         ]
         for pts, trials, min_inl in cases:
             assert_same_fits(
-                ransac_line3d(pts, 0.05, seed, trials=trials, min_inliers=min_inl),
+                ransac_line3d(pts, seed, line_cfg(0.05, trials, min_inl)),
                 _ransac_line3d_per_trial(pts, 0.05, seed, trials=trials, min_inliers=min_inl),
             )
         # a two-point pool whose every draw repeats an index fits nothing
         draws = np.random.default_rng(seed).integers(0, 2, size=(3, 2))
         if (draws[:, 0] == draws[:, 1]).all():
             all_same_seeds += 1
-            assert ransac_line3d(np.array([p, q]), 0.05, seed, trials=3, min_inliers=2) == []
+            assert ransac_line3d(np.array([p, q]), seed, line_cfg(0.05, 3, 2)) == []
     assert all_same_seeds > 0
 
 
@@ -241,24 +247,18 @@ def test_line_filters_match_per_line_distance_loop(canonical_frame, canonical_fe
     def nearest(pts, lines):
         return np.min(np.stack([s.line.distance(pts) for s in lines]), axis=0)
 
-    def fit(pts, seed):
-        return ransac_line3d(
-            pts, cfg.line_inlier_tol, seed,
-            trials=cfg.line_trials, min_inliers=cfg.line_min_inliers,
-        )
-
     seg = fit_ground_plane(cloud, cfg.seed, cfg)
     gi = seg.ground_indices
     inten = cloud.intensity[gi]
     bright = gi[inten > inten.mean() + cfg.intensity_sigma_scale * inten.std()]
-    near = nearest(cloud.xyz[bright], fit(cloud.xyz[bright], cfg.seed + 1)) < cfg.lane_dist_max
+    near = nearest(cloud.xyz[bright], ransac_line3d(cloud.xyz[bright], cfg.seed + 1, cfg)) < cfg.lane_dist_max
     assert 0 < near.sum() < len(near)
     lane_idx = extract_lane_points(seg, cloud, cfg.seed + 1, cfg)
     assert np.array_equal(lane_idx, bright[near])
 
     lane_pts = cloud.xyz[lane_idx]
     ground = [
-        s for s in fit(lane_pts, cfg.seed + 2)
+        s for s in ransac_line3d(lane_pts, cfg.seed + 2, cfg)
         if abs(cf.frame.to_ground(s.line.direction)[2]) < 0.1
     ]
     near = nearest(lane_pts, ground) < cfg.lane_dist_max
@@ -301,7 +301,7 @@ def test_extraction_subsets_and_determinism(canonical_frame):
     lane_idx = extract_lane_points(seg, cloud, 1, cfg)
     assert np.isin(lane_idx, seg.ground_indices).all()
     frame = None
-    lines = ransac_line3d(cloud.xyz[lane_idx], cfg.line_inlier_tol, 2)
+    lines = ransac_line3d(cloud.xyz[lane_idx], 2, cfg)
     frame = ground_parallel_rotation(seg.plane, lines[0].line)
     pole_idx, cells = extract_pole_points(seg, cloud, frame, cfg)
     assert np.isin(pole_idx, seg.object_indices).all()

@@ -17,6 +17,7 @@ def test_defaults():
     assert r.t_range == 1.0
     assert r.max_samples == 10000
     assert r.step_final == 0.001
+    assert r.theta_range_deg == 6.0  # the rotation bound, in degrees
 
 
 def test_load_config_overrides(tmp_path):
@@ -32,9 +33,11 @@ def test_load_config_overrides(tmp_path):
 
 def test_load_config_rejects_unknown_key(tmp_path):
     p = tmp_path / "cfg.txt"
-    p.write_text("gama0 = 0.95\n", encoding="utf-8")
-    with pytest.raises(ParseError):
-        load_config(p)
+    # rot_scale is folded into theta_range_deg
+    for text in ("gama0 = 0.95\n", "rot_scale = 60\n"):
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError):
+            load_config(p)
 
 
 def test_load_config_rejects_bad_value(tmp_path):

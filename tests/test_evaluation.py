@@ -1,4 +1,4 @@
-"""Error metrics, aggregation, percentiles, and perturbation sampling."""
+"""Error metrics, aggregation, and perturbation sampling."""
 import math
 
 import numpy as np
@@ -7,19 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linecalib import evaluation
+from linecalib.config import RefinementConfig
+from linecalib.cost import CostEvaluator
 from linecalib.errors import EmptyList, NotARotation
 from linecalib.evaluation import (
     CalibrationError,
     aggregate,
     calibration_error,
-    percentile,
     perturb,
     perturbation_magnitude,
     robustness_sweep,
     rotation_error,
     translation_error,
 )
-from linecalib.geometry import Extrinsic, angle_axis_to_matrix
+from linecalib.geometry import Extrinsic, Intrinsics, angle_axis_to_matrix
+from linecalib.image_features import HeightMap
 
 MANY = settings(max_examples=1000, deadline=None)
 
@@ -68,7 +70,7 @@ def test_aggregate_examples():
 
 @MANY
 @given(st.lists(st.floats(-100, 100), min_size=1, max_size=30), st.integers(0, 2**32 - 1))
-def test_aggregate_permutation_invariant_and_percentile(values, seed):
+def test_aggregate_permutation_invariant(values, seed):
     rng = np.random.default_rng(seed)
     errs = [
         calibration_error(
@@ -80,21 +82,6 @@ def test_aggregate_permutation_invariant_and_percentile(values, seed):
     a = aggregate(errs)
     b = aggregate([errs[i] for i in perm])
     assert abs(a.dt - b.dt) < 1e-9
-    # nearest-rank percentile returns an element of the input
-    q = float(rng.uniform(1e-9, 100.0))
-    p = percentile([abs(v) for v in values], q)
-    assert p in [abs(v) for v in values]
-
-
-def test_percentile_nearest_rank_hand_count():
-    vals = [15, 20, 35, 40, 50, 55, 60, 70, 80, 90]
-    assert percentile(vals, 80) == 70  # ceil(0.8 * 10) = 8th ordered value
-    assert percentile(vals, 50) == 50
-    assert percentile(vals, 100) == 90
-    with pytest.raises(EmptyList):
-        percentile([], 50)
-    with pytest.raises(ValueError):
-        percentile(vals, 0)
 
 
 def test_csv_row_shape():
@@ -123,14 +110,16 @@ def test_perturbation_magnitude_definition():
 
 
 def _raising_refine(exc):
-    def refine(initial, ev, cfg=None):
+    def refine(initial, ev, cfg):
         raise exc
     return refine
 
 
 def test_sweep_records_calib_error_as_trial_failure(monkeypatch):
     monkeypatch.setattr(evaluation, "refine", _raising_refine(NotARotation("bad pose")))
-    trials = robustness_sweep([None], Extrinsic.identity(), 2, 1.0, 0.1, seed=0)
+    trials = robustness_sweep(
+        [None], Extrinsic.identity(), 2, 1.0, 0.1, seed=0, refine_cfg=RefinementConfig()
+    )
     assert [t.failure for t in trials] == ["bad pose", "bad pose"]
     assert all(t.refined_error == t.initial_error for t in trials)
 
@@ -138,4 +127,21 @@ def test_sweep_records_calib_error_as_trial_failure(monkeypatch):
 def test_sweep_propagates_programming_errors(monkeypatch):
     monkeypatch.setattr(evaluation, "refine", _raising_refine(ValueError("bug")))
     with pytest.raises(ValueError, match="bug"):
-        robustness_sweep([None], Extrinsic.identity(), 2, 1.0, 0.1, seed=0)
+        robustness_sweep(
+            [None], Extrinsic.identity(), 2, 1.0, 0.1, seed=0, refine_cfg=RefinementConfig()
+        )
+
+
+def test_sweep_records_refine_error_of_a_zero_cost_start():
+    """Every point lies far behind the camera, so every pose the search
+    tries scores 0: refine raises RefineError and the trial records it."""
+    k = Intrinsics(fx=500.0, fy=500.0, cx=64.0, cy=48.0, width=128, height=96)
+    pts = np.array([[0.0, 0.0, -50.0], [1.0, 0.0, -60.0]])
+    hm = HeightMap(np.full((96, 128), 0.5))
+    ev = CostEvaluator(pts, pts, hm, hm, k)
+    trials = robustness_sweep(
+        [ev], Extrinsic.identity(), 2, 1.0, 0.1, seed=0,
+        refine_cfg=RefinementConfig(max_samples=50),
+    )
+    assert len(trials) == 2
+    assert all("not above zero" in t.failure for t in trials)

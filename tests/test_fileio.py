@@ -217,6 +217,24 @@ def test_cloud_errors(tmp_path):
         load_cloud(tmp_path / "nope.bin")
 
 
+def test_malformed_ascii_cloud_is_not_read_as_binary(tmp_path):
+    """59 x y z i rows with one 3-column row, padded to a multiple of 16
+    bytes: such a file used to load as 84 float32 records below 2e-4."""
+    rows = [f"{0.5 * i:.2f} {1.0 - 0.1 * i:.2f} -1.70 0.30" for i in range(59)]
+    rows.insert(20, "4.00 5.00 -1.70")
+    text = "\n".join(rows) + "\n"
+    text += " " * (-len(text) % 16)
+    assert len(text) % 16 == 0
+    p = tmp_path / "cloud.txt"
+    p.write_text(text, encoding="ascii")
+    with pytest.raises(ParseError, match="line 21"):
+        load_cloud(p)
+    # a first line that is not four numbers is not taken for ASCII
+    p.write_bytes(b"1 2 3\n" + b"\x00" * 9)
+    with pytest.raises(ParseError, match="multiple of 16"):
+        load_cloud(p)
+
+
 # ---------------------------------------------------------------------------
 # PGM / PPM
 

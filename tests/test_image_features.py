@@ -27,6 +27,13 @@ from linecalib.pipeline import coarse_calibrate, extract_features
 from linecalib.synth import canonical_spec, generate
 
 MANY = settings(max_examples=1000, deadline=None)
+IDT = PipelineConfig(gamma0=0.98, gamma1=0.90)
+
+
+def hough_cfg(min_support):
+    """The config of a Hough run with this support threshold and the 10
+    degree lane margin these tests were written for."""
+    return PipelineConfig(hough_min_support=min_support, hough_lane_theta_margin_deg=10.0)
 
 
 def random_mask(rng, h, w, p=0.15):
@@ -120,7 +127,7 @@ def test_idt_brute_force_bitwise_equality_100_masks():
     rng = np.random.default_rng(11)
     for _ in range(100):
         mask = random_mask(rng, 32, 32)
-        ours = idt_height_map(mask, 0.98, 0.90).values
+        ours = idt_height_map(mask, IDT).values
         ref = brute_idt(mask.bits, 0.98, 0.90)
         assert np.array_equal(ours, ref)  # bitwise, not approximate
 
@@ -128,7 +135,7 @@ def test_idt_brute_force_bitwise_equality_100_masks():
 def test_idt_trivial_exponents():
     bits = np.zeros((9, 9), dtype=bool)
     bits[3:6, 3:6] = True
-    hm = idt_height_map(SemanticMask("lane", bits), 0.98, 0.90)
+    hm = idt_height_map(SemanticMask("lane", bits), IDT)
     assert hm.values[3, 3] == 0.98  # inside, adjacent to the boundary
     assert hm.values[4, 4] == 0.98**2
     assert hm.values[4, 0] == 0.90**3  # outside at L1 distance 3
@@ -139,7 +146,7 @@ def test_idt_trivial_exponents():
 def test_idt_monotone_in_distance(seed, g0, g1):
     rng = np.random.default_rng(seed)
     mask = random_mask(rng, 16, 16, p=float(rng.uniform(0.05, 0.5)))
-    hm = idt_height_map(mask, g0, g1)
+    hm = idt_height_map(mask, PipelineConfig(gamma0=g0, gamma1=g1))
     d_out = l1_distance_field(mask, from_set=True)
     d_in = l1_distance_field(mask, from_set=False, border=True)
     v = hm.values
@@ -160,12 +167,11 @@ def test_idt_monotone_in_distance(seed, g0, g1):
 
 
 def test_idt_rejects_bad_gamma_and_empty():
-    bits = np.zeros((4, 4), dtype=bool)
-    bits[1, 1] = True
+    # the gamma range is the config's to enforce
     with pytest.raises(ValueError):
-        idt_height_map(SemanticMask("lane", bits), 1.5, 0.9)
+        PipelineConfig(gamma0=1.5, gamma1=0.9)
     with pytest.raises(EmptyTarget):
-        idt_height_map(SemanticMask("lane", np.zeros((4, 4), dtype=bool)), 0.98, 0.9)
+        idt_height_map(SemanticMask("lane", np.zeros((4, 4), dtype=bool)), IDT)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +245,7 @@ def test_hough_recovers_drawn_lines():
     bits = np.zeros((100, 200), dtype=bool)
     draw_line(bits, 0.6, 0.8, -90.0)
     draw_line(bits, 0.8, -0.6, -20.0)
-    out = hough_lines(SemanticMask("pole", bits), min_support=30)
+    out = hough_lines(SemanticMask("pole", bits), hough_cfg(30))
     assert len(out) >= 2
     got = sorted((round(l.line.a, 1), round(l.line.b, 1)) for l in out[:2])
     assert got == [(0.6, 0.8), (0.8, -0.6)]
@@ -249,7 +255,7 @@ def test_hough_support_order_and_threshold():
     bits = np.zeros((120, 120), dtype=bool)
     draw_line(bits, 1.0, 0.0, -30.0)   # vertical, 120 px
     bits[10, 40:100] = True            # horizontal, 60 px
-    out = hough_lines(SemanticMask("pole", bits), min_support=50)
+    out = hough_lines(SemanticMask("pole", bits), hough_cfg(50))
     assert all(
         out[i].support >= out[i + 1].support for i in range(len(out) - 1)
     )
@@ -266,8 +272,8 @@ def test_hough_translation_consistency(seed):
     du, dv = int(rng.integers(0, 15)), int(rng.integers(0, 15))
     shifted = np.zeros_like(bits)
     shifted[v0 + dv, 5 + du : 45 + du] = True
-    a = hough_lines(SemanticMask("pole", bits), min_support=30)[0]
-    b = hough_lines(SemanticMask("pole", shifted), min_support=30)[0]
+    a = hough_lines(SemanticMask("pole", bits), hough_cfg(30))[0]
+    b = hough_lines(SemanticMask("pole", shifted), hough_cfg(30))[0]
     assert a.support == b.support
     # horizontal line: rho shifts by exactly dv
     assert abs(b.line.rho - (a.line.rho + dv)) < 1e-9
@@ -277,9 +283,9 @@ def test_hough_lane_near_horizontal_rejected():
     bits = np.zeros((64, 128), dtype=bool)
     bits[30, 10:120] = True
     with pytest.raises(NoLines):
-        hough_lines(SemanticMask("lane", bits), min_support=30)
+        hough_lines(SemanticMask("lane", bits), hough_cfg(30))
     # same mask accepted for the pole class
-    assert hough_lines(SemanticMask("pole", bits), min_support=30)
+    assert hough_lines(SemanticMask("pole", bits), hough_cfg(30))
 
 
 def _hough_lines_revote(mask, cls, min_support, max_lines=8, band_px=3.0,
@@ -335,9 +341,9 @@ def test_hough_matches_revote_oracle():
         want = _hough_lines_revote(mask, cls, min_support)
         if not want:
             with pytest.raises(NoLines):
-                hough_lines(mask, min_support=min_support)
+                hough_lines(mask, hough_cfg(min_support))
             continue
-        got = hough_lines(mask, min_support=min_support)
+        got = hough_lines(mask, hough_cfg(min_support))
         assert [(s.line.coeffs().tolist(), s.support) for s in got] == [
             (s.line.coeffs().tolist(), s.support) for s in want
         ]
@@ -349,6 +355,9 @@ def test_hough_stops_when_a_peak_claims_no_pixel():
     search must stop instead of picking it again."""
     bits = np.zeros((40, 40), dtype=bool)
     bits[5:35, 20] = True   # 30-pixel vertical stroke
+    cfg = hough_cfg(10)
+    # the constructor rejects such a band, so set it on the frozen config
+    object.__setattr__(cfg, "hough_band_px", -1.0)
 
     def timeout(signum, frame):
         raise TimeoutError("hough_lines did not return")
@@ -357,7 +366,7 @@ def test_hough_stops_when_a_peak_claims_no_pixel():
     signal.alarm(20)
     try:
         with pytest.raises(NoLines):
-            hough_lines(SemanticMask("pole", bits), min_support=10, band_px=-1.0)
+            hough_lines(SemanticMask("pole", bits), cfg)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -367,7 +376,7 @@ def test_hough_needs_support():
     bits = np.zeros((32, 32), dtype=bool)
     bits[4, 4:10] = True
     with pytest.raises(NoLines):
-        hough_lines(SemanticMask("pole", bits), min_support=50)
+        hough_lines(SemanticMask("pole", bits), hough_cfg(50))
 
 
 def _scored(a, b, c, support):
@@ -379,12 +388,10 @@ def test_principal_pole_line_must_be_upright():
     beam = _scored(0.0, 1.0, -100.0, 1200)        # horizontal, strongest
     tilted = _scored(0.6, 0.8, -50.0, 1100)       # 53 deg from vertical
     upright = _scored(0.9, 0.1, -400.0, 500)      # 6 deg from vertical
-    bits = np.ones((4, 4), dtype=bool)
     hm = HeightMap(np.full((4, 4), 0.5))
 
     def features(poles):
-        m = SemanticMask("pole", bits)
-        return FeatureSetImage(m, m, hm, hm, lane_lines=lanes, pole_lines=poles)
+        return FeatureSetImage(hm, hm, lane_lines=lanes, pole_lines=poles)
 
     _, _, pole = select_principal_lines(features([beam, tilted, upright]))
     assert pole == upright.line

@@ -98,8 +98,9 @@ def test_cloud_mask_consistency(canonical_frame):
         grown[:, 1:] |= bits[:, :-1]
         grown[:, :-1] |= bits[:, 1:]
         bits = grown
-    iu = np.clip(np.rint(uv[:, 0]).astype(int), 0, lane_mask.width - 1)
-    iv = np.clip(np.rint(uv[:, 1]).astype(int), 0, lane_mask.height - 1)
+    h, w = lane_mask.bits.shape
+    iu = np.clip(np.rint(uv[:, 0]).astype(int), 0, w - 1)
+    iv = np.clip(np.rint(uv[:, 1]).astype(int), 0, h - 1)
     inside = bits[iv, iu]
     assert inside.mean() >= 0.99
 
