@@ -7,6 +7,7 @@ Pipeline failures map to stable exit codes: 1 parse, 2 extraction,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import math
 import sys
@@ -222,11 +223,14 @@ def cmd_sweep(args) -> int:
     else:
         results = [_sweep_worker(t) for t in tasks]
     rows = [t for sub in results for t in sub]
-    sys.stdout.write("magnitude," + evaluation.CalibrationError.CSV_HEADER + "\n")
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    out.writerow(["magnitude", *evaluation.CalibrationError.CSV_HEADER.split(","), "failure"])
     for t in rows:
-        sys.stdout.write(f"{t.initial_magnitude:.9g}," + t.refined_error.csv_row() + "\n")
+        # a failed trial keeps its start error and names its CalibError
+        out.writerow([f"{t.initial_magnitude:.9g}", *t.refined_error.csv_row().split(","),
+                      t.failure or ""])
     mae = evaluation.aggregate([t.refined_error for t in rows])
-    sys.stdout.write("MAE," + mae.csv_row() + "\n")
+    out.writerow(["MAE", *mae.csv_row().split(","), ""])
     return 0
 
 

@@ -14,22 +14,25 @@ from .fileio import load_kv_file, parse_fields
 
 @dataclass(frozen=True)
 class RefinementConfig:
-    """Random-search refinement parameters."""
+    """Refinement parameters: a random search over the full pose range,
+    then BFGS ascent on the cost's analytic gradient (see refine).
 
-    t_range: float = 1.0          # meters, per-axis translation bound at eta = 1
-    theta_range_deg: float = 6.0  # degrees, rotation angle bound at eta = 1
-    step_init: float = 1.0        # initial step size eta
-    step_final: float = 0.001     # terminate when eta drops below this
-    step_decay: float = 0.1       # eta multiplier on decay
-    reject_limit: int = 50        # consecutive rejections before decay
-    max_samples: int = 10000
+    Steps are measured in units of t_range and theta_range_deg: a random
+    proposal moves the pose by up to one unit per translation axis and by
+    an angle of up to one unit, and the ascent stops once an accepted step
+    is below step_final units in every component.
+    """
+
+    t_range: float = 1.0          # meters, per-axis translation bound of a random proposal
+    theta_range_deg: float = 6.0  # degrees, rotation angle bound of a random proposal
+    step_final: float = 0.001     # ascent stops below this step, in those units
+    reject_limit: int = 50        # consecutive rejections that end the random search
+    max_samples: int = 10000      # cost evaluations, the start's included
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.step_final < self.step_init):
-            raise ValueError("require 0 < step_final < step_init")
-        if not (0 < self.step_decay < 1):
-            raise ValueError("require 0 < step_decay < 1")
+        if not (0 < self.step_final < 1):
+            raise ValueError("require 0 < step_final < 1")
         if self.max_samples <= 0:
             raise ValueError("max_samples must be positive")
 

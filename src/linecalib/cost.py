@@ -4,6 +4,9 @@ For each class (lane, pole) the extracted LiDAR points are projected
 through the candidate extrinsic and looked up in the class height map;
 the cost is the sum of the two per-class means.  Points behind the
 camera or outside the image contribute zero, so the cost is bounded by 2.
+
+cost_batch scores many poses at once; cost_and_gradient scores one pose
+and also returns the cost's analytic gradient, for the refine stage.
 """
 from __future__ import annotations
 
@@ -84,3 +87,39 @@ def cost_batch(R, t, ev: CostEvaluator) -> np.ndarray:
 
 def cost(e: Extrinsic, ev: CostEvaluator) -> float:
     return float(cost_batch(e.matrix()[None], e.t[None], ev)[0])
+
+
+def _class_value_grad(rotated, t, hmap: HeightMap, k: Intrinsics):
+    """One class term of cost(), and its gradient (6,) with respect to the
+    increment (dt, w) that moves each point to exp([w]x) q + t + dt, q a
+    row of rotated = pts @ R.T."""
+    n = len(rotated)
+    q = np.ascontiguousarray(rotated.T)          # (3, N)
+    p_c = q + t[:, None]
+    uv, valid = project_points(k, p_c.T)
+    vals, du, dv = hmap.sample_bilinear_grad(uv[..., 0], uv[..., 1])
+    # the same pairwise sums as _class_terms, so the value keeps its bits
+    value = (vals.sum() if valid.all() else vals[valid].sum()) / n
+    # chain rule through the pinhole: a = d value / d p_c, 0 for a point
+    # behind the camera (inv_z = 0) or out of frame (du = dv = 0)
+    inv_z = np.where(valid, 1.0 / np.where(valid, p_c[2], 1.0), 0.0)
+    a = np.empty((3, n))
+    np.multiply(du, k.fx * inv_z, out=a[0])
+    np.multiply(dv, k.fy * inv_z, out=a[1])
+    np.multiply(-(a[0] * p_c[0] + a[1] * p_c[1]), inv_z, out=a[2])
+    # d/dt = sum a; d/dw = sum q x a, read off the 3 x 3 moments sum a q^T
+    m = a @ q.T
+    d_w = (m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1])
+    return value, np.concatenate([a.sum(axis=1), d_w]) / n
+
+
+def cost_and_gradient(e: Extrinsic, ev: CostEvaluator):
+    """(cost(e, ev), gradient): the value bit-identical to cost(), the
+    gradient (6,) with respect to the pose increment (dt, w) that maps e to
+    p_C = exp([w]x) R p_L + t + dt, translation first.  Points behind the
+    camera or out of frame add 0 to both."""
+    R_T = e.matrix().T
+    lane, d_lane = _class_value_grad(ev.lane_points @ R_T, e.t, ev.lane_height, ev.intrinsics)
+    pole, d_pole = _class_value_grad(ev.pole_points @ R_T, e.t, ev.pole_height, ev.intrinsics)
+    return float(lane + pole), d_lane + d_pole
+

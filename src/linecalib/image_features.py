@@ -46,10 +46,10 @@ class HeightMap:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def sample_bilinear(self, u, v):
-        """Bilinear lookup, so the alignment cost varies smoothly with the
-        pose; out-of-frame coordinates give 0.  u and v may have any
-        (matching) shape; the result has that shape."""
+    def _lookup(self, u, v):
+        """In-frame mask, bilinear value, and the cell it came from: the
+        offsets (fu, fv) into it, their complements (gu, gv) and its four
+        corner values (top-left, top-right, bottom-left, bottom-right)."""
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         h, w = self.values.shape
@@ -66,11 +66,28 @@ class HeightMap:
         # fancy indexing, at a fraction of its cost
         g = self.values.ravel()
         i = v0 * w + u0
-        val = g.take(i) * gu * gv
-        val += g[1:].take(i) * fu * gv
-        val += g[w:].take(i) * gu * fv
-        val += g[w + 1:].take(i) * fu * fv
+        corners = (g.take(i), g[1:].take(i), g[w:].take(i), g[w + 1:].take(i))
+        val = corners[0] * gu * gv
+        val += corners[1] * fu * gv
+        val += corners[2] * gu * fv
+        val += corners[3] * fu * fv
+        return ok, val, (fu, fv, gu, gv, corners)
+
+    def sample_bilinear(self, u, v):
+        """Bilinear lookup, so the alignment cost varies smoothly with the
+        pose; out-of-frame coordinates give 0.  u and v may have any
+        (matching) shape; the result has that shape."""
+        ok, val, _ = self._lookup(u, v)
         return np.where(ok, val, 0.0)
+
+    def sample_bilinear_grad(self, u, v):
+        """(value, d value / du, d value / dv), all 0 out of frame; the value
+        is bit-identical to sample_bilinear's.  The surface is bilinear
+        inside each cell, so the derivatives are exact there."""
+        ok, val, (fu, fv, gu, gv, (g00, g01, g10, g11)) = self._lookup(u, v)
+        du = (g01 - g00) * gv + (g11 - g10) * fv
+        dv = (g10 - g00) * gu + (g11 - g01) * fu
+        return np.where(ok, val, 0.0), np.where(ok, du, 0.0), np.where(ok, dv, 0.0)
 
 
 def load_mask(path, cls: str, intrinsics: Intrinsics | None = None) -> SemanticMask:

@@ -1,4 +1,6 @@
 """End-to-end CLI tests: subcommands, determinism, exit codes."""
+import csv
+import io
 import math
 
 import numpy as np
@@ -193,9 +195,26 @@ def test_sweep_subcommand(bundle, tmp_path, capsys):
     )
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0].startswith("magnitude,")
+    assert lines[0].startswith("magnitude,") and lines[0].endswith(",failure")
     assert lines[-1].startswith("MAE,")
     assert len(lines) == 4  # header + 2 trials + aggregate
+    # every trial refined: its failure column is empty
+    assert all(line.count(",") == 9 and line.endswith(",") for line in lines[1:])
+
+    # from a reference facing away from every cost point, each trial fails
+    # in refine and the column names the error
+    gt = load_extrinsic(bundle / "extrinsic_gt.txt")
+    flip = angle_axis_to_matrix(np.array([0.0, math.pi, 0.0]))
+    away = tmp_path / "away.txt"
+    save_extrinsic(away, Extrinsic.from_matrix(flip @ gt.matrix(), flip @ gt.t))
+    code = main(["sweep", "--frames", str(bundle), "--ref", str(away),
+                 "--trials", "2", "--config", str(cfg)])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0][-1] == "failure" and len(rows) == 4
+    for row in rows[1:3]:
+        assert len(row) == 10 and "not above zero" in row[-1]
+    assert rows[3][0] == "MAE" and rows[3][-1] == ""
 
 
 def test_sweep_output_independent_of_jobs(bundle, tmp_path, capsys):

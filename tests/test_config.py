@@ -33,8 +33,10 @@ def test_load_config_overrides(tmp_path):
 
 def test_load_config_rejects_unknown_key(tmp_path):
     p = tmp_path / "cfg.txt"
-    # rot_scale is folded into theta_range_deg
-    for text in ("gama0 = 0.95\n", "rot_scale = 60\n"):
+    # rot_scale is folded into theta_range_deg; the gradient ascent that
+    # replaced the step-size schedule reads no step_init or step_decay
+    for text in ("gama0 = 0.95\n", "rot_scale = 60\n", "step_init = 1.0\n",
+                 "step_decay = 0.1\n"):
         p.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError):
             load_config(p)

@@ -7,9 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linecalib.cost as cost_module
-from linecalib.cost import CostEvaluator, cost, cost_batch
+from linecalib.cost import CostEvaluator, cost, cost_and_gradient, cost_batch
 from linecalib.evaluation import perturb
-from linecalib.geometry import EPS_Z, Extrinsic, Intrinsics
+from linecalib.geometry import (
+    EPS_Z,
+    Extrinsic,
+    Intrinsics,
+    angle_axis_to_matrix,
+    matrix_to_angle_axis,
+)
 from linecalib.image_features import HeightMap
 
 MANY = settings(max_examples=1000, deadline=None)
@@ -206,3 +212,100 @@ def test_cost_batch_bits_match_oracle_small_evaluators(seed):
     poses = [Extrinsic(rng.normal(size=3) * 0.3, rng.normal(size=3) * 3.0) for _ in range(6)]
     poses.append(Extrinsic(poses[0].r, poses[0].t + 1.0))
     _assert_batch_matches_oracle(poses, ev)
+
+
+# ---------------------------------------------------------------------------
+# the value-plus-gradient kernel
+
+
+def _assert_values_match_cost(poses, ev):
+    for p in poses:
+        value, grad = cost_and_gradient(p, ev)
+        assert value == cost(p, ev)
+        assert grad.shape == (6,) and np.isfinite(grad).all()
+
+
+def test_cost_and_gradient_value_is_cost_near_ground_truth(canonical_evaluator):
+    ev, gt = canonical_evaluator
+    rng = np.random.default_rng(8)
+    _assert_values_match_cost([gt] + [perturb(gt, rng, 1.0, math.radians(6.0)) for _ in range(30)], ev)
+
+
+def test_cost_and_gradient_value_is_cost_with_points_behind(canonical_evaluator):
+    ev, gt = canonical_evaluator
+    rng = np.random.default_rng(9)
+    poses = [perturb(gt, rng, 30.0, math.radians(90.0)) for _ in range(60)]
+    assert sum(0.0 < _behind_fraction(p, ev) < 1.0 for p in poses) >= 10
+    behind = Extrinsic(gt.r, gt.t - [0.0, 0.0, 1000.0])
+    _assert_values_match_cost(poses + [behind], ev)
+    assert cost_and_gradient(behind, ev)[1].tolist() == [0.0] * 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_cost_and_gradient_value_is_cost_small_evaluators(seed):
+    rng = np.random.default_rng(seed)
+    ev = small_evaluator(rng)
+    _assert_values_match_cost(
+        [Extrinsic(rng.normal(size=3) * 0.3, rng.normal(size=3) * 3.0) for _ in range(4)], ev
+    )
+
+
+def _moved(e, x):
+    """e moved by the increment x = (dt, w) the gradient is taken in."""
+    R = angle_axis_to_matrix(x[3:]) @ e.matrix()
+    return Extrinsic(matrix_to_angle_axis(R), e.t + x[:3])
+
+
+def _affine_evaluator(ev):
+    """ev's points over height maps affine in (u, v), on which the bilinear
+    lookup is exact and the cost smooth wherever no point crosses the
+    frame border."""
+    h, w = ev.lane_height.values.shape
+    u, v = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
+    return CostEvaluator(
+        ev.lane_points, ev.pole_points,
+        HeightMap(0.3 + 2e-4 * u + 5e-4 * v), HeightMap(0.9 - 3e-4 * u + 1e-4 * v),
+        ev.intrinsics,
+    )
+
+
+def test_cost_gradient_matches_central_differences(canonical_evaluator):
+    ev, gt = canonical_evaluator
+    ev = _affine_evaluator(ev)
+    rng = np.random.default_rng(10)
+    h = 1e-6
+    for pose in [gt] + [perturb(gt, rng, 0.5, math.radians(3.0)) for _ in range(5)]:
+        _, grad = cost_and_gradient(pose, ev)
+        fd = np.array([
+            (cost(_moved(pose, h * e), ev) - cost(_moved(pose, -h * e), ev)) / (2 * h)
+            for e in np.eye(6)
+        ])
+        assert np.abs(grad - fd).max() <= 1e-6 * np.abs(grad).max()
+
+
+def test_points_behind_or_out_of_frame_add_no_gradient(canonical_evaluator):
+    """Adding to each class as many points again, half behind the camera
+    (placed so that their unguarded projection lands in frame) and half in
+    front but out of frame, halves both class means: the value and the
+    gradient halve, so the added points contribute nothing."""
+    ev, gt = canonical_evaluator
+    R, t = gt.matrix(), gt.t
+
+    def with_unseen(points, rng):
+        n = len(points)
+        behind = np.column_stack([rng.uniform(-0.05, 0.05, (n, 2)), rng.uniform(-30, -1, n)])
+        off = np.column_stack([rng.uniform(100, 200, (n, 2)), rng.uniform(2, 30, n)])
+        p_c = np.where(np.arange(n)[:, None] % 2 == 0, behind, off)
+        return np.vstack([points, (p_c - t) @ R])
+
+    rng = np.random.default_rng(11)
+    padded = CostEvaluator(
+        with_unseen(ev.lane_points, rng), with_unseen(ev.pole_points, rng),
+        ev.lane_height, ev.pole_height, ev.intrinsics,
+    )
+    for pose in [gt, perturb(gt, rng, 0.2, math.radians(1.0))]:
+        value, grad = cost_and_gradient(pose, ev)
+        value2, grad2 = cost_and_gradient(pose, padded)
+        assert value2 == pytest.approx(value / 2, rel=1e-12)
+        np.testing.assert_allclose(grad2, grad / 2, rtol=1e-9, atol=1e-12 * np.abs(grad).max())

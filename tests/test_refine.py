@@ -1,4 +1,4 @@
-"""Random-search refinement: monotonicity, determinism, schedule bounds."""
+"""Refinement: monotonicity, determinism, the evaluation budget."""
 import dataclasses
 import math
 
@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linecalib.cost as cost_module
+import linecalib.refine as refine_module
 from linecalib.config import RefinementConfig
 from linecalib.cost import CostEvaluator, cost
 from linecalib.errors import RefineError
+from linecalib.evaluation import perturb
 from linecalib.geometry import Extrinsic, Intrinsics, angle_axis_to_matrix, rotation_geodesic
 from linecalib.image_features import HeightMap
 from linecalib.refine import refine
@@ -19,12 +22,25 @@ MANY = settings(max_examples=1000, deadline=None)
 K = Intrinsics(fx=500.0, fy=500.0, cx=64.0, cy=48.0, width=128, height=96)
 
 
-def small_evaluator(rng):
-    lane = rng.uniform([-2, -2, 4], [2, 2, 30], size=(int(rng.integers(2, 20)), 3))
-    pole = rng.uniform([-2, -2, 4], [2, 2, 30], size=(int(rng.integers(2, 20)), 3))
+def _points_in_view(rng, pose):
+    """2-19 LiDAR points that `pose` projects inside the 128 x 96 view, at
+    depths of 4-30 m."""
+    n = int(rng.integers(2, 20))
+    u = rng.uniform(0, K.width - 1, size=n)
+    v = rng.uniform(0, K.height - 1, size=n)
+    z = rng.uniform(4, 30, size=n)
+    p_c = np.column_stack([(u - K.cx) * z / K.fx, (v - K.cy) * z / K.fy, z])
+    return (p_c - pose.t) @ pose.matrix()     # R^T (p_C - t)
+
+
+def small_problem(rng):
+    """A random start pose and an evaluator with random height maps whose
+    points all lie in view of that start, so the start scores above zero."""
+    start = Extrinsic(rng.normal(size=3) * 0.3, rng.normal(size=3) * 0.5)
     lane_h = HeightMap(rng.random((96, 128)))
     pole_h = HeightMap(rng.random((96, 128)))
-    return CostEvaluator(lane, pole, lane_h, pole_h, K)
+    ev = CostEvaluator(_points_in_view(rng, start), _points_in_view(rng, start), lane_h, pole_h, K)
+    return start, ev
 
 
 FAST = RefinementConfig(max_samples=60, step_final=0.01)
@@ -34,31 +50,21 @@ FAST = RefinementConfig(max_samples=60, step_final=0.01)
 @given(st.integers(0, 2**32 - 1))
 def test_refine_never_worse_than_input(seed):
     rng = np.random.default_rng(seed)
-    ev = small_evaluator(rng)
-    start = Extrinsic(rng.normal(size=3) * 0.3, rng.normal(size=3) * 0.5)
+    start, ev = small_problem(rng)
     cfg = dataclasses.replace(FAST, seed=int(rng.integers(0, 2**31)))
-    try:
-        out = refine(start, ev, cfg)
-    except RefineError:
-        # only a search that never left zero cost fails
-        assert cost(start, ev) == 0.0
-        return
-    assert cost(out, ev) >= cost(start, ev) and cost(out, ev) > 0.0
+    c0 = cost(start, ev)
+    assert c0 > 0.0
+    out = refine(start, ev, cfg)
+    assert cost(out, ev) >= c0
 
 
 @MANY
 @given(st.integers(0, 2**32 - 1))
 def test_refine_deterministic_per_seed(seed):
     rng = np.random.default_rng(seed)
-    ev = small_evaluator(rng)
-    start = Extrinsic(rng.normal(size=3) * 0.3, rng.normal(size=3) * 0.5)
+    start, ev = small_problem(rng)
     cfg = dataclasses.replace(FAST, seed=7)
-    try:
-        a = refine(start, ev, cfg)
-    except RefineError:
-        with pytest.raises(RefineError):
-            refine(start, ev, cfg)
-        return
+    a = refine(start, ev, cfg)
     b = refine(start, ev, cfg)
     assert np.array_equal(a.r, b.r) and np.array_equal(a.t, b.t)
 
@@ -83,9 +89,72 @@ def test_refine_fails_when_no_pose_scores_above_zero(canonical_evaluator):
 
 
 def test_refine_config_validation():
-    with pytest.raises(ValueError):
-        RefinementConfig(step_init=0.5, step_final=1.0)
-    with pytest.raises(ValueError):
-        RefinementConfig(step_decay=1.5)
-    with pytest.raises(ValueError):
-        RefinementConfig(max_samples=0)
+    for bad in (dict(step_final=1.0), dict(step_final=0.0), dict(max_samples=0)):
+        with pytest.raises(ValueError):
+            RefinementConfig(**bad)
+
+
+# ---------------------------------------------------------------------------
+# from a criterion-5 perturbation of the canonical scene
+
+
+def _criterion_5_start(gt, seed):
+    return perturb(gt, np.random.default_rng(seed), 1.0, math.radians(6.0))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_refine_from_robustness_start_never_worse_and_repeatable(canonical_evaluator, seed):
+    ev, gt = canonical_evaluator
+    start = _criterion_5_start(gt, seed)
+    cfg = RefinementConfig(seed=seed)
+    a = refine(start, ev, cfg)
+    b = refine(start, ev, cfg)
+    assert cost(a, ev) >= cost(start, ev)
+    assert a.r.tobytes() == b.r.tobytes() and a.t.tobytes() == b.t.tobytes()
+
+
+def _count_kernel_calls(monkeypatch):
+    """Count every call of the two cost kernels refine reaches: cost_batch
+    (through the evaluator) and cost_and_gradient."""
+    calls = [0]
+
+    def counting(fn):
+        def wrapped(*args):
+            calls[0] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(cost_module, "cost_batch", counting(cost_module.cost_batch))
+    monkeypatch.setattr(refine_module, "cost_and_gradient",
+                        counting(refine_module.cost_and_gradient))
+    return calls
+
+
+@pytest.mark.parametrize("max_samples", [1, 2, 10, 51, 60, 120, 10000])
+def test_refine_stays_within_its_evaluation_budget(canonical_evaluator, monkeypatch, max_samples):
+    """Every evaluation, the start's included, counts against max_samples;
+    a budget the random search alone would exceed is spent exactly."""
+    ev, gt = canonical_evaluator
+    start = _criterion_5_start(gt, 1)
+    calls = _count_kernel_calls(monkeypatch)
+    out = refine(start, ev, RefinementConfig(seed=1, max_samples=max_samples))
+    assert calls[0] <= max_samples
+    if max_samples <= 51:   # the random search needs at least reject_limit + 1
+        assert calls[0] == max_samples
+    assert cost(out, ev) >= cost(start, ev)
+
+
+def test_moved_rotates_about_its_pivot():
+    """The ascent's increment rotates about a camera-frame pivot: a LiDAR
+    point mapped onto the pivot stays there, and the random search's pivot
+    e.t leaves the translation at t + dt exactly."""
+    rng = np.random.default_rng(12)
+    e = Extrinsic(rng.normal(size=3) * 0.3, rng.normal(size=3))
+    pivot = np.array([1.0, -2.0, 20.0])
+    on_pivot = e.matrix().T @ (pivot - e.t)
+    w = np.radians([0.5, -1.0, 2.0])
+    moved = refine_module._moved(e, np.zeros(3), w, pivot)
+    np.testing.assert_allclose(moved.apply(on_pivot), pivot, atol=1e-12)
+    assert rotation_geodesic(moved.matrix(), e.matrix()) == pytest.approx(np.linalg.norm(w))
+    dt = np.array([0.1, 0.2, -0.3])
+    assert refine_module._moved(e, dt, w, e.t).t.tobytes() == (e.t + dt).tobytes()
