@@ -20,7 +20,7 @@ from . import evaluation, synth
 from .cloud_features import PointCloud, extract_cloud_features
 from .config import PipelineConfig, load_config
 from .cost import cost
-from .errors import STAGE_EXIT_CODES, CalibError, DimensionMismatch
+from .errors import STAGE_EXIT_CODES, CalibError, DimensionMismatch, ParseError
 from .fileio import (
     format_intrinsics,
     load_cloud,
@@ -211,6 +211,13 @@ def _sweep_worker(task):
 
 
 def cmd_sweep(args) -> int:
+    for flag, value in (("--max-t", args.max_t), ("--max-theta-deg", args.max_theta_deg)):
+        # the sweep draws offsets up to the bound and divides by it
+        if not (0.0 < value < math.inf):
+            raise ParseError(f"{flag} must be a positive finite number, got {value}")
+    for flag, value in (("--trials", args.trials), ("--jobs", args.jobs)):
+        if value < 1:
+            raise ParseError(f"{flag} must be at least 1, got {value}")
     cfg = _load_cfg(args)
     max_theta = math.radians(args.max_theta_deg)
     tasks = [

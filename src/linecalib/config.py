@@ -14,21 +14,16 @@ from .fileio import load_kv_file, parse_fields
 
 @dataclass(frozen=True)
 class RefinementConfig:
-    """Refinement parameters: a random search over the full pose range,
-    then BFGS ascent on the cost's analytic gradient (see refine).
+    """Refinement parameters of the BFGS ascent on the cost's analytic
+    gradient (see refine).
 
-    Steps are measured in units of t_range and theta_range_deg: a random
-    proposal moves the pose by up to one unit per translation axis and by
-    an angle of up to one unit, and the ascent stops once an accepted step
-    is below step_final units in every component.
+    Steps are measured in units of 1 m of translation and 6 degrees of
+    rotation; the ascent stops once an accepted step is below step_final
+    units in every component.
     """
 
-    t_range: float = 1.0          # meters, per-axis translation bound of a random proposal
-    theta_range_deg: float = 6.0  # degrees, rotation angle bound of a random proposal
     step_final: float = 0.001     # ascent stops below this step, in those units
-    reject_limit: int = 50        # consecutive rejections that end the random search
     max_samples: int = 10000      # cost evaluations, the start's included
-    seed: int = 0
 
     def __post_init__(self):
         if not (0 < self.step_final < 1):
@@ -41,6 +36,7 @@ class RefinementConfig:
 class PipelineConfig(RefinementConfig):
     """Every pipeline threshold, plus the inherited refinement fields."""
 
+    seed: int = 0                      # cloud-extraction RANSAC and `sweep` perturbations
     # ground plane
     plane_trials: int = 200
     plane_inlier_band: float = 0.1     # meters, half of the 0.2 m thickness

@@ -1,7 +1,6 @@
 """Error metrics, MAE aggregation, and the miscalibration robustness sweep."""
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, fields
 
@@ -125,16 +124,13 @@ def robustness_sweep(
     index = 0
     for ev in evaluators:
         for _ in range(n_trials):
-            trial_seed = seed + index
+            rng = np.random.default_rng(seed + index)
             index += 1
-            rng = np.random.default_rng(trial_seed)
             start = perturb(ref, rng, max_t, max_theta)
             init_err = calibration_error(start, ref)
             mag0 = perturbation_magnitude(init_err.dt, init_err.dtheta, max_t, max_theta)
             try:
-                result = refine(
-                    start, ev, dataclasses.replace(refine_cfg, seed=trial_seed)
-                )
+                result = refine(start, ev, refine_cfg)
             except CalibError as e:  # recorded per trial, not fatal
                 trials.append(
                     SweepTrial(mag0, init_err, init_err, mag0, failure=str(e))

@@ -1,27 +1,20 @@
-"""Refinement: a random search finds the basin, gradient ascent climbs it.
+"""Refinement: BFGS ascent on the alignment cost from the given pose.
 
-Both phases move the pose by an increment (dt, w), measured in units of
-t_range (translation) and theta_range_deg (rotation): a rotation by
-exp([w]x) about a pivot point of the camera frame, then a shift by dt.
-
-1. Random search.  Each proposal draws dt uniform per axis in [-1, 1] and
-   w with a uniform-sphere axis and an angle uniform in [-1, 1], in those
-   units, and pivots on the LiDAR origin, so t moves by dt alone.  Only
-   strict cost improvements are accepted; the phase ends after
-   reject_limit consecutive rejections.
-2. Quasi-Newton ascent.  BFGS on the 6-vector increment, with the
-   analytic gradient of cost_and_gradient and a backtracking line search
-   that accepts only strict improvements.  It pivots on the centroid of
-   the cost points: about the camera, a small yaw and a sideways shift
-   move distant points almost alike, a narrow ridge that stalls the
-   ascent millimetres to centimetres short of the maximum.  It ends
-   when an accepted step is below step_final in every component, or
-   when no step of that size improves the cost.
+The ascent moves the pose by an increment (dt, w), measured in units of
+1 m (translation) and 6 degrees (rotation): a rotation by exp([w]x)
+about a pivot point of the camera frame, then a shift by dt.  It is BFGS on that 6-vector, with the analytic gradient of
+cost_and_gradient and a backtracking line search that accepts only
+strict improvements.  It pivots on the centroid of the cost points:
+about the camera, a small yaw and a sideways shift move distant points
+almost alike, a narrow ridge that stalls the ascent millimetres to
+centimetres short of the maximum.  It ends when an accepted step is
+below step_final in every component, or when no step of that size
+improves the cost.
 
 Every evaluation, the start's included, counts against max_samples.
 Every pose is scored at its own Extrinsic(...).matrix(), so the result
-never scores below the start.  A search that never rises above zero cost
-has no alignment to refine and fails with RefineError.
+never scores below the start.  An ascent that ends at zero cost has no
+alignment to refine and fails with RefineError.
 """
 from __future__ import annotations
 
@@ -34,10 +27,12 @@ from .cost import CostEvaluator, cost_and_gradient
 from .errors import RefineError
 from .geometry import Extrinsic, angle_axis_to_matrix, matrix_to_angle_axis
 
+# one unit of the increment (dt, w): 1 m of translation, 6 degrees of rotation
+_SCALE = np.repeat([1.0, math.radians(6.0)], 3)
 # line search: the first steepest-ascent step is this long in scaled units
-# (0.1 m / 0.6 degrees by default; a restart reuses the last accepted
-# length), a step must gain ARMIJO of its predicted gain, and a failed step
-# shrinks by BACKTRACK
+# (0.1 m / 0.6 degrees; a restart reuses the last accepted length), a step
+# must gain ARMIJO of its predicted gain, and a failed step shrinks by
+# BACKTRACK
 _FIRST_STEP = 0.1
 _ARMIJO = 1e-4
 _BACKTRACK = 0.25
@@ -51,40 +46,9 @@ def _moved(e: Extrinsic, dt, w, pivot) -> Extrinsic:
 
 
 def refine(initial: Extrinsic, ev: CostEvaluator, cfg: RefinementConfig) -> Extrinsic:
-    """Random search then BFGS ascent on the alignment cost; never returns
-    a worse pose."""
-    rng = np.random.default_rng(cfg.seed)
-    theta_max = math.radians(cfg.theta_range_deg)
-
-    best, best_cost = initial, ev(initial)
-    evals = 1
-    rejects = 0
-    while rejects < cfg.reject_limit and evals < cfg.max_samples:
-        dt = rng.uniform(-1.0, 1.0, size=3) * cfg.t_range
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        angle = rng.uniform(-1.0, 1.0) * theta_max
-        cand = _moved(best, dt, axis * angle, best.t)
-        c = ev(cand)
-        evals += 1
-        if c > best_cost:
-            best, best_cost = cand, c
-            rejects = 0
-        else:
-            rejects += 1
-
-    if evals < cfg.max_samples:
-        best, best_cost = _ascend(best, ev, cfg, cfg.max_samples - evals)
-    if not best_cost > 0.0:
-        raise RefineError(f"best cost {best_cost:.6f} after refinement is not above zero")
-    return best
-
-
-def _ascend(start: Extrinsic, ev: CostEvaluator, cfg: RefinementConfig, budget: int):
-    """BFGS ascent from start in the increment x = (dt, w) / scale, rotating
-    about the centroid of the cost points, with at most `budget`
-    cost_and_gradient calls; returns (pose, cost)."""
-    scale = np.repeat([cfg.t_range, math.radians(cfg.theta_range_deg)], 3)
+    """BFGS ascent on the alignment cost, rotating about the centroid of
+    the cost points, with at most cfg.max_samples cost_and_gradient calls;
+    never returns a worse pose."""
     centroid = np.vstack([ev.lane_points, ev.pole_points]).mean(axis=0)
 
     def climb_state(e):
@@ -94,11 +58,11 @@ def _ascend(start: Extrinsic, ev: CostEvaluator, cfg: RefinementConfig, budget: 
         # cost_and_gradient rotates about e.t; moving the pivot to c adds
         # w x (t - c) to the translation, so (t - c) x d/dt to d/dw
         g[3:] += np.cross(e.t - pivot, g[:3])
-        return f, g * scale, pivot
+        return f, g * _SCALE, pivot
 
-    best = start
+    best = initial
     f, g, pivot = climb_state(best)
-    budget -= 1
+    budget = cfg.max_samples - 1
     H = None            # inverse-Hessian estimate; None: steepest ascent
     length = _FIRST_STEP
     while budget > 0:
@@ -113,7 +77,7 @@ def _ascend(start: Extrinsic, ev: CostEvaluator, cfg: RefinementConfig, budget: 
         alpha, accepted = 1.0, False
         while budget > 0 and not accepted:
             s = alpha * d
-            x = s * scale
+            x = s * _SCALE
             cand = _moved(best, x[:3], x[3:], pivot)
             f_new, g_new, pivot_new = climb_state(cand)
             budget -= 1
@@ -139,4 +103,6 @@ def _ascend(start: Extrinsic, ev: CostEvaluator, cfg: RefinementConfig, budget: 
             rho = 1.0 / sy
             V = np.eye(6) - rho * np.outer(s, y)
             H = V @ H @ V.T + rho * np.outer(s, s)
-    return best, f
+    if not f > 0.0:
+        raise RefineError(f"best cost {f:.6f} after refinement is not above zero")
+    return best

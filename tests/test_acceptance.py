@@ -183,9 +183,12 @@ def test_criterion_4_refined_accuracy(fifty_scene_runs):
 # criterion 5: robustness sweep
 
 
-def test_criterion_5_robustness_sweep():
+def _robustness_ratios(scenes, seed):
+    """Criterion 5's protocol: 10 trials per canonical scene, each perturbed
+    by up to 1 m / 6 degrees, then refined; the refined-to-initial
+    perturbation-magnitude ratio of every trial."""
     evaluators, ref = [], None
-    for s in range(20):
+    for s in scenes:
         spec = canonical_spec(s)
         cloud, lane_mask, pole_mask, gt = generate(spec)
         evaluators.append(
@@ -193,12 +196,14 @@ def test_criterion_5_robustness_sweep():
         )
         ref = gt
     trials = robustness_sweep(
-        evaluators, ref, 10, 1.0, math.radians(6.0), seed=0,
+        evaluators, ref, 10, 1.0, math.radians(6.0), seed=seed,
         refine_cfg=CFG.refinement(),
     )
-    ratios = np.array(
-        [t.refined_magnitude / t.initial_magnitude for t in trials]
-    )
+    return np.array([t.refined_magnitude / t.initial_magnitude for t in trials])
+
+
+def test_criterion_5_robustness_sweep():
+    ratios = _robustness_ratios(range(20), seed=0)
     frac5 = float((ratios <= 0.2).mean())
     med = float(np.median(ratios))
     print(
@@ -207,6 +212,18 @@ def test_criterion_5_robustness_sweep():
     )
     assert frac5 >= 0.90
     assert med <= 0.10
+
+
+def test_robustness_holds_off_the_gate_set():
+    """Criterion 5's protocol on scenes and trial seeds it never sees."""
+    ratios = _robustness_ratios(range(20, 40), seed=5000)
+    frac5 = float((ratios <= 0.2).mean())
+    print(
+        f"\n[criterion 5, scenes 20..39] error/5 reached in {(ratios <= 0.2).sum()}/200 "
+        f"({100 * frac5:.1f}%), median ratio {np.median(ratios):.3f}, "
+        f"{(ratios > 1).sum()} trials end farther off than they started"
+    )
+    assert frac5 >= 0.90
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,27 @@ def test_sweep_output_independent_of_jobs(bundle, tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--max-t", "0"), ("--max-t", "-1"), ("--max-t", "nan"), ("--max-t", "inf"),
+    ("--max-theta-deg", "0"), ("--max-theta-deg", "nan"),
+    ("--trials", "0"), ("--jobs", "0"), ("--jobs", "-2"),
+])
+def test_sweep_rejects_bad_bounds_and_counts(bundle, monkeypatch, capsys, flag, value):
+    """A perturbation bound that is not a positive finite number, or fewer
+    than one trial or job, is a parse error before any frame is swept."""
+    import linecalib.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(cli, "_sweep_worker", never)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", never)
+    code = main(["sweep", "--frames", str(bundle), "--ref", str(bundle / "extrinsic_gt.txt"),
+                 "--jobs", "2", flag, value])
+    assert code == STAGE_EXIT_CODES["parse"] == 1
+    assert f"error (parse): {flag} must be" in capsys.readouterr().err
+
+
 def test_exit_code_parse_error(tmp_path, capsys):
     code = main(
         ["calibrate",

@@ -13,11 +13,10 @@ def test_defaults():
     assert cfg.gamma1 == 0.90
     assert cfg.plane_inlier_band == 0.1
     assert cfg.hough_min_support == 50
+    assert cfg.seed == 0
     r = cfg.refinement()
-    assert r.t_range == 1.0
-    assert r.max_samples == 10000
-    assert r.step_final == 0.001
-    assert r.theta_range_deg == 6.0  # the rotation bound, in degrees
+    assert [f.name for f in dataclasses.fields(r)] == ["step_final", "max_samples"]
+    assert r == RefinementConfig(step_final=0.001, max_samples=10000)
 
 
 def test_load_config_overrides(tmp_path):
@@ -33,10 +32,10 @@ def test_load_config_overrides(tmp_path):
 
 def test_load_config_rejects_unknown_key(tmp_path):
     p = tmp_path / "cfg.txt"
-    # rot_scale is folded into theta_range_deg; the gradient ascent that
-    # replaced the step-size schedule reads no step_init or step_decay
+    # the gradient ascent has no step schedule, random-search knob or range
     for text in ("gama0 = 0.95\n", "rot_scale = 60\n", "step_init = 1.0\n",
-                 "step_decay = 0.1\n"):
+                 "step_decay = 0.1\n", "reject_limit = 50\n", "t_range = 1.0\n",
+                 "theta_range_deg = 6.0\n"):
         p.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError):
             load_config(p)
@@ -76,4 +75,4 @@ def test_replace_returns_new_config():
 def test_refinement_config_frozen():
     r = RefinementConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
-        r.seed = 1
+        r.max_samples = 1
