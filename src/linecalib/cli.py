@@ -29,13 +29,20 @@ from .fileio import (
     load_intrinsics,
     save_cloud,
     save_extrinsic,
-    save_pgm,
-    save_ppm,
+    save_pnm,
 )
 from .geometry import project_points
-from .image_features import load_mask
+from .image_features import l1_distance_field, load_mask
 from .pipeline import CalibrationReport, calibrate, coarse_calibrate, extract_features
 from .refine import refine
+
+# the files of a frame bundle: the `synth` output and a `sweep` frame
+BUNDLE_FILES = {
+    "cloud": "frame_cloud.bin",
+    "lane_mask": "frame_lane.pgm",
+    "pole_mask": "frame_pole.pgm",
+    "intrinsics": "intrinsics.txt",
+}
 
 
 def _add_bundle_args(p):
@@ -53,21 +60,25 @@ def _add_common(p):
 def _load_cfg(args) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
     if args.seed is not None:
-        cfg = cfg.replace(seed=args.seed)
+        try:
+            cfg = cfg.replace(seed=args.seed)
+        except ValueError as e:
+            raise ParseError(f"--seed: {e}") from e
     return cfg
 
 
-def _load_bundle(args):
-    intr = load_intrinsics(args.intrinsics)
-    cloud = PointCloud.from_array(load_cloud(args.cloud))
-    lane_mask = load_mask(args.lane_mask, "lane", intr)
-    pole_mask = load_mask(args.pole_mask, "pole", intr)
+def _load_bundle(paths):
+    """Cloud, masks and intrinsics from the paths under BUNDLE_FILES' keys."""
+    intr = load_intrinsics(paths["intrinsics"])
+    cloud = PointCloud.from_array(load_cloud(paths["cloud"]))
+    lane_mask = load_mask(paths["lane_mask"], "lane", intr)
+    pole_mask = load_mask(paths["pole_mask"], "pole", intr)
     return cloud, lane_mask, pole_mask, intr
 
 
 def cmd_calibrate(args) -> int:
     cfg = _load_cfg(args)
-    extrinsic, report = calibrate(*_load_bundle(args), cfg)
+    extrinsic, report = calibrate(*_load_bundle(vars(args)), cfg)
     save_extrinsic(args.out, extrinsic)
     report_text = report.format()
     if args.report:
@@ -78,7 +89,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_coarse(args) -> int:
     cfg = _load_cfg(args)
-    cf, imf, ev = extract_features(*_load_bundle(args), cfg)
+    cf, imf, ev = extract_features(*_load_bundle(vars(args)), cfg)
     report = CalibrationReport()
     extrinsic = coarse_calibrate(cf, imf, ev, report)
     save_extrinsic(args.out, extrinsic)
@@ -89,7 +100,7 @@ def cmd_coarse(args) -> int:
 
 def cmd_refine(args) -> int:
     cfg = _load_cfg(args)
-    bundle = _load_bundle(args)
+    bundle = _load_bundle(vars(args))
     initial = load_extrinsic(args.init)
     _, _, ev = extract_features(*bundle, cfg)
     result = refine(initial, ev, cfg.refinement())
@@ -149,15 +160,17 @@ def cmd_project(args) -> int:
     img[lane_iv, lane_iu] = (0, 255, 0)
     iv, iu, _ = pixels(pole_pts)
     img[iv, iu] = (255, 0, 0)
-    save_ppm(args.out, img)
+    save_pnm(args.out, img)
 
     if args.stats:
         if lane_mask is None:
             sys.stderr.write("--stats needs --lane-mask\n")
             return 1
-        dil = _dilate(lane_mask.bits, 2)
         total = len(lane_iv)
-        inside = int(dil[lane_iv, lane_iu].sum())
+        inside = 0
+        if lane_mask.bits.any():  # an empty mask has no distance field
+            near = l1_distance_field(lane_mask, from_set=True) <= 2
+            inside = int(near[lane_iv, lane_iu].sum())
         frac = inside / total if total else 0.0
         sys.stdout.write(f"lane_points_projected: {total}\n")
         sys.stdout.write(f"lane_points_in_mask: {inside}\n")
@@ -165,29 +178,22 @@ def cmd_project(args) -> int:
     return 0
 
 
-def _dilate(bits: np.ndarray, radius: int) -> np.ndarray:
-    out = bits.copy()
-    for _ in range(radius):
-        grown = out.copy()
-        grown[1:] |= out[:-1]
-        grown[:-1] |= out[1:]
-        grown[:, 1:] |= out[:, :-1]
-        grown[:, :-1] |= out[:, 1:]
-        out = grown
-    return out
-
-
 def cmd_synth(args) -> int:
     spec = synth.load_scene_spec(args.spec)
     if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
+        try:
+            spec = dataclasses.replace(spec, seed=args.seed)
+        except synth.InvalidSpec as e:
+            raise ParseError(f"--seed: {e}") from e
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cloud, lane_mask, pole_mask, gt = synth.generate(spec)
-    save_cloud(out / "frame_cloud.bin", cloud.to_array())
-    save_pgm(out / "frame_lane.pgm", np.where(lane_mask.bits, 255, 0).astype(np.uint8))
-    save_pgm(out / "frame_pole.pgm", np.where(pole_mask.bits, 255, 0).astype(np.uint8))
-    (out / "intrinsics.txt").write_text(format_intrinsics(spec.intrinsics), encoding="utf-8")
+    save_cloud(out / BUNDLE_FILES["cloud"], cloud.to_array())
+    save_pnm(out / BUNDLE_FILES["lane_mask"], np.where(lane_mask.bits, 255, 0).astype(np.uint8))
+    save_pnm(out / BUNDLE_FILES["pole_mask"], np.where(pole_mask.bits, 255, 0).astype(np.uint8))
+    (out / BUNDLE_FILES["intrinsics"]).write_text(
+        format_intrinsics(spec.intrinsics), encoding="utf-8"
+    )
     save_extrinsic(out / "extrinsic_gt.txt", gt)
     sys.stdout.write(f"wrote 5 files to {out}\n")
     return 0
@@ -195,13 +201,7 @@ def cmd_synth(args) -> int:
 
 def _sweep_worker(task):
     frame_dir, ref_path, n_trials, max_t, max_theta, cfg, fi = task
-    frame = Path(frame_dir)
-    bundle = argparse.Namespace(
-        cloud=frame / "frame_cloud.bin",
-        lane_mask=frame / "frame_lane.pgm",
-        pole_mask=frame / "frame_pole.pgm",
-        intrinsics=frame / "intrinsics.txt",
-    )
+    bundle = {key: Path(frame_dir) / name for key, name in BUNDLE_FILES.items()}
     _, _, ev = extract_features(*_load_bundle(bundle), cfg)
     ref = load_extrinsic(ref_path)
     return evaluation.robustness_sweep(

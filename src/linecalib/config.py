@@ -67,6 +67,13 @@ class PipelineConfig(RefinementConfig):
     hough_lane_theta_margin_deg: float = 25.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if min(self.plane_trials, self.line_trials, self.hough_max_lines) < 1:
+            raise ValueError("plane_trials, line_trials and hough_max_lines must be at least 1")
+        if not (self.grid_cell > 0
+                and self.grid_x_min < self.grid_x_max and self.grid_y_min < self.grid_y_max):
+            raise ValueError("the pole grid needs grid_cell > 0 and min < max on each axis")
         if not (0 < self.gamma0 < 1) or not (0 < self.gamma1 < 1):
             raise ValueError("gamma0 and gamma1 must lie in (0, 1)")
         if self.plane_inlier_band <= 0 or self.line_inlier_tol <= 0:

@@ -5,8 +5,9 @@ through the candidate extrinsic and looked up in the class height map;
 the cost is the sum of the two per-class means.  Points behind the
 camera or outside the image contribute zero, so the cost is bounded by 2.
 
-cost_batch scores many poses at once; cost_and_gradient scores one pose
-and also returns the cost's analytic gradient, for the refine stage.
+cost_batch scores many translations of one rotation at once;
+cost_and_gradient scores one pose and also returns the cost's analytic
+gradient, for the refine stage.
 """
 from __future__ import annotations
 
@@ -65,28 +66,21 @@ def _class_terms(rotated, t, hmap: HeightMap, k: Intrinsics) -> np.ndarray:
 
 
 def cost_batch(R, t, ev: CostEvaluator) -> np.ndarray:
-    """Alignment cost of K poses p_C = R[j] @ p_L + t[j]: R (K, 3, 3) and
-    t (K, 3) give a (K,) array.
+    """Alignment cost of the K poses p_C = R @ p_L + t[j] that share the
+    rotation R (3, 3): t (K, 3) gives a (K,) array.
 
-    Poses with the same rotation matrix share one pts @ R.T, and each
-    score is bit-identical to scoring its pose alone.
+    The poses share one pts @ R.T, and each score is bit-identical to
+    scoring its pose alone.
     """
-    R = np.asarray(R, dtype=float).reshape(-1, 3, 3)
+    R_T = np.asarray(R, dtype=float).reshape(3, 3).T
     t = np.asarray(t, dtype=float).reshape(-1, 3)
-    groups: dict = {}
-    for j, r in enumerate(R):
-        groups.setdefault(r.tobytes(), []).append(j)
-    out = np.empty(len(R))
-    for poses in groups.values():
-        R_T = R[poses[0]].T
-        out[poses] = _class_terms(
-            ev.lane_points @ R_T, t[poses], ev.lane_height, ev.intrinsics
-        ) + _class_terms(ev.pole_points @ R_T, t[poses], ev.pole_height, ev.intrinsics)
-    return out
+    return _class_terms(
+        ev.lane_points @ R_T, t, ev.lane_height, ev.intrinsics
+    ) + _class_terms(ev.pole_points @ R_T, t, ev.pole_height, ev.intrinsics)
 
 
 def cost(e: Extrinsic, ev: CostEvaluator) -> float:
-    return float(cost_batch(e.matrix()[None], e.t[None], ev)[0])
+    return float(cost_batch(e.matrix(), e.t[None], ev)[0])
 
 
 def _class_value_grad(rotated, t, hmap: HeightMap, k: Intrinsics):

@@ -38,12 +38,17 @@ def parse_kv_text(text: str, path="<string>") -> dict:
     return out
 
 
-def load_kv_file(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"file not found: {path}")
+def _read_bytes(path) -> bytes:
+    """The file's contents; a file that cannot be read is a ParseError."""
     try:
-        text = path.read_text(encoding="utf-8")
+        return Path(path).read_bytes()
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e.strerror or e}") from e
+
+
+def load_kv_file(path) -> dict:
+    try:
+        text = _read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text ({e})") from e
     return parse_kv_text(text, path=str(path))
@@ -240,10 +245,7 @@ def _try_ascii_cloud(data: bytes, path):
 
 def load_cloud(path) -> np.ndarray:
     """Load an (N, 4) float array of x, y, z, intensity."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"file not found: {path}")
-    data = path.read_bytes()
+    data = _read_bytes(path)
     pts = _try_ascii_cloud(data, path)
     if pts is None:
         if len(data) == 0 or len(data) % 16 != 0:
@@ -264,10 +266,7 @@ def save_cloud(path, pts: np.ndarray) -> None:
 def _read_pnm(path) -> np.ndarray:
     """A binary PGM (P5) or PPM (P6) with maxval 255 as an (h, w, 1 or 3)
     uint8 array."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"file not found: {path}")
-    data = path.read_bytes()
+    data = _read_bytes(path)
     if data[:2] not in (b"P5", b"P6"):
         raise ParseError(f"{path}: not a binary PGM/PPM (magic {data[:2]!r})")
     channels = 1 if data[:2] == b"P5" else 3
@@ -313,15 +312,10 @@ def load_image(path):
     return np.repeat(img, 3, axis=2) if img.shape[2] == 1 else img.copy()
 
 
-def save_pgm(path, img: np.ndarray) -> None:
+def save_pnm(path, img: np.ndarray) -> None:
+    """Write a (h, w) array as a P5 PGM, an (h, w, 3) one as a P6 PPM."""
     img = np.asarray(img, dtype=np.uint8)
-    h, w = img.shape
-    header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + img.tobytes())
-
-
-def save_ppm(path, img: np.ndarray) -> None:
-    img = np.asarray(img, dtype=np.uint8)
-    h, w, _ = img.shape
-    header = f"P6\n{w} {h}\n255\n".encode("ascii")
+    h, w = img.shape[:2]
+    magic = "P5" if img.ndim == 2 else "P6"
+    header = f"{magic}\n{w} {h}\n255\n".encode("ascii")
     Path(path).write_bytes(header + img.tobytes())

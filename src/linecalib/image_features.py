@@ -186,12 +186,10 @@ def _vote(us, vs, cos_t, sin_t, n_rho, rho_off):
 
 
 def _fit_line2d(us: np.ndarray, vs: np.ndarray) -> Line2D:
-    """Total least-squares line through a pixel set, sign-canonicalized."""
+    """Total least-squares line through a pixel set (Line2D fixes its sign)."""
     mu, mv = us.mean(), vs.mean()
     _, _, vt = np.linalg.svd(np.stack([us - mu, vs - mv], axis=1), full_matrices=False)
     a, b = float(vt[1, 0]), float(vt[1, 1])
-    if a < 0 or (a == 0 and b < 0):
-        a, b = -a, -b
     return Line2D(a, b, -(a * mu + b * mv))
 
 

@@ -74,8 +74,9 @@ def coarse_calibrate(
     The image triple (two strongest lane lines, strongest upright pole
     line) is fixed, so its (at most four) P3L rotations are solved once;
     every ordered assignment of cloud lane lines and every cloud pole line
-    then only needs its translation: n1 * (n1 - 1) * n2 triples.  All
-    candidates are scored in one batch; the earliest of equal best wins.
+    then only needs its translation: n1 * (n1 - 1) * n2 triples.  The
+    candidates of each rotation are scored in one batch; the earliest of
+    equal best wins.
     """
     lane1_img, lane2_img, pole_img = select_principal_lines(image_features)
     frame = cloud_features.frame
@@ -97,12 +98,12 @@ def coarse_calibrate(
     which, ts = solve_translations(
         sol, [line.point for line in lanes], [line.point for line in poles], triples
     )
-    # a candidate is scored, like any Extrinsic, at the matrix of its
-    # angle-axis vector, which depends on the rotation alone
-    matrices = np.array(
-        [Extrinsic.from_matrix(R, np.zeros(3)).matrix() for R in sol.rotations]
-    ).reshape(-1, 3, 3)
-    scores = cost_batch(matrices[which], ts, ev)
+    scores = np.empty(len(ts))
+    for k, R in enumerate(sol.rotations):
+        # a candidate is scored, like any Extrinsic, at the matrix of its
+        # angle-axis vector, which depends on the rotation alone
+        mine = which == k
+        scores[mine] = cost_batch(Extrinsic.from_matrix(R, np.zeros(3)).matrix(), ts[mine], ev)
     best = int(np.argmax(scores)) if len(scores) else None
     best_cost = 0.0 if best is None else float(scores[best])
     if report is not None:

@@ -157,6 +157,8 @@ class SceneSpec:
             raise InvalidSpec("lane_width and lidar_height must be positive")
         if self.rings < 1 or self.azimuth_steps < 1:
             raise InvalidSpec("beam model needs rings >= 1, azimuth_steps >= 1")
+        if self.seed < 0:
+            raise InvalidSpec("seed must be non-negative")
 
 
 def _tilt(spec: SceneSpec) -> np.ndarray:

@@ -133,13 +133,13 @@ def test_evaluate_non_finite_extrinsic_exits_1(bundle, tmp_path, capsys):
 
 
 def test_project_rejects_lane_mask_smaller_than_image(bundle, tmp_path, capsys):
-    from linecalib.fileio import load_intrinsics, load_pgm, save_pgm
+    from linecalib.fileio import load_intrinsics, load_pgm, save_pnm
 
     intr = load_intrinsics(bundle / "intrinsics.txt")
     img = tmp_path / "bg.pgm"
-    save_pgm(img, np.zeros((intr.height, intr.width), dtype=np.uint8))
+    save_pnm(img, np.zeros((intr.height, intr.width), dtype=np.uint8))
     crop = tmp_path / "lane_crop.pgm"
-    save_pgm(crop, load_pgm(bundle / "frame_lane.pgm")[:200, :600])
+    save_pnm(crop, load_pgm(bundle / "frame_lane.pgm")[:200, :600])
     code = main(
         ["project",
          "--cloud", str(bundle / "frame_cloud.bin"),
@@ -153,13 +153,13 @@ def test_project_rejects_lane_mask_smaller_than_image(bundle, tmp_path, capsys):
 
 
 def test_project_subcommand(bundle, tmp_path, capsys):
-    from linecalib.fileio import load_image, save_pgm
+    from linecalib.fileio import load_image, save_pnm
 
     img = tmp_path / "bg.pgm"
     from linecalib.fileio import load_intrinsics
 
     intr = load_intrinsics(bundle / "intrinsics.txt")
-    save_pgm(img, np.zeros((intr.height, intr.width), dtype=np.uint8))
+    save_pnm(img, np.zeros((intr.height, intr.width), dtype=np.uint8))
     out = tmp_path / "overlay.ppm"
     code = main(
         ["project",
@@ -183,6 +183,27 @@ def test_project_subcommand(bundle, tmp_path, capsys):
     # some lane pixels were painted green
     green = (overlay == np.array([0, 255, 0])).all(axis=2)
     assert green.sum() > 100
+
+
+def test_project_stats_with_empty_lane_mask(bundle, tmp_path, capsys):
+    """A lane mask with no set pixel has no lane point near it."""
+    from linecalib.fileio import load_intrinsics, save_pnm
+
+    intr = load_intrinsics(bundle / "intrinsics.txt")
+    blank = tmp_path / "blank.pgm"
+    save_pnm(blank, np.zeros((intr.height, intr.width), dtype=np.uint8))
+    code = main(
+        ["project",
+         "--cloud", str(bundle / "frame_cloud.bin"),
+         "--intrinsics", str(bundle / "intrinsics.txt"),
+         "--extrinsic", str(bundle / "extrinsic_gt.txt"),
+         "--image", str(blank), "--out", str(tmp_path / "overlay.ppm"),
+         "--lane-mask", str(blank), "--stats"]
+    )
+    assert code == 0
+    stats = dict(line.split(": ") for line in capsys.readouterr().out.strip().splitlines())
+    assert int(stats["lane_points_projected"]) > 0
+    assert stats["lane_points_in_mask"] == "0"
 
 
 def test_sweep_subcommand(bundle, tmp_path, capsys):
@@ -272,6 +293,42 @@ def test_exit_code_parse_error(tmp_path, capsys):
     )
     assert code == STAGE_EXIT_CODES["parse"] == 1
     assert "error (parse)" in capsys.readouterr().err
+
+
+def _unreadable_argv(bundle, tmp_path, target):
+    """The argv of a run that passes the directory tmp_path as `target`."""
+    if target == "synth --spec":
+        return ["synth", "--spec", str(tmp_path), "--out", str(tmp_path / "out")]
+    if target == "evaluate":
+        return ["evaluate", str(tmp_path), str(bundle / "extrinsic_gt.txt")]
+    args = _bundle_args(bundle)
+    if target == "--config":
+        args += ["--config", str(tmp_path)]
+    else:
+        args[args.index(target) + 1] = str(tmp_path)
+    return ["coarse", *args, "--out", str(tmp_path / "out.txt")]
+
+
+@pytest.mark.parametrize("target", [
+    "--cloud", "--lane-mask", "--intrinsics", "--config", "synth --spec", "evaluate",
+])
+def test_unreadable_input_exits_1(bundle, tmp_path, capsys, target):
+    """A path that cannot be read, here a directory, is a parse error."""
+    code = main(_unreadable_argv(bundle, tmp_path, target))
+    err = capsys.readouterr().err
+    assert code == STAGE_EXIT_CODES["parse"] == 1
+    assert "error (parse)" in err and "Traceback" not in err
+
+
+def test_negative_seed_exits_1(bundle, tmp_path, capsys):
+    spec = tmp_path / "scene.txt"
+    spec.write_text(format_scene_spec(canonical_spec(0)), encoding="utf-8")
+    for argv in (
+        ["coarse", *_bundle_args(bundle), "--out", str(tmp_path / "e.txt")],
+        ["synth", "--spec", str(spec), "--out", str(tmp_path / "frame")],
+    ):
+        assert main([*argv, "--seed", "-1"]) == STAGE_EXIT_CODES["parse"] == 1
+        assert "error (parse): --seed" in capsys.readouterr().err
 
 
 def test_exit_code_extraction_error(bundle, tmp_path, capsys):

@@ -43,7 +43,12 @@ def test_load_config_rejects_unknown_key(tmp_path):
 
 def test_load_config_rejects_bad_value(tmp_path):
     p = tmp_path / "cfg.txt"
-    for text in ("gamma0 = fast\n", "grid_x_max = inf\n", "max_samples = 1e3\n"):
+    for text in (
+        "gamma0 = fast\n", "grid_x_max = inf\n", "max_samples = 1e3\n",
+        "seed = -1\n", "grid_cell = 0\n", "grid_cell = -0.5\n",
+        "grid_x_min = 100\n", "grid_y_max = -20\n",
+        "plane_trials = 0\n", "line_trials = 0\n", "hough_max_lines = 0\n",
+    ):
         p.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError):
             load_config(p)

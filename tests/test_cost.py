@@ -148,9 +148,14 @@ def oracle_cost(e, ev):
 
 
 def _assert_batch_matches_oracle(poses, ev):
+    """One cost_batch call per rotation scores its poses as the oracle does."""
     want = [oracle_cost(p, ev) for p in poses]
-    got = cost_batch(np.stack([p.matrix() for p in poses]), np.stack([p.t for p in poses]), ev)
-    assert got.tolist() == want
+    got = {}
+    for r in {p.r.tobytes() for p in poses}:
+        mine = [j for j, p in enumerate(poses) if p.r.tobytes() == r]
+        scores = cost_batch(poses[mine[0]].matrix(), np.stack([poses[j].t for j in mine]), ev)
+        got.update(zip(mine, scores.tolist()))
+    assert [got[j] for j in range(len(poses))] == want
     assert [cost(p, ev) for p in poses] == want
     return want
 
@@ -192,16 +197,12 @@ def test_cost_batch_straddles_block_boundary(canonical_evaluator):
     rng = np.random.default_rng(7)
     n = 2 * per_block + 3
     poses = [Extrinsic(gt.r, gt.t + rng.normal(size=3) * 2.0) for _ in range(n)]
-    # interleave a second rotation so the groups are not contiguous
-    other = perturb(gt, rng, 0.5, math.radians(5.0))
-    poses[1::4] = [Extrinsic(other.r, p.t) for p in poses[1::4]]
-    assert sum(p.r.tobytes() == gt.r.tobytes() for p in poses) > per_block
     _assert_batch_matches_oracle(poses, ev)
 
 
 def test_cost_batch_of_no_pose_is_empty(canonical_evaluator):
     ev, _ = canonical_evaluator
-    assert cost_batch(np.zeros((0, 3, 3)), np.zeros((0, 3)), ev).shape == (0,)
+    assert cost_batch(np.eye(3), np.zeros((0, 3)), ev).shape == (0,)
 
 
 @settings(max_examples=200, deadline=None)

@@ -21,8 +21,7 @@ from linecalib.fileio import (
     parse_kv_text,
     save_cloud,
     save_extrinsic,
-    save_pgm,
-    save_ppm,
+    save_pnm,
 )
 from linecalib.geometry import Extrinsic
 
@@ -243,7 +242,7 @@ def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     img = rng.integers(0, 256, size=(37, 53), dtype=np.uint8)
     p = tmp_path / "img.pgm"
-    save_pgm(p, img)
+    save_pnm(p, img)
     assert np.array_equal(load_pgm(p), img)
     rgb = load_image(p)
     assert rgb.shape == (37, 53, 3)
@@ -254,7 +253,7 @@ def test_ppm_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     img = rng.integers(0, 256, size=(16, 24, 3), dtype=np.uint8)
     p = tmp_path / "img.ppm"
-    save_ppm(p, img)
+    save_pnm(p, img)
     assert np.array_equal(load_image(p), img)
 
 
