@@ -30,6 +30,7 @@ from .fileio import (
     save_cloud,
     save_extrinsic,
     save_pnm,
+    save_text,
 )
 from .geometry import project_points
 from .image_features import l1_distance_field, load_mask
@@ -61,7 +62,7 @@ def _load_cfg(args) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
     if args.seed is not None:
         try:
-            cfg = cfg.replace(seed=args.seed)
+            cfg = dataclasses.replace(cfg, seed=args.seed)
         except ValueError as e:
             raise ParseError(f"--seed: {e}") from e
     return cfg
@@ -82,7 +83,7 @@ def cmd_calibrate(args) -> int:
     save_extrinsic(args.out, extrinsic)
     report_text = report.format()
     if args.report:
-        Path(args.report).write_text(report_text, encoding="utf-8")
+        save_text(args.report, report_text)
     sys.stdout.write(report_text)
     return 0
 
@@ -124,6 +125,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_project(args) -> int:
+    if args.stats and not args.lane_mask:
+        raise ParseError("--stats needs --lane-mask")
     cfg = _load_cfg(args)
     intr = load_intrinsics(args.intrinsics)
     cloud = PointCloud.from_array(load_cloud(args.cloud))
@@ -163,9 +166,6 @@ def cmd_project(args) -> int:
     save_pnm(args.out, img)
 
     if args.stats:
-        if lane_mask is None:
-            sys.stderr.write("--stats needs --lane-mask\n")
-            return 1
         total = len(lane_iv)
         inside = 0
         if lane_mask.bits.any():  # an empty mask has no distance field
@@ -186,14 +186,15 @@ def cmd_synth(args) -> int:
         except synth.InvalidSpec as e:
             raise ParseError(f"--seed: {e}") from e
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ParseError(f"cannot create {out}: {e.strerror or e}") from e
     cloud, lane_mask, pole_mask, gt = synth.generate(spec)
     save_cloud(out / BUNDLE_FILES["cloud"], cloud.to_array())
     save_pnm(out / BUNDLE_FILES["lane_mask"], np.where(lane_mask.bits, 255, 0).astype(np.uint8))
     save_pnm(out / BUNDLE_FILES["pole_mask"], np.where(pole_mask.bits, 255, 0).astype(np.uint8))
-    (out / BUNDLE_FILES["intrinsics"]).write_text(
-        format_intrinsics(spec.intrinsics), encoding="utf-8"
-    )
+    save_text(out / BUNDLE_FILES["intrinsics"], format_intrinsics(spec.intrinsics))
     save_extrinsic(out / "extrinsic_gt.txt", gt)
     sys.stdout.write(f"wrote 5 files to {out}\n")
     return 0

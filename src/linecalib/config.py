@@ -89,9 +89,6 @@ class PipelineConfig(RefinementConfig):
             **{f.name: getattr(self, f.name) for f in dataclasses.fields(RefinementConfig)}
         )
 
-    def replace(self, **kw) -> "PipelineConfig":
-        return dataclasses.replace(self, **kw)
-
 
 def load_config(path) -> PipelineConfig:
     kwargs = parse_fields(PipelineConfig, load_kv_file(path), path)

@@ -13,7 +13,6 @@ from .geometry import (
     Extrinsic,
     angle_axis_to_matrix,
     euler_zyx,
-    matrix_to_angle_axis,
     rotation_geodesic,
 )
 from .refine import refine
@@ -30,12 +29,14 @@ class CalibrationError:
     dpitch: float
     dyaw: float
 
-    CSV_HEADER = "dt,dtheta,dtx,dty,dtz,droll,dpitch,dyaw"
-
     def csv_row(self) -> str:
         return ",".join(
             "%.9g" % getattr(self, f.name) for f in fields(self)
         )
+
+
+# the column names of csv_row, one per field
+CalibrationError.CSV_HEADER = ",".join(f.name for f in fields(CalibrationError))
 
 
 def translation_error(est: Extrinsic, ref: Extrinsic) -> float:
@@ -94,7 +95,7 @@ def perturb(ref: Extrinsic, rng, max_t: float, max_theta: float) -> Extrinsic:
     axis /= np.linalg.norm(axis)
     angle = rng.uniform(-max_theta, max_theta)
     R = angle_axis_to_matrix(axis * angle) @ ref.matrix()
-    return Extrinsic(matrix_to_angle_axis(R), ref.t + dt)
+    return Extrinsic.from_matrix(R, ref.t + dt)
 
 
 @dataclass(frozen=True)

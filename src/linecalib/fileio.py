@@ -2,7 +2,8 @@
 
 Record files (config, scene spec, intrinsics, extrinsic) are UTF-8
 `key = value` lines; `#` starts a comment.  This module is the only
-code that reads or writes them.  Point clouds are the usual velodyne
+code that reads or writes a file, each through one function that turns
+an OSError into a ParseError.  Point clouds are the usual velodyne
 layout (contiguous little-endian float32 x, y, z, intensity records)
 with an ASCII fallback of one `x y z intensity` line per point.
 """
@@ -44,6 +45,18 @@ def _read_bytes(path) -> bytes:
         return Path(path).read_bytes()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror or e}") from e
+
+
+def _write_bytes(path, data: bytes) -> None:
+    """Write the file; a file that cannot be written is a ParseError."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as e:
+        raise ParseError(f"cannot write {path}: {e.strerror or e}") from e
+
+
+def save_text(path, text: str) -> None:
+    _write_bytes(path, text.encode("utf-8"))
 
 
 def load_kv_file(path) -> dict:
@@ -212,7 +225,7 @@ def format_extrinsic(e: Extrinsic) -> str:
 
 
 def save_extrinsic(path, e: Extrinsic) -> None:
-    Path(path).write_text(format_extrinsic(e), encoding="utf-8")
+    save_text(path, format_extrinsic(e))
 
 
 def _try_ascii_cloud(data: bytes, path):
@@ -260,7 +273,7 @@ def load_cloud(path) -> np.ndarray:
 
 def save_cloud(path, pts: np.ndarray) -> None:
     pts = np.asarray(pts, dtype=np.float64).reshape(-1, 4)
-    Path(path).write_bytes(pts.astype("<f4").tobytes())
+    _write_bytes(path, pts.astype("<f4").tobytes())
 
 
 def _read_pnm(path) -> np.ndarray:
@@ -318,4 +331,4 @@ def save_pnm(path, img: np.ndarray) -> None:
     h, w = img.shape[:2]
     magic = "P5" if img.ndim == 2 else "P6"
     header = f"{magic}\n{w} {h}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + img.tobytes())
+    _write_bytes(path, header + img.tobytes())

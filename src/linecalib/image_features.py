@@ -114,27 +114,16 @@ def _sweep_rows(init: np.ndarray) -> np.ndarray:
     return d
 
 
-def l1_distance_field(
-    mask: SemanticMask, from_set: bool, border: bool = False
-) -> np.ndarray:
+def l1_distance_field(mask: SemanticMask, from_set: bool) -> np.ndarray:
     """Exact per-pixel L1 distance to the nearest set (or unset) pixel.
 
     Two forward/backward unit-cost sweeps (rows then columns); equal to
-    the brute-force minimum over all target pixels.  With border=True,
-    every pixel outside the frame counts as a target too.
+    the brute-force minimum over all target pixels.
     """
     target = mask.bits if from_set else ~mask.bits
-    init = np.where(target, 0, _INF).astype(np.int64)
-    if border:
-        # virtual target pixels just outside every border
-        h, w = mask.bits.shape
-        ys = np.arange(h)[:, None]
-        xs = np.arange(w)[None, :]
-        ring = np.minimum(np.minimum(ys + 1, h - ys), np.minimum(xs + 1, w - xs))
-        init = np.minimum(init, ring)
-    elif not target.any():
+    if not target.any():
         raise EmptyTarget("mask has no target pixel for the distance field")
-    d = _sweep_rows(init)
+    d = _sweep_rows(np.where(target, 0, _INF).astype(np.int64))
     d = _sweep_rows(d.T).T
     return d
 
@@ -146,10 +135,10 @@ def idt_height_map(mask: SemanticMask, cfg: PipelineConfig) -> HeightMap:
     is cfg.gamma1 ** d(mask), d the L1 distance.  Out-of-frame pixels
     count as complement, so a mask touching the border still decays there.
     """
-    if not mask.bits.any():
-        raise EmptyTarget("empty mask")
-    d_to_unset = l1_distance_field(mask, from_set=False, border=True)
     d_to_set = l1_distance_field(mask, from_set=True)
+    # a ring of unset pixels around the frame stands in for the outside
+    framed = SemanticMask(mask.cls, np.pad(mask.bits, 1))
+    d_to_unset = l1_distance_field(framed, from_set=False)[1:-1, 1:-1]
     values = np.where(
         mask.bits,
         np.power(cfg.gamma0, d_to_unset.astype(float)),

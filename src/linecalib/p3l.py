@@ -27,7 +27,6 @@ from .geometry import (
     Line2D,
     Line3D,
     backproject_line,
-    matrix_to_angle_axis,
     rot_x,
     rot_z,
 )
@@ -47,21 +46,15 @@ class P3LProblem:
     intrinsics: Intrinsics
 
     def __post_init__(self):
-        check_lane_direction(self.frame, self.lane1_cloud)
-        check_lane_direction(self.frame, self.lane2_cloud)
-        check_pole_direction(self.frame, self.pole_cloud)
-
-
-def check_lane_direction(frame: GroundParallelFrame, line: Line3D) -> None:
-    """Raise MisalignedLine unless the cloud line runs within 2 deg of X in G."""
-    if abs(frame.to_ground(line.direction)[0]) < LANE_COS:
-        raise MisalignedLine("cloud lane direction deviates > 2 deg from X in G")
-
-
-def check_pole_direction(frame: GroundParallelFrame, line: Line3D) -> None:
-    """Raise MisalignedLine unless the cloud line runs within 15 deg of Z in G."""
-    if abs(frame.to_ground(line.direction)[2]) < POLE_COS:
-        raise MisalignedLine("cloud pole direction deviates > 15 deg from Z in G")
+        """Raise MisalignedLine unless both cloud lanes run within 2 deg
+        of X in G and the cloud pole within 15 deg of Z."""
+        for line, axis, gate, rule in (
+            (self.lane1_cloud, 0, LANE_COS, "lane direction deviates > 2 deg from X"),
+            (self.lane2_cloud, 0, LANE_COS, "lane direction deviates > 2 deg from X"),
+            (self.pole_cloud, 2, POLE_COS, "pole direction deviates > 15 deg from Z"),
+        ):
+            if abs(self.frame.to_ground(line.direction)[axis]) < gate:
+                raise MisalignedLine(f"cloud {rule} in G")
 
 
 def _orthonormal_from_first(n: np.ndarray) -> np.ndarray:
@@ -196,4 +189,4 @@ def solve_p3l(prob: P3LProblem) -> list[Extrinsic]:
     )
     if not len(ts):
         raise NoSolution("every (alpha, beta) candidate was dropped")
-    return [Extrinsic(matrix_to_angle_axis(sol.rotations[j]), t) for j, t in zip(which, ts)]
+    return [Extrinsic.from_matrix(sol.rotations[j], t) for j, t in zip(which, ts)]

@@ -9,7 +9,7 @@ import numpy as np
 from .cloud_features import FeatureSetCloud, PointCloud, extract_cloud_features
 from .config import PipelineConfig
 from .cost import CostEvaluator, cost, cost_batch
-from .errors import DegenerateNormals, NoValidCandidate
+from .errors import NoValidCandidate
 from .geometry import Extrinsic, Intrinsics
 from .image_features import (
     FeatureSetImage,
@@ -19,7 +19,7 @@ from .image_features import (
 )
 # P3LProblem is unused here but stays importable as pipeline.P3LProblem,
 # where perfbench's tracer wraps it
-from .p3l import ImageSolution, P3LProblem, solve_rotations, solve_translations  # noqa: F401
+from .p3l import P3LProblem, solve_rotations, solve_translations  # noqa: F401
 from .refine import refine
 
 
@@ -83,11 +83,9 @@ def coarse_calibrate(
     # every cloud line already passes its P3L direction gate
     lanes = [s.line for s in cloud_features.lane_lines]
     poles = [s.line for s in cloud_features.pole_lines]
-    try:
-        sol = solve_rotations(lane1_img, lane2_img, pole_img, ev.intrinsics, frame)
-    except DegenerateNormals:
-        # the image side is shared by every triple: none gives a candidate
-        sol = ImageSolution(normals=np.eye(3), rotations=())
+    # the image triple is shared by every cloud triple, so DegenerateNormals
+    # fails them all alike: it propagates
+    sol = solve_rotations(lane1_img, lane2_img, pole_img, ev.intrinsics, frame)
     triples = [
         (a, b, c)
         for a in range(len(lanes))

@@ -25,7 +25,7 @@ import numpy as np
 from .config import RefinementConfig
 from .cost import CostEvaluator, cost_and_gradient
 from .errors import RefineError
-from .geometry import Extrinsic, angle_axis_to_matrix, matrix_to_angle_axis
+from .geometry import Extrinsic, angle_axis_to_matrix
 
 # one unit of the increment (dt, w): 1 m of translation, 6 degrees of rotation
 _SCALE = np.repeat([1.0, math.radians(6.0)], 3)
@@ -42,7 +42,7 @@ def _moved(e: Extrinsic, dt, w, pivot) -> Extrinsic:
     """e rotated by exp([w]x) about the camera-frame point pivot, then
     translated by dt."""
     R_w = angle_axis_to_matrix(w)
-    return Extrinsic(matrix_to_angle_axis(R_w @ e.matrix()), R_w @ (e.t - pivot) + pivot + dt)
+    return Extrinsic.from_matrix(R_w @ e.matrix(), R_w @ (e.t - pivot) + pivot + dt)
 
 
 def refine(initial: Extrinsic, ev: CostEvaluator, cfg: RefinementConfig) -> Extrinsic:

@@ -34,7 +34,6 @@ from .geometry import (
     Line3D,
     Plane3D,
     angle_axis_to_matrix,
-    matrix_to_angle_axis,
     project_points,
     rot_y,
 )
@@ -185,6 +184,15 @@ def ground_plane_lidar(spec: SceneSpec) -> Plane3D:
     return Plane3D(n, -n @ p0)
 
 
+def _painted_along(spec: SceneSpec, dashed: bool, x):
+    """Boolean: does road-frame x fall on a lane's painted length, between
+    lane_x0 and lane_x1 and, on a dashed lane, inside a dash."""
+    on = (x >= spec.lane_x0) & (x <= spec.lane_x1)
+    if dashed:
+        on &= np.mod(x, spec.dash_period) < spec.dash_fill * spec.dash_period
+    return on
+
+
 def _on_stripe(spec: SceneSpec, x, y):
     """Boolean: do the road-frame ground coordinates fall on a painted stripe."""
     x = np.asarray(x, dtype=float)
@@ -192,10 +200,7 @@ def _on_stripe(spec: SceneSpec, x, y):
     hit = np.zeros(x.shape, dtype=bool)
     half = spec.lane_width / 2.0
     for off, dashed in zip(spec.lane_offsets, spec.lane_dashed):
-        on = (np.abs(y - off) <= half) & (x >= spec.lane_x0) & (x <= spec.lane_x1)
-        if dashed:
-            on &= np.mod(x, spec.dash_period) < spec.dash_fill * spec.dash_period
-        hit |= on
+        hit |= (np.abs(y - off) <= half) & _painted_along(spec, dashed, x)
     for x0, x1, y0, y1 in spec.cross_stripes:
         hit |= (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
     return hit
@@ -340,9 +345,7 @@ def _rasterize_lanes(spec: SceneSpec) -> SemanticMask:
     half = spec.lane_width / 2.0
     xs = np.arange(spec.lane_x0, spec.lane_x1, 0.01)
     for off, dashed in zip(spec.lane_offsets, spec.lane_dashed):
-        x = xs
-        if dashed:
-            x = xs[np.mod(xs, spec.dash_period) < spec.dash_fill * spec.dash_period]
+        x = xs[_painted_along(spec, dashed, xs)]
         if len(x) == 0:
             continue
         center = np.column_stack([x, np.full(len(x), off), np.zeros(len(x))])
@@ -390,27 +393,22 @@ def true_lines(spec: SceneSpec):
     Returns (lane Line3D list, pole Line3D list, lane Line2D list,
     pole Line2D list), ordered as in the spec fields.
     """
-    lanes3d, poles3d, lanes2d, poles2d = [], [], [], []
-    for off in spec.lane_offsets:
-        p0 = road_to_lidar(spec, np.array([spec.lane_x0, off, 0.0]))
-        p1 = road_to_lidar(spec, np.array([spec.lane_x1, off, 0.0]))
-        line = Line3D((p0 + p1) / 2.0, p1 - p0)
-        lanes3d.append(line)
-        lanes2d.append(_project_line(spec, p0, p1))
-    for (px, py), h in zip(spec.pole_xy, spec.pole_heights):
-        p0 = road_to_lidar(spec, np.array([px, py, 0.0]))
-        p1 = road_to_lidar(spec, np.array([px, py, h]))
-        line = Line3D((p0 + p1) / 2.0, p1 - p0)
-        poles3d.append(line)
-        poles2d.append(_project_line(spec, p0, p1))
-    return lanes3d, poles3d, lanes2d, poles2d
+    lanes = [_segment(spec, (spec.lane_x0, off, 0.0), (spec.lane_x1, off, 0.0))
+             for off in spec.lane_offsets]
+    poles = [_segment(spec, (px, py, 0.0), (px, py, h))
+             for (px, py), h in zip(spec.pole_xy, spec.pole_heights)]
+    return ([s[0] for s in lanes], [s[0] for s in poles],
+            [s[1] for s in lanes], [s[1] for s in poles])
 
 
-def _project_line(spec: SceneSpec, p0_l, p1_l) -> Line2D:
+def _segment(spec: SceneSpec, a_w, b_w):
+    """The road-frame segment a_w-b_w as a LiDAR-frame Line3D and its
+    exact image line."""
+    p0, p1 = road_to_lidar(spec, np.array(a_w)), road_to_lidar(spec, np.array(b_w))
     # one apply per endpoint: a stacked (2, 3) transform rounds differently
     e = spec.extrinsic
-    uv, _ = project_points(spec.intrinsics, np.stack([e.apply(p0_l), e.apply(p1_l)]))
-    return Line2D.through(uv[0], uv[1])
+    uv, _ = project_points(spec.intrinsics, np.stack([e.apply(p0), e.apply(p1)]))
+    return Line3D((p0 + p1) / 2.0, p1 - p0), Line2D.through(uv[0], uv[1])
 
 
 def true_frame(spec: SceneSpec) -> GroundParallelFrame:
@@ -447,7 +445,7 @@ def random_spec(seed: int, noise_sigma: float | None = None) -> SceneSpec:
         pole_radii=pole_radii,
         ground_tilt_deg=float(rng.uniform(-1.5, 1.5)),
         noise_sigma=noise_sigma if noise_sigma is not None else 0.02,
-        extrinsic=Extrinsic(matrix_to_angle_axis(R), t),
+        extrinsic=Extrinsic.from_matrix(R, t),
         seed=seed,
     )
 

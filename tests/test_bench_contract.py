@@ -24,7 +24,7 @@ REACHED = {
                        "ransac_line3d", "extract_pole_points", "cluster_cells",
                        "extract_cloud_features"),
     "config": ("PipelineConfig",),
-    "cost": ("cost",),
+    "cost": ("cost", "CostEvaluator"),
     "evaluation": ("refine", "robustness_sweep"),
     "fileio": ("load_intrinsics", "load_cloud", "load_extrinsic"),
     "geometry": ("Line3D",),
@@ -55,7 +55,8 @@ def test_the_tracer_wraps_the_functions_the_callers_hold():
     assert callable(Line3D.distance)  # wrapped on the class
 
 
-# (module, function, positional arguments, keyword arguments) of each call
+# (module, function, positional arguments, keyword arguments) of each call;
+# a method is named Class.method and its first argument is the instance
 CALLS = (
     ("cloud_features", "extract_cloud_features", ("cloud",), {"seed": 0, "cfg": "cfg"}),
     ("image_features", "extract_image_features", ("lane", "pole", "cfg"), {}),
@@ -68,12 +69,16 @@ CALLS = (
     ("synth", "canonical_spec", (0,), {"lane_offsets": (), "lane_dashed": ()}),
     ("synth", "format_scene_spec", ("spec",), {}),
     ("cli", "main", (["argv"],), {}),
+    ("cost", "CostEvaluator.__call__", ("ev", "e"), {}),
+    ("cloud_features", "PointCloud.from_array", ("arr",), {}),
 )
 
 
 @pytest.mark.parametrize("module, name, args, kwargs", CALLS)
 def test_every_call_shape_binds(module, name, args, kwargs):
-    fn = getattr(importlib.import_module(f"linecalib.{module}"), name)
+    fn = importlib.import_module(f"linecalib.{module}")
+    for part in name.split("."):
+        fn = getattr(fn, part)
     inspect.signature(fn).bind(*args, **kwargs)
 
 

@@ -320,6 +320,53 @@ def test_unreadable_input_exits_1(bundle, tmp_path, capsys, target):
     assert "error (parse)" in err and "Traceback" not in err
 
 
+def _project_argv(bundle, out):
+    return ["project",
+            "--cloud", str(bundle / "frame_cloud.bin"),
+            "--intrinsics", str(bundle / "intrinsics.txt"),
+            "--extrinsic", str(bundle / "extrinsic_gt.txt"),
+            "--image", str(bundle / "frame_lane.pgm"), "--out", str(out)]
+
+
+def _unwritable_argv(bundle, tmp_path, target):
+    """The argv of a run whose `target` output cannot be written: the
+    directory tmp_path, an existing file, or a path under a file."""
+    spec = tmp_path / "scene.txt"
+    spec.write_text(format_scene_spec(canonical_spec(0)), encoding="utf-8")
+    bundle_args, here = _bundle_args(bundle), str(tmp_path)
+    return {
+        "coarse --out": ["coarse", *bundle_args, "--out", here],
+        "refine --out": ["refine", *bundle_args, "--init", str(bundle / "extrinsic_gt.txt"),
+                         "--out", here],
+        "calibrate --report": ["calibrate", *bundle_args, "--out", str(tmp_path / "e.txt"),
+                               "--report", here],
+        "project --out": _project_argv(bundle, tmp_path),
+        "synth --out <file>": ["synth", "--spec", str(spec), "--out", str(spec)],
+        "synth --out <file>/x": ["synth", "--spec", str(spec), "--out", str(spec / "x")],
+    }[target]
+
+
+@pytest.mark.parametrize("target", [
+    "coarse --out", "refine --out", "calibrate --report", "project --out",
+    "synth --out <file>", "synth --out <file>/x",
+])
+def test_unwritable_output_exits_1(bundle, tmp_path, capsys, target):
+    """An output path that cannot be written is a parse error."""
+    code = main(_unwritable_argv(bundle, tmp_path, target))
+    err = capsys.readouterr().err
+    assert code == STAGE_EXIT_CODES["parse"] == 1
+    assert "error (parse): cannot" in err and "Traceback" not in err
+
+
+def test_project_stats_without_lane_mask_exits_1(bundle, tmp_path, capsys):
+    """--stats needs a lane mask: a usage error before anything is written."""
+    out = tmp_path / "overlay.ppm"
+    code = main([*_project_argv(bundle, out), "--stats"])
+    assert code == STAGE_EXIT_CODES["parse"] == 1
+    assert "error (parse): --stats needs --lane-mask" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_seed_exits_1(bundle, tmp_path, capsys):
     spec = tmp_path / "scene.txt"
     spec.write_text(format_scene_spec(canonical_spec(0)), encoding="utf-8")

@@ -27,7 +27,7 @@ from linecalib.cloud_features import (
 from linecalib.config import PipelineConfig
 from linecalib.errors import DegenerateFrame, NoGroundPlane
 from linecalib.geometry import Line3D, Plane3D, angle_axis_to_matrix
-from linecalib.p3l import check_lane_direction, check_pole_direction
+from linecalib.p3l import P3LProblem
 
 MANY = settings(max_examples=1000, deadline=None)
 CFG = PipelineConfig()
@@ -340,11 +340,13 @@ def test_direction_gates_keep_lanes_within_2_and_poles_within_15_deg():
 
 
 def test_extracted_lines_pass_the_p3l_checks(canonical_features):
+    """Every extracted lane and pole line enters a P3L problem, whose
+    constructor checks each cloud line's direction."""
     spec, cf, imf, gt = canonical_features
-    for s in cf.lane_lines:
-        check_lane_direction(cf.frame, s.line)
-    for s in cf.pole_lines:
-        check_pole_direction(cf.frame, s.line)
+    img = imf.lane_lines[0].line
+    for lane in cf.lane_lines:
+        for pole in cf.pole_lines:
+            P3LProblem(img, img, img, lane.line, lane.line, pole.line, cf.frame, spec.intrinsics)
 
 
 def test_extraction_commutes_with_z_rotation(canonical_frame):

@@ -1,4 +1,6 @@
 """The coarse stage against the per-triple enumeration it replaced."""
+import dataclasses
+
 import pytest
 
 from linecalib.config import PipelineConfig
@@ -57,3 +59,15 @@ def test_coarse_matches_per_triple_oracle(spec):
     assert report.coarse_cost == want_cost
     assert got.r.tobytes() == want.r.tobytes()
     assert got.t.tobytes() == want.t.tobytes()
+
+
+def test_degenerate_image_triple_names_its_cause(canonical_features, canonical_evaluator):
+    """An image triple whose lane lines coincide fails every cloud triple
+    alike: coarse_calibrate raises DegenerateNormals and scores nothing."""
+    _, cf, imf, _ = canonical_features
+    ev, _ = canonical_evaluator
+    twin = dataclasses.replace(imf, lane_lines=[imf.lane_lines[0]] * 2)
+    report = CalibrationReport()
+    with pytest.raises(DegenerateNormals):
+        coarse_calibrate(cf, twin, ev, report)
+    assert report.candidates == 0

@@ -73,7 +73,7 @@ def test_load_config_rejects_hough_band_below_half_pixel(tmp_path):
 
 def test_replace_returns_new_config():
     cfg = PipelineConfig()
-    cfg2 = cfg.replace(seed=9)
+    cfg2 = dataclasses.replace(cfg, seed=9)
     assert cfg2.seed == 9 and cfg.seed == 0
 
 

@@ -22,6 +22,7 @@ from linecalib.fileio import (
     save_cloud,
     save_extrinsic,
     save_pnm,
+    save_text,
 )
 from linecalib.geometry import Extrinsic
 
@@ -278,3 +279,19 @@ def test_pnm_errors(tmp_path):
     p.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 4)  # not enough rgb bytes
     with pytest.raises(ParseError):
         load_image(p)
+
+
+@pytest.mark.parametrize("save, value", [
+    (save_extrinsic, Extrinsic.identity()),
+    (save_cloud, np.zeros((1, 4))),
+    (save_pnm, np.zeros((2, 2), dtype=np.uint8)),
+    (save_text, "x\n"),
+])
+def test_unwritable_path_is_a_parse_error(tmp_path, save, value):
+    """Every saver writes through one writer: a path that cannot be
+    written, a directory or a path under a file, is a ParseError."""
+    (tmp_path / "f").write_text("", encoding="utf-8")
+    for path in (tmp_path, tmp_path / "f" / "x"):
+        with pytest.raises(ParseError, match="cannot write"):
+            save(path, value)
+
