@@ -22,6 +22,7 @@ from .config import PipelineConfig, load_config
 from .cost import cost
 from .errors import STAGE_EXIT_CODES, CalibError, DimensionMismatch, ParseError
 from .fileio import (
+    check_writable,
     format_intrinsics,
     load_cloud,
     load_extrinsic,
@@ -78,6 +79,9 @@ def _load_bundle(paths):
 
 
 def cmd_calibrate(args) -> int:
+    check_writable(args.out)
+    if args.report:
+        check_writable(args.report)
     cfg = _load_cfg(args)
     extrinsic, report = calibrate(*_load_bundle(vars(args)), cfg)
     save_extrinsic(args.out, extrinsic)
@@ -89,6 +93,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_coarse(args) -> int:
+    check_writable(args.out)
     cfg = _load_cfg(args)
     cf, imf, ev = extract_features(*_load_bundle(vars(args)), cfg)
     report = CalibrationReport()
@@ -100,6 +105,7 @@ def cmd_coarse(args) -> int:
 
 
 def cmd_refine(args) -> int:
+    check_writable(args.out)
     cfg = _load_cfg(args)
     bundle = _load_bundle(vars(args))
     initial = load_extrinsic(args.init)
@@ -127,6 +133,7 @@ def cmd_evaluate(args) -> int:
 def cmd_project(args) -> int:
     if args.stats and not args.lane_mask:
         raise ParseError("--stats needs --lane-mask")
+    check_writable(args.out)
     cfg = _load_cfg(args)
     intr = load_intrinsics(args.intrinsics)
     cloud = PointCloud.from_array(load_cloud(args.cloud))

@@ -28,6 +28,10 @@ from .geometry import Line3D, Plane3D, _line_distance
 LANE_COS = math.cos(math.radians(2.0))
 POLE_COS = math.cos(math.radians(15.0))
 
+# The ground-plane RANSAC stops once it has drawn an all-inlier triple with
+# this probability, given the best inlier ratio so far.
+PLANE_CONFIDENCE = 0.999
+
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -100,7 +104,15 @@ class FeatureSetCloud:
 
 
 def fit_ground_plane(cloud: PointCloud, seed: int, cfg: PipelineConfig) -> GroundSegmentation:
-    """RANSAC plane fit over the whole cloud, normal oriented towards +Z."""
+    """RANSAC plane fit over the whole cloud, normal oriented towards +Z.
+
+    Draws cfg.plane_trials point triples up front and scores them in
+    order; the first triple with the most inliers wins.  The loop stops
+    after k trials once k >= log(1 - PLANE_CONFIDENCE) / log(1 - w**3),
+    where w is the best inlier ratio so far (Fischler & Bolles 1981), so
+    cfg.plane_trials is only the cap.  A collinear triple counts as a
+    trial.  The winner is refined by least squares on its consensus set.
+    """
     pts = cloud.xyz
     n = len(pts)
     if n < 1000:
@@ -111,7 +123,10 @@ def fit_ground_plane(cloud: PointCloud, seed: int, cfg: PipelineConfig) -> Groun
     best_normal = None
     best_d = None
     samples = rng.integers(0, n, size=(cfg.plane_trials, 3))
-    for tri in samples:
+    needed = math.inf
+    for k, tri in enumerate(samples):
+        if k >= needed:
+            break
         p0, p1, p2 = pts[tri]
         normal = np.cross(p1 - p0, p2 - p0)
         nn = np.linalg.norm(normal)
@@ -122,6 +137,7 @@ def fit_ground_plane(cloud: PointCloud, seed: int, cfg: PipelineConfig) -> Groun
         count = int((np.abs(pts @ normal + d) <= band).sum())
         if count > best_count:
             best_count, best_normal, best_d = count, normal, d
+            needed = _ransac_trials_needed(count / n)
     if best_count < cfg.plane_min_inlier_ratio * n:
         raise NoGroundPlane(
             f"best plane has {best_count}/{n} inliers "
@@ -143,6 +159,15 @@ def fit_ground_plane(cloud: PointCloud, seed: int, cfg: PipelineConfig) -> Groun
     return GroundSegmentation(
         plane=plane, ground_indices=idx[ground], object_indices=idx[~ground]
     )
+
+
+def _ransac_trials_needed(w: float) -> float:
+    """Triples to draw for one of them to be all inliers with probability
+    PLANE_CONFIDENCE, when a fraction 0 < w <= 1 of the points are inliers
+    (w > 0: a triple's first point lies on its own plane)."""
+    if w >= 1.0:
+        return 0.0  # every triple is all inliers
+    return math.log(1.0 - PLANE_CONFIDENCE) / math.log1p(-w ** 3)
 
 
 def ransac_line3d(points: np.ndarray, seed: int, cfg: PipelineConfig) -> list[ScoredLine3D]:

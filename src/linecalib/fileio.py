@@ -55,6 +55,17 @@ def _write_bytes(path, data: bytes) -> None:
         raise ParseError(f"cannot write {path}: {e.strerror or e}") from e
 
 
+def check_writable(path) -> None:
+    """ParseError if path is a directory or its parent is not one, so a
+    command can refuse an output path before it does any work.  Reads
+    metadata only; a path that passes can still fail to be written."""
+    p = Path(path)
+    if p.is_dir():
+        raise ParseError(f"cannot write {path}: is a directory")
+    if not p.parent.is_dir():
+        raise ParseError(f"cannot write {path}: {p.parent} is not a directory")
+
+
 def save_text(path, text: str) -> None:
     _write_bytes(path, text.encode("utf-8"))
 

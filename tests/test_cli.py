@@ -358,6 +358,42 @@ def test_unwritable_output_exits_1(bundle, tmp_path, capsys, target):
     assert "error (parse): cannot" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("target", [
+    "calibrate --report", "calibrate --out", "coarse --out", "refine --out", "project --out",
+])
+def test_unwritable_output_fails_before_the_pipeline(bundle, tmp_path, monkeypatch, capsys,
+                                                     target):
+    """An output path that is a directory, or lies under a file, is refused
+    before any stage runs, and no other output is left behind."""
+    import linecalib.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the pipeline ran")
+
+    for stage in ("calibrate", "extract_features", "extract_cloud_features"):
+        monkeypatch.setattr(cli, stage, must_not_run)
+    (tmp_path / "f").write_text("", encoding="utf-8")
+    bad, out = {
+        "calibrate --report": (str(tmp_path), tmp_path / "e.txt"),
+        "calibrate --out": (str(tmp_path / "f" / "x"), tmp_path / "f" / "x"),
+        "coarse --out": (str(tmp_path / "f" / "x"), tmp_path / "f" / "x"),
+        "refine --out": (str(tmp_path), tmp_path),
+        "project --out": (str(tmp_path), tmp_path),
+    }[target]
+    command, flag = target.split()
+    argv = {
+        "calibrate": ["calibrate", *_bundle_args(bundle), "--out", str(out)],
+        "coarse": ["coarse", *_bundle_args(bundle)],
+        "refine": ["refine", *_bundle_args(bundle), "--init", str(bundle / "extrinsic_gt.txt")],
+        "project": _project_argv(bundle, bad)[:-2],
+    }[command]
+    code = main([*argv, flag, bad])
+    err = capsys.readouterr().err
+    assert code == STAGE_EXIT_CODES["parse"] == 1
+    assert f"error (parse): cannot write {bad}" in err and "Traceback" not in err
+    assert not (tmp_path / "e.txt").exists()
+
+
 def test_project_stats_without_lane_mask_exits_1(bundle, tmp_path, capsys):
     """--stats needs a lane mask: a usage error before anything is written."""
     out = tmp_path / "overlay.ppm"

@@ -84,6 +84,126 @@ def test_ground_plane_needs_enough_points():
         fit_ground_plane(cloud, 0, CFG)
 
 
+def _plane_trials_full_loop(cloud, seed, cfg):
+    """Every trial of the fixed-count RANSAC that fit_ground_plane stops
+    early: (inlier count, normal, d) per drawn triple, None for a
+    collinear one."""
+    pts = cloud.xyz
+    rng = np.random.default_rng(seed)
+    out = []
+    for tri in rng.integers(0, len(pts), size=(cfg.plane_trials, 3)):
+        p0, p1, p2 = pts[tri]
+        normal = np.cross(p1 - p0, p2 - p0)
+        nn = np.linalg.norm(normal)
+        if nn < 1e-9:
+            out.append(None)
+            continue
+        normal /= nn
+        d = -normal @ p0
+        out.append((int((np.abs(pts @ normal + d) <= cfg.plane_inlier_band).sum()), normal, d))
+    return out
+
+
+def _reference_ground_plane(cloud, trials, cfg):
+    """The fixed-count fit on the given trials: the first with the most
+    inliers, the inlier-ratio gate, then the least-squares refit."""
+    pts, n, band = cloud.xyz, len(cloud), cfg.plane_inlier_band
+    scored = [t for t in trials if t is not None]
+    if not scored:
+        raise NoGroundPlane("no valid trial")
+    count, normal, d = max(scored, key=lambda t: t[0])  # max keeps the first
+    if count < cfg.plane_min_inlier_ratio * n:
+        raise NoGroundPlane(f"best plane has {count}/{n} inliers")
+    sub = pts[np.abs(pts @ normal + d) <= band]
+    centroid = sub.mean(axis=0)
+    normal = np.linalg.svd(sub - centroid, full_matrices=False)[2][2]
+    if normal[2] < 0:
+        normal = -normal
+    plane = Plane3D(normal, -normal @ centroid)
+    ground = np.abs(plane.signed_distance(pts)) <= band
+    return plane, np.flatnonzero(ground), np.flatnonzero(~ground)
+
+
+def _adaptive_stop(trials, n):
+    """The trial after which the p = 0.999 rule stops, or len(trials)."""
+    best = 0
+    for k, t in enumerate(trials, start=1):
+        if t is not None:
+            best = max(best, t[0])
+        w = best / n
+        if w == 1.0 or (w > 0 and k >= math.log(0.001) / math.log(1 - w**3)):
+            return k
+    return len(trials)
+
+
+def assert_same_segmentation(seg, ref):
+    plane, ground, objects = ref
+    assert np.array_equal(seg.plane.normal, plane.normal)
+    assert seg.plane.d == plane.d
+    assert np.array_equal(seg.ground_indices, ground)
+    assert np.array_equal(seg.object_indices, objects)
+
+
+@pytest.mark.parametrize("cloud_seed, seed", [(0, 0), (3, 2), (5, 0)])
+def test_ground_plane_stops_at_the_adaptive_count(cloud_seed, seed):
+    """A planar cloud: the fit is the fixed loop's best of its first N
+    trials, N from the best inlier ratio so far, here well under the cap."""
+    cloud = flat_cloud(np.random.default_rng(cloud_seed))
+    trials = _plane_trials_full_loop(cloud, seed, CFG)
+    stop = _adaptive_stop(trials, len(cloud))
+    assert stop < 10
+    seg = fit_ground_plane(cloud, seed, CFG)
+    assert_same_segmentation(seg, _reference_ground_plane(cloud, trials[:stop], CFG))
+
+
+def test_ground_plane_cap_binds_on_a_weak_plane():
+    """About 30% plane points in uniform scatter: the adaptive count
+    exceeds plane_trials, so all 200 trials run, bit for bit."""
+    rng = np.random.default_rng(11)
+    plane = flat_cloud(rng, n=900)
+    scatter = rng.uniform((2, -10, -11.7), (40, 10, 8.3), (2100, 3))
+    cloud = PointCloud(np.concatenate([plane.xyz, scatter]), np.zeros(3000))
+    trials = _plane_trials_full_loop(cloud, 4, CFG)
+    best = max(t[0] for t in trials if t is not None) / len(cloud)
+    assert 0.25 < best < 0.32
+    assert math.log(0.001) / math.log(1 - best**3) > CFG.plane_trials
+    seg = fit_ground_plane(cloud, 4, CFG)
+    assert_same_segmentation(seg, _reference_ground_plane(cloud, trials, CFG))
+
+
+def test_ground_plane_single_trial():
+    """plane_trials=1: the plane of the one drawn trial."""
+    cfg = PipelineConfig(plane_trials=1)
+    cloud = flat_cloud(np.random.default_rng(3))
+    for seed in range(5):
+        trials = _plane_trials_full_loop(cloud, seed, cfg)
+        assert len(trials) == 1 and trials[0] is not None
+        assert_same_segmentation(
+            fit_ground_plane(cloud, seed, cfg), _reference_ground_plane(cloud, trials, cfg)
+        )
+
+
+def test_ground_plane_all_inliers_stops_after_one_trial():
+    """w = 1, where log(1 - w**3) is log 0: the first trial is final."""
+    rng = np.random.default_rng(8)
+    xyz = np.column_stack([rng.uniform(2, 40, 2000), rng.uniform(-10, 10, 2000),
+                           np.full(2000, -1.7)])
+    cloud = PointCloud(xyz, np.zeros(2000))
+    trials = _plane_trials_full_loop(cloud, 0, CFG)
+    assert trials[0][0] == len(cloud)
+    assert _adaptive_stop(trials, len(cloud)) == 1
+    seg = fit_ground_plane(cloud, 0, CFG)
+    assert_same_segmentation(seg, _reference_ground_plane(cloud, trials[:1], CFG))
+    assert len(seg.ground_indices) == len(cloud)
+
+
+def test_ground_plane_rejects_a_cloud_without_a_dominant_plane():
+    rng = np.random.default_rng(12)
+    cloud = PointCloud(rng.uniform(-10, 10, (3000, 3)), np.zeros(3000))
+    with pytest.raises(NoGroundPlane, match="inliers"):
+        fit_ground_plane(cloud, 0, CFG)
+
+
 @MANY
 @given(st.integers(0, 2**32 - 1))
 def test_ransac_line_recovers_exact_line(seed):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from linecalib.errors import ParseError
 from linecalib.fileio import (
+    check_writable,
     format_extrinsic,
     format_fields,
     format_intrinsics,
@@ -286,12 +287,21 @@ def test_pnm_errors(tmp_path):
     (save_cloud, np.zeros((1, 4))),
     (save_pnm, np.zeros((2, 2), dtype=np.uint8)),
     (save_text, "x\n"),
+    (lambda path, _: check_writable(path), None),
 ])
 def test_unwritable_path_is_a_parse_error(tmp_path, save, value):
-    """Every saver writes through one writer: a path that cannot be
-    written, a directory or a path under a file, is a ParseError."""
+    """Every saver writes through one writer, and check_writable reads
+    the same rule ahead: a path that cannot be written, a directory or a
+    path under a file, is a ParseError."""
     (tmp_path / "f").write_text("", encoding="utf-8")
     for path in (tmp_path, tmp_path / "f" / "x"):
         with pytest.raises(ParseError, match="cannot write"):
             save(path, value)
 
+
+def test_check_writable_passes_a_new_or_existing_file_and_writes_nothing(tmp_path):
+    (tmp_path / "old.txt").write_text("keep", encoding="utf-8")
+    check_writable(tmp_path / "new.txt")
+    check_writable(tmp_path / "old.txt")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
+    assert (tmp_path / "old.txt").read_text(encoding="utf-8") == "keep"
