@@ -28,9 +28,9 @@ from .geometry import Line3D, Plane3D, _line_distance
 LANE_COS = math.cos(math.radians(2.0))
 POLE_COS = math.cos(math.radians(15.0))
 
-# The ground-plane RANSAC stops once it has drawn an all-inlier triple with
-# this probability, given the best inlier ratio so far.
-PLANE_CONFIDENCE = 0.999
+# Points per block when a ground-plane trial is scored: after each block a
+# trial that can no longer beat the best count is dropped.
+_PLANE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -106,12 +106,15 @@ class FeatureSetCloud:
 def fit_ground_plane(cloud: PointCloud, seed: int, cfg: PipelineConfig) -> GroundSegmentation:
     """RANSAC plane fit over the whole cloud, normal oriented towards +Z.
 
-    Draws cfg.plane_trials point triples up front and scores them in
-    order; the first triple with the most inliers wins.  The loop stops
-    after k trials once k >= log(1 - PLANE_CONFIDENCE) / log(1 - w**3),
-    where w is the best inlier ratio so far (Fischler & Bolles 1981), so
-    cfg.plane_trials is only the cap.  A collinear triple counts as a
-    trial.  The winner is refined by least squares on its consensus set.
+    Scores cfg.plane_trials random point triples; the first triple with
+    the most inliers wins and is refined by least squares on its
+    consensus set.  A trial is dropped as soon as its inliers so far plus
+    the points it has not scored cannot beat the best count, so the
+    winner is exactly that of scoring every trial on every point.  Once a
+    plane holds cfg.plane_min_inlier_ratio of the cloud, later trials
+    score that plane's points beyond half the band first, where the
+    outliers of any near-ground plane lie, and are mostly dropped after a
+    few percent of the points.
     """
     pts = cloud.xyz
     n = len(pts)
@@ -123,21 +126,26 @@ def fit_ground_plane(cloud: PointCloud, seed: int, cfg: PipelineConfig) -> Groun
     best_normal = None
     best_d = None
     samples = rng.integers(0, n, size=(cfg.plane_trials, 3))
-    needed = math.inf
-    for k, tri in enumerate(samples):
-        if k >= needed:
-            break
-        p0, p1, p2 = pts[tri]
-        normal = np.cross(p1 - p0, p2 - p0)
-        nn = np.linalg.norm(normal)
-        if nn < 1e-9:
+    p0, p1, p2 = (pts[samples[:, k]] for k in range(3))
+    # every trial's plane at once, with the bits of a per-trial np.cross,
+    # np.linalg.norm and -normal @ p0; collinear triples are skipped
+    normals = np.cross(p1 - p0, p2 - p0)
+    nn = _row_norms(normals)
+    valid = ~(nn < 1e-9)
+    normals = normals[valid] / nn[valid, None]
+    ds = np.matmul(-normals[:, None, :], p0[valid][:, :, None])[:, 0, 0]
+    blocks = [pts]  # the cloud in scoring order
+    for normal, d in zip(normals, ds):
+        count = _count_above(blocks, normal, d, band, n, best_count)
+        if count is None:
             continue
-        normal /= nn
-        d = -normal @ p0
-        count = int((np.abs(pts @ normal + d) <= band).sum())
-        if count > best_count:
-            best_count, best_normal, best_d = count, normal, d
-            needed = _ransac_trials_needed(count / n)
+        best_count, best_normal, best_d = count, normal, d
+        if len(blocks) == 1 and count >= cfg.plane_min_inlier_ratio * n:
+            far = np.abs(pts @ normal + d) > band / 2
+            near = pts[~far]
+            blocks = [pts[far]] + [
+                near[k:k + _PLANE_BLOCK] for k in range(0, len(near), _PLANE_BLOCK)
+            ]
     if best_count < cfg.plane_min_inlier_ratio * n:
         raise NoGroundPlane(
             f"best plane has {best_count}/{n} inliers "
@@ -161,13 +169,20 @@ def fit_ground_plane(cloud: PointCloud, seed: int, cfg: PipelineConfig) -> Groun
     )
 
 
-def _ransac_trials_needed(w: float) -> float:
-    """Triples to draw for one of them to be all inliers with probability
-    PLANE_CONFIDENCE, when a fraction 0 < w <= 1 of the points are inliers
-    (w > 0: a triple's first point lies on its own plane)."""
-    if w >= 1.0:
-        return 0.0  # every triple is all inliers
-    return math.log(1.0 - PLANE_CONFIDENCE) / math.log1p(-w ** 3)
+def _count_above(blocks, normal, d, band, n, best):
+    """Points of the blocks (n in all) within band of the plane, or None
+    as soon as that count cannot exceed best.  Each point's distance has
+    the bits of np.abs(pts @ normal + d): the matrix-vector product gives
+    a row the same bits in any block."""
+    count, left = 0, n
+    for block in blocks:
+        r = block @ normal
+        r += d
+        count += np.count_nonzero(np.abs(r, out=r) <= band)
+        left -= len(block)
+        if count + left <= best:
+            return None
+    return count
 
 
 def ransac_line3d(points: np.ndarray, seed: int, cfg: PipelineConfig) -> list[ScoredLine3D]:

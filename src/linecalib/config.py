@@ -38,7 +38,7 @@ class PipelineConfig(RefinementConfig):
 
     seed: int = 0                      # cloud-extraction RANSAC and `sweep` perturbations
     # ground plane
-    plane_trials: int = 200            # cap on the adaptive RANSAC trial count
+    plane_trials: int = 200            # RANSAC triples; each is dropped once it cannot win
     plane_inlier_band: float = 0.1     # meters, half of the 0.2 m thickness
     plane_min_inlier_ratio: float = 0.2
     # lane extraction; intensity threshold is adaptive: mu + sigma_scale * sigma

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linecalib import cloud_features
 from linecalib.cloud_features import (
     LANE_COS,
     POLE_COS,
@@ -14,6 +15,7 @@ from linecalib.cloud_features import (
     ScoredLine3D,
     _best_hypothesis,
     _canonical_lines,
+    _count_above,
     _fit_line_lsq,
     _row_norms,
     cluster_cells,
@@ -85,9 +87,9 @@ def test_ground_plane_needs_enough_points():
 
 
 def _plane_trials_full_loop(cloud, seed, cfg):
-    """Every trial of the fixed-count RANSAC that fit_ground_plane stops
-    early: (inlier count, normal, d) per drawn triple, None for a
-    collinear one."""
+    """Every trial of the RANSAC that fit_ground_plane prunes, each scored
+    on every point: (inlier count, normal, d) per drawn triple, None for
+    a collinear one."""
     pts = cloud.xyz
     rng = np.random.default_rng(seed)
     out = []
@@ -105,8 +107,8 @@ def _plane_trials_full_loop(cloud, seed, cfg):
 
 
 def _reference_ground_plane(cloud, trials, cfg):
-    """The fixed-count fit on the given trials: the first with the most
-    inliers, the inlier-ratio gate, then the least-squares refit."""
+    """The full fit on the given trials: the first with the most inliers,
+    the inlier-ratio gate, then the least-squares refit."""
     pts, n, band = cloud.xyz, len(cloud), cfg.plane_inlier_band
     scored = [t for t in trials if t is not None]
     if not scored:
@@ -124,18 +126,6 @@ def _reference_ground_plane(cloud, trials, cfg):
     return plane, np.flatnonzero(ground), np.flatnonzero(~ground)
 
 
-def _adaptive_stop(trials, n):
-    """The trial after which the p = 0.999 rule stops, or len(trials)."""
-    best = 0
-    for k, t in enumerate(trials, start=1):
-        if t is not None:
-            best = max(best, t[0])
-        w = best / n
-        if w == 1.0 or (w > 0 and k >= math.log(0.001) / math.log(1 - w**3)):
-            return k
-    return len(trials)
-
-
 def assert_same_segmentation(seg, ref):
     plane, ground, objects = ref
     assert np.array_equal(seg.plane.normal, plane.normal)
@@ -144,21 +134,49 @@ def assert_same_segmentation(seg, ref):
     assert np.array_equal(seg.object_indices, objects)
 
 
-@pytest.mark.parametrize("cloud_seed, seed", [(0, 0), (3, 2), (5, 0)])
-def test_ground_plane_stops_at_the_adaptive_count(cloud_seed, seed):
-    """A planar cloud: the fit is the fixed loop's best of its first N
-    trials, N from the best inlier ratio so far, here well under the cap."""
-    cloud = flat_cloud(np.random.default_rng(cloud_seed))
-    trials = _plane_trials_full_loop(cloud, seed, CFG)
-    stop = _adaptive_stop(trials, len(cloud))
-    assert stop < 10
-    seg = fit_ground_plane(cloud, seed, CFG)
-    assert_same_segmentation(seg, _reference_ground_plane(cloud, trials[:stop], CFG))
+def _road_like_cloud(rng, n_ground=4000, n_objects=300, tilt=0.0):
+    """A noisy ground plane plus boxes and poles standing on it."""
+    ground = flat_cloud(rng, n=n_ground, tilt=tilt).xyz
+    base = rng.uniform((2, -10, 0), (40, 10, 0), (n_objects, 3))
+    up = rng.uniform((-0.5, -0.5, 0.15), (0.5, 0.5, 3.0), (n_objects, 3))
+    objects = base + up + np.array([0.0, 0.0, -1.7])
+    xyz = np.concatenate([ground, objects])
+    return PointCloud(xyz, np.zeros(len(xyz)))
 
 
-def test_ground_plane_cap_binds_on_a_weak_plane():
-    """About 30% plane points in uniform scatter: the adaptive count
-    exceeds plane_trials, so all 200 trials run, bit for bit."""
+@pytest.mark.parametrize("cloud_seed, seed, tilt", [(0, 0, 0.0), (3, 2, 0.05), (5, 0, 0.0)])
+def test_ground_plane_matches_every_trial_on_every_point(cloud_seed, seed, tilt, monkeypatch):
+    """Pruned trials or not, the fit is the full loop's best of all its
+    trials, bit for bit: on a plane alone and with objects on it, where
+    most trials are dropped before they have scored every block."""
+    dropped = []
+
+    def counting(blocks, *args):
+        scored = []
+
+        def each():
+            for block in blocks:
+                scored.append(block)
+                yield block
+
+        got = _count_above(each(), *args)
+        dropped.append(len(scored) < len(blocks))
+        return got
+
+    monkeypatch.setattr(cloud_features, "_count_above", counting)
+    rng = np.random.default_rng(cloud_seed)
+    for cloud in (flat_cloud(rng, tilt=tilt), _road_like_cloud(rng, tilt=tilt)):
+        dropped.clear()
+        seg = fit_ground_plane(cloud, seed, CFG)
+        trials = _plane_trials_full_loop(cloud, seed, CFG)
+        assert_same_segmentation(seg, _reference_ground_plane(cloud, trials, CFG))
+        assert len(dropped) == sum(t is not None for t in trials)
+        assert sum(dropped) > len(dropped) // 2
+
+
+def test_ground_plane_on_a_weak_plane():
+    """About 30% plane points in uniform scatter: all 200 trials still
+    decide, bit for bit."""
     rng = np.random.default_rng(11)
     plane = flat_cloud(rng, n=900)
     scatter = rng.uniform((2, -10, -11.7), (40, 10, 8.3), (2100, 3))
@@ -166,7 +184,6 @@ def test_ground_plane_cap_binds_on_a_weak_plane():
     trials = _plane_trials_full_loop(cloud, 4, CFG)
     best = max(t[0] for t in trials if t is not None) / len(cloud)
     assert 0.25 < best < 0.32
-    assert math.log(0.001) / math.log(1 - best**3) > CFG.plane_trials
     seg = fit_ground_plane(cloud, 4, CFG)
     assert_same_segmentation(seg, _reference_ground_plane(cloud, trials, CFG))
 
@@ -183,18 +200,53 @@ def test_ground_plane_single_trial():
         )
 
 
-def test_ground_plane_all_inliers_stops_after_one_trial():
-    """w = 1, where log(1 - w**3) is log 0: the first trial is final."""
+def test_ground_plane_on_an_all_inlier_cloud():
+    """Every point within the band of every trial plane: no later trial
+    beats the first, which wins."""
     rng = np.random.default_rng(8)
     xyz = np.column_stack([rng.uniform(2, 40, 2000), rng.uniform(-10, 10, 2000),
                            np.full(2000, -1.7)])
     cloud = PointCloud(xyz, np.zeros(2000))
     trials = _plane_trials_full_loop(cloud, 0, CFG)
     assert trials[0][0] == len(cloud)
-    assert _adaptive_stop(trials, len(cloud)) == 1
     seg = fit_ground_plane(cloud, 0, CFG)
     assert_same_segmentation(seg, _reference_ground_plane(cloud, trials[:1], CFG))
     assert len(seg.ground_indices) == len(cloud)
+
+
+def test_count_above_is_the_full_count_or_none():
+    """However the cloud is split into blocks, _count_above returns the
+    plane's inlier count when it exceeds best, and None otherwise."""
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        pts = _road_like_cloud(rng, n_ground=int(rng.integers(50, 800)),
+                               n_objects=int(rng.integers(0, 200))).xyz
+        normal = rng.normal([0, 0, 1], 0.05)
+        normal /= np.linalg.norm(normal)
+        d = float(rng.normal(1.7, 0.05))
+        band = float(rng.uniform(0.02, 0.3))
+        full = int((np.abs(pts @ normal + d) <= band).sum())
+        order = rng.permutation(len(pts))
+        cuts = np.sort(rng.integers(0, len(pts) + 1, int(rng.integers(0, 6))))
+        blocks = np.split(pts[order], cuts)
+        best = int(rng.integers(-1, len(pts) + 1))
+        got = _count_above(blocks, normal, d, band, len(pts), best)
+        assert got == (full if full > best else None)
+
+
+def test_plane_distances_have_the_same_bits_in_any_block():
+    """The bit-exactness _count_above relies on: a row of a
+    matrix-vector product has the same bits in any block of rows."""
+    rng = np.random.default_rng(15)
+    pts = rng.normal(0, 10.0 ** rng.uniform(-2, 2, (20000, 1)), (20000, 3))
+    for _ in range(50):
+        v = rng.normal(size=3)
+        full = pts @ v + 1.7
+        rows = np.sort(rng.choice(len(pts), int(rng.integers(1, 5000)), replace=False))
+        a = int(rng.integers(0, len(pts)))
+        b = int(rng.integers(a, len(pts) + 1))
+        assert np.array_equal(pts[rows] @ v + 1.7, full[rows])
+        assert np.array_equal(pts[a:b] @ v + 1.7, full[a:b])
 
 
 def test_ground_plane_rejects_a_cloud_without_a_dominant_plane():

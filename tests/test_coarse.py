@@ -55,7 +55,7 @@ def test_coarse_matches_per_triple_oracle(spec):
     want, want_cost, want_n = _oracle_coarse(cf, imf, ev)
     report = CalibrationReport()
     got = coarse_calibrate(cf, imf, ev, report)
-    assert report.candidates == want_n > 100
+    assert report.candidates == want_n > 200
     assert report.coarse_cost == want_cost
     assert got.r.tobytes() == want.r.tobytes()
     assert got.t.tobytes() == want.t.tobytes()
