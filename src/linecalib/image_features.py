@@ -16,8 +16,6 @@ from .errors import DimensionMismatch, EmptyTarget, InsufficientLines, NoLines, 
 from .fileio import load_pgm
 from .geometry import Intrinsics, Line2D
 
-_INF = np.iinfo(np.int64).max // 4
-
 
 @dataclass(frozen=True)
 class SemanticMask:
@@ -39,10 +37,13 @@ class SemanticMask:
 
 @dataclass(frozen=True)
 class HeightMap:
-    values: np.ndarray       # (h, w) float in (0, 1)
+    values: np.ndarray       # (h, w) float in (0, 1), both sides >= 2 px
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).copy()
+        if v.ndim != 2 or min(v.shape) < 2:
+            # bilinear lookup needs a 2x2 cell
+            raise ValueError(f"height map must be at least 2x2, got shape {v.shape}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -92,6 +93,8 @@ class HeightMap:
 
 def load_mask(path, cls: str, intrinsics: Intrinsics | None = None) -> SemanticMask:
     img = load_pgm(path)
+    if min(img.shape) < 2:
+        raise ParseError(f"{path}: mask is {img.shape[1]}x{img.shape[0]}, need at least 2x2")
     if intrinsics is not None and (
         img.shape[1] != intrinsics.width or img.shape[0] != intrinsics.height
     ):
@@ -104,28 +107,43 @@ def load_mask(path, cls: str, intrinsics: Intrinsics | None = None) -> SemanticM
     return SemanticMask(cls=cls, bits=img > 127)
 
 
-def _sweep_rows(init: np.ndarray) -> np.ndarray:
-    """1D unit-cost relaxation along axis 0, forward then backward."""
-    d = init.copy()
-    for y in range(1, d.shape[0]):
-        np.minimum(d[y], d[y - 1] + 1, out=d[y])
-    for y in range(d.shape[0] - 2, -1, -1):
-        np.minimum(d[y], d[y + 1] + 1, out=d[y])
-    return d
+def _relax_rows(d: np.ndarray) -> None:
+    """1D unit-cost relaxation along axis 0, forward then backward, in place."""
+    rows = list(d)
+    for prev, row in zip(rows, rows[1:]):
+        np.minimum(row, prev + 1, out=row)
+    for prev, row in zip(rows[::-1], rows[-2::-1]):
+        np.minimum(row, prev + 1, out=row)
+
+
+def _l1_fields(targets: np.ndarray) -> np.ndarray:
+    """Exact L1 distance fields of k target sets laid side by side.
+
+    targets is (h, k, w) bool, one (h, w) target set per middle index; the
+    result is (h, k, w) int32, each field's per-pixel distance to its
+    nearest target pixel.  Every field needs a target.  The fields relax
+    together: one loop down the rows, then one across the columns of a
+    column-major copy, so both loops run over contiguous rows.
+    """
+    h, _, w = targets.shape
+    # farther than any two pixels of the frame, so it never wins a minimum
+    d = ~targets * np.int32(h + w)
+    _relax_rows(d)
+    d = d.transpose(2, 1, 0).copy()
+    _relax_rows(d)
+    return d.transpose(2, 1, 0)
 
 
 def l1_distance_field(mask: SemanticMask, from_set: bool) -> np.ndarray:
     """Exact per-pixel L1 distance to the nearest set (or unset) pixel.
 
-    Two forward/backward unit-cost sweeps (rows then columns); equal to
-    the brute-force minimum over all target pixels.
+    A forward/backward unit-cost sweep down the rows, then one across the
+    columns; equal to the brute-force minimum over all target pixels.
     """
     target = mask.bits if from_set else ~mask.bits
     if not target.any():
         raise EmptyTarget("mask has no target pixel for the distance field")
-    d = _sweep_rows(np.where(target, 0, _INF).astype(np.int64))
-    d = _sweep_rows(d.T).T
-    return d
+    return _l1_fields(target[:, None, :])[:, 0, :]
 
 
 def idt_height_map(mask: SemanticMask, cfg: PipelineConfig) -> HeightMap:
@@ -134,17 +152,22 @@ def idt_height_map(mask: SemanticMask, cfg: PipelineConfig) -> HeightMap:
     Inside the mask the value is cfg.gamma0 ** d(complement), outside it
     is cfg.gamma1 ** d(mask), d the L1 distance.  Out-of-frame pixels
     count as complement, so a mask touching the border still decays there.
+    Both distance fields come from one relaxation of the mask framed by a
+    ring of unset pixels, which stands in for the outside.  The powers are
+    looked up in a per-map table of gamma ** 0, 1, 2, ..., which holds the
+    bits np.power gives each distance.
     """
-    d_to_set = l1_distance_field(mask, from_set=True)
-    # a ring of unset pixels around the frame stands in for the outside
-    framed = SemanticMask(mask.cls, np.pad(mask.bits, 1))
-    d_to_unset = l1_distance_field(framed, from_set=False)[1:-1, 1:-1]
-    values = np.where(
-        mask.bits,
-        np.power(cfg.gamma0, d_to_unset.astype(float)),
-        np.power(cfg.gamma1, d_to_set.astype(float)),
-    )
-    return HeightMap(values)
+    if not mask.bits.any():
+        raise EmptyTarget("mask has no target pixel for the distance field")
+    framed = np.pad(mask.bits, 1)[:, None, :]
+    # side by side: distance to the set pixels, to the unset ones
+    d = _l1_fields(np.concatenate([framed, ~framed], axis=1))[1:-1, :, 1:-1]
+    # one of the two is 0 at each pixel, so their difference is d(mask)
+    # outside and -d(complement) inside, and |difference| < n
+    n = sum(mask.bits.shape)
+    exps = np.arange(n, dtype=float)
+    table = np.concatenate([np.power(cfg.gamma0, exps)[::-1], np.power(cfg.gamma1, exps)[1:]])
+    return HeightMap(table.take(d[:, 0] - d[:, 1] + (n - 1)))
 
 
 @dataclass(frozen=True)
@@ -153,24 +176,41 @@ class ScoredLine2D:
     support: int
 
 
-# (theta, pixel) votes per block of angles, so a block's temporaries stay
+# (theta, pixel) votes per block of angles, so a block's buffers stay
 # about 0.5 MB each however many pixels the mask has.
 _VOTE_BLOCK = 1 << 16
 
 
-def _vote(us, vs, cos_t, sin_t, n_rho, rho_off):
-    """Accumulate Hough votes for the given set pixels: one bincount over
-    flat (theta, rho) cells per block of angles."""
+def _vote(us, vs, cos_t, sin_t, n_rho, rho_off, subtract_from=None):
+    """Hough votes of the given set pixels over the (theta, rho) cells, one
+    block of angles at a time: a new accumulator of them (one bincount per
+    block), or, given subtract_from, that accumulator with them removed in
+    place (np.subtract.at per block)."""
     n_theta = len(cos_t)
-    acc = np.empty((n_theta, n_rho), dtype=np.int64)
-    step = max(1, _VOTE_BLOCK // max(1, len(us)))
+    acc = subtract_from
+    if acc is None:
+        acc = np.empty((n_theta, n_rho), dtype=np.int64)
+    step = min(n_theta, max(1, _VOTE_BLOCK // max(1, len(us))))
+    rho = np.empty((step, len(us)))
+    tmp = np.empty_like(rho)
+    cells = np.empty(rho.shape, dtype=np.intp)
+    # each angle's first cell within its block, plus rho_off: whole
+    # numbers, so adding them before the cast to int is exact
+    first = (np.arange(step) * n_rho + rho_off).astype(float)[:, None]
     for t0 in range(0, n_theta, step):
-        c, s = cos_t[t0:t0 + step, None], sin_t[t0:t0 + step, None]
-        rho = np.rint(us * c + vs * s).astype(np.int64)
-        rho += rho_off + n_rho * np.arange(len(c))[:, None]
-        acc[t0:t0 + len(c)] = np.bincount(
-            rho.ravel(), minlength=len(c) * n_rho
-        ).reshape(len(c), n_rho)
+        k = min(step, n_theta - t0)
+        r, t, c = rho[:k], tmp[:k], cells[:k]
+        np.multiply(us, cos_t[t0:t0 + k, None], out=r)
+        np.multiply(vs, sin_t[t0:t0 + k, None], out=t)
+        r += t
+        np.rint(r, out=r)
+        r += first[:k]
+        np.copyto(c, r, casting="unsafe")
+        block = acc[t0:t0 + k].reshape(-1)  # a view: the rows are contiguous
+        if subtract_from is None:
+            block[:] = np.bincount(c.ravel(), minlength=k * n_rho)
+        else:
+            np.subtract.at(block, c.ravel(), 1)
     return acc
 
 
@@ -185,13 +225,13 @@ def _fit_line2d(us: np.ndarray, vs: np.ndarray) -> Line2D:
 def hough_lines(mask: SemanticMask, cfg: PipelineConfig) -> list[ScoredLine2D]:
     """Iterative Hough transform: peak, claim the supporting band, repeat.
 
-    The mask is voted once; each emitted peak's claimed pixels are voted
-    again and subtracted, which leaves exactly the votes of the pixels
-    not yet claimed (the accumulator holds integer counts).  Resolution is
-    1 degree in theta and 1 px in rho.  A peak claims the pixels within
-    cfg.hough_band_px of its line and is emitted with at least
-    cfg.hough_min_support of them, up to cfg.hough_max_lines lines.  For
-    a lane mask, lines within cfg.hough_lane_theta_margin_deg of the
+    The mask is voted once; the votes of each peak's claimed pixels are
+    then subtracted from that accumulator in place, which leaves exactly
+    the votes of the pixels not yet claimed (it holds integer counts).
+    Resolution is 1 degree in theta and 1 px in rho.  A peak claims the
+    pixels within cfg.hough_band_px of its line and is emitted with at
+    least cfg.hough_min_support of them, up to cfg.hough_max_lines lines.
+    For a lane mask, lines within cfg.hough_lane_theta_margin_deg of the
     image horizontal are discarded as non-lane artifacts.
     """
     min_support = cfg.hough_min_support
@@ -204,8 +244,8 @@ def hough_lines(mask: SemanticMask, cfg: PipelineConfig) -> list[ScoredLine2D]:
     rho_off = diag
     n_rho = 2 * diag + 1
 
-    # unclaimed pixels, kept in row-major order
-    vs, us = np.nonzero(mask.bits)
+    # unclaimed pixels, kept in row-major order, as float once for all uses
+    vs, us = (x.astype(float) for x in np.nonzero(mask.bits))
     acc = _vote(us, vs, cos_t, sin_t, n_rho, rho_off)
     out: list[ScoredLine2D] = []
     while len(out) < cfg.hough_max_lines and len(us) >= min_support:
@@ -222,13 +262,13 @@ def hough_lines(mask: SemanticMask, cfg: PipelineConfig) -> list[ScoredLine2D]:
             # nothing to subtract: the same peak would come back forever
             break
         cu, cv = us[claimed], vs[claimed]
-        acc -= _vote(cu, cv, cos_t, sin_t, n_rho, rho_off)
+        _vote(cu, cv, cos_t, sin_t, n_rho, rho_off, subtract_from=acc)
         us, vs = us[~claimed], vs[~claimed]
         if support < min_support:
             continue
         # sub-cell accuracy: the accumulator is 1 degree x 1 px, so refit
         # the line to its claimed pixels by total least squares
-        line = _fit_line2d(cu.astype(float), cv.astype(float))
+        line = _fit_line2d(cu, cv)
         # theta is the normal angle: ~90 deg means a horizontal line
         off_horizontal = abs(math.degrees(thetas[it]) - 90.0)
         if mask.cls == "lane" and off_horizontal < cfg.hough_lane_theta_margin_deg:

@@ -111,3 +111,22 @@ def test_the_cli_accepts_the_benchmark_argv():
     for command in ("calibrate", "coarse"):
         assert parser.parse_args([command, *bundle, "--out", "e.txt"]).command == command
     assert parser.parse_args(["synth", "--spec", "s.txt", "--out", "d"]).command == "synth"
+
+
+def test_image_extraction_calls_each_traced_kernel_once_per_mask(monkeypatch, canonical_frame):
+    """perfbench's image_features.hough_lines_s and idt_height_map_s spans
+    wrap these two module globals; extract_image_features must reach both
+    through them, once for each mask, or the spans read 0."""
+    _, _, lane, pole, _ = canonical_frame
+    calls = []
+    for name in ("hough_lines", "idt_height_map"):
+        original = getattr(image_features, name)
+
+        def counted(mask, cfg, name=name, original=original):
+            calls.append((name, mask.cls))
+            return original(mask, cfg)
+
+        monkeypatch.setattr(image_features, name, counted)
+    image_features.extract_image_features(lane, pole, config.PipelineConfig())
+    assert sorted(calls) == [("hough_lines", "lane"), ("hough_lines", "pole"),
+                             ("idt_height_map", "lane"), ("idt_height_map", "pole")]

@@ -1,6 +1,7 @@
 """Distance fields, height maps, and Hough extraction, against brute force."""
 import math
 import signal
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linecalib.config import PipelineConfig
-from linecalib.errors import EmptyTarget, InsufficientLines, NoLines
+from linecalib.errors import EmptyTarget, InsufficientLines, NoLines, ParseError
 from linecalib.evaluation import calibration_error
+from linecalib.fileio import save_pnm
 from linecalib.geometry import Line2D
 from linecalib.image_features import (
     FeatureSetImage,
@@ -21,6 +23,7 @@ from linecalib.image_features import (
     hough_lines,
     idt_height_map,
     l1_distance_field,
+    load_mask,
     select_principal_lines,
 )
 from linecalib.pipeline import coarse_calibrate, extract_features
@@ -101,6 +104,67 @@ def test_l1_empty_target_raises():
         l1_distance_field(SemanticMask("lane", ~bits), from_set=False)
 
 
+def _assert_fields_match_brute_force(bits):
+    mask = SemanticMask("lane", bits)
+    if bits.any():
+        assert np.array_equal(l1_distance_field(mask, from_set=True), brute_l1(bits))
+    if not bits.all():
+        assert np.array_equal(l1_distance_field(mask, from_set=False), brute_l1(~bits))
+    assert np.array_equal(framed_unset_field(mask), brute_l1_with_border(bits))
+
+
+def test_l1_thin_and_tiny_masks():
+    """1xN, Nx1 and 1x1 masks: a loop over one row or one column only."""
+    rng = np.random.default_rng(5)
+    for shape in ((1, 1), (1, 2), (2, 1), (1, 17), (17, 1), (1, 60), (60, 1)):
+        for _ in range(5):
+            bits = rng.random(shape) < 0.3
+            bits.flat[rng.integers(0, bits.size)] = True
+            _assert_fields_match_brute_force(bits)
+            _assert_fields_match_brute_force(~bits)
+    with pytest.raises(EmptyTarget):
+        l1_distance_field(SemanticMask("lane", np.ones((1, 1), dtype=bool)), from_set=False)
+    with pytest.raises(EmptyTarget):
+        l1_distance_field(SemanticMask("lane", np.zeros((1, 5), dtype=bool)), from_set=True)
+
+
+def test_l1_rows_and_columns_without_a_target():
+    """Targets confined to one row, one column or one pixel: most rows
+    and columns hold none and get their distances across the other axis."""
+    for h, w in ((9, 14), (14, 9)):
+        for pick in ((slice(4, 5), slice(None)), (slice(None), slice(3, 4)),
+                     (slice(2, 3), slice(7, 8)), (slice(0, 1), slice(0, 1)),
+                     (slice(h - 1, h), slice(w - 1, w))):
+            bits = np.zeros((h, w), dtype=bool)
+            bits[pick] = True
+            _assert_fields_match_brute_force(bits)
+            _assert_fields_match_brute_force(~bits)
+
+
+def test_l1_all_set_but_one():
+    for h, w in ((1, 7), (7, 1), (6, 11)):
+        for y, x in ((0, 0), (h // 2, w // 2), (h - 1, w - 1)):
+            bits = np.ones((h, w), dtype=bool)
+            bits[y, x] = False
+            _assert_fields_match_brute_force(bits)
+            _assert_fields_match_brute_force(~bits)
+
+
+def test_l1_long_mask_keeps_its_sentinel_out_of_the_result():
+    """A 3x5000 int32 field with its targets at one end: distances reach
+    4998, so the sentinel of unreached pixels must lie above all of them."""
+    bits = np.zeros((3, 5000), dtype=bool)
+    bits[0, 0] = bits[2, 3] = True
+    mask = SemanticMask("lane", bits)
+    near = brute_l1(bits)
+    assert near.max() == 4998
+    assert np.array_equal(l1_distance_field(mask, from_set=True), near)
+    assert np.array_equal(l1_distance_field(SemanticMask("lane", ~bits), from_set=False), near)
+    values = idt_height_map(mask, IDT).values
+    assert np.array_equal(values[~bits], np.power(0.90, near[~bits].astype(float)))
+    assert np.all(values[bits] == 0.98)  # each set pixel touches an unset one
+
+
 @MANY
 @given(st.integers(0, 2**32 - 1))
 def test_l1_lipschitz_over_4_neighbors(seed):
@@ -134,6 +198,35 @@ def test_idt_brute_force_bitwise_equality_100_masks():
         ours = idt_height_map(mask, IDT).values
         ref = brute_idt(mask.bits, 0.98, 0.90)
         assert np.array_equal(ours, ref)  # bitwise, not approximate
+
+
+def _sweep_rows(init: np.ndarray) -> np.ndarray:
+    """1D unit-cost relaxation along axis 0, forward then backward."""
+    d = init.copy()
+    for y in range(1, d.shape[0]):
+        np.minimum(d[y], d[y - 1] + 1, out=d[y])
+    for y in range(d.shape[0] - 2, -1, -1):
+        np.minimum(d[y], d[y + 1] + 1, out=d[y])
+    return d
+
+
+def _l1_field_two_sweeps(target: np.ndarray) -> np.ndarray:
+    """The L1 field before the shared kernel: one int64 field per call,
+    rows then columns."""
+    d = _sweep_rows(np.where(target, 0, np.iinfo(np.int64).max // 4).astype(np.int64))
+    return _sweep_rows(d.T).T
+
+
+def _idt_two_fields(bits: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
+    """idt_height_map before the shared kernel: two relaxations and two
+    full-frame np.power calls.  Kept as the bit-for-bit oracle."""
+    d_to_set = _l1_field_two_sweeps(bits)
+    d_to_unset = _l1_field_two_sweeps(~np.pad(bits, 1))[1:-1, 1:-1]
+    return np.where(
+        bits,
+        np.power(cfg.gamma0, d_to_unset.astype(float)),
+        np.power(cfg.gamma1, d_to_set.astype(float)),
+    )
 
 
 def test_idt_trivial_exponents():
@@ -187,6 +280,24 @@ def test_heightmap_sampling_out_of_frame_zero():
     assert hm.sample_bilinear(np.array([-1.0]), np.array([0.0]))[0] == 0.0
     assert hm.sample_bilinear(np.array([3.5]), np.array([1.0]))[0] == 0.0
     assert hm.sample_bilinear(np.array([3.0]), np.array([3.0]))[0] == 1.0
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (4, 1), (1, 1), (0, 3), (4,), (2, 2, 2)])
+def test_heightmap_needs_a_2x2_cell(shape):
+    """Bilinear lookup reads a 2x2 cell: a 1 px side has none."""
+    with pytest.raises(ValueError, match="at least 2x2"):
+        HeightMap(np.full(shape, 0.5))
+    assert HeightMap(np.full((2, 2), 0.5)).sample_bilinear(np.array([0.5]), np.array([1.0]))[0] == 0.5
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1)])
+def test_load_mask_rejects_a_1px_side(tmp_path, shape):
+    path = tmp_path / "mask.pgm"
+    save_pnm(path, np.full(shape, 255, dtype=np.uint8))
+    with pytest.raises(ParseError, match="at least 2x2"):
+        load_mask(path, "lane")
+    save_pnm(path, np.full((2, 5), 255, dtype=np.uint8))
+    assert load_mask(path, "lane").set_count == 10
 
 
 @MANY
@@ -351,6 +462,102 @@ def test_hough_matches_revote_oracle():
         assert [(s.line.coeffs().tolist(), s.support) for s in got] == [
             (s.line.coeffs().tolist(), s.support) for s in want
         ]
+
+
+def _vote_full(us, vs, cos_t, sin_t, n_rho, rho_off):
+    """A full-size accumulator of the given pixels' votes, one bincount
+    per block of angles, as _vote built it before subtracting in place."""
+    acc = np.empty((len(cos_t), n_rho), dtype=np.int64)
+    step = max(1, (1 << 16) // max(1, len(us)))
+    for t0 in range(0, len(cos_t), step):
+        c, s = cos_t[t0:t0 + step, None], sin_t[t0:t0 + step, None]
+        rho = np.rint(us * c + vs * s).astype(np.int64)
+        rho += rho_off + n_rho * np.arange(len(c))[:, None]
+        acc[t0:t0 + len(c)] = np.bincount(
+            rho.ravel(), minlength=len(c) * n_rho
+        ).reshape(len(c), n_rho)
+    return acc
+
+
+def _hough_lines_vote_and_subtract(mask, cfg):
+    """hough_lines before its in-place subtraction: each peak's claimed
+    pixels are voted into a second full-size accumulator, which is then
+    subtracted.  Kept as the oracle of the np.subtract.at path."""
+    h, w = mask.bits.shape
+    thetas = np.deg2rad(np.arange(180.0))
+    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
+    diag = int(math.ceil(math.hypot(w, h)))
+    n_rho = 2 * diag + 1
+    vs, us = np.nonzero(mask.bits)
+    acc = _vote_full(us, vs, cos_t, sin_t, n_rho, diag)
+    out = []
+    while len(out) < cfg.hough_max_lines and len(us) >= cfg.hough_min_support:
+        it, ir = np.unravel_index(np.argmax(acc), acc.shape)
+        if acc[it, ir] < cfg.hough_min_support:
+            break
+        line = Line2D(cos_t[it], sin_t[it], -float(ir - diag))
+        claimed = line.distance(us, vs) <= cfg.hough_band_px
+        support = int(claimed.sum())
+        if support == 0:
+            break
+        cu, cv = us[claimed], vs[claimed]
+        acc -= _vote_full(cu, cv, cos_t, sin_t, n_rho, diag)
+        us, vs = us[~claimed], vs[~claimed]
+        if support < cfg.hough_min_support:
+            continue
+        line = _fit_line2d(cu.astype(float), cv.astype(float))
+        off_horizontal = abs(math.degrees(thetas[it]) - 90.0)
+        if mask.cls == "lane" and off_horizontal < cfg.hough_lane_theta_margin_deg:
+            continue
+        out.append(ScoredLine2D(line=line, support=support))
+    out.sort(key=lambda s: (-s.support, s.line.rho))
+    return out
+
+
+def _line_tuples(lines):
+    return [(s.support, s.line.a, s.line.b, s.line.c) for s in lines]
+
+
+ORACLE_SCENES = (
+    *(canonical_spec(i) for i in range(4)),
+    canonical_spec(0, lane_offsets=(-5.0, -1.8, 1.8, 5.4, 8.8), lane_dashed=(False,) * 5),
+    canonical_spec(0, lane_dashed=(False, True, True)),
+)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SCENES, ids=(
+    "canonical0", "canonical1", "canonical2", "canonical3", "five_lane0", "dashed0"))
+def test_scene_masks_match_the_two_field_and_full_vote_oracles(spec):
+    """The masks of scenes the pipeline runs on: bit-equal height maps
+    and equal (support, a, b, c) lines to the code before this kernel."""
+    cfg = PipelineConfig()
+    _, lane, pole, _ = generate(spec)
+    for mask in (lane, pole):
+        assert idt_height_map(mask, cfg).values.tobytes() == _idt_two_fields(mask.bits, cfg).tobytes()
+        want = _line_tuples(_hough_lines_vote_and_subtract(mask, cfg))
+        assert want and _line_tuples(hough_lines(mask, cfg)) == want
+
+
+# peak allocations of the two-field IDT and the full-vote Hough (the
+# oracles above) on the canonical lane mask, in MiB
+_IDT_PEAK_MIB, _HOUGH_PEAK_MIB = 18.4, 11.3
+
+
+@pytest.mark.parametrize("kernel, limit_mib", [
+    (idt_height_map, _IDT_PEAK_MIB), (hough_lines, _HOUGH_PEAK_MIB)])
+def test_kernel_peak_allocation_on_a_full_frame(canonical_frame, kernel, limit_mib):
+    """Neither kernel may allocate more at its peak than the two-field
+    IDT and the full-vote Hough did on a 375x1242 lane mask."""
+    lane = canonical_frame[2]
+    cfg = PipelineConfig()
+    kernel(lane, cfg)  # first-call allocations stay out of the figure
+    tracemalloc.start()
+    try:
+        kernel(lane, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20
 
 
 def test_hough_stops_when_a_peak_claims_no_pixel():
