@@ -23,7 +23,7 @@ from .cost import cost
 from .errors import STAGE_EXIT_CODES, CalibError, DimensionMismatch, ParseError
 from .fileio import (
     check_writable,
-    format_intrinsics,
+    format_fields,
     load_cloud,
     load_extrinsic,
     load_image,
@@ -59,14 +59,18 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=None, help="override config seed")
 
 
+def _with_seed(record, seed):
+    """The config or scene spec with its seed set by --seed, if given."""
+    if seed is None:
+        return record
+    try:
+        return dataclasses.replace(record, seed=seed)
+    except ValueError as e:
+        raise ParseError(f"--seed: {e}") from e
+
+
 def _load_cfg(args) -> PipelineConfig:
-    cfg = load_config(args.config) if args.config else PipelineConfig()
-    if args.seed is not None:
-        try:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-        except ValueError as e:
-            raise ParseError(f"--seed: {e}") from e
-    return cfg
+    return _with_seed(load_config(args.config) if args.config else PipelineConfig(), args.seed)
 
 
 def _load_bundle(paths):
@@ -79,9 +83,6 @@ def _load_bundle(paths):
 
 
 def cmd_calibrate(args) -> int:
-    check_writable(args.out)
-    if args.report:
-        check_writable(args.report)
     cfg = _load_cfg(args)
     extrinsic, report = calibrate(*_load_bundle(vars(args)), cfg)
     save_extrinsic(args.out, extrinsic)
@@ -93,7 +94,6 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_coarse(args) -> int:
-    check_writable(args.out)
     cfg = _load_cfg(args)
     cf, imf, ev = extract_features(*_load_bundle(vars(args)), cfg)
     report = CalibrationReport()
@@ -105,7 +105,6 @@ def cmd_coarse(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    check_writable(args.out)
     cfg = _load_cfg(args)
     bundle = _load_bundle(vars(args))
     initial = load_extrinsic(args.init)
@@ -133,12 +132,11 @@ def cmd_evaluate(args) -> int:
 def cmd_project(args) -> int:
     if args.stats and not args.lane_mask:
         raise ParseError("--stats needs --lane-mask")
-    check_writable(args.out)
     cfg = _load_cfg(args)
     intr = load_intrinsics(args.intrinsics)
     cloud = PointCloud.from_array(load_cloud(args.cloud))
     extrinsic = load_extrinsic(args.extrinsic)
-    img = load_image(args.image).copy()
+    img = load_image(args.image)
     h, w = img.shape[:2]
     lane_mask = load_mask(args.lane_mask, "lane") if args.lane_mask else None
     if lane_mask is not None and lane_mask.bits.shape != (h, w):
@@ -186,12 +184,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = synth.load_scene_spec(args.spec)
-    if args.seed is not None:
-        try:
-            spec = dataclasses.replace(spec, seed=args.seed)
-        except synth.InvalidSpec as e:
-            raise ParseError(f"--seed: {e}") from e
+    spec = _with_seed(synth.load_scene_spec(args.spec), args.seed)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -201,7 +194,7 @@ def cmd_synth(args) -> int:
     save_cloud(out / BUNDLE_FILES["cloud"], cloud.to_array())
     save_pnm(out / BUNDLE_FILES["lane_mask"], np.where(lane_mask.bits, 255, 0).astype(np.uint8))
     save_pnm(out / BUNDLE_FILES["pole_mask"], np.where(pole_mask.bits, 255, 0).astype(np.uint8))
-    save_text(out / BUNDLE_FILES["intrinsics"], format_intrinsics(spec.intrinsics))
+    save_text(out / BUNDLE_FILES["intrinsics"], format_fields(spec.intrinsics))
     save_extrinsic(out / "extrinsic_gt.txt", gt)
     sys.stdout.write(f"wrote 5 files to {out}\n")
     return 0
@@ -261,20 +254,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--out", required=True, help="output extrinsic file")
     p.add_argument("--report", default=None, help="optional report file")
-    p.set_defaults(func=cmd_calibrate)
+    p.set_defaults(func=cmd_calibrate, outputs=("out", "report"))
 
     p = sub.add_parser("coarse", help="stop after the coarse P3L solve")
     _add_bundle_args(p)
     _add_common(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_coarse)
+    p.set_defaults(func=cmd_coarse, outputs=("out",))
 
     p = sub.add_parser("refine", help="refine a provided initial extrinsic")
     _add_bundle_args(p)
     _add_common(p)
     p.add_argument("--init", required=True, help="initial extrinsic file")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_refine)
+    p.set_defaults(func=cmd_refine, outputs=("out",))
 
     p = sub.add_parser("evaluate", help="compare two extrinsic files")
     p.add_argument("estimated")
@@ -290,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lane-mask", default=None)
     p.add_argument("--stats", action="store_true", help="print lane-in-mask stats")
     _add_common(p)
-    p.set_defaults(func=cmd_project)
+    p.set_defaults(func=cmd_project, outputs=("out",))
 
     p = sub.add_parser("synth", help="generate a synthetic frame bundle")
     p.add_argument("--spec", required=True, help="scene spec file")
@@ -314,6 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # output paths are refused before any input is read
+        for name in getattr(args, "outputs", ()):
+            if getattr(args, name) is not None:
+                check_writable(getattr(args, name))
         return args.func(args)
     except CalibError as e:
         code = STAGE_EXIT_CODES.get(e.stage, 1)

@@ -267,11 +267,11 @@ def _line_distances(xyz: np.ndarray, anchors: np.ndarray, dirs: np.ndarray) -> n
     return _line_distance(q, dirs.T[:, :, None])
 
 
-def _nearest_line_distance(pts: np.ndarray, lines: list[ScoredLine3D]) -> np.ndarray:
-    """Distance of each point (N, 3) to the nearest of the fitted lines."""
+def _near_lines(pts: np.ndarray, lines: list[ScoredLine3D], cfg: PipelineConfig) -> np.ndarray:
+    """Mask of the points (N, 3) within cfg.lane_dist_max of a fitted line."""
     anchors = np.stack([s.line.point for s in lines])
     dirs = np.stack([s.line.direction for s in lines])
-    return _line_distances(pts.T, anchors, dirs).min(axis=0)
+    return _line_distances(pts.T, anchors, dirs).min(axis=0) < cfg.lane_dist_max
 
 
 def _fit_line_lsq(pts: np.ndarray) -> Line3D:
@@ -299,8 +299,7 @@ def extract_lane_points(
     lines = ransac_line3d(pts, seed, cfg)
     if not lines:
         raise NoLanePoints("no line structure among high-intensity points")
-    d_min = _nearest_line_distance(pts, lines)
-    keep = bright[d_min < cfg.lane_dist_max]
+    keep = bright[_near_lines(pts, lines, cfg)]
     if len(keep) < cfg.min_feature_points:
         raise NoLanePoints(f"only {len(keep)} lane points survive the line filter")
     return keep
@@ -324,11 +323,12 @@ def extract_pole_points(
     frame: GroundParallelFrame,
     cfg: PipelineConfig,
 ):
-    """Indices of pole points plus a grid-cell id per point.
+    """Indices of pole points plus a cluster label per point.
 
     Object points are rotated into the ground-parallel frame, binned on
     an x-y grid, and only cells whose maximum elevation clears pole_h1
-    survive; near-ground points below pole_h0 are dropped.
+    survive; near-ground points below pole_h0 are dropped.  The labels
+    are the 8-connected components of the surviving cells.
     """
     oi = seg.object_indices
     g = frame.to_ground(cloud.xyz[oi])
@@ -350,7 +350,7 @@ def extract_pole_points(
     keep = (max_z[cell] > cfg.pole_h1) & (g[:, 2] > cfg.pole_h0)
     if int(keep.sum()) < cfg.min_feature_points:
         raise NoPolePoints(f"only {int(keep.sum())} pole points survive")
-    return oi[keep], cell[keep]
+    return oi[keep], cluster_cells(cell[keep], nx)
 
 
 def cluster_cells(cells: np.ndarray, nx: int) -> np.ndarray:
@@ -402,15 +402,12 @@ def extract_cloud_features(cloud: PointCloud, seed: int, cfg: PipelineConfig) ->
     # only supported rejected lines (e.g. bright clutter edges) are
     # dropped so they cannot bias the alignment cost
     if ground_lines:
-        d_min = _nearest_line_distance(lane_pts, ground_lines)
-        lane_pts = lane_pts[d_min < cfg.lane_dist_max]
+        lane_pts = lane_pts[_near_lines(lane_pts, ground_lines, cfg)]
     # P3L uses only the lines that follow the driving direction; the 2 deg
     # gate also rejects diagonal artifacts across dashes
     lane_lines = _canonical_lines(lane_lines, frame, 0, LANE_COS)
-    pole_idx, cells = extract_pole_points(seg, cloud, frame, cfg)
+    pole_idx, labels = extract_pole_points(seg, cloud, frame, cfg)
     pole_pts = cloud.xyz[pole_idx]
-    nx = int(math.ceil((cfg.grid_x_max - cfg.grid_x_min) / cfg.grid_cell))
-    labels = cluster_cells(cells, nx)
     pole_lines = []
     for lab in range(labels.max() + 1):
         sub = pole_pts[labels == lab]

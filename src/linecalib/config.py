@@ -71,6 +71,9 @@ class PipelineConfig(RefinementConfig):
             raise ValueError("seed must be non-negative")
         if min(self.plane_trials, self.line_trials, self.hough_max_lines) < 1:
             raise ValueError("plane_trials, line_trials and hough_max_lines must be at least 1")
+        if min(self.line_min_inliers, self.min_feature_points) < 2:
+            # a line, and a point set to fit one to, takes two points
+            raise ValueError("line_min_inliers and min_feature_points must be at least 2")
         if not (self.grid_cell > 0
                 and self.grid_x_min < self.grid_x_max and self.grid_y_min < self.grid_y_max):
             raise ValueError("the pole grid needs grid_cell > 0 and min < max on each axis")

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ParseError
 from .geometry import Extrinsic, Intrinsics
 
-INTRINSIC_KEYS = ("fx", "fy", "cx", "cy", "width", "height")
 EXTRINSIC_KEYS = ("r", "t")
 
 
@@ -81,7 +80,8 @@ def load_kv_file(path) -> dict:
 # A field's value is a scalar or a space-separated tuple of items.  An item
 # is a scalar (a bool is written 0 or 1) or a `:`-separated record: a tuple
 # of scalars or a dataclass such as synth.Box.  Each value is read as the
-# type of its field's default.
+# type of its field's default; a required field, as its `float` or `int`
+# annotation.
 
 
 def _record(v) -> tuple:
@@ -121,12 +121,16 @@ def _format_item(default, v) -> str:
 
 def _field_defaults(cls) -> dict:
     """Name -> default of the fields of dataclass `cls` stored as plain
-    values (scalars and tuples); fields holding an object are left out."""
-    return {
-        f.name: f.default
-        for f in dataclasses.fields(cls)
-        if isinstance(f.default, (int, float, tuple))
-    }
+    values (scalars and tuples), a zero of its type for a required scalar;
+    fields holding an object are left out."""
+    out = {}
+    for f in dataclasses.fields(cls):
+        default = f.default
+        if default is dataclasses.MISSING:  # annotations are strings (postponed evaluation)
+            default = {"float": 0.0, "int": 0}.get(f.type)
+        if isinstance(default, (int, float, tuple)):
+            out[f.name] = default
+    return out
 
 
 def parse_fields(cls, kv: dict, path) -> dict:
@@ -163,30 +167,15 @@ def format_fields(obj) -> str:
 
 
 def parse_intrinsics(kv: dict, path) -> Intrinsics:
-    extra = set(kv) - set(INTRINSIC_KEYS)
-    if extra:
-        # distortion models are deliberately rejected: rectified pinhole only
-        raise ParseError(f"{path}: unsupported intrinsics keys {sorted(extra)}")
-    missing = set(INTRINSIC_KEYS) - set(kv)
+    # distortion keys are deliberately unknown: rectified pinhole only
+    kwargs = parse_fields(Intrinsics, kv, path)
+    missing = set(_field_defaults(Intrinsics)) - set(kwargs)
     if missing:
         raise ParseError(f"{path}: missing intrinsics keys {sorted(missing)}")
     try:
-        return Intrinsics(
-            fx=float(kv["fx"]),
-            fy=float(kv["fy"]),
-            cx=float(kv["cx"]),
-            cy=float(kv["cy"]),
-            width=int(kv["width"]),
-            height=int(kv["height"]),
-        )
+        return Intrinsics(**kwargs)
     except ValueError as e:
         raise ParseError(f"{path}: {e}") from e
-
-
-def format_intrinsics(k: Intrinsics) -> str:
-    return "fx = %.17g\nfy = %.17g\ncx = %.17g\ncy = %.17g\nwidth = %d\nheight = %d\n" % (
-        k.fx, k.fy, k.cx, k.cy, k.width, k.height
-    )
 
 
 def load_intrinsics(path) -> Intrinsics:

@@ -208,7 +208,10 @@ def _check_rotation(R: np.ndarray, tol: float = _ORTHO_TOL) -> np.ndarray:
 
 def matrix_to_angle_axis(R: np.ndarray) -> np.ndarray:
     """Inverse Rodrigues map with the angle canonical in [0, pi]."""
-    R = _check_rotation(R)
+    return _angle_axis(_check_rotation(R))
+
+
+def _angle_axis(R: np.ndarray) -> np.ndarray:
     cos_theta = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
     w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
     sin_theta = np.linalg.norm(w) / 2.0
@@ -258,13 +261,9 @@ def backproject_line(k: Intrinsics, line: Line2D) -> np.ndarray:
 
 def rotation_geodesic(R1: np.ndarray, R2: np.ndarray) -> float:
     """Angle of the relative rotation, in [0, pi]."""
-    R1 = _check_rotation(R1)
-    R2 = _check_rotation(R2)
-    D = R1 @ R2.T
-    w = np.array([D[2, 1] - D[1, 2], D[0, 2] - D[2, 0], D[1, 0] - D[0, 1]])
-    sin_theta = np.linalg.norm(w) / 2.0
-    cos_theta = (np.trace(D) - 1.0) / 2.0
-    return math.atan2(sin_theta, cos_theta)
+    # the product of two checked inputs can drift past the tolerance
+    D = _check_rotation(R1) @ _check_rotation(R2).T
+    return float(np.linalg.norm(_angle_axis(D)))
 
 
 def euler_zyx(R: np.ndarray):

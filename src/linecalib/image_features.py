@@ -23,10 +23,7 @@ class SemanticMask:
     bits: np.ndarray         # (h, w) bool, row-major
 
     def __post_init__(self):
-        b = np.asarray(self.bits)
-        if b.dtype != bool:
-            b = b.astype(bool)
-        b = b.copy()
+        b = np.array(self.bits, dtype=bool)
         b.setflags(write=False)
         object.__setattr__(self, "bits", b)
 
@@ -37,10 +34,12 @@ class SemanticMask:
 
 @dataclass(frozen=True)
 class HeightMap:
+    """Per-pixel heights; a float64 array handed in is frozen, not copied."""
+
     values: np.ndarray       # (h, w) float in (0, 1), both sides >= 2 px
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).copy()
+        v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or min(v.shape) < 2:
             # bilinear lookup needs a 2x2 cell
             raise ValueError(f"height map must be at least 2x2, got shape {v.shape}")
@@ -157,6 +156,9 @@ def idt_height_map(mask: SemanticMask, cfg: PipelineConfig) -> HeightMap:
     looked up in a per-map table of gamma ** 0, 1, 2, ..., which holds the
     bits np.power gives each distance.
     """
+    if mask.bits.ndim != 2 or min(mask.bits.shape) < 2:
+        # the same fault load_mask refuses in a mask file
+        raise DimensionMismatch(f"{mask.cls} mask has shape {mask.bits.shape}, need at least 2x2")
     if not mask.bits.any():
         raise EmptyTarget("mask has no target pixel for the distance field")
     framed = np.pad(mask.bits, 1)[:, None, :]

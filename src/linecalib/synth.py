@@ -10,7 +10,7 @@ cloud, so image-side and cloud-side noise stay independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -18,10 +18,8 @@ from .cloud_features import GroundParallelFrame, PointCloud, ground_parallel_rot
 from .errors import ParseError
 from .fileio import (
     EXTRINSIC_KEYS,
-    INTRINSIC_KEYS,
     format_extrinsic,
     format_fields,
-    format_intrinsics,
     load_kv_file,
     parse_extrinsic,
     parse_fields,
@@ -458,11 +456,7 @@ def canonical_spec(seed: int = 0, **overrides) -> SceneSpec:
 
 
 def format_scene_spec(spec: SceneSpec) -> str:
-    return (
-        format_fields(spec)
-        + format_extrinsic(spec.extrinsic)
-        + format_intrinsics(spec.intrinsics)
-    )
+    return format_fields(spec) + format_extrinsic(spec.extrinsic) + format_fields(spec.intrinsics)
 
 
 def load_scene_spec(path) -> SceneSpec:
@@ -471,7 +465,7 @@ def load_scene_spec(path) -> SceneSpec:
     kwargs = {}
     for name, keys, parse in (
         ("extrinsic", EXTRINSIC_KEYS, parse_extrinsic),
-        ("intrinsics", INTRINSIC_KEYS, parse_intrinsics),
+        ("intrinsics", [f.name for f in fields(Intrinsics)], parse_intrinsics),
     ):
         sub = {key: kv.pop(key) for key in keys if key in kv}
         if sub:

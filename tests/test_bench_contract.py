@@ -130,3 +130,20 @@ def test_image_extraction_calls_each_traced_kernel_once_per_mask(monkeypatch, ca
     image_features.extract_image_features(lane, pole, config.PipelineConfig())
     assert sorted(calls) == [("hough_lines", "lane"), ("hough_lines", "pole"),
                              ("idt_height_map", "lane"), ("idt_height_map", "pole")]
+
+
+def test_pole_extraction_reaches_cluster_cells_through_the_module_global(monkeypatch,
+                                                                        canonical_frame):
+    """perfbench's cloud_features.cluster_cells_s span wraps the module
+    global, which extract_pole_points must call once per frame."""
+    _, cloud, _, _, _ = canonical_frame
+    calls = []
+    original = cloud_features.cluster_cells
+
+    def counted(cells, nx):
+        calls.append(len(cells))
+        return original(cells, nx)
+
+    monkeypatch.setattr(cloud_features, "cluster_cells", counted)
+    cf = cloud_features.extract_cloud_features(cloud, 0, config.PipelineConfig())
+    assert calls == [len(cf.pole_points)]

@@ -364,13 +364,16 @@ def test_unwritable_output_exits_1(bundle, tmp_path, capsys, target):
 def test_unwritable_output_fails_before_the_pipeline(bundle, tmp_path, monkeypatch, capsys,
                                                      target):
     """An output path that is a directory, or lies under a file, is refused
-    before any stage runs, and no other output is left behind."""
+    before any input is read or any stage runs, and no other output is left
+    behind."""
     import linecalib.cli as cli
 
     def must_not_run(*args, **kwargs):
-        raise AssertionError("the pipeline ran")
+        raise AssertionError("an input was read or the pipeline ran")
 
-    for stage in ("calibrate", "extract_features", "extract_cloud_features"):
+    for stage in ("calibrate", "extract_features", "extract_cloud_features", "_load_cfg",
+                  "_load_bundle", "load_intrinsics", "load_cloud", "load_extrinsic",
+                  "load_image", "load_mask"):
         monkeypatch.setattr(cli, stage, must_not_run)
     (tmp_path / "f").write_text("", encoding="utf-8")
     bad, out = {
@@ -391,6 +394,20 @@ def test_unwritable_output_fails_before_the_pipeline(bundle, tmp_path, monkeypat
     err = capsys.readouterr().err
     assert code == STAGE_EXIT_CODES["parse"] == 1
     assert f"error (parse): cannot write {bad}" in err and "Traceback" not in err
+    assert not (tmp_path / "e.txt").exists()
+
+
+@pytest.mark.parametrize("text", ["line_min_inliers = 1\n", "min_feature_points = 0\n"])
+def test_config_below_two_points_exits_1(bundle, tmp_path, capsys, text):
+    """Each value crashed a stage with a traceback; now it is refused as a
+    parse error before any stage runs."""
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text, encoding="utf-8")
+    code = main(["calibrate", *_bundle_args(bundle), "--config", str(cfg),
+                 "--out", str(tmp_path / "e.txt")])
+    err = capsys.readouterr().err
+    assert code == STAGE_EXIT_CODES["parse"] == 1
+    assert "error (parse)" in err and "at least 2" in err and "Traceback" not in err
     assert not (tmp_path / "e.txt").exists()
 
 

@@ -475,8 +475,8 @@ def test_extraction_subsets_and_determinism(canonical_frame):
     frame = None
     lines = ransac_line3d(cloud.xyz[lane_idx], 2, cfg)
     frame = ground_parallel_rotation(seg.plane, lines[0].line)
-    pole_idx, cells = extract_pole_points(seg, cloud, frame, cfg)
-    assert np.isin(pole_idx, seg.object_indices).all()
+    pole_idx, labels = extract_pole_points(seg, cloud, frame, cfg)
+    assert np.isin(pole_idx, seg.object_indices).all() and len(labels) == len(pole_idx)
     # determinism of the full chain
     a = extract_cloud_features(cloud, seed=0, cfg=cfg)
     b = extract_cloud_features(cloud, seed=0, cfg=cfg)

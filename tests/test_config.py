@@ -48,6 +48,8 @@ def test_load_config_rejects_bad_value(tmp_path):
         "seed = -1\n", "grid_cell = 0\n", "grid_cell = -0.5\n",
         "grid_x_min = 100\n", "grid_y_max = -20\n",
         "plane_trials = 0\n", "line_trials = 0\n", "hough_max_lines = 0\n",
+        # a line takes two points: below that a stage crashed with a bare ValueError
+        "line_min_inliers = 1\n", "min_feature_points = 0\n", "min_feature_points = 1\n",
     ):
         p.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError):

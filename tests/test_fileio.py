@@ -12,20 +12,20 @@ from linecalib.fileio import (
     check_writable,
     format_extrinsic,
     format_fields,
-    format_intrinsics,
     load_cloud,
     load_extrinsic,
     load_image,
     load_intrinsics,
     load_pgm,
     parse_fields,
+    parse_intrinsics,
     parse_kv_text,
     save_cloud,
     save_extrinsic,
     save_pnm,
     save_text,
 )
-from linecalib.geometry import Extrinsic
+from linecalib.geometry import Extrinsic, Intrinsics
 
 MANY = settings(max_examples=1000, deadline=None)
 
@@ -121,7 +121,7 @@ def test_intrinsics_round_trip(tmp_path):
     assert (k.fx, k.fy, k.cx, k.cy, k.width, k.height) == (
         430.0, 430.0, 609.6, 172.9, 1242, 375,
     )
-    p.write_text(format_intrinsics(k), encoding="utf-8")
+    p.write_text(format_fields(k), encoding="utf-8")
     assert load_intrinsics(p) == k
 
 
@@ -135,6 +135,85 @@ def test_intrinsics_rejects_unknown_and_missing(tmp_path):
         load_intrinsics(p)
     with pytest.raises(ParseError):
         load_intrinsics(tmp_path / "nope.txt")
+
+
+# The intrinsics reader and writer as they were before the record codec
+# served the intrinsics file: the codec must keep their bytes and values.
+_INTRINSIC_KEYS = ("fx", "fy", "cx", "cy", "width", "height")
+
+
+def _parse_intrinsics_oracle(kv: dict, path) -> Intrinsics:
+    extra = set(kv) - set(_INTRINSIC_KEYS)
+    if extra:
+        raise ParseError(f"{path}: unsupported intrinsics keys {sorted(extra)}")
+    missing = set(_INTRINSIC_KEYS) - set(kv)
+    if missing:
+        raise ParseError(f"{path}: missing intrinsics keys {sorted(missing)}")
+    try:
+        return Intrinsics(
+            fx=float(kv["fx"]),
+            fy=float(kv["fy"]),
+            cx=float(kv["cx"]),
+            cy=float(kv["cy"]),
+            width=int(kv["width"]),
+            height=int(kv["height"]),
+        )
+    except ValueError as e:
+        raise ParseError(f"{path}: {e}") from e
+
+
+def _format_intrinsics_oracle(k: Intrinsics) -> str:
+    return "fx = %.17g\nfy = %.17g\ncx = %.17g\ncy = %.17g\nwidth = %d\nheight = %d\n" % (
+        k.fx, k.fy, k.cx, k.cy, k.width, k.height
+    )
+
+
+def _parse_either(parse, kv):
+    """The parsed intrinsics, or ParseError (the class, not its message)."""
+    try:
+        return parse(kv, "k.txt")
+    except ParseError:
+        return ParseError
+
+
+@st.composite
+def _intrinsics(draw):
+    width, height = draw(st.integers(1, 10000)), draw(st.integers(1, 10000))
+    focal = st.floats(1e-3, 1e5, allow_subnormal=False)
+    return Intrinsics(
+        fx=draw(focal), fy=draw(focal),
+        cx=draw(st.floats(0, width, exclude_min=True, exclude_max=True)),
+        cy=draw(st.floats(0, height, exclude_min=True, exclude_max=True)),
+        width=width, height=height,
+    )
+
+
+@MANY
+@given(_intrinsics())
+def test_intrinsics_codec_matches_the_oracle(k):
+    text = format_fields(k)
+    assert text == _format_intrinsics_oracle(k)
+    kv = parse_kv_text(text)
+    assert parse_intrinsics(kv, "k.txt") == _parse_intrinsics_oracle(kv, "k.txt") == k
+
+
+@MANY
+@given(
+    _intrinsics(),
+    st.sets(st.sampled_from(_INTRINSIC_KEYS)),
+    st.dictionaries(st.sampled_from(_INTRINSIC_KEYS),
+                    st.sampled_from(["0", "-1", "2.5", "1e400", "nan", "inf", "x", ""])),
+    st.sampled_from([None, "k1", "p2", "skew"]),
+)
+def test_intrinsics_codec_fails_where_the_oracle_fails(k, drop, bad, extra):
+    """Missing, unknown and malformed keys: a ParseError in both."""
+    kv = parse_kv_text(format_fields(k))
+    kv.update(bad)
+    for key in drop:
+        kv.pop(key)
+    if extra:
+        kv[extra] = "0.1"
+    assert _parse_either(parse_intrinsics, kv) == _parse_either(_parse_intrinsics_oracle, kv)
 
 
 @MANY

@@ -65,14 +65,40 @@ def test_rotation_round_trip(r):
     assert np.linalg.norm(r2) <= math.pi + 1e-12
 
 
+def _rotation_geodesic_oracle(R1, R2) -> float:
+    """The relative angle as computed before rotation_geodesic reused
+    matrix_to_angle_axis."""
+    D = R1 @ R2.T
+    w = np.array([D[2, 1] - D[1, 2], D[0, 2] - D[2, 0], D[1, 0] - D[0, 1]])
+    sin_theta = np.linalg.norm(w) / 2.0
+    cos_theta = (np.trace(D) - 1.0) / 2.0
+    return math.atan2(sin_theta, cos_theta)
+
+
+def _geodesic_checked(R1, R2) -> float:
+    d = rotation_geodesic(R1, R2)
+    oracle = _rotation_geodesic_oracle(R1, R2)
+    tol = 4 * math.ulp(oracle)
+    cos_theta = (np.trace(R1 @ R2.T) - 1.0) / 2.0
+    if cos_theta > 1.0 or oracle < 1e-8:
+        # matrix_to_angle_axis clips the cosine to 1 and reads an angle under
+        # 1e-8 rad as |w| / 2, where the old formula divided by a cosine that
+        # is 1 only up to the rounding in the trace
+        tol += oracle * abs(1.0 - cos_theta)
+    # below about 1e-154 rad the squares in |w| underflow to subnormals in
+    # both formulas, which the 1e-160 rad of slack covers
+    assert abs(d - oracle) <= tol + 1e-160
+    return d
+
+
 @MANY
 @given(angle_axis, st.floats(-math.pi + 1e-6, math.pi))
 def test_geodesic_symmetry_and_angle(r, theta):
     R1 = angle_axis_to_matrix(r)
     axis = np.array([0.48, -0.6, 0.64])
     R2 = R1 @ angle_axis_to_matrix(axis / np.linalg.norm(axis) * theta)
-    d12 = rotation_geodesic(R1, R2)
-    d21 = rotation_geodesic(R2, R1)
+    d12 = _geodesic_checked(R1, R2)
+    d21 = _geodesic_checked(R2, R1)
     assert abs(d12 - d21) < 1e-9
     assert abs(d12 - abs(theta)) < 1e-7
 
@@ -81,7 +107,19 @@ def test_geodesic_symmetry_and_angle(r, theta):
 @given(angle_axis)
 def test_geodesic_zero_on_self(r):
     R = angle_axis_to_matrix(r)
-    assert rotation_geodesic(R, R) < 1e-9
+    assert _geodesic_checked(R, R) < 1e-9
+
+
+def test_geodesic_checks_both_inputs_not_their_product():
+    R = rot_z(0.3)
+    for bad in (np.diag([1.0, 1.0, -1.0]), 1.01 * np.eye(3), np.eye(2)):
+        with pytest.raises(NotARotation):
+            rotation_geodesic(bad, R)
+        with pytest.raises(NotARotation):
+            rotation_geodesic(R, bad)
+    # each within the 1e-6 orthonormality tolerance, their product 1.8e-6 off
+    near = R * (1 + 0.45e-6)
+    assert _geodesic_checked(near, near) < 1e-9
 
 
 def test_near_pi_round_trip():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linecalib.config import PipelineConfig
-from linecalib.errors import EmptyTarget, InsufficientLines, NoLines, ParseError
+from linecalib.errors import DimensionMismatch, EmptyTarget, InsufficientLines, NoLines, ParseError
 from linecalib.evaluation import calibration_error
 from linecalib.fileio import save_pnm
 from linecalib.geometry import Line2D
@@ -288,6 +288,36 @@ def test_heightmap_needs_a_2x2_cell(shape):
     with pytest.raises(ValueError, match="at least 2x2"):
         HeightMap(np.full(shape, 0.5))
     assert HeightMap(np.full((2, 2), 0.5)).sample_bilinear(np.array([0.5]), np.array([1.0]))[0] == 0.5
+
+
+@pytest.mark.parametrize("cls, shape", [("pole", (1, 1242)), ("lane", (375, 1)), ("lane", (1, 1))])
+def test_idt_height_map_names_a_mask_under_2px(cls, shape):
+    """A mask built in memory with a 1 px side is refused as load_mask
+    refuses one read from a file: a parse-stage DimensionMismatch that
+    names the class and the shape, not HeightMap's bare ValueError."""
+    mask = SemanticMask(cls, np.ones(shape, dtype=bool))
+    named = rf"{cls} mask has shape \({shape[0]}, {shape[1]}\)"
+    with pytest.raises(DimensionMismatch, match=named):
+        idt_height_map(mask, IDT)
+    assert not l1_distance_field(mask, from_set=True).any()  # 1xN fields still serve
+
+
+def test_heightmap_freezes_the_array_it_is_handed():
+    values = np.full((3, 4), 0.5)
+    hm = HeightMap(values)
+    assert hm.values is values and not values.flags.writeable
+    ints = np.ones((3, 4), dtype=np.int64)
+    assert HeightMap(ints).values.dtype == np.float64 and ints.flags.writeable
+
+
+def test_semantic_mask_owns_its_bits():
+    """One conversion, still a copy: the caller's array stays writable and
+    a later write to it does not reach the mask."""
+    for raw in (np.zeros((3, 4), dtype=bool), np.zeros((3, 4), dtype=np.uint8)):
+        mask = SemanticMask("lane", raw)
+        raw[0, 0] = 1
+        assert mask.bits.dtype == bool and not mask.bits.any()
+        assert not mask.bits.flags.writeable
 
 
 @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1)])
