@@ -174,7 +174,7 @@ def cmd_project(args) -> int:
         total = len(lane_iv)
         inside = 0
         if lane_mask.bits.any():  # an empty mask has no distance field
-            near = l1_distance_field(lane_mask, from_set=True) <= 2
+            near = l1_distance_field(lane_mask) <= 2
             inside = int(near[lane_iv, lane_iu].sum())
         frac = inside / total if total else 0.0
         sys.stdout.write(f"lane_points_projected: {total}\n")

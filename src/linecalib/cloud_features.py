@@ -417,11 +417,6 @@ def extract_cloud_features(cloud: PointCloud, seed: int, cfg: PipelineConfig) ->
         if fitted:
             pole_lines.append(fitted[0])
     pole_lines = _canonical_lines(pole_lines, frame, 2, POLE_COS)
-    if len(lane_lines) < 2 or len(pole_lines) < 1:
-        raise InsufficientLines(
-            f"need >= 2 lane and >= 1 pole cloud lines, "
-            f"got {len(lane_lines)} / {len(pole_lines)}"
-        )
     return FeatureSetCloud(
         lane_points=lane_pts,
         pole_points=pole_pts,

@@ -8,8 +8,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .errors import ParseError
-from .fileio import load_kv_file, parse_fields
+from .fileio import build_record, load_kv_file
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,4 @@ class PipelineConfig(RefinementConfig):
 
 
 def load_config(path) -> PipelineConfig:
-    kwargs = parse_fields(PipelineConfig, load_kv_file(path), path)
-    try:
-        return PipelineConfig(**kwargs)
-    except ValueError as e:
-        raise ParseError(f"{path}: {e}") from e
+    return build_record(PipelineConfig, load_kv_file(path), path)

@@ -166,20 +166,23 @@ def format_fields(obj) -> str:
     return "".join(lines)
 
 
-def parse_intrinsics(kv: dict, path) -> Intrinsics:
-    # distortion keys are deliberately unknown: rectified pinhole only
-    kwargs = parse_fields(Intrinsics, kv, path)
-    missing = set(_field_defaults(Intrinsics)) - set(kwargs)
+def build_record(cls, kv: dict, path, **objects):
+    """Dataclass `cls` from `kv` (see parse_fields) and its object fields;
+    a required field left out, or a ValueError from `cls`, is a ParseError."""
+    kwargs = {**parse_fields(cls, kv, path), **objects}
+    missing = [f.name for f in dataclasses.fields(cls) if f.name not in kwargs
+               and f.default is f.default_factory is dataclasses.MISSING]
     if missing:
-        raise ParseError(f"{path}: missing intrinsics keys {sorted(missing)}")
+        raise ParseError(f"{path}: missing keys {missing}")
     try:
-        return Intrinsics(**kwargs)
+        return cls(**kwargs)
     except ValueError as e:
         raise ParseError(f"{path}: {e}") from e
 
 
 def load_intrinsics(path) -> Intrinsics:
-    return parse_intrinsics(load_kv_file(path), path)
+    # distortion keys are deliberately unknown: rectified pinhole only
+    return build_record(Intrinsics, load_kv_file(path), path)
 
 
 def _parse_vec3(s: str, what: str):
@@ -193,9 +196,9 @@ def _parse_vec3(s: str, what: str):
 
 
 def parse_extrinsic(kv: dict, path) -> Extrinsic:
-    for key in EXTRINSIC_KEYS:
-        if key not in kv:
-            raise ParseError(f"{path}: missing key {key!r}")
+    missing = [key for key in EXTRINSIC_KEYS if key not in kv]
+    if missing:
+        raise ParseError(f"{path}: missing keys {missing}")
     r = _parse_vec3(kv["r"], f"{path}: r")
     t = _parse_vec3(kv["t"], f"{path}: t")
     try:

@@ -133,16 +133,15 @@ def _l1_fields(targets: np.ndarray) -> np.ndarray:
     return d.transpose(2, 1, 0)
 
 
-def l1_distance_field(mask: SemanticMask, from_set: bool) -> np.ndarray:
-    """Exact per-pixel L1 distance to the nearest set (or unset) pixel.
+def l1_distance_field(mask: SemanticMask) -> np.ndarray:
+    """Exact per-pixel L1 distance to the nearest set pixel.
 
     A forward/backward unit-cost sweep down the rows, then one across the
-    columns; equal to the brute-force minimum over all target pixels.
+    columns; equal to the brute-force minimum over all set pixels.
     """
-    target = mask.bits if from_set else ~mask.bits
-    if not target.any():
+    if not mask.bits.any():
         raise EmptyTarget("mask has no target pixel for the distance field")
-    return _l1_fields(target[:, None, :])[:, 0, :]
+    return _l1_fields(mask.bits[:, None, :])[:, 0, :]
 
 
 def idt_height_map(mask: SemanticMask, cfg: PipelineConfig) -> HeightMap:
@@ -293,13 +292,9 @@ class FeatureSetImage:
 def extract_image_features(
     lane_mask: SemanticMask, pole_mask: SemanticMask, cfg: PipelineConfig
 ) -> FeatureSetImage:
+    # Hough first: an empty mask fails with NoLines before the IDT runs
     lane_lines = hough_lines(lane_mask, cfg)
     pole_lines = hough_lines(pole_mask, cfg)
-    if len(lane_lines) < 2 or len(pole_lines) < 1:
-        raise InsufficientLines(
-            f"need >= 2 lane and >= 1 pole image lines, "
-            f"got {len(lane_lines)} / {len(pole_lines)}"
-        )
     return FeatureSetImage(
         lane_height=idt_height_map(lane_mask, cfg),
         pole_height=idt_height_map(pole_mask, cfg),
@@ -318,7 +313,10 @@ def select_principal_lines(features: FeatureSetImage):
     line with the most supporting pixels among those within 45 degrees of
     the image vertical."""
     if len(features.lane_lines) < 2 or len(features.pole_lines) < 1:
-        raise InsufficientLines("principal line selection needs 2 lane + 1 pole")
+        raise InsufficientLines(
+            f"need >= 2 lane and >= 1 pole image lines, "
+            f"got {len(features.lane_lines)} / {len(features.pole_lines)}"
+        )
     lanes = sorted(features.lane_lines, key=lambda s: (-s.support, s.line.rho))
     # Line2D is a*u + b*v + c = 0 with a >= 0: its direction (-b, a) makes
     # an angle acos(a) with the image vertical

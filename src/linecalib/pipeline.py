@@ -9,7 +9,7 @@ import numpy as np
 from .cloud_features import FeatureSetCloud, PointCloud, extract_cloud_features
 from .config import PipelineConfig
 from .cost import CostEvaluator, cost, cost_batch
-from .errors import NoValidCandidate
+from .errors import InsufficientLines, NoValidCandidate
 from .geometry import Extrinsic, Intrinsics
 from .image_features import (
     FeatureSetImage,
@@ -83,6 +83,10 @@ def coarse_calibrate(
     # every cloud line already passes its P3L direction gate
     lanes = [s.line for s in cloud_features.lane_lines]
     poles = [s.line for s in cloud_features.pole_lines]
+    if len(lanes) < 2 or not poles:
+        raise InsufficientLines(
+            f"need >= 2 lane and >= 1 pole cloud lines, got {len(lanes)} / {len(poles)}"
+        )
     # the image triple is shared by every cloud triple, so DegenerateNormals
     # fails them all alike: it propagates
     sol = solve_rotations(lane1_img, lane2_img, pole_img, ev.intrinsics, frame)

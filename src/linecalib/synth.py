@@ -11,19 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
 from .cloud_features import GroundParallelFrame, PointCloud, ground_parallel_rotation
-from .errors import ParseError
 from .fileio import (
     EXTRINSIC_KEYS,
+    build_record,
     format_extrinsic,
     format_fields,
     load_kv_file,
     parse_extrinsic,
-    parse_fields,
-    parse_intrinsics,
 )
 from .geometry import (
     Extrinsic,
@@ -46,10 +45,6 @@ CAM_BASE_ROTATION = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0
 DEFAULT_INTRINSICS = Intrinsics(
     fx=430.0, fy=430.0, cx=609.6, cy=172.9, width=1242, height=375
 )
-
-
-class InvalidSpec(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -147,15 +142,15 @@ class SceneSpec:
         if not (
             len(self.pole_xy) == len(self.pole_heights) == len(self.pole_radii)
         ):
-            raise InvalidSpec("pole field lengths disagree")
+            raise ValueError("pole field lengths disagree")
         if len(self.lane_dashed) != len(self.lane_offsets):
-            raise InvalidSpec("lane_dashed length disagrees with lane_offsets")
+            raise ValueError("lane_dashed length disagrees with lane_offsets")
         if self.lane_width <= 0 or self.lidar_height <= 0:
-            raise InvalidSpec("lane_width and lidar_height must be positive")
+            raise ValueError("lane_width and lidar_height must be positive")
         if self.rings < 1 or self.azimuth_steps < 1:
-            raise InvalidSpec("beam model needs rings >= 1, azimuth_steps >= 1")
+            raise ValueError("beam model needs rings >= 1, azimuth_steps >= 1")
         if self.seed < 0:
-            raise InvalidSpec("seed must be non-negative")
+            raise ValueError("seed must be non-negative")
 
 
 def _tilt(spec: SceneSpec) -> np.ndarray:
@@ -462,16 +457,12 @@ def format_scene_spec(spec: SceneSpec) -> str:
 def load_scene_spec(path) -> SceneSpec:
     """Read a spec file; a key left out keeps its SceneSpec default."""
     kv = load_kv_file(path)
-    kwargs = {}
+    objects = {}
     for name, keys, parse in (
         ("extrinsic", EXTRINSIC_KEYS, parse_extrinsic),
-        ("intrinsics", [f.name for f in fields(Intrinsics)], parse_intrinsics),
+        ("intrinsics", [f.name for f in fields(Intrinsics)], partial(build_record, Intrinsics)),
     ):
         sub = {key: kv.pop(key) for key in keys if key in kv}
         if sub:
-            kwargs[name] = parse(sub, path)
-    kwargs.update(parse_fields(SceneSpec, kv, path))
-    try:
-        return SceneSpec(**kwargs)
-    except InvalidSpec as e:
-        raise ParseError(f"{path}: {e}") from e
+            objects[name] = parse(sub, path)
+    return build_record(SceneSpec, kv, path, **objects)

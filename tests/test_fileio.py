@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from linecalib.errors import ParseError
 from linecalib.fileio import (
+    build_record,
     check_writable,
     format_extrinsic,
     format_fields,
@@ -18,7 +19,6 @@ from linecalib.fileio import (
     load_intrinsics,
     load_pgm,
     parse_fields,
-    parse_intrinsics,
     parse_kv_text,
     save_cloud,
     save_extrinsic,
@@ -194,7 +194,7 @@ def test_intrinsics_codec_matches_the_oracle(k):
     text = format_fields(k)
     assert text == _format_intrinsics_oracle(k)
     kv = parse_kv_text(text)
-    assert parse_intrinsics(kv, "k.txt") == _parse_intrinsics_oracle(kv, "k.txt") == k
+    assert build_record(Intrinsics, kv, "k.txt") == _parse_intrinsics_oracle(kv, "k.txt") == k
 
 
 @MANY
@@ -213,7 +213,8 @@ def test_intrinsics_codec_fails_where_the_oracle_fails(k, drop, bad, extra):
         kv.pop(key)
     if extra:
         kv[extra] = "0.1"
-    assert _parse_either(parse_intrinsics, kv) == _parse_either(_parse_intrinsics_oracle, kv)
+    assert (_parse_either(lambda kv, path: build_record(Intrinsics, kv, path), kv)
+            == _parse_either(_parse_intrinsics_oracle, kv))
 
 
 @MANY

@@ -67,8 +67,8 @@ def brute_l1_with_border(bits: np.ndarray) -> np.ndarray:
 def framed_unset_field(mask: SemanticMask) -> np.ndarray:
     """The distance field to unset pixels of the mask framed by a ring of
     unset pixels, cropped back to the mask: what idt_height_map uses."""
-    framed = SemanticMask(mask.cls, np.pad(mask.bits, 1))
-    return l1_distance_field(framed, from_set=False)[1:-1, 1:-1]
+    framed = SemanticMask(mask.cls, ~np.pad(mask.bits, 1))
+    return l1_distance_field(framed)[1:-1, 1:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +80,10 @@ def test_l1_brute_force_equivalence_100_masks():
     for _ in range(100):
         mask = random_mask(rng, 32, 32)
         assert np.array_equal(
-            l1_distance_field(mask, from_set=True), brute_l1(mask.bits)
+            l1_distance_field(mask), brute_l1(mask.bits)
         )
         assert np.array_equal(
-            l1_distance_field(mask, from_set=False), brute_l1(~mask.bits)
+            l1_distance_field(SemanticMask(mask.cls, ~mask.bits)), brute_l1(~mask.bits)
         )
         assert np.array_equal(framed_unset_field(mask), brute_l1_with_border(mask.bits))
 
@@ -91,7 +91,7 @@ def test_l1_brute_force_equivalence_100_masks():
 def test_l1_single_pixel_examples():
     bits = np.zeros((8, 8), dtype=bool)
     bits[0, 0] = True
-    d = l1_distance_field(SemanticMask("lane", bits), from_set=True)
+    d = l1_distance_field(SemanticMask("lane", bits))
     assert d[4, 3] == 7
     assert d[0, 0] == 0
 
@@ -99,17 +99,15 @@ def test_l1_single_pixel_examples():
 def test_l1_empty_target_raises():
     bits = np.zeros((4, 4), dtype=bool)
     with pytest.raises(EmptyTarget):
-        l1_distance_field(SemanticMask("lane", bits), from_set=True)
-    with pytest.raises(EmptyTarget):
-        l1_distance_field(SemanticMask("lane", ~bits), from_set=False)
+        l1_distance_field(SemanticMask("lane", bits))
 
 
 def _assert_fields_match_brute_force(bits):
     mask = SemanticMask("lane", bits)
     if bits.any():
-        assert np.array_equal(l1_distance_field(mask, from_set=True), brute_l1(bits))
+        assert np.array_equal(l1_distance_field(mask), brute_l1(bits))
     if not bits.all():
-        assert np.array_equal(l1_distance_field(mask, from_set=False), brute_l1(~bits))
+        assert np.array_equal(l1_distance_field(SemanticMask("lane", ~bits)), brute_l1(~bits))
     assert np.array_equal(framed_unset_field(mask), brute_l1_with_border(bits))
 
 
@@ -123,9 +121,9 @@ def test_l1_thin_and_tiny_masks():
             _assert_fields_match_brute_force(bits)
             _assert_fields_match_brute_force(~bits)
     with pytest.raises(EmptyTarget):
-        l1_distance_field(SemanticMask("lane", np.ones((1, 1), dtype=bool)), from_set=False)
+        l1_distance_field(SemanticMask("lane", np.zeros((1, 1), dtype=bool)))
     with pytest.raises(EmptyTarget):
-        l1_distance_field(SemanticMask("lane", np.zeros((1, 5), dtype=bool)), from_set=True)
+        l1_distance_field(SemanticMask("lane", np.zeros((1, 5), dtype=bool)))
 
 
 def test_l1_rows_and_columns_without_a_target():
@@ -158,8 +156,7 @@ def test_l1_long_mask_keeps_its_sentinel_out_of_the_result():
     mask = SemanticMask("lane", bits)
     near = brute_l1(bits)
     assert near.max() == 4998
-    assert np.array_equal(l1_distance_field(mask, from_set=True), near)
-    assert np.array_equal(l1_distance_field(SemanticMask("lane", ~bits), from_set=False), near)
+    assert np.array_equal(l1_distance_field(mask), near)
     values = idt_height_map(mask, IDT).values
     assert np.array_equal(values[~bits], np.power(0.90, near[~bits].astype(float)))
     assert np.all(values[bits] == 0.98)  # each set pixel touches an unset one
@@ -170,7 +167,7 @@ def test_l1_long_mask_keeps_its_sentinel_out_of_the_result():
 def test_l1_lipschitz_over_4_neighbors(seed):
     rng = np.random.default_rng(seed)
     mask = random_mask(rng, 16, 16, p=float(rng.uniform(0.02, 0.6)))
-    d = l1_distance_field(mask, from_set=True)
+    d = l1_distance_field(mask)
     assert np.abs(np.diff(d, axis=0)).max() <= 1
     assert np.abs(np.diff(d, axis=1)).max() <= 1
 
@@ -244,7 +241,7 @@ def test_idt_monotone_in_distance(seed, g0, g1):
     rng = np.random.default_rng(seed)
     mask = random_mask(rng, 16, 16, p=float(rng.uniform(0.05, 0.5)))
     hm = idt_height_map(mask, PipelineConfig(gamma0=g0, gamma1=g1))
-    d_out = l1_distance_field(mask, from_set=True)
+    d_out = l1_distance_field(mask)
     d_in = framed_unset_field(mask)
     v = hm.values
     assert ((v > 0) & (v <= 1)).all()
@@ -299,7 +296,7 @@ def test_idt_height_map_names_a_mask_under_2px(cls, shape):
     named = rf"{cls} mask has shape \({shape[0]}, {shape[1]}\)"
     with pytest.raises(DimensionMismatch, match=named):
         idt_height_map(mask, IDT)
-    assert not l1_distance_field(mask, from_set=True).any()  # 1xN fields still serve
+    assert not l1_distance_field(mask).any()  # 1xN fields still serve
 
 
 def test_heightmap_freezes_the_array_it_is_handed():

@@ -9,7 +9,6 @@ from linecalib.errors import ParseError
 from linecalib.fileio import parse_kv_text
 from linecalib.geometry import Extrinsic, project_points
 from linecalib.synth import (
-    InvalidSpec,
     SceneSpec,
     canonical_spec,
     format_scene_spec,
@@ -29,11 +28,11 @@ def test_canonical_spec_well_posed():
 
 
 def test_spec_validation():
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ValueError):
         canonical_spec(0, lane_offsets=(1.8,))
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ValueError):
         canonical_spec(0, pole_xy=())
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ValueError):
         canonical_spec(0, lane_dashed=(True,))
 
 
