@@ -242,8 +242,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error is a ParseError, which main reports and exits 1 on."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="linecalib",
         description="LiDAR-camera extrinsic calibration from lane/pole line features",
     )
@@ -305,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # output paths are refused before any input is read
         for name in getattr(args, "outputs", ()):
             if getattr(args, name) is not None:

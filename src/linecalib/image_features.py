@@ -23,7 +23,11 @@ class SemanticMask:
     bits: np.ndarray         # (h, w) bool, row-major
 
     def __post_init__(self):
+        if self.cls not in ("lane", "pole"):
+            raise ParseError(f"unknown mask class {self.cls!r}")
         b = np.array(self.bits, dtype=bool)
+        if b.ndim != 2:
+            raise DimensionMismatch(f"{self.cls} mask has shape {b.shape}, need (h, w)")
         b.setflags(write=False)
         object.__setattr__(self, "bits", b)
 
@@ -101,8 +105,6 @@ def load_mask(path, cls: str, intrinsics: Intrinsics | None = None) -> SemanticM
             f"{path}: mask is {img.shape[1]}x{img.shape[0]}, "
             f"intrinsics say {intrinsics.width}x{intrinsics.height}"
         )
-    if cls not in ("lane", "pole"):
-        raise ParseError(f"unknown mask class {cls!r}")
     return SemanticMask(cls=cls, bits=img > 127)
 
 
@@ -155,7 +157,7 @@ def idt_height_map(mask: SemanticMask, cfg: PipelineConfig) -> HeightMap:
     looked up in a per-map table of gamma ** 0, 1, 2, ..., which holds the
     bits np.power gives each distance.
     """
-    if mask.bits.ndim != 2 or min(mask.bits.shape) < 2:
+    if min(mask.bits.shape) < 2:
         # the same fault load_mask refuses in a mask file
         raise DimensionMismatch(f"{mask.cls} mask has shape {mask.bits.shape}, need at least 2x2")
     if not mask.bits.any():
@@ -306,18 +308,29 @@ def extract_image_features(
 # a pole line's image direction must lie within this angle of the image
 # vertical: a gantry beam or sign board in the pole mask is no pole
 _POLE_MAX_TILT_DEG = 45.0
+# the second lane line must lie more than this angle from the first: what
+# the claim band leaves of a wide stroke comes back at the stroke's angle
+_LANE_MIN_SEPARATION_DEG = 3.0
 
 
 def select_principal_lines(features: FeatureSetImage):
-    """The two lane lines with the most supporting pixels, and the pole
-    line with the most supporting pixels among those within 45 degrees of
-    the image vertical."""
+    """The lane line with the most supporting pixels, the one with the
+    most among those more than 3 degrees from it, and the pole line with
+    the most among those within 45 degrees of the image vertical."""
     if len(features.lane_lines) < 2 or len(features.pole_lines) < 1:
         raise InsufficientLines(
             f"need >= 2 lane and >= 1 pole image lines, "
             f"got {len(features.lane_lines)} / {len(features.pole_lines)}"
         )
-    lanes = sorted(features.lane_lines, key=lambda s: (-s.support, s.line.rho))
+    first, *rest = sorted(features.lane_lines, key=lambda s: (-s.support, s.line.rho))
+    # the angle between two lines is the one between their unit normals
+    max_cos = math.cos(math.radians(_LANE_MIN_SEPARATION_DEG))
+    apart = [s for s in rest if abs(s.line.a * first.line.a + s.line.b * first.line.b) < max_cos]
+    if not apart:
+        raise InsufficientLines(
+            f"none of {len(rest)} other lane image lines lies more than "
+            f"{_LANE_MIN_SEPARATION_DEG:g} deg from the strongest"
+        )
     # Line2D is a*u + b*v + c = 0 with a >= 0: its direction (-b, a) makes
     # an angle acos(a) with the image vertical
     min_a = math.cos(math.radians(_POLE_MAX_TILT_DEG))
@@ -330,4 +343,4 @@ def select_principal_lines(features: FeatureSetImage):
             f"none of {len(features.pole_lines)} pole image lines lies within "
             f"{_POLE_MAX_TILT_DEG:g} deg of vertical"
         )
-    return lanes[0].line, lanes[1].line, poles[0].line
+    return first.line, apart[0].line, poles[0].line

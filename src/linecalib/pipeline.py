@@ -71,15 +71,12 @@ def coarse_calibrate(
 ) -> Extrinsic:
     """Enumerate lane-pair x pole correspondences, keep the best-cost P3L result.
 
-    The image triple (two strongest lane lines, strongest upright pole
-    line) is fixed, so its (at most four) P3L rotations are solved once;
-    every ordered assignment of cloud lane lines and every cloud pole line
-    then only needs its translation: n1 * (n1 - 1) * n2 triples.  The
-    candidates of each rotation are scored in one batch; the earliest of
-    equal best wins.
+    The image triple (select_principal_lines) is fixed, so its (at most
+    four) P3L rotations are solved once; every ordered assignment of cloud
+    lane lines and every cloud pole line then only needs its translation:
+    n1 * (n1 - 1) * n2 triples.  The candidates of each rotation are
+    scored in one batch; the earliest of equal best wins.
     """
-    lane1_img, lane2_img, pole_img = select_principal_lines(image_features)
-    frame = cloud_features.frame
     # every cloud line already passes its P3L direction gate
     lanes = [s.line for s in cloud_features.lane_lines]
     poles = [s.line for s in cloud_features.pole_lines]
@@ -87,6 +84,8 @@ def coarse_calibrate(
         raise InsufficientLines(
             f"need >= 2 lane and >= 1 pole cloud lines, got {len(lanes)} / {len(poles)}"
         )
+    lane1_img, lane2_img, pole_img = select_principal_lines(image_features)
+    frame = cloud_features.frame
     # the image triple is shared by every cloud triple, so DegenerateNormals
     # fails them all alike: it propagates
     sol = solve_rotations(lane1_img, lane2_img, pole_img, ev.intrinsics, frame)

@@ -9,10 +9,10 @@ import pytest
 from linecalib.cli import build_parser, main
 from linecalib.cloud_features import PointCloud, extract_cloud_features
 from linecalib.config import PipelineConfig
-from linecalib.errors import STAGE_EXIT_CODES
+from linecalib.errors import STAGE_EXIT_CODES, ParseError
 from linecalib.fileio import load_cloud, load_extrinsic, save_extrinsic
 from linecalib.geometry import Extrinsic, angle_axis_to_matrix, project_points
-from linecalib.synth import canonical_spec, format_scene_spec
+from linecalib.synth import canonical_spec, format_scene_spec, random_spec
 
 
 @pytest.fixture(scope="session")
@@ -475,9 +475,60 @@ def test_only_sweep_takes_jobs(bundle):
     }
     for command, args in argv.items():
         parser.parse_args([command, *args])
-        with pytest.raises(SystemExit):
+        with pytest.raises(ParseError):
             parser.parse_args([command, *args, "--jobs", "2"])
     assert parser.parse_args(["sweep", "--frames", "f", "--ref", "r", "--jobs", "2"]).jobs == 2
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["calibrate", "--cloud", "x"], "the following arguments are required"),
+    (["sweep", "--frames", "f", "--ref", "r", "--trials", "two"], "invalid int value: 'two'"),
+], ids=["missing option", "non-integer --trials"])
+def test_usage_error_exits_1(argv, says, capsys):
+    """A usage error is a parse error, reported as any other: exit 1."""
+    assert main(argv) == STAGE_EXIT_CODES["parse"] == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error (parse): linecalib ") and says in err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["calibrate", "--help"])
+    assert exit_info.value.code == 0
+    assert "--lane-mask" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module", params=[0, 4], ids=["random0", "random4"])
+def short_of_lines(request, tmp_path_factory):
+    """random_spec(0) yields 11 lane and 0 pole cloud lines, random_spec(4)
+    1 lane and 5 pole image lines: enough to refine, too few for P3L."""
+    root = tmp_path_factory.mktemp(f"random{request.param}")
+    spec_path = root / "scene.txt"
+    spec_path.write_text(format_scene_spec(random_spec(request.param)), encoding="utf-8")
+    assert main(["synth", "--spec", str(spec_path), "--out", str(root)]) == 0
+    return request.param, root
+
+
+def test_refine_runs_where_the_coarse_stage_lacks_lines(short_of_lines, tmp_path, capsys):
+    _, root = short_of_lines
+    gt = load_extrinsic(root / "extrinsic_gt.txt")
+    turn = angle_axis_to_matrix(np.radians([1.0, -1.0, 1.0]))
+    init = tmp_path / "init.txt"
+    save_extrinsic(init, Extrinsic.from_matrix(turn @ gt.matrix(), gt.t + [0.2, -0.1, 0.1]))
+    out = tmp_path / "out.txt"
+    assert main(["refine", *_bundle_args(root), "--init", str(init), "--out", str(out)]) == 0
+    assert "refined_cost" in capsys.readouterr().out
+    assert np.linalg.norm(load_extrinsic(out).t - gt.t) < np.linalg.norm(load_extrinsic(init).t - gt.t)
+
+
+def test_calibrate_names_the_missing_lines(short_of_lines, tmp_path, capsys):
+    seed, root = short_of_lines
+    code = main(["calibrate", *_bundle_args(root), "--out", str(tmp_path / "e.txt")])
+    assert code == STAGE_EXIT_CODES["extraction"] == 2
+    counts = {0: "cloud lines, got 11 / 0", 4: "image lines, got 1 / 5"}[seed]
+    assert capsys.readouterr().err == (
+        f"error (extraction): need >= 2 lane and >= 1 pole {counts}\n"
+    )
 
 
 def test_stage_exit_codes_table():

@@ -1,14 +1,17 @@
-"""The coarse stage against the per-triple enumeration it replaced."""
+"""The coarse stage against the per-triple enumeration it replaced, and
+its choice of the image triple."""
 import dataclasses
+import math
 
 import pytest
 
 from linecalib.config import PipelineConfig
-from linecalib.errors import DegenerateNormals, MisalignedLine, NoSolution
-from linecalib.image_features import select_principal_lines
-from linecalib.p3l import P3LProblem, solve_p3l
-from linecalib.pipeline import CalibrationReport, coarse_calibrate, extract_features
-from linecalib.synth import canonical_spec, generate
+from linecalib.errors import DegenerateNormals, InsufficientLines, MisalignedLine, NoSolution
+from linecalib.evaluation import calibration_error
+from linecalib.image_features import SemanticMask, select_principal_lines
+from linecalib.p3l import P3LProblem, solve_p3l, solve_rotations
+from linecalib.pipeline import CalibrationReport, calibrate, coarse_calibrate, extract_features
+from linecalib.synth import canonical_spec, generate, random_spec
 from test_cost import oracle_cost
 
 FIVE_LANES = (-5.0, -1.8, 1.8, 5.4, 8.8)
@@ -62,12 +65,47 @@ def test_coarse_matches_per_triple_oracle(spec):
 
 
 def test_degenerate_image_triple_names_its_cause(canonical_features, canonical_evaluator):
-    """An image triple whose lane lines coincide fails every cloud triple
-    alike: coarse_calibrate raises DegenerateNormals and scores nothing."""
+    """Coincident image lane lines give degenerate back-projected normals
+    (DegenerateNormals from solve_rotations); the principal line selection
+    refuses them first, so coarse_calibrate scores nothing."""
     _, cf, imf, _ = canonical_features
     ev, _ = canonical_evaluator
+    lane, pole = imf.lane_lines[0].line, select_principal_lines(imf)[2]
+    with pytest.raises(DegenerateNormals):
+        solve_rotations(lane, lane, pole, ev.intrinsics, cf.frame)
     twin = dataclasses.replace(imf, lane_lines=[imf.lane_lines[0]] * 2)
     report = CalibrationReport()
-    with pytest.raises(DegenerateNormals):
+    with pytest.raises(InsufficientLines):
         coarse_calibrate(cf, twin, ev, report)
     assert report.candidates == 0
+
+
+def _dilated(mask):
+    """The mask grown by one 4-neighbour step, as a wider segmenter stroke."""
+    b = mask.bits.copy()
+    b[1:] |= mask.bits[:-1]
+    b[:-1] |= mask.bits[1:]
+    b[:, 1:] |= mask.bits[:, :-1]
+    b[:, :-1] |= mask.bits[:, 1:]
+    return SemanticMask(mask.cls, b)
+
+
+def test_coarse_survives_a_dilated_lane_mask(canonical_frame):
+    """Dilated by one step, the lane mask's strongest stroke comes back as
+    a second line at its own angle; pairing the two put the coarse pose
+    31 m / 91 degrees off.  It must hold criterion 3's 0.5 m / 3 degrees."""
+    spec, cloud, lane_mask, pole_mask, gt = canonical_frame
+    cf, imf, ev = extract_features(cloud, _dilated(lane_mask), pole_mask, spec.intrinsics,
+                                   PipelineConfig())
+    err = calibration_error(coarse_calibrate(cf, imf, ev), gt)
+    assert err.dt < 0.5 and math.degrees(err.dtheta) < 3.0
+
+
+def test_calibrate_random_scene_11():
+    """random_spec(11) split a lane stroke the same way and ended 452 m
+    off; with distinct principal lanes it holds 0.05 m / 0.5 degrees."""
+    spec = random_spec(11)
+    cloud, lane_mask, pole_mask, gt = generate(spec)
+    est, _ = calibrate(cloud, lane_mask, pole_mask, spec.intrinsics, PipelineConfig())
+    err = calibration_error(est, gt)
+    assert err.dt < 0.05 and math.degrees(err.dtheta) < 0.5

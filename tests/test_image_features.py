@@ -317,6 +317,24 @@ def test_semantic_mask_owns_its_bits():
         assert not mask.bits.flags.writeable
 
 
+@pytest.mark.parametrize("shape", [(1242,), (375, 1242, 1), ()])
+def test_semantic_mask_needs_2d_bits(shape):
+    """1-D, 3-D and 0-D bits are refused where the mask is built, with a
+    parse-stage DimensionMismatch that names the class and the shape;
+    hough_lines used to fail on them with a bare ValueError."""
+    with pytest.raises(DimensionMismatch, match=rf"pole mask has shape \({', '.join(map(str, shape))},?\)"):
+        SemanticMask("pole", np.ones(shape, dtype=bool))
+
+
+def test_semantic_mask_needs_a_known_class(tmp_path):
+    with pytest.raises(ParseError, match="unknown mask class 'road'"):
+        SemanticMask("road", np.ones((4, 4), dtype=bool))
+    path = tmp_path / "mask.pgm"
+    save_pnm(path, np.full((4, 4), 255, dtype=np.uint8))
+    with pytest.raises(ParseError, match="unknown mask class"):
+        load_mask(path, "road")
+
+
 @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1)])
 def test_load_mask_rejects_a_1px_side(tmp_path, shape):
     path = tmp_path / "mask.pgm"
@@ -635,6 +653,26 @@ def test_principal_pole_line_must_be_upright():
     assert pole == upright.line
     with pytest.raises(InsufficientLines):
         select_principal_lines(features([beam, tilted]))
+
+
+def test_second_principal_lane_is_not_a_split_of_the_first():
+    """What the claim band leaves of a wide stroke comes back as a line at
+    the stroke's angle; the second lane is the strongest line more than 3
+    degrees from the first."""
+    first = _scored(1.0, 0.5, -300.0, 1300)
+    split = _scored(1.0, 0.52, -290.0, 980)       # 0.9 deg from the first
+    other = _scored(1.0, -0.5, -200.0, 800)       # 53 deg from the first
+    pole = _scored(0.9, 0.1, -400.0, 500)
+    hm = HeightMap(np.full((4, 4), 0.5))
+
+    def features(lanes):
+        return FeatureSetImage(hm, hm, lane_lines=lanes, pole_lines=[pole])
+
+    assert select_principal_lines(features([split, other, first]))[:2] == (first.line, other.line)
+    with pytest.raises(InsufficientLines, match="none of 1 other lane image lines"):
+        select_principal_lines(features([first, split]))
+    with pytest.raises(InsufficientLines, match="got 1 / 1"):
+        select_principal_lines(features([first]))
 
 
 def test_gantry_beam_is_not_taken_for_a_pole():
