@@ -11,7 +11,6 @@ import csv
 import dataclasses
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -200,37 +199,25 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _sweep_worker(task):
-    frame_dir, ref_path, n_trials, max_t, max_theta, cfg, fi = task
-    bundle = {key: Path(frame_dir) / name for key, name in BUNDLE_FILES.items()}
-    _, _, ev = extract_features(*_load_bundle(bundle), cfg)
-    ref = load_extrinsic(ref_path)
-    return evaluation.robustness_sweep(
-        [ev], ref, n_trials, max_t, max_theta,
-        cfg.seed + 10007 * fi, refine_cfg=cfg.refinement(),
-    )
-
-
 def cmd_sweep(args) -> int:
     for flag, value in (("--max-t", args.max_t), ("--max-theta-deg", args.max_theta_deg)):
         # the sweep draws offsets up to the bound and divides by it
         if not (0.0 < value < math.inf):
             raise ParseError(f"{flag} must be a positive finite number, got {value}")
-    for flag, value in (("--trials", args.trials), ("--jobs", args.jobs)):
-        if value < 1:
-            raise ParseError(f"{flag} must be at least 1, got {value}")
+    if args.trials < 1:
+        raise ParseError(f"--trials must be at least 1, got {args.trials}")
     cfg = _load_cfg(args)
-    max_theta = math.radians(args.max_theta_deg)
-    tasks = [
-        (frame, args.ref, args.trials, args.max_t, max_theta, cfg, fi)
-        for fi, frame in enumerate(args.frames)
-    ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            results = list(ex.map(_sweep_worker, tasks))
-    else:
-        results = [_sweep_worker(t) for t in tasks]
-    rows = [t for sub in results for t in sub]
+    ref = load_extrinsic(args.ref)
+    rows = []
+    for fi, frame in enumerate(args.frames):
+        bundle = {key: Path(frame) / name for key, name in BUNDLE_FILES.items()}
+        _, _, ev = extract_features(*_load_bundle(bundle), cfg)
+        # a frame's trials are seeded by its index alone, so its rows do not
+        # depend on the other frames of the list
+        rows += evaluation.robustness_sweep(
+            [ev], ref, args.trials, args.max_t, math.radians(args.max_theta_deg),
+            cfg.seed + 10007 * fi, refine_cfg=cfg.refinement(),
+        )
     out = csv.writer(sys.stdout, lineterminator="\n")
     out.writerow(["magnitude", *evaluation.CalibrationError.CSV_HEADER.split(","), "failure"])
     for t in rows:
@@ -304,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--max-t", type=float, default=1.0)
     p.add_argument("--max-theta-deg", type=float, default=6.0)
-    p.add_argument("--jobs", type=int, default=1, help="frames swept in parallel")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -26,8 +26,9 @@ class SemanticMask:
         if self.cls not in ("lane", "pole"):
             raise ParseError(f"unknown mask class {self.cls!r}")
         b = np.array(self.bits, dtype=bool)
-        if b.ndim != 2:
-            raise DimensionMismatch(f"{self.cls} mask has shape {b.shape}, need (h, w)")
+        if b.ndim != 2 or min(b.shape) < 2:
+            # the height map's bilinear lookup needs a 2x2 cell
+            raise DimensionMismatch(f"{self.cls} mask has shape {b.shape}, need at least 2x2")
         b.setflags(write=False)
         object.__setattr__(self, "bits", b)
 
@@ -96,8 +97,6 @@ class HeightMap:
 
 def load_mask(path, cls: str, intrinsics: Intrinsics | None = None) -> SemanticMask:
     img = load_pgm(path)
-    if min(img.shape) < 2:
-        raise ParseError(f"{path}: mask is {img.shape[1]}x{img.shape[0]}, need at least 2x2")
     if intrinsics is not None and (
         img.shape[1] != intrinsics.width or img.shape[0] != intrinsics.height
     ):
@@ -157,9 +156,6 @@ def idt_height_map(mask: SemanticMask, cfg: PipelineConfig) -> HeightMap:
     looked up in a per-map table of gamma ** 0, 1, 2, ..., which holds the
     bits np.power gives each distance.
     """
-    if min(mask.bits.shape) < 2:
-        # the same fault load_mask refuses in a mask file
-        raise DimensionMismatch(f"{mask.cls} mask has shape {mask.bits.shape}, need at least 2x2")
     if not mask.bits.any():
         raise EmptyTarget("mask has no target pixel for the distance field")
     framed = np.pad(mask.bits, 1)[:, None, :]
@@ -239,7 +235,7 @@ def hough_lines(mask: SemanticMask, cfg: PipelineConfig) -> list[ScoredLine2D]:
     """
     min_support = cfg.hough_min_support
     if mask.set_count < min_support:
-        raise NoLines(f"only {mask.set_count} set pixels, need {min_support}")
+        raise NoLines(f"{mask.cls} mask: only {mask.set_count} set pixels, need {min_support}")
     h, w = mask.bits.shape
     thetas = np.deg2rad(np.arange(180.0))
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
@@ -278,7 +274,7 @@ def hough_lines(mask: SemanticMask, cfg: PipelineConfig) -> list[ScoredLine2D]:
             continue
         out.append(ScoredLine2D(line=line, support=support))
     if not out:
-        raise NoLines("no line reached the support threshold")
+        raise NoLines(f"{mask.cls} mask: no line reached the support threshold")
     out.sort(key=lambda s: (-s.support, s.line.rho))
     return out
 

@@ -2,14 +2,14 @@
 
 The ascent moves the pose by an increment (dt, w), measured in units of
 1 m (translation) and 6 degrees (rotation): a rotation by exp([w]x)
-about a pivot point of the camera frame, then a shift by dt.  It is BFGS on that 6-vector, with the analytic gradient of
-cost_and_gradient and a backtracking line search that accepts only
-strict improvements.  It pivots on the centroid of the cost points:
-about the camera, a small yaw and a sideways shift move distant points
-almost alike, a narrow ridge that stalls the ascent millimetres to
-centimetres short of the maximum.  It ends when an accepted step is
-below step_final in every component, or when no step of that size
-improves the cost.
+about a pivot point of the camera frame, then a shift by dt.  It is
+BFGS on that 6-vector, with the analytic gradient of cost_and_gradient
+and a backtracking line search that accepts only strict improvements.
+It pivots on the centroid of the cost points: about the camera, a small
+yaw and a sideways shift move distant points almost alike, a narrow
+ridge that stalls the ascent millimetres to centimetres short of the
+maximum.  It ends when an accepted step is below step_final in every
+component, or when no step of that size improves the cost.
 
 Every evaluation, the start's included, counts against max_samples.
 Every pose is scored at its own Extrinsic(...).matrix(), so the result

@@ -1,7 +1,10 @@
 """End-to-end CLI tests: subcommands, determinism, exit codes."""
+import argparse
 import csv
 import io
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ import pytest
 from linecalib.cli import build_parser, main
 from linecalib.cloud_features import PointCloud, extract_cloud_features
 from linecalib.config import PipelineConfig
-from linecalib.errors import STAGE_EXIT_CODES, ParseError
+from linecalib.errors import STAGE_EXIT_CODES
 from linecalib.fileio import load_cloud, load_extrinsic, save_extrinsic
 from linecalib.geometry import Extrinsic, angle_axis_to_matrix, project_points
 from linecalib.synth import canonical_spec, format_scene_spec, random_spec
@@ -238,48 +241,65 @@ def test_sweep_subcommand(bundle, tmp_path, capsys):
     assert rows[3][0] == "MAE" and rows[3][-1] == ""
 
 
-def test_sweep_output_independent_of_jobs(bundle, tmp_path, capsys):
-    """Two frames swept serially and by two worker processes print the
-    same bytes: each trial's seed depends only on its frame and index."""
+def test_sweep_seeds_each_frame_by_its_index(bundle, tmp_path, capsys):
+    """Frame i's trials are seeded by cfg.seed + 10007 * i alone, so its rows
+    do not depend on the other frames of the list.  Swept alone with that
+    --seed, the frame draws the same starts (the magnitude column); the
+    seed also seeds its extraction, so the refined columns may differ."""
     spec_path = tmp_path / "scene1.txt"
     spec_path.write_text(format_scene_spec(canonical_spec(1)), encoding="utf-8")
     frame1 = tmp_path / "frame1"
     assert main(["synth", "--spec", str(spec_path), "--out", str(frame1)]) == 0
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("max_samples = 200\n", encoding="utf-8")
+    cfg.write_text("seed = 3\nmax_samples = 200\n", encoding="utf-8")
     capsys.readouterr()
-    outputs = []
-    for jobs in ("1", "2"):
-        code = main(
-            ["sweep", "--frames", str(bundle), str(frame1),
-             "--ref", str(bundle / "extrinsic_gt.txt"),
-             "--trials", "2", "--config", str(cfg), "--jobs", jobs]
-        )
+
+    def trial_rows(frames, *extra):
+        code = main(["sweep", "--frames", *map(str, frames),
+                     "--ref", str(bundle / "extrinsic_gt.txt"),
+                     "--trials", "2", "--config", str(cfg), *extra])
         assert code == 0
-        outputs.append(capsys.readouterr().out)
-    assert len(outputs[0].splitlines()) == 6  # header + 2 frames x 2 trials + MAE
-    assert outputs[0] == outputs[1]
+        return capsys.readouterr().out.splitlines()[1:-1]  # no header, no MAE
+
+    both = trial_rows([bundle, frame1])
+    assert len(both) == 4
+    assert both[:2] == trial_rows([bundle])
+    assert both[2:] == trial_rows([frame1, frame1])[2:]
+    alone = trial_rows([frame1], "--seed", str(3 + 10007))
+    assert [r.split(",")[0] for r in alone] == [r.split(",")[0] for r in both[2:]]
 
 
 @pytest.mark.parametrize("flag,value", [
     ("--max-t", "0"), ("--max-t", "-1"), ("--max-t", "nan"), ("--max-t", "inf"),
     ("--max-theta-deg", "0"), ("--max-theta-deg", "nan"),
-    ("--trials", "0"), ("--jobs", "0"), ("--jobs", "-2"),
+    ("--trials", "0"),
 ])
 def test_sweep_rejects_bad_bounds_and_counts(bundle, monkeypatch, capsys, flag, value):
     """A perturbation bound that is not a positive finite number, or fewer
-    than one trial or job, is a parse error before any frame is swept."""
+    than one trial, is a parse error before any frame is swept."""
     import linecalib.cli as cli
 
     def never(*args, **kwargs):
         raise AssertionError("the sweep started")
 
-    monkeypatch.setattr(cli, "_sweep_worker", never)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", never)
+    monkeypatch.setattr(cli, "extract_features", never)
     code = main(["sweep", "--frames", str(bundle), "--ref", str(bundle / "extrinsic_gt.txt"),
-                 "--jobs", "2", flag, value])
+                 flag, value])
     assert code == STAGE_EXIT_CODES["parse"] == 1
     assert f"error (parse): {flag} must be" in capsys.readouterr().err
+
+
+def test_sweep_reads_the_reference_before_any_frame(bundle, tmp_path, monkeypatch, capsys):
+    """An unreadable --ref, here a directory, exits 1 before a frame is extracted."""
+    import linecalib.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("a frame was extracted")
+
+    monkeypatch.setattr(cli, "extract_features", never)
+    code = main(["sweep", "--frames", str(bundle), "--ref", str(tmp_path)])
+    assert code == STAGE_EXIT_CODES["parse"] == 1
+    assert "error (parse)" in capsys.readouterr().err
 
 
 def test_exit_code_parse_error(tmp_path, capsys):
@@ -464,31 +484,30 @@ def test_exit_code_refine_error(bundle, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_only_sweep_takes_jobs(bundle):
-    parser = build_parser()
-    argv = {
-        "calibrate": [*_bundle_args(bundle), "--out", "e.txt"],
-        "coarse": [*_bundle_args(bundle), "--out", "e.txt"],
-        "refine": [*_bundle_args(bundle), "--init", "e0.txt", "--out", "e.txt"],
-        "project": ["--cloud", "c.bin", "--intrinsics", "k.txt", "--extrinsic", "e.txt",
-                    "--image", "bg.pgm", "--out", "o.ppm"],
-    }
-    for command, args in argv.items():
-        parser.parse_args([command, *args])
-        with pytest.raises(ParseError):
-            parser.parse_args([command, *args, "--jobs", "2"])
-    assert parser.parse_args(["sweep", "--frames", "f", "--ref", "r", "--jobs", "2"]).jobs == 2
-
-
 @pytest.mark.parametrize("argv, says", [
     (["calibrate", "--cloud", "x"], "the following arguments are required"),
     (["sweep", "--frames", "f", "--ref", "r", "--trials", "two"], "invalid int value: 'two'"),
-], ids=["missing option", "non-integer --trials"])
+    (["sweep", "--frames", "f", "--ref", "r", "--jobs", "2"],
+     "linecalib: unrecognized arguments: --jobs 2"),
+], ids=["missing option", "non-integer --trials", "sweep --jobs"])
 def test_usage_error_exits_1(argv, says, capsys):
     """A usage error is a parse error, reported as any other: exit 1."""
     assert main(argv) == STAGE_EXIT_CODES["parse"] == 1
     err = capsys.readouterr().err
-    assert err.startswith("error (parse): linecalib ") and says in err
+    assert err.startswith("error (parse): linecalib") and says in err
+
+
+def test_readme_cli_section_names_every_flag():
+    """The README's CLI section and the parser name the same flags: each
+    flag the section names is taken by some subcommand, and each flag of a
+    subcommand but --help is named in the section."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    taken = {flag for p in sub.choices.values() for a in p._actions for flag in a.option_strings}
+    assert named - taken == set()
+    assert taken - named == {"-h", "--help"}
 
 
 def test_help_still_exits_0(capsys):
@@ -528,6 +547,19 @@ def test_calibrate_names_the_missing_lines(short_of_lines, tmp_path, capsys):
     counts = {0: "cloud lines, got 11 / 0", 4: "image lines, got 1 / 5"}[seed]
     assert capsys.readouterr().err == (
         f"error (extraction): need >= 2 lane and >= 1 pole {counts}\n"
+    )
+
+
+def test_calibrate_names_the_mask_without_lines(tmp_path, capsys):
+    """No line of random_spec(1)'s lane mask reaches the Hough support
+    threshold; the error names the mask it searched."""
+    spec_path = tmp_path / "scene.txt"
+    spec_path.write_text(format_scene_spec(random_spec(1)), encoding="utf-8")
+    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path)]) == 0
+    code = main(["calibrate", *_bundle_args(tmp_path), "--out", str(tmp_path / "e.txt")])
+    assert code == STAGE_EXIT_CODES["extraction"] == 2
+    assert capsys.readouterr().err == (
+        "error (extraction): lane mask: no line reached the support threshold\n"
     )
 
 

@@ -20,6 +20,7 @@ from linecalib.image_features import (
     ScoredLine2D,
     SemanticMask,
     _fit_line2d,
+    _l1_fields,
     hough_lines,
     idt_height_map,
     l1_distance_field,
@@ -64,11 +65,16 @@ def brute_l1_with_border(bits: np.ndarray) -> np.ndarray:
     return brute_l1(~padded)[1:-1, 1:-1]
 
 
-def framed_unset_field(mask: SemanticMask) -> np.ndarray:
+def kernel_field(target: np.ndarray) -> np.ndarray:
+    """The L1 field of one target set by the kernel that l1_distance_field
+    and idt_height_map share; unlike a SemanticMask it takes any 2-D shape."""
+    return _l1_fields(target[:, None, :])[:, 0, :]
+
+
+def framed_unset_field(bits: np.ndarray) -> np.ndarray:
     """The distance field to unset pixels of the mask framed by a ring of
     unset pixels, cropped back to the mask: what idt_height_map uses."""
-    framed = SemanticMask(mask.cls, ~np.pad(mask.bits, 1))
-    return l1_distance_field(framed)[1:-1, 1:-1]
+    return kernel_field(~np.pad(bits, 1))[1:-1, 1:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +91,7 @@ def test_l1_brute_force_equivalence_100_masks():
         assert np.array_equal(
             l1_distance_field(SemanticMask(mask.cls, ~mask.bits)), brute_l1(~mask.bits)
         )
-        assert np.array_equal(framed_unset_field(mask), brute_l1_with_border(mask.bits))
+        assert np.array_equal(framed_unset_field(mask.bits), brute_l1_with_border(mask.bits))
 
 
 def test_l1_single_pixel_examples():
@@ -103,12 +109,11 @@ def test_l1_empty_target_raises():
 
 
 def _assert_fields_match_brute_force(bits):
-    mask = SemanticMask("lane", bits)
     if bits.any():
-        assert np.array_equal(l1_distance_field(mask), brute_l1(bits))
+        assert np.array_equal(kernel_field(bits), brute_l1(bits))
     if not bits.all():
-        assert np.array_equal(l1_distance_field(SemanticMask("lane", ~bits)), brute_l1(~bits))
-    assert np.array_equal(framed_unset_field(mask), brute_l1_with_border(bits))
+        assert np.array_equal(kernel_field(~bits), brute_l1(~bits))
+    assert np.array_equal(framed_unset_field(bits), brute_l1_with_border(bits))
 
 
 def test_l1_thin_and_tiny_masks():
@@ -121,9 +126,9 @@ def test_l1_thin_and_tiny_masks():
             _assert_fields_match_brute_force(bits)
             _assert_fields_match_brute_force(~bits)
     with pytest.raises(EmptyTarget):
-        l1_distance_field(SemanticMask("lane", np.zeros((1, 1), dtype=bool)))
+        l1_distance_field(SemanticMask("lane", np.zeros((2, 2), dtype=bool)))
     with pytest.raises(EmptyTarget):
-        l1_distance_field(SemanticMask("lane", np.zeros((1, 5), dtype=bool)))
+        l1_distance_field(SemanticMask("lane", np.zeros((2, 5), dtype=bool)))
 
 
 def test_l1_rows_and_columns_without_a_target():
@@ -242,7 +247,7 @@ def test_idt_monotone_in_distance(seed, g0, g1):
     mask = random_mask(rng, 16, 16, p=float(rng.uniform(0.05, 0.5)))
     hm = idt_height_map(mask, PipelineConfig(gamma0=g0, gamma1=g1))
     d_out = l1_distance_field(mask)
-    d_in = framed_unset_field(mask)
+    d_in = framed_unset_field(mask.bits)
     v = hm.values
     assert ((v > 0) & (v <= 1)).all()
     # value depends only on the respective L1 distance, decreasing in it
@@ -287,18 +292,6 @@ def test_heightmap_needs_a_2x2_cell(shape):
     assert HeightMap(np.full((2, 2), 0.5)).sample_bilinear(np.array([0.5]), np.array([1.0]))[0] == 0.5
 
 
-@pytest.mark.parametrize("cls, shape", [("pole", (1, 1242)), ("lane", (375, 1)), ("lane", (1, 1))])
-def test_idt_height_map_names_a_mask_under_2px(cls, shape):
-    """A mask built in memory with a 1 px side is refused as load_mask
-    refuses one read from a file: a parse-stage DimensionMismatch that
-    names the class and the shape, not HeightMap's bare ValueError."""
-    mask = SemanticMask(cls, np.ones(shape, dtype=bool))
-    named = rf"{cls} mask has shape \({shape[0]}, {shape[1]}\)"
-    with pytest.raises(DimensionMismatch, match=named):
-        idt_height_map(mask, IDT)
-    assert not l1_distance_field(mask).any()  # 1xN fields still serve
-
-
 def test_heightmap_freezes_the_array_it_is_handed():
     values = np.full((3, 4), 0.5)
     hm = HeightMap(values)
@@ -317,12 +310,14 @@ def test_semantic_mask_owns_its_bits():
         assert not mask.bits.flags.writeable
 
 
-@pytest.mark.parametrize("shape", [(1242,), (375, 1242, 1), ()])
+@pytest.mark.parametrize("shape", [(1242,), (375, 1242, 1), (), (1, 1242), (375, 1), (1, 1)])
 def test_semantic_mask_needs_2d_bits(shape):
-    """1-D, 3-D and 0-D bits are refused where the mask is built, with a
-    parse-stage DimensionMismatch that names the class and the shape;
-    hough_lines used to fail on them with a bare ValueError."""
-    with pytest.raises(DimensionMismatch, match=rf"pole mask has shape \({', '.join(map(str, shape))},?\)"):
+    """1-D, 3-D and 0-D bits, and 2-D bits with a side under 2 px, are
+    refused where the mask is built, in memory or from a file, with a
+    parse-stage DimensionMismatch that names the class and the shape: no
+    stage after it meets a mask whose height map has no 2x2 cell."""
+    named = rf"pole mask has shape \({', '.join(map(str, shape))},?\), need at least 2x2"
+    with pytest.raises(DimensionMismatch, match=named):
         SemanticMask("pole", np.ones(shape, dtype=bool))
 
 

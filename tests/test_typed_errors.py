@@ -80,9 +80,11 @@ CASES = {
 }
 
 
-def _calibrate_or_calib_error(cloud, lane, pole, intrinsics):
+def _calibrate_or_calib_error(make_inputs, intrinsics):
+    """calibrate on the inputs make_inputs() builds, or the CalibError that
+    building them (a SemanticMask checks its bits) or calibrating raised."""
     try:
-        extrinsic, _ = calibrate(cloud, lane, pole, intrinsics, PipelineConfig())
+        extrinsic, _ = calibrate(*make_inputs(), intrinsics, PipelineConfig())
     except CalibError as e:
         assert e.stage in ("parse", "extraction", "coarse", "refine"), e
         return e
@@ -93,13 +95,13 @@ def _calibrate_or_calib_error(cloud, lane, pole, intrinsics):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_corrupted_input_fails_typed(canonical_frame, case):
     spec, cloud, lane, pole, _ = canonical_frame
-    inputs = CASES[case](cloud, lane, pole, np.random.default_rng(0))
-    _calibrate_or_calib_error(*inputs, spec.intrinsics)
+    _calibrate_or_calib_error(
+        lambda: CASES[case](cloud, lane, pole, np.random.default_rng(0)), spec.intrinsics)
 
 
 def test_scene_without_poles_fails_typed(pole_free_frame):
     cloud, lane, pole, _ = pole_free_frame
-    outcome = _calibrate_or_calib_error(cloud, lane, pole, canonical_spec(0).intrinsics)
+    outcome = _calibrate_or_calib_error(lambda: (cloud, lane, pole), canonical_spec(0).intrinsics)
     assert isinstance(outcome, CalibError)
 
 
