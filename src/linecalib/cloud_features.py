@@ -345,9 +345,11 @@ def extract_pole_points(
     cx = ((g[:, 0] - cfg.grid_x_min) / cfg.grid_cell).astype(int)
     cy = ((g[:, 1] - cfg.grid_y_min) / cfg.grid_cell).astype(int)
     cell = cy * nx + cx
-    max_z = np.full(cell.max() + 1, -np.inf)
-    np.maximum.at(max_z, cell, g[:, 2])
-    keep = (max_z[cell] > cfg.pole_h1) & (g[:, 2] > cfg.pole_h0)
+    # per-cell maximum over the occupied cells: memory follows the points
+    occupied, slot = np.unique(cell, return_inverse=True)
+    max_z = np.full(len(occupied), -np.inf)
+    np.maximum.at(max_z, slot, g[:, 2])
+    keep = (max_z[slot] > cfg.pole_h1) & (g[:, 2] > cfg.pole_h0)
     if int(keep.sum()) < cfg.min_feature_points:
         raise NoPolePoints(f"only {int(keep.sum())} pole points survive")
     return oi[keep], cluster_cells(cell[keep], nx)

@@ -196,6 +196,9 @@ def _parse_vec3(s: str, what: str):
 
 
 def parse_extrinsic(kv: dict, path) -> Extrinsic:
+    unknown = set(kv) - set(EXTRINSIC_KEYS)
+    if unknown:
+        raise ParseError(f"{path}: unknown keys {sorted(unknown)}")
     missing = [key for key in EXTRINSIC_KEYS if key not in kv]
     if missing:
         raise ParseError(f"{path}: missing keys {missing}")

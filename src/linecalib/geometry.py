@@ -195,11 +195,11 @@ def angle_axis_to_matrix(r: np.ndarray) -> np.ndarray:
     return np.eye(3) + A * K + B * (K @ K)
 
 
-def _check_rotation(R: np.ndarray, tol: float = _ORTHO_TOL) -> np.ndarray:
+def _check_rotation(R: np.ndarray) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise NotARotation(f"expected 3x3 matrix, got {R.shape}")
-    if np.abs(R @ R.T - np.eye(3)).max() > tol:
+    if np.abs(R @ R.T - np.eye(3)).max() > _ORTHO_TOL:
         raise NotARotation("matrix is not orthonormal")
     if np.linalg.det(R) < 0:
         raise NotARotation("matrix has negative determinant")

@@ -9,8 +9,10 @@ trigonometric system in (alpha, beta).  Translation then follows from a
 3x3 linear system, one plane constraint per line.
 
 The rotations need only the image triple and the ground-parallel frame,
-so `solve_rotations` runs once for any number of cloud triples and
-`solve_translations` finishes each triple; `solve_p3l` composes the two.
+so `solve_rotations` runs once for any number of cloud triples.  Each of
+its (at most four) rotations then takes one call of `solve_translations`,
+which solves the translation of every cloud triple at that rotation;
+`solve_p3l` composes the two for a single triple.
 """
 from __future__ import annotations
 
@@ -127,48 +129,29 @@ def solve_rotations(
     return ImageSolution(N, tuple(rotations))
 
 
-def solve_translations(sol: ImageSolution, lane_points, pole_points, triples):
-    """The cloud side: candidate translations for many cloud triples.
+def solve_translations(normals, R, lane_points, pole_points, triples) -> np.ndarray:
+    """The cloud side at one rotation R: a translation per cloud triple.
 
-    lane_points (L, 3) and pole_points (P, 3) are representative points
-    of cloud lines, and each row (a, b, c) of triples picks lane1 =
-    lane_points[a], lane2 = lane_points[b] and pole = pole_points[c].
-    Every triple is tried at every rotation of `sol`: the translation
-    solves n_i . (R p_i + t) = 0, and a candidate whose representative
-    points are not all in front of the camera is dropped (cheirality).
-    Returns (rotation index, t) of the kept candidates, triple by triple
-    and in rotation order within a triple.
+    normals (3, 3) are the back-projected plane normals of the image
+    triple, lane_points (L, 3) and pole_points (P, 3) representative
+    points of cloud lines, and each row (a, b, c) of triples picks lane1 =
+    lane_points[a], lane2 = lane_points[b] and pole = pole_points[c].  The
+    translation solves n_i . (R p_i + t) = 0, and a triple whose
+    representative points are not all in front of the camera is dropped
+    (cheirality).  Returns the kept translations (K, 3) in triple order.
     """
     a, b, c = np.asarray(triples, dtype=np.intp).reshape(-1, 3).T
-    n_rot = len(sol.rotations)
-    if n_rot == 0:
-        return np.zeros(0, dtype=np.intp), np.zeros((0, 3))
-    n1, n2, n3 = sol.normals
-    lane_tab, pole_tab = [], []
-    for R in sol.rotations:
-        # R @ p one line at a time, once per line: a stacked product
-        # rounds differently
-        lane_rp = [R @ p for p in lane_points]
-        pole_rp = [R @ p for p in pole_points]
-        lane_tab.append(
-            [[-(n1 @ q) for q in lane_rp], [-(n2 @ q) for q in lane_rp], [q[2] for q in lane_rp]]
-        )
-        pole_tab.append([[-(n3 @ q) for q in pole_rp], [q[2] for q in pole_rp]])
-    # (rotation, [offset as lane1, offset as lane2, depth], line)
-    lane_tab = np.array(lane_tab).reshape(n_rot, 3, -1)
-    # (rotation, [offset, depth], line)
-    pole_tab = np.array(pole_tab).reshape(n_rot, 2, -1)
-    # (triple, rotation, line role), flattened triple by triple
-    rhs = np.stack([lane_tab[:, 0, a], lane_tab[:, 1, b], pole_tab[:, 0, c]], axis=-1)
-    rhs = rhs.transpose(1, 0, 2).reshape(-1, 3)
-    depth = np.stack([lane_tab[:, 2, a], lane_tab[:, 2, b], pole_tab[:, 1, c]], axis=-1)
-    depth = depth.transpose(1, 0, 2).reshape(-1, 3)
+    n1, n2, n3 = normals
+    # R @ p one line at a time, once per line: a stacked product rounds
+    # differently; per line [offset as lane1, offset as lane2, depth]
+    lane = np.array([(-(n1 @ q), -(n2 @ q), q[2]) for q in (R @ p for p in lane_points)])
+    pole = np.array([(-(n3 @ q), q[2]) for q in (R @ p for p in pole_points)])
+    rhs = np.stack([lane[a, 0], lane[b, 1], pole[c, 0]], axis=-1)
     # one LAPACK solve per system, bit-identical to solve(normals, b);
     # a multi-column right-hand side would not be
-    t = np.linalg.solve(np.broadcast_to(sol.normals, (len(rhs), 3, 3)), rhs[..., None])[..., 0]
-    keep = (depth + t[:, 2:] > 0).all(axis=1)
-    which = np.tile(np.arange(n_rot), len(a))
-    return which[keep], t[keep]
+    t = np.linalg.solve(np.broadcast_to(normals, (len(rhs), 3, 3)), rhs[..., None])[..., 0]
+    depth = np.stack([lane[a, 2], lane[b, 2], pole[c, 1]], axis=-1)
+    return t[(depth + t[:, 2:] > 0).all(axis=1)]
 
 
 def solve_p3l(prob: P3LProblem) -> list[Extrinsic]:
@@ -176,17 +159,18 @@ def solve_p3l(prob: P3LProblem) -> list[Extrinsic]:
 
     Candidates failing cheirality (the representative point of each line
     must land in front of the camera) or with an ill-conditioned
-    translation system are dropped.  Returns 0 to 4 candidates.
+    translation system are dropped.  Returns 0 to 4 candidates, in
+    rotation order.
     """
     sol = solve_rotations(
         prob.lane1_img, prob.lane2_img, prob.pole_img, prob.intrinsics, prob.frame
     )
-    which, ts = solve_translations(
-        sol,
-        [prob.lane1_cloud.point, prob.lane2_cloud.point],
-        [prob.pole_cloud.point],
-        [(0, 1, 0)],
-    )
-    if not len(ts):
+    lanes = [prob.lane1_cloud.point, prob.lane2_cloud.point]
+    cands = [
+        Extrinsic.from_matrix(R, t)
+        for R in sol.rotations
+        for t in solve_translations(sol.normals, R, lanes, [prob.pole_cloud.point], [(0, 1, 0)])
+    ]
+    if not cands:
         raise NoSolution("every (alpha, beta) candidate was dropped")
-    return [Extrinsic.from_matrix(sol.rotations[j], t) for j, t in zip(which, ts)]
+    return cands

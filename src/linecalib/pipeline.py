@@ -1,6 +1,7 @@
 """End-to-end calibration: feature extraction -> coarse P3L -> refinement."""
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -74,47 +75,41 @@ def coarse_calibrate(
     The image triple (select_principal_lines) is fixed, so its (at most
     four) P3L rotations are solved once; every ordered assignment of cloud
     lane lines and every cloud pole line then only needs its translation:
-    n1 * (n1 - 1) * n2 triples.  The candidates of each rotation are
-    scored in one batch; the earliest of equal best wins.
+    n1 * (n1 - 1) * n2 triples.  Each rotation solves and scores its
+    candidates in one batch.  Of equal best scores the earliest wins,
+    rotation by rotation and in triple order within a rotation.
     """
     # every cloud line already passes its P3L direction gate
-    lanes = [s.line for s in cloud_features.lane_lines]
-    poles = [s.line for s in cloud_features.pole_lines]
+    lanes = [s.line.point for s in cloud_features.lane_lines]
+    poles = [s.line.point for s in cloud_features.pole_lines]
     if len(lanes) < 2 or not poles:
         raise InsufficientLines(
             f"need >= 2 lane and >= 1 pole cloud lines, got {len(lanes)} / {len(poles)}"
         )
     lane1_img, lane2_img, pole_img = select_principal_lines(image_features)
-    frame = cloud_features.frame
     # the image triple is shared by every cloud triple, so DegenerateNormals
     # fails them all alike: it propagates
-    sol = solve_rotations(lane1_img, lane2_img, pole_img, ev.intrinsics, frame)
-    triples = [
-        (a, b, c)
-        for a in range(len(lanes))
-        for b in range(len(lanes))
-        if a != b
-        for c in range(len(poles))
-    ]
-    which, ts = solve_translations(
-        sol, [line.point for line in lanes], [line.point for line in poles], triples
-    )
-    scores = np.empty(len(ts))
-    for k, R in enumerate(sol.rotations):
+    sol = solve_rotations(lane1_img, lane2_img, pole_img, ev.intrinsics, cloud_features.frame)
+    pairs = itertools.permutations(range(len(lanes)), 2)
+    triples = [(a, b, c) for a, b in pairs for c in range(len(poles))]
+    best, best_cost, n = None, 0.0, 0
+    for R in sol.rotations:
+        ts = solve_translations(sol.normals, R, lanes, poles, triples)
+        n += len(ts)
         # a candidate is scored, like any Extrinsic, at the matrix of its
         # angle-axis vector, which depends on the rotation alone
-        mine = which == k
-        scores[mine] = cost_batch(Extrinsic.from_matrix(R, np.zeros(3)).matrix(), ts[mine], ev)
-    best = int(np.argmax(scores)) if len(scores) else None
-    best_cost = 0.0 if best is None else float(scores[best])
+        e = Extrinsic.from_matrix(R, np.zeros(3))
+        scores = cost_batch(e.matrix(), ts, ev)
+        # strict: a candidate that scores 0 never wins
+        if len(ts) and scores.max() > best_cost:
+            k = int(np.argmax(scores))
+            best, best_cost = Extrinsic(e.r, ts[k]), float(scores[k])
     if report is not None:
-        report.candidates = len(scores)
+        report.candidates = n
         report.coarse_cost = best_cost
-    if best is None or best_cost <= 0.0:
-        raise NoValidCandidate(
-            f"{len(scores)} candidates evaluated, none scored above zero"
-        )
-    return Extrinsic.from_matrix(sol.rotations[which[best]], ts[best])
+    if best is None:
+        raise NoValidCandidate(f"{n} candidates evaluated, none scored above zero")
+    return best
 
 
 def extract_features(

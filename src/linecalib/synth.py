@@ -145,8 +145,10 @@ class SceneSpec:
             raise ValueError("pole field lengths disagree")
         if len(self.lane_dashed) != len(self.lane_offsets):
             raise ValueError("lane_dashed length disagrees with lane_offsets")
-        if self.lane_width <= 0 or self.lidar_height <= 0:
-            raise ValueError("lane_width and lidar_height must be positive")
+        if min(self.lane_width, self.lidar_height, self.dash_period) <= 0:
+            raise ValueError("lane_width, lidar_height and dash_period must be positive")
+        if min(self.noise_sigma, self.intensity_sigma) < 0 or not 0 < self.dash_fill <= 1:
+            raise ValueError("need noise_sigma, intensity_sigma >= 0 and 0 < dash_fill <= 1")
         if self.rings < 1 or self.azimuth_steps < 1:
             raise ValueError("beam model needs rings >= 1, azimuth_steps >= 1")
         if self.seed < 0:
@@ -410,7 +412,7 @@ def true_frame(spec: SceneSpec) -> GroundParallelFrame:
     return ground_parallel_rotation(ground_plane_lidar(spec), lanes3d[0])
 
 
-def random_spec(seed: int, noise_sigma: float | None = None) -> SceneSpec:
+def random_spec(seed: int) -> SceneSpec:
     """A randomized but well-posed scene, deterministic per seed."""
     rng = np.random.default_rng(seed)
     spacing = rng.uniform(3.0, 4.2)
@@ -437,7 +439,6 @@ def random_spec(seed: int, noise_sigma: float | None = None) -> SceneSpec:
         pole_heights=pole_heights,
         pole_radii=pole_radii,
         ground_tilt_deg=float(rng.uniform(-1.5, 1.5)),
-        noise_sigma=noise_sigma if noise_sigma is not None else 0.02,
         extrinsic=Extrinsic.from_matrix(R, t),
         seed=seed,
     )

@@ -137,9 +137,9 @@ def test_spec_serialization_round_trip(tmp_path):
     # every field moved off its default, so a field the codec drops or
     # garbles reads back different
     default = SceneSpec()
-    spec = SceneSpec(
-        **{f.name: _nudged(getattr(default, f.name)) for f in dataclasses.fields(SceneSpec)}
-    )
+    kwargs = {f.name: _nudged(getattr(default, f.name)) for f in dataclasses.fields(SceneSpec)}
+    kwargs["dash_fill"] = default.dash_fill / 2   # a fill stays in (0, 1]
+    spec = SceneSpec(**kwargs)
     path = tmp_path / "scene.txt"
     path.write_text(format_scene_spec(spec), encoding="utf-8")
     back = load_scene_spec(path)
@@ -189,6 +189,11 @@ def test_spec_rejects_malformed_values(tmp_path):
         "lane_width = nan\n",
         "fx = 430\n",                      # intrinsics come whole
         'r = "nan 0 0"\nt = "0 0 0"\n',
+        "noise_sigma = -1\n",             # a spread is never negative
+        "intensity_sigma = -0.01\n",
+        "lane_dashed = 0 1 0\ndash_period = 0\n",
+        "dash_fill = 0\n",
+        "dash_fill = 1.5\n",
     ):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError):
