@@ -6,6 +6,8 @@ the cost is the sum of the two per-class means.  Points behind the
 camera or outside the image contribute zero, so the cost is bounded by 2.
 
 cost_batch scores many translations of one rotation at once;
+best_in_batch finds the best of them, scoring in full only those that an
+upper bound from a subset of the points cannot rule out;
 cost_and_gradient scores one pose and also returns the cost's analytic
 gradient, for the refine stage.
 """
@@ -45,9 +47,10 @@ class CostEvaluator:
         return cost(e, self)
 
 
-def _class_terms(rotated, t, hmap: HeightMap, k: Intrinsics) -> np.ndarray:
-    """Mean height-map value of the points rotated (N, 3) = pts @ R.T
-    translated by each row of t (K, 3)."""
+def _class_sums(rotated, t, hmap: HeightMap, k: Intrinsics) -> np.ndarray:
+    """Summed height-map value of the points rotated (N, 3) = pts @ R.T
+    translated by each row of t (K, 3); rotated may be any subset of a
+    class's points."""
     n = len(rotated)
     planes = np.ascontiguousarray(rotated.T)
     out = np.empty(len(t))
@@ -61,7 +64,7 @@ def _class_terms(rotated, t, hmap: HeightMap, k: Intrinsics) -> np.ndarray:
         sums = vals.sum(axis=1)
         for j in np.flatnonzero(~valid.all(axis=1)):
             sums[j] = vals[j][valid[j]].sum()
-        out[s:s + step] = sums / n
+        out[s:s + step] = sums
     return out
 
 
@@ -74,9 +77,92 @@ def cost_batch(R, t, ev: CostEvaluator) -> np.ndarray:
     """
     R_T = np.asarray(R, dtype=float).reshape(3, 3).T
     t = np.asarray(t, dtype=float).reshape(-1, 3)
-    return _class_terms(
-        ev.lane_points @ R_T, t, ev.lane_height, ev.intrinsics
-    ) + _class_terms(ev.pole_points @ R_T, t, ev.pole_height, ev.intrinsics)
+    lane = _class_sums(ev.lane_points @ R_T, t, ev.lane_height, ev.intrinsics)
+    pole = _class_sums(ev.pole_points @ R_T, t, ev.pole_height, ev.intrinsics)
+    return lane / len(ev.lane_points) + pole / len(ev.pole_points)
+
+
+# best_in_batch bounds every score from nested prefixes of each class's
+# points before it scores any pose in full.  The prefixes follow a strided
+# order, so each one samples the whole extracted point set.
+_STAGE_FRACTIONS = (0.125, 0.25, 0.5)
+_STRIDE_ORDER = (0, 4, 2, 6, 1, 5, 3, 7)
+# poses scored in full after the first stage, to raise the floor
+_FLOOR_PICKS = 4
+# per unit of height: covers the summation order, and bilinear weights
+# that sum to a hair over 1
+_ROUNDING = 1e-9
+
+
+class _StagedBound:
+    """Upper bounds on the cost_batch(R, t, ev) scores, one stage of
+    _STAGE_FRACTIONS at a time.  A stage scores only the points new to it;
+    a point not yet scored adds at most the map's highest value, or the 0
+    of a point behind the camera or out of frame if that is higher."""
+
+    def __init__(self, R, t, ev: CostEvaluator):
+        R_T = np.asarray(R, dtype=float).reshape(3, 3).T
+        self.t = t
+        self.k = ev.intrinsics
+        self.classes = []
+        for pts, hmap in ((ev.lane_points, ev.lane_height), (ev.pole_points, ev.pole_height)):
+            n = len(pts)
+            order = np.concatenate([np.arange(o, n, len(_STRIDE_ORDER)) for o in _STRIDE_ORDER])
+            # rows of the product cost_batch takes, so that each point's
+            # value has the bits it has in the full score
+            rotated = (pts @ R_T)[order]
+            lo, hi = hmap.value_range
+            self.classes.append((rotated, hmap, max(0.0, hi), _ROUNDING * max(1.0, hi, -lo)))
+        self.sums = np.zeros((len(self.classes), len(t)))
+        self.stage = 0         # stages summed so far
+
+    def tighten(self, live) -> np.ndarray:
+        """Sum the next stage's new points for the rows live of t, and bound
+        each of their scores."""
+        f0 = _STAGE_FRACTIONS[self.stage - 1] if self.stage else 0.0
+        f = _STAGE_FRACTIONS[self.stage]
+        bound = np.zeros(len(live))
+        for c, (rotated, hmap, top, margin) in enumerate(self.classes):
+            n = len(rotated)
+            m0, m = int(f0 * n), int(f * n)
+            if m > m0:
+                self.sums[c, live] += _class_sums(rotated[m0:m], self.t[live], hmap, self.k)
+            bound += (self.sums[c, live] + (n - m) * top) / n + margin
+        self.stage += 1
+        return bound
+
+
+def best_in_batch(R, t, ev: CostEvaluator, floor: float):
+    """(k, score, scored): the first row k of t (K, 3) whose
+    cost_batch(R, t, ev) score is the highest, and that score, if it is
+    above floor; else (None, floor, scored).  scored counts the rows
+    scored in full.
+
+    The result is bit-identical to scoring every row: a row is dropped only
+    when its bound falls below a score another row reaches, so it can
+    neither win nor tie.
+    """
+    t = np.asarray(t, dtype=float).reshape(-1, 3)
+    if len(t) == 0:
+        return None, floor, 0
+    live = np.arange(len(t))
+    full = np.zeros(len(t), dtype=bool)
+    staged = _StagedBound(R, t, ev)
+    cut = floor
+    for stage in range(len(_STAGE_FRACTIONS)):
+        bound = staged.tighten(live)
+        if stage == 0:
+            picks = live[np.argsort(-bound, kind="stable")[:_FLOOR_PICKS]]
+            full[picks] = True
+            cut = max(cut, float(cost_batch(R, t[picks], ev).max()))
+        live = live[bound >= cut]
+    scores = cost_batch(R, t[live], ev)
+    full[live] = True
+    # strict: a row that only ties floor does not win
+    if not len(live) or scores.max() <= floor:
+        return None, floor, int(full.sum())
+    j = int(np.argmax(scores))
+    return int(live[j]), float(scores[j]), int(full.sum())
 
 
 def cost(e: Extrinsic, ev: CostEvaluator) -> float:
@@ -92,7 +178,7 @@ def _class_value_grad(rotated, t, hmap: HeightMap, k: Intrinsics):
     p_c = q + t[:, None]
     uv, valid = project_points(k, p_c.T)
     vals, du, dv = hmap.sample_bilinear_grad(uv[..., 0], uv[..., 1])
-    # the same pairwise sums as _class_terms, so the value keeps its bits
+    # the same pairwise sums as _class_sums, so the value keeps its bits
     value = (vals.sum() if valid.all() else vals[valid].sum()) / n
     # chain rule through the pinhole: a = d value / d p_c, 0 for a point
     # behind the camera (inv_z = 0) or out of frame (du = dv = 0)

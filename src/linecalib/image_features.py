@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,11 @@ class HeightMap:
             raise ValueError(f"height map must be at least 2x2, got shape {v.shape}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+    @cached_property
+    def value_range(self) -> tuple[float, float]:
+        """(lowest, highest) height, computed on first use."""
+        return float(self.values.min()), float(self.values.max())
 
     def _lookup(self, u, v):
         """In-frame mask, bilinear value, and the cell it came from: the

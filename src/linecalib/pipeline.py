@@ -9,7 +9,7 @@ import numpy as np
 
 from .cloud_features import FeatureSetCloud, PointCloud, extract_cloud_features
 from .config import PipelineConfig
-from .cost import CostEvaluator, cost, cost_batch
+from .cost import CostEvaluator, best_in_batch, cost
 from .errors import InsufficientLines, NoValidCandidate
 from .geometry import Extrinsic, Intrinsics
 from .image_features import (
@@ -31,6 +31,7 @@ class CalibrationReport:
     lane_lines_image: int = 0
     pole_lines_image: int = 0
     candidates: int = 0
+    scored: int = 0          # coarse candidates scored in full, not in format()
     coarse_cost: float = 0.0
     refined_cost: float = 0.0
     timings: dict = field(default_factory=dict)
@@ -75,9 +76,11 @@ def coarse_calibrate(
     The image triple (select_principal_lines) is fixed, so its (at most
     four) P3L rotations are solved once; every ordered assignment of cloud
     lane lines and every cloud pole line then only needs its translation:
-    n1 * (n1 - 1) * n2 triples.  Each rotation solves and scores its
-    candidates in one batch.  Of equal best scores the earliest wins,
-    rotation by rotation and in triple order within a rotation.
+    n1 * (n1 - 1) * n2 triples.  Each rotation solves its candidates in
+    one batch, and best_in_batch scores in full only those that can still
+    beat the best of the earlier rotations.  Of equal best scores the
+    earliest wins, rotation by rotation and in triple order within a
+    rotation.
     """
     # every cloud line already passes its P3L direction gate
     lanes = [s.line.point for s in cloud_features.lane_lines]
@@ -92,20 +95,21 @@ def coarse_calibrate(
     sol = solve_rotations(lane1_img, lane2_img, pole_img, ev.intrinsics, cloud_features.frame)
     pairs = itertools.permutations(range(len(lanes)), 2)
     triples = [(a, b, c) for a, b in pairs for c in range(len(poles))]
-    best, best_cost, n = None, 0.0, 0
+    best, best_cost, n, scored = None, 0.0, 0, 0
     for R in sol.rotations:
         ts = solve_translations(sol.normals, R, lanes, poles, triples)
         n += len(ts)
         # a candidate is scored, like any Extrinsic, at the matrix of its
         # angle-axis vector, which depends on the rotation alone
         e = Extrinsic.from_matrix(R, np.zeros(3))
-        scores = cost_batch(e.matrix(), ts, ev)
         # strict: a candidate that scores 0 never wins
-        if len(ts) and scores.max() > best_cost:
-            k = int(np.argmax(scores))
-            best, best_cost = Extrinsic(e.r, ts[k]), float(scores[k])
+        k, best_cost, m = best_in_batch(e.matrix(), ts, ev, best_cost)
+        scored += m
+        if k is not None:
+            best = Extrinsic(e.r, ts[k])
     if report is not None:
         report.candidates = n
+        report.scored = scored
         report.coarse_cost = best_cost
     if best is None:
         raise NoValidCandidate(f"{n} candidates evaluated, none scored above zero")

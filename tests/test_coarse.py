@@ -46,14 +46,21 @@ def _oracle_coarse(cf, imf, ev):
 
 
 @pytest.mark.parametrize(
-    "spec",
-    [canonical_spec(i) for i in range(4)]
-    + [canonical_spec(i, lane_offsets=FIVE_LANES, lane_dashed=(False,) * 5) for i in range(2)],
-    ids=[f"canonical{i}" for i in range(4)] + [f"five_lane{i}" for i in range(2)],
+    "spec, dilate",
+    [(canonical_spec(i), False) for i in range(4)]
+    + [(canonical_spec(i, lane_offsets=FIVE_LANES, lane_dashed=(False,) * 5), False)
+       for i in range(2)]
+    + [(canonical_spec(0), True), (random_spec(11), False)],
+    ids=[f"canonical{i}" for i in range(4)] + [f"five_lane{i}" for i in range(2)]
+    + ["canonical0_dilated", "random11"],
 )
-def test_coarse_matches_per_triple_oracle(spec):
+def test_coarse_matches_per_triple_oracle(spec, dilate):
+    """The pruned coarse stage picks the oracle's candidate, bit for bit;
+    the last two frames are those of the two tests below."""
     cfg = PipelineConfig()
     cloud, lane_mask, pole_mask, _ = generate(spec)
+    if dilate:
+        lane_mask = _dilated(lane_mask)
     cf, imf, ev = extract_features(cloud, lane_mask, pole_mask, spec.intrinsics, cfg)
     want, want_cost, want_n = _oracle_coarse(cf, imf, ev)
     report = CalibrationReport()
@@ -62,6 +69,10 @@ def test_coarse_matches_per_triple_oracle(spec):
     assert report.coarse_cost == want_cost
     assert got.r.tobytes() == want.r.tobytes()
     assert got.t.tobytes() == want.t.tobytes()
+    assert 0 < report.scored <= report.candidates
+    if len(spec.lane_offsets) == 5:
+        # pruning must keep engaging where there is most to prune
+        assert 3 * report.scored < report.candidates
 
 
 def test_degenerate_image_triple_names_its_cause(canonical_features, canonical_evaluator):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linecalib.cost as cost_module
-from linecalib.cost import CostEvaluator, cost, cost_and_gradient, cost_batch
+from linecalib.cost import CostEvaluator, best_in_batch, cost, cost_and_gradient, cost_batch
 from linecalib.evaluation import perturb
 from linecalib.geometry import (
     EPS_Z,
@@ -213,6 +213,65 @@ def test_cost_batch_bits_match_oracle_small_evaluators(seed):
     poses = [Extrinsic(rng.normal(size=3) * 0.3, rng.normal(size=3) * 3.0) for _ in range(6)]
     poses.append(Extrinsic(poses[0].r, poses[0].t + 1.0))
     _assert_batch_matches_oracle(poses, ev)
+
+
+# ---------------------------------------------------------------------------
+# the staged bound and the pruned best of a batch
+
+
+def _pruning_case(rng):
+    """A small evaluator over maps in [lo, 1), and one rotation with its
+    translations: some rows near identity, some scattered, some with points
+    behind the camera (all of them in the first row) or out of frame, every
+    row twice or more (exact ties), and now and then a batch that scores 0
+    throughout.  With lo high, the bound can drop the rows with few points
+    in frame."""
+    ev = small_evaluator(rng)
+    lo = rng.uniform(0.0, 0.95)
+    ev = CostEvaluator(ev.lane_points, ev.pole_points,
+                       HeightMap(lo + (1 - lo) * rng.random((96, 128))),
+                       HeightMap(lo + (1 - lo) * rng.random((96, 128))), K)
+    R = angle_axis_to_matrix(rng.normal(size=3) * 0.05)
+    n = int(rng.integers(1, 20))
+    t = rng.normal(size=(n, 3)) * rng.choice([0.3, 3.0], size=(n, 1))
+    t[:, 2] -= rng.uniform(0.0, 20.0, n) * (rng.random(n) < 0.3)
+    t[0, 2] = -1000.0
+    t = np.vstack([t, t[rng.integers(0, n, int(rng.integers(1, 20)))]])
+    if rng.random() < 0.2:
+        t[:, 2] -= 1000.0
+    return ev, R, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_staged_bound_covers_the_full_score(seed):
+    """At every stage, whichever rows are still live, each one's bound is at
+    least its cost_batch score."""
+    rng = np.random.default_rng(seed)
+    ev, R, t = _pruning_case(rng)
+    full = cost_batch(R, t, ev)
+    staged = cost_module._StagedBound(R, t, ev)
+    live = np.arange(len(t))
+    for _ in cost_module._STAGE_FRACTIONS:
+        assert (staged.tighten(live) >= full[live]).all()
+        live = live[rng.random(len(live)) < 0.7]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_best_in_batch_is_the_first_argmax(seed):
+    rng = np.random.default_rng(seed)
+    ev, R, t = _pruning_case(rng)
+    full = cost_batch(R, t, ev)
+    for floor in (0.0, float(full[rng.integers(len(full))])):
+        k, score, scored = best_in_batch(R, t, ev, floor)
+        assert 0 < scored <= len(t)
+        if full.max() > floor:
+            assert k == int(np.argmax(full))
+            assert np.float64(score).tobytes() == full[k].tobytes()
+        else:
+            assert (k, score) == (None, floor)
+    assert best_in_batch(R, t[:0], ev, 0.5) == (None, 0.5, 0)
 
 
 # ---------------------------------------------------------------------------
