@@ -192,37 +192,42 @@ def ransac_line3d(points: np.ndarray, seed: int, cfg: PipelineConfig) -> list[Sc
     within cfg.line_inlier_tol), removes its inliers, repeats while a line
     with >= cfg.line_min_inliers support exists.  Each round draws the
     point pairs of all its trials in one call, which yields the same
-    stream as one draw per trial in trial order, and scores every
-    hypothesis against every point in batched blocks of bounded size; the
-    first trial with the most inliers wins.  Each line is refined by a
-    principal-axis least-squares fit over its inliers, so collinear
-    dashed segments merge into a single line.
+    stream as one draw per trial in trial order, and counts each
+    hypothesis's inliers with _best_hypothesis; the first trial with the
+    most inliers wins.  Each line is refined by a principal-axis
+    least-squares fit over its inliers, so collinear dashed segments
+    merge into a single line.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(points) < 2:
         raise ValueError("ransac_line3d needs at least 2 points")
+    return list(_fit_lines(points, seed, cfg))
+
+
+def _fit_lines(points: np.ndarray, seed: int, cfg: PipelineConfig):
+    """The lines of ransac_line3d, one round at a time, so a caller that
+    needs only the first line fits only that one."""
     inlier_tol, min_inliers = cfg.line_inlier_tol, cfg.line_min_inliers
     rng = np.random.default_rng(seed)
     pool = np.arange(len(points))
-    out: list[ScoredLine3D] = []
     while len(pool) >= max(2, min_inliers):
         sub = points[pool]
         pairs = rng.integers(0, len(pool), size=(cfg.line_trials, 2))
         best_line, best_count = _best_hypothesis(sub, pairs, inlier_tol)
         if best_line is None or best_count < min_inliers:
-            break
+            return
         inl = best_line.distance(sub) <= inlier_tol
         refined = _fit_line_lsq(sub[inl])
         inl = refined.distance(sub) <= inlier_tol
         if int(inl.sum()) < min_inliers:
-            break
-        out.append(ScoredLine3D(line=refined, inliers=pool[inl]))
+            return
+        yield ScoredLine3D(line=refined, inliers=pool[inl])
         pool = pool[~inl]
-    return out
 
 
-# Distances per block of hypotheses x points when scoring RANSAC trials, so
-# the block's temporaries stay a few MB whatever the point count.
+# Lines x points per block when RANSAC trials are scored, so the block's
+# temporaries stay a few MB whatever the point count: one (2b, 3) @ (3, N)
+# matmul gives the offsets of the N points from the block's b lines.
 _SCORE_BLOCK = 1 << 16
 
 
@@ -233,6 +238,24 @@ def _best_hypothesis(sub: np.ndarray, pairs: np.ndarray, inlier_tol: float):
     (None, -1) if no pair is left.  Directions are normalised as Line3D
     does it (divide by the norm, then renormalise), with the same row
     norms, so each hypothesis has the bits of its per-trial Line3D.
+
+    Each count is that of Line3D.distance(sub) <= inlier_tol, without
+    that distance for most points.  A line through a along unit d gets
+    two unit normals, n1 = normalize(d x e_k), with e_k the axis of d's
+    smallest component (so |d x e_k| >= sqrt(2/3)), and n2 = d x n1.  One
+    matmul per block of lines gives every point's offsets n.p - n.a, and
+    their squared sum r is its squared distance.  Let s = max|sub| +
+    max|anchors|, so |p|, |a|, |q| <= sqrt(3) s for q = p - a.  Each
+    offset is off by a few eps (|p| + |a|) from cancellation; the normals
+    are unit and orthogonal to d and to each other to a few eps; the
+    cross product's terms, the squares, the sums and the sqrt compared
+    with the tolerance each round by eps.  So r and the square S of
+    Line3D.distance differ by at most about 100 eps s^2 (2.2e-14 s^2; the
+    canonical and five-lane pools reach 2 eps s^2), and delta =
+    1e-12 (1 + 3 s^2) is over 100 times that: a point with
+    r <= tol^2 - delta is an inlier, one with r > tol^2 + delta is not,
+    and the few points in between are decided by Line3D.distance's own
+    formula.
     """
     i, j = pairs[:, 0], pairs[:, 1]
     d = sub[j] - sub[i]
@@ -243,12 +266,35 @@ def _best_hypothesis(sub: np.ndarray, pairs: np.ndarray, inlier_tol: float):
     anchors = sub[i[ok]]
     unit = d[ok] / nd[ok, None]
     dirs = unit / _row_norms(unit)[:, None]
+    axis = np.zeros_like(dirs)
+    axis[np.arange(len(dirs)), np.argmin(np.abs(dirs), axis=1)] = 1.0
+    n1 = np.cross(dirs, axis)
+    n1 /= _row_norms(n1)[:, None]
+    normals = np.stack([n1, np.cross(dirs, n1)])  # (2, L, 3)
+    at_anchor = np.einsum("kij,ij->ki", normals, anchors)
+    scale = np.abs(sub).max() + np.abs(anchors).max()
+    delta = 1e-12 * (1.0 + 3.0 * scale * scale)
+    tol2 = inlier_tol * inlier_tol
+    lo, hi = tol2 - delta, tol2 + delta
     xyz = sub.T.copy()
     counts = np.empty(len(dirs), dtype=np.int64)
     step = max(1, _SCORE_BLOCK // len(sub))
     for k in range(0, len(dirs), step):
-        dist = _line_distances(xyz, anchors[k:k + step], dirs[k:k + step])
-        counts[k:k + step] = (dist <= inlier_tol).sum(axis=1)
+        rows = slice(k, k + step)
+        off = normals[:, rows].reshape(-1, 3) @ xyz
+        off -= at_anchor[:, rows].reshape(-1, 1)
+        off *= off
+        b = len(off) // 2
+        r = off[:b]
+        r += off[b:]
+        inside = np.count_nonzero(r <= lo, axis=1)
+        near = np.count_nonzero(r <= hi, axis=1)
+        for row in np.flatnonzero(near > inside):
+            cols = np.flatnonzero((r[row] > lo) & (r[row] <= hi))
+            line = k + row
+            dist = _line_distances(xyz[:, cols], anchors[line:line + 1], dirs[line:line + 1])
+            inside[row] += np.count_nonzero(dist <= inlier_tol)
+        counts[rows] = inside
     best = int(np.argmax(counts))
     return Line3D(anchors[best], unit[best]), int(counts[best])
 
@@ -415,9 +461,9 @@ def extract_cloud_features(cloud: PointCloud, seed: int, cfg: PipelineConfig) ->
         sub = pole_pts[labels == lab]
         if len(sub) < cfg.line_min_inliers:
             continue
-        fitted = ransac_line3d(sub, seed + 3 + lab, cfg)
-        if fitted:
-            pole_lines.append(fitted[0])
+        first = next(_fit_lines(sub, seed + 3 + lab, cfg), None)
+        if first is not None:
+            pole_lines.append(first)
     pole_lines = _canonical_lines(pole_lines, frame, 2, POLE_COS)
     return FeatureSetCloud(
         lane_points=lane_pts,

@@ -31,6 +31,8 @@ from linecalib.config import PipelineConfig
 from linecalib.errors import DegenerateFrame, NoGroundPlane
 from linecalib.geometry import Line3D, Plane3D, angle_axis_to_matrix
 from linecalib.p3l import P3LProblem
+from linecalib.synth import canonical_spec, generate
+from test_coarse import FIVE_LANES
 
 MANY = settings(max_examples=1000, deadline=None)
 CFG = PipelineConfig()
@@ -353,6 +355,15 @@ def test_ransac_matches_per_trial_oracle(seed):
     )
 
 
+def _trial_lines(sub, pairs):
+    """Line3D of each usable trial pair, as the per-trial loop builds it."""
+    return [
+        (t, Line3D(sub[i], (sub[j] - sub[i]) / np.linalg.norm(sub[j] - sub[i])))
+        for t, (i, j) in enumerate(pairs)
+        if i != j and np.linalg.norm(sub[j] - sub[i]) >= 1e-9
+    ]
+
+
 def test_best_hypothesis_bits_match_per_trial_line():
     """Each hypothesis is scored with the bits of its per-trial Line3D:
     with the tolerance set to one of its distances exactly, a point on
@@ -361,11 +372,7 @@ def test_best_hypothesis_bits_match_per_trial_line():
     for _ in range(300):
         sub = rng.normal(0, 10.0 ** rng.uniform(-2, 2), (int(rng.integers(2, 300)), 3))
         pairs = rng.integers(0, len(sub), size=(int(rng.integers(1, 8)), 2))
-        lines = [
-            Line3D(sub[i], (sub[j] - sub[i]) / np.linalg.norm(sub[j] - sub[i]))
-            for i, j in pairs
-            if i != j and np.linalg.norm(sub[j] - sub[i]) >= 1e-9
-        ]
+        lines = [line for _, line in _trial_lines(sub, pairs)]
         if not lines:
             assert _best_hypothesis(sub, pairs, 1.0) == (None, -1)
             continue
@@ -377,6 +384,67 @@ def test_best_hypothesis_bits_match_per_trial_line():
         assert got_count == max(counts)
         assert np.array_equal(got.point, want.point)
         assert np.array_equal(got.direction, want.direction)
+
+
+@pytest.mark.parametrize("shift", [1e2, 1e3, 1e4])
+def test_best_hypothesis_decides_the_rounding_band_exactly(shift, monkeypatch):
+    """Far from the origin the rounding band is at its widest.  Points are
+    put at the tolerance from each trial line and one ulp either side of
+    it; every trial's count and the winner are the per-trial loop's, and
+    the band's points were decided by the distance formula."""
+    band_calls = []
+    exact = cloud_features._line_distances
+
+    def counted(*args):
+        band_calls.append(1)
+        return exact(*args)
+
+    monkeypatch.setattr(cloud_features, "_line_distances", counted)
+    rng = np.random.default_rng(int(shift))
+    for _ in range(20):
+        base = rng.normal(size=3) * shift + rng.normal(0, 5.0, (150, 3))
+        pairs = rng.integers(0, len(base), size=(12, 2))
+        lines = _trial_lines(base, pairs)
+        if not lines:
+            continue
+        on_tol = []
+        tol = float(rng.uniform(0.05, 2.0))
+        for _, line in lines:
+            perp = np.cross(line.direction, rng.normal(size=3))
+            for t in rng.uniform(-5.0, 5.0, 2):
+                on_tol.append(line.point + t * line.direction + tol * perp / np.linalg.norm(perp))
+        # the tolerance is one of these points' exact distance
+        tol = float(lines[0][1].distance(on_tol[0])[0])
+        ulps = [np.nextafter(p, p + sign * np.eye(3)[k] * np.abs(p).max())
+                for p in on_tol for k in range(3) for sign in (-1.0, 1.0)]
+        sub = np.concatenate([base, on_tol, ulps])
+        counts = {t: int((line.distance(sub) <= tol).sum()) for t, line in lines}
+        for t, line in lines:
+            assert _best_hypothesis(sub, pairs[t:t + 1], tol)[1] == counts[t]
+        first = max(counts, key=lambda t: (counts[t], -t))
+        got, got_count = _best_hypothesis(sub, pairs, tol)
+        assert got_count == counts[first]
+        want = dict(lines)[first]
+        assert np.array_equal(got.point, want.point)
+        assert np.array_equal(got.direction, want.direction)
+    assert band_calls
+
+
+def test_ransac_matches_oracle_on_bright_ground_points(canonical_frame):
+    """The lane fit of extract_lane_points on the benchmark's frames:
+    canonical scene 0 and five-lane scene 0, 2,400-3,100 points with x up
+    to 75 m, fit as the per-trial loop fits them."""
+    cfg = PipelineConfig()
+    five_lane = canonical_spec(0, lane_offsets=FIVE_LANES, lane_dashed=(False,) * 5)
+    for cloud in (canonical_frame[1], generate(five_lane)[0]):
+        gi = fit_ground_plane(cloud, cfg.seed, cfg).ground_indices
+        inten = cloud.intensity[gi]
+        pts = cloud.xyz[gi[inten > inten.mean() + cfg.intensity_sigma_scale * inten.std()]]
+        assert len(pts) > 2000 and pts[:, 0].max() > 70
+        got = ransac_line3d(pts, cfg.seed + 1, cfg)
+        assert len(got) >= 3
+        assert_same_fits(got, _ransac_line3d_per_trial(
+            pts, cfg.line_inlier_tol, cfg.seed + 1, cfg.line_trials, cfg.line_min_inliers))
 
 
 def test_row_norms_bits_match_linalg_norm():
