@@ -453,7 +453,7 @@ def extract_cloud_features(cloud: PointCloud, seed: int, cfg: PipelineConfig) ->
         lane_pts = lane_pts[_near_lines(lane_pts, ground_lines, cfg)]
     # P3L uses only the lines that follow the driving direction; the 2 deg
     # gate also rejects diagonal artifacts across dashes
-    lane_lines = _canonical_lines(lane_lines, frame, 0, LANE_COS)
+    lane_lines = list(_canonical_lines(lane_lines, frame, 0, LANE_COS))
     pole_idx, labels = extract_pole_points(seg, cloud, frame, cfg)
     pole_pts = cloud.xyz[pole_idx]
     pole_lines = []
@@ -461,10 +461,11 @@ def extract_cloud_features(cloud: PointCloud, seed: int, cfg: PipelineConfig) ->
         sub = pole_pts[labels == lab]
         if len(sub) < cfg.line_min_inliers:
             continue
-        first = next(_fit_lines(sub, seed + 3 + lab, cfg), None)
+        # a gantry beam can share the cluster: keep its first upright line
+        upright = _canonical_lines(_fit_lines(sub, seed + 3 + lab, cfg), frame, 2, POLE_COS)
+        first = next(upright, None)
         if first is not None:
             pole_lines.append(first)
-    pole_lines = _canonical_lines(pole_lines, frame, 2, POLE_COS)
     return FeatureSetCloud(
         lane_points=lane_pts,
         pole_points=pole_pts,
@@ -479,15 +480,13 @@ def _inlier_span(s: ScoredLine3D, pts: np.ndarray) -> float:
     return float(proj.max() - proj.min())
 
 
-def _canonical_lines(lines, frame, axis: int, min_cos: float) -> list:
+def _canonical_lines(lines, frame, axis: int, min_cos: float):
     """The lines within acos(min_cos) of axis `axis` of G, re-oriented
-    along its + direction."""
-    out = []
+    along its + direction, one at a time as lines yields them."""
     for s in lines:
         c = frame.to_ground(s.line.direction)[axis]
         if abs(c) < min_cos:
             continue
         if c < 0:
             s = ScoredLine3D(Line3D(s.line.point, -s.line.direction), s.inliers)
-        out.append(s)
-    return out
+        yield s

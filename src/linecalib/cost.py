@@ -2,8 +2,9 @@
 
 For each class (lane, pole) the extracted LiDAR points are projected
 through the candidate extrinsic and looked up in the class height map;
-the cost is the sum of the two per-class means.  Points behind the
-camera or outside the image contribute zero, so the cost is bounded by 2.
+the cost is the sum of the two per-class means.  A point behind the
+camera or outside the image is a 0 in its class's one sum over all the
+points, in every kernel here, so the cost is bounded by 2.
 
 cost_batch scores many translations of one rotation at once;
 best_in_batch finds the best of them, scoring in full only those that an
@@ -59,12 +60,7 @@ def _class_sums(rotated, t, hmap: HeightMap, k: Intrinsics) -> np.ndarray:
         p_c = planes[:, None, :] + t[s:s + step].T[:, :, None]   # (3, B, N)
         uv, valid = project_points(k, p_c.transpose(1, 2, 0))
         vals = hmap.sample_bilinear(uv[..., 0], uv[..., 1])
-        # A row with points behind the camera sums only the others: zeros
-        # left in it would regroup its pairwise sum and move the last bits.
-        sums = vals.sum(axis=1)
-        for j in np.flatnonzero(~valid.all(axis=1)):
-            sums[j] = vals[j][valid[j]].sum()
-        out[s:s + step] = sums
+        out[s:s + step] = np.where(valid, vals, 0.0).sum(axis=1)
     return out
 
 
@@ -178,8 +174,8 @@ def _class_value_grad(rotated, t, hmap: HeightMap, k: Intrinsics):
     p_c = q + t[:, None]
     uv, valid = project_points(k, p_c.T)
     vals, du, dv = hmap.sample_bilinear_grad(uv[..., 0], uv[..., 1])
-    # the same pairwise sums as _class_sums, so the value keeps its bits
-    value = (vals.sum() if valid.all() else vals[valid].sum()) / n
+    # the same sum as _class_sums, so the value keeps its bits
+    value = np.where(valid, vals, 0.0).sum() / n
     # chain rule through the pinhole: a = d value / d p_c, 0 for a point
     # behind the camera (inv_z = 0) or out of frame (du = dv = 0)
     inv_z = np.where(valid, 1.0 / np.where(valid, p_c[2], 1.0), 0.0)

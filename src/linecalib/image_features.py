@@ -127,10 +127,12 @@ def _l1_fields(targets: np.ndarray) -> np.ndarray:
 
     targets is (h, k, w) bool, one (h, w) target set per middle index; the
     result is (h, k, w) int32, each field's per-pixel distance to its
-    nearest target pixel.  Every field needs a target.  The fields relax
-    together: one loop down the rows, then one across the columns of a
-    column-major copy, so both loops run over contiguous rows.
+    nearest target pixel; a field with no target raises EmptyTarget.  The
+    fields relax together: one loop down the rows, then one across the
+    columns of a column-major copy, so both loops run over contiguous rows.
     """
+    if not targets.any(axis=(0, 2)).all():
+        raise EmptyTarget("mask has no target pixel for the distance field")
     h, _, w = targets.shape
     # farther than any two pixels of the frame, so it never wins a minimum
     d = ~targets * np.int32(h + w)
@@ -146,8 +148,6 @@ def l1_distance_field(mask: SemanticMask) -> np.ndarray:
     A forward/backward unit-cost sweep down the rows, then one across the
     columns; equal to the brute-force minimum over all set pixels.
     """
-    if not mask.bits.any():
-        raise EmptyTarget("mask has no target pixel for the distance field")
     return _l1_fields(mask.bits[:, None, :])[:, 0, :]
 
 
@@ -160,10 +160,9 @@ def idt_height_map(mask: SemanticMask, cfg: PipelineConfig) -> HeightMap:
     Both distance fields come from one relaxation of the mask framed by a
     ring of unset pixels, which stands in for the outside.  The powers are
     looked up in a per-map table of gamma ** 0, 1, 2, ..., which holds the
-    bits np.power gives each distance.
+    bits np.power gives each distance.  An empty mask raises EmptyTarget:
+    the ring always gives the complement a target.
     """
-    if not mask.bits.any():
-        raise EmptyTarget("mask has no target pixel for the distance field")
     framed = np.pad(mask.bits, 1)[:, None, :]
     # side by side: distance to the set pixels, to the unset ones
     d = _l1_fields(np.concatenate([framed, ~framed], axis=1))[1:-1, :, 1:-1]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from linecalib.cli import build_parser, main
-from linecalib.cloud_features import PointCloud, extract_cloud_features
+from linecalib.cloud_features import POLE_COS, PointCloud, extract_cloud_features
 from linecalib.config import PipelineConfig
 from linecalib.errors import STAGE_EXIT_CODES
 from linecalib.fileio import load_cloud, load_extrinsic, save_extrinsic
@@ -517,13 +517,20 @@ def test_help_still_exits_0(capsys):
     assert "--lane-mask" in capsys.readouterr().out
 
 
-@pytest.fixture(scope="module", params=[0, 4], ids=["random0", "random4"])
+SHORT_OF_LINES = {
+    "short_poles": canonical_spec(0, pole_heights=(2.5,) * 6),
+    "random4": random_spec(4),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SHORT_OF_LINES))
 def short_of_lines(request, tmp_path_factory):
-    """random_spec(0) yields 11 lane and 0 pole cloud lines, random_spec(4)
-    1 lane and 5 pole image lines: enough to refine, too few for P3L."""
-    root = tmp_path_factory.mktemp(f"random{request.param}")
+    """Canonical scene 0 with 2.5 m poles yields 8 lane and 0 pole cloud
+    lines, random_spec(4) 1 lane and 5 pole image lines: enough to refine,
+    too few for P3L."""
+    root = tmp_path_factory.mktemp(request.param)
     spec_path = root / "scene.txt"
-    spec_path.write_text(format_scene_spec(random_spec(request.param)), encoding="utf-8")
+    spec_path.write_text(format_scene_spec(SHORT_OF_LINES[request.param]), encoding="utf-8")
     assert main(["synth", "--spec", str(spec_path), "--out", str(root)]) == 0
     return request.param, root
 
@@ -541,13 +548,30 @@ def test_refine_runs_where_the_coarse_stage_lacks_lines(short_of_lines, tmp_path
 
 
 def test_calibrate_names_the_missing_lines(short_of_lines, tmp_path, capsys):
-    seed, root = short_of_lines
+    name, root = short_of_lines
     code = main(["calibrate", *_bundle_args(root), "--out", str(tmp_path / "e.txt")])
     assert code == STAGE_EXIT_CODES["extraction"] == 2
-    counts = {0: "cloud lines, got 11 / 0", 4: "image lines, got 1 / 5"}[seed]
+    counts = {"short_poles": "cloud lines, got 8 / 0", "random4": "image lines, got 1 / 5"}[name]
     assert capsys.readouterr().err == (
         f"error (extraction): need >= 2 lane and >= 1 pole {counts}\n"
     )
+
+
+def test_pole_sharing_a_cluster_with_the_gantry_is_kept(tmp_path):
+    """random_spec(8)'s one pole stands 1-2 m from the end of the gantry
+    beam, in one grid cluster with it, and the beam is the cluster's first
+    fitted line: the pole is its first upright one."""
+    spec_path = tmp_path / "scene.txt"
+    spec_path.write_text(format_scene_spec(random_spec(8)), encoding="utf-8")
+    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path)]) == 0
+    cloud = PointCloud.from_array(load_cloud(tmp_path / "frame_cloud.bin"))
+    cf = extract_cloud_features(cloud, 0, PipelineConfig())
+    assert len(cf.pole_lines) == 1
+    assert cf.frame.to_ground(cf.pole_lines[0].line.direction)[2] >= POLE_COS
+    out = tmp_path / "e.txt"
+    assert main(["calibrate", *_bundle_args(tmp_path), "--out", str(out)]) == 0
+    gt, got = load_extrinsic(tmp_path / "extrinsic_gt.txt"), load_extrinsic(out)
+    assert np.linalg.norm(got.t - gt.t) < 0.1
 
 
 def test_calibrate_names_the_mask_without_lines(tmp_path, capsys):

@@ -588,12 +588,12 @@ def _line_at(deg, axis, flip=False):
 def test_direction_gates_keep_lanes_within_2_and_poles_within_15_deg():
     frame = GroundParallelFrame(rotation=np.eye(3))
     lanes = [_line_at(1.9, 0, flip=True), _line_at(2.1, 0), _line_at(0.0, 0)]
-    kept = _canonical_lines(lanes, frame, 0, LANE_COS)
+    kept = list(_canonical_lines(lanes, frame, 0, LANE_COS))
     assert [s.line.direction[0] > 0 for s in kept] == [True, True]
     assert np.allclose(kept[0].line.direction, -lanes[0].line.direction)
     # 20 deg passes a |z| > 0.9 test but not the 15 deg P3L gate
     poles = [_line_at(14.0, 2, flip=True), _line_at(20.0, 2), _line_at(16.0, 2)]
-    kept = _canonical_lines(poles, frame, 2, POLE_COS)
+    kept = list(_canonical_lines(poles, frame, 2, POLE_COS))
     assert len(kept) == 1 and kept[0].line.direction[2] > 0
 
 

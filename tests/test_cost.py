@@ -113,15 +113,13 @@ def test_package_attributes_are_the_modules():
 
 def _oracle_class_term(R, t, pts, hmap, k):
     """One class term as cost() computed it pose by pose, with the 2-D
-    fancy-indexing bilinear lookup: only the points in front of the
-    camera are projected, sampled and summed."""
+    fancy-indexing bilinear lookup: every point is projected and sampled,
+    and a point behind the camera or out of frame is a 0 in the one sum."""
     p_c = pts @ R.T + t
     valid = p_c[:, 2] > EPS_Z
-    if not valid.any():
-        return 0.0
-    p_c = p_c[valid]
-    u = k.fx * p_c[:, 0] / p_c[:, 2] + k.cx
-    v = k.fy * p_c[:, 1] / p_c[:, 2] + k.cy
+    z = np.where(valid, p_c[:, 2], 1.0)
+    u = k.fx * p_c[:, 0] / z + k.cx
+    v = k.fy * p_c[:, 1] / z + k.cy
     g = hmap.values
     h, w = g.shape
     ok = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
@@ -137,7 +135,7 @@ def _oracle_class_term(R, t, pts, hmap, k):
         + g[v0 + 1, u0] * (1 - fu) * fv
         + g[v0 + 1, u0 + 1] * fu * fv
     )
-    return float(np.where(ok, val, 0.0).sum()) / len(pts)
+    return float(np.where(ok & valid, val, 0.0).sum()) / len(pts)
 
 
 def oracle_cost(e, ev):
@@ -213,6 +211,38 @@ def test_cost_batch_bits_match_oracle_small_evaluators(seed):
     poses = [Extrinsic(rng.normal(size=3) * 0.3, rng.normal(size=3) * 3.0) for _ in range(6)]
     poses.append(Extrinsic(poses[0].r, poses[0].t + 1.0))
     _assert_batch_matches_oracle(poses, ev)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_behind_and_out_of_frame_are_the_same_zero(seed):
+    """Moving some points behind the camera, or the same points far out of
+    frame instead, gives a pose the same score, bit for bit, from both
+    kernels: either way each is a 0 in its row's one sum."""
+    rng = np.random.default_rng(seed)
+    ev = small_evaluator(rng)
+    e = Extrinsic(rng.normal(size=3) * 0.1, rng.normal(size=3))
+    R, t = e.matrix(), e.t
+
+    def moved(points):
+        """points with a random subset put behind the camera, and with the
+        same subset put far out of frame instead."""
+        pick = rng.random(len(points)) < 0.4
+        z = rng.uniform(1.0, 30.0, int(pick.sum()))
+        zero = np.zeros_like(z)
+        behind, off = points.copy(), points.copy()
+        # on the axis at depth -z: unguarded, it would project in frame
+        behind[pick] = (np.column_stack([zero, zero, -z]) - t) @ R
+        off[pick] = (np.column_stack([1e3 * z, 1e3 * z, z]) - t) @ R
+        return behind, off
+
+    (lane_b, lane_o), (pole_b, pole_o) = moved(ev.lane_points), moved(ev.pole_points)
+    ev_b = CostEvaluator(lane_b, pole_b, ev.lane_height, ev.pole_height, K)
+    ev_o = CostEvaluator(lane_o, pole_o, ev.lane_height, ev.pole_height, K)
+    score_b = cost_batch(R, t[None], ev_b)
+    score_o = cost_batch(R, t[None], ev_o)
+    assert score_b.tobytes() == score_o.tobytes()
+    assert cost_and_gradient(e, ev_b)[0] == cost_and_gradient(e, ev_o)[0] == score_b[0]
 
 
 # ---------------------------------------------------------------------------

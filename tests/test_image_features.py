@@ -108,6 +108,17 @@ def test_l1_empty_target_raises():
         l1_distance_field(SemanticMask("lane", bits))
 
 
+def test_l1_kernel_raises_for_any_field_without_a_target():
+    """The one EmptyTarget check lives in the kernel that every field goes
+    through, and one empty field among several is enough."""
+    targets = np.zeros((5, 3, 7), dtype=bool)
+    targets[2, 0, 3] = targets[0, 2, 6] = True
+    with pytest.raises(EmptyTarget):
+        _l1_fields(targets)
+    targets[4, 1, 0] = True
+    assert _l1_fields(targets).shape == (5, 3, 7)
+
+
 def _assert_fields_match_brute_force(bits):
     if bits.any():
         assert np.array_equal(kernel_field(bits), brute_l1(bits))
