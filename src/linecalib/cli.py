@@ -123,8 +123,9 @@ def cmd_evaluate(args) -> int:
         f"dt_m: {err.dt:.6f}\n"
         f"dtheta_deg: {math.degrees(err.dtheta):.6f}\n"
     )
-    sys.stdout.write(evaluation.CalibrationError.CSV_HEADER + "\n")
-    sys.stdout.write(err.csv_row() + "\n")
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    out.writerow(evaluation.CSV_HEADER)
+    out.writerow(err.csv_row())
     return 0
 
 
@@ -219,13 +220,12 @@ def cmd_sweep(args) -> int:
             cfg.seed + 10007 * fi, refine_cfg=cfg.refinement(),
         )
     out = csv.writer(sys.stdout, lineterminator="\n")
-    out.writerow(["magnitude", *evaluation.CalibrationError.CSV_HEADER.split(","), "failure"])
+    out.writerow(["magnitude", *evaluation.CSV_HEADER, "failure"])
     for t in rows:
         # a failed trial keeps its start error and names its CalibError
-        out.writerow([f"{t.initial_magnitude:.9g}", *t.refined_error.csv_row().split(","),
-                      t.failure or ""])
+        out.writerow([f"{t.initial_magnitude:.9g}", *t.refined_error.csv_row(), t.failure or ""])
     mae = evaluation.aggregate([t.refined_error for t in rows])
-    out.writerow(["MAE", *mae.csv_row().split(","), ""])
+    out.writerow(["MAE", *mae.csv_row(), ""])
     return 0
 
 
@@ -301,9 +301,14 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         # output paths are refused before any input is read
+        written = {}
         for name in getattr(args, "outputs", ()):
-            if getattr(args, name) is not None:
-                check_writable(getattr(args, name))
+            path = getattr(args, name)
+            if path is not None:
+                check_writable(path)
+                other = written.setdefault(Path(path).resolve(), name)
+                if other != name:
+                    raise ParseError(f"--{other} and --{name} are the same file: {path}")
         return args.func(args)
     except CalibError as e:
         code = STAGE_EXIT_CODES.get(e.stage, 1)

@@ -29,14 +29,13 @@ class CalibrationError:
     dpitch: float
     dyaw: float
 
-    def csv_row(self) -> str:
-        return ",".join(
-            "%.9g" % getattr(self, f.name) for f in fields(self)
-        )
+    def csv_row(self) -> list[str]:
+        """The fields formatted for a CSV row, in CSV_HEADER's order."""
+        return ["%.9g" % getattr(self, name) for name in CSV_HEADER]
 
 
 # the column names of csv_row, one per field
-CalibrationError.CSV_HEADER = ",".join(f.name for f in fields(CalibrationError))
+CSV_HEADER = tuple(f.name for f in fields(CalibrationError))
 
 
 def translation_error(est: Extrinsic, ref: Extrinsic) -> float:

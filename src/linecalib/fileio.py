@@ -18,11 +18,10 @@ import numpy as np
 from .errors import ParseError
 from .geometry import Extrinsic, Intrinsics
 
-EXTRINSIC_KEYS = ("r", "t")
-
 
 def parse_kv_text(text: str, path="<string>") -> dict:
-    """Parse `key = value` lines, ignoring comments and blank lines."""
+    """Parse `key = value` lines, ignoring comments and blank lines; one
+    pair of double quotes around a value is dropped."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -34,7 +33,10 @@ def parse_kv_text(text: str, path="<string>") -> dict:
         key = key.strip()
         if key in out:
             raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
-        out[key] = value.strip()
+        value = value.strip()
+        if len(value) >= 2 and value[0] == value[-1] == '"':
+            value = value[1:-1]
+        out[key] = value
     return out
 
 
@@ -81,7 +83,7 @@ def load_kv_file(path) -> dict:
 # is a scalar (a bool is written 0 or 1) or a `:`-separated record: a tuple
 # of scalars or a dataclass such as synth.Box.  Each value is read as the
 # type of its field's default; a required field, as its `float` or `int`
-# annotation.
+# annotation, or as a tuple of floats for an `np.ndarray` one.
 
 
 def _record(v) -> tuple:
@@ -121,13 +123,13 @@ def _format_item(default, v) -> str:
 
 def _field_defaults(cls) -> dict:
     """Name -> default of the fields of dataclass `cls` stored as plain
-    values (scalars and tuples), a zero of its type for a required scalar;
-    fields holding an object are left out."""
+    values (scalars, tuples and arrays), a zero of its type for a required
+    scalar or array; fields holding an object are left out."""
     out = {}
     for f in dataclasses.fields(cls):
         default = f.default
         if default is dataclasses.MISSING:  # annotations are strings (postponed evaluation)
-            default = {"float": 0.0, "int": 0}.get(f.type)
+            default = {"float": 0.0, "int": 0, "np.ndarray": (0.0,)}.get(f.type)
         if isinstance(default, (int, float, tuple)):
             out[f.name] = default
     return out
@@ -185,33 +187,8 @@ def load_intrinsics(path) -> Intrinsics:
     return build_record(Intrinsics, load_kv_file(path), path)
 
 
-def _parse_vec3(s: str, what: str):
-    parts = s.replace('"', "").split()
-    if len(parts) != 3:
-        raise ParseError(f"{what}: expected 3 components, got {s!r}")
-    try:
-        return np.array([float(p) for p in parts])
-    except ValueError as e:
-        raise ParseError(f"{what}: {e}") from e
-
-
-def parse_extrinsic(kv: dict, path) -> Extrinsic:
-    unknown = set(kv) - set(EXTRINSIC_KEYS)
-    if unknown:
-        raise ParseError(f"{path}: unknown keys {sorted(unknown)}")
-    missing = [key for key in EXTRINSIC_KEYS if key not in kv]
-    if missing:
-        raise ParseError(f"{path}: missing keys {missing}")
-    r = _parse_vec3(kv["r"], f"{path}: r")
-    t = _parse_vec3(kv["t"], f"{path}: t")
-    try:
-        return Extrinsic(r, t)
-    except ValueError as e:  # non-finite components
-        raise ParseError(f"{path}: {e}") from e
-
-
 def load_extrinsic(path) -> Extrinsic:
-    return parse_extrinsic(load_kv_file(path), path)
+    return build_record(Extrinsic, load_kv_file(path), path)
 
 
 def format_extrinsic(e: Extrinsic) -> str:

@@ -28,8 +28,12 @@ class Extrinsic:
     t: np.ndarray  # meters
 
     def __post_init__(self):
-        object.__setattr__(self, "r", _canonical_angle_axis(np.asarray(self.r, dtype=float)))
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=float).reshape(3))
+        for name in ("r", "t"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            if v.size != 3:
+                raise ValueError(f"{name}: expected 3 components, got {v.size}")
+            object.__setattr__(self, name, v.reshape(3))
+        object.__setattr__(self, "r", _canonical_angle_axis(self.r))
         if not (np.isfinite(self.r).all() and np.isfinite(self.t).all()):
             raise ValueError("non-finite extrinsic components")
 

@@ -179,6 +179,10 @@ class ScoredLine2D:
     line: Line2D
     support: int
 
+    def rank(self) -> tuple:
+        """Sort key: the most supporting pixels first, ties by rho."""
+        return (-self.support, self.line.rho)
+
 
 # (theta, pixel) votes per block of angles, so a block's buffers stay
 # about 0.5 MB each however many pixels the mask has.
@@ -280,7 +284,7 @@ def hough_lines(mask: SemanticMask, cfg: PipelineConfig) -> list[ScoredLine2D]:
         out.append(ScoredLine2D(line=line, support=support))
     if not out:
         raise NoLines(f"{mask.cls} mask: no line reached the support threshold")
-    out.sort(key=lambda s: (-s.support, s.line.rho))
+    out.sort(key=ScoredLine2D.rank)
     return out
 
 
@@ -323,7 +327,7 @@ def select_principal_lines(features: FeatureSetImage):
             f"need >= 2 lane and >= 1 pole image lines, "
             f"got {len(features.lane_lines)} / {len(features.pole_lines)}"
         )
-    first, *rest = sorted(features.lane_lines, key=lambda s: (-s.support, s.line.rho))
+    first, *rest = sorted(features.lane_lines, key=ScoredLine2D.rank)
     # the angle between two lines is the one between their unit normals
     max_cos = math.cos(math.radians(_LANE_MIN_SEPARATION_DEG))
     apart = [s for s in rest if abs(s.line.a * first.line.a + s.line.b * first.line.b) < max_cos]
@@ -335,10 +339,7 @@ def select_principal_lines(features: FeatureSetImage):
     # Line2D is a*u + b*v + c = 0 with a >= 0: its direction (-b, a) makes
     # an angle acos(a) with the image vertical
     min_a = math.cos(math.radians(_POLE_MAX_TILT_DEG))
-    poles = sorted(
-        (s for s in features.pole_lines if s.line.a >= min_a),
-        key=lambda s: (-s.support, s.line.rho),
-    )
+    poles = sorted((s for s in features.pole_lines if s.line.a >= min_a), key=ScoredLine2D.rank)
     if not poles:
         raise InsufficientLines(
             f"none of {len(features.pole_lines)} pole image lines lies within "

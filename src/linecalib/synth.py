@@ -11,19 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 
 import numpy as np
 
 from .cloud_features import GroundParallelFrame, PointCloud, ground_parallel_rotation
-from .fileio import (
-    EXTRINSIC_KEYS,
-    build_record,
-    format_extrinsic,
-    format_fields,
-    load_kv_file,
-    parse_extrinsic,
-)
+from .fileio import build_record, format_extrinsic, format_fields, load_kv_file
 from .geometry import (
     Extrinsic,
     Intrinsics,
@@ -459,11 +451,8 @@ def load_scene_spec(path) -> SceneSpec:
     """Read a spec file; a key left out keeps its SceneSpec default."""
     kv = load_kv_file(path)
     objects = {}
-    for name, keys, parse in (
-        ("extrinsic", EXTRINSIC_KEYS, parse_extrinsic),
-        ("intrinsics", [f.name for f in fields(Intrinsics)], partial(build_record, Intrinsics)),
-    ):
-        sub = {key: kv.pop(key) for key in keys if key in kv}
+    for name, cls in (("extrinsic", Extrinsic), ("intrinsics", Intrinsics)):
+        sub = {f.name: kv.pop(f.name) for f in fields(cls) if f.name in kv}
         if sub:
-            objects[name] = parse(sub, path)
+            objects[name] = build_record(cls, sub, path)
     return build_record(SceneSpec, kv, path, **objects)

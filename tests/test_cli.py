@@ -417,6 +417,28 @@ def test_unwritable_output_fails_before_the_pipeline(bundle, tmp_path, monkeypat
     assert not (tmp_path / "e.txt").exists()
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+def test_two_outputs_on_one_file_fail_before_the_pipeline(bundle, tmp_path, monkeypatch,
+                                                          capsys, spelling):
+    """`calibrate --out P --report P` wrote the report over the extrinsic
+    and exited 0; two outputs that resolve to one file are a parse error
+    before any input is read."""
+    import linecalib.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an input was read or the pipeline ran")
+
+    for stage in ("_load_cfg", "_load_bundle", "calibrate"):
+        monkeypatch.setattr(cli, stage, must_not_run)
+    out = tmp_path / "e.txt"
+    report = out if spelling == "same" else tmp_path / "." / "e.txt"
+    code = main(["calibrate", *_bundle_args(bundle), "--out", str(out), "--report", str(report)])
+    err = capsys.readouterr().err
+    assert code == STAGE_EXIT_CODES["parse"] == 1
+    assert "error (parse): --out and --report are the same file" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("text", ["line_min_inliers = 1\n", "min_feature_points = 0\n"])
 def test_config_below_two_points_exits_1(bundle, tmp_path, capsys, text):
     """Each value crashed a stage with a traceback; now it is refused as a

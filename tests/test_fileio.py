@@ -57,8 +57,14 @@ def test_parse_kv_errors():
     )
 )
 def test_parse_kv_round_trip(kv):
+    # one pair of double quotes around a value is dropped: a quoted value
+    # reads back as written, a bare one unless it is itself quoted
+    quoted = "".join(f'{k} = "{v}"\n' for k, v in kv.items())
+    assert parse_kv_text(quoted) == kv
     text = "".join(f"{k} = {v}\n" for k, v in kv.items())
-    assert parse_kv_text(text) == kv
+    assert parse_kv_text(text) == {
+        k: v[1:-1] if len(v) >= 2 and v[0] == v[-1] == '"' else v for k, v in kv.items()
+    }
 
 
 @dataclasses.dataclass(frozen=True)
@@ -225,11 +231,7 @@ def test_intrinsics_codec_fails_where_the_oracle_fails(k, drop, bad, extra):
 def test_extrinsic_text_round_trip_exact(r, t):
     e = Extrinsic(r, t)
     text = format_extrinsic(e)
-    kv = parse_kv_text(text)
-    back = Extrinsic(
-        np.array([float(x) for x in kv["r"].replace('"', "").split()]),
-        np.array([float(x) for x in kv["t"].replace('"', "").split()]),
-    )
+    back = build_record(Extrinsic, parse_kv_text(text), "extr")
     # %.17g is lossless for doubles
     assert np.array_equal(back.r, e.r)
     assert np.array_equal(back.t, e.t)
