@@ -35,7 +35,6 @@ from .image_features import (
     load_mask,
     select_principal_lines,
 )
-from .p3l import P3LProblem, solve_p3l
 from .pipeline import calibrate, coarse_calibrate
 
 __version__ = "0.1.0"

@@ -45,6 +45,9 @@ BUNDLE_FILES = {
     "intrinsics": "intrinsics.txt",
 }
 
+# the input files of a subcommand that reads a bundle, by argparse dest
+BUNDLE_INPUTS = (*BUNDLE_FILES, "config")
+
 
 def _add_bundle_args(p):
     p.add_argument("--cloud", required=True, help="point cloud (.bin or ascii)")
@@ -248,20 +251,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--out", required=True, help="output extrinsic file")
     p.add_argument("--report", default=None, help="optional report file")
-    p.set_defaults(func=cmd_calibrate, outputs=("out", "report"))
+    p.set_defaults(func=cmd_calibrate, outputs=("out", "report"), inputs=BUNDLE_INPUTS)
 
     p = sub.add_parser("coarse", help="stop after the coarse P3L solve")
     _add_bundle_args(p)
     _add_common(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_coarse, outputs=("out",))
+    p.set_defaults(func=cmd_coarse, outputs=("out",), inputs=BUNDLE_INPUTS)
 
     p = sub.add_parser("refine", help="refine a provided initial extrinsic")
     _add_bundle_args(p)
     _add_common(p)
     p.add_argument("--init", required=True, help="initial extrinsic file")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_refine, outputs=("out",))
+    p.set_defaults(func=cmd_refine, outputs=("out",), inputs=(*BUNDLE_INPUTS, "init"))
 
     p = sub.add_parser("evaluate", help="compare two extrinsic files")
     p.add_argument("estimated")
@@ -277,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lane-mask", default=None)
     p.add_argument("--stats", action="store_true", help="print lane-in-mask stats")
     _add_common(p)
-    p.set_defaults(func=cmd_project, outputs=("out",))
+    p.set_defaults(func=cmd_project, outputs=("out",), inputs=(
+        "cloud", "intrinsics", "extrinsic", "image", "lane_mask", "config"))
 
     p = sub.add_parser("synth", help="generate a synthetic frame bundle")
     p.add_argument("--spec", required=True, help="scene spec file")
@@ -309,6 +313,12 @@ def main(argv=None) -> int:
                 other = written.setdefault(Path(path).resolve(), name)
                 if other != name:
                     raise ParseError(f"--{other} and --{name} are the same file: {path}")
+        for name in getattr(args, "inputs", ()):
+            path = getattr(args, name)
+            out = path is not None and written.get(Path(path).resolve())
+            if out:
+                flag = name.replace("_", "-")
+                raise ParseError(f"--{out} would overwrite the input --{flag}: {path}")
         return args.func(args)
     except CalibError as e:
         code = STAGE_EXIT_CODES.get(e.stage, 1)

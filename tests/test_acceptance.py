@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from linecalib.config import PipelineConfig
-from linecalib.errors import DegenerateNormals, MisalignedLine, NoSolution
+from linecalib.errors import DegenerateNormals
 from linecalib.evaluation import (
     calibration_error,
     robustness_sweep,
@@ -20,25 +20,11 @@ from linecalib.evaluation import (
     translation_error,
 )
 from linecalib.image_features import SemanticMask, idt_height_map
-from linecalib.p3l import P3LProblem, solve_p3l
 from linecalib.pipeline import calibrate, coarse_calibrate, extract_features
-from linecalib.synth import canonical_spec, generate, random_spec, true_frame, true_lines
+from linecalib.synth import canonical_spec, generate, random_spec
+from test_p3l import exact_triple, solve_triple
 
 CFG = PipelineConfig(seed=0)
-
-
-def _exact_problem(spec):
-    lanes3d, poles3d, lanes2d, poles2d = true_lines(spec)
-    return P3LProblem(
-        lane1_img=lanes2d[0],
-        lane2_img=lanes2d[1],
-        pole_img=poles2d[0],
-        lane1_cloud=lanes3d[0],
-        lane2_cloud=lanes3d[1],
-        pole_cloud=poles3d[0],
-        frame=true_frame(spec),
-        intrinsics=spec.intrinsics,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -78,14 +64,13 @@ def test_criterion_1_three_line_solver_oracle():
     n, solvable, hits, times = 500, 0, 0, []
     for i in range(n):
         spec = random_spec(seed=i)
-        try:
-            prob = _exact_problem(spec)
-        except (ValueError, MisalignedLine):
-            continue
+        tri = exact_triple(spec)
         t0 = time.perf_counter()
         try:
-            cands = solve_p3l(prob)
-        except (NoSolution, DegenerateNormals):
+            cands = solve_triple(tri)
+        except DegenerateNormals:
+            continue
+        if not cands:
             continue
         times.append(time.perf_counter() - t0)
         solvable += 1

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -437,6 +438,59 @@ def test_two_outputs_on_one_file_fail_before_the_pipeline(bundle, tmp_path, monk
     assert code == STAGE_EXIT_CODES["parse"] == 1
     assert "error (parse): --out and --report are the same file" in err
     assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("command, given, out_flag", [
+    ("calibrate", "--intrinsics", "--out"),
+    ("calibrate", "--cloud", "--report"),
+    ("calibrate", "--config", "--out"),
+    ("coarse", "--lane-mask", "--out"),
+    ("refine", "--init", "--out"),
+    ("refine", "--pole-mask", "--out"),
+    ("project", "--extrinsic", "--out"),
+    ("project", "--image", "--out"),
+    ("project", "--lane-mask", "--out"),
+])
+def test_output_over_an_input_fails_before_the_pipeline(bundle, tmp_path, monkeypatch, capsys,
+                                                        command, given, out_flag):
+    """`calibrate --intrinsics f/intrinsics.txt --out f/intrinsics.txt`
+    wrote the extrinsic over the intrinsics and exited 0; an output that
+    resolves to one of the command's inputs is a parse error before any
+    input is read."""
+    import linecalib.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an input was read or the pipeline ran")
+
+    for stage in ("_load_cfg", "_load_bundle", "load_intrinsics", "load_cloud",
+                  "load_extrinsic", "load_image", "load_mask"):
+        monkeypatch.setattr(cli, stage, must_not_run)
+    frame = tmp_path / "frame"
+    shutil.copytree(bundle, frame)
+    (frame / "cfg.txt").write_text("seed = 0\n", encoding="utf-8")
+    shutil.copy(frame / "frame_lane.pgm", frame / "mask.pgm")  # apart from --image
+    argv = {
+        "calibrate": ["calibrate", *_bundle_args(frame), "--out", str(tmp_path / "e.txt")],
+        "coarse": ["coarse", *_bundle_args(frame), "--out", str(tmp_path / "e.txt")],
+        "refine": ["refine", *_bundle_args(frame), "--init", str(frame / "extrinsic_gt.txt"),
+                   "--out", str(tmp_path / "e.txt")],
+        "project": [*_project_argv(frame, tmp_path / "o.ppm"),
+                    "--lane-mask", str(frame / "mask.pgm")],
+    }[command] + ["--config", str(frame / "cfg.txt")]
+    path = argv[argv.index(given) + 1]
+    # the same file by another spelling
+    other = str(Path(path).parent / "." / Path(path).name)
+    if out_flag in argv:
+        argv[argv.index(out_flag) + 1] = other
+    else:
+        argv += [out_flag, other]
+    before = Path(path).read_bytes()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == STAGE_EXIT_CODES["parse"] == 1
+    assert f"error (parse): {out_flag} would overwrite the input {given}" in err
+    assert "Traceback" not in err
+    assert Path(path).read_bytes() == before
 
 
 @pytest.mark.parametrize("text", ["line_min_inliers = 1\n", "min_feature_points = 0\n"])

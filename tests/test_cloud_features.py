@@ -30,7 +30,6 @@ from linecalib.cloud_features import (
 from linecalib.config import PipelineConfig
 from linecalib.errors import DegenerateFrame, NoGroundPlane
 from linecalib.geometry import Line3D, Plane3D, angle_axis_to_matrix
-from linecalib.p3l import P3LProblem
 from linecalib.synth import canonical_spec, generate
 from test_coarse import FIVE_LANES
 
@@ -598,13 +597,14 @@ def test_direction_gates_keep_lanes_within_2_and_poles_within_15_deg():
 
 
 def test_extracted_lines_pass_the_p3l_checks(canonical_features):
-    """Every extracted lane and pole line enters a P3L problem, whose
-    constructor checks each cloud line's direction."""
-    spec, cf, imf, gt = canonical_features
-    img = imf.lane_lines[0].line
+    """Every extracted lane runs along +X of G within 2 degrees and every
+    pole along +Z within 15, as the P3L solver assumes of each cloud line."""
+    _, cf, _, _ = canonical_features
+    assert cf.lane_lines and cf.pole_lines
     for lane in cf.lane_lines:
-        for pole in cf.pole_lines:
-            P3LProblem(img, img, img, lane.line, lane.line, pole.line, cf.frame, spec.intrinsics)
+        assert cf.frame.to_ground(lane.line.direction)[0] >= LANE_COS
+    for pole in cf.pole_lines:
+        assert cf.frame.to_ground(pole.line.direction)[2] >= POLE_COS
 
 
 def test_extraction_commutes_with_z_rotation(canonical_frame):

@@ -6,20 +6,21 @@ import math
 import pytest
 
 from linecalib.config import PipelineConfig
-from linecalib.errors import DegenerateNormals, InsufficientLines, MisalignedLine, NoSolution
+from linecalib.errors import DegenerateNormals, InsufficientLines, NoSolution
 from linecalib.evaluation import calibration_error
 from linecalib.image_features import SemanticMask, select_principal_lines
-from linecalib.p3l import P3LProblem, solve_p3l, solve_rotations
+from linecalib.p3l import solve_rotations
 from linecalib.pipeline import CalibrationReport, calibrate, coarse_calibrate, extract_features
 from linecalib.synth import canonical_spec, generate, random_spec
 from test_cost import oracle_cost
+from test_p3l import Triple, oracle_solve_triple
 
 FIVE_LANES = (-5.0, -1.8, 1.8, 5.4, 8.8)
 
 
 def _oracle_coarse(cf, imf, ev):
-    """One P3L problem, one solve and one cost call per (lane a, lane b,
-    pole c) triple; the first best candidate wins."""
+    """One independent single-triple solve and one cost call per (lane a,
+    lane b, pole c) triple; the first best candidate wins."""
     lane1_img, lane2_img, pole_img = select_principal_lines(imf)
     lanes, poles = cf.lane_lines, cf.pole_lines
     best, best_cost, n = None, 0.0, 0
@@ -29,13 +30,13 @@ def _oracle_coarse(cf, imf, ev):
                 continue
             for c in range(len(poles)):
                 try:
-                    cands = solve_p3l(P3LProblem(
+                    cands = oracle_solve_triple(Triple(
                         lane1_img=lane1_img, lane2_img=lane2_img, pole_img=pole_img,
                         lane1_cloud=lanes[a].line, lane2_cloud=lanes[b].line,
                         pole_cloud=poles[c].line, frame=cf.frame,
                         intrinsics=ev.intrinsics,
                     ))
-                except (NoSolution, DegenerateNormals, MisalignedLine):
+                except (NoSolution, DegenerateNormals):
                     continue
                 for e in cands:
                     n += 1

@@ -1,4 +1,10 @@
-"""Coarse pose solver against exact synthetic line correspondences."""
+"""Coarse pose solver against exact synthetic line correspondences.
+
+Each triple is solved as the coarse stage solves every triple: the image
+side once with `solve_rotations`, the cloud side at each of its rotations
+with `solve_translations`.
+"""
+import dataclasses
 import math
 import time
 
@@ -8,10 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linecalib.cloud_features import GroundParallelFrame
-from linecalib.errors import DegenerateNormals, MisalignedLine, NoSolution
+from linecalib.errors import DegenerateNormals, NoSolution
 from linecalib.geometry import (
     Extrinsic,
+    Intrinsics,
     Line2D,
+    Line3D,
     backproject_line,
     matrix_to_angle_axis,
     rot_x,
@@ -20,19 +28,47 @@ from linecalib.geometry import (
 )
 from linecalib.p3l import (
     MAX_CONDITION,
-    P3LProblem,
     _orthonormal_from_first,
-    solve_p3l,
+    solve_rotations,
+    solve_translations,
 )
 from linecalib.synth import canonical_spec, random_spec, true_frame, true_lines
 
 MANY = settings(max_examples=1000, deadline=None)
 
 
-def exact_problem(spec):
-    """Build a P3L problem with exact image lines from the true geometry."""
+@dataclasses.dataclass(frozen=True)
+class Triple:
+    """One P3L correspondence: two image lanes and an image pole, the
+    cloud lines they match, the ground-parallel frame and the camera."""
+
+    lane1_img: Line2D
+    lane2_img: Line2D
+    pole_img: Line2D
+    lane1_cloud: Line3D
+    lane2_cloud: Line3D
+    pole_cloud: Line3D
+    frame: GroundParallelFrame
+    intrinsics: Intrinsics
+
+
+def solve_triple(tri):
+    """The candidate extrinsics of one triple, in rotation order; empty
+    when cheirality drops them all.  DegenerateNormals propagates."""
+    sol = solve_rotations(tri.lane1_img, tri.lane2_img, tri.pole_img, tri.intrinsics, tri.frame)
+    lanes = [tri.lane1_cloud.point, tri.lane2_cloud.point]
+    return [
+        Extrinsic.from_matrix(R, t)
+        for R in sol.rotations
+        for t in solve_translations(sol.normals, R, lanes, [tri.pole_cloud.point], [(0, 1, 0)])
+    ]
+
+
+def exact_triple(spec):
+    """The triple of the first two lanes and the first pole, with exact
+    image lines from the true geometry."""
     lanes3d, poles3d, lanes2d, poles2d = true_lines(spec)
-    prob = P3LProblem(
+    return Triple(
         lane1_img=lanes2d[0],
         lane2_img=lanes2d[1],
         pole_img=poles2d[0],
@@ -42,7 +78,6 @@ def exact_problem(spec):
         frame=true_frame(spec),
         intrinsics=spec.intrinsics,
     )
-    return prob, spec.extrinsic
 
 
 def best_candidate_error(cands, gt):
@@ -61,20 +96,16 @@ def test_oracle_500_random_scenes_within_1e6():
     total_time = 0.0
     for i in range(500):
         spec = random_spec(seed=10_000 + i)
-        try:
-            prob, gt = exact_problem(spec)
-        except MisalignedLine:
-            continue
+        tri, gt = exact_triple(spec), spec.extrinsic
         t0 = time.perf_counter()
         try:
-            cands = solve_p3l(prob)
+            cands = solve_triple(tri)
         except DegenerateNormals:
             continue
-        except NoSolution:
-            solvable += 1
+        solvable += 1
+        if not cands:
             continue
         total_time += time.perf_counter() - t0
-        solvable += 1
         dr, dt = best_candidate_error(cands, gt)
         if dr < 1e-6 and dt < 1e-6:
             hits += 1
@@ -84,20 +115,15 @@ def test_oracle_500_random_scenes_within_1e6():
 
 
 def test_candidates_satisfy_generating_constraints():
-    checked = 0
     for i in range(50):
-        spec = random_spec(seed=20_000 + i)
-        try:
-            prob, gt = exact_problem(spec)
-            cands = solve_p3l(prob)
-        except (DegenerateNormals, NoSolution, MisalignedLine):
-            continue
-        checked += 1
+        tri = exact_triple(random_spec(seed=20_000 + i))
+        cands = solve_triple(tri)
+        assert cands
         normals = [
-            backproject_line(prob.intrinsics, l)
-            for l in (prob.lane1_img, prob.lane2_img, prob.pole_img)
+            backproject_line(tri.intrinsics, l)
+            for l in (tri.lane1_img, tri.lane2_img, tri.pole_img)
         ]
-        lines = [prob.lane1_cloud, prob.lane2_cloud, prob.pole_cloud]
+        lines = [tri.lane1_cloud, tri.lane2_cloud, tri.pole_cloud]
         for c in cands:
             R, t = c.matrix(), c.t
             for n, line in zip(normals, lines):
@@ -105,56 +131,31 @@ def test_candidates_satisfy_generating_constraints():
                 assert abs(n @ (R @ line.direction)) < 1e-6
                 # representative point lies on the plane
                 assert abs(n @ (R @ line.point + t)) < 1e-6
-    assert checked == 50
 
 
 def test_coefficient_scaling_leaves_candidates_unchanged():
-    spec = canonical_spec(3)
-    prob, gt = exact_problem(spec)
-    base = solve_p3l(prob)
+    tri = exact_triple(canonical_spec(3))
+    base = solve_triple(tri)
     # Line2D normalizes its coefficients, so rebuilding each image line from
     # scaled coefficients must reproduce the identical candidate set
-    import dataclasses
-
     scaled = dataclasses.replace(
-        prob,
-        lane1_img=Line2D(
-            -7.0 * prob.lane1_img.a, -7.0 * prob.lane1_img.b, -7.0 * prob.lane1_img.c
-        ),
-        lane2_img=Line2D(
-            0.01 * prob.lane2_img.a, 0.01 * prob.lane2_img.b, 0.01 * prob.lane2_img.c
-        ),
-        pole_img=Line2D(
-            42.0 * prob.pole_img.a, 42.0 * prob.pole_img.b, 42.0 * prob.pole_img.c
-        ),
+        tri,
+        lane1_img=Line2D(-7.0 * tri.lane1_img.a, -7.0 * tri.lane1_img.b, -7.0 * tri.lane1_img.c),
+        lane2_img=Line2D(0.01 * tri.lane2_img.a, 0.01 * tri.lane2_img.b, 0.01 * tri.lane2_img.c),
+        pole_img=Line2D(42.0 * tri.pole_img.a, 42.0 * tri.pole_img.b, 42.0 * tri.pole_img.c),
     )
-    other = solve_p3l(scaled)
-    assert len(base) == len(other)
+    other = solve_triple(scaled)
+    assert len(base) == len(other) > 0
     for a, b in zip(base, other):
         assert np.abs(a.t - b.t).max() < 1e-9
         assert rotation_geodesic(a.matrix(), b.matrix()) < 1e-9
 
 
 def test_degenerate_normals_raise():
-    spec = canonical_spec(0)
-    prob, gt = exact_problem(spec)
-    import dataclasses
-
-    bad = dataclasses.replace(prob, lane2_img=prob.lane1_img, pole_img=prob.lane1_img)
+    tri = exact_triple(canonical_spec(0))
+    bad = dataclasses.replace(tri, lane2_img=tri.lane1_img, pole_img=tri.lane1_img)
     with pytest.raises(DegenerateNormals):
-        solve_p3l(bad)
-
-
-def test_problem_rejects_misaligned_cloud_lines():
-    spec = canonical_spec(0)
-    lanes3d, poles3d, _, _ = true_lines(spec)
-    import dataclasses
-
-    prob, _ = exact_problem(spec)
-    with pytest.raises(MisalignedLine):
-        dataclasses.replace(prob, lane1_cloud=poles3d[0])
-    with pytest.raises(MisalignedLine):
-        dataclasses.replace(prob, pole_cloud=lanes3d[0])
+        solve_triple(bad)
 
 
 @MANY
@@ -162,11 +163,10 @@ def test_problem_rejects_misaligned_cloud_lines():
 def test_candidate_rotations_orthonormal(seed):
     # cheap per-case check over a pool of solvable precomputed problems
     rng = np.random.default_rng(seed)
-    spec = canonical_spec(int(rng.integers(0, 8)))
-    prob, gt = exact_problem(spec)
+    tri = exact_triple(canonical_spec(int(rng.integers(0, 8))))
     try:
-        cands = solve_p3l(prob)
-    except (DegenerateNormals, NoSolution):
+        cands = solve_triple(tri)
+    except DegenerateNormals:
         return
     for c in cands:
         R = c.matrix()
@@ -178,13 +178,13 @@ def test_candidate_rotations_orthonormal(seed):
 # the image-side / cloud-side split against the solver it replaced
 
 
-def _oracle_solve_p3l(prob):
-    """solve_p3l as one routine: every (alpha, beta) rotation and its
-    translation solved together for this one triple."""
-    k = prob.intrinsics
-    n1 = backproject_line(k, prob.lane1_img)
-    n2 = backproject_line(k, prob.lane2_img)
-    n3 = backproject_line(k, prob.pole_img)
+def oracle_solve_triple(tri):
+    """One triple solved in one routine, apart from the solver's split:
+    every (alpha, beta) rotation and its translation solved together."""
+    k = tri.intrinsics
+    n1 = backproject_line(k, tri.lane1_img)
+    n2 = backproject_line(k, tri.lane2_img)
+    n3 = backproject_line(k, tri.pole_img)
     N = np.stack([n1, n2, n3])
     sv = np.linalg.svd(N, compute_uv=False)
     if sv[-1] < 1e-6:
@@ -198,8 +198,8 @@ def _oracle_solve_p3l(prob):
     if abs(A) < 1e-14 and abs(B) < 1e-14:
         raise DegenerateNormals("lane constraints do not determine alpha")
     alpha0 = math.atan2(-A, B)
-    R_LG = prob.frame.rotation
-    pts_l = [prob.lane1_cloud.point, prob.lane2_cloud.point, prob.pole_cloud.point]
+    R_LG = tri.frame.rotation
+    pts_l = [tri.lane1_cloud.point, tri.lane2_cloud.point, tri.pole_cloud.point]
     candidates = []
     for alpha in (alpha0, alpha0 + math.pi):
         ca, sa = math.cos(alpha), math.sin(alpha)
@@ -223,25 +223,23 @@ def _oracle_solve_p3l(prob):
     return candidates
 
 
-def _outcome(solve, prob):
+def _outcome(solve, tri):
     try:
-        return [(e.r.tobytes(), e.t.tobytes()) for e in solve(prob)]
+        return [(e.r.tobytes(), e.t.tobytes()) for e in solve(tri)]
     except (DegenerateNormals, NoSolution) as err:
         return type(err)
 
 
 def test_split_solver_bits_match_oracle_on_criterion_1_scenes():
-    """The 500 random scenes of acceptance criterion 1: same candidates,
-    byte for byte, and the same failures."""
+    """solve_p3l, the single-triple solve the benchmark's tracer wraps, on
+    the 500 random scenes of acceptance criterion 1: the oracle's
+    candidates, byte for byte, and the same failures."""
+    from linecalib.p3l import P3LProblem, solve_p3l
+
     solved = 0
     for i in range(500):
-        spec = random_spec(seed=i)
-        try:
-            prob, _ = exact_problem(spec)
-        except (ValueError, MisalignedLine):
-            continue
-        want = _outcome(_oracle_solve_p3l, prob)
-        assert _outcome(solve_p3l, prob) == want
+        tri = exact_triple(random_spec(seed=i))
+        want = _outcome(oracle_solve_triple, tri)
+        assert _outcome(solve_p3l, P3LProblem(**vars(tri))) == want
         solved += isinstance(want, list)
     assert solved > 400
-
