@@ -10,16 +10,17 @@ cost_batch scores many translations of one rotation at once;
 best_in_batch finds the best of them, scoring in full only those that an
 upper bound from a subset of the points cannot rule out;
 cost_and_gradient scores one pose and also returns the cost's analytic
-gradient, for the refine stage.
+gradient, for the refine stage, in one pass over both classes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .geometry import Extrinsic, Intrinsics, project_points
-from .image_features import HeightMap
+from .image_features import HeightMap, bilinear, bilinear_cells
 
 # poses x points per block: each temporary of the kernel stays at 128 KB,
 # so its working memory is a few MB whatever K is
@@ -33,16 +34,27 @@ class CostEvaluator:
     lane_height: HeightMap
     pole_height: HeightMap
     intrinsics: Intrinsics
+    # (N + M, 3): the lane points, then the pole points; lane_points and
+    # pole_points are read-only views into it
+    points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lp = np.ascontiguousarray(np.asarray(self.lane_points, dtype=float).reshape(-1, 3))
-        pp = np.ascontiguousarray(np.asarray(self.pole_points, dtype=float).reshape(-1, 3))
+        lp = np.asarray(self.lane_points, dtype=float).reshape(-1, 3)
+        pp = np.asarray(self.pole_points, dtype=float).reshape(-1, 3)
         if len(lp) == 0 or len(pp) == 0:
             raise ValueError("cost evaluator needs non-empty point sets")
-        lp.setflags(write=False)
-        pp.setflags(write=False)
-        object.__setattr__(self, "lane_points", lp)
-        object.__setattr__(self, "pole_points", pp)
+        k = self.intrinsics
+        for cls, hmap in (("lane", self.lane_height), ("pole", self.pole_height)):
+            if hmap.values.shape != (k.height, k.width):
+                raise DimensionMismatch(
+                    f"{cls} height map has shape {hmap.values.shape}, "
+                    f"intrinsics need {(k.height, k.width)}"
+                )
+        points = np.concatenate([lp, pp])
+        points.setflags(write=False)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "lane_points", points[:len(lp)])
+        object.__setattr__(self, "pole_points", points[len(lp):])
 
     def __call__(self, e: Extrinsic) -> float:
         return cost(e, self)
@@ -165,37 +177,54 @@ def cost(e: Extrinsic, ev: CostEvaluator) -> float:
     return float(cost_batch(e.matrix(), e.t[None], ev)[0])
 
 
-def _class_value_grad(rotated, t, hmap: HeightMap, k: Intrinsics):
-    """One class term of cost(), and its gradient (6,) with respect to the
-    increment (dt, w) that moves each point to exp([w]x) q + t + dt, q a
-    row of rotated = pts @ R.T."""
-    n = len(rotated)
-    q = np.ascontiguousarray(rotated.T)          # (3, N)
-    p_c = q + t[:, None]
-    uv, valid = project_points(k, p_c.T)
-    vals, du, dv = hmap.sample_bilinear_grad(uv[..., 0], uv[..., 1])
-    # the same sum as _class_sums, so the value keeps its bits
-    value = np.where(valid, vals, 0.0).sum() / n
-    # chain rule through the pinhole: a = d value / d p_c, 0 for a point
-    # behind the camera (inv_z = 0) or out of frame (du = dv = 0)
-    inv_z = np.where(valid, 1.0 / np.where(valid, p_c[2], 1.0), 0.0)
-    a = np.empty((3, n))
-    np.multiply(du, k.fx * inv_z, out=a[0])
-    np.multiply(dv, k.fy * inv_z, out=a[1])
-    np.multiply(-(a[0] * p_c[0] + a[1] * p_c[1]), inv_z, out=a[2])
-    # d/dt = sum a; d/dw = sum q x a, read off the 3 x 3 moments sum a q^T
-    m = a @ q.T
-    d_w = (m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1])
-    return value, np.concatenate([a.sum(axis=1), d_w]) / n
-
-
 def cost_and_gradient(e: Extrinsic, ev: CostEvaluator):
     """(cost(e, ev), gradient): the value bit-identical to cost(), the
     gradient (6,) with respect to the pose increment (dt, w) that maps e to
     p_C = exp([w]x) R p_L + t + dt, translation first.  Points behind the
-    camera or out of frame add 0 to both."""
-    R_T = e.matrix().T
-    lane, d_lane = _class_value_grad(ev.lane_points @ R_T, e.t, ev.lane_height, ev.intrinsics)
-    pole, d_pole = _class_value_grad(ev.pole_points @ R_T, e.t, ev.pole_height, ev.intrinsics)
-    return float(lane + pole), d_lane + d_pole
+    camera or out of frame add 0 to both.
 
+    Both classes share one projection and one bilinear lookup, each class
+    reading its corners from its own map; only the per-class sums are
+    taken apart.
+    """
+    k = ev.intrinsics
+    n = len(ev.lane_points)
+    lane, pole = slice(0, n), slice(n, None)
+    # q = pts @ R.T, taken class by class as cost_batch takes it: numpy
+    # multiplies a one-point class by another BLAS routine, whose bits
+    # differ from that point's row of a larger product
+    R_T = e.matrix().T
+    rotated = np.empty_like(ev.points)
+    for c in (lane, pole):
+        np.matmul(ev.points[c], R_T, out=rotated[c])
+    q = np.ascontiguousarray(rotated.T)                          # (3, N + M)
+    p_c = q + e.t[:, None]
+    uv, valid = project_points(k, p_c.T)
+    # one grid for both maps: each has the intrinsics' shape
+    ok, i, (fu, fv, gu, gv) = bilinear_cells(uv[..., 0], uv[..., 1], (k.height, k.width))
+    corners = np.empty((4, len(i)))
+    ev.lane_height.corners(i[lane], out=corners[:, lane])
+    ev.pole_height.corners(i[pole], out=corners[:, pole])
+    g00, g01, g10, g11 = corners
+    vals = np.where(valid & ok, bilinear(corners, fu, fv, gu, gv), 0.0)
+    # the bilinear surface's exact slopes inside the cell, 0 out of frame
+    du = np.where(ok, (g01 - g00) * gv + (g11 - g10) * fv, 0.0)
+    dv = np.where(ok, (g10 - g00) * gu + (g11 - g01) * fu, 0.0)
+    # chain rule through the pinhole: a = d value / d p_c, 0 for a point
+    # behind the camera (inv_z = 0) or out of frame (du = dv = 0)
+    inv_z = np.where(valid, 1.0 / np.where(valid, p_c[2], 1.0), 0.0)
+    a = np.empty_like(q)
+    np.multiply(du, k.fx * inv_z, out=a[0])
+    np.multiply(dv, k.fy * inv_z, out=a[1])
+    np.multiply(-(a[0] * p_c[0] + a[1] * p_c[1]), inv_z, out=a[2])
+    terms = []
+    for c in (lane, pole):
+        ac, qc = a[:, c], q[:, c]
+        # d/dt = sum a; d/dw = sum q x a, read off the 3 x 3 moments sum a q^T
+        m = ac @ qc.T
+        d_w = (m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1])
+        # the same sum as _class_sums, so the value keeps its bits
+        count = ac.shape[1]
+        terms.append((vals[c].sum() / count, np.concatenate([ac.sum(axis=1), d_w]) / count))
+    (lane_value, d_lane), (pole_value, d_pole) = terms
+    return float(lane_value + pole_value), d_lane + d_pole

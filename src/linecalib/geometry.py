@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,23 +23,36 @@ _ORTHO_TOL = 1e-6
 
 @dataclass(frozen=True)
 class Extrinsic:
-    """Rigid transform LiDAR -> camera: p_C = R(r) @ p_L + t."""
+    """Rigid transform LiDAR -> camera: p_C = R(r) @ p_L + t.
+
+    r and t are read-only copies of the arrays handed in, so a later write
+    to those arrays does not move the pose."""
 
     r: np.ndarray  # angle-axis, radians
     t: np.ndarray  # meters
 
     def __post_init__(self):
         for name in ("r", "t"):
-            v = np.asarray(getattr(self, name), dtype=float)
+            v = np.array(getattr(self, name), dtype=float)
             if v.size != 3:
                 raise ValueError(f"{name}: expected 3 components, got {v.size}")
             object.__setattr__(self, name, v.reshape(3))
         object.__setattr__(self, "r", _canonical_angle_axis(self.r))
         if not (np.isfinite(self.r).all() and np.isfinite(self.t).all()):
             raise ValueError("non-finite extrinsic components")
+        self.r.setflags(write=False)
+        self.t.setflags(write=False)
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        R = angle_axis_to_matrix(self.r)
+        R.setflags(write=False)
+        return R
 
     def matrix(self) -> np.ndarray:
-        return angle_axis_to_matrix(self.r)
+        """R(r), built on first use; every call returns the same read-only
+        array."""
+        return self._matrix
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform one point or an (N, 3) array of points."""

@@ -57,48 +57,56 @@ class HeightMap:
         """(lowest, highest) height, computed on first use."""
         return float(self.values.min()), float(self.values.max())
 
-    def _lookup(self, u, v):
-        """In-frame mask, bilinear value, and the cell it came from: the
-        offsets (fu, fv) into it, their complements (gu, gv) and its four
-        corner values (top-left, top-right, bottom-left, bottom-right)."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        h, w = self.values.shape
-        ok = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
-        uc = np.where(ok, u, 0.0)
-        vc = np.where(ok, v, 0.0)
-        u0 = np.minimum(uc.astype(int), w - 2)
-        v0 = np.minimum(vc.astype(int), h - 2)
-        fu = uc - u0
-        fv = vc - v0
-        gu = 1 - fu
-        gv = 1 - fv
-        # flat gathers of the four neighbours: the same values as 2-D
-        # fancy indexing, at a fraction of its cost
+    def corners(self, i, out=None) -> np.ndarray:
+        """The four corner values (top-left, top-right, bottom-left,
+        bottom-right) of the cells whose top-left corners sit at the flat
+        indices i, as one (4, *i.shape) array, written into out if given."""
         g = self.values.ravel()
-        i = v0 * w + u0
-        corners = (g.take(i), g[1:].take(i), g[w:].take(i), g[w + 1:].take(i))
-        val = corners[0] * gu * gv
-        val += corners[1] * fu * gv
-        val += corners[2] * gu * fv
-        val += corners[3] * fu * fv
-        return ok, val, (fu, fv, gu, gv, corners)
+        w = self.values.shape[1]
+        if out is None:
+            out = np.empty((4,) + np.shape(i))
+        # flat gathers of the four neighbours: the same values as 2-D fancy
+        # indexing, at a fraction of its cost.  Every index is in range, so
+        # mode="clip" changes no value; it only spares take() the buffered
+        # copy that mode="raise" makes of out.
+        for row, offset in zip(out, (0, 1, w, w + 1)):
+            g[offset:].take(i, out=row, mode="clip")
+        return out
 
     def sample_bilinear(self, u, v):
         """Bilinear lookup, so the alignment cost varies smoothly with the
         pose; out-of-frame coordinates give 0.  u and v may have any
         (matching) shape; the result has that shape."""
-        ok, val, _ = self._lookup(u, v)
-        return np.where(ok, val, 0.0)
+        ok, i, cell = bilinear_cells(u, v, self.values.shape)
+        return np.where(ok, bilinear(self.corners(i), *cell), 0.0)
 
-    def sample_bilinear_grad(self, u, v):
-        """(value, d value / du, d value / dv), all 0 out of frame; the value
-        is bit-identical to sample_bilinear's.  The surface is bilinear
-        inside each cell, so the derivatives are exact there."""
-        ok, val, (fu, fv, gu, gv, (g00, g01, g10, g11)) = self._lookup(u, v)
-        du = (g01 - g00) * gv + (g11 - g10) * fv
-        dv = (g10 - g00) * gu + (g11 - g01) * fu
-        return np.where(ok, val, 0.0), np.where(ok, du, 0.0), np.where(ok, dv, 0.0)
+
+def bilinear_cells(u, v, shape):
+    """Where the points (u, v) fall on a grid of shape (h, w): the in-frame
+    mask, the flat index of each point's cell (its top-left corner), the
+    offsets (fu, fv) into that cell and their complements (gu, gv).  An
+    out-of-frame point is given cell 0."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    h, w = shape
+    ok = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
+    uc = np.where(ok, u, 0.0)
+    vc = np.where(ok, v, 0.0)
+    u0 = np.minimum(uc.astype(int), w - 2)
+    v0 = np.minimum(vc.astype(int), h - 2)
+    fu = uc - u0
+    fv = vc - v0
+    return ok, v0 * w + u0, (fu, fv, 1 - fu, 1 - fv)
+
+
+def bilinear(corners, fu, fv, gu, gv) -> np.ndarray:
+    """The bilinear blend of cell corners (4, ...), as HeightMap.corners
+    orders them, at the offsets bilinear_cells gives."""
+    val = corners[0] * gu * gv
+    val += corners[1] * fu * gv
+    val += corners[2] * gu * fv
+    val += corners[3] * fu * fv
+    return val
 
 
 def load_mask(path, cls: str, intrinsics: Intrinsics | None = None) -> SemanticMask:

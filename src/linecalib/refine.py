@@ -49,15 +49,19 @@ def refine(initial: Extrinsic, ev: CostEvaluator, cfg: RefinementConfig) -> Extr
     """BFGS ascent on the alignment cost, rotating about the centroid of
     the cost points, with at most cfg.max_samples cost_and_gradient calls;
     never returns a worse pose."""
-    centroid = np.vstack([ev.lane_points, ev.pole_points]).mean(axis=0)
+    centroid = ev.points.mean(axis=0)
 
     def climb_state(e):
         """Cost, scaled gradient and pivot of the increment at e."""
         f, g = cost_and_gradient(e, ev)
         pivot = e.matrix() @ centroid + e.t
         # cost_and_gradient rotates about e.t; moving the pivot to c adds
-        # w x (t - c) to the translation, so (t - c) x d/dt to d/dw
-        g[3:] += np.cross(e.t - pivot, g[:3])
+        # w x (t - c) to the translation, so (t - c) x d/dt to d/dw.  The
+        # cross product is spelled out: the bits of np.cross, without its
+        # overhead.
+        c0, c1, c2 = (e.t - pivot).tolist()
+        d0, d1, d2 = g[:3].tolist()
+        g[3:] += (c1 * d2 - c2 * d1, c2 * d0 - c0 * d2, c0 * d1 - c1 * d0)
         return f, g * _SCALE, pivot
 
     best = initial

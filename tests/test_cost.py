@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import linecalib.cost as cost_module
 from linecalib.cost import CostEvaluator, best_in_batch, cost, cost_and_gradient, cost_batch
+from linecalib.errors import DimensionMismatch
 from linecalib.evaluation import perturb
 from linecalib.geometry import (
     EPS_Z,
@@ -15,6 +16,7 @@ from linecalib.geometry import (
     Intrinsics,
     angle_axis_to_matrix,
     matrix_to_angle_axis,
+    project_points,
 )
 from linecalib.image_features import HeightMap
 
@@ -83,6 +85,31 @@ def test_empty_point_sets_rejected():
         CostEvaluator(np.zeros((0, 3)), np.ones((1, 3)), hm, hm, K)
 
 
+@pytest.mark.parametrize("cls", ["lane", "pole"])
+@pytest.mark.parametrize("shape", [(128, 96), (375, 1242)])
+def test_height_map_of_another_frame_rejected(cls, shape):
+    """A map must cover the intrinsics' (height, width) pixel grid; a
+    transposed or foreign one would be scored against the wrong pixels."""
+    right, wrong = HeightMap(np.ones((96, 128))), HeightMap(np.ones(shape))
+    maps = (wrong, right) if cls == "lane" else (right, wrong)
+    named = rf"{cls} height map has shape \({shape[0]}, {shape[1]}\), intrinsics need \(96, 128\)"
+    with pytest.raises(DimensionMismatch, match=named):
+        CostEvaluator(np.ones((2, 3)), np.ones((3, 3)), *maps, K)
+
+
+def test_evaluator_points_are_one_read_only_array():
+    rng = np.random.default_rng(1)
+    lane, pole = rng.normal(size=(5, 3)), rng.normal(size=(2, 3))
+    hm = HeightMap(np.ones((96, 128)))
+    ev = CostEvaluator(lane, pole, hm, hm, K)
+    assert ev.points.tolist() == lane.tolist() + pole.tolist()
+    assert ev.lane_points.base is ev.points and ev.pole_points.base is ev.points
+    for array in (ev.points, ev.lane_points, ev.pole_points):
+        assert not array.flags.writeable
+    lane[0] = 0.0
+    assert ev.lane_points[0].tolist() == ev.points[0].tolist() != [0.0] * 3
+
+
 def test_ground_truth_cost_high_on_canonical_scene(canonical_evaluator):
     ev, gt = canonical_evaluator
     assert cost(gt, ev) > 1.8
@@ -111,6 +138,19 @@ def test_package_attributes_are_the_modules():
 # the batched kernel against the per-pose cost it replaced
 
 
+def _oracle_cell(u, v, g):
+    """In-frame mask, offsets (fu, fv) into each point's cell and the
+    cell's four corners, read by 2-D fancy indexing of the grid g."""
+    h, w = g.shape
+    ok = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
+    uc = np.where(ok, u, 0.0)
+    vc = np.where(ok, v, 0.0)
+    u0 = np.minimum(uc.astype(int), w - 2)
+    v0 = np.minimum(vc.astype(int), h - 2)
+    corners = (g[v0, u0], g[v0, u0 + 1], g[v0 + 1, u0], g[v0 + 1, u0 + 1])
+    return ok, uc - u0, vc - v0, corners
+
+
 def _oracle_class_term(R, t, pts, hmap, k):
     """One class term as cost() computed it pose by pose, with the 2-D
     fancy-indexing bilinear lookup: every point is projected and sampled,
@@ -120,21 +160,8 @@ def _oracle_class_term(R, t, pts, hmap, k):
     z = np.where(valid, p_c[:, 2], 1.0)
     u = k.fx * p_c[:, 0] / z + k.cx
     v = k.fy * p_c[:, 1] / z + k.cy
-    g = hmap.values
-    h, w = g.shape
-    ok = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
-    uc = np.where(ok, u, 0.0)
-    vc = np.where(ok, v, 0.0)
-    u0 = np.minimum(uc.astype(int), w - 2)
-    v0 = np.minimum(vc.astype(int), h - 2)
-    fu = uc - u0
-    fv = vc - v0
-    val = (
-        g[v0, u0] * (1 - fu) * (1 - fv)
-        + g[v0, u0 + 1] * fu * (1 - fv)
-        + g[v0 + 1, u0] * (1 - fu) * fv
-        + g[v0 + 1, u0 + 1] * fu * fv
-    )
+    ok, fu, fv, (g00, g01, g10, g11) = _oracle_cell(u, v, hmap.values)
+    val = g00 * (1 - fu) * (1 - fv) + g01 * fu * (1 - fv) + g10 * (1 - fu) * fv + g11 * fu * fv
     return float(np.where(ok & valid, val, 0.0).sum()) / len(pts)
 
 
@@ -339,6 +366,72 @@ def test_cost_and_gradient_value_is_cost_small_evaluators(seed):
     _assert_values_match_cost(
         [Extrinsic(rng.normal(size=3) * 0.3, rng.normal(size=3) * 3.0) for _ in range(4)], ev
     )
+
+
+def _class_value_grad(rotated, t, hmap, k):
+    """One class term of cost() and its gradient (6,), computed for that
+    class alone as the kernel did before both classes shared one pass,
+    with the 2-D fancy-indexing bilinear lookup: rotated = pts @ R.T."""
+    n = len(rotated)
+    q = np.ascontiguousarray(rotated.T)          # (3, N)
+    p_c = q + t[:, None]
+    uv, valid = project_points(k, p_c.T)
+    ok, fu, fv, (g00, g01, g10, g11) = _oracle_cell(uv[:, 0], uv[:, 1], hmap.values)
+    gu, gv = 1 - fu, 1 - fv
+    vals = np.where(ok, g00 * gu * gv + g01 * fu * gv + g10 * gu * fv + g11 * fu * fv, 0.0)
+    du = np.where(ok, (g01 - g00) * gv + (g11 - g10) * fv, 0.0)
+    dv = np.where(ok, (g10 - g00) * gu + (g11 - g01) * fu, 0.0)
+    value = np.where(valid, vals, 0.0).sum() / n
+    inv_z = np.where(valid, 1.0 / np.where(valid, p_c[2], 1.0), 0.0)
+    a = np.empty((3, n))
+    np.multiply(du, k.fx * inv_z, out=a[0])
+    np.multiply(dv, k.fy * inv_z, out=a[1])
+    np.multiply(-(a[0] * p_c[0] + a[1] * p_c[1]), inv_z, out=a[2])
+    m = a @ q.T
+    d_w = (m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1])
+    return value, np.concatenate([a.sum(axis=1), d_w]) / n
+
+
+def oracle_cost_and_gradient(e, ev):
+    R_T = e.matrix().T
+    lane, d_lane = _class_value_grad(ev.lane_points @ R_T, e.t, ev.lane_height, ev.intrinsics)
+    pole, d_pole = _class_value_grad(ev.pole_points @ R_T, e.t, ev.pole_height, ev.intrinsics)
+    return float(lane + pole), d_lane + d_pole
+
+
+def _assert_kernel_matches_oracle(poses, ev):
+    for p in poses:
+        value, grad = cost_and_gradient(p, ev)
+        want_value, want_grad = oracle_cost_and_gradient(p, ev)
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_cost_and_gradient_bits_match_per_class_oracle(seed):
+    """Classes of 1 to 40 points, some behind the camera and some out of
+    frame, scored at poses near identity and far from it."""
+    rng = np.random.default_rng(seed)
+    lo, hi = [-3, -3, -10], [3, 3, 30]
+    ev = CostEvaluator(
+        rng.uniform(lo, hi, size=(int(rng.integers(1, 40)), 3)),
+        rng.uniform(lo, hi, size=(int(rng.integers(1, 40)), 3)),
+        HeightMap(rng.random((96, 128))), HeightMap(rng.random((96, 128))), K,
+    )
+    poses = [Extrinsic(rng.normal(size=3) * s, rng.normal(size=3) * 3 * s)
+             for s in (0.05, 0.3, 1.0)]
+    _assert_kernel_matches_oracle(poses, ev)
+
+
+def test_cost_and_gradient_bits_match_per_class_oracle_on_canonical_scene(canonical_evaluator):
+    ev, gt = canonical_evaluator
+    rng = np.random.default_rng(13)
+    poses = [perturb(gt, rng, dt, math.radians(dtheta))
+             for dt, dtheta in ((0.05, 0.3), (1.0, 6.0), (5.0, 30.0), (30.0, 90.0))
+             for _ in range(25)]
+    assert sum(0.0 < _behind_fraction(p, ev) for p in poses) >= 5
+    _assert_kernel_matches_oracle(poses, ev)
 
 
 def _moved(e, x):

@@ -137,6 +137,26 @@ def test_angle_axis_canonicalized_beyond_pi():
     assert np.abs(e.matrix() - angle_axis_to_matrix(r)).max() < 1e-9
 
 
+@pytest.mark.parametrize("r0", [(0.1, -0.2, 0.3), (0.0, 0.0, 1.5 * math.pi)])
+def test_extrinsic_owns_read_only_r_t_and_matrix(r0):
+    """A later write to the arrays handed in, here t as a row of a batch,
+    does not move the pose, and r, t and the matrix refuse writes; the
+    matrix is built once.  The second r0 is canonicalised, so r is a new
+    array either way."""
+    r, ts = np.array(r0), np.arange(6.0).reshape(2, 3)
+    t = ts[1]
+    e = Extrinsic(r, t)
+    r_bytes, t_bytes, R_bytes = e.r.tobytes(), e.t.tobytes(), e.matrix().tobytes()
+    r[1] = 1.5
+    t[0] = 99.0
+    assert (e.r.tobytes(), e.t.tobytes(), e.matrix().tobytes()) == (r_bytes, t_bytes, R_bytes)
+    assert e.matrix() is e.matrix()
+    assert e.matrix().tobytes() == angle_axis_to_matrix(e.r).tobytes()
+    for array in (e.r, e.t, e.matrix()):
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+
+
 def test_matrix_to_angle_axis_rejects_non_rotation():
     with pytest.raises(NotARotation):
         matrix_to_angle_axis(np.eye(3) * 2.0)
