@@ -33,7 +33,7 @@ POLE_COS = math.cos(math.radians(15.0))
 _PLANE_BLOCK = 8192
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
     xyz: np.ndarray        # (N, 3) meters
     intensity: np.ndarray  # (N,) reflectance >= 0
@@ -62,14 +62,14 @@ class PointCloud:
         return np.column_stack([self.xyz, self.intensity])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundSegmentation:
     plane: Plane3D
     ground_indices: np.ndarray
     object_indices: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundParallelFrame:
     """Rotation R taking LiDAR-frame vectors into the ground-parallel frame.
 
@@ -88,13 +88,13 @@ class GroundParallelFrame:
         return np.asarray(p, dtype=float) @ self.rotation.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoredLine3D:
     line: Line3D
     inliers: np.ndarray  # indices into the point array the fit consumed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureSetCloud:
     lane_points: np.ndarray
     pole_points: np.ndarray

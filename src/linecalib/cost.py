@@ -27,7 +27,7 @@ from .image_features import HeightMap, bilinear, bilinear_cells
 _BLOCK = 16384
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostEvaluator:
     lane_points: np.ndarray   # (N, 3) LiDAR frame
     pole_points: np.ndarray   # (M, 3)
@@ -36,7 +36,7 @@ class CostEvaluator:
     intrinsics: Intrinsics
     # (N + M, 3): the lane points, then the pole points; lane_points and
     # pole_points are read-only views into it
-    points: np.ndarray = field(init=False, repr=False, compare=False)
+    points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lp = np.asarray(self.lane_points, dtype=float).reshape(-1, 3)

@@ -21,7 +21,7 @@ EPS_Z = 1e-6
 _ORTHO_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Extrinsic:
     """Rigid transform LiDAR -> camera: p_C = R(r) @ p_L + t.
 
@@ -89,7 +89,7 @@ class Intrinsics:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Line3D:
     """Infinite 3D line through `point` along unit `direction`."""
 
@@ -165,7 +165,7 @@ class Line2D:
         return Line2D(v1 - v0, u0 - u1, u1 * v0 - u0 * v1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Plane3D:
     """Plane n . p + d = 0 with unit normal."""
 

@@ -18,7 +18,7 @@ from .fileio import load_pgm
 from .geometry import Intrinsics, Line2D
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SemanticMask:
     cls: str                 # "lane" or "pole"
     bits: np.ndarray         # (h, w) bool, row-major
@@ -38,7 +38,7 @@ class SemanticMask:
         return int(self.bits.sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeightMap:
     """Per-pixel heights; a float64 array handed in is frozen, not copied."""
 
@@ -197,15 +197,13 @@ class ScoredLine2D:
 _VOTE_BLOCK = 1 << 16
 
 
-def _vote(us, vs, cos_t, sin_t, n_rho, rho_off, subtract_from=None):
-    """Hough votes of the given set pixels over the (theta, rho) cells, one
-    block of angles at a time: a new accumulator of them (one bincount per
-    block), or, given subtract_from, that accumulator with them removed in
-    place (np.subtract.at per block)."""
+def _vote(us, vs, cos_t, sin_t, n_rho, rho_off):
+    """A new (theta, rho) accumulator of the Hough votes of the given set
+    pixels, one block of angles at a time and one bincount per block.  The
+    cell of pixel (u, v) at angle t is rint(u*cos_t + v*sin_t) + rho_off,
+    the same float operations as hough_lines's one-row update."""
     n_theta = len(cos_t)
-    acc = subtract_from
-    if acc is None:
-        acc = np.empty((n_theta, n_rho), dtype=np.int64)
+    acc = np.empty((n_theta, n_rho), dtype=np.int64)
     step = min(n_theta, max(1, _VOTE_BLOCK // max(1, len(us))))
     rho = np.empty((step, len(us)))
     tmp = np.empty_like(rho)
@@ -223,10 +221,7 @@ def _vote(us, vs, cos_t, sin_t, n_rho, rho_off, subtract_from=None):
         r += first[:k]
         np.copyto(c, r, casting="unsafe")
         block = acc[t0:t0 + k].reshape(-1)  # a view: the rows are contiguous
-        if subtract_from is None:
-            block[:] = np.bincount(c.ravel(), minlength=k * n_rho)
-        else:
-            np.subtract.at(block, c.ravel(), 1)
+        block[:] = np.bincount(c.ravel(), minlength=k * n_rho)
     return acc
 
 
@@ -241,9 +236,16 @@ def _fit_line2d(us: np.ndarray, vs: np.ndarray) -> Line2D:
 def hough_lines(mask: SemanticMask, cfg: PipelineConfig) -> list[ScoredLine2D]:
     """Iterative Hough transform: peak, claim the supporting band, repeat.
 
-    The mask is voted once; the votes of each peak's claimed pixels are
-    then subtracted from that accumulator in place, which leaves exactly
-    the votes of the pixels not yet claimed (it holds integer counts).
+    The mask is voted once, and each angle row keeps its maximum as an
+    upper bound.  A peak's claimed pixels join a pending list instead of
+    leaving every row at once: each row records how much of that list it
+    has subtracted.  The next peak is found in the row of the highest
+    bound; if that row is stale, its pending pixels leave it (one bincount
+    at that angle), its bound becomes its exact maximum, and the search
+    repeats.  Subtraction only lowers a row, so once the top row is up to
+    date it holds the accumulator's maximum, and np.argmax of the bounds
+    returns the first of equal rows: the peak is the flat argmax of the
+    accumulator of the pixels not yet claimed, as if every row were exact.
     Resolution is 1 degree in theta and 1 px in rho.  A peak claims the
     pixels within cfg.hough_band_px of its line and is emitted with at
     least cfg.hough_min_support of them, up to cfg.hough_max_lines lines.
@@ -263,9 +265,26 @@ def hough_lines(mask: SemanticMask, cfg: PipelineConfig) -> list[ScoredLine2D]:
     # unclaimed pixels, kept in row-major order, as float once for all uses
     vs, us = (x.astype(float) for x in np.nonzero(mask.bits))
     acc = _vote(us, vs, cos_t, sin_t, n_rho, rho_off)
+    bound = acc.max(axis=1)
+    # claimed pixels in claim order; row t has subtracted the first done[t]
+    pend_u, pend_v = np.empty_like(us), np.empty_like(vs)
+    n_pend = 0
+    done = np.zeros(len(thetas), dtype=np.intp)
     out: list[ScoredLine2D] = []
     while len(out) < cfg.hough_max_lines and len(us) >= min_support:
-        it, ir = np.unravel_index(np.argmax(acc), acc.shape)
+        while True:
+            it = int(np.argmax(bound))
+            k = done[it]
+            if k == n_pend:
+                break
+            r = pend_u[k:n_pend] * cos_t[it]
+            r += pend_v[k:n_pend] * sin_t[it]
+            np.rint(r, out=r)
+            r += rho_off
+            acc[it] -= np.bincount(r.astype(np.intp), minlength=n_rho)
+            done[it] = n_pend
+            bound[it] = acc[it].max()
+        ir = int(np.argmax(acc[it]))
         if acc[it, ir] < min_support:
             break
         rho = float(ir - rho_off)
@@ -278,18 +297,19 @@ def hough_lines(mask: SemanticMask, cfg: PipelineConfig) -> list[ScoredLine2D]:
             # nothing to subtract: the same peak would come back forever
             break
         cu, cv = us[claimed], vs[claimed]
-        _vote(cu, cv, cos_t, sin_t, n_rho, rho_off, subtract_from=acc)
+        pend_u[n_pend:n_pend + support] = cu
+        pend_v[n_pend:n_pend + support] = cv
+        n_pend += support
         us, vs = us[~claimed], vs[~claimed]
         if support < min_support:
             continue
-        # sub-cell accuracy: the accumulator is 1 degree x 1 px, so refit
-        # the line to its claimed pixels by total least squares
-        line = _fit_line2d(cu, cv)
         # theta is the normal angle: ~90 deg means a horizontal line
         off_horizontal = abs(math.degrees(thetas[it]) - 90.0)
         if mask.cls == "lane" and off_horizontal < cfg.hough_lane_theta_margin_deg:
             continue
-        out.append(ScoredLine2D(line=line, support=support))
+        # sub-cell accuracy: the accumulator is 1 degree x 1 px, so refit
+        # the line to its claimed pixels by total least squares
+        out.append(ScoredLine2D(line=_fit_line2d(cu, cv), support=support))
     if not out:
         raise NoLines(f"{mask.cls} mask: no line reached the support threshold")
     out.sort(key=ScoredLine2D.rank)

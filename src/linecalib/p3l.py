@@ -59,7 +59,7 @@ def _orthonormal_from_first(n: np.ndarray) -> np.ndarray:
     return np.column_stack([n, u, v])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImageSolution:
     """The image side of a P3L problem, shared by every cloud triple."""
 

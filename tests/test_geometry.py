@@ -321,3 +321,50 @@ def test_plane3d_normalizes():
     assert np.abs(pl.normal - [0, 0, 1]).max() < 1e-12
     assert pl.d == -2.0
     assert abs(pl.signed_distance(np.array([[1.0, 1.0, 5.0]]))[0] - 3.0) < 1e-12
+
+
+def _array_dataclass_factories():
+    """One builder per frozen dataclass with an np.ndarray field; each call
+    builds a new instance from the same values."""
+    from linecalib.cloud_features import (
+        FeatureSetCloud,
+        GroundParallelFrame,
+        GroundSegmentation,
+        PointCloud,
+        ScoredLine3D,
+    )
+    from linecalib.cost import CostEvaluator
+    from linecalib.image_features import HeightMap, SemanticMask
+    from linecalib.p3l import ImageSolution
+
+    k = Intrinsics(fx=50.0, fy=50.0, cx=4.0, cy=3.0, width=8, height=6)
+    pts = np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 5.0]])
+    line = lambda: Line3D(np.zeros(3), np.array([1.0, 0.0, 0.0]))
+    height = lambda: HeightMap(np.full((6, 8), 0.5))
+    plane = lambda: Plane3D(np.array([0.0, 0.0, 1.0]), 1.5)
+    return {
+        "Extrinsic": lambda: Extrinsic(np.zeros(3), np.ones(3)),
+        "CostEvaluator": lambda: CostEvaluator(pts, pts, height(), height(), k),
+        "Line3D": line,
+        "Plane3D": plane,
+        "PointCloud": lambda: PointCloud(pts, np.ones(2)),
+        "GroundSegmentation": lambda: GroundSegmentation(plane(), np.arange(2), np.arange(0)),
+        "GroundParallelFrame": lambda: GroundParallelFrame(np.eye(3)),
+        "ScoredLine3D": lambda: ScoredLine3D(line(), np.arange(2)),
+        "FeatureSetCloud": lambda: FeatureSetCloud(pts, pts),
+        "ImageSolution": lambda: ImageSolution(np.eye(3), ()),
+        "SemanticMask": lambda: SemanticMask("lane", np.eye(6, 8, dtype=bool)),
+        "HeightMap": height,
+    }
+
+
+@pytest.mark.parametrize("name", list(_array_dataclass_factories()))
+def test_array_dataclasses_compare_by_identity(name):
+    """A dataclass holding arrays cannot compare its fields by value, so
+    it compares and hashes as an object: no ValueError from ==, no
+    TypeError from hash()."""
+    make = _array_dataclass_factories()[name]
+    a, b = make(), make()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a) and {a, b} == {a, b} and len({a, b}) == 2

@@ -589,6 +589,48 @@ def test_scene_masks_match_the_two_field_and_full_vote_oracles(spec):
         assert want and _line_tuples(hough_lines(mask, cfg)) == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    h=st.integers(12, 40),
+    w=st.integers(12, 40),
+    theta=st.integers(1, 89),
+    n=st.integers(3, 12),
+    min_support=st.integers(3, 6),
+    clutter=st.floats(0.0, 0.03),
+    seed=st.integers(0, 2**32 - 1),
+    cls=st.sampled_from(("lane", "pole")),
+)
+def test_hough_tied_rows_match_the_vote_and_subtract_oracle(
+        h, w, theta, n, min_support, clutter, seed, cls):
+    """Mirrored strokes at theta and 180 - theta deg through one pixel,
+    each n pixels in one accumulator cell of its angle, tie for the
+    maximum; the crossing pixel goes to whichever is claimed first, so
+    taking any row but the first of the tied ones changes the supports."""
+    thetas = np.deg2rad(np.arange(180.0))
+    vv, uu = (x.astype(float) for x in np.mgrid[:h, :w])
+    cu, cv = w // 2, h // 2
+    near = (uu - cu) ** 2 + (vv - cv) ** 2
+    strokes = []
+    for t in (theta, 180 - theta):
+        # the same float operations as the vote, so the stroke's pixels
+        # share one cell of row t
+        cell = np.rint(uu * np.cos(thetas[t]) + vv * np.sin(thetas[t]))
+        on = cell == cell[cv, cu]
+        strokes.append((on.sum(), np.argsort(np.where(on, near, np.inf), axis=None, kind="stable")))
+    n = min(n, *(count for count, _ in strokes))
+    bits = np.random.default_rng(seed).random((h, w)) < clutter
+    for _, order in strokes:
+        bits.flat[order[:n]] = True
+    mask = SemanticMask(cls, bits)
+    cfg = hough_cfg(min_support)
+    want = _line_tuples(_hough_lines_vote_and_subtract(mask, cfg))
+    if not want:
+        with pytest.raises(NoLines):
+            hough_lines(mask, cfg)
+        return
+    assert _line_tuples(hough_lines(mask, cfg)) == want
+
+
 # peak allocations of the two-field IDT and the full-vote Hough (the
 # oracles above) on the canonical lane mask, in MiB
 _IDT_PEAK_MIB, _HOUGH_PEAK_MIB = 18.4, 11.3
