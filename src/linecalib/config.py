@@ -22,7 +22,7 @@ class RefinementConfig:
     """
 
     step_final: float = 0.001     # ascent stops below this step, in those units
-    max_samples: int = 10000      # cost evaluations, the start's included
+    max_samples: int = 10000      # value evaluations, one unit each, the start's included
 
     def __post_init__(self):
         if not (0 < self.step_final < 1):

@@ -9,12 +9,15 @@ points, in every kernel here, so the cost is bounded by 2.
 cost_batch scores many translations of one rotation at once;
 best_in_batch finds the best of them, scoring in full only those that an
 upper bound from a subset of the points cannot rule out;
-cost_and_gradient scores one pose and also returns the cost's analytic
-gradient, for the refine stage, in one pass over both classes.
+value_pass scores one pose in one pass over both classes and keeps its
+intermediates, from which finish_gradient takes the cost's analytic
+gradient; the refine stage finishes only the poses it moves to, and
+cost_and_gradient is the two in turn.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,15 +180,26 @@ def cost(e: Extrinsic, ev: CostEvaluator) -> float:
     return float(cost_batch(e.matrix(), e.t[None], ev)[0])
 
 
-def cost_and_gradient(e: Extrinsic, ev: CostEvaluator):
-    """(cost(e, ev), gradient): the value bit-identical to cost(), the
-    gradient (6,) with respect to the pose increment (dt, w) that maps e to
-    p_C = exp([w]x) R p_L + t + dt, translation first.  Points behind the
-    camera or out of frame add 0 to both.
+class ValuePass(NamedTuple):
+    """One pose scored by value_pass: its cost, and the intermediates that
+    finish_gradient reuses."""
+
+    value: float
+    ev: CostEvaluator
+    q: np.ndarray          # (3, N + M) pts @ R.T, transposed
+    p_c: np.ndarray        # (3, N + M) camera-frame points
+    valid: np.ndarray      # in front of the camera
+    ok: np.ndarray         # in frame
+    cell: tuple            # (fu, fv, gu, gv) offsets into each point's cell
+    corners: np.ndarray    # (4, N + M) the cell corners of each point's map
+
+
+def value_pass(e: Extrinsic, ev: CostEvaluator) -> ValuePass:
+    """cost(e, ev), bit-identical to cost(), with what the gradient needs.
 
     Both classes share one projection and one bilinear lookup, each class
     reading its corners from its own map; only the per-class sums are
-    taken apart.
+    taken apart.  Points behind the camera or out of frame add 0.
     """
     k = ev.intrinsics
     n = len(ev.lane_points)
@@ -201,12 +215,26 @@ def cost_and_gradient(e: Extrinsic, ev: CostEvaluator):
     p_c = q + e.t[:, None]
     uv, valid = project_points(k, p_c.T)
     # one grid for both maps: each has the intrinsics' shape
-    ok, i, (fu, fv, gu, gv) = bilinear_cells(uv[..., 0], uv[..., 1], (k.height, k.width))
+    ok, i, cell = bilinear_cells(uv[..., 0], uv[..., 1], (k.height, k.width))
     corners = np.empty((4, len(i)))
     ev.lane_height.corners(i[lane], out=corners[:, lane])
     ev.pole_height.corners(i[pole], out=corners[:, pole])
-    g00, g01, g10, g11 = corners
-    vals = np.where(valid & ok, bilinear(corners, fu, fv, gu, gv), 0.0)
+    vals = np.where(valid & ok, bilinear(corners, *cell), 0.0)
+    # the same sums as _class_sums, so the value keeps its bits
+    value = vals[lane].sum() / n + vals[pole].sum() / len(ev.pole_points)
+    return ValuePass(float(value), ev, q, p_c, valid, ok, cell, corners)
+
+
+def finish_gradient(vp: ValuePass) -> np.ndarray:
+    """The gradient (6,) of vp's cost with respect to the pose increment
+    (dt, w) that maps its pose e to p_C = exp([w]x) R p_L + t + dt,
+    translation first, from the intermediates of its value pass.  Points
+    behind the camera or out of frame add 0."""
+    ev, q, p_c, valid, ok = vp.ev, vp.q, vp.p_c, vp.valid, vp.ok
+    k = ev.intrinsics
+    n = len(ev.lane_points)
+    fu, fv, gu, gv = vp.cell
+    g00, g01, g10, g11 = vp.corners
     # the bilinear surface's exact slopes inside the cell, 0 out of frame
     du = np.where(ok, (g01 - g00) * gv + (g11 - g10) * fv, 0.0)
     dv = np.where(ok, (g10 - g00) * gu + (g11 - g01) * fu, 0.0)
@@ -218,13 +246,16 @@ def cost_and_gradient(e: Extrinsic, ev: CostEvaluator):
     np.multiply(dv, k.fy * inv_z, out=a[1])
     np.multiply(-(a[0] * p_c[0] + a[1] * p_c[1]), inv_z, out=a[2])
     terms = []
-    for c in (lane, pole):
+    for c in (slice(0, n), slice(n, None)):
         ac, qc = a[:, c], q[:, c]
         # d/dt = sum a; d/dw = sum q x a, read off the 3 x 3 moments sum a q^T
         m = ac @ qc.T
         d_w = (m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1])
-        # the same sum as _class_sums, so the value keeps its bits
-        count = ac.shape[1]
-        terms.append((vals[c].sum() / count, np.concatenate([ac.sum(axis=1), d_w]) / count))
-    (lane_value, d_lane), (pole_value, d_pole) = terms
-    return float(lane_value + pole_value), d_lane + d_pole
+        terms.append(np.concatenate([ac.sum(axis=1), d_w]) / ac.shape[1])
+    return terms[0] + terms[1]
+
+
+def cost_and_gradient(e: Extrinsic, ev: CostEvaluator):
+    """(cost(e, ev), gradient): value_pass, then finish_gradient."""
+    vp = value_pass(e, ev)
+    return vp.value, finish_gradient(vp)

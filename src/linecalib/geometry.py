@@ -20,6 +20,17 @@ EPS_Z = 1e-6
 
 _ORTHO_TOL = 1e-6
 
+# read-only identities, shared instead of rebuilt by np.eye on every call
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a 1-D float array, by its own formula (the dot
+    product, then a correctly rounded square root) and so with its bits,
+    without its argument handling."""
+    return math.sqrt(v.dot(v))
+
 
 @dataclass(frozen=True, eq=False)
 class Extrinsic:
@@ -187,7 +198,7 @@ class Plane3D:
 def _canonical_angle_axis(r: np.ndarray) -> np.ndarray:
     """Wrap an angle-axis vector so its magnitude lies in [0, pi]."""
     r = np.asarray(r, dtype=float).reshape(3)
-    theta = np.linalg.norm(r)
+    theta = vector_norm(r)
     if theta <= np.pi:
         return r
     axis = r / theta
@@ -201,23 +212,25 @@ def _canonical_angle_axis(r: np.ndarray) -> np.ndarray:
 def angle_axis_to_matrix(r: np.ndarray) -> np.ndarray:
     """Rodrigues formula; the zero vector maps to the identity."""
     r = np.asarray(r, dtype=float).reshape(3)
-    theta = np.linalg.norm(r)
-    K = np.array(
-        [[0.0, -r[2], r[1]], [r[2], 0.0, -r[0]], [-r[1], r[0], 0.0]]
-    )
+    theta = vector_norm(r)
+    r0, r1, r2 = r.tolist()
+    K = np.array([[0.0, -r2, r1], [r2, 0.0, -r0], [-r1, r0, 0.0]])
     if theta < 1e-8:
         # second-order series, exact enough at this magnitude
-        return np.eye(3) + K + 0.5 * (K @ K)
+        return _EYE3 + K + 0.5 * (K @ K)
     A = math.sin(theta) / theta
     B = (1.0 - math.cos(theta)) / (theta * theta)
-    return np.eye(3) + A * K + B * (K @ K)
+    return _EYE3 + A * K + B * (K @ K)
 
 
 def _check_rotation(R: np.ndarray) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise NotARotation(f"expected 3x3 matrix, got {R.shape}")
-    if np.abs(R @ R.T - np.eye(3)).max() > _ORTHO_TOL:
+    # a NaN would pass the test below, since every comparison with it fails
+    if not np.isfinite(R).all():
+        raise NotARotation("matrix has a non-finite entry")
+    if np.abs(R @ R.T - _EYE3).max() > _ORTHO_TOL:
         raise NotARotation("matrix is not orthonormal")
     if np.linalg.det(R) < 0:
         raise NotARotation("matrix has negative determinant")
@@ -230,19 +243,19 @@ def matrix_to_angle_axis(R: np.ndarray) -> np.ndarray:
 
 
 def _angle_axis(R: np.ndarray) -> np.ndarray:
-    cos_theta = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
+    cos_theta = min(max((np.trace(R) - 1.0) / 2.0, -1.0), 1.0)
     w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    sin_theta = np.linalg.norm(w) / 2.0
+    sin_theta = vector_norm(w) / 2.0
     theta = math.atan2(sin_theta, cos_theta)
     if theta < 1e-8:
         return w / 2.0
     if math.pi - theta > 1e-6:
         return w * (theta / (2.0 * sin_theta))
     # near pi: axis from the dominant diagonal of (R + I) / 2
-    S = (R + np.eye(3)) / 2.0
+    S = (R + _EYE3) / 2.0
     k = int(np.argmax(np.diag(S)))
     axis = S[:, k] / math.sqrt(max(S[k, k], 1e-300))
-    axis = axis / np.linalg.norm(axis)
+    axis = axis / vector_norm(axis)
     # fix the sign using the skew part when it is not exactly zero
     if np.dot(axis, w) < 0:
         axis = -axis

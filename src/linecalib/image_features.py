@@ -316,7 +316,7 @@ def hough_lines(mask: SemanticMask, cfg: PipelineConfig) -> list[ScoredLine2D]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureSetImage:
     lane_height: HeightMap
     pole_height: HeightMap

@@ -166,6 +166,96 @@ def test_matrix_to_angle_axis_rejects_non_rotation():
         matrix_to_angle_axis(np.eye(4))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 2)])
+def test_non_finite_matrix_is_not_a_rotation(bad, entry):
+    """A NaN or infinite entry fails the orthonormality check, not only a
+    later step: with one inf on the diagonal the angle-axis map used to
+    return [0, 0, 0]."""
+    R = np.eye(3)
+    R[entry] = bad
+    for read in (
+        matrix_to_angle_axis,
+        euler_zyx,
+        lambda M: rotation_geodesic(M, np.eye(3)),
+        lambda M: rotation_geodesic(np.eye(3), M),
+        lambda M: Extrinsic.from_matrix(M, np.zeros(3)),
+    ):
+        with pytest.raises(NotARotation):
+            read(R)
+
+
+# The rotation maps as written with np.linalg.norm, np.clip and np.eye: the
+# library drops only their call overhead, so its bits must equal these.
+
+
+def oracle_canonical_angle_axis(r):
+    r = np.asarray(r, dtype=float).reshape(3)
+    theta = np.linalg.norm(r)
+    if theta <= np.pi:
+        return r
+    axis = r / theta
+    theta = math.fmod(theta, 2.0 * math.pi)
+    if theta > math.pi:
+        theta -= 2.0 * math.pi
+    return axis * theta if theta >= 0 else -axis * -theta
+
+
+def oracle_angle_axis_to_matrix(r):
+    r = np.asarray(r, dtype=float).reshape(3)
+    theta = np.linalg.norm(r)
+    K = np.array([[0.0, -r[2], r[1]], [r[2], 0.0, -r[0]], [-r[1], r[0], 0.0]])
+    if theta < 1e-8:
+        return np.eye(3) + K + 0.5 * (K @ K)
+    A = math.sin(theta) / theta
+    B = (1.0 - math.cos(theta)) / (theta * theta)
+    return np.eye(3) + A * K + B * (K @ K)
+
+
+def oracle_matrix_to_angle_axis(R):
+    cos_theta = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
+    w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    sin_theta = np.linalg.norm(w) / 2.0
+    theta = math.atan2(sin_theta, cos_theta)
+    if theta < 1e-8:
+        return w / 2.0
+    if math.pi - theta > 1e-6:
+        return w * (theta / (2.0 * sin_theta))
+    S = (R + np.eye(3)) / 2.0
+    k = int(np.argmax(np.diag(S)))
+    axis = S[:, k] / math.sqrt(max(S[k, k], 1e-300))
+    axis = axis / np.linalg.norm(axis)
+    if np.dot(axis, w) < 0:
+        axis = -axis
+    return axis * theta
+
+
+unit_axis = st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).map(
+    np.array).filter(lambda a: np.linalg.norm(a) > 1e-3).map(lambda a: a / np.linalg.norm(a))
+# every branch: angles below 1e-8 (the series), within 1e-6 of pi (the
+# diagonal axis) and past pi (canonicalised), and the general case
+rotation_angle = st.one_of(
+    st.floats(0.0, 1e-8),
+    st.floats(math.pi - 2e-6, math.pi + 2e-6),
+    st.floats(0.0, 7.0),
+)
+
+
+@MANY
+@given(unit_axis, rotation_angle, vec3)
+def test_rotation_maps_keep_the_bits_of_norm_and_clip(axis, angle, t):
+    r = axis * angle
+    R = oracle_angle_axis_to_matrix(r)
+    assert angle_axis_to_matrix(r).tobytes() == R.tobytes()
+    assert matrix_to_angle_axis(R).tobytes() == oracle_matrix_to_angle_axis(R).tobytes()
+    e = Extrinsic(r, t)
+    r_c = oracle_canonical_angle_axis(r)
+    assert e.r.tobytes() == r_c.tobytes()
+    assert e.matrix().tobytes() == oracle_angle_axis_to_matrix(r_c).tobytes()
+    moved = Extrinsic.from_matrix(R, t)
+    assert moved.r.tobytes() == oracle_matrix_to_angle_axis(R).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # euler decomposition
 
@@ -334,7 +424,7 @@ def _array_dataclass_factories():
         ScoredLine3D,
     )
     from linecalib.cost import CostEvaluator
-    from linecalib.image_features import HeightMap, SemanticMask
+    from linecalib.image_features import FeatureSetImage, HeightMap, ScoredLine2D, SemanticMask
     from linecalib.p3l import ImageSolution
 
     k = Intrinsics(fx=50.0, fy=50.0, cx=4.0, cy=3.0, width=8, height=6)
@@ -355,6 +445,9 @@ def _array_dataclass_factories():
         "ImageSolution": lambda: ImageSolution(np.eye(3), ()),
         "SemanticMask": lambda: SemanticMask("lane", np.eye(6, 8, dtype=bool)),
         "HeightMap": height,
+        # lists of lines made the generated hash() raise TypeError
+        "FeatureSetImage": lambda: FeatureSetImage(
+            height(), height(), [ScoredLine2D(Line2D(1.0, 0.0, -4.0), 9)], []),
     }
 
 

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 import linecalib.cost as cost_module
 import linecalib.refine as refine_module
 from linecalib.config import RefinementConfig
-from linecalib.cost import CostEvaluator, cost
+from linecalib.cost import CostEvaluator, cost, cost_and_gradient
 from linecalib.errors import RefineError
 from linecalib.evaluation import perturb
 from linecalib.geometry import Extrinsic, Intrinsics, angle_axis_to_matrix, rotation_geodesic
 from linecalib.image_features import HeightMap
 from linecalib.refine import refine
+from test_geometry import oracle_angle_axis_to_matrix, oracle_matrix_to_angle_axis
 
 MANY = settings(max_examples=1000, deadline=None)
 
@@ -110,35 +111,149 @@ def test_refine_from_robustness_start_never_worse_and_repeatable(canonical_evalu
 
 
 def _count_kernel_calls(monkeypatch):
-    """Count every call of the two cost kernels: cost_batch (behind the
-    evaluator and cost) and cost_and_gradient."""
-    calls = [0]
+    """Count every value evaluation of the cost kernels: cost_batch (behind
+    the evaluator and cost) and value_pass; apart from them, every gradient
+    finish, and the poses the ascent moves from (the start and each
+    accepted step it goes on from)."""
+    calls = {"value": 0, "gradient": 0, "bases": []}
 
-    def counting(fn):
+    def counting(key, fn):
         def wrapped(*args):
-            calls[0] += 1
+            calls[key] += 1
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(cost_module, "cost_batch", counting(cost_module.cost_batch))
-    monkeypatch.setattr(refine_module, "cost_and_gradient",
-                        counting(refine_module.cost_and_gradient))
+    def moved(e, *args):
+        if not any(e is b for b in calls["bases"]):
+            calls["bases"].append(e)
+        return _moved(e, *args)
+
+    _moved = refine_module._moved
+    monkeypatch.setattr(cost_module, "cost_batch", counting("value", cost_module.cost_batch))
+    monkeypatch.setattr(refine_module, "value_pass", counting("value", refine_module.value_pass))
+    monkeypatch.setattr(refine_module, "finish_gradient",
+                        counting("gradient", refine_module.finish_gradient))
+    monkeypatch.setattr(refine_module, "_moved", moved)
     return calls
 
 
 @pytest.mark.parametrize("max_samples", [1, 2, 10, 51, 60, 120, 10000])
 def test_refine_stays_within_its_evaluation_budget(canonical_evaluator, monkeypatch, max_samples):
-    """Every evaluation, the start's included, counts against max_samples;
-    a budget of one scores the start and returns it."""
+    """Every value evaluation, the start's included, counts against
+    max_samples; a budget of one scores the start and returns it.  The
+    gradient is finished at most once per accepted step and once for the
+    start."""
     ev, gt = canonical_evaluator
     start = _criterion_5_start(gt, 1)
     calls = _count_kernel_calls(monkeypatch)
     out = refine(start, ev, RefinementConfig(max_samples=max_samples))
-    assert calls[0] <= max_samples
+    assert calls["value"] <= max_samples
+    # every accepted pose is moved from or returned; the start is neither
+    # accepted nor, once a step was accepted, returned
+    accepted = len(calls["bases"]) - 1 + (not any(out is b for b in calls["bases"]))
+    assert calls["gradient"] <= accepted + 1
     if max_samples == 1:
-        assert calls[0] == 1
+        assert calls["value"] == 1
         assert out.r.tobytes() == start.r.tobytes() and out.t.tobytes() == start.t.tobytes()
     assert cost(out, ev) >= cost(start, ev)
+
+
+# ---------------------------------------------------------------------------
+# the value-first line search against the eager ascent
+
+
+def eager_refine(initial, ev, cfg):
+    """The ascent with every line-search candidate scored by
+    cost_and_gradient, whose gradient a rejected candidate discards, and
+    every norm, clip and identity taken by numpy: np.linalg.norm, np.eye,
+    np.cross and the rotation-map oracles of test_geometry.  refine must
+    return the same bits."""
+    scale = np.repeat([1.0, math.radians(6.0)], 3)
+    centroid = ev.points.mean(axis=0)
+
+    def moved(e, dt, w, pivot):
+        R_w = oracle_angle_axis_to_matrix(w)
+        out = Extrinsic(oracle_matrix_to_angle_axis(R_w @ e.matrix()),
+                        R_w @ (e.t - pivot) + pivot + dt)
+        assert out.matrix().tobytes() == oracle_angle_axis_to_matrix(out.r).tobytes()
+        return out
+
+    def climb_state(e):
+        f, g = cost_and_gradient(e, ev)
+        pivot = e.matrix() @ centroid + e.t
+        g[3:] += np.cross(e.t - pivot, g[:3])
+        return f, g * scale, pivot
+
+    best = initial
+    f, g, pivot = climb_state(best)
+    budget = cfg.max_samples - 1
+    H = None
+    length = 0.1
+    while budget > 0:
+        gn = float(np.linalg.norm(g))
+        if not gn > 0.0:
+            break
+        d = H @ g if H is not None else g * (length / gn)
+        slope = float(g @ d)
+        if not slope > 0.0:
+            H = None
+            continue
+        alpha, accepted = 1.0, False
+        while budget > 0 and not accepted:
+            s = alpha * d
+            x = s * scale
+            cand = moved(best, x[:3], x[3:], pivot)
+            f_new, g_new, pivot_new = climb_state(cand)
+            budget -= 1
+            accepted = f_new > f and f_new >= f + 1e-4 * alpha * slope
+            alpha *= 0.25
+            if np.abs(s).max() * 0.25 < cfg.step_final:
+                break
+        if not accepted:
+            if H is None:
+                break
+            H = None
+            continue
+        best, f, pivot = cand, f_new, pivot_new
+        if np.abs(s).max() < cfg.step_final:
+            break
+        length = float(np.linalg.norm(s))
+        y = g - g_new
+        g = g_new
+        sy = float(s @ y)
+        if sy > 0.0:
+            if H is None:
+                H = np.eye(6) * (sy / float(y @ y))
+            rho = 1.0 / sy
+            V = np.eye(6) - rho * np.outer(s, y)
+            H = V @ H @ V.T + rho * np.outer(s, s)
+    if not f > 0.0:
+        raise RefineError(f"best cost {f:.6f} after refinement is not above zero")
+    return best
+
+
+def _outcome(ascent, start, ev, cfg):
+    try:
+        out = ascent(start, ev, cfg)
+    except RefineError as e:
+        return str(e)
+    return out.r.tobytes() + out.t.tobytes()
+
+
+@MANY
+@given(st.integers(0, 2**32 - 1))
+def test_refine_is_the_eager_ascent_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    start, ev = small_problem(rng)
+    assert _outcome(refine, start, ev, FAST) == _outcome(eager_refine, start, ev, FAST)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_refine_is_the_eager_ascent_from_robustness_starts(canonical_evaluator, seed):
+    ev, gt = canonical_evaluator
+    start = _criterion_5_start(gt, seed)
+    cfg = RefinementConfig()
+    assert _outcome(refine, start, ev, cfg) == _outcome(eager_refine, start, ev, cfg)
 
 
 def test_moved_rotates_about_its_pivot():
