@@ -20,7 +20,7 @@ from .errors import (
     NoLanePoints,
     NoPolePoints,
 )
-from .geometry import Line3D, Plane3D, _line_distance
+from .geometry import Line3D, Plane3D, _line_distance, right_singular_vectors
 
 # The P3L direction gates in the ground-parallel frame G: a lane line runs
 # within 2 deg of X, a pole line within 15 deg of Z.  FeatureSetCloud holds
@@ -142,8 +142,8 @@ def fit_ground_plane(cloud: PointCloud, seed: int, cfg: PipelineConfig) -> Groun
         best_count, best_normal, best_d = count, normal, d
         if len(blocks) == 1 and count >= cfg.plane_min_inlier_ratio * n:
             far = np.abs(pts @ normal + d) > band / 2
-            near = pts[~far]
-            blocks = [pts[far]] + [
+            near = pts.take(np.flatnonzero(~far), axis=0)
+            blocks = [pts.take(np.flatnonzero(far), axis=0)] + [
                 near[k:k + _PLANE_BLOCK] for k in range(0, len(near), _PLANE_BLOCK)
             ]
     if best_count < cfg.plane_min_inlier_ratio * n:
@@ -153,19 +153,19 @@ def fit_ground_plane(cloud: PointCloud, seed: int, cfg: PipelineConfig) -> Groun
         )
     # least-squares refinement on the consensus set
     inliers = np.abs(pts @ best_normal + best_d) <= band
-    sub = pts[inliers]
+    sub = pts.take(np.flatnonzero(inliers), axis=0)
     centroid = sub.mean(axis=0)
-    _, _, vt = np.linalg.svd(sub - centroid, full_matrices=False)
-    normal = vt[2]
+    normal = right_singular_vectors(sub - centroid)[2]
     if normal[2] < 0:
         normal = -normal
     plane = Plane3D(normal, -normal @ centroid)
     ground = np.abs(plane.signed_distance(pts)) <= band
     if ground.sum() < cfg.plane_min_inlier_ratio * n:
         raise NoGroundPlane("refined plane lost its consensus")
-    idx = np.arange(n)
     return GroundSegmentation(
-        plane=plane, ground_indices=idx[ground], object_indices=idx[~ground]
+        plane=plane,
+        ground_indices=np.flatnonzero(ground),
+        object_indices=np.flatnonzero(~ground),
     )
 
 
@@ -323,8 +323,7 @@ def _near_lines(pts: np.ndarray, lines: list[ScoredLine3D], cfg: PipelineConfig)
 def _fit_line_lsq(pts: np.ndarray) -> Line3D:
     """Centroid + principal axis, direction sign canonicalized."""
     centroid = pts.mean(axis=0)
-    _, _, vt = np.linalg.svd(pts - centroid, full_matrices=False)
-    d = vt[0]
+    d = right_singular_vectors(pts - centroid)[0]
     k = int(np.argmax(np.abs(d)))
     if d[k] < 0:
         d = -d

@@ -32,6 +32,19 @@ def vector_norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def right_singular_vectors(x: np.ndarray) -> np.ndarray:
+    """The vt of np.linalg.svd(x, full_matrices=False) for an (m, n) array
+    with m >= n, with its bits.
+
+    From m >= 2n rows on, LAPACK's gesdd first reduces x to the R factor
+    of its QR decomposition and takes the SVD of R; doing that here skips
+    forming the (m, n) U that the line and plane fits never read.
+    """
+    if x.shape[0] >= 2 * x.shape[1]:
+        x = np.linalg.qr(x, mode="r")
+    return np.linalg.svd(x, full_matrices=False)[2]
+
+
 @dataclass(frozen=True, eq=False)
 class Extrinsic:
     """Rigid transform LiDAR -> camera: p_C = R(r) @ p_L + t.

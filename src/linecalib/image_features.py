@@ -15,7 +15,7 @@ import numpy as np
 from .config import PipelineConfig
 from .errors import DimensionMismatch, EmptyTarget, InsufficientLines, NoLines, ParseError
 from .fileio import load_pgm
-from .geometry import Intrinsics, Line2D
+from .geometry import Intrinsics, Line2D, right_singular_vectors
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,7 +228,7 @@ def _vote(us, vs, cos_t, sin_t, n_rho, rho_off):
 def _fit_line2d(us: np.ndarray, vs: np.ndarray) -> Line2D:
     """Total least-squares line through a pixel set (Line2D fixes its sign)."""
     mu, mv = us.mean(), vs.mean()
-    _, _, vt = np.linalg.svd(np.stack([us - mu, vs - mv], axis=1), full_matrices=False)
+    vt = right_singular_vectors(np.stack([us - mu, vs - mv], axis=1))
     a, b = float(vt[1, 0]), float(vt[1, 1])
     return Line2D(a, b, -(a * mu + b * mv))
 

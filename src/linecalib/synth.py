@@ -3,9 +3,13 @@
 A scene lives in a road frame W (ground plane z = 0, lanes along +X).
 The LiDAR sits at (0, 0, lidar_height), optionally pitched, and scans by
 casting rings of rays against the analytic geometry (ground, painted
-stripes, pole cylinders, clutter boxes).  Masks are rasterized from the
-true geometry through the ground-truth extrinsic, never from the noisy
-cloud, so image-side and cloud-side noise stay independent.
+stripes, pole cylinders, clutter boxes).  Each solid returns only the
+rays it hits, as (indices, hit parameters), and a ray keeps the first
+strictly nearest hit over the ground and the solids in spec order.
+Masks are rasterized from the true geometry through the ground-truth
+extrinsic, never from the noisy cloud, so image-side and cloud-side
+noise stay independent; the spans of a lane, pole or beam are set in
+one fancy-index write.
 """
 from __future__ import annotations
 
@@ -145,6 +149,20 @@ class SceneSpec:
             raise ValueError("beam model needs rings >= 1, azimuth_steps >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        # a solid or a lane with no extent, or a range that reaches no
+        # surface, would drop out of the scene without a word
+        if not self.max_range > 0:
+            raise ValueError("max_range must be positive")
+        if not self.lane_x0 < self.lane_x1:
+            raise ValueError("need lane_x0 < lane_x1")
+        if any(v <= 0 for v in self.pole_heights + self.pole_radii):
+            raise ValueError("pole heights and radii must be positive")
+        for _, y0, y1, _, r in self.gantries:
+            if r <= 0 or not y0 < y1:
+                raise ValueError("a gantry needs radius > 0 and y0 < y1")
+        for box in self.boxes:
+            if min(box.sx, box.sy, box.sz) <= 0:
+                raise ValueError("box sides must be positive")
 
 
 def _tilt(spec: SceneSpec) -> np.ndarray:
@@ -193,12 +211,9 @@ def _on_stripe(spec: SceneSpec, x, y):
     return hit
 
 
-def generate(spec: SceneSpec):
-    """Ray-cast the scene; returns (PointCloud, lane mask, pole mask, gt extrinsic)."""
-    rng = np.random.default_rng(spec.seed)
-    tilt = _tilt(spec)
-    origin = np.array([0.0, 0.0, spec.lidar_height])
-
+def _ray_directions(spec: SceneSpec) -> np.ndarray:
+    """Unit directions (rings * azimuth_steps, 3) of the scan's rays in the
+    road frame, ring by ring."""
     elev = np.deg2rad(
         np.linspace(spec.elevation_min_deg, spec.elevation_max_deg, spec.rings)
     )
@@ -210,17 +225,26 @@ def generate(spec: SceneSpec):
         0.618034 * np.arange(spec.rings), 1.0
     )
     aa = aa + stagger[:, None]
+    cos_e = np.cos(ee)
     dirs_l = np.stack(
-        [np.cos(ee) * np.cos(aa), np.cos(ee) * np.sin(aa), np.sin(ee)], axis=-1
+        [cos_e * np.cos(aa), cos_e * np.sin(aa), np.sin(ee)], axis=-1
     ).reshape(-1, 3)
-    dirs = dirs_l @ tilt.T  # ray directions in the road frame
+    return dirs_l @ _tilt(spec).T
+
+
+def generate(spec: SceneSpec):
+    """Ray-cast the scene; returns (PointCloud, lane mask, pole mask, gt extrinsic)."""
+    rng = np.random.default_rng(spec.seed)
+    origin = np.array([0.0, 0.0, spec.lidar_height])
+    dirs = _ray_directions(spec)
+    comp = dirs.T.copy()    # the x, y and z components, each contiguous
     n = len(dirs)
 
     best_t = np.full(n, np.inf)
     material = np.full(n, -1, dtype=int)  # 0 ground, 1 lane, 2 pole, 3 box
 
     # ground plane z = 0
-    dz = dirs[:, 2]
+    dz = comp[2]
     with np.errstate(divide="ignore", invalid="ignore"):
         tg = -origin[2] / dz
     ok = (dz < -1e-9) & (tg > 0) & (tg < spec.max_range)
@@ -229,20 +253,23 @@ def generate(spec: SceneSpec):
     gy = origin[1] + tg[ok] * dirs[ok, 1]
     material[ok] = np.where(_on_stripe(spec, gx, gy), 1, 0)
 
-    # poles (cylinders along Z), gantry beams (along Y) and clutter boxes
+    # poles (cylinders along Z), gantry beams (along Y) and clutter boxes;
+    # each solid takes the rays it hits strictly closer than the nearest
+    # hit so far, in this order
     solids = [
-        (2, _ray_cylinder(origin, dirs, 2, (px, py), r, 0.0, h))
+        (2, _ray_cylinder(origin, comp, 2, (px, py), r, 0.0, h))
         for (px, py), h, r in zip(spec.pole_xy, spec.pole_heights, spec.pole_radii)
     ]
     solids += [
-        (2, _ray_cylinder(origin, dirs, 1, (gx_, gz), gr, gy0, gy1))
+        (2, _ray_cylinder(origin, comp, 1, (gx_, gz), gr, gy0, gy1))
         for gx_, gy0, gy1, gz, gr in spec.gantries
     ]
-    solids += [(3, _ray_box(origin, dirs, box)) for box in spec.boxes]
-    for mat, t_hit in solids:
-        closer = t_hit < best_t
-        best_t[closer] = t_hit[closer]
-        material[closer] = mat
+    solids += [(3, _ray_box(origin, comp, box)) for box in spec.boxes]
+    for mat, (idx, t_hit) in solids:
+        closer = t_hit < best_t[idx]
+        idx = idx[closer]
+        best_t[idx] = t_hit[closer]
+        material[idx] = mat
 
     hit = np.isfinite(best_t) & (best_t < spec.max_range)
     best_t = best_t[hit]
@@ -262,48 +289,53 @@ def generate(spec: SceneSpec):
     return cloud, lane_mask, pole_mask, spec.extrinsic
 
 
-def _ray_cylinder(origin, dirs, axis, center, r, lo, hi):
-    """Hit parameter for rays passing within r of a cylinder's axis, inf
-    where missed.
+def _ray_cylinder(origin, comp, axis, center, r, lo, hi):
+    """The rays passing within r of a cylinder's axis: (indices, hit
+    parameters), indices ascending.
 
-    The cylinder runs along road-frame axis `axis` from `lo` to `hi`;
-    `center` holds its coordinates on the other two axes, in order.
-    Poles and beams are thin relative to the beam spacing, so the return
-    is modeled at the ray's closest approach to the axis rather than the
-    entry point on the surface; the sub-radius depth difference is
-    negligible but a surface-entry model would bias every return toward
-    the sensor side.
+    comp holds the ray directions by component, (3, N).  The cylinder
+    runs along road-frame axis `axis` from `lo` to `hi`; `center` holds
+    its coordinates on the other two axes, in order.  Poles and beams are
+    thin relative to the beam spacing, so the return is modeled at the
+    ray's closest approach to the axis rather than the entry point on the
+    surface; the sub-radius depth difference is negligible but a
+    surface-entry model would bias every return toward the sensor side.
     """
     i, j = (k for k in range(3) if k != axis)
     oi, oj = origin[i] - center[0], origin[j] - center[1]
-    di, dj = dirs[:, i], dirs[:, j]
+    di, dj = comp[i], comp[j]
     a = di * di + dj * dj
     b = 2.0 * (oi * di + oj * dj)
     c = oi * oi + oj * oj - r * r
     disc = b * b - 4.0 * a * c
-    out = np.full(len(dirs), np.inf)
-    ok = (disc >= 0) & (a > 1e-12)
-    t1 = -b / np.where(ok, 2.0 * a, 1.0)
-    along = origin[axis] + t1 * dirs[:, axis]
-    good = ok & (t1 > 1e-6) & (along >= lo) & (along <= hi)
-    out[good] = t1[good]
-    return out
+    near = np.flatnonzero((disc >= 0) & (a > 1e-12))
+    t1 = -b[near] / (2.0 * a[near])
+    along = origin[axis] + t1 * comp[axis][near]
+    good = (t1 > 1e-6) & (along >= lo) & (along <= hi)
+    return near[good], t1[good]
 
 
-def _ray_box(origin, dirs, box: Box):
-    """Slab-method ray/box intersection; inf where missed."""
+def _ray_box(origin, comp, box: Box):
+    """Slab-method ray/box intersection over the ray directions by
+    component, (3, N): (indices, entry parameters) of the rays that hit,
+    indices ascending.
+
+    Each ray's entry is the fmax of its per-axis slab entries and its
+    exit the fmin of the exits, taken in axis order, so an axis whose
+    slab bound gives NaN (a zero direction component on the bound's
+    plane) drops out as in np.nanmax/np.nanmin.
+    """
     lo = np.array([box.cx - box.sx / 2, box.cy - box.sy / 2, 0.0])
     hi = np.array([box.cx + box.sx / 2, box.cy + box.sy / 2, box.sz])
-    out = np.full(len(dirs), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs
-    t_lo = (lo - origin) * inv
-    t_hi = (hi - origin) * inv
-    tmin = np.nanmax(np.minimum(t_lo, t_hi), axis=1)
-    tmax = np.nanmin(np.maximum(t_lo, t_hi), axis=1)
-    good = (tmax >= tmin) & (tmin > 1e-6)
-    out[good] = tmin[good]
-    return out
+        inv = 1.0 / comp
+        t_lo = (lo - origin)[:, None] * inv
+        t_hi = (hi - origin)[:, None] * inv
+    near, far = np.minimum(t_lo, t_hi), np.maximum(t_lo, t_hi)
+    tmin = np.fmax(np.fmax(near[0], near[1]), near[2])
+    tmax = np.fmin(np.fmin(far[0], far[1]), far[2])
+    hit = np.flatnonzero((tmax >= tmin) & (tmin > 1e-6))
+    return hit, tmin[hit]
 
 
 def _project_w(spec: SceneSpec, pts_w: np.ndarray):
@@ -315,15 +347,23 @@ def _project_w(spec: SceneSpec, pts_w: np.ndarray):
 
 
 def _fill_spans(bits, u_lo, u_hi, v, valid):
+    """Set row rint(v) from column rint(u_lo) to rint(u_hi) (either order,
+    both ends included, clipped to the frame) for every valid span whose
+    row is in frame, all in one fancy-index write; bits may be a view,
+    such as the transpose a horizontal beam fills."""
     h, w = bits.shape
     iv = np.rint(v).astype(int)
     lo = np.rint(np.minimum(u_lo, u_hi)).astype(int)
     hi = np.rint(np.maximum(u_lo, u_hi)).astype(int)
     ok = valid & (iv >= 0) & (iv < h) & (hi >= 0) & (lo < w)
-    lo = np.clip(lo, 0, w - 1)
-    hi = np.clip(hi, 0, w - 1)
-    for i in np.nonzero(ok)[0]:
-        bits[iv[i], lo[i] : hi[i] + 1] = True
+    lo = np.clip(lo[ok], 0, w - 1)
+    hi = np.clip(hi[ok], 0, w - 1)
+    runs = hi - lo + 1
+    # column of the k-th pixel overall: k minus the pixels before its
+    # span, plus that span's first column
+    starts = np.cumsum(runs) - runs
+    cols = np.arange(runs.sum()) + np.repeat(lo - starts, runs)
+    bits[np.repeat(iv[ok], runs), cols] = True
 
 
 def _rasterize_lanes(spec: SceneSpec) -> SemanticMask:
