@@ -1,15 +1,15 @@
 """Semantic line-alignment cost.
 
-For each class (lane, pole) the extracted LiDAR points are projected
-through the candidate extrinsic and looked up in the class height map;
-the cost is the sum of the two per-class means.  A point behind the
-camera or outside the image is a 0 in its class's one sum over all the
-points, in every kernel here, so the cost is bounded by 2.
+The cost is a sum of terms, one per semantic class: the mean value of
+the class's LiDAR points, projected through the candidate extrinsic, on
+the class height map.  A point behind the camera or outside the image is
+a 0 in its term's one sum over all its points, in every kernel here, so
+each term is bounded by 1 and the cost by 2.
 
 cost_batch scores many translations of one rotation at once;
 best_in_batch finds the best of them, scoring in full only those that an
 upper bound from a subset of the points cannot rule out;
-value_pass scores one pose in one pass over both classes and keeps its
+value_pass scores one pose in one pass over every term and keeps its
 intermediates, from which finish_gradient takes the cost's analytic
 gradient; the refine stage finishes only the poses it moves to, and
 cost_and_gradient is the two in turn.
@@ -17,6 +17,7 @@ cost_and_gradient is the two in turn.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +41,8 @@ class CostEvaluator:
     # (N + M, 3): the lane points, then the pole points; lane_points and
     # pole_points are read-only views into it
     points: np.ndarray = field(init=False, repr=False)
+    # the cost's terms, (rows of points, height map) each: lane, then pole
+    terms: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         lp = np.asarray(self.lane_points, dtype=float).reshape(-1, 3)
@@ -58,39 +61,64 @@ class CostEvaluator:
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "lane_points", points[:len(lp)])
         object.__setattr__(self, "pole_points", points[len(lp):])
+        object.__setattr__(self, "terms", ((slice(0, len(lp)), self.lane_height),
+                                           (slice(len(lp), len(points)), self.pole_height)))
 
     def __call__(self, e: Extrinsic) -> float:
         return cost(e, self)
 
 
-def _class_sums(rotated, t, hmap: HeightMap, k: Intrinsics) -> np.ndarray:
-    """Summed height-map value of the points rotated (N, 3) = pts @ R.T
-    translated by each row of t (K, 3); rotated may be any subset of a
-    class's points."""
-    n = len(rotated)
-    planes = np.ascontiguousarray(rotated.T)
+def _rotated(R, ev: CostEvaluator) -> np.ndarray:
+    """q = R @ ev.points.T, (3, N + M), one product per term: numpy
+    multiplies a one-point term by another BLAS routine (gemv), whose bits
+    differ from that point's column of a larger product."""
+    R = np.asarray(R, dtype=float).reshape(3, 3)
+    q = np.empty((3, len(ev.points)))
+    for rows, _ in ev.terms:
+        np.matmul(R, ev.points[rows].T, out=q[:, rows])
+    return q
+
+
+def _lookup(p_c, terms, k: Intrinsics):
+    """(values, valid, ok, cell, corners) of the camera-frame points p_c
+    (3, ..., P), each term's rows read from its own map: a point behind the
+    camera (not valid) or out of frame (not ok) has the value 0."""
+    uv, valid = project_points(k, p_c.transpose(*range(1, p_c.ndim), 0))
+    # one grid for every map: each has the intrinsics' shape
+    ok, i, cell = bilinear_cells(uv[..., 0], uv[..., 1], (k.height, k.width))
+    corners = np.empty((4,) + i.shape)
+    for rows, hmap in terms:
+        hmap.corners(i[..., rows], out=corners[..., rows])
+    return np.where(valid & ok, bilinear(corners, *cell), 0.0), valid, ok, cell, corners
+
+
+def _sums(q, t, hmap: HeightMap, k: Intrinsics) -> np.ndarray:
+    """Summed value on hmap of the points q (3, n), rotated into the camera
+    frame, translated by each row of t (K, 3); q may be any subset of the
+    points of hmap's term."""
     out = np.empty(len(t))
-    step = max(1, _BLOCK // n)
+    step = max(1, _BLOCK // q.shape[1])
     for s in range(0, len(t), step):
-        p_c = planes[:, None, :] + t[s:s + step].T[:, :, None]   # (3, B, N)
-        uv, valid = project_points(k, p_c.transpose(1, 2, 0))
-        vals = hmap.sample_bilinear(uv[..., 0], uv[..., 1])
-        out[s:s + step] = np.where(valid, vals, 0.0).sum(axis=1)
+        p_c = q[:, None, :] + t[s:s + step].T[:, :, None]   # (3, B, n)
+        out[s:s + step] = _lookup(p_c, ((slice(None), hmap),), k)[0].sum(axis=1)
     return out
+
+
+def _total(sums, terms):
+    """The terms' means, added left to right: sum() starts from 0, and 0 + -0.0 is +0.0."""
+    return reduce(np.add, (s / (rows.stop - rows.start) for s, (rows, _) in zip(sums, terms)))
 
 
 def cost_batch(R, t, ev: CostEvaluator) -> np.ndarray:
     """Alignment cost of the K poses p_C = R @ p_L + t[j] that share the
     rotation R (3, 3): t (K, 3) gives a (K,) array.
 
-    The poses share one pts @ R.T, and each score is bit-identical to
+    The poses share one R @ pts.T, and each score is bit-identical to
     scoring its pose alone.
     """
-    R_T = np.asarray(R, dtype=float).reshape(3, 3).T
     t = np.asarray(t, dtype=float).reshape(-1, 3)
-    lane = _class_sums(ev.lane_points @ R_T, t, ev.lane_height, ev.intrinsics)
-    pole = _class_sums(ev.pole_points @ R_T, t, ev.pole_height, ev.intrinsics)
-    return lane / len(ev.lane_points) + pole / len(ev.pole_points)
+    q = _rotated(R, ev)
+    return _total([_sums(q[:, rows], t, hmap, ev.intrinsics) for rows, hmap in ev.terms], ev.terms)
 
 
 # best_in_batch bounds every score from nested prefixes of each class's
@@ -112,19 +140,17 @@ class _StagedBound:
     of a point behind the camera or out of frame if that is higher."""
 
     def __init__(self, R, t, ev: CostEvaluator):
-        R_T = np.asarray(R, dtype=float).reshape(3, 3).T
+        # columns of the product cost_batch takes, so that each point's
+        # value has the bits it has in the full score
+        q = _rotated(R, ev)
         self.t = t
         self.k = ev.intrinsics
-        self.classes = []
-        for pts, hmap in ((ev.lane_points, ev.lane_height), (ev.pole_points, ev.pole_height)):
-            n = len(pts)
-            order = np.concatenate([np.arange(o, n, len(_STRIDE_ORDER)) for o in _STRIDE_ORDER])
-            # rows of the product cost_batch takes, so that each point's
-            # value has the bits it has in the full score
-            rotated = (pts @ R_T)[order]
+        self.terms = []
+        for rows, hmap in ev.terms:
+            strided = [q[:, rows][:, o::len(_STRIDE_ORDER)] for o in _STRIDE_ORDER]
             lo, hi = hmap.value_range
-            self.classes.append((rotated, hmap, max(0.0, hi), _ROUNDING * max(1.0, hi, -lo)))
-        self.sums = np.zeros((len(self.classes), len(t)))
+            self.terms.append((np.hstack(strided), hmap, max(0.0, hi), _ROUNDING * max(1.0, hi, -lo)))
+        self.sums = np.zeros((len(self.terms), len(t)))
         self.stage = 0         # stages summed so far
 
     def tighten(self, live) -> np.ndarray:
@@ -133,11 +159,11 @@ class _StagedBound:
         f0 = _STAGE_FRACTIONS[self.stage - 1] if self.stage else 0.0
         f = _STAGE_FRACTIONS[self.stage]
         bound = np.zeros(len(live))
-        for c, (rotated, hmap, top, margin) in enumerate(self.classes):
-            n = len(rotated)
+        for c, (q, hmap, top, margin) in enumerate(self.terms):
+            n = q.shape[1]
             m0, m = int(f0 * n), int(f * n)
             if m > m0:
-                self.sums[c, live] += _class_sums(rotated[m0:m], self.t[live], hmap, self.k)
+                self.sums[c, live] += _sums(q[:, m0:m], self.t[live], hmap, self.k)
             bound += (self.sums[c, live] + (n - m) * top) / n + margin
         self.stage += 1
         return bound
@@ -186,7 +212,7 @@ class ValuePass(NamedTuple):
 
     value: float
     ev: CostEvaluator
-    q: np.ndarray          # (3, N + M) pts @ R.T, transposed
+    q: np.ndarray          # (3, N + M) R @ pts.T
     p_c: np.ndarray        # (3, N + M) camera-frame points
     valid: np.ndarray      # in front of the camera
     ok: np.ndarray         # in frame
@@ -195,34 +221,15 @@ class ValuePass(NamedTuple):
 
 
 def value_pass(e: Extrinsic, ev: CostEvaluator) -> ValuePass:
-    """cost(e, ev), bit-identical to cost(), with what the gradient needs.
-
-    Both classes share one projection and one bilinear lookup, each class
-    reading its corners from its own map; only the per-class sums are
-    taken apart.  Points behind the camera or out of frame add 0.
-    """
-    k = ev.intrinsics
-    n = len(ev.lane_points)
-    lane, pole = slice(0, n), slice(n, None)
-    # q = pts @ R.T, taken class by class as cost_batch takes it: numpy
-    # multiplies a one-point class by another BLAS routine, whose bits
-    # differ from that point's row of a larger product
-    R_T = e.matrix().T
-    rotated = np.empty_like(ev.points)
-    for c in (lane, pole):
-        np.matmul(ev.points[c], R_T, out=rotated[c])
-    q = np.ascontiguousarray(rotated.T)                          # (3, N + M)
+    """cost(e, ev), bit-identical to cost(), with what the gradient needs:
+    every term shares one projection and one bilinear lookup, and only the
+    per-term sums are taken apart."""
+    q = _rotated(e.matrix(), ev)
     p_c = q + e.t[:, None]
-    uv, valid = project_points(k, p_c.T)
-    # one grid for both maps: each has the intrinsics' shape
-    ok, i, cell = bilinear_cells(uv[..., 0], uv[..., 1], (k.height, k.width))
-    corners = np.empty((4, len(i)))
-    ev.lane_height.corners(i[lane], out=corners[:, lane])
-    ev.pole_height.corners(i[pole], out=corners[:, pole])
-    vals = np.where(valid & ok, bilinear(corners, *cell), 0.0)
-    # the same sums as _class_sums, so the value keeps its bits
-    value = vals[lane].sum() / n + vals[pole].sum() / len(ev.pole_points)
-    return ValuePass(float(value), ev, q, p_c, valid, ok, cell, corners)
+    vals, *lookup = _lookup(p_c, ev.terms, ev.intrinsics)
+    # the same sums as _sums, so the value keeps its bits
+    value = _total([vals[rows].sum() for rows, _ in ev.terms], ev.terms)
+    return ValuePass(float(value), ev, q, p_c, *lookup)
 
 
 def finish_gradient(vp: ValuePass) -> np.ndarray:
@@ -232,7 +239,6 @@ def finish_gradient(vp: ValuePass) -> np.ndarray:
     behind the camera or out of frame add 0."""
     ev, q, p_c, valid, ok = vp.ev, vp.q, vp.p_c, vp.valid, vp.ok
     k = ev.intrinsics
-    n = len(ev.lane_points)
     fu, fv, gu, gv = vp.cell
     g00, g01, g10, g11 = vp.corners
     # the bilinear surface's exact slopes inside the cell, 0 out of frame
@@ -245,14 +251,14 @@ def finish_gradient(vp: ValuePass) -> np.ndarray:
     np.multiply(du, k.fx * inv_z, out=a[0])
     np.multiply(dv, k.fy * inv_z, out=a[1])
     np.multiply(-(a[0] * p_c[0] + a[1] * p_c[1]), inv_z, out=a[2])
-    terms = []
-    for c in (slice(0, n), slice(n, None)):
-        ac, qc = a[:, c], q[:, c]
+    sums = []
+    for rows, _ in ev.terms:
+        ac, qc = a[:, rows], q[:, rows]
         # d/dt = sum a; d/dw = sum q x a, read off the 3 x 3 moments sum a q^T
         m = ac @ qc.T
         d_w = (m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1])
-        terms.append(np.concatenate([ac.sum(axis=1), d_w]) / ac.shape[1])
-    return terms[0] + terms[1]
+        sums.append(np.concatenate([ac.sum(axis=1), d_w]))
+    return _total(sums, ev.terms)
 
 
 def cost_and_gradient(e: Extrinsic, ev: CostEvaluator):

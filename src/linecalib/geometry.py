@@ -57,13 +57,14 @@ class Extrinsic:
 
     def __post_init__(self):
         for name in ("r", "t"):
-            v = np.array(getattr(self, name), dtype=float)
+            v = np.array(getattr(self, name), dtype=float).ravel()
             if v.size != 3:
                 raise ValueError(f"{name}: expected 3 components, got {v.size}")
-            object.__setattr__(self, name, v.reshape(3))
+            with np.errstate(over="ignore"):  # a squared norm past the largest float is inf
+                if not math.isfinite(vector_norm(v)):
+                    raise ValueError(f"{name}: {v.tolist()} has no finite magnitude")
+            object.__setattr__(self, name, v)
         object.__setattr__(self, "r", _canonical_angle_axis(self.r))
-        if not (np.isfinite(self.r).all() and np.isfinite(self.t).all()):
-            raise ValueError("non-finite extrinsic components")
         self.r.setflags(write=False)
         self.t.setflags(write=False)
 

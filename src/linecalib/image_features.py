@@ -57,14 +57,12 @@ class HeightMap:
         """(lowest, highest) height, computed on first use."""
         return float(self.values.min()), float(self.values.max())
 
-    def corners(self, i, out=None) -> np.ndarray:
+    def corners(self, i, out) -> np.ndarray:
         """The four corner values (top-left, top-right, bottom-left,
         bottom-right) of the cells whose top-left corners sit at the flat
-        indices i, as one (4, *i.shape) array, written into out if given."""
+        indices i, written into out, a (4, *i.shape) array, and returned."""
         g = self.values.ravel()
         w = self.values.shape[1]
-        if out is None:
-            out = np.empty((4,) + np.shape(i))
         # flat gathers of the four neighbours: the same values as 2-D fancy
         # indexing, at a fraction of its cost.  Every index is in range, so
         # mode="clip" changes no value; it only spares take() the buffered
@@ -72,13 +70,6 @@ class HeightMap:
         for row, offset in zip(out, (0, 1, w, w + 1)):
             g[offset:].take(i, out=row, mode="clip")
         return out
-
-    def sample_bilinear(self, u, v):
-        """Bilinear lookup, so the alignment cost varies smoothly with the
-        pose; out-of-frame coordinates give 0.  u and v may have any
-        (matching) shape; the result has that shape."""
-        ok, i, cell = bilinear_cells(u, v, self.values.shape)
-        return np.where(ok, bilinear(self.corners(i), *cell), 0.0)
 
 
 def bilinear_cells(u, v, shape):

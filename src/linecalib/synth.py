@@ -155,6 +155,8 @@ class SceneSpec:
             raise ValueError("max_range must be positive")
         if not self.lane_x0 < self.lane_x1:
             raise ValueError("need lane_x0 < lane_x1")
+        if not all(x0 < x1 and y0 < y1 for x0, x1, y0, y1 in self.cross_stripes):
+            raise ValueError("a cross stripe needs x0 < x1 and y0 < y1")
         if any(v <= 0 for v in self.pole_heights + self.pole_radii):
             raise ValueError("pole heights and radii must be positive")
         for _, y0, y1, _, r in self.gantries:

@@ -136,6 +136,17 @@ def test_evaluate_non_finite_extrinsic_exits_1(bundle, tmp_path, capsys):
     assert "error (parse)" in capsys.readouterr().err
 
 
+def test_evaluate_extrinsic_with_overflowing_magnitude_exits_1(bundle, tmp_path, capfd):
+    """Finite components whose squared norm overflows: a parse error that
+    names r, and no warning on stderr."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text('r = "1e308 1e308 0"\nt = "0 0 0"\n', encoding="utf-8")
+    code = main(["evaluate", str(bad), str(bundle / "extrinsic_gt.txt")])
+    err = capfd.readouterr().err
+    assert code == STAGE_EXIT_CODES["parse"] == 1
+    assert re.fullmatch(r"error \(parse\): .*bad\.txt: r: \[.*\] has no finite magnitude\n", err)
+
+
 def test_project_rejects_lane_mask_smaller_than_image(bundle, tmp_path, capsys):
     from linecalib.fileio import load_intrinsics, load_pgm, save_pnm
 

@@ -424,6 +424,37 @@ def test_cost_and_gradient_bits_match_per_class_oracle(seed):
     _assert_kernel_matches_oracle(poses, ev)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_one_point_terms_match_per_class_oracles(seed):
+    """numpy multiplies a one-point term by gemv, whose bits differ from
+    that point's row of a larger product: with one lane point and one pole
+    point, cost_batch, cost_and_gradient and best_in_batch still score as
+    the per-class oracles do, in frame, out of frame and behind."""
+    rng = np.random.default_rng(seed)
+    e = Extrinsic(rng.normal(size=3) * 0.3, rng.normal(size=3))
+
+    def one_point():
+        """A point that e puts in frame, 3 to 30 m ahead."""
+        z = rng.uniform(3.0, 30.0)
+        return ((np.array([*(rng.uniform(-0.08, 0.08, 2) * z), z]) - e.t) @ e.matrix())[None]
+
+    hmaps = HeightMap(rng.random((96, 128))), HeightMap(rng.random((96, 128)))
+    ev = CostEvaluator(one_point(), one_point(), *hmaps, K)
+    poses = [e] + [Extrinsic(e.r, e.t + rng.normal(size=3) * s) for s in (0.1, 0.5, 5.0) * 4]
+    poses.append(Extrinsic(e.r, e.t - [0.0, 0.0, 100.0]))
+    want = _assert_batch_matches_oracle(poses, ev)
+    assert want[0] > 0.0 and want[-1] == 0.0
+    _assert_kernel_matches_oracle(poses, ev)
+    t = np.stack([p.t for p in poses])
+    for floor in (0.0, want[0]):
+        k, score, _ = best_in_batch(e.matrix(), t, ev, floor)
+        if max(want) > floor:
+            assert (k, score) == (want.index(max(want)), max(want))
+        else:
+            assert (k, score) == (None, floor)
+
+
 def test_cost_and_gradient_bits_match_per_class_oracle_on_canonical_scene(canonical_evaluator):
     ev, gt = canonical_evaluator
     rng = np.random.default_rng(13)

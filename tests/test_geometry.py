@@ -1,5 +1,6 @@
 """Property tests for frames, rotations, projection and back-projection."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,29 @@ def test_non_finite_matrix_is_not_a_rotation(bad, entry):
     ):
         with pytest.raises(NotARotation):
             read(R)
+
+
+@pytest.mark.parametrize("r, t, named", [
+    ([1e308, 1e308, 0.0], [0.0, 0.0, 0.0], "r"),   # finite parts, squared norm overflows
+    ([math.inf, 0.0, 0.0], [0.0, 0.0, 0.0], "r"),
+    ([0.0, -math.inf, 0.0], [0.0, 0.0, 0.0], "r"),
+    ([math.nan, 0.0, 0.0], [0.0, 0.0, 0.0], "r"),
+    ([0.0, 0.0, 0.0], [0.0, math.inf, 0.0], "t"),
+    ([0.0, 0.0, 0.0], [math.nan, 0.0, 0.0], "t"),
+])
+def test_extrinsic_without_a_finite_magnitude_is_refused(r, t, named):
+    """r or t with a non-finite component or magnitude is a ValueError that
+    names the field, raised before the angle is wrapped and with no
+    warning: r = [1e308, 1e308, 0] used to fail in math.fmod with 'math
+    domain error' after an overflow warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=rf"^{named}: \[.*\] has no finite magnitude$"):
+            Extrinsic(np.array(r), np.array(t))
+    assert not caught
+    # an r whose squared norm stays just below the overflow wraps as before
+    assert Extrinsic([1e154, 0.0, 0.0], [0.0, 0.0, 0.0]).r[0] == pytest.approx(
+        math.remainder(1e154, 2 * math.pi), abs=1e-6)
 
 
 # The rotation maps as written with np.linalg.norm, np.clip and np.eye: the

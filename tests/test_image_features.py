@@ -21,6 +21,8 @@ from linecalib.image_features import (
     SemanticMask,
     _fit_line2d,
     _l1_fields,
+    bilinear,
+    bilinear_cells,
     hough_lines,
     idt_height_map,
     l1_distance_field,
@@ -288,11 +290,19 @@ def test_idt_rejects_bad_gamma_and_empty():
 # height map sampling
 
 
+def sample(hm, u, v):
+    """Bilinear lookup of hm at (u, v), of any (matching) shape, through the
+    kernels the cost uses: the cell, its corners, their blend; 0 out of
+    frame."""
+    ok, i, cell = bilinear_cells(u, v, hm.values.shape)
+    return np.where(ok, bilinear(hm.corners(i, np.empty((4,) + i.shape)), *cell), 0.0)
+
+
 def test_heightmap_sampling_out_of_frame_zero():
     hm = HeightMap(np.ones((4, 4)))
-    assert hm.sample_bilinear(np.array([-1.0]), np.array([0.0]))[0] == 0.0
-    assert hm.sample_bilinear(np.array([3.5]), np.array([1.0]))[0] == 0.0
-    assert hm.sample_bilinear(np.array([3.0]), np.array([3.0]))[0] == 1.0
+    assert sample(hm, np.array([-1.0]), np.array([0.0]))[0] == 0.0
+    assert sample(hm, np.array([3.5]), np.array([1.0]))[0] == 0.0
+    assert sample(hm, np.array([3.0]), np.array([3.0]))[0] == 1.0
 
 
 @pytest.mark.parametrize("shape", [(1, 4), (4, 1), (1, 1), (0, 3), (4,), (2, 2, 2)])
@@ -300,7 +310,7 @@ def test_heightmap_needs_a_2x2_cell(shape):
     """Bilinear lookup reads a 2x2 cell: a 1 px side has none."""
     with pytest.raises(ValueError, match="at least 2x2"):
         HeightMap(np.full(shape, 0.5))
-    assert HeightMap(np.full((2, 2), 0.5)).sample_bilinear(np.array([0.5]), np.array([1.0]))[0] == 0.5
+    assert sample(HeightMap(np.full((2, 2), 0.5)), np.array([0.5]), np.array([1.0]))[0] == 0.5
 
 
 def test_heightmap_freezes_the_array_it_is_handed():
@@ -359,12 +369,12 @@ def test_bilinear_interpolates_between_neighbors(seed):
     hm = HeightMap(grid)
     u = float(rng.uniform(0, 3.999))
     v = float(rng.uniform(0, 3.999))
-    val = hm.sample_bilinear(np.array([u]), np.array([v]))[0]
+    val = sample(hm, np.array([u]), np.array([v]))[0]
     u0, v0 = int(u), int(v)
     corners = grid[v0 : v0 + 2, u0 : u0 + 2]
     assert corners.min() - 1e-12 <= val <= corners.max() + 1e-12
     # exact at integer pixels
-    val = hm.sample_bilinear(np.array([float(u0)]), np.array([float(v0)]))[0]
+    val = sample(hm, np.array([float(u0)]), np.array([float(v0)]))[0]
     assert abs(val - grid[v0, u0]) < 1e-12
 
 
@@ -377,7 +387,7 @@ def test_bilinear_flat_gathers_match_2d_indexing():
     v = rng.uniform(-5.0, 42.0, size=(6, 40))
     u[0, :4] = [0.0, 52.0, 51.5, 52.0]      # frame edges
     v[0, :4] = [0.0, 36.0, 36.0, 35.25]
-    got = hm.sample_bilinear(u, v)
+    got = sample(hm, u, v)
     assert got.shape == u.shape
     h, w = grid.shape
     ok = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
@@ -392,7 +402,7 @@ def test_bilinear_flat_gathers_match_2d_indexing():
         + grid[v0 + 1, u0 + 1] * fu * fv
     ), 0.0)
     assert got.tobytes() == want.tobytes()
-    assert hm.sample_bilinear(u[2], v[2]).tobytes() == want[2].tobytes()
+    assert sample(hm, u[2], v[2]).tobytes() == want[2].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,9 @@ def test_spec_rejects_malformed_values(tmp_path):
         "boxes = 12:-3.5:-4:1.8:1.5\n",
         "lane_x0 = 80\n",                  # lanes run from lane_x0 to lane_x1
         "lane_x0 = 90\n",
+        "cross_stripes = 7.6:7.2:-0.5:0.5\n",   # a paint cell has extent
+        "cross_stripes = 7.2:7.6:0.5:-0.5\n",
+        "cross_stripes = 7.2:7.2:-0.5:0.5\n",
     ):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError):
