@@ -141,13 +141,12 @@ def cmd_project(args) -> int:
     extrinsic = load_extrinsic(args.extrinsic)
     img = load_image(args.image)
     h, w = img.shape[:2]
-    lane_mask = load_mask(args.lane_mask, "lane") if args.lane_mask else None
-    if lane_mask is not None and lane_mask.bits.shape != (h, w):
-        # the stats look up the mask at the overlay's pixels
+    if (w, h) != (intr.width, intr.height):
+        # the points are projected through the intrinsics onto the image
         raise DimensionMismatch(
-            f"{args.lane_mask}: mask is {lane_mask.bits.shape[1]}x{lane_mask.bits.shape[0]}, "
-            f"--image is {w}x{h}"
+            f"{args.image}: image is {w}x{h}, intrinsics say {intr.width}x{intr.height}"
         )
+    lane_mask = load_mask(args.lane_mask, "lane", intr) if args.lane_mask else None
 
     try:
         cf = extract_cloud_features(cloud, cfg.seed, cfg)

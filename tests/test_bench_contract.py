@@ -9,7 +9,11 @@ each name and call shape they use is listed here.
 import dataclasses
 import importlib
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from linecalib import cli, cloud_features, config, cost, evaluation, image_features, pipeline
@@ -37,6 +41,14 @@ REACHED = {
 }
 
 
+# the modules perfbench/run.py imports, and the ones tracer.install() then
+# reads from sys.modules
+RUN_IMPORTS = ("cli", "cloud_features", "config", "evaluation", "fileio", "image_features",
+               "pipeline")
+TRACED = ("cli", "cloud_features", "cost", "evaluation", "geometry", "image_features", "p3l",
+          "pipeline", "refine")
+
+
 @pytest.mark.parametrize("module", sorted(REACHED))
 def test_every_reached_attribute_exists(module):
     mod = importlib.import_module(f"linecalib.{module}")
@@ -53,6 +65,28 @@ def test_the_tracer_wraps_the_functions_the_callers_hold():
     assert pipeline.cost is cost.cost
     assert pipeline.refine is evaluation.refine is refine_module.refine
     assert callable(Line3D.distance)  # wrapped on the class
+
+
+def test_the_benchmark_imports_load_every_traced_module():
+    """The package imports no module of its own, so the tracer finds the
+    modules it patches only if run.py's imports bring them in."""
+    code = ("import importlib, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "for n in sys.argv[2:]: importlib.import_module('linecalib.' + n)\n"
+            "print(*sys.modules)")
+    src = Path(cli.__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-c", code, str(src), *RUN_IMPORTS],
+                          capture_output=True, text=True, check=True)
+    missing = {f"linecalib.{n}" for n in TRACED} - set(proc.stdout.split())
+    assert not missing
+
+
+def test_calling_the_evaluator_is_the_cost(canonical_evaluator):
+    """perfbench's sweep check scores its start pose as ev(initial)."""
+    ev, gt = canonical_evaluator
+    for dt in ([0.0, 0.0, 0.0], [0.2, -0.1, 0.1], [50.0, 0.0, 0.0]):
+        e = Extrinsic(gt.r, gt.t + np.array(dt))
+        assert ev(e).hex() == cost.cost(e, ev).hex()
 
 
 # (module, function, positional arguments, keyword arguments) of each call;

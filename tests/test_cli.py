@@ -167,6 +167,77 @@ def test_project_rejects_lane_mask_smaller_than_image(bundle, tmp_path, capsys):
     assert "600x200" in capsys.readouterr().err
 
 
+def test_project_rejects_image_of_another_size_than_the_intrinsics(bundle, tmp_path, capsys):
+    """The points are projected through the intrinsics, so an image of
+    another size would place them wrong; it is refused before any output."""
+    from linecalib.fileio import load_intrinsics, save_pnm
+
+    intr = load_intrinsics(bundle / "intrinsics.txt")
+    img = tmp_path / "bg.pgm"
+    save_pnm(img, np.zeros((intr.height // 2, intr.width // 2), dtype=np.uint8))
+    out = tmp_path / "overlay.ppm"
+    code = main(
+        ["project",
+         "--cloud", str(bundle / "frame_cloud.bin"),
+         "--intrinsics", str(bundle / "intrinsics.txt"),
+         "--extrinsic", str(bundle / "extrinsic_gt.txt"),
+         "--image", str(img), "--out", str(out)]
+    )
+    assert code == STAGE_EXIT_CODES["parse"] == 1
+    assert capsys.readouterr().err == (
+        f"error (parse): {img}: image is {intr.width // 2}x{intr.height // 2}, "
+        f"intrinsics say {intr.width}x{intr.height}\n"
+    )
+    assert not out.exists()
+
+
+def test_project_falls_back_to_the_plain_overlay(bundle, tmp_path, capsys):
+    """Under 1,000 points the ground plane cannot be fitted: the overlay
+    shows the cloud's intensity alone, with no lane or pole point."""
+    from linecalib.fileio import load_image, load_intrinsics, save_cloud, save_pnm
+
+    intr = load_intrinsics(bundle / "intrinsics.txt")
+    img = tmp_path / "bg.pgm"
+    save_pnm(img, np.zeros((intr.height, intr.width), dtype=np.uint8))
+    small = tmp_path / "small.bin"
+    save_cloud(small, load_cloud(bundle / "frame_cloud.bin")[::200][:999])
+    out = tmp_path / "overlay.ppm"
+    code = main(
+        ["project",
+         "--cloud", str(small),
+         "--intrinsics", str(bundle / "intrinsics.txt"),
+         "--extrinsic", str(bundle / "extrinsic_gt.txt"),
+         "--image", str(img), "--out", str(out),
+         "--lane-mask", str(bundle / "frame_lane.pgm"), "--stats"]
+    )
+    assert code == 0
+    stats = dict(line.split(": ") for line in capsys.readouterr().out.strip().splitlines())
+    assert stats == {"lane_points_projected": "0", "lane_points_in_mask": "0",
+                     "lane_in_mask_fraction": "0.0000"}
+    overlay = load_image(out)
+    # intensity is painted grey; no pixel is a lane's green or a pole's red
+    assert (overlay[..., 0] == overlay[..., 1]).all() and (overlay[..., 1] == overlay[..., 2]).all()
+    assert overlay.any()
+
+
+def test_calibrate_rejects_lane_mask_of_another_size(bundle, tmp_path, capsys):
+    from linecalib.fileio import load_intrinsics, load_pgm, save_pnm
+
+    intr = load_intrinsics(bundle / "intrinsics.txt")
+    crop = tmp_path / "lane_crop.pgm"
+    save_pnm(crop, load_pgm(bundle / "frame_lane.pgm")[:200, :600])
+    args = _bundle_args(bundle)
+    args[args.index("--lane-mask") + 1] = str(crop)
+    out = tmp_path / "e.txt"
+    code = main(["calibrate", *args, "--out", str(out)])
+    assert code == STAGE_EXIT_CODES["parse"] == 1
+    assert capsys.readouterr().err == (
+        f"error (parse): {crop}: mask is 600x200, "
+        f"intrinsics say {intr.width}x{intr.height}\n"
+    )
+    assert not out.exists()
+
+
 def test_project_subcommand(bundle, tmp_path, capsys):
     from linecalib.fileio import load_image, save_pnm
 

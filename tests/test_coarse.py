@@ -3,12 +3,20 @@ its choice of the image triple."""
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from linecalib.config import PipelineConfig
-from linecalib.errors import DegenerateNormals, InsufficientLines, NoSolution
+from linecalib.cost import CostEvaluator
+from linecalib.errors import (
+    STAGE_EXIT_CODES,
+    DegenerateNormals,
+    InsufficientLines,
+    NoSolution,
+    NoValidCandidate,
+)
 from linecalib.evaluation import calibration_error
-from linecalib.image_features import SemanticMask, select_principal_lines
+from linecalib.image_features import HeightMap, SemanticMask, select_principal_lines
 from linecalib.p3l import solve_rotations
 from linecalib.pipeline import CalibrationReport, calibrate, coarse_calibrate, extract_features
 from linecalib.synth import canonical_spec, generate, random_spec
@@ -90,6 +98,21 @@ def test_degenerate_image_triple_names_its_cause(canonical_features, canonical_e
     with pytest.raises(InsufficientLines):
         coarse_calibrate(cf, twin, ev, report)
     assert report.candidates == 0
+
+
+def test_no_candidate_above_zero_is_a_coarse_error(canonical_features):
+    """Over all-zero height maps every candidate scores 0, and a candidate
+    that scores 0 never wins: the coarse stage fails with exit code 3."""
+    spec, cf, imf, _ = canonical_features
+    k = spec.intrinsics
+    zero = HeightMap(np.zeros((k.height, k.width)))
+    ev = CostEvaluator(cf.lane_points, cf.pole_points, zero, zero, k)
+    report = CalibrationReport()
+    with pytest.raises(NoValidCandidate) as info:
+        coarse_calibrate(cf, imf, ev, report)
+    assert report.candidates > 0 and report.coarse_cost == 0.0
+    assert str(info.value) == f"{report.candidates} candidates evaluated, none scored above zero"
+    assert STAGE_EXIT_CODES[info.value.stage] == 3
 
 
 def _dilated(mask):
