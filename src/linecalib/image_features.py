@@ -100,11 +100,9 @@ def bilinear(corners, fu, fv, gu, gv) -> np.ndarray:
     return val
 
 
-def load_mask(path, cls: str, intrinsics: Intrinsics | None = None) -> SemanticMask:
+def load_mask(path, cls: str, intrinsics: Intrinsics) -> SemanticMask:
     img = load_pgm(path)
-    if intrinsics is not None and (
-        img.shape[1] != intrinsics.width or img.shape[0] != intrinsics.height
-    ):
+    if img.shape[1] != intrinsics.width or img.shape[0] != intrinsics.height:
         raise DimensionMismatch(
             f"{path}: mask is {img.shape[1]}x{img.shape[0]}, "
             f"intrinsics say {intrinsics.width}x{intrinsics.height}"
@@ -183,39 +181,6 @@ class ScoredLine2D:
         return (-self.support, self.line.rho)
 
 
-# (theta, pixel) votes per block of angles, so a block's buffers stay
-# about 0.5 MB each however many pixels the mask has.
-_VOTE_BLOCK = 1 << 16
-
-
-def _vote(us, vs, cos_t, sin_t, n_rho, rho_off):
-    """A new (theta, rho) accumulator of the Hough votes of the given set
-    pixels, one block of angles at a time and one bincount per block.  The
-    cell of pixel (u, v) at angle t is rint(u*cos_t + v*sin_t) + rho_off,
-    the same float operations as hough_lines's one-row update."""
-    n_theta = len(cos_t)
-    acc = np.empty((n_theta, n_rho), dtype=np.int64)
-    step = min(n_theta, max(1, _VOTE_BLOCK // max(1, len(us))))
-    rho = np.empty((step, len(us)))
-    tmp = np.empty_like(rho)
-    cells = np.empty(rho.shape, dtype=np.intp)
-    # each angle's first cell within its block, plus rho_off: whole
-    # numbers, so adding them before the cast to int is exact
-    first = (np.arange(step) * n_rho + rho_off).astype(float)[:, None]
-    for t0 in range(0, n_theta, step):
-        k = min(step, n_theta - t0)
-        r, t, c = rho[:k], tmp[:k], cells[:k]
-        np.multiply(us, cos_t[t0:t0 + k, None], out=r)
-        np.multiply(vs, sin_t[t0:t0 + k, None], out=t)
-        r += t
-        np.rint(r, out=r)
-        r += first[:k]
-        np.copyto(c, r, casting="unsafe")
-        block = acc[t0:t0 + k].reshape(-1)  # a view: the rows are contiguous
-        block[:] = np.bincount(c.ravel(), minlength=k * n_rho)
-    return acc
-
-
 def _fit_line2d(us: np.ndarray, vs: np.ndarray) -> Line2D:
     """Total least-squares line through a pixel set (Line2D fixes its sign)."""
     mu, mv = us.mean(), vs.mean()
@@ -227,16 +192,16 @@ def _fit_line2d(us: np.ndarray, vs: np.ndarray) -> Line2D:
 def hough_lines(mask: SemanticMask, cfg: PipelineConfig) -> list[ScoredLine2D]:
     """Iterative Hough transform: peak, claim the supporting band, repeat.
 
-    The mask is voted once, and each angle row keeps its maximum as an
-    upper bound.  A peak's claimed pixels join a pending list instead of
-    leaving every row at once: each row records how much of that list it
-    has subtracted.  The next peak is found in the row of the highest
-    bound; if that row is stale, its pending pixels leave it (one bincount
-    at that angle), its bound becomes its exact maximum, and the search
-    repeats.  Subtraction only lowers a row, so once the top row is up to
-    date it holds the accumulator's maximum, and np.argmax of the bounds
-    returns the first of equal rows: the peak is the flat argmax of the
-    accumulator of the pixels not yet claimed, as if every row were exact.
+    Each peak is the first maximum, in row-major (theta, rho) order, of the
+    accumulator of the pixels not yet claimed, found without building that
+    accumulator.  Each angle row keeps an upper bound on its maximum (at
+    first the mask's pixel count) and an exact flag (voted since the last
+    claim).  The search takes the first row of highest bound; if it is not
+    exact, it votes that row again from the unclaimed pixels (one bincount),
+    sets its bound to the row's maximum and searches again.  A claim only
+    lowers a row, so every bound stays an upper bound and a claim clears
+    every flag; once the row found is exact, it holds the maximum, and
+    np.argmax of the bounds returns the first of equal rows.
     Resolution is 1 degree in theta and 1 px in rho.  A peak claims the
     pixels within cfg.hough_band_px of its line and is emitted with at
     least cfg.hough_min_support of them, up to cfg.hough_max_lines lines.
@@ -255,42 +220,36 @@ def hough_lines(mask: SemanticMask, cfg: PipelineConfig) -> list[ScoredLine2D]:
 
     # unclaimed pixels, kept in row-major order, as float once for all uses
     vs, us = (x.astype(float) for x in np.nonzero(mask.bits))
-    acc = _vote(us, vs, cos_t, sin_t, n_rho, rho_off)
-    bound = acc.max(axis=1)
-    # claimed pixels in claim order; row t has subtracted the first done[t]
-    pend_u, pend_v = np.empty_like(us), np.empty_like(vs)
-    n_pend = 0
-    done = np.zeros(len(thetas), dtype=np.intp)
+    # per angle row: an upper bound on its maximum, the first cell that
+    # holds it (once exact) and whether it was voted since the last claim
+    bound = np.full(len(thetas), len(us))
+    peak = np.zeros(len(thetas), dtype=np.intp)
+    exact = np.zeros(len(thetas), dtype=bool)
     out: list[ScoredLine2D] = []
     while len(out) < cfg.hough_max_lines and len(us) >= min_support:
-        while True:
-            it = int(np.argmax(bound))
-            k = done[it]
-            if k == n_pend:
-                break
-            r = pend_u[k:n_pend] * cos_t[it]
-            r += pend_v[k:n_pend] * sin_t[it]
+        while not exact[it := int(np.argmax(bound))]:
+            # the one cell rule: rint(u cos t + v sin t) + rho_off
+            r = us * cos_t[it]
+            r += vs * sin_t[it]
             np.rint(r, out=r)
             r += rho_off
-            acc[it] -= np.bincount(r.astype(np.intp), minlength=n_rho)
-            done[it] = n_pend
-            bound[it] = acc[it].max()
-        ir = int(np.argmax(acc[it]))
-        if acc[it, ir] < min_support:
+            row = np.bincount(r.astype(np.intp), minlength=n_rho)
+            peak[it] = np.argmax(row)
+            bound[it] = row[peak[it]]
+            exact[it] = True
+        if bound[it] < min_support:
             break
-        rho = float(ir - rho_off)
+        rho = float(peak[it] - rho_off)
         line = Line2D(cos_t[it], sin_t[it], -rho)
         # support: not-yet-claimed pixels within the band, so the residual
         # edge of an already-emitted thick stroke cannot outrank a real line
         claimed = line.distance(us, vs) <= cfg.hough_band_px
         support = int(claimed.sum())
         if support == 0:
-            # nothing to subtract: the same peak would come back forever
+            # nothing to claim: the same peak would come back forever
             break
+        exact[:] = False
         cu, cv = us[claimed], vs[claimed]
-        pend_u[n_pend:n_pend + support] = cu
-        pend_v[n_pend:n_pend + support] = cv
-        n_pend += support
         us, vs = us[~claimed], vs[~claimed]
         if support < min_support:
             continue

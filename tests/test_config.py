@@ -50,10 +50,14 @@ def test_load_config_rejects_bad_value(tmp_path):
         "plane_trials = 0\n", "line_trials = 0\n", "hough_max_lines = 0\n",
         # a line takes two points: below that a stage crashed with a bare ValueError
         "line_min_inliers = 1\n", "min_feature_points = 0\n", "min_feature_points = 1\n",
+        "plane_inlier_band = 0\n", "line_inlier_tol = -0.1\n",
     ):
         p.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError):
             load_config(p)
+    p.write_bytes(b"seed = 1\xff\n")
+    with pytest.raises(ParseError, match="not UTF-8 text"):
+        load_config(p)
 
 
 def test_load_config_validates(tmp_path):

@@ -279,9 +279,10 @@ def test_cloud_binary_round_trip(tmp_path):
 
 def test_cloud_ascii(tmp_path):
     p = tmp_path / "cloud.txt"
-    p.write_text("1 2 3 0.5\n4 5 6 0.25\n")
-    back = load_cloud(p)
-    assert np.array_equal(back, [[1, 2, 3, 0.5], [4, 5, 6, 0.25]])
+    for text in ("1 2 3 0.5\n4 5 6 0.25\n", "1 2 3 0.5\n\n4 5 6 0.25\n"):
+        p.write_text(text)
+        back = load_cloud(p)
+        assert np.array_equal(back, [[1, 2, 3, 0.5], [4, 5, 6, 0.25]])
 
 
 def test_cloud_errors(tmp_path):
@@ -362,6 +363,15 @@ def test_pnm_errors(tmp_path):
     p.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 4)  # not enough rgb bytes
     with pytest.raises(ParseError):
         load_image(p)
+    p.write_bytes(b"P5\n1242 ")
+    with pytest.raises(ParseError, match="truncated header"):
+        load_pgm(p)
+    p.write_bytes(b"P5\n12 x3\n255\n")
+    with pytest.raises(ParseError, match="bad header byte"):
+        load_pgm(p)
+    p.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 12)
+    with pytest.raises(ParseError, match="expected P5, got P6"):
+        load_pgm(p)
 
 
 @pytest.mark.parametrize("save, value", [

@@ -13,7 +13,7 @@ from linecalib.config import PipelineConfig
 from linecalib.errors import DimensionMismatch, EmptyTarget, InsufficientLines, NoLines, ParseError
 from linecalib.evaluation import calibration_error
 from linecalib.fileio import save_pnm
-from linecalib.geometry import Line2D
+from linecalib.geometry import Intrinsics, Line2D
 from linecalib.image_features import (
     FeatureSetImage,
     HeightMap,
@@ -348,7 +348,13 @@ def test_semantic_mask_needs_a_known_class(tmp_path):
     path = tmp_path / "mask.pgm"
     save_pnm(path, np.full((4, 4), 255, dtype=np.uint8))
     with pytest.raises(ParseError, match="unknown mask class"):
-        load_mask(path, "road")
+        load_mask(path, "road", _intrinsics_of((4, 4)))
+
+
+def _intrinsics_of(shape):
+    """Intrinsics of an image of the given (h, w) shape."""
+    h, w = shape
+    return Intrinsics(100.0, 100.0, w / 2, h / 2, w, h)
 
 
 @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1)])
@@ -356,9 +362,9 @@ def test_load_mask_rejects_a_1px_side(tmp_path, shape):
     path = tmp_path / "mask.pgm"
     save_pnm(path, np.full(shape, 255, dtype=np.uint8))
     with pytest.raises(ParseError, match="at least 2x2"):
-        load_mask(path, "lane")
+        load_mask(path, "lane", _intrinsics_of(shape))
     save_pnm(path, np.full((2, 5), 255, dtype=np.uint8))
-    assert load_mask(path, "lane").set_count == 10
+    assert load_mask(path, "lane", _intrinsics_of((2, 5))).set_count == 10
 
 
 @MANY
@@ -466,9 +472,9 @@ def test_hough_lane_near_horizontal_rejected():
 
 def _hough_lines_revote(mask, cls, min_support, max_lines=8, band_px=3.0,
                         lane_theta_margin_deg=10.0):
-    """hough_lines before it subtracted claimed votes: every round re-votes
-    all 180 angles, one bincount each, over the unclaimed pixels.  Kept
-    as the oracle of the vote-once-and-subtract accumulator."""
+    """Iterative Hough that re-votes every round: all 180 angles, one
+    bincount each, over the unclaimed pixels, and the flat argmax of that
+    accumulator is the peak."""
     h, w = mask.bits.shape
     thetas = np.deg2rad(np.arange(180.0))
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
@@ -502,8 +508,8 @@ def _hough_lines_revote(mask, cls, min_support, max_lines=8, band_px=3.0,
 
 
 def test_hough_matches_revote_oracle():
-    """Random masks with drawn strokes and clutter, small to large enough
-    that the vote splits into many angle blocks: same lines, same supports."""
+    """Random masks with drawn strokes and clutter, 20 to 200 px a side:
+    same lines, same supports."""
     rng = np.random.default_rng(21)
     for k in range(24):
         h, w = int(rng.integers(20, 160)), int(rng.integers(20, 200))
@@ -526,8 +532,8 @@ def test_hough_matches_revote_oracle():
 
 
 def _vote_full(us, vs, cos_t, sin_t, n_rho, rho_off):
-    """A full-size accumulator of the given pixels' votes, one bincount
-    per block of angles, as _vote built it before subtracting in place."""
+    """The full (theta, rho) accumulator of the given pixels' votes, one
+    bincount per block of angles."""
     acc = np.empty((len(cos_t), n_rho), dtype=np.int64)
     step = max(1, (1 << 16) // max(1, len(us)))
     for t0 in range(0, len(cos_t), step):
@@ -541,9 +547,9 @@ def _vote_full(us, vs, cos_t, sin_t, n_rho, rho_off):
 
 
 def _hough_lines_vote_and_subtract(mask, cfg):
-    """hough_lines before its in-place subtraction: each peak's claimed
-    pixels are voted into a second full-size accumulator, which is then
-    subtracted.  Kept as the oracle of the np.subtract.at path."""
+    """Iterative Hough on one full accumulator: the mask is voted once,
+    the flat argmax is each peak, and each peak's claimed pixels are voted
+    into a second full accumulator that is subtracted from the first."""
     h, w = mask.bits.shape
     thetas = np.deg2rad(np.arange(180.0))
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)

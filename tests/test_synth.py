@@ -189,6 +189,8 @@ def test_spec_rejects_malformed_values(tmp_path):
         "pole_xy = 12:-6:1 20:6 28:-5\n",  # records have a fixed arity
         "boxes = 12:-3.5:4:1.8\n",
         "rings = 12.5\n",
+        "rings = 0\n",                     # the beam model needs a beam
+        "azimuth_steps = 0\n",
         "lane_width = nan\n",
         "fx = 430\n",                      # intrinsics come whole
         'r = "nan 0 0"\nt = "0 0 0"\n',

@@ -10,7 +10,7 @@ import pytest
 
 from linecalib.cloud_features import PointCloud, extract_cloud_features
 from linecalib.config import PipelineConfig
-from linecalib.errors import CalibError, NoPolePoints
+from linecalib.errors import STAGE_EXIT_CODES, CalibError, NoLanePoints, NoPolePoints
 from linecalib.geometry import Extrinsic
 from linecalib.image_features import SemanticMask
 from linecalib.pipeline import calibrate
@@ -99,10 +99,23 @@ def test_corrupted_input_fails_typed(canonical_frame, case):
         lambda: CASES[case](cloud, lane, pole, np.random.default_rng(0)), spec.intrinsics)
 
 
-def test_scene_without_poles_fails_typed(pole_free_frame):
+def test_scene_without_poles_fails_typed(pole_free_frame, canonical_frame):
+    """A scene without poles fails typed; so does canonical scene 0 under a
+    config whose pole grid holds no object point, or that asks for more
+    lane points than survive the line filter: extraction errors, exit 2."""
     cloud, lane, pole, _ = pole_free_frame
     outcome = _calibrate_or_calib_error(lambda: (cloud, lane, pole), canonical_spec(0).intrinsics)
     assert isinstance(outcome, CalibError)
+    spec, cloud, lane, pole, _ = canonical_frame
+    for cfg, error, message in (
+        (PipelineConfig(grid_x_min=90, grid_x_max=100), NoPolePoints,
+         "no object points inside the pole grid"),
+        (PipelineConfig(min_feature_points=3000), NoLanePoints,
+         "only 2451 lane points survive the line filter"),
+    ):
+        with pytest.raises(error, match=message) as raised:
+            calibrate(cloud, lane, pole, spec.intrinsics, cfg)
+        assert STAGE_EXIT_CODES[raised.value.stage] == 2
 
 
 def test_no_pole_points_at_the_smallest_min_feature_points(pole_free_frame):
