@@ -226,8 +226,8 @@ def _fit_lines(points: np.ndarray, seed: int, cfg: PipelineConfig):
 
 
 # Lines x points per block when RANSAC trials are scored, so the block's
-# temporaries stay a few MB whatever the point count: one (2b, 3) @ (3, N)
-# matmul gives the offsets of the N points from the block's b lines.
+# temporaries stay a few MB whatever the point count: one (b, 10) @ (10, N)
+# matmul gives the squared distances of the N points from the block's b lines.
 _SCORE_BLOCK = 1 << 16
 
 
@@ -240,22 +240,16 @@ def _best_hypothesis(sub: np.ndarray, pairs: np.ndarray, inlier_tol: float):
     norms, so each hypothesis has the bits of its per-trial Line3D.
 
     Each count is that of Line3D.distance(sub) <= inlier_tol, without
-    that distance for most points.  A line through a along unit d gets
-    two unit normals, n1 = normalize(d x e_k), with e_k the axis of d's
-    smallest component (so |d x e_k| >= sqrt(2/3)), and n2 = d x n1.  One
-    matmul per block of lines gives every point's offsets n.p - n.a, and
-    their squared sum r is its squared distance.  Let s = max|sub| +
-    max|anchors|, so |p|, |a|, |q| <= sqrt(3) s for q = p - a.  Each
-    offset is off by a few eps (|p| + |a|) from cancellation; the normals
-    are unit and orthogonal to d and to each other to a few eps; the
-    cross product's terms, the squares, the sums and the sqrt compared
-    with the tolerance each round by eps.  So r and the square S of
-    Line3D.distance differ by at most about 100 eps s^2 (2.2e-14 s^2; the
-    canonical and five-lane pools reach 2 eps s^2), and delta =
-    1e-12 (1 + 3 s^2) is over 100 times that: a point with
-    r <= tol^2 - delta is an inlier, one with r > tol^2 + delta is not,
-    and the few points in between are decided by Line3D.distance's own
-    formula.
+    that distance for most points.  Each point's squared distance r from
+    each line is a quadratic form in the point, one matmul per block of
+    lines (_quadric).  Let s = max|sub| + max|anchors|.  r sums 10 terms,
+    each at most about 3 s^2, whose coefficients, monomials, products and
+    sum each round by a few eps; the square S of Line3D.distance rounds
+    by a few eps |p - a|^2 <= 12 eps s^2.  So r and S differ by at most a
+    few hundred eps s^2 (about 1e-13 s^2), and delta = 1e-12 (1 + 3 s^2)
+    is over 10 times that: a point with r <= tol^2 - delta is an inlier,
+    one with r > tol^2 + delta is not, and the few points in between are
+    decided by Line3D.distance's own formula.
     """
     i, j = pairs[:, 0], pairs[:, 1]
     d = sub[j] - sub[i]
@@ -266,37 +260,51 @@ def _best_hypothesis(sub: np.ndarray, pairs: np.ndarray, inlier_tol: float):
     anchors = sub[i[ok]]
     unit = d[ok] / nd[ok, None]
     dirs = unit / _row_norms(unit)[:, None]
-    axis = np.zeros_like(dirs)
-    axis[np.arange(len(dirs)), np.argmin(np.abs(dirs), axis=1)] = 1.0
-    n1 = np.cross(dirs, axis)
-    n1 /= _row_norms(n1)[:, None]
-    normals = np.stack([n1, np.cross(dirs, n1)])  # (2, L, 3)
-    at_anchor = np.einsum("kij,ij->ki", normals, anchors)
+    coef, mono = _quadric(sub, anchors, dirs)
+    xyz = mono[6:9]
     scale = np.abs(sub).max() + np.abs(anchors).max()
     delta = 1e-12 * (1.0 + 3.0 * scale * scale)
     tol2 = inlier_tol * inlier_tol
     lo, hi = tol2 - delta, tol2 + delta
-    xyz = sub.T.copy()
     counts = np.empty(len(dirs), dtype=np.int64)
     step = max(1, _SCORE_BLOCK // len(sub))
     for k in range(0, len(dirs), step):
         rows = slice(k, k + step)
-        off = normals[:, rows].reshape(-1, 3) @ xyz
-        off -= at_anchor[:, rows].reshape(-1, 1)
-        off *= off
-        b = len(off) // 2
-        r = off[:b]
-        r += off[b:]
+        r = coef[rows] @ mono
         inside = np.count_nonzero(r <= lo, axis=1)
-        near = np.count_nonzero(r <= hi, axis=1)
-        for row in np.flatnonzero(near > inside):
-            cols = np.flatnonzero((r[row] > lo) & (r[row] <= hi))
-            line = k + row
-            dist = _line_distances(xyz[:, cols], anchors[line:line + 1], dirs[line:line + 1])
-            inside[row] += np.count_nonzero(dist <= inlier_tol)
+        if np.count_nonzero(r <= hi) > inside.sum():  # a point in the band
+            near = np.count_nonzero(r <= hi, axis=1)
+            for row in np.flatnonzero(near > inside):
+                cols = np.flatnonzero((r[row] > lo) & (r[row] <= hi))
+                line = k + row
+                dist = _line_distances(xyz[:, cols], anchors[line:line + 1], dirs[line:line + 1])
+                inside[row] += np.count_nonzero(dist <= inlier_tol)
         counts[rows] = inside
     best = int(np.argmax(counts))
     return Line3D(anchors[best], unit[best]), int(counts[best])
+
+
+def _quadric(sub: np.ndarray, anchors: np.ndarray, dirs: np.ndarray):
+    """(L, 10) coefficients of the L lines through anchors along unit
+    dirs and (10, N) monomials x^2, y^2, z^2, xy, xz, yz, x, y, z, 1 of
+    the points sub (N, 3), so that coef @ mono holds each point's squared
+    distance |p - a|^2 - ((p - a).d)^2 = p'Pp - 2 p'Pa + a'Pa, P = I - dd',
+    from each line.  Rows 6:9 of mono are the points' coordinates."""
+    mono = np.empty((10, len(sub)))
+    xyz = mono[6:9]
+    xyz[...] = sub.T
+    np.multiply(xyz, xyz, out=mono[:3])
+    np.multiply(xyz[0], xyz[1:], out=mono[3:5])
+    np.multiply(xyz[1], xyz[2], out=mono[5])
+    mono[9] = 1.0
+    proj = np.eye(3) - dirs[:, :, None] * dirs[:, None, :]
+    pa = (proj @ anchors[:, :, None])[:, :, 0]
+    coef = np.empty((len(dirs), 10))
+    coef[:, :3] = proj[:, [0, 1, 2], [0, 1, 2]]
+    coef[:, 3:6] = 2.0 * proj[:, [0, 0, 1], [1, 2, 2]]
+    coef[:, 6:9] = -2.0 * pa
+    coef[:, 9] = (anchors[:, None, :] @ pa[:, :, None])[:, 0, 0]
+    return coef, mono
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Ground segmentation, lane/pole extraction, and 3D line fitting."""
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from linecalib.cloud_features import (
 from linecalib.config import PipelineConfig
 from linecalib.errors import DegenerateFrame, NoGroundPlane
 from linecalib.geometry import Line3D, Plane3D, angle_axis_to_matrix
-from linecalib.synth import canonical_spec, generate
+from linecalib.synth import canonical_spec, generate, random_spec
 from test_coarse import FIVE_LANES
 
 MANY = settings(max_examples=1000, deadline=None)
@@ -366,10 +368,14 @@ def _trial_lines(sub, pairs):
 def test_best_hypothesis_bits_match_per_trial_line():
     """Each hypothesis is scored with the bits of its per-trial Line3D:
     with the tolerance set to one of its distances exactly, a point on
-    the boundary still counts, and the first best trial wins."""
+    the boundary still counts, and the first best trial wins.  The last
+    pools hold more than _SCORE_BLOCK points, so each block scores one
+    line."""
     rng = np.random.default_rng(13)
-    for _ in range(300):
-        sub = rng.normal(0, 10.0 ** rng.uniform(-2, 2), (int(rng.integers(2, 300)), 3))
+    big = cloud_features._SCORE_BLOCK + 4000
+    for k in range(303):
+        n = int(rng.integers(2, 300)) if k < 300 else big
+        sub = rng.normal(0, 10.0 ** rng.uniform(-2, 2), (n, 3))
         pairs = rng.integers(0, len(sub), size=(int(rng.integers(1, 8)), 2))
         lines = [line for _, line in _trial_lines(sub, pairs)]
         if not lines:
@@ -385,20 +391,11 @@ def test_best_hypothesis_bits_match_per_trial_line():
         assert np.array_equal(got.direction, want.direction)
 
 
-@pytest.mark.parametrize("shift", [1e2, 1e3, 1e4])
-def test_best_hypothesis_decides_the_rounding_band_exactly(shift, monkeypatch):
-    """Far from the origin the rounding band is at its widest.  Points are
-    put at the tolerance from each trial line and one ulp either side of
-    it; every trial's count and the winner are the per-trial loop's, and
-    the band's points were decided by the distance formula."""
-    band_calls = []
-    exact = cloud_features._line_distances
-
-    def counted(*args):
-        band_calls.append(1)
-        return exact(*args)
-
-    monkeypatch.setattr(cloud_features, "_line_distances", counted)
+def _pools_at_the_tolerance(shift):
+    """(sub, pairs, lines, tol) of 20 pools about `shift` m from the
+    origin, where the rounding band is at its widest: points at the
+    tolerance from each trial line and one ulp either side of it, the
+    tolerance one of these points' exact distance."""
     rng = np.random.default_rng(int(shift))
     for _ in range(20):
         base = rng.normal(size=3) * shift + rng.normal(0, 5.0, (150, 3))
@@ -412,11 +409,26 @@ def test_best_hypothesis_decides_the_rounding_band_exactly(shift, monkeypatch):
             perp = np.cross(line.direction, rng.normal(size=3))
             for t in rng.uniform(-5.0, 5.0, 2):
                 on_tol.append(line.point + t * line.direction + tol * perp / np.linalg.norm(perp))
-        # the tolerance is one of these points' exact distance
         tol = float(lines[0][1].distance(on_tol[0])[0])
         ulps = [np.nextafter(p, p + sign * np.eye(3)[k] * np.abs(p).max())
                 for p in on_tol for k in range(3) for sign in (-1.0, 1.0)]
-        sub = np.concatenate([base, on_tol, ulps])
+        yield np.concatenate([base, on_tol, ulps]), pairs, lines, tol
+
+
+@pytest.mark.parametrize("shift", [1e2, 1e3, 1e4])
+def test_best_hypothesis_decides_the_rounding_band_exactly(shift, monkeypatch):
+    """Every trial's count and the winner are the per-trial loop's on
+    the pools at the tolerance, and the band's points were decided by
+    the distance formula."""
+    band_calls = []
+    exact = cloud_features._line_distances
+
+    def counted(*args):
+        band_calls.append(1)
+        return exact(*args)
+
+    monkeypatch.setattr(cloud_features, "_line_distances", counted)
+    for sub, pairs, lines, tol in _pools_at_the_tolerance(shift):
         counts = {t: int((line.distance(sub) <= tol).sum()) for t, line in lines}
         for t, line in lines:
             assert _best_hypothesis(sub, pairs[t:t + 1], tol)[1] == counts[t]
@@ -429,17 +441,43 @@ def test_best_hypothesis_decides_the_rounding_band_exactly(shift, monkeypatch):
     assert band_calls
 
 
+@pytest.mark.parametrize("shift", [1e2, 1e3, 1e4])
+def test_quadric_distances_stay_within_a_tenth_of_the_band(shift):
+    """The margin _best_hypothesis's docstring claims: on the first pools
+    at the tolerance, the squared distance _quadric gives each (line,
+    point) is within delta / 10 of |(p - a) x d|^2 computed exactly with
+    Fractions from the same float points, anchors and directions."""
+    frac = np.vectorize(Fraction, otypes=[object])
+    for sub, _, lines, _ in itertools.islice(_pools_at_the_tolerance(shift), 4):
+        anchors = np.stack([line.point for _, line in lines])
+        dirs = np.stack([line.direction for _, line in lines])
+        coef, mono = cloud_features._quadric(sub, anchors, dirs)
+        r = coef @ mono
+        q = frac(sub)[None, :, :] - frac(anchors)[:, None, :]
+        d = frac(dirs)[:, None, :]
+        cross = [q[..., k] * d[..., m] - q[..., m] * d[..., k] for k, m in ((1, 2), (2, 0), (0, 1))]
+        exact = sum(c * c for c in cross)
+        scale = np.abs(sub).max() + np.abs(anchors).max()
+        delta = 1e-12 * (1.0 + 3.0 * scale * scale)
+        off = np.vectorize(lambda a, b: abs(Fraction(a) - b), otypes=[object])(r, exact)
+        assert off.max() <= Fraction(delta) / 10
+
+
 def test_ransac_matches_oracle_on_bright_ground_points(canonical_frame):
-    """The lane fit of extract_lane_points on the benchmark's frames:
-    canonical scene 0 and five-lane scene 0, 2,400-3,100 points with x up
-    to 75 m, fit as the per-trial loop fits them."""
+    """The lane fit of extract_lane_points, fit as the per-trial loop
+    fits it: on the benchmark's frames (canonical scene 0 and five-lane
+    scene 0, 2,400-3,100 points with x up to 75 m), on the 32-ring
+    canonical scene 0 (646 points) and on random_spec(0)."""
     cfg = PipelineConfig()
     five_lane = canonical_spec(0, lane_offsets=FIVE_LANES, lane_dashed=(False,) * 5)
-    for cloud in (canonical_frame[1], generate(five_lane)[0]):
+    scenes = [(canonical_frame[1], 2000, 70.0), (generate(five_lane)[0], 2000, 70.0),
+              (generate(canonical_spec(0, rings=32))[0], 600, 45.0),
+              (generate(random_spec(0))[0], 2000, 70.0)]
+    for cloud, min_points, min_x in scenes:
         gi = fit_ground_plane(cloud, cfg.seed, cfg).ground_indices
         inten = cloud.intensity[gi]
         pts = cloud.xyz[gi[inten > inten.mean() + cfg.intensity_sigma_scale * inten.std()]]
-        assert len(pts) > 2000 and pts[:, 0].max() > 70
+        assert len(pts) > min_points and pts[:, 0].max() > min_x
         got = ransac_line3d(pts, cfg.seed + 1, cfg)
         assert len(got) >= 3
         assert_same_fits(got, _ransac_line3d_per_trial(
