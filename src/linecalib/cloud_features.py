@@ -213,10 +213,9 @@ def _fit_lines(points: np.ndarray, seed: int, cfg: PipelineConfig):
     while len(pool) >= max(2, min_inliers):
         sub = points[pool]
         pairs = rng.integers(0, len(pool), size=(cfg.line_trials, 2))
-        best_line, best_count = _best_hypothesis(sub, pairs, inlier_tol)
-        if best_line is None or best_count < min_inliers:
+        best_line, inl = _best_hypothesis(sub, pairs, inlier_tol)
+        if best_line is None or np.count_nonzero(inl) < min_inliers:
             return
-        inl = best_line.distance(sub) <= inlier_tol
         refined = _fit_line_lsq(sub[inl])
         inl = refined.distance(sub) <= inlier_tol
         if int(inl.sum()) < min_inliers:
@@ -232,19 +231,20 @@ _SCORE_BLOCK = 1 << 16
 
 
 def _best_hypothesis(sub: np.ndarray, pairs: np.ndarray, inlier_tol: float):
-    """(line, inlier count) of the first trial pair with the most inliers.
+    """(line, inlier mask over sub) of the first trial pair with the most
+    inliers.
 
     Pairs that repeat an index or join coincident points are skipped;
-    (None, -1) if no pair is left.  Directions are normalised as Line3D
+    (None, None) if no pair is left.  Directions are normalised as Line3D
     does it (divide by the norm, then renormalise), with the same row
     norms, so each hypothesis has the bits of its per-trial Line3D.
 
-    Each count is that of Line3D.distance(sub) <= inlier_tol, without
-    that distance for most points.  Each point's squared distance r from
-    each line is a quadratic form in the point, one matmul per block of
-    lines (_quadric).  Let s = max|sub| + max|anchors|.  r sums 10 terms,
-    each at most about 3 s^2, whose coefficients, monomials, products and
-    sum each round by a few eps; the square S of Line3D.distance rounds
+    Each count, and the winner's mask, is that of Line3D.distance(sub)
+    <= inlier_tol, without that distance for most points.  Each point's
+    squared distance r from each line is a quadratic form in the point,
+    one matmul per block of lines (_quadric).  Let s = max|sub| +
+    max|anchors|.  r sums 10 terms, each at most about 3 s^2, whose
+    coefficients, monomials, products and sum each round by a few eps; the square S of Line3D.distance rounds
     by a few eps |p - a|^2 <= 12 eps s^2.  So r and S differ by at most a
     few hundred eps s^2 (about 1e-13 s^2), and delta = 1e-12 (1 + 3 s^2)
     is over 10 times that: a point with r <= tol^2 - delta is an inlier,
@@ -256,7 +256,7 @@ def _best_hypothesis(sub: np.ndarray, pairs: np.ndarray, inlier_tol: float):
     nd = _row_norms(d)
     ok = (i != j) & ~(nd < 1e-9)
     if not ok.any():
-        return None, -1
+        return None, None
     anchors = sub[i[ok]]
     unit = d[ok] / nd[ok, None]
     dirs = unit / _row_norms(unit)[:, None]
@@ -266,22 +266,30 @@ def _best_hypothesis(sub: np.ndarray, pairs: np.ndarray, inlier_tol: float):
     delta = 1e-12 * (1.0 + 3.0 * scale * scale)
     tol2 = inlier_tol * inlier_tol
     lo, hi = tol2 - delta, tol2 + delta
-    counts = np.empty(len(dirs), dtype=np.int64)
+
+    def inliers(r, line):
+        # the rule for one line's row r of squared distances
+        inl = r <= lo
+        band = np.flatnonzero((r > lo) & (r <= hi))
+        if len(band):
+            dist = _line_distances(xyz[:, band], anchors[line:line + 1], dirs[line:line + 1])
+            inl[band] = dist[0] <= inlier_tol
+        return inl
+
+    best, most, best_inliers = -1, -1, None
     step = max(1, _SCORE_BLOCK // len(sub))
     for k in range(0, len(dirs), step):
-        rows = slice(k, k + step)
-        r = coef[rows] @ mono
+        r = coef[k:k + step] @ mono
         inside = np.count_nonzero(r <= lo, axis=1)
         if np.count_nonzero(r <= hi) > inside.sum():  # a point in the band
             near = np.count_nonzero(r <= hi, axis=1)
             for row in np.flatnonzero(near > inside):
-                cols = np.flatnonzero((r[row] > lo) & (r[row] <= hi))
-                line = k + row
-                dist = _line_distances(xyz[:, cols], anchors[line:line + 1], dirs[line:line + 1])
-                inside[row] += np.count_nonzero(dist <= inlier_tol)
-        counts[rows] = inside
-    best = int(np.argmax(counts))
-    return Line3D(anchors[best], unit[best]), int(counts[best])
+                inside[row] = np.count_nonzero(inliers(r[row], k + row))
+        row = int(np.argmax(inside))
+        if inside[row] > most:  # first best: a later tie does not win
+            best, most = k + row, inside[row]
+            best_inliers = inliers(r[row], best)
+    return Line3D(anchors[best], unit[best]), best_inliers
 
 
 def _quadric(sub: np.ndarray, anchors: np.ndarray, dirs: np.ndarray):

@@ -20,6 +20,12 @@ EPS_Z = 1e-6
 
 _ORTHO_TOL = 1e-6
 
+# Below a norm of 2 ** -500 (3e-151) the squares it sums can reach the
+# subnormals, whose spacing is coarse next to them; such a vector's norm
+# is taken again at the scale of an exact power of two, and scaled back.
+_TINY_NORM = 2.0 ** -500
+_TINY_SCALE = 2.0 ** 600
+
 # read-only identities, shared instead of rebuilt by np.eye on every call
 _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
@@ -308,7 +314,11 @@ def rotation_geodesic(R1: np.ndarray, R2: np.ndarray) -> float:
     """Angle of the relative rotation, in [0, pi]."""
     # the product of two checked inputs can drift past the tolerance
     D = _check_rotation(R1) @ _check_rotation(R2).T
-    return float(np.linalg.norm(_angle_axis(D)))
+    w = _angle_axis(D)
+    angle = vector_norm(w)
+    if angle < _TINY_NORM:
+        angle = vector_norm(w * _TINY_SCALE) / _TINY_SCALE
+    return angle
 
 
 def euler_zyx(R: np.ndarray):

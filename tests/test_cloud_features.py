@@ -368,7 +368,8 @@ def _trial_lines(sub, pairs):
 def test_best_hypothesis_bits_match_per_trial_line():
     """Each hypothesis is scored with the bits of its per-trial Line3D:
     with the tolerance set to one of its distances exactly, a point on
-    the boundary still counts, and the first best trial wins.  The last
+    the boundary still counts, the first best trial wins, and its inlier
+    mask is that of Line3D.distance.  The last
     pools hold more than _SCORE_BLOCK points, so each block scores one
     line."""
     rng = np.random.default_rng(13)
@@ -379,14 +380,14 @@ def test_best_hypothesis_bits_match_per_trial_line():
         pairs = rng.integers(0, len(sub), size=(int(rng.integers(1, 8)), 2))
         lines = [line for _, line in _trial_lines(sub, pairs)]
         if not lines:
-            assert _best_hypothesis(sub, pairs, 1.0) == (None, -1)
+            assert _best_hypothesis(sub, pairs, 1.0) == (None, None)
             continue
         dist = lines[int(rng.integers(len(lines)))].distance(sub)
         tol = float(dist[int(rng.integers(len(sub)))])
         counts = [int((line.distance(sub) <= tol).sum()) for line in lines]
         want = lines[int(np.argmax(counts))]
-        got, got_count = _best_hypothesis(sub, pairs, tol)
-        assert got_count == max(counts)
+        got, got_inliers = _best_hypothesis(sub, pairs, tol)
+        assert np.array_equal(got_inliers, want.distance(sub) <= tol)
         assert np.array_equal(got.point, want.point)
         assert np.array_equal(got.direction, want.direction)
 
@@ -417,9 +418,9 @@ def _pools_at_the_tolerance(shift):
 
 @pytest.mark.parametrize("shift", [1e2, 1e3, 1e4])
 def test_best_hypothesis_decides_the_rounding_band_exactly(shift, monkeypatch):
-    """Every trial's count and the winner are the per-trial loop's on
-    the pools at the tolerance, and the band's points were decided by
-    the distance formula."""
+    """Every trial's inlier mask (each trial scored alone) and the winner
+    with its mask are the per-trial loop's on the pools at the tolerance,
+    and the band's points were decided by the distance formula."""
     band_calls = []
     exact = cloud_features._line_distances
 
@@ -431,11 +432,11 @@ def test_best_hypothesis_decides_the_rounding_band_exactly(shift, monkeypatch):
     for sub, pairs, lines, tol in _pools_at_the_tolerance(shift):
         counts = {t: int((line.distance(sub) <= tol).sum()) for t, line in lines}
         for t, line in lines:
-            assert _best_hypothesis(sub, pairs[t:t + 1], tol)[1] == counts[t]
+            assert np.array_equal(_best_hypothesis(sub, pairs[t:t + 1], tol)[1], line.distance(sub) <= tol)
         first = max(counts, key=lambda t: (counts[t], -t))
-        got, got_count = _best_hypothesis(sub, pairs, tol)
-        assert got_count == counts[first]
+        got, got_inliers = _best_hypothesis(sub, pairs, tol)
         want = dict(lines)[first]
+        assert np.array_equal(got_inliers, want.distance(sub) <= tol)
         assert np.array_equal(got.point, want.point)
         assert np.array_equal(got.direction, want.direction)
     assert band_calls

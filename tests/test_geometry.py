@@ -87,8 +87,8 @@ def _geodesic_checked(R1, R2) -> float:
         # 1e-8 rad as |w| / 2, where the old formula divided by a cosine that
         # is 1 only up to the rounding in the trace
         tol += oracle * abs(1.0 - cos_theta)
-    # below about 1e-154 rad the squares in |w| underflow to subnormals in
-    # both formulas, which the 1e-160 rad of slack covers
+    # below about 1e-154 rad the squares in the oracle's |w| underflow to
+    # subnormals, which the 1e-160 rad of slack covers
     assert abs(d - oracle) <= tol + 1e-160
     return d
 
@@ -110,6 +110,19 @@ def test_geodesic_symmetry_and_angle(r, theta):
 def test_geodesic_zero_on_self(r):
     R = angle_axis_to_matrix(r)
     assert _geodesic_checked(R, R) < 1e-9
+
+
+@pytest.mark.parametrize("theta", [1.0537879e-159, 3e-200, 2.0 ** -1000, 1e-300])
+def test_geodesic_keeps_its_precision_at_tiny_angles(theta):
+    """Below about 1e-154 rad the squares in the norm of the angle-axis
+    vector fall into the subnormals, which cost the angle its last bits
+    (a relative error of 9e-7 at 1.05e-159 rad): it is taken at an exact
+    power of two's scale there, within 2 ulp of math.hypot's."""
+    r = np.array([0.48, -0.6, 0.64]) * theta
+    want = math.hypot(*r)
+    assert abs(rotation_geodesic(angle_axis_to_matrix(r), np.eye(3)) - want) <= 2 * math.ulp(want)
+    assert abs(rotation_geodesic(np.eye(3), angle_axis_to_matrix(r)) - want) <= 2 * math.ulp(want)
+    assert rotation_geodesic(np.eye(3), np.eye(3)) == 0.0
 
 
 def test_geodesic_checks_both_inputs_not_their_product():

@@ -20,7 +20,7 @@ from linecalib.image_features import (
     ScoredLine2D,
     SemanticMask,
     _fit_line2d,
-    _l1_fields,
+    _l1_field,
     bilinear,
     bilinear_cells,
     hough_lines,
@@ -70,7 +70,7 @@ def brute_l1_with_border(bits: np.ndarray) -> np.ndarray:
 def kernel_field(target: np.ndarray) -> np.ndarray:
     """The L1 field of one target set by the kernel that l1_distance_field
     and idt_height_map share; unlike a SemanticMask it takes any 2-D shape."""
-    return _l1_fields(target[:, None, :])[:, 0, :]
+    return _l1_field(target)
 
 
 def framed_unset_field(bits: np.ndarray) -> np.ndarray:
@@ -112,13 +112,16 @@ def test_l1_empty_target_raises():
 
 def test_l1_kernel_raises_for_any_field_without_a_target():
     """The one EmptyTarget check lives in the kernel that every field goes
-    through, and one empty field among several is enough."""
-    targets = np.zeros((5, 3, 7), dtype=bool)
-    targets[2, 0, 3] = targets[0, 2, 6] = True
+    through: l1_distance_field's (the set pixels) and idt_height_map's
+    (the boundary pixels, of which an empty mask has none)."""
+    for shape in ((5, 7), (1, 1), (2, 40)):
+        with pytest.raises(EmptyTarget):
+            _l1_field(np.zeros(shape, dtype=bool))
+    targets = np.zeros((5, 7), dtype=bool)
+    targets[4, 0] = True
+    assert np.array_equal(_l1_field(targets), brute_l1(targets))
     with pytest.raises(EmptyTarget):
-        _l1_fields(targets)
-    targets[4, 1, 0] = True
-    assert _l1_fields(targets).shape == (5, 3, 7)
+        idt_height_map(SemanticMask("pole", np.zeros((5, 7), dtype=bool)), IDT)
 
 
 def _assert_fields_match_brute_force(bits):
@@ -167,8 +170,8 @@ def test_l1_all_set_but_one():
 
 
 def test_l1_long_mask_keeps_its_sentinel_out_of_the_result():
-    """A 3x5000 int32 field with its targets at one end: distances reach
-    4998, so the sentinel of unreached pixels must lie above all of them."""
+    """A 3x5000 field with its targets at one end: distances reach 4998,
+    so the sentinel of unreached pixels must lie above all of them."""
     bits = np.zeros((3, 5000), dtype=bool)
     bits[0, 0] = bits[2, 3] = True
     mask = SemanticMask("lane", bits)
@@ -284,6 +287,118 @@ def test_idt_rejects_bad_gamma_and_empty():
         PipelineConfig(gamma0=1.5, gamma1=0.9)
     with pytest.raises(EmptyTarget):
         idt_height_map(SemanticMask("lane", np.zeros((4, 4), dtype=bool)), IDT)
+
+
+def _assert_idt_matches_oracles(bits, cfg):
+    """The height map of bits is the two-field oracle's and brute force's,
+    bit for bit, and its field the brute-force distance to the set pixels."""
+    mask = SemanticMask("lane", bits)
+    got = idt_height_map(mask, cfg).values
+    assert got.tobytes() == _idt_two_fields(bits, cfg).tobytes()
+    assert got.tobytes() == brute_idt(bits, cfg.gamma0, cfg.gamma1).tobytes()
+    if not bits.all():
+        assert np.array_equal(l1_distance_field(mask), brute_l1(bits))
+
+
+GAMMAS = (IDT, PipelineConfig(gamma0=0.5, gamma1=0.75), PipelineConfig(gamma0=0.999, gamma1=0.6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=st.integers(2, 40), w=st.integers(2, 40), p=st.floats(0.0, 1.0),
+       frame=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       g0=st.floats(0.5, 0.99), g1=st.floats(0.5, 0.99))
+def test_idt_boundary_field_matches_the_oracles(h, w, p, frame, seed, g0, g1):
+    """Random masks of any density and shape, half of them with a set
+    frame edge, under random gammas: the boundary field's height map is
+    the two-field oracle's and brute force's."""
+    rng = np.random.default_rng(seed)
+    bits = rng.random((h, w)) < p
+    if frame:
+        bits[:, 0] = bits[-1] = True
+    bits[rng.integers(0, h), rng.integers(0, w)] = True
+    _assert_idt_matches_oracles(bits, PipelineConfig(gamma0=g0, gamma1=g1))
+
+
+def _fixed_idt_masks():
+    """Masks that touch the border, all-set masks, single pixels and 1 px
+    strokes, taller and wider than square, with sides under, at and over
+    a multiple of the relaxation's block count."""
+    for h, w in ((2, 2), (3, 15), (15, 17), (16, 16), (17, 33), (32, 48), (47, 5), (5, 47)):
+        yield np.ones((h, w), dtype=bool)
+        for y, x in ((0, 0), (h - 1, w - 1), (h // 2, w // 2), (0, w // 2)):
+            bits = np.zeros((h, w), dtype=bool)
+            bits[y, x] = True
+            yield bits
+        border = np.zeros((h, w), dtype=bool)
+        border[0] = border[:, -1] = True
+        yield border
+        for stroke in ((h // 2, slice(None)), (slice(None), w // 2)):
+            bits = np.zeros((h, w), dtype=bool)
+            bits[stroke] = True
+            yield bits
+        diagonal = np.zeros((h, w), dtype=bool)
+        k = np.arange(min(h, w))
+        diagonal[k, k] = True
+        yield diagonal
+        yield ~diagonal
+
+
+@pytest.mark.parametrize("cfg", GAMMAS, ids=("default", "0.5-0.75", "0.999-0.6"))
+def test_idt_boundary_field_fixed_cases(cfg):
+    for bits in _fixed_idt_masks():
+        _assert_idt_matches_oracles(bits, cfg)
+
+
+def test_l1_block_seams_at_every_target_position():
+    """n x n and n x 2n frames, n = 1 to 70, with one target per column
+    and a column's target at each of its rows, so every seam between the
+    relaxation's blocks has a target on it and on either side of it, in
+    both sweeps: the field is |row - target row|."""
+    for n in range(1, 71):
+        rows = np.arange(n)
+        for mirrored in (False, True):
+            targets = np.eye(n, dtype=bool)
+            if mirrored:
+                targets = np.concatenate([targets, targets[::-1]], axis=1)
+            want = np.abs(rows[:, None] - np.nonzero(targets.T)[1][None, :])
+            assert np.array_equal(kernel_field(targets), want)
+            assert np.array_equal(kernel_field(targets.T.copy()), want.T)
+
+
+@pytest.mark.parametrize("shape, dtype", [
+    ((2, 61), np.int8), ((2, 62), np.int8), ((31, 33), np.int8), ((2, 63), np.int16),
+    ((32, 33), np.int16), ((2, 16380), np.int16), ((2, 16381), np.int16),
+    ((2, 16382), np.int16), ((2, 16383), np.int32), ((2, 16384), np.int32)])
+def test_field_width_on_each_side_of_each_switch(shape, dtype):
+    """The field is int8 up to h + w = 64, int16 up to 16,384 and int32
+    past that; on each side of each switch, masks with one set pixel at a
+    far corner (so distances reach h + w - 2 and the sentinel is carried
+    across every block) and with a set frame edge give the two-field
+    oracle's height map and the brute-force distances."""
+    corner = np.zeros(shape, dtype=bool)
+    corner[0, 0] = True
+    edge = np.zeros(shape, dtype=bool)
+    edge[:, -1] = True
+    edge[0, shape[1] // 3] = True
+    for bits in (corner, edge):
+        field = l1_distance_field(SemanticMask("lane", bits))
+        assert field.dtype == dtype
+        assert np.array_equal(field, brute_l1(bits))
+    for bits in (corner, edge, ~edge):
+        got = idt_height_map(SemanticMask("lane", bits), IDT).values
+        assert got.tobytes() == _idt_two_fields(bits, IDT).tobytes()
+
+
+def test_idt_values_are_c_contiguous_for_the_cost_lookups(canonical_frame):
+    """The height map is C-contiguous, so HeightMap.corners' ravel() is a
+    view, not a 3.7 MB copy on every cost lookup of a 375x1242 frame."""
+    lane = canonical_frame[2]
+    for bits in (lane.bits, lane.bits.T, np.eye(5, 9, dtype=bool)):
+        mask = SemanticMask("lane", bits)
+        hm = idt_height_map(mask, IDT)
+        assert hm.values.flags.c_contiguous
+        assert np.shares_memory(hm.values.ravel(), hm.values)
+        assert l1_distance_field(mask).flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
