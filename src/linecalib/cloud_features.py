@@ -8,7 +8,7 @@ pole lines.  Everything is deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,25 +70,6 @@ class GroundSegmentation:
 
 
 @dataclass(frozen=True, eq=False)
-class GroundParallelFrame:
-    """Rotation R taking LiDAR-frame vectors into the ground-parallel frame.
-
-    Row 2 is the ground normal, row 0 the reference lane direction
-    projected onto the plane; same origin as the LiDAR.
-    """
-
-    rotation: np.ndarray  # (3, 3)
-
-    def __post_init__(self):
-        R = np.asarray(self.rotation, dtype=float).reshape(3, 3).copy()
-        R.setflags(write=False)
-        object.__setattr__(self, "rotation", R)
-
-    def to_ground(self, p: np.ndarray) -> np.ndarray:
-        return np.asarray(p, dtype=float) @ self.rotation.T
-
-
-@dataclass(frozen=True, eq=False)
 class ScoredLine3D:
     line: Line3D
     inliers: np.ndarray  # indices into the point array the fit consumed
@@ -96,11 +77,14 @@ class ScoredLine3D:
 
 @dataclass(frozen=True, eq=False)
 class FeatureSetCloud:
+    """The cost's point sets, the P3L lines (Line3Ds along +X and +Z of
+    G) and frame, the rotation R_GL into G: p @ frame.T is p in G."""
+
     lane_points: np.ndarray
     pole_points: np.ndarray
-    lane_lines: list[ScoredLine3D] = field(default_factory=list)
-    pole_lines: list[ScoredLine3D] = field(default_factory=list)
-    frame: GroundParallelFrame = None
+    lane_lines: list[Line3D]
+    pole_lines: list[Line3D]
+    frame: np.ndarray
 
 
 def fit_ground_plane(cloud: PointCloud, seed: int, cfg: PipelineConfig) -> GroundSegmentation:
@@ -366,8 +350,10 @@ def extract_lane_points(
     return keep
 
 
-def ground_parallel_rotation(plane: Plane3D, reference_lane: Line3D) -> GroundParallelFrame:
-    """Rotation whose Z is the plane normal and X follows the lane."""
+def ground_parallel_rotation(plane: Plane3D, reference_lane: Line3D) -> np.ndarray:
+    """R_GL, the read-only rotation from the LiDAR frame into the ground-
+    parallel frame G (same origin): row 2 is the ground normal, row 0 the
+    reference lane direction projected onto the plane."""
     z = plane.normal
     d = reference_lane.direction
     if abs(float(d @ z)) >= math.cos(math.radians(5.0)):
@@ -375,13 +361,15 @@ def ground_parallel_rotation(plane: Plane3D, reference_lane: Line3D) -> GroundPa
     x = d - (d @ z) * z
     x = x / np.linalg.norm(x)
     y = np.cross(z, x)
-    return GroundParallelFrame(rotation=np.stack([x, y, z]))
+    R = np.stack([x, y, z])
+    R.setflags(write=False)
+    return R
 
 
 def extract_pole_points(
     seg: GroundSegmentation,
     cloud: PointCloud,
-    frame: GroundParallelFrame,
+    frame: np.ndarray,
     cfg: PipelineConfig,
 ):
     """Indices of pole points plus a cluster label per point.
@@ -392,7 +380,7 @@ def extract_pole_points(
     are the 8-connected components of the surviving cells.
     """
     oi = seg.object_indices
-    g = frame.to_ground(cloud.xyz[oi])
+    g = cloud.xyz[oi] @ frame.T
     in_grid = (
         (g[:, 0] >= cfg.grid_x_min)
         & (g[:, 0] < cfg.grid_x_max)
@@ -459,7 +447,7 @@ def extract_cloud_features(cloud: PointCloud, seed: int, cfg: PipelineConfig) ->
     )
     frame = ground_parallel_rotation(seg.plane, reference.line)
     ground_lines = [
-        s for s in lane_lines if abs(frame.to_ground(s.line.direction)[2]) < 0.1
+        s for s in lane_lines if abs((s.line.direction @ frame.T)[2]) < 0.1
     ]
     # cost points come from any ground-parallel paint line; points that
     # only supported rejected lines (e.g. bright clutter edges) are
@@ -496,12 +484,13 @@ def _inlier_span(s: ScoredLine3D, pts: np.ndarray) -> float:
 
 
 def _canonical_lines(lines, frame, axis: int, min_cos: float):
-    """The lines within acos(min_cos) of axis `axis` of G, re-oriented
-    along its + direction, one at a time as lines yields them."""
+    """The Line3Ds of lines within acos(min_cos) of axis `axis` of G,
+    re-oriented along its + direction, one at a time as lines yields them."""
     for s in lines:
-        c = frame.to_ground(s.line.direction)[axis]
+        line = s.line
+        c = (line.direction @ frame.T)[axis]
         if abs(c) < min_cos:
             continue
         if c < 0:
-            s = ScoredLine3D(Line3D(s.line.point, -s.line.direction), s.inliers)
-        yield s
+            line = Line3D(line.point, -line.direction)
+        yield line

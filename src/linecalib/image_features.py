@@ -7,7 +7,7 @@ transform) and fitted 2D lines for the coarse pose solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -322,8 +322,8 @@ def hough_lines(mask: SemanticMask, cfg: PipelineConfig) -> list[ScoredLine2D]:
 class FeatureSetImage:
     lane_height: HeightMap
     pole_height: HeightMap
-    lane_lines: list[ScoredLine2D] = field(default_factory=list)
-    pole_lines: list[ScoredLine2D] = field(default_factory=list)
+    lane_lines: list[ScoredLine2D]
+    pole_lines: list[ScoredLine2D]
 
 
 def extract_image_features(

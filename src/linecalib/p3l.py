@@ -8,10 +8,10 @@ pole constraint identically and reduces the lane constraints to a
 trigonometric system in (alpha, beta).  Translation then follows from a
 3x3 linear system, one plane constraint per line.
 
-The rotations need only the image triple and the ground-parallel frame,
-so `solve_rotations` runs once for any number of cloud triples.  Each of
-its (at most four) rotations then takes one call of `solve_translations`,
-which solves the translation of every cloud triple at that rotation.
+The rotations need only the image triple and the rotation into G, so
+`solve_rotations` runs once for any number of cloud triples.  Each of
+its four rotations then takes one call of `solve_translations`, which
+solves the translation of every cloud triple at that rotation.
 `P3LProblem` and `solve_p3l`, the two composed for a single triple, stay
 only as the names the benchmark's tracer (perfbench/tracer.py) wraps.
 """
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud_features import GroundParallelFrame
 from .errors import DegenerateNormals, NoSolution
 from .geometry import (
     Extrinsic,
@@ -45,7 +44,7 @@ class P3LProblem:
     lane1_cloud: Line3D
     lane2_cloud: Line3D
     pole_cloud: Line3D
-    frame: GroundParallelFrame
+    frame: np.ndarray  # R_GL, as ground_parallel_rotation returns it
     intrinsics: Intrinsics
 
 
@@ -59,35 +58,29 @@ def _orthonormal_from_first(n: np.ndarray) -> np.ndarray:
     return np.column_stack([n, u, v])
 
 
-@dataclass(frozen=True, eq=False)
-class ImageSolution:
-    """The image side of a P3L problem, shared by every cloud triple."""
-
-    normals: np.ndarray   # (3, 3) back-projected plane normals: lane1, lane2, pole
-    rotations: tuple      # 0 to 4 rotations LiDAR -> camera, in (alpha, beta) order
-
-
 def solve_rotations(
     lane1_img: Line2D,
     lane2_img: Line2D,
     pole_img: Line2D,
     intrinsics: Intrinsics,
-    frame: GroundParallelFrame,
-) -> ImageSolution:
+    frame: np.ndarray,
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Back-project the image triple and solve the (alpha, beta) rotations.
 
-    The rotations depend on the cloud only through the ground-parallel
-    frame, since every cloud lane runs along X and every pole along Z in
-    G.  An ill-conditioned normal matrix gives no rotation.
+    The rotations depend on the cloud only through frame, the rotation
+    R_GL into G, since every cloud lane runs along X and every pole along
+    Z in G.  Returns the normals (rows lane1, lane2, pole) and the four
+    rotations LiDAR -> camera in (alpha, beta) order; DegenerateNormals
+    if the normals' condition number exceeds MAX_CONDITION.
     """
     n1 = backproject_line(intrinsics, lane1_img)
     n2 = backproject_line(intrinsics, lane2_img)
     n3 = backproject_line(intrinsics, pole_img)
     N = np.stack([n1, n2, n3])
     sv = np.linalg.svd(N, compute_uv=False)
-    if sv[-1] < 1e-6:
-        raise DegenerateNormals("back-projected normals span < 3 dimensions")
-    well_conditioned = sv[0] / sv[-1] <= MAX_CONDITION
+    # no division: coincident lines give sv[-1] = 0
+    if not sv[-1] * MAX_CONDITION >= sv[0]:
+        raise DegenerateNormals("back-projected normals are ill-conditioned")
 
     R_prime = _orthonormal_from_first(n3)
     # lane constraint: n_i . (R' RotX(a) RotZ(b) e1) = 0 with
@@ -98,11 +91,8 @@ def solve_rotations(
     B = m2[0] * m1[2] - m1[0] * m2[2]
     if abs(A) < 1e-14 and abs(B) < 1e-14:
         raise DegenerateNormals("lane constraints do not determine alpha")
-    if not well_conditioned:
-        return ImageSolution(N, ())
     alpha0 = math.atan2(-A, B)
 
-    R_LG = frame.rotation
     rotations = []
     for alpha in (alpha0, alpha0 + math.pi):
         ca, sa = math.cos(alpha), math.sin(alpha)
@@ -115,8 +105,8 @@ def solve_rotations(
             beta0 = math.atan2(m2[0], -k2)
         for beta in (beta0, beta0 + math.pi):
             R_GC = R_prime @ rot_x(alpha) @ rot_z(beta)
-            rotations.append(R_GC @ R_LG)
-    return ImageSolution(N, tuple(rotations))
+            rotations.append(R_GC @ frame)
+    return N, rotations
 
 
 def solve_translations(normals, R, lane_points, pole_points, triples) -> np.ndarray:
@@ -150,17 +140,17 @@ def solve_p3l(prob: P3LProblem) -> list[Extrinsic]:
     The pipeline never calls this; it stays only as the name
     perfbench/tracer.py wraps.  Candidates failing cheirality (the
     representative point of each line must land in front of the camera)
-    or with an ill-conditioned translation system are dropped.  Returns
-    1 to 4 candidates, in rotation order; NoSolution if none is left.
+    are dropped.  Returns 1 to 4 candidates, in rotation order;
+    NoSolution if none is left, DegenerateNormals from solve_rotations.
     """
-    sol = solve_rotations(
+    normals, rotations = solve_rotations(
         prob.lane1_img, prob.lane2_img, prob.pole_img, prob.intrinsics, prob.frame
     )
     lanes = [prob.lane1_cloud.point, prob.lane2_cloud.point]
     cands = [
         Extrinsic.from_matrix(R, t)
-        for R in sol.rotations
-        for t in solve_translations(sol.normals, R, lanes, [prob.pole_cloud.point], [(0, 1, 0)])
+        for R in rotations
+        for t in solve_translations(normals, R, lanes, [prob.pole_cloud.point], [(0, 1, 0)])
     ]
     if not cands:
         raise NoSolution("every (alpha, beta) candidate was dropped")

@@ -73,8 +73,8 @@ def coarse_calibrate(
 ) -> Extrinsic:
     """Enumerate lane-pair x pole correspondences, keep the best-cost P3L result.
 
-    The image triple (select_principal_lines) is fixed, so its (at most
-    four) P3L rotations are solved once; every ordered assignment of cloud
+    The image triple (select_principal_lines) is fixed, so its four P3L
+    rotations are solved once; every ordered assignment of cloud
     lane lines and every cloud pole line then only needs its translation:
     n1 * (n1 - 1) * n2 triples.  Each rotation solves its candidates in
     one batch, and best_in_batch scores in full only those that can still
@@ -83,8 +83,8 @@ def coarse_calibrate(
     rotation.
     """
     # every cloud line already passes its P3L direction gate
-    lanes = [s.line.point for s in cloud_features.lane_lines]
-    poles = [s.line.point for s in cloud_features.pole_lines]
+    lanes = [line.point for line in cloud_features.lane_lines]
+    poles = [line.point for line in cloud_features.pole_lines]
     if len(lanes) < 2 or not poles:
         raise InsufficientLines(
             f"need >= 2 lane and >= 1 pole cloud lines, got {len(lanes)} / {len(poles)}"
@@ -92,12 +92,14 @@ def coarse_calibrate(
     lane1_img, lane2_img, pole_img = select_principal_lines(image_features)
     # the image triple is shared by every cloud triple, so DegenerateNormals
     # fails them all alike: it propagates
-    sol = solve_rotations(lane1_img, lane2_img, pole_img, ev.intrinsics, cloud_features.frame)
+    normals, rotations = solve_rotations(
+        lane1_img, lane2_img, pole_img, ev.intrinsics, cloud_features.frame
+    )
     pairs = itertools.permutations(range(len(lanes)), 2)
     triples = [(a, b, c) for a, b in pairs for c in range(len(poles))]
     best, best_cost, n, scored = None, 0.0, 0, 0
-    for R in sol.rotations:
-        ts = solve_translations(sol.normals, R, lanes, poles, triples)
+    for R in rotations:
+        ts = solve_translations(normals, R, lanes, poles, triples)
         n += len(ts)
         # a candidate is scored, like any Extrinsic, at the matrix of its
         # angle-axis vector, which depends on the rotation alone

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .cloud_features import GroundParallelFrame, PointCloud, ground_parallel_rotation
+from .cloud_features import PointCloud, ground_parallel_rotation
 from .fileio import build_record, format_extrinsic, format_fields, load_kv_file
 from .geometry import (
     Extrinsic,
@@ -440,8 +440,9 @@ def _segment(spec: SceneSpec, a_w, b_w):
     return Line3D((p0 + p1) / 2.0, p1 - p0), Line2D.through(uv[0], uv[1])
 
 
-def true_frame(spec: SceneSpec) -> GroundParallelFrame:
-    """Ground-parallel frame built from the true plane and first lane."""
+def true_frame(spec: SceneSpec) -> np.ndarray:
+    """Rotation R_GL into the ground-parallel frame of the true plane and
+    first lane."""
     lanes3d, _, _, _ = true_lines(spec)
     return ground_parallel_rotation(ground_plane_lidar(spec), lanes3d[0])
 

@@ -725,7 +725,7 @@ def test_pole_sharing_a_cluster_with_the_gantry_is_kept(tmp_path):
     cloud = PointCloud.from_array(load_cloud(tmp_path / "frame_cloud.bin"))
     cf = extract_cloud_features(cloud, 0, PipelineConfig())
     assert len(cf.pole_lines) == 1
-    assert cf.frame.to_ground(cf.pole_lines[0].line.direction)[2] >= POLE_COS
+    assert (cf.pole_lines[0].direction @ cf.frame.T)[2] >= POLE_COS
     out = tmp_path / "e.txt"
     assert main(["calibrate", *_bundle_args(tmp_path), "--out", str(out)]) == 0
     gt, got = load_extrinsic(tmp_path / "extrinsic_gt.txt"), load_extrinsic(out)

@@ -13,7 +13,6 @@ from linecalib import cloud_features
 from linecalib.cloud_features import (
     LANE_COS,
     POLE_COS,
-    GroundParallelFrame,
     PointCloud,
     ScoredLine3D,
     _best_hypothesis,
@@ -538,7 +537,7 @@ def test_line_filters_match_per_line_distance_loop(canonical_frame, canonical_fe
     lane_pts = cloud.xyz[lane_idx]
     ground = [
         s for s in ransac_line3d(lane_pts, cfg.seed + 2, cfg)
-        if abs(cf.frame.to_ground(s.line.direction)[2]) < 0.1
+        if abs((s.line.direction @ cf.frame.T)[2]) < 0.1
     ]
     near = nearest(lane_pts, ground) < cfg.lane_dist_max
     assert near.sum() > 0
@@ -548,8 +547,7 @@ def test_line_filters_match_per_line_distance_loop(canonical_frame, canonical_fe
 def test_ground_parallel_rotation_frame_axes():
     plane = Plane3D(np.array([0.0, 0.0, 1.0]), 1.7)
     lane = Line3D(np.array([0.0, 1.8, -1.7]), np.array([1.0, 0.02, 0.0]))
-    frame = ground_parallel_rotation(plane, lane)
-    R = frame.rotation
+    R = ground_parallel_rotation(plane, lane)
     assert np.abs(R @ R.T - np.eye(3)).max() < 1e-9
     assert np.abs(R[2] - plane.normal).max() < 1e-9
     # X axis follows the lane projected into the plane
@@ -610,8 +608,8 @@ def test_pole_grid_memory_follows_the_points(canonical_frame, canonical_features
 
 def test_pole_line_directions_vertical_in_frame(canonical_features):
     spec, cf, imf, gt = canonical_features
-    for s in cf.pole_lines:
-        dg = cf.frame.to_ground(s.line.direction)
+    for line in cf.pole_lines:
+        dg = line.direction @ cf.frame.T
         assert abs(dg[2]) > 0.9
 
 
@@ -624,26 +622,33 @@ def _line_at(deg, axis, flip=False):
 
 
 def test_direction_gates_keep_lanes_within_2_and_poles_within_15_deg():
-    frame = GroundParallelFrame(rotation=np.eye(3))
+    frame = np.eye(3)
     lanes = [_line_at(1.9, 0, flip=True), _line_at(2.1, 0), _line_at(0.0, 0)]
     kept = list(_canonical_lines(lanes, frame, 0, LANE_COS))
-    assert [s.line.direction[0] > 0 for s in kept] == [True, True]
-    assert np.allclose(kept[0].line.direction, -lanes[0].line.direction)
+    assert [line.direction[0] > 0 for line in kept] == [True, True]
+    assert np.allclose(kept[0].direction, -lanes[0].line.direction)
     # 20 deg passes a |z| > 0.9 test but not the 15 deg P3L gate
     poles = [_line_at(14.0, 2, flip=True), _line_at(20.0, 2), _line_at(16.0, 2)]
     kept = list(_canonical_lines(poles, frame, 2, POLE_COS))
-    assert len(kept) == 1 and kept[0].line.direction[2] > 0
+    assert len(kept) == 1 and kept[0].direction[2] > 0
 
 
 def test_extracted_lines_pass_the_p3l_checks(canonical_features):
     """Every extracted lane runs along +X of G within 2 degrees and every
-    pole along +Z within 15, as the P3L solver assumes of each cloud line."""
+    pole along +Z within 15, as the P3L solver assumes of each cloud line.
+    The lines are plain Line3Ds, and the frame is R_GL itself: a
+    read-only proper rotation."""
     _, cf, _, _ = canonical_features
     assert cf.lane_lines and cf.pole_lines
+    assert all(type(line) is Line3D for line in cf.lane_lines + cf.pole_lines)
+    R = cf.frame
+    assert isinstance(R, np.ndarray) and R.shape == (3, 3) and not R.flags.writeable
+    assert np.abs(R @ R.T - np.eye(3)).max() < 1e-12
+    assert abs(np.linalg.det(R) - 1.0) < 1e-12
     for lane in cf.lane_lines:
-        assert cf.frame.to_ground(lane.line.direction)[0] >= LANE_COS
+        assert (lane.direction @ R.T)[0] >= LANE_COS
     for pole in cf.pole_lines:
-        assert cf.frame.to_ground(pole.line.direction)[2] >= POLE_COS
+        assert (pole.direction @ R.T)[2] >= POLE_COS
 
 
 def test_extraction_commutes_with_z_rotation(canonical_frame):
@@ -659,15 +664,15 @@ def test_extraction_commutes_with_z_rotation(canonical_frame):
         rotated = PointCloud(cloud.xyz @ R.T, cloud.intensity)
         out = extract_cloud_features(rotated, seed=0, cfg=cfg)
         # lane lines map onto originals after un-rotating
-        for s in out.lane_lines:
-            d_back = R.T @ s.line.direction
-            p_back = R.T @ s.line.point
+        for line in out.lane_lines:
+            d_back = R.T @ line.direction
+            p_back = R.T @ line.point
             best = min(
                 (
                     math.degrees(
-                        math.acos(min(1.0, abs(float(d_back @ b.line.direction))))
+                        math.acos(min(1.0, abs(float(d_back @ b.direction))))
                     ),
-                    float(b.line.distance(p_back)[0]),
+                    float(b.distance(p_back)[0]),
                 )
                 for b in base.lane_lines
             )

@@ -40,8 +40,8 @@ def _oracle_coarse(cf, imf, ev):
                 try:
                     cands = oracle_solve_triple(Triple(
                         lane1_img=lane1_img, lane2_img=lane2_img, pole_img=pole_img,
-                        lane1_cloud=lanes[a].line, lane2_cloud=lanes[b].line,
-                        pole_cloud=poles[c].line, frame=cf.frame,
+                        lane1_cloud=lanes[a], lane2_cloud=lanes[b],
+                        pole_cloud=poles[c], frame=cf.frame,
                         intrinsics=ev.intrinsics,
                     ))
                 except (NoSolution, DegenerateNormals):

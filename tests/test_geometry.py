@@ -456,14 +456,12 @@ def _array_dataclass_factories():
     builds a new instance from the same values."""
     from linecalib.cloud_features import (
         FeatureSetCloud,
-        GroundParallelFrame,
         GroundSegmentation,
         PointCloud,
         ScoredLine3D,
     )
     from linecalib.cost import CostEvaluator
     from linecalib.image_features import FeatureSetImage, HeightMap, ScoredLine2D, SemanticMask
-    from linecalib.p3l import ImageSolution
 
     k = Intrinsics(fx=50.0, fy=50.0, cx=4.0, cy=3.0, width=8, height=6)
     pts = np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 5.0]])
@@ -477,10 +475,8 @@ def _array_dataclass_factories():
         "Plane3D": plane,
         "PointCloud": lambda: PointCloud(pts, np.ones(2)),
         "GroundSegmentation": lambda: GroundSegmentation(plane(), np.arange(2), np.arange(0)),
-        "GroundParallelFrame": lambda: GroundParallelFrame(np.eye(3)),
         "ScoredLine3D": lambda: ScoredLine3D(line(), np.arange(2)),
-        "FeatureSetCloud": lambda: FeatureSetCloud(pts, pts),
-        "ImageSolution": lambda: ImageSolution(np.eye(3), ()),
+        "FeatureSetCloud": lambda: FeatureSetCloud(pts, pts, [line()], [line()], np.eye(3)),
         "SemanticMask": lambda: SemanticMask("lane", np.eye(6, 8, dtype=bool)),
         "HeightMap": height,
         # lists of lines made the generated hash() raise TypeError

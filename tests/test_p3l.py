@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linecalib.cloud_features import GroundParallelFrame
 from linecalib.errors import DegenerateNormals, NoSolution
 from linecalib.geometry import (
     Extrinsic,
@@ -40,7 +39,8 @@ MANY = settings(max_examples=1000, deadline=None)
 @dataclasses.dataclass(frozen=True)
 class Triple:
     """One P3L correspondence: two image lanes and an image pole, the
-    cloud lines they match, the ground-parallel frame and the camera."""
+    cloud lines they match, the rotation into the ground-parallel frame
+    and the camera."""
 
     lane1_img: Line2D
     lane2_img: Line2D
@@ -48,19 +48,21 @@ class Triple:
     lane1_cloud: Line3D
     lane2_cloud: Line3D
     pole_cloud: Line3D
-    frame: GroundParallelFrame
+    frame: np.ndarray
     intrinsics: Intrinsics
 
 
 def solve_triple(tri):
     """The candidate extrinsics of one triple, in rotation order; empty
     when cheirality drops them all.  DegenerateNormals propagates."""
-    sol = solve_rotations(tri.lane1_img, tri.lane2_img, tri.pole_img, tri.intrinsics, tri.frame)
+    normals, rotations = solve_rotations(
+        tri.lane1_img, tri.lane2_img, tri.pole_img, tri.intrinsics, tri.frame
+    )
     lanes = [tri.lane1_cloud.point, tri.lane2_cloud.point]
     return [
         Extrinsic.from_matrix(R, t)
-        for R in sol.rotations
-        for t in solve_translations(sol.normals, R, lanes, [tri.pole_cloud.point], [(0, 1, 0)])
+        for R in rotations
+        for t in solve_translations(normals, R, lanes, [tri.pole_cloud.point], [(0, 1, 0)])
     ]
 
 
@@ -158,6 +160,45 @@ def test_degenerate_normals_raise():
         solve_triple(bad)
 
 
+def _image_line(k, n):
+    """The image line whose back-projected plane normal is n: l = K^-T n."""
+    return Line2D(*np.linalg.solve(k.matrix().T, n))
+
+
+@pytest.mark.parametrize("eps", [2.1e-6, 2.4e-6, 2.8e-6])
+@pytest.mark.parametrize("tilt", [0.0, 0.3])
+def test_one_degeneracy_rule_covers_ill_conditioned_normals(eps, tilt):
+    """Normals whose smallest singular value clears 1e-6 but whose
+    condition number exceeds MAX_CONDITION raise DegenerateNormals, as
+    coincident ones do: there is no empty result."""
+    k = canonical_spec(0).intrinsics
+    # the pole's normal lies about eps off the plane of the lanes' normals
+    R = rot_x(tilt)
+    normals = [R @ n for n in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, eps])]
+    lines = [_image_line(k, n / np.linalg.norm(n)) for n in normals]
+    N = np.stack([backproject_line(k, line) for line in lines])
+    sv = np.linalg.svd(N, compute_uv=False)
+    assert 1e-6 <= sv[-1] < sv[0] / MAX_CONDITION
+    with pytest.raises(DegenerateNormals):
+        solve_rotations(*lines, k, true_frame(canonical_spec(0)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exact_triple_has_four_rotations(seed):
+    """A well-conditioned triple gives the back-projected normals and
+    exactly four proper rotations."""
+    tri = exact_triple(canonical_spec(seed))
+    normals, rotations = solve_rotations(
+        tri.lane1_img, tri.lane2_img, tri.pole_img, tri.intrinsics, tri.frame
+    )
+    want = [backproject_line(tri.intrinsics, l) for l in (tri.lane1_img, tri.lane2_img, tri.pole_img)]
+    assert np.array_equal(normals, np.stack(want))
+    assert len(rotations) == 4
+    for R in rotations:
+        assert np.abs(R @ R.T - np.eye(3)).max() < 1e-12
+        assert abs(np.linalg.det(R) - 1.0) < 1e-12
+
+
 @MANY
 @given(st.integers(0, 2**32 - 1))
 def test_candidate_rotations_orthonormal(seed):
@@ -187,9 +228,8 @@ def oracle_solve_triple(tri):
     n3 = backproject_line(k, tri.pole_img)
     N = np.stack([n1, n2, n3])
     sv = np.linalg.svd(N, compute_uv=False)
-    if sv[-1] < 1e-6:
-        raise DegenerateNormals("back-projected normals span < 3 dimensions")
-    well_conditioned = sv[0] / sv[-1] <= MAX_CONDITION
+    if not sv[0] <= MAX_CONDITION * sv[-1]:
+        raise DegenerateNormals("ill-conditioned back-projected normals")
     R_prime = _orthonormal_from_first(n3)
     m1 = R_prime.T @ n1
     m2 = R_prime.T @ n2
@@ -198,7 +238,7 @@ def oracle_solve_triple(tri):
     if abs(A) < 1e-14 and abs(B) < 1e-14:
         raise DegenerateNormals("lane constraints do not determine alpha")
     alpha0 = math.atan2(-A, B)
-    R_LG = tri.frame.rotation
+    R_LG = tri.frame
     pts_l = [tri.lane1_cloud.point, tri.lane2_cloud.point, tri.pole_cloud.point]
     candidates = []
     for alpha in (alpha0, alpha0 + math.pi):
@@ -211,8 +251,6 @@ def oracle_solve_triple(tri):
             beta0 = math.atan2(m2[0], -k2)
         for beta in (beta0, beta0 + math.pi):
             R = R_prime @ rot_x(alpha) @ rot_z(beta) @ R_LG
-            if not well_conditioned:
-                continue
             b = np.array([-(N[i] @ (R @ pts_l[i])) for i in range(3)])
             t = np.linalg.solve(N, b)
             if min((R @ p + t)[2] for p in pts_l) <= 0:
