@@ -68,8 +68,10 @@ class PipelineConfig(RefinementConfig):
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if min(self.plane_trials, self.line_trials, self.hough_max_lines) < 1:
-            raise ValueError("plane_trials, line_trials and hough_max_lines must be at least 1")
+        if min(self.plane_trials, self.line_trials, self.hough_max_lines,
+               self.hough_min_support) < 1:
+            raise ValueError("plane_trials, line_trials, hough_max_lines and "
+                             "hough_min_support must be at least 1")
         if min(self.line_min_inliers, self.min_feature_points) < 2:
             # a line, and a point set to fit one to, takes two points
             raise ValueError("line_min_inliers and min_feature_points must be at least 2")
@@ -78,8 +80,13 @@ class PipelineConfig(RefinementConfig):
             raise ValueError("the pole grid needs grid_cell > 0 and min < max on each axis")
         if not (0 < self.gamma0 < 1) or not (0 < self.gamma1 < 1):
             raise ValueError("gamma0 and gamma1 must lie in (0, 1)")
-        if self.plane_inlier_band <= 0 or self.line_inlier_tol <= 0:
-            raise ValueError("inlier tolerances must be positive")
+        if min(self.plane_inlier_band, self.line_inlier_tol, self.lane_dist_max) <= 0:
+            raise ValueError("plane_inlier_band, line_inlier_tol and lane_dist_max must be positive")
+        if not 0 < self.plane_min_inlier_ratio <= 1:
+            raise ValueError("plane_min_inlier_ratio must lie in (0, 1]")
+        if not 0 <= self.hough_lane_theta_margin_deg < 90:
+            # from 90 degrees on, the margin keeps no lane line but an exactly vertical one
+            raise ValueError("hough_lane_theta_margin_deg must lie in [0, 90)")
         if not self.hough_band_px >= 0.5:
             # a peak's own cell lies within 0.5 px of its line, so a band
             # this wide always claims the pixels that voted for the peak

@@ -11,8 +11,9 @@ best_in_batch finds the best of them, scoring in full only those that an
 upper bound from a subset of the points cannot rule out;
 value_pass scores one pose in one pass over every term and keeps its
 intermediates, from which finish_gradient takes the cost's analytic
-gradient; the refine stage finishes only the poses it moves to, and
-cost_and_gradient is the two in turn.
+gradient; the refine stage finishes only the poses it moves to, and cost
+is value_pass's value.  Every kernel reads the height maps through one
+bilinear lookup, _lookup.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .geometry import Extrinsic, Intrinsics, project_points
-from .image_features import HeightMap, bilinear, bilinear_cells
+from .image_features import HeightMap
 
 # poses x points per block: each temporary of the kernel stays at 128 KB,
 # so its working memory is a few MB whatever K is
@@ -82,14 +83,39 @@ def _rotated(R, ev: CostEvaluator) -> np.ndarray:
 def _lookup(p_c, terms, k: Intrinsics):
     """(values, valid, ok, cell, corners) of the camera-frame points p_c
     (3, ..., P), each term's rows read from its own map: a point behind the
-    camera (not valid) or out of frame (not ok) has the value 0."""
+    camera (not valid) or out of frame (not ok) has the value 0.  cell holds
+    the offsets (fu, fv) into each point's cell and their complements
+    (gu, gv); corners (4, ..., P) the cell's top-left, top-right,
+    bottom-left and bottom-right values, in the order finish_gradient
+    differentiates."""
     uv, valid = project_points(k, p_c.transpose(*range(1, p_c.ndim), 0))
-    # one grid for every map: each has the intrinsics' shape
-    ok, i, cell = bilinear_cells(uv[..., 0], uv[..., 1], (k.height, k.width))
+    u, v = uv[..., 0], uv[..., 1]
+    # one grid for every map: each has the intrinsics' shape.  An
+    # out-of-frame point is given cell 0.
+    h, w = k.height, k.width
+    ok = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
+    uc = np.where(ok, u, 0.0)
+    vc = np.where(ok, v, 0.0)
+    u0 = np.minimum(uc.astype(int), w - 2)
+    v0 = np.minimum(vc.astype(int), h - 2)
+    fu = uc - u0
+    fv = vc - v0
+    gu, gv = 1 - fu, 1 - fv
+    i = v0 * w + u0            # flat index of each cell's top-left corner
     corners = np.empty((4,) + i.shape)
     for rows, hmap in terms:
-        hmap.corners(i[..., rows], out=corners[..., rows])
-    return np.where(valid & ok, bilinear(corners, *cell), 0.0), valid, ok, cell, corners
+        g = hmap.values.ravel()
+        # flat gathers of the four neighbours: the same values as 2-D fancy
+        # indexing, at a fraction of its cost.  Every index is in range, so
+        # mode="clip" changes no value; it only spares take() the buffered
+        # copy that mode="raise" makes of out.
+        for row, offset in zip(corners[..., rows], (0, 1, w, w + 1)):
+            g[offset:].take(i[..., rows], out=row, mode="clip")
+    val = corners[0] * gu * gv
+    val += corners[1] * fu * gv
+    val += corners[2] * gu * fv
+    val += corners[3] * fu * fv
+    return np.where(valid & ok, val, 0.0), valid, ok, (fu, fv, gu, gv), corners
 
 
 def _sums(q, t, hmap: HeightMap, k: Intrinsics) -> np.ndarray:
@@ -203,7 +229,8 @@ def best_in_batch(R, t, ev: CostEvaluator, floor: float):
 
 
 def cost(e: Extrinsic, ev: CostEvaluator) -> float:
-    return float(cost_batch(e.matrix(), e.t[None], ev)[0])
+    """Alignment cost of the pose e: value_pass's value."""
+    return value_pass(e, ev).value
 
 
 class ValuePass(NamedTuple):
@@ -221,9 +248,9 @@ class ValuePass(NamedTuple):
 
 
 def value_pass(e: Extrinsic, ev: CostEvaluator) -> ValuePass:
-    """cost(e, ev), bit-identical to cost(), with what the gradient needs:
-    every term shares one projection and one bilinear lookup, and only the
-    per-term sums are taken apart."""
+    """The cost of the pose e, bit-identical to its cost_batch score, with
+    what the gradient needs: every term shares one projection and one
+    bilinear lookup, and only the per-term sums are taken apart."""
     q = _rotated(e.matrix(), ev)
     p_c = q + e.t[:, None]
     vals, *lookup = _lookup(p_c, ev.terms, ev.intrinsics)
@@ -259,9 +286,3 @@ def finish_gradient(vp: ValuePass) -> np.ndarray:
         d_w = (m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1])
         sums.append(np.concatenate([ac.sum(axis=1), d_w]))
     return _total(sums, ev.terms)
-
-
-def cost_and_gradient(e: Extrinsic, ev: CostEvaluator):
-    """(cost(e, ev), gradient): value_pass, then finish_gradient."""
-    vp = value_pass(e, ev)
-    return vp.value, finish_gradient(vp)

@@ -242,9 +242,12 @@ def _try_ascii_cloud(data: bytes, path):
 def load_cloud(path) -> np.ndarray:
     """Load an (N, 4) float array of x, y, z, intensity."""
     data = _read_bytes(path)
+    if not data.strip():
+        # blank text has no row; 16 spaces would read as one binary record
+        raise ParseError(f"{path}: cloud file holds no points")
     pts = _try_ascii_cloud(data, path)
     if pts is None:
-        if len(data) == 0 or len(data) % 16 != 0:
+        if len(data) % 16 != 0:
             raise ParseError(
                 f"{path}: binary cloud size {len(data)} is not a multiple of 16 bytes"
             )

@@ -122,19 +122,23 @@ class Intrinsics:
 
 @dataclass(frozen=True, eq=False)
 class Line3D:
-    """Infinite 3D line through `point` along unit `direction`."""
+    """Infinite 3D line through `point` along unit `direction`; both are
+    read-only arrays of the line's own."""
 
     point: np.ndarray
     direction: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.point, dtype=float).reshape(3)
+        p = np.array(self.point, dtype=float).reshape(3)
         d = np.asarray(self.direction, dtype=float).reshape(3)
         n = np.linalg.norm(d)
         if n < 1e-12:
             raise ValueError("zero line direction")
+        d = d / n
+        p.setflags(write=False)
+        d.setflags(write=False)
         object.__setattr__(self, "point", p)
-        object.__setattr__(self, "direction", d / n)
+        object.__setattr__(self, "direction", d)
 
     def distance(self, points: np.ndarray) -> np.ndarray:
         q = np.atleast_2d(np.asarray(points, dtype=float)) - self.point
@@ -198,7 +202,7 @@ class Line2D:
 
 @dataclass(frozen=True, eq=False)
 class Plane3D:
-    """Plane n . p + d = 0 with unit normal."""
+    """Plane n . p + d = 0 with unit normal, a read-only array of its own."""
 
     normal: np.ndarray
     d: float
@@ -208,7 +212,9 @@ class Plane3D:
         nn = np.linalg.norm(n)
         if nn < 1e-12:
             raise ValueError("zero plane normal")
-        object.__setattr__(self, "normal", n / nn)
+        n = n / nn
+        n.setflags(write=False)
+        object.__setattr__(self, "normal", n)
         object.__setattr__(self, "d", float(self.d) / nn)
 
     def signed_distance(self, points: np.ndarray) -> np.ndarray:

@@ -57,48 +57,6 @@ class HeightMap:
         """(lowest, highest) height, computed on first use."""
         return float(self.values.min()), float(self.values.max())
 
-    def corners(self, i, out) -> np.ndarray:
-        """The four corner values (top-left, top-right, bottom-left,
-        bottom-right) of the cells whose top-left corners sit at the flat
-        indices i, written into out, a (4, *i.shape) array, and returned."""
-        g = self.values.ravel()
-        w = self.values.shape[1]
-        # flat gathers of the four neighbours: the same values as 2-D fancy
-        # indexing, at a fraction of its cost.  Every index is in range, so
-        # mode="clip" changes no value; it only spares take() the buffered
-        # copy that mode="raise" makes of out.
-        for row, offset in zip(out, (0, 1, w, w + 1)):
-            g[offset:].take(i, out=row, mode="clip")
-        return out
-
-
-def bilinear_cells(u, v, shape):
-    """Where the points (u, v) fall on a grid of shape (h, w): the in-frame
-    mask, the flat index of each point's cell (its top-left corner), the
-    offsets (fu, fv) into that cell and their complements (gu, gv).  An
-    out-of-frame point is given cell 0."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    h, w = shape
-    ok = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
-    uc = np.where(ok, u, 0.0)
-    vc = np.where(ok, v, 0.0)
-    u0 = np.minimum(uc.astype(int), w - 2)
-    v0 = np.minimum(vc.astype(int), h - 2)
-    fu = uc - u0
-    fv = vc - v0
-    return ok, v0 * w + u0, (fu, fv, 1 - fu, 1 - fv)
-
-
-def bilinear(corners, fu, fv, gu, gv) -> np.ndarray:
-    """The bilinear blend of cell corners (4, ...), as HeightMap.corners
-    orders them, at the offsets bilinear_cells gives."""
-    val = corners[0] * gu * gv
-    val += corners[1] * fu * gv
-    val += corners[2] * gu * fv
-    val += corners[3] * fu * fv
-    return val
-
 
 def load_mask(path, cls: str, intrinsics: Intrinsics) -> SemanticMask:
     img = load_pgm(path)
@@ -155,8 +113,9 @@ def _relaxed(src: np.ndarray, sentinel: int, dtype: np.dtype) -> np.ndarray:
     return d[:L]
 
 
-def _l1_field(targets: np.ndarray) -> np.ndarray:
-    """Exact L1 distance field of the target pixels of targets (h, w).
+def l1_distance_field(targets: np.ndarray) -> np.ndarray:
+    """Exact L1 distance field of the target (True) pixels of the bool
+    array targets (h, w).
 
     The result is (h, w), C-contiguous, each pixel's distance to its
     nearest target; no target raises EmptyTarget.  Columns first, so no
@@ -174,13 +133,6 @@ def _l1_field(targets: np.ndarray) -> np.ndarray:
     dtype = np.min_scalar_type(-2 * sentinel)
     far = np.logical_not(targets.T, order="C")
     return _relaxed(_relaxed(far, sentinel, dtype).T, sentinel, dtype)
-
-
-def l1_distance_field(mask: SemanticMask) -> np.ndarray:
-    """Exact per-pixel L1 distance to the nearest set pixel, as the
-    narrow signed ints of _l1_field; equal to the brute-force minimum over
-    all set pixels."""
-    return _l1_field(mask.bits)
 
 
 def _boundary(bits: np.ndarray) -> np.ndarray:
@@ -214,7 +166,7 @@ def idt_height_map(mask: SemanticMask, cfg: PipelineConfig) -> HeightMap:
     An empty mask raises EmptyTarget: it has no boundary pixel.
     """
     bits = mask.bits
-    d = _l1_field(_boundary(bits))
+    d = l1_distance_field(_boundary(bits))
     n = sum(bits.shape)
     exps = np.arange(n, dtype=float)
     table = np.concatenate([np.power(cfg.gamma1, exps)[1:], np.power(cfg.gamma0, exps)[1:]])

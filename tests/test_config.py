@@ -51,6 +51,12 @@ def test_load_config_rejects_bad_value(tmp_path):
         # a line takes two points: below that a stage crashed with a bare ValueError
         "line_min_inliers = 1\n", "min_feature_points = 0\n", "min_feature_points = 1\n",
         "plane_inlier_band = 0\n", "line_inlier_tol = -0.1\n",
+        # out of range, these failed in extraction or went unchecked
+        "lane_dist_max = 0\n", "plane_min_inlier_ratio = 1.5\n",
+        "plane_min_inlier_ratio = -1\n", "plane_min_inlier_ratio = 0\n",
+        "hough_min_support = -3\n", "hough_min_support = 0\n",
+        "hough_lane_theta_margin_deg = 95\n", "hough_lane_theta_margin_deg = 90\n",
+        "hough_lane_theta_margin_deg = -1\n",
     ):
         p.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError):

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linecalib.cost as cost_module
-from linecalib.cost import CostEvaluator, best_in_batch, cost, cost_and_gradient, cost_batch
+from linecalib.cost import (
+    CostEvaluator,
+    best_in_batch,
+    cost,
+    cost_batch,
+    finish_gradient,
+    value_pass,
+)
 from linecalib.errors import DimensionMismatch
 from linecalib.evaluation import perturb
 from linecalib.geometry import (
@@ -269,7 +276,7 @@ def test_behind_and_out_of_frame_are_the_same_zero(seed):
     score_b = cost_batch(R, t[None], ev_b)
     score_o = cost_batch(R, t[None], ev_o)
     assert score_b.tobytes() == score_o.tobytes()
-    assert cost_and_gradient(e, ev_b)[0] == cost_and_gradient(e, ev_o)[0] == score_b[0]
+    assert value_pass(e, ev_b).value == value_pass(e, ev_o).value == score_b[0]
 
 
 # ---------------------------------------------------------------------------
@@ -335,35 +342,38 @@ def test_best_in_batch_is_the_first_argmax(seed):
 # the value-plus-gradient kernel
 
 
-def _assert_values_match_cost(poses, ev):
+def _assert_values_match_cost_batch(poses, ev):
+    """The two kernels that score a pose, value_pass alone and cost_batch
+    with one translation, give it the same value."""
     for p in poses:
-        value, grad = cost_and_gradient(p, ev)
-        assert value == cost(p, ev)
+        vp = value_pass(p, ev)
+        assert vp.value == cost_batch(p.matrix(), p.t[None], ev)[0]
+        grad = finish_gradient(vp)
         assert grad.shape == (6,) and np.isfinite(grad).all()
 
 
-def test_cost_and_gradient_value_is_cost_near_ground_truth(canonical_evaluator):
+def test_value_pass_value_is_cost_batch_near_ground_truth(canonical_evaluator):
     ev, gt = canonical_evaluator
     rng = np.random.default_rng(8)
-    _assert_values_match_cost([gt] + [perturb(gt, rng, 1.0, math.radians(6.0)) for _ in range(30)], ev)
+    _assert_values_match_cost_batch([gt] + [perturb(gt, rng, 1.0, math.radians(6.0)) for _ in range(30)], ev)
 
 
-def test_cost_and_gradient_value_is_cost_with_points_behind(canonical_evaluator):
+def test_value_pass_value_is_cost_batch_with_points_behind(canonical_evaluator):
     ev, gt = canonical_evaluator
     rng = np.random.default_rng(9)
     poses = [perturb(gt, rng, 30.0, math.radians(90.0)) for _ in range(60)]
     assert sum(0.0 < _behind_fraction(p, ev) < 1.0 for p in poses) >= 10
     behind = Extrinsic(gt.r, gt.t - [0.0, 0.0, 1000.0])
-    _assert_values_match_cost(poses + [behind], ev)
-    assert cost_and_gradient(behind, ev)[1].tolist() == [0.0] * 6
+    _assert_values_match_cost_batch(poses + [behind], ev)
+    assert finish_gradient(value_pass(behind, ev)).tolist() == [0.0] * 6
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_cost_and_gradient_value_is_cost_small_evaluators(seed):
+def test_value_pass_value_is_cost_batch_small_evaluators(seed):
     rng = np.random.default_rng(seed)
     ev = small_evaluator(rng)
-    _assert_values_match_cost(
+    _assert_values_match_cost_batch(
         [Extrinsic(rng.normal(size=3) * 0.3, rng.normal(size=3) * 3.0) for _ in range(4)], ev
     )
 
@@ -392,7 +402,7 @@ def _class_value_grad(rotated, t, hmap, k):
     return value, np.concatenate([a.sum(axis=1), d_w]) / n
 
 
-def oracle_cost_and_gradient(e, ev):
+def oracle_value_and_gradient(e, ev):
     R_T = e.matrix().T
     lane, d_lane = _class_value_grad(ev.lane_points @ R_T, e.t, ev.lane_height, ev.intrinsics)
     pole, d_pole = _class_value_grad(ev.pole_points @ R_T, e.t, ev.pole_height, ev.intrinsics)
@@ -401,15 +411,16 @@ def oracle_cost_and_gradient(e, ev):
 
 def _assert_kernel_matches_oracle(poses, ev):
     for p in poses:
-        value, grad = cost_and_gradient(p, ev)
-        want_value, want_grad = oracle_cost_and_gradient(p, ev)
+        vp = value_pass(p, ev)
+        value, grad = vp.value, finish_gradient(vp)
+        want_value, want_grad = oracle_value_and_gradient(p, ev)
         assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
         assert grad.tobytes() == want_grad.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_cost_and_gradient_bits_match_per_class_oracle(seed):
+def test_value_pass_bits_match_per_class_oracle(seed):
     """Classes of 1 to 40 points, some behind the camera and some out of
     frame, scored at poses near identity and far from it."""
     rng = np.random.default_rng(seed)
@@ -429,8 +440,9 @@ def test_cost_and_gradient_bits_match_per_class_oracle(seed):
 def test_one_point_terms_match_per_class_oracles(seed):
     """numpy multiplies a one-point term by gemv, whose bits differ from
     that point's row of a larger product: with one lane point and one pole
-    point, cost_batch, cost_and_gradient and best_in_batch still score as
-    the per-class oracles do, in frame, out of frame and behind."""
+    point, cost_batch, value_pass with finish_gradient, and best_in_batch
+    still score as the per-class oracles do, in frame, out of frame and
+    behind."""
     rng = np.random.default_rng(seed)
     e = Extrinsic(rng.normal(size=3) * 0.3, rng.normal(size=3))
 
@@ -455,7 +467,7 @@ def test_one_point_terms_match_per_class_oracles(seed):
             assert (k, score) == (None, floor)
 
 
-def test_cost_and_gradient_bits_match_per_class_oracle_on_canonical_scene(canonical_evaluator):
+def test_value_pass_bits_match_per_class_oracle_on_canonical_scene(canonical_evaluator):
     ev, gt = canonical_evaluator
     rng = np.random.default_rng(13)
     poses = [perturb(gt, rng, dt, math.radians(dtheta))
@@ -490,7 +502,7 @@ def test_cost_gradient_matches_central_differences(canonical_evaluator):
     rng = np.random.default_rng(10)
     h = 1e-6
     for pose in [gt] + [perturb(gt, rng, 0.5, math.radians(3.0)) for _ in range(5)]:
-        _, grad = cost_and_gradient(pose, ev)
+        grad = finish_gradient(value_pass(pose, ev))
         fd = np.array([
             (cost(_moved(pose, h * e), ev) - cost(_moved(pose, -h * e), ev)) / (2 * h)
             for e in np.eye(6)
@@ -519,7 +531,8 @@ def test_points_behind_or_out_of_frame_add_no_gradient(canonical_evaluator):
         ev.lane_height, ev.pole_height, ev.intrinsics,
     )
     for pose in [gt, perturb(gt, rng, 0.2, math.radians(1.0))]:
-        value, grad = cost_and_gradient(pose, ev)
-        value2, grad2 = cost_and_gradient(pose, padded)
+        vp, vp2 = value_pass(pose, ev), value_pass(pose, padded)
+        value, grad = vp.value, finish_gradient(vp)
+        value2, grad2 = vp2.value, finish_gradient(vp2)
         assert value2 == pytest.approx(value / 2, rel=1e-12)
         np.testing.assert_allclose(grad2, grad / 2, rtol=1e-9, atol=1e-12 * np.abs(grad).max())

@@ -299,6 +299,12 @@ def test_cloud_errors(tmp_path):
         load_cloud(p)
     with pytest.raises(ParseError):
         load_cloud(tmp_path / "nope.bin")
+    # blank text holds no row: 16 spaces once loaded as one float32 record,
+    # 32 newlines as two
+    for blank in (b"", b" " * 16, b"\n" * 32, b" \t\r\n\x0b\x0c" * 8):
+        p.write_bytes(blank)
+        with pytest.raises(ParseError, match="holds no points"):
+            load_cloud(p)
 
 
 def test_malformed_ascii_cloud_is_not_read_as_binary(tmp_path):

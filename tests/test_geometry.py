@@ -172,6 +172,20 @@ def test_extrinsic_owns_read_only_r_t_and_matrix(r0):
             array[0] = 0.5
 
 
+def test_lines_and_planes_own_read_only_arrays():
+    """A later write to the arrays handed in does not move a line or a
+    plane, and their arrays refuse writes."""
+    p, d, n = np.array([1.0, 2.0, 3.0]), np.array([2.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+    line, plane = Line3D(p, d), Plane3D(n, -1.5)
+    p[0] = d[1] = n[0] = 100.0
+    assert line.point.tolist() == [1.0, 2.0, 3.0]
+    assert line.direction.tolist() == [1.0, 0.0, 0.0]
+    assert plane.normal.tolist() == [0.0, 0.0, 1.0]
+    for array in (line.point, line.direction, plane.normal):
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+
+
 def test_matrix_to_angle_axis_rejects_non_rotation():
     with pytest.raises(NotARotation):
         matrix_to_angle_axis(np.eye(3) * 2.0)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linecalib.config import PipelineConfig
+from linecalib.cost import _lookup
 from linecalib.errors import DimensionMismatch, EmptyTarget, InsufficientLines, NoLines, ParseError
 from linecalib.evaluation import calibration_error
 from linecalib.fileio import save_pnm
@@ -20,9 +21,6 @@ from linecalib.image_features import (
     ScoredLine2D,
     SemanticMask,
     _fit_line2d,
-    _l1_field,
-    bilinear,
-    bilinear_cells,
     hough_lines,
     idt_height_map,
     l1_distance_field,
@@ -67,16 +65,10 @@ def brute_l1_with_border(bits: np.ndarray) -> np.ndarray:
     return brute_l1(~padded)[1:-1, 1:-1]
 
 
-def kernel_field(target: np.ndarray) -> np.ndarray:
-    """The L1 field of one target set by the kernel that l1_distance_field
-    and idt_height_map share; unlike a SemanticMask it takes any 2-D shape."""
-    return _l1_field(target)
-
-
 def framed_unset_field(bits: np.ndarray) -> np.ndarray:
     """The distance field to unset pixels of the mask framed by a ring of
     unset pixels, cropped back to the mask: what idt_height_map uses."""
-    return kernel_field(~np.pad(bits, 1))[1:-1, 1:-1]
+    return l1_distance_field(~np.pad(bits, 1))[1:-1, 1:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +80,10 @@ def test_l1_brute_force_equivalence_100_masks():
     for _ in range(100):
         mask = random_mask(rng, 32, 32)
         assert np.array_equal(
-            l1_distance_field(mask), brute_l1(mask.bits)
+            l1_distance_field(mask.bits), brute_l1(mask.bits)
         )
         assert np.array_equal(
-            l1_distance_field(SemanticMask(mask.cls, ~mask.bits)), brute_l1(~mask.bits)
+            l1_distance_field(~mask.bits), brute_l1(~mask.bits)
         )
         assert np.array_equal(framed_unset_field(mask.bits), brute_l1_with_border(mask.bits))
 
@@ -99,7 +91,7 @@ def test_l1_brute_force_equivalence_100_masks():
 def test_l1_single_pixel_examples():
     bits = np.zeros((8, 8), dtype=bool)
     bits[0, 0] = True
-    d = l1_distance_field(SemanticMask("lane", bits))
+    d = l1_distance_field(bits)
     assert d[4, 3] == 7
     assert d[0, 0] == 0
 
@@ -107,28 +99,28 @@ def test_l1_single_pixel_examples():
 def test_l1_empty_target_raises():
     bits = np.zeros((4, 4), dtype=bool)
     with pytest.raises(EmptyTarget):
-        l1_distance_field(SemanticMask("lane", bits))
+        l1_distance_field(bits)
 
 
 def test_l1_kernel_raises_for_any_field_without_a_target():
     """The one EmptyTarget check lives in the kernel that every field goes
-    through: l1_distance_field's (the set pixels) and idt_height_map's
-    (the boundary pixels, of which an empty mask has none)."""
+    through: a field of any target set, and idt_height_map's (the
+    boundary pixels, of which an empty mask has none)."""
     for shape in ((5, 7), (1, 1), (2, 40)):
         with pytest.raises(EmptyTarget):
-            _l1_field(np.zeros(shape, dtype=bool))
+            l1_distance_field(np.zeros(shape, dtype=bool))
     targets = np.zeros((5, 7), dtype=bool)
     targets[4, 0] = True
-    assert np.array_equal(_l1_field(targets), brute_l1(targets))
+    assert np.array_equal(l1_distance_field(targets), brute_l1(targets))
     with pytest.raises(EmptyTarget):
         idt_height_map(SemanticMask("pole", np.zeros((5, 7), dtype=bool)), IDT)
 
 
 def _assert_fields_match_brute_force(bits):
     if bits.any():
-        assert np.array_equal(kernel_field(bits), brute_l1(bits))
+        assert np.array_equal(l1_distance_field(bits), brute_l1(bits))
     if not bits.all():
-        assert np.array_equal(kernel_field(~bits), brute_l1(~bits))
+        assert np.array_equal(l1_distance_field(~bits), brute_l1(~bits))
     assert np.array_equal(framed_unset_field(bits), brute_l1_with_border(bits))
 
 
@@ -142,9 +134,9 @@ def test_l1_thin_and_tiny_masks():
             _assert_fields_match_brute_force(bits)
             _assert_fields_match_brute_force(~bits)
     with pytest.raises(EmptyTarget):
-        l1_distance_field(SemanticMask("lane", np.zeros((2, 2), dtype=bool)))
+        l1_distance_field(np.zeros((2, 2), dtype=bool))
     with pytest.raises(EmptyTarget):
-        l1_distance_field(SemanticMask("lane", np.zeros((2, 5), dtype=bool)))
+        l1_distance_field(np.zeros((2, 5), dtype=bool))
 
 
 def test_l1_rows_and_columns_without_a_target():
@@ -177,7 +169,7 @@ def test_l1_long_mask_keeps_its_sentinel_out_of_the_result():
     mask = SemanticMask("lane", bits)
     near = brute_l1(bits)
     assert near.max() == 4998
-    assert np.array_equal(l1_distance_field(mask), near)
+    assert np.array_equal(l1_distance_field(mask.bits), near)
     values = idt_height_map(mask, IDT).values
     assert np.array_equal(values[~bits], np.power(0.90, near[~bits].astype(float)))
     assert np.all(values[bits] == 0.98)  # each set pixel touches an unset one
@@ -188,7 +180,7 @@ def test_l1_long_mask_keeps_its_sentinel_out_of_the_result():
 def test_l1_lipschitz_over_4_neighbors(seed):
     rng = np.random.default_rng(seed)
     mask = random_mask(rng, 16, 16, p=float(rng.uniform(0.02, 0.6)))
-    d = l1_distance_field(mask)
+    d = l1_distance_field(mask.bits)
     assert np.abs(np.diff(d, axis=0)).max() <= 1
     assert np.abs(np.diff(d, axis=1)).max() <= 1
 
@@ -228,7 +220,7 @@ def _sweep_rows(init: np.ndarray) -> np.ndarray:
     return d
 
 
-def _l1_field_two_sweeps(target: np.ndarray) -> np.ndarray:
+def _two_sweep_field(target: np.ndarray) -> np.ndarray:
     """The L1 field before the shared kernel: one int64 field per call,
     rows then columns."""
     d = _sweep_rows(np.where(target, 0, np.iinfo(np.int64).max // 4).astype(np.int64))
@@ -238,8 +230,8 @@ def _l1_field_two_sweeps(target: np.ndarray) -> np.ndarray:
 def _idt_two_fields(bits: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     """idt_height_map before the shared kernel: two relaxations and two
     full-frame np.power calls.  Kept as the bit-for-bit oracle."""
-    d_to_set = _l1_field_two_sweeps(bits)
-    d_to_unset = _l1_field_two_sweeps(~np.pad(bits, 1))[1:-1, 1:-1]
+    d_to_set = _two_sweep_field(bits)
+    d_to_unset = _two_sweep_field(~np.pad(bits, 1))[1:-1, 1:-1]
     return np.where(
         bits,
         np.power(cfg.gamma0, d_to_unset.astype(float)),
@@ -262,7 +254,7 @@ def test_idt_monotone_in_distance(seed, g0, g1):
     rng = np.random.default_rng(seed)
     mask = random_mask(rng, 16, 16, p=float(rng.uniform(0.05, 0.5)))
     hm = idt_height_map(mask, PipelineConfig(gamma0=g0, gamma1=g1))
-    d_out = l1_distance_field(mask)
+    d_out = l1_distance_field(mask.bits)
     d_in = framed_unset_field(mask.bits)
     v = hm.values
     assert ((v > 0) & (v <= 1)).all()
@@ -297,7 +289,7 @@ def _assert_idt_matches_oracles(bits, cfg):
     assert got.tobytes() == _idt_two_fields(bits, cfg).tobytes()
     assert got.tobytes() == brute_idt(bits, cfg.gamma0, cfg.gamma1).tobytes()
     if not bits.all():
-        assert np.array_equal(l1_distance_field(mask), brute_l1(bits))
+        assert np.array_equal(l1_distance_field(mask.bits), brute_l1(bits))
 
 
 GAMMAS = (IDT, PipelineConfig(gamma0=0.5, gamma1=0.75), PipelineConfig(gamma0=0.999, gamma1=0.6))
@@ -361,8 +353,8 @@ def test_l1_block_seams_at_every_target_position():
             if mirrored:
                 targets = np.concatenate([targets, targets[::-1]], axis=1)
             want = np.abs(rows[:, None] - np.nonzero(targets.T)[1][None, :])
-            assert np.array_equal(kernel_field(targets), want)
-            assert np.array_equal(kernel_field(targets.T.copy()), want.T)
+            assert np.array_equal(l1_distance_field(targets), want)
+            assert np.array_equal(l1_distance_field(targets.T.copy()), want.T)
 
 
 @pytest.mark.parametrize("shape, dtype", [
@@ -381,7 +373,7 @@ def test_field_width_on_each_side_of_each_switch(shape, dtype):
     edge[:, -1] = True
     edge[0, shape[1] // 3] = True
     for bits in (corner, edge):
-        field = l1_distance_field(SemanticMask("lane", bits))
+        field = l1_distance_field(bits)
         assert field.dtype == dtype
         assert np.array_equal(field, brute_l1(bits))
     for bits in (corner, edge, ~edge):
@@ -390,15 +382,16 @@ def test_field_width_on_each_side_of_each_switch(shape, dtype):
 
 
 def test_idt_values_are_c_contiguous_for_the_cost_lookups(canonical_frame):
-    """The height map is C-contiguous, so HeightMap.corners' ravel() is a
-    view, not a 3.7 MB copy on every cost lookup of a 375x1242 frame."""
+    """The height map is C-contiguous, so the ravel() of cost._lookup's
+    flat gathers is a view, not a 3.7 MB copy on every cost lookup of a
+    375x1242 frame."""
     lane = canonical_frame[2]
     for bits in (lane.bits, lane.bits.T, np.eye(5, 9, dtype=bool)):
         mask = SemanticMask("lane", bits)
         hm = idt_height_map(mask, IDT)
         assert hm.values.flags.c_contiguous
         assert np.shares_memory(hm.values.ravel(), hm.values)
-        assert l1_distance_field(mask).flags.c_contiguous
+        assert l1_distance_field(mask.bits).flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +400,13 @@ def test_idt_values_are_c_contiguous_for_the_cost_lookups(canonical_frame):
 
 def sample(hm, u, v):
     """Bilinear lookup of hm at (u, v), of any (matching) shape, through the
-    kernels the cost uses: the cell, its corners, their blend; 0 out of
-    frame."""
-    ok, i, cell = bilinear_cells(u, v, hm.values.shape)
-    return np.where(ok, bilinear(hm.corners(i, np.empty((4,) + i.shape)), *cell), 0.0)
+    cost's one lookup, cost._lookup, on a one-term tuple; 0 out of frame.
+    (u, v) is the image of the camera point (u - 0.5, v - 0.5, 1) under
+    unit focal lengths and the principal point (0.5, 0.5)."""
+    h, w = hm.values.shape
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    p_c = np.stack([u - 0.5, v - 0.5, np.ones_like(u)])
+    return _lookup(p_c, ((slice(None), hm),), Intrinsics(1.0, 1.0, 0.5, 0.5, w, h))[0]
 
 
 def test_heightmap_sampling_out_of_frame_zero():

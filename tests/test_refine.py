@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import linecalib.cost as cost_module
 import linecalib.refine as refine_module
 from linecalib.config import RefinementConfig
-from linecalib.cost import CostEvaluator, cost, cost_and_gradient
+from linecalib.cost import CostEvaluator, cost, finish_gradient, value_pass
 from linecalib.errors import RefineError
 from linecalib.evaluation import perturb
 from linecalib.geometry import Extrinsic, Intrinsics, angle_axis_to_matrix, rotation_geodesic
@@ -163,8 +163,8 @@ def test_refine_stays_within_its_evaluation_budget(canonical_evaluator, monkeypa
 
 
 def eager_refine(initial, ev, cfg):
-    """The ascent with every line-search candidate scored by
-    cost_and_gradient, whose gradient a rejected candidate discards, and
+    """The ascent with every line-search candidate scored by value_pass
+    and finish_gradient, whose gradient a rejected candidate discards, and
     every norm, clip and identity taken by numpy: np.linalg.norm, np.eye,
     np.cross and the rotation-map oracles of test_geometry.  refine must
     return the same bits."""
@@ -179,7 +179,8 @@ def eager_refine(initial, ev, cfg):
         return out
 
     def climb_state(e):
-        f, g = cost_and_gradient(e, ev)
+        vp = value_pass(e, ev)
+        f, g = vp.value, finish_gradient(vp)
         pivot = e.matrix() @ centroid + e.t
         g[3:] += np.cross(e.t - pivot, g[:3])
         return f, g * scale, pivot
