@@ -4,8 +4,9 @@ Record files (config, scene spec, intrinsics, extrinsic) are UTF-8
 `key = value` lines; `#` starts a comment.  This module is the only
 code that reads or writes a file, each through one function that turns
 an OSError into a ParseError.  Point clouds are the usual velodyne
-layout (contiguous little-endian float32 x, y, z, intensity records)
-with an ASCII fallback of one `x y z intensity` line per point.
+layout (contiguous little-endian float32 x, y, z, intensity records) or
+text, one `x y z intensity` line per point; a file of ASCII bytes
+without a NUL is text, every other file is records.
 """
 from __future__ import annotations
 
@@ -73,7 +74,8 @@ def save_text(path, text: str) -> None:
 
 def load_kv_file(path) -> dict:
     try:
-        text = _read_bytes(path).decode("utf-8")
+        # utf-8-sig drops a leading byte-order mark
+        text = _read_bytes(path).decode("utf-8-sig")
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text ({e})") from e
     return parse_kv_text(text, path=str(path))
@@ -211,17 +213,8 @@ def save_extrinsic(path, e: Extrinsic) -> None:
     save_text(path, format_extrinsic(e))
 
 
-def _try_ascii_cloud(data: bytes, path):
-    """The rows of an ASCII cloud, or None if data is not one.
-
-    Text whose first non-blank line is four numbers is ASCII; a later row
-    that is not is a ParseError, so a malformed text file is never read
-    as binary records.
-    """
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError:
-        return None
+def _text_cloud(text: str, path) -> np.ndarray:
+    """The rows of a text cloud: every non-blank line is four numbers."""
     rows = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         parts = raw.split()
@@ -232,25 +225,27 @@ def _try_ascii_cloud(data: bytes, path):
         except ValueError:
             row = []
         if len(row) != 4:
-            if not rows:
-                return None
             raise ParseError(f"{path}: line {lineno}: expected 4 numbers x y z intensity")
         rows.append(row)
-    return np.array(rows, dtype=np.float64) if rows else None
+    if not rows:
+        raise ParseError(f"{path}: cloud file holds no points")
+    return np.array(rows, dtype=np.float64)
 
 
 def load_cloud(path) -> np.ndarray:
-    """Load an (N, 4) float array of x, y, z, intensity."""
+    """Load an (N, 4) float array of x, y, z, intensity.
+
+    A file of ASCII bytes without a NUL is text; every other file is
+    float32 records.  A sweep's records hold a byte above 127 wherever a
+    coordinate is negative (the ground lies below the sensor), so a sweep
+    never reads as text.
+    """
     data = _read_bytes(path)
-    if not data.strip():
-        # blank text has no row; 16 spaces would read as one binary record
-        raise ParseError(f"{path}: cloud file holds no points")
-    pts = _try_ascii_cloud(data, path)
-    if pts is None:
-        if len(data) % 16 != 0:
-            raise ParseError(
-                f"{path}: binary cloud size {len(data)} is not a multiple of 16 bytes"
-            )
+    if data.isascii() and b"\0" not in data:
+        pts = _text_cloud(data.decode("ascii"), path)
+    elif len(data) % 16 != 0:
+        raise ParseError(f"{path}: binary cloud size {len(data)} is not a multiple of 16 bytes")
+    else:
         pts = np.frombuffer(data, dtype="<f4").reshape(-1, 4).astype(np.float64)
     if not np.isfinite(pts).all():
         raise ParseError(f"{path}: cloud contains non-finite values")

@@ -84,6 +84,19 @@ def test_calibrate_deterministic_and_nonmutating(bundle, tmp_path):
     assert before == after
 
 
+def test_calibrate_text_cloud_matches_binary(bundle, tmp_path):
+    """A text cloud of the same float32 values calibrates to the same
+    extrinsic bytes as the binary one (%.17g is exact for a double)."""
+    text = tmp_path / "frame_cloud.txt"
+    np.savetxt(text, load_cloud(bundle / "frame_cloud.bin"), fmt="%.17g")
+    args = _bundle_args(bundle)
+    out_bin, out_text = tmp_path / "bin.txt", tmp_path / "text.txt"
+    assert main(["calibrate", *args, "--out", str(out_bin)]) == 0
+    args[args.index("--cloud") + 1] = str(text)
+    assert main(["calibrate", *args, "--out", str(out_text)]) == 0
+    assert out_text.read_bytes() == out_bin.read_bytes()
+
+
 def test_coarse_subcommand(bundle, tmp_path, capsys):
     out = tmp_path / "coarse.txt"
     assert main(["coarse", *_bundle_args(bundle), "--out", str(out)]) == 0

@@ -319,9 +319,22 @@ def test_malformed_ascii_cloud_is_not_read_as_binary(tmp_path):
     p.write_text(text, encoding="ascii")
     with pytest.raises(ParseError, match="line 21"):
         load_cloud(p)
-    # a first line that is not four numbers is not taken for ASCII
+    # NUL bytes make a file binary records, whatever its first line
     p.write_bytes(b"1 2 3\n" + b"\x00" * 9)
     with pytest.raises(ParseError, match="multiple of 16"):
+        load_cloud(p)
+
+
+@pytest.mark.parametrize("first", ["x y z intensity", "# x y z intensity", "1.0 2.0 3.0"])
+def test_text_cloud_first_line_is_a_row_too(tmp_path, first):
+    """ASCII bytes without a NUL are text, so a header, a comment or a
+    three-number first line is a parse error; padded to a multiple of 16
+    bytes, each such file used to load as float32 records."""
+    text = first + "\n" + "1.0 2.0 3.0 0.5\n" * 3
+    text += " " * (-len(text) % 16)
+    p = tmp_path / "cloud.txt"
+    p.write_text(text, encoding="ascii")
+    with pytest.raises(ParseError, match="line 1: expected 4 numbers"):
         load_cloud(p)
 
 

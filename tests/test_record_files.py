@@ -69,6 +69,19 @@ def test_quoted_value_reads_as_the_bare_one(tmp_path, name):
     assert load(quoted) == load(bare)
 
 
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_leading_byte_order_mark_is_dropped(tmp_path, name):
+    """A UTF-8 byte-order mark is valid UTF-8: the file reads as its twin
+    without one, and the mark does not stick to the first key."""
+    load, text = RECORDS[name]
+    fmt = {"extrinsic": format_extrinsic, "scene_spec": format_scene_spec}.get(name, format_fields)
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert fmt(load(marked)) == fmt(load(plain)) == text
+
+
 def test_extrinsic_vector_of_two_components_names_its_key(tmp_path):
     path = tmp_path / "extrinsic.txt"
     path.write_text('r = "0 0"\nt = "0 0 0"\n', encoding="utf-8")
