@@ -8,7 +8,9 @@ each term is bounded by 1 and the cost by 2.
 
 cost_batch scores many translations of one rotation at once;
 best_in_batch finds the best of them, scoring in full only those that an
-upper bound from a subset of the points cannot rule out;
+upper bound from a subset of the points cannot rule out, and each of
+those once; the bound reads the term with fewer points first, since the
+cost adds the terms' means, so each of its points weighs more;
 value_pass scores one pose in one pass over every term and keeps its
 intermediates, from which finish_gradient takes the cost's analytic
 gradient; the refine stage finishes only the poses it moves to, and cost
@@ -96,12 +98,15 @@ def _lookup(p_c, terms, k: Intrinsics):
     ok = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
     uc = np.where(ok, u, 0.0)
     vc = np.where(ok, v, 0.0)
-    u0 = np.minimum(uc.astype(int), w - 2)
-    v0 = np.minimum(vc.astype(int), h - 2)
-    fu = uc - u0
-    fv = vc - v0
+    u0 = uc.astype(int)
+    np.minimum(u0, w - 2, out=u0)
+    v0 = vc.astype(int)
+    np.minimum(v0, h - 2, out=v0)
+    fu = np.subtract(uc, u0, out=uc)
+    fv = np.subtract(vc, v0, out=vc)
     gu, gv = 1 - fu, 1 - fv
-    i = v0 * w + u0            # flat index of each cell's top-left corner
+    i = v0 * w                 # flat index of each cell's top-left corner
+    i += u0
     corners = np.empty((4,) + i.shape)
     for rows, hmap in terms:
         g = hmap.values.ravel()
@@ -111,10 +116,19 @@ def _lookup(p_c, terms, k: Intrinsics):
         # copy that mode="raise" makes of out.
         for row, offset in zip(corners[..., rows], (0, 1, w, w + 1)):
             g[offset:].take(i[..., rows], out=row, mode="clip")
-    val = corners[0] * gu * gv
-    val += corners[1] * fu * gv
-    val += corners[2] * gu * fv
-    val += corners[3] * fu * fv
+    # the blend in place, in the order that sets its bits: each corner
+    # times its u weight, times its v weight, added to val in turn
+    val = corners[0] * gu
+    val *= gv
+    term = np.multiply(corners[1], fu)
+    term *= gv
+    val += term
+    np.multiply(corners[2], gu, out=term)
+    term *= fv
+    val += term
+    np.multiply(corners[3], fu, out=term)
+    term *= fv
+    val += term
     return np.where(valid & ok, val, 0.0), valid, ok, (fu, fv, gu, gv), corners
 
 
@@ -147,10 +161,14 @@ def cost_batch(R, t, ev: CostEvaluator) -> np.ndarray:
     return _total([_sums(q[:, rows], t, hmap, ev.intrinsics) for rows, hmap in ev.terms], ev.terms)
 
 
-# best_in_batch bounds every score from nested prefixes of each class's
+# best_in_batch bounds every score from nested prefixes of each term's
 # points before it scores any pose in full.  The prefixes follow a strided
-# order, so each one samples the whole extracted point set.
-_STAGE_FRACTIONS = (0.125, 0.25, 0.5)
+# order, so each one samples the whole extracted point set.  Each stage
+# gives one fraction per term: the first for the term with fewer points,
+# which it reads first.  The cost adds the terms' means, so each of that
+# term's points weighs more, and a wrong pose puts most pole points off
+# the thin pole mask.
+_STAGE_FRACTIONS = ((0.25, 0.0), (0.5, 0.0), (1.0, 0.125), (1.0, 0.5))
 _STRIDE_ORDER = (0, 4, 2, 6, 1, 5, 3, 7)
 # poses scored in full after the first stage, to raise the floor
 _FLOOR_PICKS = 4
@@ -161,9 +179,11 @@ _ROUNDING = 1e-9
 
 class _StagedBound:
     """Upper bounds on the cost_batch(R, t, ev) scores, one stage of
-    _STAGE_FRACTIONS at a time.  A stage scores only the points new to it;
-    a point not yet scored adds at most the map's highest value, or the 0
-    of a point behind the camera or out of frame if that is higher."""
+    _STAGE_FRACTIONS at a time, with the terms ordered by point count
+    (fewer first; on a tie, in ev.terms order).  A stage scores only the
+    points new to it; a point not yet scored adds at most the map's
+    highest value, or the 0 of a point behind the camera or out of frame
+    if that is higher."""
 
     def __init__(self, R, t, ev: CostEvaluator):
         # columns of the product cost_batch takes, so that each point's
@@ -172,7 +192,7 @@ class _StagedBound:
         self.t = t
         self.k = ev.intrinsics
         self.terms = []
-        for rows, hmap in ev.terms:
+        for rows, hmap in sorted(ev.terms, key=lambda term: term[0].stop - term[0].start):
             strided = [q[:, rows][:, o::len(_STRIDE_ORDER)] for o in _STRIDE_ORDER]
             lo, hi = hmap.value_range
             self.terms.append((np.hstack(strided), hmap, max(0.0, hi), _ROUNDING * max(1.0, hi, -lo)))
@@ -182,12 +202,12 @@ class _StagedBound:
     def tighten(self, live) -> np.ndarray:
         """Sum the next stage's new points for the rows live of t, and bound
         each of their scores."""
-        f0 = _STAGE_FRACTIONS[self.stage - 1] if self.stage else 0.0
+        f0 = _STAGE_FRACTIONS[self.stage - 1] if self.stage else (0.0,) * len(self.terms)
         f = _STAGE_FRACTIONS[self.stage]
         bound = np.zeros(len(live))
         for c, (q, hmap, top, margin) in enumerate(self.terms):
             n = q.shape[1]
-            m0, m = int(f0 * n), int(f * n)
+            m0, m = int(f0[c] * n), int(f[c] * n)
             if m > m0:
                 self.sums[c, live] += _sums(q[:, m0:m], self.t[live], hmap, self.k)
             bound += (self.sums[c, live] + (n - m) * top) / n + margin
@@ -199,33 +219,38 @@ def best_in_batch(R, t, ev: CostEvaluator, floor: float):
     """(k, score, scored): the first row k of t (K, 3) whose
     cost_batch(R, t, ev) score is the highest, and that score, if it is
     above floor; else (None, floor, scored).  scored counts the rows
-    scored in full.
+    scored in full, each once: the floor picks keep their scores, and the
+    last cost_batch call gets only the live rows not yet scored.
 
-    The result is bit-identical to scoring every row: a row is dropped only
-    when its bound falls below a score another row reaches, so it can
-    neither win nor tie.
+    The result is bit-identical to scoring every row: a row's score has
+    the same bits in any batch, and a row is dropped only when its bound
+    falls below a score another row reaches, so it can neither win nor
+    tie.
     """
     t = np.asarray(t, dtype=float).reshape(-1, 3)
     if len(t) == 0:
         return None, floor, 0
     live = np.arange(len(t))
     full = np.zeros(len(t), dtype=bool)
+    scores = np.empty(len(t))
     staged = _StagedBound(R, t, ev)
     cut = floor
     for stage in range(len(_STAGE_FRACTIONS)):
         bound = staged.tighten(live)
         if stage == 0:
             picks = live[np.argsort(-bound, kind="stable")[:_FLOOR_PICKS]]
+            scores[picks] = cost_batch(R, t[picks], ev)
             full[picks] = True
-            cut = max(cut, float(cost_batch(R, t[picks], ev).max()))
+            cut = max(cut, float(scores[picks].max()))
         live = live[bound >= cut]
-    scores = cost_batch(R, t[live], ev)
-    full[live] = True
+    rest = live[~full[live]]
+    scores[rest] = cost_batch(R, t[rest], ev)
+    full[rest] = True
     # strict: a row that only ties floor does not win
-    if not len(live) or scores.max() <= floor:
+    if not len(live) or scores[live].max() <= floor:
         return None, floor, int(full.sum())
-    j = int(np.argmax(scores))
-    return int(live[j]), float(scores[j]), int(full.sum())
+    k = int(live[np.argmax(scores[live])])
+    return k, float(scores[k]), int(full.sum())
 
 
 def cost(e: Extrinsic, ev: CostEvaluator) -> float:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import linecalib.cost as cost_module
 from linecalib.config import PipelineConfig
 from linecalib.cost import CostEvaluator
 from linecalib.errors import (
@@ -82,6 +83,23 @@ def test_coarse_matches_per_triple_oracle(spec, dilate):
     if len(spec.lane_offsets) == 5:
         # pruning must keep engaging where there is most to prune
         assert 3 * report.scored < report.candidates
+
+
+def test_coarse_stage_point_lookups(monkeypatch, canonical_features, canonical_evaluator):
+    """A work guard, with no timing: on canonical scene 0, coarse_calibrate
+    reads at most 80% of the points that cost._sums read when the staged
+    bound read the same fractions of both terms (247,406 lookups)."""
+    _, cf, imf, _ = canonical_features
+    ev, _ = canonical_evaluator
+    sums, read = cost_module._sums, [0]
+
+    def counting(q, t, hmap, k):
+        read[0] += q.shape[1] * len(t)
+        return sums(q, t, hmap, k)
+
+    monkeypatch.setattr(cost_module, "_sums", counting)
+    coarse_calibrate(cf, imf, ev)
+    assert 0 < read[0] <= 0.8 * 247_406
 
 
 def test_degenerate_image_triple_names_its_cause(canonical_features, canonical_evaluator):

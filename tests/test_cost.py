@@ -1,4 +1,5 @@
 """Alignment-cost properties on small synthetic evaluators and real scenes."""
+import collections
 import math
 
 import numpy as np
@@ -283,16 +284,18 @@ def test_behind_and_out_of_frame_are_the_same_zero(seed):
 # the staged bound and the pruned best of a batch
 
 
-def _pruning_case(rng):
+def _pruning_case(rng, equal_counts=False):
     """A small evaluator over maps in [lo, 1), and one rotation with its
     translations: some rows near identity, some scattered, some with points
     behind the camera (all of them in the first row) or out of frame, every
     row twice or more (exact ties), and now and then a batch that scores 0
     throughout.  With lo high, the bound can drop the rows with few points
-    in frame."""
+    in frame.  With equal_counts, both terms keep only as many points as
+    the smaller one has."""
     ev = small_evaluator(rng)
+    n = min(len(ev.lane_points), len(ev.pole_points)) if equal_counts else None
     lo = rng.uniform(0.0, 0.95)
-    ev = CostEvaluator(ev.lane_points, ev.pole_points,
+    ev = CostEvaluator(ev.lane_points[:n], ev.pole_points[:n],
                        HeightMap(lo + (1 - lo) * rng.random((96, 128))),
                        HeightMap(lo + (1 - lo) * rng.random((96, 128))), K)
     R = angle_axis_to_matrix(rng.normal(size=3) * 0.05)
@@ -336,6 +339,51 @@ def test_best_in_batch_is_the_first_argmax(seed):
         else:
             assert (k, score) == (None, floor)
     assert best_in_batch(R, t[:0], ev, 0.5) == (None, 0.5, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_best_in_batch_scores_each_row_once(seed, equal_counts):
+    """No row reaches cost_batch twice in one call, and scored counts the
+    rows that did.  Rows are told apart by value: a row that t holds m
+    times may reach cost_batch at most m times."""
+    rng = np.random.default_rng(seed)
+    ev, R, t = _pruning_case(rng, equal_counts)
+    rows = collections.Counter(row.tobytes() for row in t)
+    full = cost_batch(R, t, ev)
+    for floor in (0.0, float(full[rng.integers(len(full))])):
+        passed = collections.Counter()
+
+        def counting(R, t, ev):
+            passed.update(row.tobytes() for row in t)
+            return cost_batch(R, t, ev)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cost_module, "cost_batch", counting)
+            _, _, scored = best_in_batch(R, t, ev, floor)
+        assert all(passed[key] <= rows[key] for key in passed)
+        assert scored == sum(passed.values())
+
+
+@pytest.mark.parametrize("n_lane, n_pole, first", [(5, 9, "lane"), (9, 5, "pole"), (7, 7, "lane")])
+def test_staged_bound_reads_the_term_with_fewer_points_first(n_lane, n_pole, first):
+    """The first stage sums only the term with fewer points; on a tie the
+    terms keep their order, lane first."""
+    rng = np.random.default_rng(0)
+    ev = small_evaluator(rng)
+    pts = rng.uniform([-2, -2, 4], [2, 2, 30], size=(9, 3))
+    ev = CostEvaluator(pts[:n_lane], pts[:n_pole], ev.lane_height, ev.pole_height, K)
+    sums, read = cost_module._sums, []
+
+    def recording(q, t, hmap, k):
+        read.append(hmap)
+        return sums(q, t, hmap, k)
+
+    staged = cost_module._StagedBound(np.eye(3), np.zeros((2, 3)), ev)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cost_module, "_sums", recording)
+        staged.tighten(np.arange(2))
+    assert len(read) == 1 and read[0] is getattr(ev, f"{first}_height")
 
 
 # ---------------------------------------------------------------------------
