@@ -174,10 +174,8 @@ def cmd_project(args) -> int:
 
     if args.stats:
         total = len(lane_iv)
-        inside = 0
-        if lane_mask.bits.any():  # an empty mask has no distance field
-            near = l1_distance_field(lane_mask.bits) <= 2
-            inside = int(near[lane_iv, lane_iu].sum())
+        near = l1_distance_field(lane_mask.bits) <= 2
+        inside = int(near[lane_iv, lane_iu].sum())
         frac = inside / total if total else 0.0
         sys.stdout.write(f"lane_points_projected: {total}\n")
         sys.stdout.write(f"lane_points_in_mask: {inside}\n")

@@ -180,11 +180,9 @@ def ransac_line3d(points: np.ndarray, seed: int, cfg: PipelineConfig) -> list[Sc
     hypothesis's inliers with _best_hypothesis; the first trial with the
     most inliers wins.  Each line is refined by a principal-axis
     least-squares fit over its inliers, so collinear dashed segments
-    merge into a single line.
+    merge into a single line.  Fewer than 2 points give no line.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    if len(points) < 2:
-        raise ValueError("ransac_line3d needs at least 2 points")
     return list(_fit_lines(points, seed, cfg))
 
 
@@ -338,8 +336,6 @@ def extract_lane_points(
     inten = cloud.intensity[gi]
     thr = inten.mean() + cfg.intensity_sigma_scale * inten.std()
     bright = gi[inten > thr]
-    if len(bright) < 2:
-        raise NoLanePoints(f"{len(bright)} points above intensity threshold")
     pts = cloud.xyz[bright]
     lines = ransac_line3d(pts, seed, cfg)
     if not lines:

@@ -51,10 +51,6 @@ class EmptyTarget(ExtractionError):
     pass
 
 
-class NoLines(ExtractionError):
-    pass
-
-
 class CoarseError(CalibError):
     stage = "coarse"
 

@@ -282,7 +282,9 @@ def _read_pnm(path) -> np.ndarray:
             fields.append(int(data[start:pos]))
         else:
             raise ParseError(f"{path}: bad header byte {ch!r} at offset {pos}")
-    pos += 1  # single whitespace after maxval
+    if not data[pos : pos + 1].isspace():
+        raise ParseError(f"{path}: need one whitespace byte after maxval at offset {pos}")
+    pos += 1
     w, h, maxval = fields
     if maxval != 255:
         raise ParseError(f"{path}: only maxval 255 supported, got {maxval}")

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import DimensionMismatch, EmptyTarget, InsufficientLines, NoLines, ParseError
+from .errors import DimensionMismatch, EmptyTarget, InsufficientLines, ParseError
 from .fileio import load_pgm
 from .geometry import Intrinsics, Line2D, right_singular_vectors
 
@@ -32,10 +32,6 @@ class SemanticMask:
             raise DimensionMismatch(f"{self.cls} mask has shape {b.shape}, need at least 2x2")
         b.setflags(write=False)
         object.__setattr__(self, "bits", b)
-
-    @property
-    def set_count(self) -> int:
-        return int(self.bits.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,16 +114,14 @@ def l1_distance_field(targets: np.ndarray) -> np.ndarray:
     array targets (h, w).
 
     The result is (h, w), C-contiguous, each pixel's distance to its
-    nearest target; no target raises EmptyTarget.  Columns first, so no
-    loop reads a strided row: the bool frame is transposed (and negated)
-    in one copy, relaxed along its w axis, transposed once as ints and
-    relaxed along the h axis.  The ints are the narrowest signed type
-    that holds 2 (h + w): int8 up to h + w = 64, int16 up to 16,384,
-    int32 past that.  The sentinel of a pixel not yet reached is h + w,
-    above any distance in the frame.
+    nearest target.  Columns first, so no loop reads a strided row: the
+    bool frame is transposed (and negated) in one copy, relaxed along its
+    w axis, transposed once as ints and relaxed along the h axis.  The
+    ints are the narrowest signed type that holds 2 (h + w): int8 up to
+    h + w = 64, int16 up to 16,384, int32 past that.  The sentinel of a
+    pixel not yet reached is h + w, above any distance in the frame; with
+    no target no pixel is reached, and every pixel reads h + w.
     """
-    if not targets.any():
-        raise EmptyTarget("mask has no target pixel for the distance field")
     h, w = targets.shape
     sentinel = h + w
     dtype = np.min_scalar_type(-2 * sentinel)
@@ -163,9 +157,12 @@ def idt_height_map(mask: SemanticMask, cfg: PipelineConfig) -> HeightMap:
     sides.  The powers are looked up in a per-map table of gamma ** 1, 2,
     ..., sliced from np.power(gamma, arange(h + w)), so each holds the
     bits np.power gives its distance; the index is bits * (h + w - 1) + D.
-    An empty mask raises EmptyTarget: it has no boundary pixel.
+    An empty mask has no boundary pixel, so nothing to decay from: it
+    raises EmptyTarget, the pipeline's one check for an empty mask.
     """
     bits = mask.bits
+    if not bits.any():
+        raise EmptyTarget(f"{mask.cls} mask has no set pixel")
     d = l1_distance_field(_boundary(bits))
     n = sum(bits.shape)
     exps = np.arange(n, dtype=float)
@@ -210,11 +207,11 @@ def hough_lines(mask: SemanticMask, cfg: PipelineConfig) -> list[ScoredLine2D]:
     pixels within cfg.hough_band_px of its line and is emitted with at
     least cfg.hough_min_support of them, up to cfg.hough_max_lines lines.
     For a lane mask, lines within cfg.hough_lane_theta_margin_deg of the
-    image horizontal are discarded as non-lane artifacts.
+    image horizontal are discarded as non-lane artifacts.  Returns the
+    lines found, none for a mask with no line that qualifies:
+    select_principal_lines decides whether there are enough.
     """
     min_support = cfg.hough_min_support
-    if mask.set_count < min_support:
-        raise NoLines(f"{mask.cls} mask: only {mask.set_count} set pixels, need {min_support}")
     h, w = mask.bits.shape
     thetas = np.deg2rad(np.arange(180.0))
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
@@ -264,8 +261,6 @@ def hough_lines(mask: SemanticMask, cfg: PipelineConfig) -> list[ScoredLine2D]:
         # sub-cell accuracy: the accumulator is 1 degree x 1 px, so refit
         # the line to its claimed pixels by total least squares
         out.append(ScoredLine2D(line=_fit_line2d(cu, cv), support=support))
-    if not out:
-        raise NoLines(f"{mask.cls} mask: no line reached the support threshold")
     out.sort(key=ScoredLine2D.rank)
     return out
 
@@ -281,7 +276,6 @@ class FeatureSetImage:
 def extract_image_features(
     lane_mask: SemanticMask, pole_mask: SemanticMask, cfg: PipelineConfig
 ) -> FeatureSetImage:
-    # Hough first: an empty mask fails with NoLines before the IDT runs
     lane_lines = hough_lines(lane_mask, cfg)
     pole_lines = hough_lines(pole_mask, cfg)
     return FeatureSetImage(

@@ -745,17 +745,41 @@ def test_pole_sharing_a_cluster_with_the_gantry_is_kept(tmp_path):
     assert np.linalg.norm(got.t - gt.t) < 0.1
 
 
-def test_calibrate_names_the_mask_without_lines(tmp_path, capsys):
-    """No line of random_spec(1)'s lane mask reaches the Hough support
-    threshold; the error names the mask it searched."""
-    spec_path = tmp_path / "scene.txt"
+@pytest.fixture(scope="module")
+def lineless_bundle(tmp_path_factory):
+    """random_spec(1)'s bundle: no line of its lane mask reaches the Hough
+    support threshold."""
+    root = tmp_path_factory.mktemp("lineless")
+    spec_path = root / "scene.txt"
     spec_path.write_text(format_scene_spec(random_spec(1)), encoding="utf-8")
-    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path)]) == 0
-    code = main(["calibrate", *_bundle_args(tmp_path), "--out", str(tmp_path / "e.txt")])
+    assert main(["synth", "--spec", str(spec_path), "--out", str(root)]) == 0
+    return root
+
+
+def test_calibrate_names_the_mask_without_lines(lineless_bundle, tmp_path, capsys):
+    """Hough returns no lane line, and the coarse stage, the one that needs
+    image lines, refuses the frame and counts the lines of each mask."""
+    code = main(["calibrate", *_bundle_args(lineless_bundle), "--out", str(tmp_path / "e.txt")])
     assert code == STAGE_EXIT_CODES["extraction"] == 2
     assert capsys.readouterr().err == (
-        "error (extraction): lane mask: no line reached the support threshold\n"
+        "error (extraction): need >= 2 lane and >= 1 pole image lines, got 0 / 4\n"
     )
+
+
+def test_refine_and_sweep_run_without_image_lines(lineless_bundle, tmp_path, capsys):
+    """refine and sweep read the height maps, never the Hough lines, so a
+    frame without a lane line is no error for them."""
+    gt = lineless_bundle / "extrinsic_gt.txt"
+    out = tmp_path / "refined.txt"
+    assert main(["refine", *_bundle_args(lineless_bundle), "--init", str(gt),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("initial_cost: ")
+    assert np.linalg.norm(load_extrinsic(out).t - load_extrinsic(gt).t) < 0.05
+    assert main(["sweep", "--frames", str(lineless_bundle), "--ref", str(gt),
+                 "--trials", "2"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()
+    # header, two refined trials (empty failure column) and the MAE row
+    assert len(rows) == 4 and all(row.endswith(",") for row in rows[1:])
 
 
 def test_stage_exit_codes_table():

@@ -497,6 +497,8 @@ def test_ransac_matches_oracle_on_degenerate_pools():
     all_same_seeds = 0
     for seed in range(100):
         cases = [
+            (np.empty((0, 3)), 10, 2),                     # no point
+            (p[None], 10, 2),                              # one point
             (np.tile(p, (30, 1)), 10, 5),                  # one point repeated
             (np.array([p, q]), 3, 2),                      # two points
             (np.concatenate([np.tile(p, (20, 1)), np.tile(q, (20, 1))]), 20, 2),
@@ -512,6 +514,9 @@ def test_ransac_matches_oracle_on_degenerate_pools():
         if (draws[:, 0] == draws[:, 1]).all():
             all_same_seeds += 1
             assert ransac_line3d(np.array([p, q]), seed, line_cfg(0.05, 3, 2)) == []
+        # fewer than 2 points hold no line: no fit, and no error
+        for pts in (np.empty((0, 3)), p[None]):
+            assert ransac_line3d(pts, seed, line_cfg(0.05, 10, 2)) == []
     assert all_same_seeds > 0
 
 

@@ -393,6 +393,16 @@ def test_pnm_errors(tmp_path):
         load_pgm(p)
 
 
+@pytest.mark.parametrize("after_maxval", [b"X", b"#c\n"])
+def test_pnm_needs_whitespace_after_maxval(tmp_path, after_maxval):
+    """The raster starts after exactly one whitespace byte: no other byte
+    after maxval, nor a comment, may be skipped or read as pixels."""
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(b"P5\n2 2\n255" + after_maxval + b"\x00\xff\x01\x02")
+    with pytest.raises(ParseError, match="whitespace byte after maxval at offset 10$"):
+        load_pgm(p)
+
+
 @pytest.mark.parametrize("save, value", [
     (save_extrinsic, Extrinsic.identity()),
     (save_cloud, np.zeros((1, 4))),

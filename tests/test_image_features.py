@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from linecalib.config import PipelineConfig
 from linecalib.cost import _lookup
-from linecalib.errors import DimensionMismatch, EmptyTarget, InsufficientLines, NoLines, ParseError
+from linecalib.errors import DimensionMismatch, EmptyTarget, InsufficientLines, ParseError
 from linecalib.evaluation import calibration_error
 from linecalib.fileio import save_pnm
 from linecalib.geometry import Intrinsics, Line2D
@@ -96,24 +96,16 @@ def test_l1_single_pixel_examples():
     assert d[0, 0] == 0
 
 
-def test_l1_empty_target_raises():
-    bits = np.zeros((4, 4), dtype=bool)
-    with pytest.raises(EmptyTarget):
-        l1_distance_field(bits)
-
-
-def test_l1_kernel_raises_for_any_field_without_a_target():
-    """The one EmptyTarget check lives in the kernel that every field goes
-    through: a field of any target set, and idt_height_map's (the
-    boundary pixels, of which an empty mask has none)."""
-    for shape in ((5, 7), (1, 1), (2, 40)):
-        with pytest.raises(EmptyTarget):
-            l1_distance_field(np.zeros(shape, dtype=bool))
+def test_l1_without_a_target_reads_h_plus_w():
+    """The kernel is total: with no target no pixel is reached, and every
+    pixel keeps the sentinel h + w, above any distance in the frame.  The
+    emptiness of a mask is idt_height_map's to refuse."""
+    for shape in ((1, 1), (2, 2), (2, 5), (4, 4), (5, 7), (2, 40), (40, 2), (375, 1242)):
+        d = l1_distance_field(np.zeros(shape, dtype=bool))
+        assert d.shape == shape and (d == sum(shape)).all()
     targets = np.zeros((5, 7), dtype=bool)
     targets[4, 0] = True
     assert np.array_equal(l1_distance_field(targets), brute_l1(targets))
-    with pytest.raises(EmptyTarget):
-        idt_height_map(SemanticMask("pole", np.zeros((5, 7), dtype=bool)), IDT)
 
 
 def _assert_fields_match_brute_force(bits):
@@ -133,10 +125,6 @@ def test_l1_thin_and_tiny_masks():
             bits.flat[rng.integers(0, bits.size)] = True
             _assert_fields_match_brute_force(bits)
             _assert_fields_match_brute_force(~bits)
-    with pytest.raises(EmptyTarget):
-        l1_distance_field(np.zeros((2, 2), dtype=bool))
-    with pytest.raises(EmptyTarget):
-        l1_distance_field(np.zeros((2, 5), dtype=bool))
 
 
 def test_l1_rows_and_columns_without_a_target():
@@ -277,8 +265,10 @@ def test_idt_rejects_bad_gamma_and_empty():
     # the gamma range is the config's to enforce
     with pytest.raises(ValueError):
         PipelineConfig(gamma0=1.5, gamma1=0.9)
-    with pytest.raises(EmptyTarget):
-        idt_height_map(SemanticMask("lane", np.zeros((4, 4), dtype=bool)), IDT)
+    # the one emptiness check of the pipeline names the mask's class
+    for cls, shape in (("lane", (4, 4)), ("pole", (5, 7))):
+        with pytest.raises(EmptyTarget, match=f"^{cls} mask has no set pixel$"):
+            idt_height_map(SemanticMask(cls, np.zeros(shape, dtype=bool)), IDT)
 
 
 def _assert_idt_matches_oracles(bits, cfg):
@@ -475,7 +465,7 @@ def test_load_mask_rejects_a_1px_side(tmp_path, shape):
     with pytest.raises(ParseError, match="at least 2x2"):
         load_mask(path, "lane", _intrinsics_of(shape))
     save_pnm(path, np.full((2, 5), 255, dtype=np.uint8))
-    assert load_mask(path, "lane", _intrinsics_of((2, 5))).set_count == 10
+    assert load_mask(path, "lane", _intrinsics_of((2, 5))).bits.sum() == 10
 
 
 @MANY
@@ -575,8 +565,7 @@ def test_hough_translation_consistency(seed):
 def test_hough_lane_near_horizontal_rejected():
     bits = np.zeros((64, 128), dtype=bool)
     bits[30, 10:120] = True
-    with pytest.raises(NoLines):
-        hough_lines(SemanticMask("lane", bits), hough_cfg(30))
+    assert hough_lines(SemanticMask("lane", bits), hough_cfg(30)) == []
     # same mask accepted for the pole class
     assert hough_lines(SemanticMask("pole", bits), hough_cfg(30))
 
@@ -632,10 +621,6 @@ def test_hough_matches_revote_oracle():
         min_support = int(rng.integers(5, 40))
         mask = SemanticMask(cls, bits)
         want = _hough_lines_revote(mask, cls, min_support)
-        if not want:
-            with pytest.raises(NoLines):
-                hough_lines(mask, hough_cfg(min_support))
-            continue
         got = hough_lines(mask, hough_cfg(min_support))
         assert [(s.line.coeffs().tolist(), s.support) for s in got] == [
             (s.line.coeffs().tolist(), s.support) for s in want
@@ -751,10 +736,6 @@ def test_hough_tied_rows_match_the_vote_and_subtract_oracle(
     mask = SemanticMask(cls, bits)
     cfg = hough_cfg(min_support)
     want = _line_tuples(_hough_lines_vote_and_subtract(mask, cfg))
-    if not want:
-        with pytest.raises(NoLines):
-            hough_lines(mask, cfg)
-        return
     assert _line_tuples(hough_lines(mask, cfg)) == want
 
 
@@ -796,18 +777,20 @@ def test_hough_stops_when_a_peak_claims_no_pixel():
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(20)
     try:
-        with pytest.raises(NoLines):
-            hough_lines(SemanticMask("pole", bits), cfg)
+        assert hough_lines(SemanticMask("pole", bits), cfg) == []
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
 
 
 def test_hough_needs_support():
+    """Below hough_min_support no line is emitted, whether the mask holds
+    fewer set pixels than that or none: the kernel returns what it finds."""
     bits = np.zeros((32, 32), dtype=bool)
     bits[4, 4:10] = True
-    with pytest.raises(NoLines):
-        hough_lines(SemanticMask("pole", bits), hough_cfg(50))
+    assert hough_lines(SemanticMask("pole", bits), hough_cfg(50)) == []
+    assert hough_lines(SemanticMask("pole", bits), hough_cfg(6)) != []
+    assert hough_lines(SemanticMask("lane", np.zeros((32, 32), dtype=bool)), hough_cfg(1)) == []
 
 
 def _scored(a, b, c, support):
