@@ -103,9 +103,34 @@ def test_l1_without_a_target_reads_h_plus_w():
     for shape in ((1, 1), (2, 2), (2, 5), (4, 4), (5, 7), (2, 40), (40, 2), (375, 1242)):
         d = l1_distance_field(np.zeros(shape, dtype=bool))
         assert d.shape == shape and (d == sum(shape)).all()
+
+
+def test_l1_empty_target_raises():
+    """An empty target raises where a field of it is needed, not in the
+    kernel: the kernel reads h + w everywhere, and idt_height_map, whose
+    field is of the mask's boundary, refuses the mask with EmptyTarget."""
+    bits = np.zeros((4, 4), dtype=bool)
+    assert (l1_distance_field(bits) == 8).all()
+    with pytest.raises(EmptyTarget, match="^lane mask has no set pixel$"):
+        idt_height_map(SemanticMask("lane", bits), IDT)
+
+
+def test_l1_kernel_raises_for_any_field_without_a_target(monkeypatch):
+    """A field without a target is refused before the kernel runs: for an
+    empty mask of any shape and class, idt_height_map raises EmptyTarget and
+    never calls l1_distance_field.  A field with one target stays exact."""
     targets = np.zeros((5, 7), dtype=bool)
     targets[4, 0] = True
     assert np.array_equal(l1_distance_field(targets), brute_l1(targets))
+
+    def kernel(bits):
+        raise AssertionError("the L1 kernel ran on an empty mask")
+
+    monkeypatch.setattr("linecalib.image_features.l1_distance_field", kernel)
+    for shape in ((5, 7), (2, 2), (2, 40), (40, 2)):
+        for cls in ("lane", "pole"):
+            with pytest.raises(EmptyTarget, match=f"^{cls} mask has no set pixel$"):
+                idt_height_map(SemanticMask(cls, np.zeros(shape, dtype=bool)), IDT)
 
 
 def _assert_fields_match_brute_force(bits):
