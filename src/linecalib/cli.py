@@ -33,7 +33,7 @@ from .fileio import (
     save_text,
 )
 from .geometry import project_points
-from .image_features import l1_distance_field, load_mask
+from .image_features import hough_lines, l1_distance_field, load_mask
 from .pipeline import CalibrationReport, calibrate, coarse_calibrate, extract_features
 from .refine import refine
 
@@ -97,9 +97,11 @@ def cmd_calibrate(args) -> int:
 
 def cmd_coarse(args) -> int:
     cfg = _load_cfg(args)
-    cf, imf, ev = extract_features(*_load_bundle(vars(args)), cfg)
+    cloud, lane_mask, pole_mask, intr = _load_bundle(vars(args))
+    cf, ev = extract_features(cloud, lane_mask, pole_mask, intr, cfg)
+    lines = (hough_lines(lane_mask, cfg), hough_lines(pole_mask, cfg))
     report = CalibrationReport()
-    extrinsic = coarse_calibrate(cf, imf, ev, report)
+    extrinsic = coarse_calibrate(cf, lines, ev, report)
     save_extrinsic(args.out, extrinsic)
     sys.stdout.write(f"candidates: {report.candidates}\n")
     sys.stdout.write(f"coarse_cost: {report.coarse_cost:.6f}\n")
@@ -110,7 +112,7 @@ def cmd_refine(args) -> int:
     cfg = _load_cfg(args)
     bundle = _load_bundle(vars(args))
     initial = load_extrinsic(args.init)
-    _, _, ev = extract_features(*bundle, cfg)
+    _, ev = extract_features(*bundle, cfg)
     result = refine(initial, ev, cfg.refinement())
     save_extrinsic(args.out, result)
     sys.stdout.write(f"initial_cost: {cost(initial, ev):.6f}\n")
@@ -212,7 +214,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for fi, frame in enumerate(args.frames):
         bundle = {key: Path(frame) / name for key, name in BUNDLE_FILES.items()}
-        _, _, ev = extract_features(*_load_bundle(bundle), cfg)
+        _, ev = extract_features(*_load_bundle(bundle), cfg)
         # a frame's trials are seeded by its index alone, so its rows do not
         # depend on the other frames of the list
         rows += evaluation.robustness_sweep(

@@ -269,21 +269,13 @@ def hough_lines(mask: SemanticMask, cfg: PipelineConfig) -> list[ScoredLine2D]:
 class FeatureSetImage:
     lane_height: HeightMap
     pole_height: HeightMap
-    lane_lines: list[ScoredLine2D]
-    pole_lines: list[ScoredLine2D]
 
 
 def extract_image_features(
     lane_mask: SemanticMask, pole_mask: SemanticMask, cfg: PipelineConfig
 ) -> FeatureSetImage:
-    lane_lines = hough_lines(lane_mask, cfg)
-    pole_lines = hough_lines(pole_mask, cfg)
-    return FeatureSetImage(
-        lane_height=idt_height_map(lane_mask, cfg),
-        pole_height=idt_height_map(pole_mask, cfg),
-        lane_lines=lane_lines,
-        pole_lines=pole_lines,
-    )
+    """The masks' height maps; the coarse stage runs hough_lines itself."""
+    return FeatureSetImage(idt_height_map(lane_mask, cfg), idt_height_map(pole_mask, cfg))
 
 
 # a pole line's image direction must lie within this angle of the image
@@ -294,16 +286,17 @@ _POLE_MAX_TILT_DEG = 45.0
 _LANE_MIN_SEPARATION_DEG = 3.0
 
 
-def select_principal_lines(features: FeatureSetImage):
-    """The lane line with the most supporting pixels, the one with the
-    most among those more than 3 degrees from it, and the pole line with
-    the most among those within 45 degrees of the image vertical."""
-    if len(features.lane_lines) < 2 or len(features.pole_lines) < 1:
+def select_principal_lines(lane_lines: list[ScoredLine2D], pole_lines: list[ScoredLine2D]):
+    """Of the two masks' hough_lines, the lane line with the most
+    supporting pixels, the one with the most among those more than 3
+    degrees from it, and the pole line with the most among those within
+    45 degrees of the image vertical."""
+    if len(lane_lines) < 2 or len(pole_lines) < 1:
         raise InsufficientLines(
             f"need >= 2 lane and >= 1 pole image lines, "
-            f"got {len(features.lane_lines)} / {len(features.pole_lines)}"
+            f"got {len(lane_lines)} / {len(pole_lines)}"
         )
-    first, *rest = sorted(features.lane_lines, key=ScoredLine2D.rank)
+    first, *rest = sorted(lane_lines, key=ScoredLine2D.rank)
     # the angle between two lines is the one between their unit normals
     max_cos = math.cos(math.radians(_LANE_MIN_SEPARATION_DEG))
     apart = [s for s in rest if abs(s.line.a * first.line.a + s.line.b * first.line.b) < max_cos]
@@ -315,10 +308,10 @@ def select_principal_lines(features: FeatureSetImage):
     # Line2D is a*u + b*v + c = 0 with a >= 0: its direction (-b, a) makes
     # an angle acos(a) with the image vertical
     min_a = math.cos(math.radians(_POLE_MAX_TILT_DEG))
-    poles = sorted((s for s in features.pole_lines if s.line.a >= min_a), key=ScoredLine2D.rank)
+    poles = sorted((s for s in pole_lines if s.line.a >= min_a), key=ScoredLine2D.rank)
     if not poles:
         raise InsufficientLines(
-            f"none of {len(features.pole_lines)} pole image lines lies within "
+            f"none of {len(pole_lines)} pole image lines lies within "
             f"{_POLE_MAX_TILT_DEG:g} deg of vertical"
         )
     return first.line, apart[0].line, poles[0].line

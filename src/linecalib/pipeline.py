@@ -16,6 +16,7 @@ from .image_features import (
     FeatureSetImage,
     SemanticMask,
     extract_image_features,
+    hough_lines,
     select_principal_lines,
 )
 # P3LProblem is unused here but stays importable as pipeline.P3LProblem,
@@ -67,20 +68,21 @@ def build_evaluator(
 
 def coarse_calibrate(
     cloud_features: FeatureSetCloud,
-    image_features: FeatureSetImage,
+    lines: tuple,
     ev: CostEvaluator,
     report: CalibrationReport | None = None,
 ) -> Extrinsic:
     """Enumerate lane-pair x pole correspondences, keep the best-cost P3L result.
 
-    The image triple (select_principal_lines) is fixed, so its four P3L
-    rotations are solved once; every ordered assignment of cloud
+    lines is (lane, pole): hough_lines of each mask, read by no other
+    stage.  The image triple (select_principal_lines) is fixed, so its
+    four P3L rotations are solved once; every ordered assignment of cloud
     lane lines and every cloud pole line then only needs its translation:
     n1 * (n1 - 1) * n2 triples.  Each rotation solves its candidates in
     one batch, and best_in_batch scores in full only those that can still
     beat the best of the earlier rotations.  Of equal best scores the
     earliest wins, rotation by rotation and in triple order within a
-    rotation.
+    rotation.  With a report, records the image line counts too.
     """
     # every cloud line already passes its P3L direction gate
     lanes = [line.point for line in cloud_features.lane_lines]
@@ -89,7 +91,7 @@ def coarse_calibrate(
         raise InsufficientLines(
             f"need >= 2 lane and >= 1 pole cloud lines, got {len(lanes)} / {len(poles)}"
         )
-    lane1_img, lane2_img, pole_img = select_principal_lines(image_features)
+    lane1_img, lane2_img, pole_img = select_principal_lines(*lines)
     # the image triple is shared by every cloud triple, so DegenerateNormals
     # fails them all alike: it propagates
     normals, rotations = solve_rotations(
@@ -110,6 +112,7 @@ def coarse_calibrate(
         if k is not None:
             best = Extrinsic(e.r, ts[k])
     if report is not None:
+        report.lane_lines_image, report.pole_lines_image = map(len, lines)
         report.candidates = n
         report.scored = scored
         report.coarse_cost = best_cost
@@ -126,10 +129,10 @@ def extract_features(
     cfg: PipelineConfig,
     report: CalibrationReport | None = None,
 ):
-    """Cloud and image features and their cost evaluator: (cf, imf, ev).
-
-    With a report, records the two extraction timings and line counts.
-    """
+    """Cloud features and the cost evaluator of the masks' height maps,
+    (cf, ev), as every command on a bundle needs them (no image lines:
+    those are the coarse stage's).  With a report, records the two
+    extraction timings and the cloud line counts."""
     t0 = time.perf_counter()
     cf = extract_cloud_features(cloud, cfg.seed, cfg)
     t1 = time.perf_counter()
@@ -140,9 +143,7 @@ def extract_features(
         report.timings["image_extraction"] = t2 - t1
         report.lane_lines_cloud = len(cf.lane_lines)
         report.pole_lines_cloud = len(cf.pole_lines)
-        report.lane_lines_image = len(imf.lane_lines)
-        report.pole_lines_image = len(imf.pole_lines)
-    return cf, imf, build_evaluator(cf, imf, intrinsics)
+    return cf, build_evaluator(cf, imf, intrinsics)
 
 
 def calibrate(
@@ -154,10 +155,11 @@ def calibrate(
 ):
     """Full pipeline; returns (refined extrinsic, report)."""
     report = CalibrationReport()
-    cf, imf, ev = extract_features(cloud, lane_mask, pole_mask, intrinsics, cfg, report)
+    cf, ev = extract_features(cloud, lane_mask, pole_mask, intrinsics, cfg, report)
 
     t0 = time.perf_counter()
-    coarse = coarse_calibrate(cf, imf, ev, report)
+    lines = (hough_lines(lane_mask, cfg), hough_lines(pole_mask, cfg))
+    coarse = coarse_calibrate(cf, lines, ev, report)
     report.timings["coarse"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

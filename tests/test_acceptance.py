@@ -19,7 +19,7 @@ from linecalib.evaluation import (
     rotation_error,
     translation_error,
 )
-from linecalib.image_features import SemanticMask, idt_height_map
+from linecalib.image_features import SemanticMask, hough_lines, idt_height_map
 from linecalib.pipeline import calibrate, coarse_calibrate, extract_features
 from linecalib.synth import canonical_spec, generate, random_spec
 from test_p3l import exact_triple, solve_triple
@@ -38,9 +38,10 @@ def fifty_scene_runs():
     for s in range(50):
         spec = canonical_spec(s)
         cloud, lane_mask, pole_mask, gt = generate(spec)
-        cf, imf, ev = extract_features(cloud, lane_mask, pole_mask, spec.intrinsics, CFG)
+        cf, ev = extract_features(cloud, lane_mask, pole_mask, spec.intrinsics, CFG)
+        lines = (hough_lines(lane_mask, CFG), hough_lines(pole_mask, CFG))
         t0 = time.perf_counter()
-        coarse = coarse_calibrate(cf, imf, ev)
+        coarse = coarse_calibrate(cf, lines, ev)
         coarse_time = time.perf_counter() - t0
         t0 = time.perf_counter()
         refined, _ = calibrate(cloud, lane_mask, pole_mask, spec.intrinsics, CFG)
@@ -177,7 +178,7 @@ def _robustness_ratios(scenes, seed):
         spec = canonical_spec(s)
         cloud, lane_mask, pole_mask, gt = generate(spec)
         evaluators.append(
-            extract_features(cloud, lane_mask, pole_mask, spec.intrinsics, CFG)[2]
+            extract_features(cloud, lane_mask, pole_mask, spec.intrinsics, CFG)[1]
         )
         ref = gt
     trials = robustness_sweep(

@@ -62,6 +62,7 @@ def test_the_tracer_wraps_the_functions_the_callers_hold():
     assert cli.load_mask is image_features.load_mask
     assert pipeline.extract_cloud_features is cloud_features.extract_cloud_features
     assert pipeline.extract_image_features is image_features.extract_image_features
+    assert pipeline.hough_lines is cli.hough_lines is image_features.hough_lines
     assert pipeline.cost is cost.cost
     assert pipeline.refine is evaluation.refine is refine_module.refine
     assert callable(Line3D.distance)  # wrapped on the class
@@ -98,7 +99,7 @@ CALLS = (
     ("pipeline", "build_evaluator", ("cf", "imf", "intrinsics"), {}),
     ("evaluation", "robustness_sweep", ("evs", "ref", 1, 1.0, 0.1, 0), {"refine_cfg": "r"}),
     ("evaluation", "refine", ("initial", "ev", "cfg"), {}),
-    ("pipeline", "coarse_calibrate", ("cf", "imf", "ev", "report"), {}),
+    ("pipeline", "coarse_calibrate", ("cf", "lines", "ev", "report"), {}),
     ("cost", "cost", ("e", "ev"), {}),
     ("synth", "canonical_spec", (0,), {"lane_offsets": (), "lane_dashed": ()}),
     ("synth", "format_scene_spec", ("spec",), {}),
@@ -147,11 +148,15 @@ def test_the_cli_accepts_the_benchmark_argv():
     assert parser.parse_args(["synth", "--spec", "s.txt", "--out", "d"]).command == "synth"
 
 
-def test_image_extraction_calls_each_traced_kernel_once_per_mask(monkeypatch, canonical_frame):
+def test_image_extraction_calls_each_traced_kernel_once_per_mask(rebind_everywhere,
+                                                                 canonical_frame):
     """perfbench's image_features.hough_lines_s and idt_height_map_s spans
-    wrap these two module globals; extract_image_features must reach both
-    through them, once for each mask, or the spans read 0."""
-    _, _, lane, pole, _ = canonical_frame
+    wrap every linecalib module global bound to these two kernels, as the
+    tracer does.  extract_image_features (the sweep set-up) must reach
+    idt_height_map once for each mask, and the calibrate path must reach
+    both once for each mask, or the spans read 0."""
+    spec, cloud, lane, pole, _ = canonical_frame
+    cfg = config.PipelineConfig()
     calls = []
     for name in ("hough_lines", "idt_height_map"):
         original = getattr(image_features, name)
@@ -160,8 +165,11 @@ def test_image_extraction_calls_each_traced_kernel_once_per_mask(monkeypatch, ca
             calls.append((name, mask.cls))
             return original(mask, cfg)
 
-        monkeypatch.setattr(image_features, name, counted)
-    image_features.extract_image_features(lane, pole, config.PipelineConfig())
+        rebind_everywhere(original, counted)
+    image_features.extract_image_features(lane, pole, cfg)
+    assert sorted(calls) == [("idt_height_map", "lane"), ("idt_height_map", "pole")]
+    calls.clear()
+    pipeline.calibrate(cloud, lane, pole, spec.intrinsics, cfg)
     assert sorted(calls) == [("hough_lines", "lane"), ("hough_lines", "pole"),
                              ("idt_height_map", "lane"), ("idt_height_map", "pole")]
 

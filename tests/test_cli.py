@@ -16,6 +16,7 @@ from linecalib.config import PipelineConfig
 from linecalib.errors import STAGE_EXIT_CODES
 from linecalib.fileio import load_cloud, load_extrinsic, save_extrinsic
 from linecalib.geometry import Extrinsic, angle_axis_to_matrix, project_points
+from linecalib.image_features import hough_lines
 from linecalib.synth import canonical_spec, format_scene_spec, random_spec
 
 
@@ -756,19 +757,38 @@ def lineless_bundle(tmp_path_factory):
     return root
 
 
-def test_calibrate_names_the_mask_without_lines(lineless_bundle, tmp_path, capsys):
+def test_calibrate_names_the_mask_without_lines(lineless_bundle, tmp_path, rebind_everywhere,
+                                                capsys):
     """Hough returns no lane line, and the coarse stage, the one that needs
-    image lines, refuses the frame and counts the lines of each mask."""
-    code = main(["calibrate", *_bundle_args(lineless_bundle), "--out", str(tmp_path / "e.txt")])
-    assert code == STAGE_EXIT_CODES["extraction"] == 2
-    assert capsys.readouterr().err == (
-        "error (extraction): need >= 2 lane and >= 1 pole image lines, got 0 / 4\n"
-    )
+    image lines, refuses the frame and counts the lines of each mask.
+    calibrate and coarse run Hough once on each mask."""
+    masks = []
+
+    def counted(mask, cfg):
+        masks.append(mask.cls)
+        return hough_lines(mask, cfg)
+
+    rebind_everywhere(hough_lines, counted)
+    for command in ("calibrate", "coarse"):
+        masks.clear()
+        code = main([command, *_bundle_args(lineless_bundle), "--out", str(tmp_path / "e.txt")])
+        assert code == STAGE_EXIT_CODES["extraction"] == 2
+        assert capsys.readouterr().err == (
+            "error (extraction): need >= 2 lane and >= 1 pole image lines, got 0 / 4\n"
+        )
+        assert masks == ["lane", "pole"]
 
 
-def test_refine_and_sweep_run_without_image_lines(lineless_bundle, tmp_path, capsys):
+def test_refine_and_sweep_run_without_image_lines(lineless_bundle, tmp_path, rebind_everywhere,
+                                                  capsys):
     """refine and sweep read the height maps, never the Hough lines, so a
-    frame without a lane line is no error for them."""
+    frame without a lane line is no error for them: they, and project,
+    finish with Hough raising wherever a module holds it."""
+
+    def never(mask, cfg):
+        raise AssertionError(f"Hough ran on the {mask.cls} mask")
+
+    rebind_everywhere(hough_lines, never)
     gt = lineless_bundle / "extrinsic_gt.txt"
     out = tmp_path / "refined.txt"
     assert main(["refine", *_bundle_args(lineless_bundle), "--init", str(gt),
@@ -780,6 +800,12 @@ def test_refine_and_sweep_run_without_image_lines(lineless_bundle, tmp_path, cap
     rows = capsys.readouterr().out.strip().splitlines()
     # header, two refined trials (empty failure column) and the MAE row
     assert len(rows) == 4 and all(row.endswith(",") for row in rows[1:])
+    lane = str(lineless_bundle / "frame_lane.pgm")
+    assert main(["project", "--cloud", str(lineless_bundle / "frame_cloud.bin"),
+                 "--intrinsics", str(lineless_bundle / "intrinsics.txt"),
+                 "--extrinsic", str(gt), "--image", lane, "--lane-mask", lane, "--stats",
+                 "--out", str(tmp_path / "overlay.ppm")]) == 0
+    assert capsys.readouterr().out.startswith("lane_points_projected: ")
 
 
 def test_stage_exit_codes_table():

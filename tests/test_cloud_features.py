@@ -612,7 +612,7 @@ def test_pole_grid_memory_follows_the_points(canonical_frame, canonical_features
 
 
 def test_pole_line_directions_vertical_in_frame(canonical_features):
-    spec, cf, imf, gt = canonical_features
+    _, cf, _, _ = canonical_features
     for line in cf.pole_lines:
         dg = line.direction @ cf.frame.T
         assert abs(dg[2]) > 0.9

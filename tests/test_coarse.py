@@ -1,6 +1,5 @@
 """The coarse stage against the per-triple enumeration it replaced, and
 its choice of the image triple."""
-import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +16,7 @@ from linecalib.errors import (
     NoValidCandidate,
 )
 from linecalib.evaluation import calibration_error
-from linecalib.image_features import HeightMap, SemanticMask, select_principal_lines
+from linecalib.image_features import HeightMap, SemanticMask, hough_lines, select_principal_lines
 from linecalib.p3l import solve_rotations
 from linecalib.pipeline import CalibrationReport, calibrate, coarse_calibrate, extract_features
 from linecalib.synth import canonical_spec, generate, random_spec
@@ -27,10 +26,10 @@ from test_p3l import Triple, oracle_solve_triple
 FIVE_LANES = (-5.0, -1.8, 1.8, 5.4, 8.8)
 
 
-def _oracle_coarse(cf, imf, ev):
+def _oracle_coarse(cf, lines, ev):
     """One independent single-triple solve and one cost call per (lane a,
     lane b, pole c) triple; the first best candidate wins."""
-    lane1_img, lane2_img, pole_img = select_principal_lines(imf)
+    lane1_img, lane2_img, pole_img = select_principal_lines(*lines)
     lanes, poles = cf.lane_lines, cf.pole_lines
     best, best_cost, n = None, 0.0, 0
     for a in range(len(lanes)):
@@ -71,11 +70,13 @@ def test_coarse_matches_per_triple_oracle(spec, dilate):
     cloud, lane_mask, pole_mask, _ = generate(spec)
     if dilate:
         lane_mask = _dilated(lane_mask)
-    cf, imf, ev = extract_features(cloud, lane_mask, pole_mask, spec.intrinsics, cfg)
-    want, want_cost, want_n = _oracle_coarse(cf, imf, ev)
+    cf, ev = extract_features(cloud, lane_mask, pole_mask, spec.intrinsics, cfg)
+    lines = (hough_lines(lane_mask, cfg), hough_lines(pole_mask, cfg))
+    want, want_cost, want_n = _oracle_coarse(cf, lines, ev)
     report = CalibrationReport()
-    got = coarse_calibrate(cf, imf, ev, report)
+    got = coarse_calibrate(cf, lines, ev, report)
     assert report.candidates == want_n > 200
+    assert (report.lane_lines_image, report.pole_lines_image) == tuple(map(len, lines))
     assert report.coarse_cost == want_cost
     assert got.r.tobytes() == want.r.tobytes()
     assert got.t.tobytes() == want.t.tobytes()
@@ -85,12 +86,11 @@ def test_coarse_matches_per_triple_oracle(spec, dilate):
         assert 3 * report.scored < report.candidates
 
 
-def test_coarse_stage_point_lookups(monkeypatch, canonical_features, canonical_evaluator):
+def test_coarse_stage_point_lookups(monkeypatch, canonical_features, canonical_lines):
     """A work guard, with no timing: on canonical scene 0, coarse_calibrate
     reads at most 80% of the points that cost._sums read when the staged
     bound read the same fractions of both terms (247,406 lookups)."""
-    _, cf, imf, _ = canonical_features
-    ev, _ = canonical_evaluator
+    _, cf, ev, _ = canonical_features
     sums, read = cost_module._sums, [0]
 
     def counting(q, t, hmap, k):
@@ -98,36 +98,36 @@ def test_coarse_stage_point_lookups(monkeypatch, canonical_features, canonical_e
         return sums(q, t, hmap, k)
 
     monkeypatch.setattr(cost_module, "_sums", counting)
-    coarse_calibrate(cf, imf, ev)
+    coarse_calibrate(cf, canonical_lines, ev)
     assert 0 < read[0] <= 0.8 * 247_406
 
 
-def test_degenerate_image_triple_names_its_cause(canonical_features, canonical_evaluator):
+def test_degenerate_image_triple_names_its_cause(canonical_features, canonical_lines):
     """Coincident image lane lines give degenerate back-projected normals
     (DegenerateNormals from solve_rotations); the principal line selection
     refuses them first, so coarse_calibrate scores nothing."""
-    _, cf, imf, _ = canonical_features
-    ev, _ = canonical_evaluator
-    lane, pole = imf.lane_lines[0].line, select_principal_lines(imf)[2]
+    _, cf, ev, _ = canonical_features
+    lane_lines, pole_lines = canonical_lines
+    lane, pole = lane_lines[0].line, select_principal_lines(*canonical_lines)[2]
     with pytest.raises(DegenerateNormals):
         solve_rotations(lane, lane, pole, ev.intrinsics, cf.frame)
-    twin = dataclasses.replace(imf, lane_lines=[imf.lane_lines[0]] * 2)
+    twin = ([lane_lines[0]] * 2, pole_lines)
     report = CalibrationReport()
     with pytest.raises(InsufficientLines):
         coarse_calibrate(cf, twin, ev, report)
     assert report.candidates == 0
 
 
-def test_no_candidate_above_zero_is_a_coarse_error(canonical_features):
+def test_no_candidate_above_zero_is_a_coarse_error(canonical_features, canonical_lines):
     """Over all-zero height maps every candidate scores 0, and a candidate
     that scores 0 never wins: the coarse stage fails with exit code 3."""
-    spec, cf, imf, _ = canonical_features
+    spec, cf, _, _ = canonical_features
     k = spec.intrinsics
     zero = HeightMap(np.zeros((k.height, k.width)))
     ev = CostEvaluator(cf.lane_points, cf.pole_points, zero, zero, k)
     report = CalibrationReport()
     with pytest.raises(NoValidCandidate) as info:
-        coarse_calibrate(cf, imf, ev, report)
+        coarse_calibrate(cf, canonical_lines, ev, report)
     assert report.candidates > 0 and report.coarse_cost == 0.0
     assert str(info.value) == f"{report.candidates} candidates evaluated, none scored above zero"
     assert STAGE_EXIT_CODES[info.value.stage] == 3
@@ -148,9 +148,10 @@ def test_coarse_survives_a_dilated_lane_mask(canonical_frame):
     a second line at its own angle; pairing the two put the coarse pose
     31 m / 91 degrees off.  It must hold criterion 3's 0.5 m / 3 degrees."""
     spec, cloud, lane_mask, pole_mask, gt = canonical_frame
-    cf, imf, ev = extract_features(cloud, _dilated(lane_mask), pole_mask, spec.intrinsics,
-                                   PipelineConfig())
-    err = calibration_error(coarse_calibrate(cf, imf, ev), gt)
+    cfg, lane_mask = PipelineConfig(), _dilated(lane_mask)
+    cf, ev = extract_features(cloud, lane_mask, pole_mask, spec.intrinsics, cfg)
+    lines = (hough_lines(lane_mask, cfg), hough_lines(pole_mask, cfg))
+    err = calibration_error(coarse_calibrate(cf, lines, ev), gt)
     assert err.dt < 0.5 and math.degrees(err.dtheta) < 3.0
 
 

@@ -475,7 +475,7 @@ def _array_dataclass_factories():
         ScoredLine3D,
     )
     from linecalib.cost import CostEvaluator
-    from linecalib.image_features import FeatureSetImage, HeightMap, ScoredLine2D, SemanticMask
+    from linecalib.image_features import FeatureSetImage, HeightMap, SemanticMask
 
     k = Intrinsics(fx=50.0, fy=50.0, cx=4.0, cy=3.0, width=8, height=6)
     pts = np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 5.0]])
@@ -493,9 +493,7 @@ def _array_dataclass_factories():
         "FeatureSetCloud": lambda: FeatureSetCloud(pts, pts, [line()], [line()], np.eye(3)),
         "SemanticMask": lambda: SemanticMask("lane", np.eye(6, 8, dtype=bool)),
         "HeightMap": height,
-        # lists of lines made the generated hash() raise TypeError
-        "FeatureSetImage": lambda: FeatureSetImage(
-            height(), height(), [ScoredLine2D(Line2D(1.0, 0.0, -4.0), 9)], []),
+        "FeatureSetImage": lambda: FeatureSetImage(height(), height()),
     }
 
 

@@ -16,7 +16,6 @@ from linecalib.evaluation import calibration_error
 from linecalib.fileio import save_pnm
 from linecalib.geometry import Intrinsics, Line2D
 from linecalib.image_features import (
-    FeatureSetImage,
     HeightMap,
     ScoredLine2D,
     SemanticMask,
@@ -827,15 +826,10 @@ def test_principal_pole_line_must_be_upright():
     beam = _scored(0.0, 1.0, -100.0, 1200)        # horizontal, strongest
     tilted = _scored(0.6, 0.8, -50.0, 1100)       # 53 deg from vertical
     upright = _scored(0.9, 0.1, -400.0, 500)      # 6 deg from vertical
-    hm = HeightMap(np.full((4, 4), 0.5))
-
-    def features(poles):
-        return FeatureSetImage(hm, hm, lane_lines=lanes, pole_lines=poles)
-
-    _, _, pole = select_principal_lines(features([beam, tilted, upright]))
+    _, _, pole = select_principal_lines(lanes, [beam, tilted, upright])
     assert pole == upright.line
     with pytest.raises(InsufficientLines):
-        select_principal_lines(features([beam, tilted]))
+        select_principal_lines(lanes, [beam, tilted])
 
 
 def test_second_principal_lane_is_not_a_split_of_the_first():
@@ -846,16 +840,11 @@ def test_second_principal_lane_is_not_a_split_of_the_first():
     split = _scored(1.0, 0.52, -290.0, 980)       # 0.9 deg from the first
     other = _scored(1.0, -0.5, -200.0, 800)       # 53 deg from the first
     pole = _scored(0.9, 0.1, -400.0, 500)
-    hm = HeightMap(np.full((4, 4), 0.5))
-
-    def features(lanes):
-        return FeatureSetImage(hm, hm, lane_lines=lanes, pole_lines=[pole])
-
-    assert select_principal_lines(features([split, other, first]))[:2] == (first.line, other.line)
+    assert select_principal_lines([split, other, first], [pole])[:2] == (first.line, other.line)
     with pytest.raises(InsufficientLines, match="none of 1 other lane image lines"):
-        select_principal_lines(features([first, split]))
+        select_principal_lines([first, split], [pole])
     with pytest.raises(InsufficientLines, match="got 1 / 1"):
-        select_principal_lines(features([first]))
+        select_principal_lines([first], [pole])
 
 
 def test_gantry_beam_is_not_taken_for_a_pole():
@@ -870,8 +859,9 @@ def test_gantry_beam_is_not_taken_for_a_pole():
     )
     cfg = PipelineConfig()
     cloud, lane_mask, pole_mask, gt = generate(spec)
-    cf, imf, ev = extract_features(cloud, lane_mask, pole_mask, spec.intrinsics, cfg)
-    strongest = max(imf.pole_lines, key=lambda s: s.support)
+    cf, ev = extract_features(cloud, lane_mask, pole_mask, spec.intrinsics, cfg)
+    lines = (hough_lines(lane_mask, cfg), hough_lines(pole_mask, cfg))
+    strongest = max(lines[1], key=lambda s: s.support)
     assert abs(strongest.line.a) < 0.1   # the horizontal beam
-    err = calibration_error(coarse_calibrate(cf, imf, ev), gt)
+    err = calibration_error(coarse_calibrate(cf, lines, ev), gt)
     assert err.dt < 0.5 and math.degrees(err.dtheta) < 3.0
