@@ -63,13 +63,6 @@ class PointCloud:
 
 
 @dataclass(frozen=True, eq=False)
-class GroundSegmentation:
-    plane: Plane3D
-    ground_indices: np.ndarray
-    object_indices: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class ScoredLine3D:
     line: Line3D
     inliers: np.ndarray  # indices into the point array the fit consumed
@@ -87,8 +80,10 @@ class FeatureSetCloud:
     frame: np.ndarray
 
 
-def fit_ground_plane(cloud: PointCloud, seed: int, cfg: PipelineConfig) -> GroundSegmentation:
-    """RANSAC plane fit over the whole cloud, normal oriented towards +Z.
+def fit_ground_plane(cloud: PointCloud, seed: int, cfg: PipelineConfig):
+    """(plane, ground): the RANSAC plane of the whole cloud, normal
+    oriented towards +Z, and the bool mask of the points within
+    cfg.plane_inlier_band of it.
 
     Scores cfg.plane_trials random point triples; the first triple with
     the most inliers wins and is refined by least squares on its
@@ -106,7 +101,7 @@ def fit_ground_plane(cloud: PointCloud, seed: int, cfg: PipelineConfig) -> Groun
         raise NoGroundPlane(f"cloud too small ({n} points, need 1000)")
     rng = np.random.default_rng(seed)
     band = cfg.plane_inlier_band
-    best_count = -1
+    best_count = 0  # a plane with no inlier, or none at all, never wins
     best_normal = None
     best_d = None
     samples = rng.integers(0, n, size=(cfg.plane_trials, 3))
@@ -146,11 +141,7 @@ def fit_ground_plane(cloud: PointCloud, seed: int, cfg: PipelineConfig) -> Groun
     ground = np.abs(plane.signed_distance(pts)) <= band
     if ground.sum() < cfg.plane_min_inlier_ratio * n:
         raise NoGroundPlane("refined plane lost its consensus")
-    return GroundSegmentation(
-        plane=plane,
-        ground_indices=np.flatnonzero(ground),
-        object_indices=np.flatnonzero(~ground),
-    )
+    return plane, ground
 
 
 def _count_above(blocks, normal, d, band, n, best):
@@ -329,18 +320,18 @@ def _fit_line_lsq(pts: np.ndarray) -> Line3D:
 
 
 def extract_lane_points(
-    seg: GroundSegmentation, cloud: PointCloud, seed: int, cfg: PipelineConfig
+    ground: np.ndarray, cloud: PointCloud, seed: int, cfg: PipelineConfig
 ) -> np.ndarray:
-    """Indices of lane points: intensity filter then distance-to-line filter."""
-    gi = seg.ground_indices
-    inten = cloud.intensity[gi]
+    """Lane points (M, 3): the ground points (bool mask) brighter than
+    the ground's mean intensity + cfg.intensity_sigma_scale std, then
+    those within cfg.lane_dist_max of a line fitted to them."""
+    inten = cloud.intensity[ground]
     thr = inten.mean() + cfg.intensity_sigma_scale * inten.std()
-    bright = gi[inten > thr]
-    pts = cloud.xyz[bright]
+    pts = cloud.xyz[ground & (cloud.intensity > thr)]
     lines = ransac_line3d(pts, seed, cfg)
     if not lines:
         raise NoLanePoints("no line structure among high-intensity points")
-    keep = bright[_near_lines(pts, lines, cfg)]
+    keep = pts[_near_lines(pts, lines, cfg)]
     if len(keep) < cfg.min_feature_points:
         raise NoLanePoints(f"only {len(keep)} lane points survive the line filter")
     return keep
@@ -363,28 +354,28 @@ def ground_parallel_rotation(plane: Plane3D, reference_lane: Line3D) -> np.ndarr
 
 
 def extract_pole_points(
-    seg: GroundSegmentation,
+    ground: np.ndarray,
     cloud: PointCloud,
     frame: np.ndarray,
     cfg: PipelineConfig,
 ):
-    """Indices of pole points plus a cluster label per point.
+    """(points, labels): the pole points (M, 3) and a cluster label per point.
 
-    Object points are rotated into the ground-parallel frame, binned on
-    an x-y grid, and only cells whose maximum elevation clears pole_h1
-    survive; near-ground points below pole_h0 are dropped.  The labels
-    are the 8-connected components of the surviving cells.
+    The points off the ground mask are rotated into the ground-parallel
+    frame, binned on an x-y grid, and only cells whose maximum elevation
+    clears pole_h1 survive; near-ground points below pole_h0 are dropped.
+    The labels are the 8-connected components of the surviving cells.
     """
-    oi = seg.object_indices
-    g = cloud.xyz[oi] @ frame.T
+    pts = cloud.xyz[~ground]
+    g = pts @ frame.T
     in_grid = (
         (g[:, 0] >= cfg.grid_x_min)
         & (g[:, 0] < cfg.grid_x_max)
         & (g[:, 1] >= cfg.grid_y_min)
         & (g[:, 1] < cfg.grid_y_max)
     )
-    oi, g = oi[in_grid], g[in_grid]
-    if len(oi) == 0:
+    pts, g = pts[in_grid], g[in_grid]
+    if len(pts) == 0:
         raise NoPolePoints("no object points inside the pole grid")
     nx = int(math.ceil((cfg.grid_x_max - cfg.grid_x_min) / cfg.grid_cell))
     cx = ((g[:, 0] - cfg.grid_x_min) / cfg.grid_cell).astype(int)
@@ -397,7 +388,7 @@ def extract_pole_points(
     keep = (max_z[slot] > cfg.pole_h1) & (g[:, 2] > cfg.pole_h0)
     if int(keep.sum()) < cfg.min_feature_points:
         raise NoPolePoints(f"only {int(keep.sum())} pole points survive")
-    return oi[keep], cluster_cells(cell[keep], nx)
+    return pts[keep], cluster_cells(cell[keep], nx)
 
 
 def cluster_cells(cells: np.ndarray, nx: int) -> np.ndarray:
@@ -427,9 +418,8 @@ def cluster_cells(cells: np.ndarray, nx: int) -> np.ndarray:
 
 def extract_cloud_features(cloud: PointCloud, seed: int, cfg: PipelineConfig) -> FeatureSetCloud:
     """Run the full point-cloud extraction chain."""
-    seg = fit_ground_plane(cloud, seed, cfg)
-    lane_idx = extract_lane_points(seg, cloud, seed + 1, cfg)
-    lane_pts = cloud.xyz[lane_idx]
+    plane, ground = fit_ground_plane(cloud, seed, cfg)
+    lane_pts = extract_lane_points(ground, cloud, seed + 1, cfg)
     lane_lines = ransac_line3d(lane_pts, seed + 2, cfg)
     if not lane_lines:
         raise InsufficientLines("no lane line could be fitted")
@@ -441,7 +431,7 @@ def extract_cloud_features(cloud: PointCloud, seed: int, cfg: PipelineConfig) ->
         lane_lines,
         key=lambda s: len(s.inliers) * _inlier_span(s, lane_pts),
     )
-    frame = ground_parallel_rotation(seg.plane, reference.line)
+    frame = ground_parallel_rotation(plane, reference.line)
     ground_lines = [
         s for s in lane_lines if abs((s.line.direction @ frame.T)[2]) < 0.1
     ]
@@ -453,8 +443,7 @@ def extract_cloud_features(cloud: PointCloud, seed: int, cfg: PipelineConfig) ->
     # P3L uses only the lines that follow the driving direction; the 2 deg
     # gate also rejects diagonal artifacts across dashes
     lane_lines = list(_canonical_lines(lane_lines, frame, 0, LANE_COS))
-    pole_idx, labels = extract_pole_points(seg, cloud, frame, cfg)
-    pole_pts = cloud.xyz[pole_idx]
+    pole_pts, labels = extract_pole_points(ground, cloud, frame, cfg)
     pole_lines = []
     for lab in range(labels.max() + 1):
         sub = pole_pts[labels == lab]

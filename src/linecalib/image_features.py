@@ -265,17 +265,11 @@ def hough_lines(mask: SemanticMask, cfg: PipelineConfig) -> list[ScoredLine2D]:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureSetImage:
-    lane_height: HeightMap
-    pole_height: HeightMap
-
-
 def extract_image_features(
     lane_mask: SemanticMask, pole_mask: SemanticMask, cfg: PipelineConfig
-) -> FeatureSetImage:
-    """The masks' height maps; the coarse stage runs hough_lines itself."""
-    return FeatureSetImage(idt_height_map(lane_mask, cfg), idt_height_map(pole_mask, cfg))
+) -> tuple[HeightMap, HeightMap]:
+    """The (lane, pole) height maps; the coarse stage runs hough_lines itself."""
+    return idt_height_map(lane_mask, cfg), idt_height_map(pole_mask, cfg)
 
 
 # a pole line's image direction must lie within this angle of the image

@@ -13,7 +13,7 @@ from .cost import CostEvaluator, best_in_batch, cost
 from .errors import InsufficientLines, NoValidCandidate
 from .geometry import Extrinsic, Intrinsics
 from .image_features import (
-    FeatureSetImage,
+    HeightMap,
     SemanticMask,
     extract_image_features,
     hough_lines,
@@ -54,16 +54,13 @@ class CalibrationReport:
 
 def build_evaluator(
     cloud_features: FeatureSetCloud,
-    image_features: FeatureSetImage,
+    heights: tuple[HeightMap, HeightMap],
     intrinsics: Intrinsics,
 ) -> CostEvaluator:
-    return CostEvaluator(
-        lane_points=cloud_features.lane_points,
-        pole_points=cloud_features.pole_points,
-        lane_height=image_features.lane_height,
-        pole_height=image_features.pole_height,
-        intrinsics=intrinsics,
-    )
+    """The cost of the cloud's point sets on the (lane, pole) height maps."""
+    lane_height, pole_height = heights
+    return CostEvaluator(cloud_features.lane_points, cloud_features.pole_points,
+                         lane_height, pole_height, intrinsics)
 
 
 def coarse_calibrate(
@@ -136,14 +133,14 @@ def extract_features(
     t0 = time.perf_counter()
     cf = extract_cloud_features(cloud, cfg.seed, cfg)
     t1 = time.perf_counter()
-    imf = extract_image_features(lane_mask, pole_mask, cfg)
+    heights = extract_image_features(lane_mask, pole_mask, cfg)
     t2 = time.perf_counter()
     if report is not None:
         report.timings["cloud_extraction"] = t1 - t0
         report.timings["image_extraction"] = t2 - t1
         report.lane_lines_cloud = len(cf.lane_lines)
         report.pole_lines_cloud = len(cf.pole_lines)
-    return cf, build_evaluator(cf, imf, intrinsics)
+    return cf, build_evaluator(cf, heights, intrinsics)
 
 
 def calibrate(

@@ -93,9 +93,11 @@ class SceneSpec:
     # tall pole breaks the camera-up + pitch-down compensation family,
     # which holds only near one depth), each with a shorter companion
     # close beside it.  Companions top out below the cloud pipeline's
-    # pole elevation gate, so they appear in the image mask only: they
-    # widen the pole-mask cost plateau without adding cloud pole lines
-    # or disturbing the principal image line ranking.
+    # pole elevation gate, but share grid cells with their tall pole, so
+    # the cloud keeps their points as pole cost points; they join its
+    # cluster, which keeps one upright line, so they add no cloud pole
+    # line.  In the pole mask they widen the cost plateau without
+    # disturbing the principal image line ranking.
     pole_xy: tuple = (
         (12.0, -6.0), (12.0, -6.5), (20.0, 6.0),
         (20.0, 6.6), (28.0, -5.0), (28.0, -5.75),

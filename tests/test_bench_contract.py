@@ -117,6 +117,21 @@ def test_every_call_shape_binds(module, name, args, kwargs):
     inspect.signature(fn).bind(*args, **kwargs)
 
 
+def test_the_sweep_setup_builds_the_evaluator_of_extract_features(canonical_frame,
+                                                                  canonical_evaluator):
+    """perfbench's sweep set-up chains the extraction itself, as
+    workloads.py writes it: its evaluator is extract_features', bit for bit."""
+    spec, cloud, lane, pole, _ = canonical_frame
+    ev, _ = canonical_evaluator
+    cfg = config.PipelineConfig()
+    cf = cloud_features.extract_cloud_features(cloud, seed=cfg.seed, cfg=cfg)
+    imf = image_features.extract_image_features(lane, pole, cfg)
+    got = pipeline.build_evaluator(cf, imf, spec.intrinsics)
+    assert np.array_equal(got.points, ev.points)
+    assert np.array_equal(got.lane_height.values, ev.lane_height.values)
+    assert np.array_equal(got.pole_height.values, ev.pole_height.values)
+
+
 def test_the_tracer_finds_the_report_as_fourth_argument():
     assert list(inspect.signature(pipeline.coarse_calibrate).parameters)[3] == "report"
 

@@ -61,15 +61,14 @@ def test_pointcloud_validation():
 def test_ground_plane_partition_and_determinism():
     rng = np.random.default_rng(5)
     cloud = flat_cloud(rng)
-    seg1 = fit_ground_plane(cloud, 3, CFG)
-    seg2 = fit_ground_plane(cloud, 3, CFG)
-    assert np.array_equal(seg1.ground_indices, seg2.ground_indices)
-    # exact partition
-    merged = np.sort(np.concatenate([seg1.ground_indices, seg1.object_indices]))
-    assert np.array_equal(merged, np.arange(len(cloud)))
-    assert len(np.intersect1d(seg1.ground_indices, seg1.object_indices)) == 0
+    plane1, ground1 = fit_ground_plane(cloud, 3, CFG)
+    plane2, ground2 = fit_ground_plane(cloud, 3, CFG)
+    assert np.array_equal(plane1.normal, plane2.normal) and plane1.d == plane2.d
+    assert np.array_equal(ground1, ground2)
+    # exact partition: one ground-or-object flag per point
+    assert ground1.dtype == bool and ground1.shape == (len(cloud),)
     # normal points up
-    assert seg1.plane.normal[2] > 0.9
+    assert plane1.normal[2] > 0.9
 
 
 def test_ground_plane_inliers_monotone_in_band():
@@ -77,8 +76,8 @@ def test_ground_plane_inliers_monotone_in_band():
     cloud = flat_cloud(rng)
     cfg_narrow = PipelineConfig(plane_inlier_band=0.05)
     cfg_wide = PipelineConfig(plane_inlier_band=0.2)
-    n_narrow = len(fit_ground_plane(cloud, 0, cfg_narrow).ground_indices)
-    n_wide = len(fit_ground_plane(cloud, 0, cfg_wide).ground_indices)
+    n_narrow = np.count_nonzero(fit_ground_plane(cloud, 0, cfg_narrow)[1])
+    n_wide = np.count_nonzero(fit_ground_plane(cloud, 0, cfg_wide)[1])
     assert n_wide >= n_narrow
 
 
@@ -125,16 +124,15 @@ def _reference_ground_plane(cloud, trials, cfg):
     if normal[2] < 0:
         normal = -normal
     plane = Plane3D(normal, -normal @ centroid)
-    ground = np.abs(plane.signed_distance(pts)) <= band
-    return plane, np.flatnonzero(ground), np.flatnonzero(~ground)
+    return plane, np.abs(plane.signed_distance(pts)) <= band
 
 
-def assert_same_segmentation(seg, ref):
-    plane, ground, objects = ref
-    assert np.array_equal(seg.plane.normal, plane.normal)
-    assert seg.plane.d == plane.d
-    assert np.array_equal(seg.ground_indices, ground)
-    assert np.array_equal(seg.object_indices, objects)
+def assert_same_segmentation(got, ref):
+    """The same plane and the same ground mask (~ground: the objects)."""
+    (plane, ground), (ref_plane, ref_ground) = got, ref
+    assert np.array_equal(plane.normal, ref_plane.normal)
+    assert plane.d == ref_plane.d
+    assert ground.dtype == bool and np.array_equal(ground, ref_ground)
 
 
 def _road_like_cloud(rng, n_ground=4000, n_objects=300, tilt=0.0):
@@ -170,9 +168,9 @@ def test_ground_plane_matches_every_trial_on_every_point(cloud_seed, seed, tilt,
     rng = np.random.default_rng(cloud_seed)
     for cloud in (flat_cloud(rng, tilt=tilt), _road_like_cloud(rng, tilt=tilt)):
         dropped.clear()
-        seg = fit_ground_plane(cloud, seed, CFG)
+        got = fit_ground_plane(cloud, seed, CFG)
         trials = _plane_trials_full_loop(cloud, seed, CFG)
-        assert_same_segmentation(seg, _reference_ground_plane(cloud, trials, CFG))
+        assert_same_segmentation(got, _reference_ground_plane(cloud, trials, CFG))
         assert len(dropped) == sum(t is not None for t in trials)
         assert sum(dropped) > len(dropped) // 2
 
@@ -187,8 +185,8 @@ def test_ground_plane_on_a_weak_plane():
     trials = _plane_trials_full_loop(cloud, 4, CFG)
     best = max(t[0] for t in trials if t is not None) / len(cloud)
     assert 0.25 < best < 0.32
-    seg = fit_ground_plane(cloud, 4, CFG)
-    assert_same_segmentation(seg, _reference_ground_plane(cloud, trials, CFG))
+    got = fit_ground_plane(cloud, 4, CFG)
+    assert_same_segmentation(got, _reference_ground_plane(cloud, trials, CFG))
 
 
 def test_ground_plane_single_trial():
@@ -212,9 +210,9 @@ def test_ground_plane_on_an_all_inlier_cloud():
     cloud = PointCloud(xyz, np.zeros(2000))
     trials = _plane_trials_full_loop(cloud, 0, CFG)
     assert trials[0][0] == len(cloud)
-    seg = fit_ground_plane(cloud, 0, CFG)
-    assert_same_segmentation(seg, _reference_ground_plane(cloud, trials[:1], CFG))
-    assert len(seg.ground_indices) == len(cloud)
+    got = fit_ground_plane(cloud, 0, CFG)
+    assert_same_segmentation(got, _reference_ground_plane(cloud, trials[:1], CFG))
+    assert got[1].all()
 
 
 def test_count_above_is_the_full_count_or_none():
@@ -257,6 +255,14 @@ def test_ground_plane_rejects_a_cloud_without_a_dominant_plane():
     cloud = PointCloud(rng.uniform(-10, 10, (3000, 3)), np.zeros(3000))
     with pytest.raises(NoGroundPlane, match="inliers"):
         fit_ground_plane(cloud, 0, CFG)
+
+
+def test_ground_plane_on_collinear_points_reports_no_inlier():
+    """No triple of a line's points spans a plane: the fit finds none,
+    and says 0 inliers, not a count of -1."""
+    xyz = np.outer(np.arange(2000.0), [1.0, 0.5, 0.0])
+    with pytest.raises(NoGroundPlane, match=r"best plane has 0/2000 inliers"):
+        fit_ground_plane(PointCloud(xyz, np.zeros(2000)), 0, CFG)
 
 
 @MANY
@@ -474,9 +480,9 @@ def test_ransac_matches_oracle_on_bright_ground_points(canonical_frame):
               (generate(canonical_spec(0, rings=32))[0], 600, 45.0),
               (generate(random_spec(0))[0], 2000, 70.0)]
     for cloud, min_points, min_x in scenes:
-        gi = fit_ground_plane(cloud, cfg.seed, cfg).ground_indices
-        inten = cloud.intensity[gi]
-        pts = cloud.xyz[gi[inten > inten.mean() + cfg.intensity_sigma_scale * inten.std()]]
+        ground = fit_ground_plane(cloud, cfg.seed, cfg)[1]
+        inten = cloud.intensity[ground]
+        pts = cloud.xyz[ground][inten > inten.mean() + cfg.intensity_sigma_scale * inten.std()]
         assert len(pts) > min_points and pts[:, 0].max() > min_x
         got = ransac_line3d(pts, cfg.seed + 1, cfg)
         assert len(got) >= 3
@@ -530,21 +536,19 @@ def test_line_filters_match_per_line_distance_loop(canonical_frame, canonical_fe
     def nearest(pts, lines):
         return np.min(np.stack([s.line.distance(pts) for s in lines]), axis=0)
 
-    seg = fit_ground_plane(cloud, cfg.seed, cfg)
-    gi = seg.ground_indices
-    inten = cloud.intensity[gi]
-    bright = gi[inten > inten.mean() + cfg.intensity_sigma_scale * inten.std()]
-    near = nearest(cloud.xyz[bright], ransac_line3d(cloud.xyz[bright], cfg.seed + 1, cfg)) < cfg.lane_dist_max
+    ground = fit_ground_plane(cloud, cfg.seed, cfg)[1]
+    inten = cloud.intensity[ground]
+    bright = cloud.xyz[ground][inten > inten.mean() + cfg.intensity_sigma_scale * inten.std()]
+    near = nearest(bright, ransac_line3d(bright, cfg.seed + 1, cfg)) < cfg.lane_dist_max
     assert 0 < near.sum() < len(near)
-    lane_idx = extract_lane_points(seg, cloud, cfg.seed + 1, cfg)
-    assert np.array_equal(lane_idx, bright[near])
+    lane_pts = extract_lane_points(ground, cloud, cfg.seed + 1, cfg)
+    assert np.array_equal(lane_pts, bright[near])
 
-    lane_pts = cloud.xyz[lane_idx]
-    ground = [
+    ground_lines = [
         s for s in ransac_line3d(lane_pts, cfg.seed + 2, cfg)
         if abs((s.line.direction @ cf.frame.T)[2]) < 0.1
     ]
-    near = nearest(lane_pts, ground) < cfg.lane_dist_max
+    near = nearest(lane_pts, ground_lines) < cfg.lane_dist_max
     assert near.sum() > 0
     assert np.array_equal(cf.lane_points, lane_pts[near])
 
@@ -576,17 +580,22 @@ def test_cluster_cells_components():
     assert labels[0] != labels[3]
 
 
+def _rows_of(a, b):
+    """Whether every row of a is, bit for bit, a row of b."""
+    return set(map(bytes, a)) <= set(map(bytes, b))
+
+
 def test_extraction_subsets_and_determinism(canonical_frame):
     spec, cloud, lane_mask, pole_mask, gt = canonical_frame
     cfg = PipelineConfig()
-    seg = fit_ground_plane(cloud, 0, cfg)
-    lane_idx = extract_lane_points(seg, cloud, 1, cfg)
-    assert np.isin(lane_idx, seg.ground_indices).all()
-    frame = None
-    lines = ransac_line3d(cloud.xyz[lane_idx], 2, cfg)
-    frame = ground_parallel_rotation(seg.plane, lines[0].line)
-    pole_idx, labels = extract_pole_points(seg, cloud, frame, cfg)
-    assert np.isin(pole_idx, seg.object_indices).all() and len(labels) == len(pole_idx)
+    plane, ground = fit_ground_plane(cloud, 0, cfg)
+    lane_pts = extract_lane_points(ground, cloud, 1, cfg)
+    assert len(lane_pts) and _rows_of(lane_pts, cloud.xyz[ground])
+    lines = ransac_line3d(lane_pts, 2, cfg)
+    frame = ground_parallel_rotation(plane, lines[0].line)
+    pole_pts, labels = extract_pole_points(ground, cloud, frame, cfg)
+    assert len(pole_pts) and _rows_of(pole_pts, cloud.xyz[~ground])
+    assert len(labels) == len(pole_pts)
     # determinism of the full chain
     a = extract_cloud_features(cloud, seed=0, cfg=cfg)
     b = extract_cloud_features(cloud, seed=0, cfg=cfg)
@@ -600,14 +609,14 @@ def test_pole_grid_memory_follows_the_points(canonical_frame, canonical_features
     _, cloud, _, _, _ = canonical_frame
     _, cf, _, _ = canonical_features
     cfg = PipelineConfig(grid_cell=0.02)
-    seg = fit_ground_plane(cloud, 0, cfg)
+    ground = fit_ground_plane(cloud, 0, cfg)[1]
     tracemalloc.start()
     try:
-        pole_idx, labels = extract_pole_points(seg, cloud, cf.frame, cfg)
+        pole_pts, labels = extract_pole_points(ground, cloud, cf.frame, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(labels) == len(pole_idx) > 0
+    assert len(labels) == len(pole_pts) > 0
     assert peak < 5e6
 
 

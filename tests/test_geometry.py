@@ -470,12 +470,11 @@ def _array_dataclass_factories():
     builds a new instance from the same values."""
     from linecalib.cloud_features import (
         FeatureSetCloud,
-        GroundSegmentation,
         PointCloud,
         ScoredLine3D,
     )
     from linecalib.cost import CostEvaluator
-    from linecalib.image_features import FeatureSetImage, HeightMap, SemanticMask
+    from linecalib.image_features import HeightMap, SemanticMask
 
     k = Intrinsics(fx=50.0, fy=50.0, cx=4.0, cy=3.0, width=8, height=6)
     pts = np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 5.0]])
@@ -488,12 +487,10 @@ def _array_dataclass_factories():
         "Line3D": line,
         "Plane3D": plane,
         "PointCloud": lambda: PointCloud(pts, np.ones(2)),
-        "GroundSegmentation": lambda: GroundSegmentation(plane(), np.arange(2), np.arange(0)),
         "ScoredLine3D": lambda: ScoredLine3D(line(), np.arange(2)),
         "FeatureSetCloud": lambda: FeatureSetCloud(pts, pts, [line()], [line()], np.eye(3)),
         "SemanticMask": lambda: SemanticMask("lane", np.eye(6, 8, dtype=bool)),
         "HeightMap": height,
-        "FeatureSetImage": lambda: FeatureSetImage(height(), height()),
     }
 
 
