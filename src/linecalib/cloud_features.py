@@ -1,9 +1,11 @@
 """Point-cloud features: ground plane, lane points, pole points, 3D lines.
 
-The extraction chain: RANSAC ground plane -> intensity-thresholded lane
-points filtered by fitted lines -> ground-parallel frame from the plane
-normal and a reference lane -> elevation-grid pole points -> per-cluster
-pole lines.  Everything is deterministic for a fixed seed.
+The extraction chain: iterated least-squares ground plane, seeded from
+the densest height bin -> intensity-thresholded lane points filtered by
+fitted lines -> ground-parallel frame from the plane normal and a
+reference lane -> elevation-grid pole points -> per-cluster pole lines.
+The plane draws no random number; the RANSAC line fits draw from the
+seed, so everything is deterministic for a fixed seed.
 """
 from __future__ import annotations
 
@@ -28,9 +30,10 @@ from .geometry import Line3D, Plane3D, _line_distance, right_singular_vectors
 LANE_COS = math.cos(math.radians(2.0))
 POLE_COS = math.cos(math.radians(15.0))
 
-# Points per block when a ground-plane trial is scored: after each block a
-# trial that can no longer beat the best count is dropped.
-_PLANE_BLOCK = 8192
+# The ground fit's seed bin height and reach, in meters, and its passes.
+_SEED_BIN = 0.1
+_SEED_REACH = 0.3
+_PLANE_PASSES = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,84 +83,53 @@ class FeatureSetCloud:
     frame: np.ndarray
 
 
-def fit_ground_plane(cloud: PointCloud, seed: int, cfg: PipelineConfig):
-    """(plane, ground): the RANSAC plane of the whole cloud, normal
-    oriented towards +Z, and the bool mask of the points within
-    cfg.plane_inlier_band of it.
+def fit_ground_plane(cloud: PointCloud, cfg: PipelineConfig):
+    """(plane, ground): the ground plane, normal oriented towards +Z, and
+    the bool mask of the points within cfg.plane_inlier_band of it.
 
-    Scores cfg.plane_trials random point triples; the first triple with
-    the most inliers wins and is refined by least squares on its
-    consensus set.  A trial is dropped as soon as its inliers so far plus
-    the points it has not scored cannot beat the best count, so the
-    winner is exactly that of scoring every trial on every point.  Once a
-    plane holds cfg.plane_min_inlier_ratio of the cloud, later trials
-    score that plane's points beyond half the band first, where the
-    outliers of any near-ground plane lie, and are mostly dropped after a
-    few percent of the points.
+    Iterated least squares with no random draw (Zermas et al., ICRA
+    2017): the seed set is the points within _SEED_REACH of the centre of
+    the first fullest _SEED_BIN-high bin of z; each of _PLANE_PASSES
+    passes fits the plane of its set and hands the points in its band on.
     """
     pts = cloud.xyz
     n = len(pts)
     if n < 1000:
         raise NoGroundPlane(f"cloud too small ({n} points, need 1000)")
-    rng = np.random.default_rng(seed)
-    band = cfg.plane_inlier_band
-    best_count = 0  # a plane with no inlier, or none at all, never wins
-    best_normal = None
-    best_d = None
-    samples = rng.integers(0, n, size=(cfg.plane_trials, 3))
-    p0, p1, p2 = (pts[samples[:, k]] for k in range(3))
-    # every trial's plane at once, with the bits of a per-trial np.cross,
-    # np.linalg.norm and -normal @ p0; collinear triples are skipped
-    normals = np.cross(p1 - p0, p2 - p0)
-    nn = _row_norms(normals)
-    valid = ~(nn < 1e-9)
-    normals = normals[valid] / nn[valid, None]
-    ds = np.matmul(-normals[:, None, :], p0[valid][:, :, None])[:, 0, 0]
-    blocks = [pts]  # the cloud in scoring order
-    for normal, d in zip(normals, ds):
-        count = _count_above(blocks, normal, d, band, n, best_count)
-        if count is None:
-            continue
-        best_count, best_normal, best_d = count, normal, d
-        if len(blocks) == 1 and count >= cfg.plane_min_inlier_ratio * n:
-            far = np.abs(pts @ normal + d) > band / 2
-            near = pts.take(np.flatnonzero(~far), axis=0)
-            blocks = [pts.take(np.flatnonzero(far), axis=0)] + [
-                near[k:k + _PLANE_BLOCK] for k in range(0, len(near), _PLANE_BLOCK)
-            ]
-    if best_count < cfg.plane_min_inlier_ratio * n:
+    # np.compress keeps each pass's rows contiguous (xyz[:, mask] does not):
+    # a mean over strided columns is many times slower
+    xyz = np.ascontiguousarray(pts.T)
+    z, lo = xyz[2], xyz[2].min()
+    bins, counts = np.unique(np.floor((z - lo) / _SEED_BIN), return_counts=True)
+    inside = np.abs(z - (lo + (bins[np.argmax(counts)] + 0.5) * _SEED_BIN)) <= _SEED_REACH
+    for _ in range(_PLANE_PASSES):
+        plane = _lsq_plane(np.compress(inside, xyz, axis=1))
+        if plane is None:
+            raise NoGroundPlane(f"best plane has 0/{n} inliers (the points span no plane)")
+        inside = np.abs(plane.signed_distance(pts)) <= cfg.plane_inlier_band
+    count = np.count_nonzero(inside)
+    if count < cfg.plane_min_inlier_ratio * n:
         raise NoGroundPlane(
-            f"best plane has {best_count}/{n} inliers "
+            f"best plane has {count}/{n} inliers "
             f"(< {cfg.plane_min_inlier_ratio:.0%})"
         )
-    # least-squares refinement on the consensus set
-    inliers = np.abs(pts @ best_normal + best_d) <= band
-    sub = pts.take(np.flatnonzero(inliers), axis=0)
-    centroid = sub.mean(axis=0)
-    normal = right_singular_vectors(sub - centroid)[2]
-    if normal[2] < 0:
-        normal = -normal
-    plane = Plane3D(normal, -normal @ centroid)
-    ground = np.abs(plane.signed_distance(pts)) <= band
-    if ground.sum() < cfg.plane_min_inlier_ratio * n:
-        raise NoGroundPlane("refined plane lost its consensus")
-    return plane, ground
+    return plane, inside
 
 
-def _count_above(blocks, normal, d, band, n, best):
-    """Points of the blocks (n in all) within band of the plane, or None
-    as soon as that count cannot exceed best.  Each point's distance has
-    the bits of np.abs(pts @ normal + d): the matrix-vector product gives
-    a row the same bits in any block."""
-    count, left = 0, n
-    for block in blocks:
-        r = block @ normal
-        r += d
-        count += np.count_nonzero(np.abs(r, out=r) <= band)
-        left -= len(block)
-        if count + left <= best:
-            return None
-    return count
+def _lsq_plane(sub: np.ndarray):
+    """The least-squares plane of the points sub (3, m): through their
+    centroid, normal along the scatter's eigenvector of least eigenvalue,
+    oriented towards +Z.  None for fewer than 3 points or collinear ones,
+    which every plane through their line holds."""
+    if sub.shape[1] < 3:
+        return None
+    centroid = sub.mean(axis=1)
+    c = sub - centroid[:, None]
+    w, v = np.linalg.eigh(c @ c.T)
+    if not w[1] > 1e-9 * w[2]:
+        return None
+    normal = v[:, 0] if v[2, 0] >= 0 else -v[:, 0]
+    return Plane3D(normal, -normal @ centroid)
 
 
 def ransac_line3d(points: np.ndarray, seed: int, cfg: PipelineConfig) -> list[ScoredLine3D]:
@@ -418,7 +390,7 @@ def cluster_cells(cells: np.ndarray, nx: int) -> np.ndarray:
 
 def extract_cloud_features(cloud: PointCloud, seed: int, cfg: PipelineConfig) -> FeatureSetCloud:
     """Run the full point-cloud extraction chain."""
-    plane, ground = fit_ground_plane(cloud, seed, cfg)
+    plane, ground = fit_ground_plane(cloud, cfg)
     lane_pts = extract_lane_points(ground, cloud, seed + 1, cfg)
     lane_lines = ransac_line3d(lane_pts, seed + 2, cfg)
     if not lane_lines:

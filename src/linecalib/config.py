@@ -35,9 +35,8 @@ class RefinementConfig:
 class PipelineConfig(RefinementConfig):
     """Every pipeline threshold, plus the inherited refinement fields."""
 
-    seed: int = 0                      # cloud-extraction RANSAC and `sweep` perturbations
+    seed: int = 0                      # the lane and pole line fits and `sweep` perturbations
     # ground plane
-    plane_trials: int = 200            # RANSAC triples; each is dropped once it cannot win
     plane_inlier_band: float = 0.1     # meters, half of the 0.2 m thickness
     plane_min_inlier_ratio: float = 0.2
     # lane extraction; intensity threshold is adaptive: mu + sigma_scale * sigma
@@ -68,10 +67,9 @@ class PipelineConfig(RefinementConfig):
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if min(self.plane_trials, self.line_trials, self.hough_max_lines,
-               self.hough_min_support) < 1:
-            raise ValueError("plane_trials, line_trials, hough_max_lines and "
-                             "hough_min_support must be at least 1")
+        if min(self.line_trials, self.hough_max_lines, self.hough_min_support) < 1:
+            raise ValueError("line_trials, hough_max_lines and hough_min_support "
+                             "must be at least 1")
         if min(self.line_min_inliers, self.min_feature_points) < 2:
             # a line, and a point set to fit one to, takes two points
             raise ValueError("line_min_inliers and min_feature_points must be at least 2")

@@ -44,7 +44,7 @@ def right_singular_vectors(x: np.ndarray) -> np.ndarray:
 
     From m >= 2n rows on, LAPACK's gesdd first reduces x to the R factor
     of its QR decomposition and takes the SVD of R; doing that here skips
-    forming the (m, n) U that the line and plane fits never read.
+    forming the (m, n) U that the line fits never read.
     """
     if x.shape[0] >= 2 * x.shape[1]:
         x = np.linalg.qr(x, mode="r")

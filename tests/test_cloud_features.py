@@ -17,7 +17,6 @@ from linecalib.cloud_features import (
     ScoredLine3D,
     _best_hypothesis,
     _canonical_lines,
-    _count_above,
     _fit_line_lsq,
     _row_norms,
     cluster_cells,
@@ -31,7 +30,7 @@ from linecalib.cloud_features import (
 from linecalib.config import PipelineConfig
 from linecalib.errors import DegenerateFrame, NoGroundPlane
 from linecalib.geometry import Line3D, Plane3D, angle_axis_to_matrix
-from linecalib.synth import canonical_spec, generate, random_spec
+from linecalib.synth import canonical_spec, generate, ground_plane_lidar, random_spec
 from test_coarse import FIVE_LANES
 
 MANY = settings(max_examples=1000, deadline=None)
@@ -61,8 +60,8 @@ def test_pointcloud_validation():
 def test_ground_plane_partition_and_determinism():
     rng = np.random.default_rng(5)
     cloud = flat_cloud(rng)
-    plane1, ground1 = fit_ground_plane(cloud, 3, CFG)
-    plane2, ground2 = fit_ground_plane(cloud, 3, CFG)
+    plane1, ground1 = fit_ground_plane(cloud, CFG)
+    plane2, ground2 = fit_ground_plane(cloud, CFG)
     assert np.array_equal(plane1.normal, plane2.normal) and plane1.d == plane2.d
     assert np.array_equal(ground1, ground2)
     # exact partition: one ground-or-object flag per point
@@ -76,8 +75,8 @@ def test_ground_plane_inliers_monotone_in_band():
     cloud = flat_cloud(rng)
     cfg_narrow = PipelineConfig(plane_inlier_band=0.05)
     cfg_wide = PipelineConfig(plane_inlier_band=0.2)
-    n_narrow = np.count_nonzero(fit_ground_plane(cloud, 0, cfg_narrow)[1])
-    n_wide = np.count_nonzero(fit_ground_plane(cloud, 0, cfg_wide)[1])
+    n_narrow = np.count_nonzero(fit_ground_plane(cloud, cfg_narrow)[1])
+    n_wide = np.count_nonzero(fit_ground_plane(cloud, cfg_wide)[1])
     assert n_wide >= n_narrow
 
 
@@ -85,46 +84,38 @@ def test_ground_plane_needs_enough_points():
     rng = np.random.default_rng(7)
     cloud = flat_cloud(rng, n=500)
     with pytest.raises(NoGroundPlane):
-        fit_ground_plane(cloud, 0, CFG)
+        fit_ground_plane(cloud, CFG)
 
 
-def _plane_trials_full_loop(cloud, seed, cfg):
-    """Every trial of the RANSAC that fit_ground_plane prunes, each scored
-    on every point: (inlier count, normal, d) per drawn triple, None for
-    a collinear one."""
-    pts = cloud.xyz
-    rng = np.random.default_rng(seed)
-    out = []
-    for tri in rng.integers(0, len(pts), size=(cfg.plane_trials, 3)):
-        p0, p1, p2 = pts[tri]
-        normal = np.cross(p1 - p0, p2 - p0)
-        nn = np.linalg.norm(normal)
-        if nn < 1e-9:
-            out.append(None)
-            continue
-        normal /= nn
-        d = -normal @ p0
-        out.append((int((np.abs(pts @ normal + d) <= cfg.plane_inlier_band).sum()), normal, d))
-    return out
-
-
-def _reference_ground_plane(cloud, trials, cfg):
-    """The full fit on the given trials: the first with the most inliers,
-    the inlier-ratio gate, then the least-squares refit."""
+def _reference_ground_plane(cloud, cfg):
+    """The ground fit written out pass by pass: the seed set is the points
+    within 0.3 m of the centre of the first fullest 0.1 m bin of z, found
+    by a loop over the bins; then three least-squares fits (the centroid,
+    the scatter's eigenvector of least eigenvalue, turned towards +Z), each
+    on the band of the fit before; then the inlier-ratio gate."""
     pts, n, band = cloud.xyz, len(cloud), cfg.plane_inlier_band
-    scored = [t for t in trials if t is not None]
-    if not scored:
-        raise NoGroundPlane("no valid trial")
-    count, normal, d = max(scored, key=lambda t: t[0])  # max keeps the first
-    if count < cfg.plane_min_inlier_ratio * n:
-        raise NoGroundPlane(f"best plane has {count}/{n} inliers")
-    sub = pts[np.abs(pts @ normal + d) <= band]
-    centroid = sub.mean(axis=0)
-    normal = np.linalg.svd(sub - centroid, full_matrices=False)[2][2]
-    if normal[2] < 0:
-        normal = -normal
-    plane = Plane3D(normal, -normal @ centroid)
-    return plane, np.abs(plane.signed_distance(pts)) <= band
+    z = pts[:, 2]
+    lo = float(z.min())
+    index = [math.floor((h - lo) / 0.1) for h in z.tolist()]
+    fullest, most = 0, 0
+    for k in range(max(index) + 1):
+        count = index.count(k)
+        if count > most:
+            fullest, most = k, count
+    sub = pts[np.abs(z - (lo + (fullest + 0.5) * 0.1)) <= 0.3]
+    for _ in range(3):
+        x = np.ascontiguousarray(sub.T)
+        centroid = x.mean(axis=1)
+        c = x - centroid[:, None]
+        normal = np.linalg.eigh(c @ c.T)[1][:, 0]
+        if normal[2] < 0:
+            normal = -normal
+        plane = Plane3D(normal, -normal @ centroid)
+        ground = np.abs(plane.signed_distance(pts)) <= band
+        sub = pts[ground]
+    if ground.sum() < cfg.plane_min_inlier_ratio * n:
+        raise NoGroundPlane(f"best plane has {ground.sum()}/{n} inliers")
+    return plane, ground
 
 
 def assert_same_segmentation(got, ref):
@@ -145,124 +136,90 @@ def _road_like_cloud(rng, n_ground=4000, n_objects=300, tilt=0.0):
     return PointCloud(xyz, np.zeros(len(xyz)))
 
 
-@pytest.mark.parametrize("cloud_seed, seed, tilt", [(0, 0, 0.0), (3, 2, 0.05), (5, 0, 0.0)])
-def test_ground_plane_matches_every_trial_on_every_point(cloud_seed, seed, tilt, monkeypatch):
-    """Pruned trials or not, the fit is the full loop's best of all its
-    trials, bit for bit: on a plane alone and with objects on it, where
-    most trials are dropped before they have scored every block."""
-    dropped = []
+def _angle_deg(a, b):
+    return math.degrees(math.acos(min(1.0, abs(float(a @ b)))))
 
-    def counting(blocks, *args):
-        scored = []
 
-        def each():
-            for block in blocks:
-                scored.append(block)
-                yield block
-
-        got = _count_above(each(), *args)
-        dropped.append(len(scored) < len(blocks))
-        return got
-
-    monkeypatch.setattr(cloud_features, "_count_above", counting)
+@pytest.mark.parametrize("cloud_seed, tilt", [(0, 0.0), (3, 0.05), (5, 0.0)])
+def test_ground_plane_matches_the_per_pass_reference(cloud_seed, tilt):
+    """The fit is the per-pass reference's, bit for bit: on a plane alone
+    and with objects standing on it."""
     rng = np.random.default_rng(cloud_seed)
     for cloud in (flat_cloud(rng, tilt=tilt), _road_like_cloud(rng, tilt=tilt)):
-        dropped.clear()
-        got = fit_ground_plane(cloud, seed, CFG)
-        trials = _plane_trials_full_loop(cloud, seed, CFG)
-        assert_same_segmentation(got, _reference_ground_plane(cloud, trials, CFG))
-        assert len(dropped) == sum(t is not None for t in trials)
-        assert sum(dropped) > len(dropped) // 2
+        got = fit_ground_plane(cloud, CFG)
+        assert_same_segmentation(got, _reference_ground_plane(cloud, CFG))
+        assert _angle_deg(got[0].normal, [-math.sin(tilt), 0.0, math.cos(tilt)]) < 0.2
 
 
 def test_ground_plane_on_a_weak_plane():
-    """About 30% plane points in uniform scatter: all 200 trials still
-    decide, bit for bit."""
+    """About 30% plane points in uniform scatter that reaches 10 m below
+    the plane: the densest height bin still seeds the plane, bit for bit
+    the reference's."""
     rng = np.random.default_rng(11)
     plane = flat_cloud(rng, n=900)
     scatter = rng.uniform((2, -10, -11.7), (40, 10, 8.3), (2100, 3))
     cloud = PointCloud(np.concatenate([plane.xyz, scatter]), np.zeros(3000))
-    trials = _plane_trials_full_loop(cloud, 4, CFG)
-    best = max(t[0] for t in trials if t is not None) / len(cloud)
-    assert 0.25 < best < 0.32
-    got = fit_ground_plane(cloud, 4, CFG)
-    assert_same_segmentation(got, _reference_ground_plane(cloud, trials, CFG))
-
-
-def test_ground_plane_single_trial():
-    """plane_trials=1: the plane of the one drawn trial."""
-    cfg = PipelineConfig(plane_trials=1)
-    cloud = flat_cloud(np.random.default_rng(3))
-    for seed in range(5):
-        trials = _plane_trials_full_loop(cloud, seed, cfg)
-        assert len(trials) == 1 and trials[0] is not None
-        assert_same_segmentation(
-            fit_ground_plane(cloud, seed, cfg), _reference_ground_plane(cloud, trials, cfg)
-        )
+    got = fit_ground_plane(cloud, CFG)
+    assert 0.25 < got[1].sum() / len(cloud) < 0.32
+    assert_same_segmentation(got, _reference_ground_plane(cloud, CFG))
 
 
 def test_ground_plane_on_an_all_inlier_cloud():
-    """Every point within the band of every trial plane: no later trial
-    beats the first, which wins."""
+    """Every point within the band of the plane: all of them are ground."""
     rng = np.random.default_rng(8)
     xyz = np.column_stack([rng.uniform(2, 40, 2000), rng.uniform(-10, 10, 2000),
                            np.full(2000, -1.7)])
     cloud = PointCloud(xyz, np.zeros(2000))
-    trials = _plane_trials_full_loop(cloud, 0, CFG)
-    assert trials[0][0] == len(cloud)
-    got = fit_ground_plane(cloud, 0, CFG)
-    assert_same_segmentation(got, _reference_ground_plane(cloud, trials[:1], CFG))
+    got = fit_ground_plane(cloud, CFG)
+    assert_same_segmentation(got, _reference_ground_plane(cloud, CFG))
     assert got[1].all()
 
 
-def test_count_above_is_the_full_count_or_none():
-    """However the cloud is split into blocks, _count_above returns the
-    plane's inlier count when it exceeds best, and None otherwise."""
-    rng = np.random.default_rng(14)
-    for _ in range(300):
-        pts = _road_like_cloud(rng, n_ground=int(rng.integers(50, 800)),
-                               n_objects=int(rng.integers(0, 200))).xyz
-        normal = rng.normal([0, 0, 1], 0.05)
-        normal /= np.linalg.norm(normal)
-        d = float(rng.normal(1.7, 0.05))
-        band = float(rng.uniform(0.02, 0.3))
-        full = int((np.abs(pts @ normal + d) <= band).sum())
-        order = rng.permutation(len(pts))
-        cuts = np.sort(rng.integers(0, len(pts) + 1, int(rng.integers(0, 6))))
-        blocks = np.split(pts[order], cuts)
-        best = int(rng.integers(-1, len(pts) + 1))
-        got = _count_above(blocks, normal, d, band, len(pts), best)
-        assert got == (full if full > best else None)
+@pytest.mark.parametrize("overrides", [
+    {}, {"ground_tilt_deg": 10.0}, {"ground_tilt_deg": 20.0}, {"rings": 32},
+])
+def test_ground_plane_is_the_true_plane(overrides):
+    """Within 0.01 deg of the scene's true ground plane, tilted or sparse."""
+    spec = canonical_spec(0, **overrides)
+    plane, ground = fit_ground_plane(generate(spec)[0], CFG)
+    assert _angle_deg(plane.normal, ground_plane_lidar(spec).normal) < 0.01
 
 
-def test_plane_distances_have_the_same_bits_in_any_block():
-    """The bit-exactness _count_above relies on: a row of a
-    matrix-vector product has the same bits in any block of rows."""
-    rng = np.random.default_rng(15)
-    pts = rng.normal(0, 10.0 ** rng.uniform(-2, 2, (20000, 1)), (20000, 3))
-    for _ in range(50):
-        v = rng.normal(size=3)
-        full = pts @ v + 1.7
-        rows = np.sort(rng.choice(len(pts), int(rng.integers(1, 5000)), replace=False))
-        a = int(rng.integers(0, len(pts)))
-        b = int(rng.integers(a, len(pts) + 1))
-        assert np.array_equal(pts[rows] @ v + 1.7, full[rows])
-        assert np.array_equal(pts[a:b] @ v + 1.7, full[a:b])
+def test_ground_plane_ignores_a_ditch_below_the_road():
+    """1,500 points 0.5-3 m below the road, where the lowest points lie:
+    the height-bin seed still finds the road."""
+    rng = np.random.default_rng(16)
+    road = _road_like_cloud(rng).xyz
+    ditch = rng.uniform((2, -10, -4.7), (40, 10, -2.2), (1500, 3))
+    cloud = PointCloud(np.concatenate([road, ditch]), np.zeros(len(road) + 1500))
+    plane, ground = fit_ground_plane(cloud, CFG)
+    assert _angle_deg(plane.normal, [0.0, 0.0, 1.0]) < 0.01
+    assert not ground[len(road):].any()
 
 
 def test_ground_plane_rejects_a_cloud_without_a_dominant_plane():
     rng = np.random.default_rng(12)
     cloud = PointCloud(rng.uniform(-10, 10, (3000, 3)), np.zeros(3000))
     with pytest.raises(NoGroundPlane, match="inliers"):
-        fit_ground_plane(cloud, 0, CFG)
+        fit_ground_plane(cloud, CFG)
+
+
+def test_ground_plane_between_two_layers():
+    """Two equal layers 0.25 m apart both fall in the seed set; their
+    least-squares plane lies midway, farther than the band from every
+    point, so the next pass has no point to fit."""
+    xy = np.random.default_rng(17).uniform((2, -10), (40, 10), (1000, 2))
+    xyz = np.concatenate([np.column_stack([xy, np.full(1000, z)]) for z in (0.0, 0.25)])
+    with pytest.raises(NoGroundPlane, match=r"best plane has 0/2000 inliers"):
+        fit_ground_plane(PointCloud(xyz, np.zeros(2000)), CFG)
 
 
 def test_ground_plane_on_collinear_points_reports_no_inlier():
-    """No triple of a line's points spans a plane: the fit finds none,
-    and says 0 inliers, not a count of -1."""
+    """A line's points span no plane, and every plane through the line
+    holds them all: the fit finds none, and says 0 inliers."""
     xyz = np.outer(np.arange(2000.0), [1.0, 0.5, 0.0])
     with pytest.raises(NoGroundPlane, match=r"best plane has 0/2000 inliers"):
-        fit_ground_plane(PointCloud(xyz, np.zeros(2000)), 0, CFG)
+        fit_ground_plane(PointCloud(xyz, np.zeros(2000)), CFG)
 
 
 @MANY
@@ -480,7 +437,7 @@ def test_ransac_matches_oracle_on_bright_ground_points(canonical_frame):
               (generate(canonical_spec(0, rings=32))[0], 600, 45.0),
               (generate(random_spec(0))[0], 2000, 70.0)]
     for cloud, min_points, min_x in scenes:
-        ground = fit_ground_plane(cloud, cfg.seed, cfg)[1]
+        ground = fit_ground_plane(cloud, cfg)[1]
         inten = cloud.intensity[ground]
         pts = cloud.xyz[ground][inten > inten.mean() + cfg.intensity_sigma_scale * inten.std()]
         assert len(pts) > min_points and pts[:, 0].max() > min_x
@@ -536,7 +493,7 @@ def test_line_filters_match_per_line_distance_loop(canonical_frame, canonical_fe
     def nearest(pts, lines):
         return np.min(np.stack([s.line.distance(pts) for s in lines]), axis=0)
 
-    ground = fit_ground_plane(cloud, cfg.seed, cfg)[1]
+    ground = fit_ground_plane(cloud, cfg)[1]
     inten = cloud.intensity[ground]
     bright = cloud.xyz[ground][inten > inten.mean() + cfg.intensity_sigma_scale * inten.std()]
     near = nearest(bright, ransac_line3d(bright, cfg.seed + 1, cfg)) < cfg.lane_dist_max
@@ -588,7 +545,7 @@ def _rows_of(a, b):
 def test_extraction_subsets_and_determinism(canonical_frame):
     spec, cloud, lane_mask, pole_mask, gt = canonical_frame
     cfg = PipelineConfig()
-    plane, ground = fit_ground_plane(cloud, 0, cfg)
+    plane, ground = fit_ground_plane(cloud, cfg)
     lane_pts = extract_lane_points(ground, cloud, 1, cfg)
     assert len(lane_pts) and _rows_of(lane_pts, cloud.xyz[ground])
     lines = ransac_line3d(lane_pts, 2, cfg)
@@ -609,7 +566,7 @@ def test_pole_grid_memory_follows_the_points(canonical_frame, canonical_features
     _, cloud, _, _, _ = canonical_frame
     _, cf, _, _ = canonical_features
     cfg = PipelineConfig(grid_cell=0.02)
-    ground = fit_ground_plane(cloud, 0, cfg)[1]
+    ground = fit_ground_plane(cloud, cfg)[1]
     tracemalloc.start()
     try:
         pole_pts, labels = extract_pole_points(ground, cloud, cf.frame, cfg)

@@ -55,17 +55,20 @@ def _oracle_coarse(cf, lines, ev):
 
 
 @pytest.mark.parametrize(
-    "spec, dilate",
-    [(canonical_spec(i), False) for i in range(4)]
-    + [(canonical_spec(i, lane_offsets=FIVE_LANES, lane_dashed=(False,) * 5), False)
-       for i in range(2)]
-    + [(canonical_spec(0), True), (random_spec(11), False)],
+    "spec, dilate, pinned",
+    [(canonical_spec(i), False, n) for i, n in enumerate((253, 424, 142, 258))]
+    + [(canonical_spec(i, lane_offsets=FIVE_LANES, lane_dashed=(False,) * 5), False, n)
+       for i, n in enumerate((1222, 938))]
+    + [(canonical_spec(0), True, 252), (random_spec(11), False, 382)],
     ids=[f"canonical{i}" for i in range(4)] + [f"five_lane{i}" for i in range(2)]
     + ["canonical0_dilated", "random11"],
 )
-def test_coarse_matches_per_triple_oracle(spec, dilate):
+def test_coarse_matches_per_triple_oracle(spec, dilate, pinned):
     """The pruned coarse stage picks the oracle's candidate, bit for bit;
-    the last two frames are those of the two tests below."""
+    the last two frames are those of the two tests below.  Each frame's
+    candidate count is pinned: the lane RANSAC draws again when the
+    ground mask moves by one point, which can change it (one point took
+    canonical 2 from 319 candidates to 142)."""
     cfg = PipelineConfig()
     cloud, lane_mask, pole_mask, _ = generate(spec)
     if dilate:
@@ -75,7 +78,7 @@ def test_coarse_matches_per_triple_oracle(spec, dilate):
     want, want_cost, want_n = _oracle_coarse(cf, lines, ev)
     report = CalibrationReport()
     got = coarse_calibrate(cf, lines, ev, report)
-    assert report.candidates == want_n > 200
+    assert report.candidates == want_n == pinned
     assert (report.lane_lines_image, report.pole_lines_image) == tuple(map(len, lines))
     assert report.coarse_cost == want_cost
     assert got.r.tobytes() == want.r.tobytes()

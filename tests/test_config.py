@@ -41,13 +41,23 @@ def test_load_config_rejects_unknown_key(tmp_path):
             load_config(p)
 
 
+def test_load_config_refuses_the_retired_plane_trials(tmp_path):
+    """The ground plane draws no trials: a config that still sets their
+    count is refused by name, whatever the value."""
+    p = tmp_path / "cfg.txt"
+    for text in ("plane_trials = 200\n", "plane_trials = 0\n"):
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=r"unknown keys \['plane_trials'\]"):
+            load_config(p)
+
+
 def test_load_config_rejects_bad_value(tmp_path):
     p = tmp_path / "cfg.txt"
     for text in (
         "gamma0 = fast\n", "grid_x_max = inf\n", "max_samples = 1e3\n",
         "seed = -1\n", "grid_cell = 0\n", "grid_cell = -0.5\n",
         "grid_x_min = 100\n", "grid_y_max = -20\n",
-        "plane_trials = 0\n", "line_trials = 0\n", "hough_max_lines = 0\n",
+        "line_trials = 0\n", "hough_max_lines = 0\n",
         # a line takes two points: below that a stage crashed with a bare ValueError
         "line_min_inliers = 1\n", "min_feature_points = 0\n", "min_feature_points = 1\n",
         "plane_inlier_band = 0\n", "line_inlier_tol = -0.1\n",

@@ -507,12 +507,12 @@ def test_array_dataclasses_compare_by_identity(name):
 
 
 # ---------------------------------------------------------------------------
-# principal axes for the line and plane fits
+# principal axes for the line fits
 
 
 def _centered_cloud(rng, m, n):
     """m centered rows of an elongated n-D cloud away from the origin,
-    like the point sets the line and plane fits hand over."""
+    like the point sets the line fits hand over."""
     x = rng.normal(size=(m, n)) * rng.uniform(0.01, 30.0, size=n) + rng.normal(size=n) * 20.0
     return x - x.mean(axis=0)
 
