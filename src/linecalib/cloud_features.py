@@ -42,8 +42,9 @@ class PointCloud:
     intensity: np.ndarray  # (N,) reflectance >= 0
 
     def __post_init__(self):
-        xyz = np.ascontiguousarray(np.asarray(self.xyz, dtype=float).reshape(-1, 3))
-        inten = np.asarray(self.intensity, dtype=float).reshape(-1)
+        # copies of its own: a view would move with, and pin, the caller's array
+        xyz = np.array(self.xyz, dtype=float, order="C").reshape(-1, 3)
+        inten = np.array(self.intensity, dtype=float, order="C").reshape(-1)
         if len(xyz) != len(inten):
             raise ValueError("xyz / intensity length mismatch")
         if not (np.isfinite(xyz).all() and np.isfinite(inten).all()):

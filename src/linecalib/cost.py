@@ -1,10 +1,11 @@
 """Semantic line-alignment cost.
 
-The cost is a sum of terms, one per semantic class: the mean value of
-the class's LiDAR points, projected through the candidate extrinsic, on
-the class height map.  A point behind the camera or outside the image is
-a 0 in its term's one sum over all its points, in every kernel here, so
-each term is bounded by 1 and the cost by 2.
+The cost is a sum of terms, any number of (points, height map) pairs:
+the mean value of the term's LiDAR points, projected through the
+candidate extrinsic, on its height map; no kernel here names a class.  A
+point behind the camera or outside the image is a 0 in its term's one
+sum over all its points, in every kernel here, so no term exceeds the
+higher of 0 and its map's highest value.
 
 cost_batch scores many translations of one rotation at once;
 best_in_batch finds the best of them, scoring in full only those that an
@@ -36,43 +37,41 @@ _BLOCK = 16384
 
 @dataclass(frozen=True, eq=False)
 class CostEvaluator:
-    lane_points: np.ndarray   # (N, 3) LiDAR frame
-    pole_points: np.ndarray   # (M, 3)
-    lane_height: HeightMap
-    pole_height: HeightMap
+    """The cost of terms ((points (n, 3) LiDAR frame, HeightMap), ...), added
+    in that order.  It keeps every term's points as one read-only array,
+    points, and each term as (rows of points, HeightMap)."""
+
+    terms: tuple = field(repr=False)
     intrinsics: Intrinsics
-    # (N + M, 3): the lane points, then the pole points; lane_points and
-    # pole_points are read-only views into it
     points: np.ndarray = field(init=False, repr=False)
-    # the cost's terms, (rows of points, height map) each: lane, then pole
-    terms: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        lp = np.asarray(self.lane_points, dtype=float).reshape(-1, 3)
-        pp = np.asarray(self.pole_points, dtype=float).reshape(-1, 3)
-        if len(lp) == 0 or len(pp) == 0:
+        sets = [np.asarray(pts, dtype=float).reshape(-1, 3) for pts, _ in self.terms]
+        if not sets or min(map(len, sets)) == 0:
             raise ValueError("cost evaluator needs non-empty point sets")
         k = self.intrinsics
-        for cls, hmap in (("lane", self.lane_height), ("pole", self.pole_height)):
+        for i, (_, hmap) in enumerate(self.terms):
             if hmap.values.shape != (k.height, k.width):
-                raise DimensionMismatch(
-                    f"{cls} height map has shape {hmap.values.shape}, "
-                    f"intrinsics need {(k.height, k.width)}"
-                )
-        points = np.concatenate([lp, pp])
+                raise DimensionMismatch(f"term {i} height map has shape {hmap.values.shape}, "
+                                        f"intrinsics need {(k.height, k.width)}")
+        points = np.concatenate(sets)
         points.setflags(write=False)
+        edges = np.cumsum([0] + [len(p) for p in sets]).tolist()
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "lane_points", points[:len(lp)])
-        object.__setattr__(self, "pole_points", points[len(lp):])
-        object.__setattr__(self, "terms", ((slice(0, len(lp)), self.lane_height),
-                                           (slice(len(lp), len(points)), self.pole_height)))
+        object.__setattr__(self, "terms", tuple((slice(a, b), hmap) for a, b, (_, hmap)
+                                                in zip(edges, edges[1:], self.terms)))
+
+    # the first and second terms' rows, which perfbench/tracer.py counts as
+    # an evaluator's points (until ROADMAP item 17)
+    lane_points = property(lambda self: self.points[self.terms[0][0]])
+    pole_points = property(lambda self: self.points[self.terms[1][0]])
 
     def __call__(self, e: Extrinsic) -> float:
         return cost(e, self)
 
 
 def _rotated(R, ev: CostEvaluator) -> np.ndarray:
-    """q = R @ ev.points.T, (3, N + M), one product per term: numpy
+    """q = R @ ev.points.T, (3, n), one product per term: numpy
     multiplies a one-point term by another BLAS routine (gemv), whose bits
     differ from that point's column of a larger product."""
     R = np.asarray(R, dtype=float).reshape(3, 3)
@@ -164,10 +163,10 @@ def cost_batch(R, t, ev: CostEvaluator) -> np.ndarray:
 # best_in_batch bounds every score from nested prefixes of each term's
 # points before it scores any pose in full.  The prefixes follow a strided
 # order, so each one samples the whole extracted point set.  Each stage
-# gives one fraction per term: the first for the term with fewer points,
-# which it reads first.  The cost adds the terms' means, so each of that
-# term's points weighs more, and a wrong pose puts most pole points off
-# the thin pole mask.
+# gives one fraction per term of the coarse stage's two: the first for the
+# term with fewer points, which it reads first.  The cost adds the terms'
+# means, so each of its points weighs more; on the frames measured that
+# is the thinner mask's term, off which a wrong pose puts most points.
 _STAGE_FRACTIONS = ((0.25, 0.0), (0.5, 0.0), (1.0, 0.125), (1.0, 0.5))
 _STRIDE_ORDER = (0, 4, 2, 6, 1, 5, 3, 7)
 # poses scored in full after the first stage, to raise the floor
@@ -220,7 +219,8 @@ def best_in_batch(R, t, ev: CostEvaluator, floor: float):
     cost_batch(R, t, ev) score is the highest, and that score, if it is
     above floor; else (None, floor, scored).  scored counts the rows
     scored in full, each once: the floor picks keep their scores, and the
-    last cost_batch call gets only the live rows not yet scored.
+    last cost_batch call gets only the live rows not yet scored.  ev has
+    two terms: _STAGE_FRACTIONS is the coarse stage's two-term schedule.
 
     The result is bit-identical to scoring every row: a row's score has
     the same bits in any batch, and a row is dropped only when its bound
@@ -264,12 +264,12 @@ class ValuePass(NamedTuple):
 
     value: float
     ev: CostEvaluator
-    q: np.ndarray          # (3, N + M) R @ pts.T
-    p_c: np.ndarray        # (3, N + M) camera-frame points
+    q: np.ndarray          # (3, n) R @ ev.points.T
+    p_c: np.ndarray        # (3, n) camera-frame points
     valid: np.ndarray      # in front of the camera
     ok: np.ndarray         # in frame
     cell: tuple            # (fu, fv, gu, gv) offsets into each point's cell
-    corners: np.ndarray    # (4, N + M) the cell corners of each point's map
+    corners: np.ndarray    # (4, n) the cell corners of each point's map
 
 
 def value_pass(e: Extrinsic, ev: CostEvaluator) -> ValuePass:

@@ -66,12 +66,8 @@ def aggregate(errors: list[CalibrationError]) -> CalibrationError:
     """Per-field arithmetic means (the MAE row)."""
     if not errors:
         raise EmptyList("no errors to aggregate")
-    return CalibrationError(
-        **{
-            f.name: float(np.mean([getattr(e, f.name) for e in errors]))
-            for f in fields(CalibrationError)
-        }
-    )
+    return CalibrationError(*(float(np.mean([getattr(e, name) for e in errors]))
+                              for name in CSV_HEADER))
 
 
 def perturbation_magnitude(dt: float, dtheta: float, max_t: float, max_theta: float) -> float:

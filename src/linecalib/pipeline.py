@@ -57,10 +57,11 @@ def build_evaluator(
     heights: tuple[HeightMap, HeightMap],
     intrinsics: Intrinsics,
 ) -> CostEvaluator:
-    """The cost of the cloud's point sets on the (lane, pole) height maps."""
+    """The cost of the cloud's point sets on the (lane, pole) height maps,
+    the lane term first: the one place that builds an evaluator."""
     lane_height, pole_height = heights
-    return CostEvaluator(cloud_features.lane_points, cloud_features.pole_points,
-                         lane_height, pole_height, intrinsics)
+    return CostEvaluator(((cloud_features.lane_points, lane_height),
+                          (cloud_features.pole_points, pole_height)), intrinsics)
 
 
 def coarse_calibrate(

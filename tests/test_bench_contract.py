@@ -128,15 +128,17 @@ def test_the_sweep_setup_builds_the_evaluator_of_extract_features(canonical_fram
     imf = image_features.extract_image_features(lane, pole, cfg)
     got = pipeline.build_evaluator(cf, imf, spec.intrinsics)
     assert np.array_equal(got.points, ev.points)
-    assert np.array_equal(got.lane_height.values, ev.lane_height.values)
-    assert np.array_equal(got.pole_height.values, ev.pole_height.values)
+    assert len(got.terms) == len(ev.terms)
+    for (got_rows, got_map), (rows, hmap) in zip(got.terms, ev.terms):
+        assert got_rows == rows
+        assert np.array_equal(got_map.values, hmap.values)
 
 
 def test_the_tracer_finds_the_report_as_fourth_argument():
     assert list(inspect.signature(pipeline.coarse_calibrate).parameters)[3] == "report"
 
 
-def test_results_carry_the_fields_the_checks_read():
+def test_results_carry_the_fields_the_checks_read(canonical_evaluator):
     cfg = config.PipelineConfig()
     assert isinstance(cfg.seed, int)
     assert isinstance(cfg.refinement(), config.RefinementConfig)
@@ -150,8 +152,12 @@ def test_results_carry_the_fields_the_checks_read():
     assert e.matrix().shape == (3, 3) and e.r.shape == e.t.shape == (3,)
     cloud_fields = {f.name for f in dataclasses.fields(cloud_features.FeatureSetCloud)}
     assert {"lane_lines", "pole_lines", "lane_points", "pole_points"} <= cloud_fields
-    ev_fields = {f.name for f in dataclasses.fields(cost.CostEvaluator)}
-    assert {"lane_points", "pole_points"} <= ev_fields
+    # the tracer counts an evaluator's points as
+    # len(ev.lane_points) + len(ev.pole_points)
+    ev, _ = canonical_evaluator
+    for view in (ev.lane_points, ev.pole_points):
+        assert view.base is ev.points and not view.flags.writeable
+    assert len(ev.lane_points) + len(ev.pole_points) == len(ev.points)
 
 
 def test_the_cli_accepts_the_benchmark_argv():

@@ -127,7 +127,7 @@ def test_no_candidate_above_zero_is_a_coarse_error(canonical_features, canonical
     spec, cf, _, _ = canonical_features
     k = spec.intrinsics
     zero = HeightMap(np.zeros((k.height, k.width)))
-    ev = CostEvaluator(cf.lane_points, cf.pole_points, zero, zero, k)
+    ev = CostEvaluator(((cf.lane_points, zero), (cf.pole_points, zero)), k)
     report = CalibrationReport()
     with pytest.raises(NoValidCandidate) as info:
         coarse_calibrate(cf, canonical_lines, ev, report)

@@ -33,12 +33,24 @@ MANY = settings(max_examples=1000, deadline=None)
 K = Intrinsics(fx=500.0, fy=500.0, cx=64.0, cy=48.0, width=128, height=96)
 
 
-def small_evaluator(rng):
-    lane = rng.uniform([-2, -2, 4], [2, 2, 30], size=(int(rng.integers(2, 40)), 3))
-    pole = rng.uniform([-2, -2, 4], [2, 2, 30], size=(int(rng.integers(2, 40)), 3))
-    lane_h = HeightMap(rng.random((96, 128)))
-    pole_h = HeightMap(rng.random((96, 128)))
-    return CostEvaluator(lane, pole, lane_h, pole_h, K)
+def small_evaluator(rng, n_terms=2):
+    """n_terms terms of 2 to 39 points in front of the camera, on random maps."""
+    sets = [rng.uniform([-2, -2, 4], [2, 2, 30], size=(int(rng.integers(2, 40)), 3))
+            for _ in range(n_terms)]
+    maps = [HeightMap(rng.random((96, 128))) for _ in range(n_terms)]
+    return CostEvaluator(tuple(zip(sets, maps)), K)
+
+
+def term_points(ev):
+    """Each term's points, in term order."""
+    return [ev.points[rows] for rows, _ in ev.terms]
+
+
+def with_points(ev, sets):
+    """An evaluator of ev's maps and intrinsics over the point sets sets,
+    one for each of ev's terms."""
+    return CostEvaluator(tuple((pts, hmap) for pts, (_, hmap) in zip(sets, ev.terms)),
+                         ev.intrinsics)
 
 
 @MANY
@@ -57,15 +69,7 @@ def test_cost_permutation_invariant(seed):
     rng = np.random.default_rng(seed)
     ev = small_evaluator(rng)
     e = Extrinsic(rng.normal(size=3) * 0.2, rng.normal(size=3) * 0.5)
-    perm_lane = rng.permutation(len(ev.lane_points))
-    perm_pole = rng.permutation(len(ev.pole_points))
-    ev2 = CostEvaluator(
-        ev.lane_points[perm_lane],
-        ev.pole_points[perm_pole],
-        ev.lane_height,
-        ev.pole_height,
-        K,
-    )
+    ev2 = with_points(ev, [pts[rng.permutation(len(pts))] for pts in term_points(ev)])
     assert abs(cost(e, ev) - cost(e, ev2)) < 1e-12
 
 
@@ -81,7 +85,7 @@ def test_out_of_frame_contributes_zero():
     lane = np.array([[0.0, 0.0, 10.0]])
     pole = np.array([[0.0, 0.0, 10.0]])
     hm = HeightMap(np.ones((96, 128)))
-    ev = CostEvaluator(lane, pole, hm, hm, K)
+    ev = CostEvaluator(((lane, hm), (pole, hm)), K)
     # push the projection far off the left edge
     e = Extrinsic(np.zeros(3), np.array([-50.0, 0.0, 0.0]))
     assert cost(e, ev) == 0.0
@@ -90,27 +94,32 @@ def test_out_of_frame_contributes_zero():
 def test_empty_point_sets_rejected():
     hm = HeightMap(np.ones((4, 4)))
     with pytest.raises(ValueError):
-        CostEvaluator(np.zeros((0, 3)), np.ones((1, 3)), hm, hm, K)
+        CostEvaluator(((np.zeros((0, 3)), hm), (np.ones((1, 3)), hm)), K)
 
 
 @pytest.mark.parametrize("cls", ["lane", "pole"])
 @pytest.mark.parametrize("shape", [(128, 96), (375, 1242)])
 def test_height_map_of_another_frame_rejected(cls, shape):
     """A map must cover the intrinsics' (height, width) pixel grid; a
-    transposed or foreign one would be scored against the wrong pixels."""
+    transposed or foreign one would be scored against the wrong pixels.
+    The error names the term by its index: the lane term is 0, the pole
+    term 1, as build_evaluator orders them."""
     right, wrong = HeightMap(np.ones((96, 128))), HeightMap(np.ones(shape))
-    maps = (wrong, right) if cls == "lane" else (right, wrong)
-    named = rf"{cls} height map has shape \({shape[0]}, {shape[1]}\), intrinsics need \(96, 128\)"
+    index = ("lane", "pole").index(cls)
+    maps = (wrong, right) if index == 0 else (right, wrong)
+    named = (rf"term {index} height map has shape \({shape[0]}, {shape[1]}\), "
+             r"intrinsics need \(96, 128\)")
     with pytest.raises(DimensionMismatch, match=named):
-        CostEvaluator(np.ones((2, 3)), np.ones((3, 3)), *maps, K)
+        CostEvaluator(tuple(zip((np.ones((2, 3)), np.ones((3, 3))), maps)), K)
 
 
 def test_evaluator_points_are_one_read_only_array():
     rng = np.random.default_rng(1)
     lane, pole = rng.normal(size=(5, 3)), rng.normal(size=(2, 3))
     hm = HeightMap(np.ones((96, 128)))
-    ev = CostEvaluator(lane, pole, hm, hm, K)
+    ev = CostEvaluator(((lane, hm), (pole, hm)), K)
     assert ev.points.tolist() == lane.tolist() + pole.tolist()
+    assert [rows for rows, _ in ev.terms] == [slice(0, 5), slice(5, 7)]
     assert ev.lane_points.base is ev.points and ev.pole_points.base is ev.points
     for array in (ev.points, ev.lane_points, ev.pole_points):
         assert not array.flags.writeable
@@ -174,10 +183,13 @@ def _oracle_class_term(R, t, pts, hmap, k):
 
 
 def oracle_cost(e, ev):
+    """The terms of ev, each scored alone, added left to right."""
     R, t = e.matrix(), e.t
-    return _oracle_class_term(
-        R, t, ev.lane_points, ev.lane_height, ev.intrinsics
-    ) + _oracle_class_term(R, t, ev.pole_points, ev.pole_height, ev.intrinsics)
+    total, *rest = [_oracle_class_term(R, t, pts, hmap, ev.intrinsics)
+                    for pts, (_, hmap) in zip(term_points(ev), ev.terms)]
+    for term in rest:
+        total += term
+    return total
 
 
 def _assert_batch_matches_oracle(poses, ev):
@@ -194,7 +206,8 @@ def _assert_batch_matches_oracle(poses, ev):
 
 
 def _behind_fraction(pose, ev):
-    return float((pose.apply(ev.lane_points)[:, 2] <= EPS_Z).mean())
+    """The share of the first (lane) term's points behind the camera."""
+    return float((pose.apply(term_points(ev)[0])[:, 2] <= EPS_Z).mean())
 
 
 def test_cost_batch_bits_match_oracle_near_ground_truth(canonical_evaluator):
@@ -226,7 +239,7 @@ def test_cost_batch_all_behind_and_out_of_frame(canonical_evaluator):
 def test_cost_batch_straddles_block_boundary(canonical_evaluator):
     """Poses sharing one rotation, more of them than one block holds."""
     ev, gt = canonical_evaluator
-    per_block = cost_module._BLOCK // len(ev.lane_points)
+    per_block = cost_module._BLOCK // len(term_points(ev)[0])
     rng = np.random.default_rng(7)
     n = 2 * per_block + 3
     poses = [Extrinsic(gt.r, gt.t + rng.normal(size=3) * 2.0) for _ in range(n)]
@@ -241,8 +254,10 @@ def test_cost_batch_of_no_pose_is_empty(canonical_evaluator):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_cost_batch_bits_match_oracle_small_evaluators(seed):
+    """Evaluators of one to three terms: two, as build_evaluator gives, and
+    the one- and three-term forms."""
     rng = np.random.default_rng(seed)
-    ev = small_evaluator(rng)
+    ev = small_evaluator(rng, int(rng.integers(1, 4)))
     poses = [Extrinsic(rng.normal(size=3) * 0.3, rng.normal(size=3) * 3.0) for _ in range(6)]
     poses.append(Extrinsic(poses[0].r, poses[0].t + 1.0))
     _assert_batch_matches_oracle(poses, ev)
@@ -271,9 +286,9 @@ def test_behind_and_out_of_frame_are_the_same_zero(seed):
         off[pick] = (np.column_stack([1e3 * z, 1e3 * z, z]) - t) @ R
         return behind, off
 
-    (lane_b, lane_o), (pole_b, pole_o) = moved(ev.lane_points), moved(ev.pole_points)
-    ev_b = CostEvaluator(lane_b, pole_b, ev.lane_height, ev.pole_height, K)
-    ev_o = CostEvaluator(lane_o, pole_o, ev.lane_height, ev.pole_height, K)
+    (lane_b, lane_o), (pole_b, pole_o) = map(moved, term_points(ev))
+    ev_b = with_points(ev, (lane_b, pole_b))
+    ev_o = with_points(ev, (lane_o, pole_o))
     score_b = cost_batch(R, t[None], ev_b)
     score_o = cost_batch(R, t[None], ev_o)
     assert score_b.tobytes() == score_o.tobytes()
@@ -292,12 +307,11 @@ def _pruning_case(rng, equal_counts=False):
     throughout.  With lo high, the bound can drop the rows with few points
     in frame.  With equal_counts, both terms keep only as many points as
     the smaller one has."""
-    ev = small_evaluator(rng)
-    n = min(len(ev.lane_points), len(ev.pole_points)) if equal_counts else None
+    lane, pole = term_points(small_evaluator(rng))
+    n = min(len(lane), len(pole)) if equal_counts else None
     lo = rng.uniform(0.0, 0.95)
-    ev = CostEvaluator(ev.lane_points[:n], ev.pole_points[:n],
-                       HeightMap(lo + (1 - lo) * rng.random((96, 128))),
-                       HeightMap(lo + (1 - lo) * rng.random((96, 128))), K)
+    ev = CostEvaluator(((lane[:n], HeightMap(lo + (1 - lo) * rng.random((96, 128)))),
+                        (pole[:n], HeightMap(lo + (1 - lo) * rng.random((96, 128))))), K)
     R = angle_axis_to_matrix(rng.normal(size=3) * 0.05)
     n = int(rng.integers(1, 20))
     t = rng.normal(size=(n, 3)) * rng.choice([0.3, 3.0], size=(n, 1))
@@ -372,7 +386,7 @@ def test_staged_bound_reads_the_term_with_fewer_points_first(n_lane, n_pole, fir
     rng = np.random.default_rng(0)
     ev = small_evaluator(rng)
     pts = rng.uniform([-2, -2, 4], [2, 2, 30], size=(9, 3))
-    ev = CostEvaluator(pts[:n_lane], pts[:n_pole], ev.lane_height, ev.pole_height, K)
+    ev = with_points(ev, (pts[:n_lane], pts[:n_pole]))
     sums, read = cost_module._sums, []
 
     def recording(q, t, hmap, k):
@@ -383,7 +397,7 @@ def test_staged_bound_reads_the_term_with_fewer_points_first(n_lane, n_pole, fir
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cost_module, "_sums", recording)
         staged.tighten(np.arange(2))
-    assert len(read) == 1 and read[0] is getattr(ev, f"{first}_height")
+    assert len(read) == 1 and read[0] is ev.terms[("lane", "pole").index(first)][1]
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +465,14 @@ def _class_value_grad(rotated, t, hmap, k):
 
 
 def oracle_value_and_gradient(e, ev):
+    """The terms of ev, each with its gradient taken alone, added left to
+    right."""
     R_T = e.matrix().T
-    lane, d_lane = _class_value_grad(ev.lane_points @ R_T, e.t, ev.lane_height, ev.intrinsics)
-    pole, d_pole = _class_value_grad(ev.pole_points @ R_T, e.t, ev.pole_height, ev.intrinsics)
-    return float(lane + pole), d_lane + d_pole
+    (value, grad), *rest = [_class_value_grad(pts @ R_T, e.t, hmap, ev.intrinsics)
+                            for pts, (_, hmap) in zip(term_points(ev), ev.terms)]
+    for v, g in rest:
+        value, grad = value + v, grad + g
+    return float(value), grad
 
 
 def _assert_kernel_matches_oracle(poses, ev):
@@ -469,15 +487,13 @@ def _assert_kernel_matches_oracle(poses, ev):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_value_pass_bits_match_per_class_oracle(seed):
-    """Classes of 1 to 40 points, some behind the camera and some out of
-    frame, scored at poses near identity and far from it."""
+    """One to three terms of 1 to 39 points each, some behind the camera
+    and some out of frame, scored at poses near identity and far from it."""
     rng = np.random.default_rng(seed)
     lo, hi = [-3, -3, -10], [3, 3, 30]
-    ev = CostEvaluator(
-        rng.uniform(lo, hi, size=(int(rng.integers(1, 40)), 3)),
-        rng.uniform(lo, hi, size=(int(rng.integers(1, 40)), 3)),
-        HeightMap(rng.random((96, 128))), HeightMap(rng.random((96, 128))), K,
-    )
+    n_terms = int(rng.integers(1, 4))
+    sets = [rng.uniform(lo, hi, size=(int(rng.integers(1, 40)), 3)) for _ in range(n_terms)]
+    ev = CostEvaluator(tuple((pts, HeightMap(rng.random((96, 128)))) for pts in sets), K)
     poses = [Extrinsic(rng.normal(size=3) * s, rng.normal(size=3) * 3 * s)
              for s in (0.05, 0.3, 1.0)]
     _assert_kernel_matches_oracle(poses, ev)
@@ -500,7 +516,7 @@ def test_one_point_terms_match_per_class_oracles(seed):
         return ((np.array([*(rng.uniform(-0.08, 0.08, 2) * z), z]) - e.t) @ e.matrix())[None]
 
     hmaps = HeightMap(rng.random((96, 128))), HeightMap(rng.random((96, 128)))
-    ev = CostEvaluator(one_point(), one_point(), *hmaps, K)
+    ev = CostEvaluator(((one_point(), hmaps[0]), (one_point(), hmaps[1])), K)
     poses = [e] + [Extrinsic(e.r, e.t + rng.normal(size=3) * s) for s in (0.1, 0.5, 5.0) * 4]
     poses.append(Extrinsic(e.r, e.t - [0.0, 0.0, 100.0]))
     want = _assert_batch_matches_oracle(poses, ev)
@@ -535,13 +551,11 @@ def _affine_evaluator(ev):
     """ev's points over height maps affine in (u, v), on which the bilinear
     lookup is exact and the cost smooth wherever no point crosses the
     frame border."""
-    h, w = ev.lane_height.values.shape
+    h, w = ev.intrinsics.height, ev.intrinsics.width
     u, v = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
-    return CostEvaluator(
-        ev.lane_points, ev.pole_points,
-        HeightMap(0.3 + 2e-4 * u + 5e-4 * v), HeightMap(0.9 - 3e-4 * u + 1e-4 * v),
-        ev.intrinsics,
-    )
+    lane, pole = term_points(ev)
+    return CostEvaluator(((lane, HeightMap(0.3 + 2e-4 * u + 5e-4 * v)),
+                          (pole, HeightMap(0.9 - 3e-4 * u + 1e-4 * v))), ev.intrinsics)
 
 
 def test_cost_gradient_matches_central_differences(canonical_evaluator):
@@ -574,10 +588,7 @@ def test_points_behind_or_out_of_frame_add_no_gradient(canonical_evaluator):
         return np.vstack([points, (p_c - t) @ R])
 
     rng = np.random.default_rng(11)
-    padded = CostEvaluator(
-        with_unseen(ev.lane_points, rng), with_unseen(ev.pole_points, rng),
-        ev.lane_height, ev.pole_height, ev.intrinsics,
-    )
+    padded = with_points(ev, [with_unseen(pts, rng) for pts in term_points(ev)])
     for pose in [gt, perturb(gt, rng, 0.2, math.radians(1.0))]:
         vp, vp2 = value_pass(pose, ev), value_pass(pose, padded)
         value, grad = vp.value, finish_gradient(vp)

@@ -137,7 +137,7 @@ def test_sweep_records_refine_error_of_a_zero_cost_start():
     k = Intrinsics(fx=500.0, fy=500.0, cx=64.0, cy=48.0, width=128, height=96)
     pts = np.array([[0.0, 0.0, -50.0], [1.0, 0.0, -60.0]])
     hm = HeightMap(np.full((96, 128), 0.5))
-    ev = CostEvaluator(pts, pts, hm, hm, k)
+    ev = CostEvaluator(((pts, hm), (pts, hm)), k)
     trials = robustness_sweep(
         [ev], Extrinsic.identity(), 2, 1.0, 0.1, seed=0,
         refine_cfg=RefinementConfig(max_samples=50),

@@ -186,6 +186,27 @@ def test_lines_and_planes_own_read_only_arrays():
             array[0] = 0.5
 
 
+@pytest.mark.parametrize("build", ["arrays", "from_array"])
+def test_point_clouds_own_read_only_arrays(build):
+    """A cloud built from its two arrays, or from one (N, 4) array, holds
+    contiguous read-only copies of its own: a later write to what was
+    handed in does not move it, and no view of it keeps that alive."""
+    from linecalib.cloud_features import PointCloud
+
+    xyz, intensity = np.arange(12.0).reshape(4, 3), np.arange(4.0)
+    arr = np.column_stack([xyz, intensity])
+    given = (xyz, intensity) if build == "arrays" else (arr,)
+    cloud = PointCloud(xyz, intensity) if build == "arrays" else PointCloud.from_array(arr)
+    xyz[0, 0] = intensity[0] = arr[0, 0] = arr[0, 3] = 999.0
+    assert cloud.xyz.tolist() == np.arange(12.0).reshape(4, 3).tolist()
+    assert cloud.intensity.tolist() == [0.0, 1.0, 2.0, 3.0]
+    for array in (cloud.xyz, cloud.intensity):
+        assert array.flags.c_contiguous
+        assert not any(np.shares_memory(array, source) for source in given)
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+
+
 def test_matrix_to_angle_axis_rejects_non_rotation():
     with pytest.raises(NotARotation):
         matrix_to_angle_axis(np.eye(3) * 2.0)
@@ -483,7 +504,7 @@ def _array_dataclass_factories():
     plane = lambda: Plane3D(np.array([0.0, 0.0, 1.0]), 1.5)
     return {
         "Extrinsic": lambda: Extrinsic(np.zeros(3), np.ones(3)),
-        "CostEvaluator": lambda: CostEvaluator(pts, pts, height(), height(), k),
+        "CostEvaluator": lambda: CostEvaluator(((pts, height()), (pts, height())), k),
         "Line3D": line,
         "Plane3D": plane,
         "PointCloud": lambda: PointCloud(pts, np.ones(2)),

@@ -39,7 +39,8 @@ def small_problem(rng):
     start = Extrinsic(rng.normal(size=3) * 0.3, rng.normal(size=3) * 0.5)
     lane_h = HeightMap(rng.random((96, 128)))
     pole_h = HeightMap(rng.random((96, 128)))
-    ev = CostEvaluator(_points_in_view(rng, start), _points_in_view(rng, start), lane_h, pole_h, K)
+    lane, pole = _points_in_view(rng, start), _points_in_view(rng, start)
+    ev = CostEvaluator(((lane, lane_h), (pole, pole_h)), K)
     return start, ev
 
 
