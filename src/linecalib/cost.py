@@ -10,13 +10,14 @@ higher of 0 and its map's highest value.
 cost_batch scores many translations of one rotation at once;
 best_in_batch finds the best of them, scoring in full only those that an
 upper bound from a subset of the points cannot rule out, and each of
-those once; the bound reads the term with fewer points first, since the
-cost adds the terms' means, so each of its points weighs more;
+those once; the bound reads the term with the fewest points first, since
+the cost adds the terms' means, so each of its points weighs more;
 value_pass scores one pose in one pass over every term and keeps its
-intermediates, from which finish_gradient takes the cost's analytic
-gradient; the refine stage finishes only the poses it moves to, and cost
-is value_pass's value.  Every kernel reads the height maps through one
-bilinear lookup, _lookup.
+intermediates, its depth among them, from which finish_gradient takes the
+cost's analytic gradient; the refine stage finishes only the poses it
+moves to, and cost is value_pass's value.  Every kernel reads the height
+maps through one bilinear lookup, _lookup: a point is in frame when
+clamping its pixel coordinates to the frame leaves them unchanged.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import Extrinsic, Intrinsics, project_points
+from .geometry import Extrinsic, Intrinsics, project_planes
 from .image_features import HeightMap
 
 # poses x points per block: each temporary of the kernel stays at 128 KB,
@@ -82,21 +83,24 @@ def _rotated(R, ev: CostEvaluator) -> np.ndarray:
 
 
 def _lookup(p_c, terms, k: Intrinsics):
-    """(values, valid, ok, cell, corners) of the camera-frame points p_c
+    """(values, valid, ok, zs, cell, corners) of the camera-frame points p_c
     (3, ..., P), each term's rows read from its own map: a point behind the
-    camera (not valid) or out of frame (not ok) has the value 0.  cell holds
+    camera (not valid) or out of frame (not ok) has the value 0.  ok is
+    where clamping (u, v) to the frame leaves them unchanged: 0 <= u <= w - 1
+    and 0 <= v <= h - 1, as PointCloud and Extrinsic refuse non-finite
+    values, so no coordinate is NaN.  zs is the depth divided by; cell holds
     the offsets (fu, fv) into each point's cell and their complements
     (gu, gv); corners (4, ..., P) the cell's top-left, top-right,
     bottom-left and bottom-right values, in the order finish_gradient
     differentiates."""
-    uv, valid = project_points(k, p_c.transpose(*range(1, p_c.ndim), 0))
-    u, v = uv[..., 0], uv[..., 1]
+    (u, v), valid, zs = project_planes(k, p_c)
     # one grid for every map: each has the intrinsics' shape.  An
-    # out-of-frame point is given cell 0.
+    # out-of-frame point is given the cell of its clamped (u, v).
     h, w = k.height, k.width
-    ok = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
-    uc = np.where(ok, u, 0.0)
-    vc = np.where(ok, v, 0.0)
+    uc = u.clip(0.0, w - 1)
+    vc = v.clip(0.0, h - 1)
+    ok = uc == u
+    ok &= vc == v
     u0 = uc.astype(int)
     np.minimum(u0, w - 2, out=u0)
     v0 = vc.astype(int)
@@ -128,7 +132,7 @@ def _lookup(p_c, terms, k: Intrinsics):
     np.multiply(corners[3], fu, out=term)
     term *= fv
     val += term
-    return np.where(valid & ok, val, 0.0), valid, ok, (fu, fv, gu, gv), corners
+    return np.where(valid & ok, val, 0.0), valid, ok, zs, (fu, fv, gu, gv), corners
 
 
 def _sums(q, t, hmap: HeightMap, k: Intrinsics) -> np.ndarray:
@@ -162,11 +166,11 @@ def cost_batch(R, t, ev: CostEvaluator) -> np.ndarray:
 
 # best_in_batch bounds every score from nested prefixes of each term's
 # points before it scores any pose in full.  The prefixes follow a strided
-# order, so each one samples the whole extracted point set.  Each stage
-# gives one fraction per term of the coarse stage's two: the first for the
-# term with fewer points, which it reads first.  The cost adds the terms'
-# means, so each of its points weighs more; on the frames measured that
-# is the thinner mask's term, off which a wrong pose puts most points.
+# order, so each one samples the whole extracted point set.  A stage reads
+# the term with the fewest points, first, to its first fraction and every
+# other term to its second.  The cost adds the terms' means, so each of its
+# points weighs more; on the frames measured that is the thinner mask's,
+# off which a wrong pose puts most points.
 _STAGE_FRACTIONS = ((0.25, 0.0), (0.5, 0.0), (1.0, 0.125), (1.0, 0.5))
 _STRIDE_ORDER = (0, 4, 2, 6, 1, 5, 3, 7)
 # poses scored in full after the first stage, to raise the floor
@@ -201,12 +205,12 @@ class _StagedBound:
     def tighten(self, live) -> np.ndarray:
         """Sum the next stage's new points for the rows live of t, and bound
         each of their scores."""
-        f0 = _STAGE_FRACTIONS[self.stage - 1] if self.stage else (0.0,) * len(self.terms)
+        f0 = _STAGE_FRACTIONS[self.stage - 1] if self.stage else (0.0, 0.0)
         f = _STAGE_FRACTIONS[self.stage]
         bound = np.zeros(len(live))
         for c, (q, hmap, top, margin) in enumerate(self.terms):
             n = q.shape[1]
-            m0, m = int(f0[c] * n), int(f[c] * n)
+            m0, m = (int(fr[min(c, 1)] * n) for fr in (f0, f))
             if m > m0:
                 self.sums[c, live] += _sums(q[:, m0:m], self.t[live], hmap, self.k)
             bound += (self.sums[c, live] + (n - m) * top) / n + margin
@@ -219,8 +223,8 @@ def best_in_batch(R, t, ev: CostEvaluator, floor: float):
     cost_batch(R, t, ev) score is the highest, and that score, if it is
     above floor; else (None, floor, scored).  scored counts the rows
     scored in full, each once: the floor picks keep their scores, and the
-    last cost_batch call gets only the live rows not yet scored.  ev has
-    two terms: _STAGE_FRACTIONS is the coarse stage's two-term schedule.
+    last cost_batch call gets only the live rows not yet scored.  ev may
+    have any number of terms (see _STAGE_FRACTIONS).
 
     The result is bit-identical to scoring every row: a row's score has
     the same bits in any batch, and a row is dropped only when its bound
@@ -267,7 +271,8 @@ class ValuePass(NamedTuple):
     q: np.ndarray          # (3, n) R @ ev.points.T
     p_c: np.ndarray        # (3, n) camera-frame points
     valid: np.ndarray      # in front of the camera
-    ok: np.ndarray         # in frame
+    ok: np.ndarray         # in frame: the clamped (u, v) equal (u, v)
+    zs: np.ndarray         # depth p_c[2], 1 where not valid
     cell: tuple            # (fu, fv, gu, gv) offsets into each point's cell
     corners: np.ndarray    # (4, n) the cell corners of each point's map
 
@@ -293,12 +298,19 @@ def finish_gradient(vp: ValuePass) -> np.ndarray:
     k = ev.intrinsics
     fu, fv, gu, gv = vp.cell
     g00, g01, g10, g11 = vp.corners
-    # the bilinear surface's exact slopes inside the cell, 0 out of frame
-    du = np.where(ok, (g01 - g00) * gv + (g11 - g10) * fv, 0.0)
-    dv = np.where(ok, (g10 - g00) * gu + (g11 - g01) * fu, 0.0)
+    # the bilinear surface's exact slopes inside the cell, in place:
+    # du = (g01 - g00) * gv + (g11 - g10) * fv, dv likewise; 0 out of frame
+    out = ~ok
+    du, dv, slope = g01 - g00, g10 - g00, np.empty_like(g00)
+    for d, wd, far, near, ws in ((du, gv, g11, g10, fv), (dv, gu, g11, g01, fu)):
+        d *= wd
+        np.multiply(np.subtract(far, near, out=slope), ws, out=slope)
+        d += slope
+        d[out] = 0.0
     # chain rule through the pinhole: a = d value / d p_c, 0 for a point
     # behind the camera (inv_z = 0) or out of frame (du = dv = 0)
-    inv_z = np.where(valid, 1.0 / np.where(valid, p_c[2], 1.0), 0.0)
+    inv_z = np.divide(1.0, vp.zs)
+    inv_z[~valid] = 0.0
     a = np.empty_like(q)
     np.multiply(du, k.fx * inv_z, out=a[0])
     np.multiply(dv, k.fy * inv_z, out=a[1])

@@ -297,14 +297,21 @@ def project_points(k: Intrinsics, pts_c: np.ndarray):
     valid point's uv is bit-identical to projecting it alone.
     """
     pts_c = np.atleast_2d(np.asarray(pts_c, dtype=float))
-    z = pts_c[..., 2]
-    valid = z > EPS_Z
-    zs = np.where(valid, z, 1.0)
-    # u and v planes stay contiguous for the lookups that follow
-    uv = np.empty((2,) + pts_c.shape[:-1])
-    uv[0] = k.fx * pts_c[..., 0] / zs + k.cx
-    uv[1] = k.fy * pts_c[..., 1] / zs + k.cy
+    uv, valid, _ = project_planes(k, np.moveaxis(pts_c, -1, 0))
     return np.moveaxis(uv, 0, -1), valid
+
+
+def project_planes(k: Intrinsics, p: np.ndarray):
+    """project_points on the planes p (3, ...) of x, y and z: (uv, valid,
+    zs), uv (2, ...) and zs the depth, 1 where not valid."""
+    valid = p[2] > EPS_Z
+    zs = np.where(valid, p[2], 1.0)
+    uv = np.empty((2,) + zs.shape)
+    for c, f, c0 in ((0, k.fx, k.cx), (1, k.fy, k.cy)):
+        np.multiply(p[c], f, out=uv[c])
+        uv[c] /= zs
+        uv[c] += c0
+    return uv, valid, zs
 
 
 def backproject_line(k: Intrinsics, line: Line2D) -> np.ndarray:

@@ -300,18 +300,18 @@ def test_behind_and_out_of_frame_are_the_same_zero(seed):
 
 
 def _pruning_case(rng, equal_counts=False):
-    """A small evaluator over maps in [lo, 1), and one rotation with its
-    translations: some rows near identity, some scattered, some with points
-    behind the camera (all of them in the first row) or out of frame, every
-    row twice or more (exact ties), and now and then a batch that scores 0
-    throughout.  With lo high, the bound can drop the rows with few points
-    in frame.  With equal_counts, both terms keep only as many points as
-    the smaller one has."""
-    lane, pole = term_points(small_evaluator(rng))
-    n = min(len(lane), len(pole)) if equal_counts else None
+    """A small evaluator of one to four terms over maps in [lo, 1), and one
+    rotation with its translations: some rows near identity, some
+    scattered, some with points behind the camera (all of them in the first
+    row) or out of frame, every row twice or more (exact ties), and now and
+    then a batch that scores 0 throughout.  With lo high, the bound can drop
+    the rows with few points in frame.  With equal_counts, every term keeps
+    only as many points as the smallest one has."""
+    sets = term_points(small_evaluator(rng, int(rng.integers(1, 5))))
+    n = min(map(len, sets)) if equal_counts else None
     lo = rng.uniform(0.0, 0.95)
-    ev = CostEvaluator(((lane[:n], HeightMap(lo + (1 - lo) * rng.random((96, 128)))),
-                        (pole[:n], HeightMap(lo + (1 - lo) * rng.random((96, 128))))), K)
+    ev = CostEvaluator(tuple((pts[:n], HeightMap(lo + (1 - lo) * rng.random((96, 128))))
+                             for pts in sets), K)
     R = angle_axis_to_matrix(rng.normal(size=3) * 0.05)
     n = int(rng.integers(1, 20))
     t = rng.normal(size=(n, 3)) * rng.choice([0.3, 3.0], size=(n, 1))
@@ -341,8 +341,11 @@ def test_staged_bound_covers_the_full_score(seed):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_best_in_batch_is_the_first_argmax(seed):
+    """On evaluators of one to four terms, the pruned best is the first
+    argmax of the full scores."""
     rng = np.random.default_rng(seed)
     ev, R, t = _pruning_case(rng)
+    assert 1 <= len(ev.terms) <= 4
     full = cost_batch(R, t, ev)
     for floor in (0.0, float(full[rng.integers(len(full))])):
         k, score, scored = best_in_batch(R, t, ev, floor)
@@ -529,6 +532,56 @@ def test_one_point_terms_match_per_class_oracles(seed):
             assert (k, score) == (want.index(max(want)), max(want))
         else:
             assert (k, score) == (None, floor)
+
+
+def _edge_x(f, c, z, edge, outward):
+    """(on, off): coordinates at depth z whose projection f * x / z + c is
+    exactly edge, and the nearest one beyond it, on the side outward (+1 or
+    -1), that lands outside the frame."""
+    x = (edge - c) * z / f
+    while f * x / z + c < edge:
+        x = np.nextafter(x, math.inf)
+    while f * x / z + c > edge:
+        x = np.nextafter(x, -math.inf)
+    on = off = x
+    assert f * on / z + c == edge
+    while outward * (f * off / z + c - edge) <= 0:
+        off = np.nextafter(off, outward * math.inf)
+    return on, off
+
+
+def test_frame_edges_and_depth_limits_match_oracles():
+    """Points that project exactly onto each edge of the frame are in it,
+    and the nearest ones past it are out; a depth of EPS_Z is behind the
+    camera and the next depth up in front; a very large finite u is out of
+    frame.  value_pass, finish_gradient and cost_batch score them as the
+    oracles do, bit for bit, with no cast or overflow warning."""
+    w, h = K.width, K.height
+    rng = np.random.default_rng(14)
+    edges = []
+    for z in (3.0, 7.5, 21.0):
+        for edge, outward in ((0.0, -1), (w - 1.0, 1)):
+            edges += [[x, 0.0, z] for x in _edge_x(K.fx, K.cx, z, edge, outward)]
+        for edge, outward in ((0.0, -1), (h - 1.0, 1)):
+            edges += [[0.0, y, z] for y in _edge_x(K.fy, K.cy, z, edge, outward)]
+    tiny = np.nextafter(EPS_Z, 1.0)
+    depths = [[1e-9, -2e-9, tiny], [1e-9, -2e-9, EPS_Z], [0.0, 0.0, EPS_Z], [3e-8, 1e-8, tiny]]
+    far = [[1e290, 0.0, 1.0], [-1e290, 1.0, 2.0], [0.5, 1e290, 1.0], [-2.0, -1e290, 4.0]]
+    special = np.array(edges + depths + far)
+    e = Extrinsic.identity()
+    uv, valid = project_points(K, special)
+    u, v = uv[valid].T
+    inside = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
+    assert valid.tolist() == [True] * len(edges) + [True, False, False, True] + [True] * 4
+    assert inside.tolist() == [True, False] * 12 + [True, True] + [False] * 4
+    assert {0.0, w - 1.0} <= set(u.tolist()) and {0.0, h - 1.0} <= set(v.tolist())
+    ahead = rng.uniform([-2, -2, 4], [2, 2, 30], size=(20, 3))
+    for sets in ((special, ahead), (np.vstack([ahead, special]),), (special[::-1], special)):
+        ev = CostEvaluator(tuple((pts, HeightMap(rng.random((h, w)))) for pts in sets), K)
+        _assert_kernel_matches_oracle([e], ev)
+        poses = [e, Extrinsic(e.r, [0.0, 0.0, 1e-3])]
+        assert _assert_batch_matches_oracle(poses, ev)[0] > 0.0
+        assert finish_gradient(value_pass(e, ev)).any()
 
 
 def test_value_pass_bits_match_per_class_oracle_on_canonical_scene(canonical_evaluator):

@@ -19,6 +19,7 @@ from linecalib.geometry import (
     backproject_line,
     euler_zyx,
     matrix_to_angle_axis,
+    project_planes,
     project_points,
     right_singular_vectors,
     rotation_geodesic,
@@ -401,6 +402,22 @@ def test_project_points_batch_bits_match_one_pose_at_a_time():
         uv_k, valid_k = project_points(K, pts[k])
         assert np.array_equal(valid[k], valid_k)
         assert uv[k][valid_k].tobytes() == uv_k[valid_k].tobytes()
+
+
+def test_project_planes_bits_match_project_points():
+    """The plane form on (3, K, N) planes and the (K, N, 3) form give the
+    same bits, for points behind the camera too; zs is the depth divided
+    by, 1 where not valid."""
+    rng = np.random.default_rng(4)
+    pts = rng.normal(size=(3, 40, 3)) * np.array([2.0, 2.0, 5.0])
+    pts[0, :5, 2] = [EPS_Z, -EPS_Z, 0.0, -0.0, np.nextafter(EPS_Z, 1.0)]
+    assert 0 < (pts[..., 2] <= EPS_Z).sum() < pts[..., 2].size
+    uv, valid = project_points(K, pts)
+    uv_p, valid_p, zs = project_planes(K, np.moveaxis(pts, -1, 0))
+    assert uv_p.shape == (2, 3, 40) and valid_p.shape == zs.shape == (3, 40)
+    assert np.moveaxis(uv_p, 0, -1).tobytes() == uv.tobytes()
+    assert np.array_equal(valid_p, valid) and valid[0, :5].tolist() == [False] * 4 + [True]
+    assert zs.tobytes() == np.where(valid, pts[..., 2], 1.0).tobytes()
 
 
 def test_intrinsics_validation():
