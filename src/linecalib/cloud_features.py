@@ -59,7 +59,6 @@ class PointCloud:
 
     @staticmethod
     def from_array(arr: np.ndarray) -> "PointCloud":
-        arr = np.asarray(arr, dtype=float)
         return PointCloud(arr[:, :3], arr[:, 3])
 
     def to_array(self) -> np.ndarray:
@@ -101,13 +100,17 @@ def fit_ground_plane(cloud: PointCloud, cfg: PipelineConfig):
     # a mean over strided columns is many times slower
     xyz = np.ascontiguousarray(pts.T)
     z, lo = xyz[2], xyz[2].min()
-    bins, counts = np.unique(np.floor((z - lo) / _SEED_BIN), return_counts=True)
-    inside = np.abs(z - (lo + (bins[np.argmax(counts)] + 0.5) * _SEED_BIN)) <= _SEED_REACH
+    off = z - lo  # one buffer: each z's bin, then its offset from the seed bin
+    off /= _SEED_BIN
+    bins, counts = np.unique(np.floor(off, out=off), return_counts=True)
+    np.subtract(z, lo + (bins[np.argmax(counts)] + 0.5) * _SEED_BIN, out=off)
+    inside = np.abs(off, out=off) <= _SEED_REACH
     for _ in range(_PLANE_PASSES):
-        plane = _lsq_plane(np.compress(inside, xyz, axis=1))
+        plane = _lsq_plane(xyz, inside)
         if plane is None:
             raise NoGroundPlane(f"best plane has 0/{n} inliers (the points span no plane)")
-        inside = np.abs(plane.signed_distance(pts)) <= cfg.plane_inlier_band
+        off = plane.signed_distance(pts)
+        inside = np.abs(off, out=off) <= cfg.plane_inlier_band
     count = np.count_nonzero(inside)
     if count < cfg.plane_min_inlier_ratio * n:
         raise NoGroundPlane(
@@ -117,15 +120,16 @@ def fit_ground_plane(cloud: PointCloud, cfg: PipelineConfig):
     return plane, inside
 
 
-def _lsq_plane(sub: np.ndarray):
-    """The least-squares plane of the points sub (3, m): through their
-    centroid, normal along the scatter's eigenvector of least eigenvalue,
-    oriented towards +Z.  None for fewer than 3 points or collinear ones,
-    which every plane through their line holds."""
-    if sub.shape[1] < 3:
+def _lsq_plane(xyz: np.ndarray, inside: np.ndarray):
+    """The least-squares plane of the columns of xyz (3, N) where inside:
+    through their centroid, normal along the scatter's eigenvector of
+    least eigenvalue, oriented towards +Z.  None for fewer than 3 points
+    or collinear ones, which every plane through their line holds."""
+    c = np.compress(inside, xyz, axis=1)
+    if c.shape[1] < 3:
         return None
-    centroid = sub.mean(axis=1)
-    c = sub - centroid[:, None]
+    centroid = c.mean(axis=1)
+    c -= centroid[:, None]
     w, v = np.linalg.eigh(c @ c.T)
     if not w[1] > 1e-9 * w[2]:
         return None

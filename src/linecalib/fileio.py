@@ -233,12 +233,12 @@ def _text_cloud(text: str, path) -> np.ndarray:
 
 
 def load_cloud(path) -> np.ndarray:
-    """Load an (N, 4) float array of x, y, z, intensity.
+    """Load an (N, 4) array of x, y, z, intensity.
 
-    A file of ASCII bytes without a NUL is text; every other file is
-    float32 records.  A sweep's records hold a byte above 127 wherever a
-    coordinate is negative (the ground lies below the sensor), so a sweep
-    never reads as text.
+    A file of ASCII bytes without a NUL is text, read as float64; every
+    other file is float32 records, returned as read.  A sweep's records
+    hold a byte above 127 wherever a coordinate is negative (the ground
+    lies below the sensor), so a sweep never reads as text.
     """
     data = _read_bytes(path)
     if data.isascii() and b"\0" not in data:
@@ -246,15 +246,14 @@ def load_cloud(path) -> np.ndarray:
     elif len(data) % 16 != 0:
         raise ParseError(f"{path}: binary cloud size {len(data)} is not a multiple of 16 bytes")
     else:
-        pts = np.frombuffer(data, dtype="<f4").reshape(-1, 4).astype(np.float64)
+        pts = np.frombuffer(data, dtype="<f4").reshape(-1, 4)
     if not np.isfinite(pts).all():
         raise ParseError(f"{path}: cloud contains non-finite values")
     return pts
 
 
 def save_cloud(path, pts: np.ndarray) -> None:
-    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 4)
-    _write_bytes(path, pts.astype("<f4").tobytes())
+    _write_bytes(path, np.asarray(pts, dtype="<f4").reshape(-1, 4).tobytes())
 
 
 def _read_pnm(path) -> np.ndarray:

@@ -218,7 +218,8 @@ class Plane3D:
         object.__setattr__(self, "d", float(self.d) / nn)
 
     def signed_distance(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=float) @ self.normal + self.d
+        dist = np.asarray(points, dtype=float) @ self.normal
+        return np.add(dist, self.d, out=dist)
 
 
 def _canonical_angle_axis(r: np.ndarray) -> np.ndarray:

@@ -36,12 +36,12 @@ class SemanticMask:
 
 @dataclass(frozen=True, eq=False)
 class HeightMap:
-    """Per-pixel heights; a float64 array handed in is frozen, not copied."""
+    """Per-pixel heights, kept C-ordered; a C float64 array is frozen, not copied."""
 
     values: np.ndarray       # (h, w) float in (0, 1), both sides >= 2 px
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.asarray(self.values, dtype=float, order="C")
         if v.ndim != 2 or min(v.shape) < 2:
             # bilinear lookup needs a 2x2 cell
             raise ValueError(f"height map must be at least 2x2, got shape {v.shape}")
@@ -167,9 +167,10 @@ def idt_height_map(mask: SemanticMask, cfg: PipelineConfig) -> HeightMap:
     n = sum(bits.shape)
     exps = np.arange(n, dtype=float)
     table = np.concatenate([np.power(cfg.gamma1, exps)[1:], np.power(cfg.gamma0, exps)[1:]])
-    index = np.multiply(bits, n - 1, dtype=d.dtype)
+    # C order, as table[index] takes the index's layout (take() would copy it to intp)
+    index = np.multiply(bits, n - 1, dtype=d.dtype, order="C")
     index += d
-    return HeightMap(table.take(index))
+    return HeightMap(table[index])
 
 
 @dataclass(frozen=True)

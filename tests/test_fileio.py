@@ -277,6 +277,31 @@ def test_cloud_binary_round_trip(tmp_path):
     assert np.abs(back - pts).max() < 1e-4  # float32 storage
 
 
+def test_binary_cloud_loads_as_the_float32_records_read(tmp_path):
+    """Records come back as the float32 array read, text as float64, and
+    PointCloud.from_array gives the bits of the float64 copy load_cloud
+    used to return, in xyz and in intensity."""
+    from linecalib.cloud_features import PointCloud
+
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(500, 4)) * np.array([40.0, 20.0, 2.0, 0.3])
+    pts[::7] *= 1e-6
+    p = tmp_path / "cloud.bin"
+    save_cloud(p, pts)
+    records = load_cloud(p)
+    assert records.dtype == np.float32 and records.shape == (500, 4)
+    assert records.tobytes() == p.read_bytes()
+    cloud = PointCloud.from_array(records)
+    as_float64 = records.astype(np.float64)
+    for got, want in ((cloud.xyz, as_float64[:, :3]), (cloud.intensity, as_float64[:, 3])):
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    text = tmp_path / "cloud.txt"
+    np.savetxt(text, as_float64, fmt="%.17g")
+    assert load_cloud(text).dtype == np.float64
+    assert PointCloud.from_array(load_cloud(text)).xyz.tobytes() == cloud.xyz.tobytes()
+
+
 def test_cloud_ascii(tmp_path):
     p = tmp_path / "cloud.txt"
     for text in ("1 2 3 0.5\n4 5 6 0.25\n", "1 2 3 0.5\n\n4 5 6 0.25\n"):

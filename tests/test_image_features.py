@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linecalib import cli
 from linecalib.config import PipelineConfig
-from linecalib.cost import _lookup
+from linecalib.cost import CostEvaluator, _lookup, value_pass
 from linecalib.errors import DimensionMismatch, EmptyTarget, InsufficientLines, ParseError
 from linecalib.evaluation import calibration_error
 from linecalib.fileio import save_pnm
-from linecalib.geometry import Intrinsics, Line2D
+from linecalib.geometry import Extrinsic, Intrinsics, Line2D
 from linecalib.image_features import (
     HeightMap,
     ScoredLine2D,
@@ -26,8 +27,8 @@ from linecalib.image_features import (
     load_mask,
     select_principal_lines,
 )
-from linecalib.pipeline import coarse_calibrate, extract_features
-from linecalib.synth import canonical_spec, generate
+from linecalib.pipeline import calibrate, coarse_calibrate, extract_features
+from linecalib.synth import canonical_spec, format_scene_spec, generate
 
 MANY = settings(max_examples=1000, deadline=None)
 IDT = PipelineConfig(gamma0=0.98, gamma1=0.90)
@@ -446,6 +447,25 @@ def test_heightmap_freezes_the_array_it_is_handed():
     assert HeightMap(ints).values.dtype == np.float64 and ints.flags.writeable
 
 
+def test_fortran_ordered_heightmap_is_stored_c_ordered(canonical_evaluator):
+    """A map handed in F-ordered, such as the transpose of a grid, is kept
+    C-ordered, so cost._lookup's ravel() of it is a view and not a copy of
+    the whole map on every kernel call; the costs keep their bits."""
+    ev, gt = canonical_evaluator
+    maps = [np.asfortranarray(hmap.values) for _, hmap in ev.terms]
+    assert not any(m.flags.c_contiguous for m in maps)
+    f_ev = CostEvaluator(tuple((ev.points[rows], HeightMap(m))
+                               for (rows, _), m in zip(ev.terms, maps)), ev.intrinsics)
+    for (_, hmap), (_, f_map) in zip(ev.terms, f_ev.terms):
+        assert f_map.values.flags.c_contiguous
+        assert np.shares_memory(f_map.values.ravel(), f_map.values)
+        assert f_map.values.tobytes() == hmap.values.tobytes()
+    for e in (gt, Extrinsic(gt.r + 0.01, gt.t - 0.05)):
+        want, got = value_pass(e, ev), value_pass(e, f_ev)
+        assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+        assert got.corners.tobytes() == want.corners.tobytes()
+
+
 def test_semantic_mask_owns_its_bits():
     """One conversion, still a copy: the caller's array stays writable and
     a later write to it does not reach the mask."""
@@ -763,22 +783,39 @@ def test_hough_tied_rows_match_the_vote_and_subtract_oracle(
     assert _line_tuples(hough_lines(mask, cfg)) == want
 
 
-# peak allocations of the two-field IDT and the full-vote Hough (the
-# oracles above) on the canonical lane mask, in MiB
-_IDT_PEAK_MIB, _HOUGH_PEAK_MIB = 18.4, 11.3
+# traced peak allocations on canonical scene 0, in MiB, each just above
+# the figure measured: 5.46 for the IDT of the lane mask, 0.59 for its
+# Hough lines, and 14.94 for calibrate from the bundle's files, load
+# included (17.59 while load kept a float64 copy of the cloud)
+_IDT_PEAK_MIB, _HOUGH_PEAK_MIB, _CALIBRATE_PEAK_MIB = 5.6, 0.65, 15.3
 
 
-@pytest.mark.parametrize("kernel, limit_mib", [
-    (idt_height_map, _IDT_PEAK_MIB), (hough_lines, _HOUGH_PEAK_MIB)])
-def test_kernel_peak_allocation_on_a_full_frame(canonical_frame, kernel, limit_mib):
-    """Neither kernel may allocate more at its peak than the two-field
-    IDT and the full-vote Hough did on a 375x1242 lane mask."""
-    lane = canonical_frame[2]
+@pytest.fixture(scope="module")
+def canonical_bundle(tmp_path_factory):
+    """The paths of canonical scene 0's bundle, written by `linecalib
+    synth`, under the keys cli._load_bundle reads."""
+    root = tmp_path_factory.mktemp("canonical")
+    (root / "scene.txt").write_text(format_scene_spec(canonical_spec(0)), encoding="utf-8")
+    assert cli.main(["synth", "--spec", str(root / "scene.txt"), "--out", str(root)]) == 0
+    return {key: root / name for key, name in cli.BUNDLE_FILES.items()}
+
+
+@pytest.mark.parametrize("run, limit_mib", [
+    pytest.param(lambda frame, paths, cfg: idt_height_map(frame[2], cfg),
+                 _IDT_PEAK_MIB, id="idt_height_map"),
+    pytest.param(lambda frame, paths, cfg: hough_lines(frame[2], cfg),
+                 _HOUGH_PEAK_MIB, id="hough_lines"),
+    pytest.param(lambda frame, paths, cfg: calibrate(*cli._load_bundle(paths), cfg),
+                 _CALIBRATE_PEAK_MIB, id="calibrate"),
+])
+def test_kernel_peak_allocation_on_a_full_frame(canonical_frame, canonical_bundle, run, limit_mib):
+    """Neither kernel on the 375x1242 lane mask, nor a whole calibration
+    from the files, may allocate more at its peak than its bound."""
     cfg = PipelineConfig()
-    kernel(lane, cfg)  # first-call allocations stay out of the figure
+    run(canonical_frame, canonical_bundle, cfg)  # first-call allocations stay out of the figure
     tracemalloc.start()
     try:
-        kernel(lane, cfg)
+        run(canonical_frame, canonical_bundle, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
