@@ -91,6 +91,8 @@ def fit_ground_plane(cloud: PointCloud, cfg: PipelineConfig):
     2017): the seed set is the points within _SEED_REACH of the centre of
     the first fullest _SEED_BIN-high bin of z; each of _PLANE_PASSES
     passes fits the plane of its set and hands the points in its band on.
+    A pass whose band set is the set it fitted ends the fit: the next pass
+    would fit the same points to the same bits.
     """
     pts = cloud.xyz
     n = len(pts)
@@ -110,7 +112,10 @@ def fit_ground_plane(cloud: PointCloud, cfg: PipelineConfig):
         if plane is None:
             raise NoGroundPlane(f"best plane has 0/{n} inliers (the points span no plane)")
         off = plane.signed_distance(pts)
-        inside = np.abs(off, out=off) <= cfg.plane_inlier_band
+        band = np.abs(off, out=off) <= cfg.plane_inlier_band
+        if np.array_equal(band, inside):
+            break
+        inside = band
     count = np.count_nonzero(inside)
     if count < cfg.plane_min_inlier_ratio * n:
         raise NoGroundPlane(

@@ -11,13 +11,16 @@ cost_batch scores many translations of one rotation at once;
 best_in_batch finds the best of them, scoring in full only those that an
 upper bound from a subset of the points cannot rule out, and each of
 those once; the bound reads the term with the fewest points first, since
-the cost adds the terms' means, so each of its points weighs more;
-value_pass scores one pose in one pass over every term and keeps its
-intermediates, its depth among them, from which finish_gradient takes the
-cost's analytic gradient; the refine stage finishes only the poses it
-moves to, and cost is value_pass's value.  Every kernel reads the height
-maps through one bilinear lookup, _lookup: a point is in frame when
-clamping its pixel coordinates to the frame leaves them unchanged.
+the cost adds the terms' means, so each of its points weighs more, and
+reads each point's one-byte cell ceiling (HeightMap.cell_ceilings), not
+its value; value_pass scores one pose in one pass over every term and
+keeps its intermediates, its depth among them, from which finish_gradient
+takes the cost's analytic gradient; the refine stage finishes only the
+poses it moves to, and cost is value_pass's value.  Every exact score
+reads the height maps through one bilinear lookup, _lookup, and the bound
+reads the ceilings at the same cells: both take a point's cell from one
+rule, _cell.  A point is in frame when clamping its pixel coordinates to
+the frame leaves them unchanged.
 """
 from __future__ import annotations
 
@@ -82,34 +85,45 @@ def _rotated(R, ev: CostEvaluator) -> np.ndarray:
     return q
 
 
-def _lookup(p_c, terms, k: Intrinsics):
-    """(values, valid, ok, zs, cell, corners) of the camera-frame points p_c
-    (3, ..., P), each term's rows read from its own map: a point behind the
-    camera (not valid) or out of frame (not ok) has the value 0.  ok is
-    where clamping (u, v) to the frame leaves them unchanged: 0 <= u <= w - 1
-    and 0 <= v <= h - 1, as PointCloud and Extrinsic refuse non-finite
-    values, so no coordinate is NaN.  zs is the depth divided by; cell holds
-    the offsets (fu, fv) into each point's cell and their complements
-    (gu, gv); corners (4, ..., P) the cell's top-left, top-right,
-    bottom-left and bottom-right values, in the order finish_gradient
-    differentiates."""
+def _cell(p_c, k: Intrinsics):
+    """(i, (u0, v0), (u, v), (uc, vc), valid, zs): the cell at which every
+    kernel reads a height map for the camera-frame points p_c (3, ..., P).
+    (u, v), valid and zs are project_planes'; (uc, vc) is (u, v) clamped
+    to the frame, (u0, v0) the cell's top-left corner and i its flat
+    index.  An out-of-frame point reads the cell of its clamped (u, v), a
+    point on the last column or row the cell to its left or above."""
     (u, v), valid, zs = project_planes(k, p_c)
-    # one grid for every map: each has the intrinsics' shape.  An
-    # out-of-frame point is given the cell of its clamped (u, v).
+    # one grid for every map: each has the intrinsics' shape
     h, w = k.height, k.width
     uc = u.clip(0.0, w - 1)
     vc = v.clip(0.0, h - 1)
-    ok = uc == u
-    ok &= vc == v
     u0 = uc.astype(int)
     np.minimum(u0, w - 2, out=u0)
     v0 = vc.astype(int)
     np.minimum(v0, h - 2, out=v0)
+    i = v0 * w
+    i += u0
+    return i, (u0, v0), (u, v), (uc, vc), valid, zs
+
+
+def _lookup(p_c, terms, k: Intrinsics):
+    """(values, valid, ok, zs, cell, corners) of the camera-frame points p_c
+    (3, ..., P), each term's rows read from its own map at its _cell: a
+    point behind the camera (not valid) or out of frame (not ok) has the
+    value 0.  ok is where clamping (u, v) to the frame leaves them
+    unchanged: 0 <= u <= w - 1 and 0 <= v <= h - 1, as PointCloud and
+    Extrinsic refuse non-finite values, so no coordinate is NaN.  zs is
+    the depth divided by; cell holds the offsets (fu, fv) into each
+    point's cell and their complements (gu, gv); corners (4, ..., P) the
+    cell's top-left, top-right, bottom-left and bottom-right values, in
+    the order finish_gradient differentiates."""
+    i, (u0, v0), (u, v), (uc, vc), valid, zs = _cell(p_c, k)
+    w = k.width
+    ok = uc == u
+    ok &= vc == v
     fu = np.subtract(uc, u0, out=uc)
     fv = np.subtract(vc, v0, out=vc)
     gu, gv = 1 - fu, 1 - fv
-    i = v0 * w                 # flat index of each cell's top-left corner
-    i += u0
     corners = np.empty((4,) + i.shape)
     for rows, hmap in terms:
         g = hmap.values.ravel()
@@ -147,6 +161,22 @@ def _sums(q, t, hmap: HeightMap, k: Intrinsics) -> np.ndarray:
     return out
 
 
+def _ceiling_sums(q, t, hmap: HeightMap, k: Intrinsics) -> np.ndarray:
+    """Summed cell ceilings (int64, in 255ths of a unit of height) on hmap
+    of the points q (3, n), translated as in _sums: one byte per point,
+    read at the point's _cell, so at least 255 times its value there, and
+    at least the 0 of a point behind the camera or out of frame."""
+    ceilings = hmap.cell_ceilings.ravel()
+    out = np.empty(len(t), dtype=np.int64)
+    step = max(1, _BLOCK // q.shape[1])
+    for s in range(0, len(t), step):
+        p_c = q[:, None, :] + t[s:s + step].T[:, :, None]   # (3, B, n)
+        # every index is in range: mode="clip" changes no value (see _lookup)
+        read = ceilings.take(_cell(p_c, k)[0], mode="clip")
+        out[s:s + step] = read.sum(axis=1, dtype=np.int64)
+    return out
+
+
 def _total(sums, terms):
     """The terms' means, added left to right: sum() starts from 0, and 0 + -0.0 is +0.0."""
     return reduce(np.add, (s / (rows.stop - rows.start) for s, (rows, _) in zip(sums, terms)))
@@ -173,7 +203,8 @@ def cost_batch(R, t, ev: CostEvaluator) -> np.ndarray:
 # off which a wrong pose puts most points.
 _STAGE_FRACTIONS = ((0.25, 0.0), (0.5, 0.0), (1.0, 0.125), (1.0, 0.5))
 _STRIDE_ORDER = (0, 4, 2, 6, 1, 5, 3, 7)
-# poses scored in full after the first stage, to raise the floor
+# poses scored in full after the first stage, to raise a floor of 0: once
+# an earlier batch has set the floor, it is the cut
 _FLOOR_PICKS = 4
 # per unit of height: covers the summation order, and bilinear weights
 # that sum to a hair over 1
@@ -183,23 +214,21 @@ _ROUNDING = 1e-9
 class _StagedBound:
     """Upper bounds on the cost_batch(R, t, ev) scores, one stage of
     _STAGE_FRACTIONS at a time, with the terms ordered by point count
-    (fewer first; on a tie, in ev.terms order).  A stage scores only the
-    points new to it; a point not yet scored adds at most the map's
-    highest value, or the 0 of a point behind the camera or out of frame
-    if that is higher."""
+    (fewer first; on a tie, in ev.terms order).  A stage reads only the
+    points new to it, each at its cell ceiling (_ceiling_sums); a point
+    not yet read adds the map's highest value."""
 
     def __init__(self, R, t, ev: CostEvaluator):
-        # columns of the product cost_batch takes, so that each point's
-        # value has the bits it has in the full score
+        # columns of the product cost_batch takes, so that each point reads
+        # the cell it reads in the full score
         q = _rotated(R, ev)
         self.t = t
         self.k = ev.intrinsics
         self.terms = []
         for rows, hmap in sorted(ev.terms, key=lambda term: term[0].stop - term[0].start):
             strided = [q[:, rows][:, o::len(_STRIDE_ORDER)] for o in _STRIDE_ORDER]
-            lo, hi = hmap.value_range
-            self.terms.append((np.hstack(strided), hmap, max(0.0, hi), _ROUNDING * max(1.0, hi, -lo)))
-        self.sums = np.zeros((len(self.terms), len(t)))
+            self.terms.append((np.hstack(strided), hmap))
+        self.sums = np.zeros((len(self.terms), len(t)), dtype=np.int64)
         self.stage = 0         # stages summed so far
 
     def tighten(self, live) -> np.ndarray:
@@ -208,12 +237,12 @@ class _StagedBound:
         f0 = _STAGE_FRACTIONS[self.stage - 1] if self.stage else (0.0, 0.0)
         f = _STAGE_FRACTIONS[self.stage]
         bound = np.zeros(len(live))
-        for c, (q, hmap, top, margin) in enumerate(self.terms):
+        for c, (q, hmap) in enumerate(self.terms):
             n = q.shape[1]
             m0, m = (int(fr[min(c, 1)] * n) for fr in (f0, f))
             if m > m0:
-                self.sums[c, live] += _sums(q[:, m0:m], self.t[live], hmap, self.k)
-            bound += (self.sums[c, live] + (n - m) * top) / n + margin
+                self.sums[c, live] += _ceiling_sums(q[:, m0:m], self.t[live], hmap, self.k)
+            bound += (self.sums[c, live] / 255 + (n - m) * hmap.value_range[1]) / n + _ROUNDING
         self.stage += 1
         return bound
 
@@ -222,14 +251,15 @@ def best_in_batch(R, t, ev: CostEvaluator, floor: float):
     """(k, score, scored): the first row k of t (K, 3) whose
     cost_batch(R, t, ev) score is the highest, and that score, if it is
     above floor; else (None, floor, scored).  scored counts the rows
-    scored in full, each once: the floor picks keep their scores, and the
-    last cost_batch call gets only the live rows not yet scored.  ev may
-    have any number of terms (see _STAGE_FRACTIONS).
+    scored in full, each once: at a floor of 0 or below, the floor picks
+    keep their scores, and the last cost_batch call gets only the live
+    rows not yet scored.  ev may have any number of terms (see
+    _STAGE_FRACTIONS).
 
     The result is bit-identical to scoring every row: a row's score has
     the same bits in any batch, and a row is dropped only when its bound
-    falls below a score another row reaches, so it can neither win nor
-    tie.
+    falls below floor or a score another row reaches, so it can neither
+    win nor tie.
     """
     t = np.asarray(t, dtype=float).reshape(-1, 3)
     if len(t) == 0:
@@ -241,7 +271,8 @@ def best_in_batch(R, t, ev: CostEvaluator, floor: float):
     cut = floor
     for stage in range(len(_STAGE_FRACTIONS)):
         bound = staged.tighten(live)
-        if stage == 0:
+        # a floor above 0 is an earlier best, already a cut
+        if stage == 0 and floor <= 0.0:
             picks = live[np.argsort(-bound, kind="stable")[:_FLOOR_PICKS]]
             scores[picks] = cost_batch(R, t[picks], ev)
             full[picks] = True

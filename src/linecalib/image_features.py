@@ -7,7 +7,7 @@ transform) and fitted 2D lines for the coarse pose solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -34,24 +34,54 @@ class SemanticMask:
         object.__setattr__(self, "bits", b)
 
 
+# rows of cells per block of HeightMap.cell_ceilings: each float temporary
+# stays at a few hundred KB on a 1242 px wide map
+_CEILING_ROWS = 32
+
+
 @dataclass(frozen=True, eq=False)
 class HeightMap:
-    """Per-pixel heights, kept C-ordered; a C float64 array is frozen, not copied."""
+    """Per-pixel heights in [0, 1], kept C-ordered; a C float64 array is
+    frozen, not copied.  Values outside [0, 1] are a ValueError."""
 
-    values: np.ndarray       # (h, w) float in (0, 1), both sides >= 2 px
+    values: np.ndarray       # (h, w) float in [0, 1], both sides >= 2 px
+    value_range: tuple[float, float] = field(init=False, repr=False)  # (lowest, highest)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float, order="C")
         if v.ndim != 2 or min(v.shape) < 2:
             # bilinear lookup needs a 2x2 cell
             raise ValueError(f"height map must be at least 2x2, got shape {v.shape}")
+        lo, hi = float(v.min()), float(v.max())
+        # written so that a NaN fails it too
+        if not (lo >= 0.0 and hi <= 1.0):
+            raise ValueError(f"height map values must lie in [0, 1], got [{lo}, {hi}]")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "value_range", (lo, hi))
 
     @cached_property
-    def value_range(self) -> tuple[float, float]:
-        """(lowest, highest) height, computed on first use."""
-        return float(self.values.min()), float(self.values.max())
+    def cell_ceilings(self) -> np.ndarray:
+        """Read-only uint8 (h, w), built on first use: at each pixel, c =
+        ceil(255 x) of the highest x of the four corners of the cell that
+        the bilinear lookup reads there, plus 1 where c / 255 rounds below
+        x, so c / 255 >= x.  The last row and column read the cell above
+        and to the left, as the lookup does.  The bytes are taken pixel by
+        pixel and then the highest of each cell: both steps keep order."""
+        v = self.values
+        out = np.empty(v.shape, dtype=np.uint8)
+        for y in range(0, len(v) - 1, _CEILING_ROWS):
+            rows = v[y:y + _CEILING_ROWS + 1]        # the block's cells and the row below
+            c = np.multiply(rows, 255)
+            np.ceil(c, out=c)
+            c += np.divide(c, 255) < rows
+            c = c.astype(np.uint8)
+            pairs = np.maximum(c[:, :-1], c[:, 1:])
+            np.maximum(pairs[:-1], pairs[1:], out=out[y:y + len(c) - 1, :-1])
+        out[:, -1] = out[:, -2]
+        out[-1] = out[-2]
+        out.setflags(write=False)
+        return out
 
 
 def load_mask(path, cls: str, intrinsics: Intrinsics) -> SemanticMask:

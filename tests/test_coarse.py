@@ -92,15 +92,20 @@ def test_coarse_matches_per_triple_oracle(spec, dilate, pinned):
 def test_coarse_stage_point_lookups(monkeypatch, canonical_features, canonical_lines):
     """A work guard, with no timing: on canonical scene 0, coarse_calibrate
     reads at most 80% of the points that cost._sums read when the staged
-    bound read the same fractions of both terms (247,406 lookups)."""
+    bound read the same fractions of both terms (247,406 lookups).  Both
+    kernels count: the exact lookups of cost._sums and the staged bound's
+    cell ceilings, cost._ceiling_sums."""
     _, cf, ev, _ = canonical_features
-    sums, read = cost_module._sums, [0]
+    read = [0]
 
-    def counting(q, t, hmap, k):
-        read[0] += q.shape[1] * len(t)
-        return sums(q, t, hmap, k)
+    def counting(kernel):
+        def counted(q, t, hmap, k):
+            read[0] += q.shape[1] * len(t)
+            return kernel(q, t, hmap, k)
+        return counted
 
-    monkeypatch.setattr(cost_module, "_sums", counting)
+    for name in ("_sums", "_ceiling_sums"):
+        monkeypatch.setattr(cost_module, name, counting(getattr(cost_module, name)))
     coarse_calibrate(cf, canonical_lines, ev)
     assert 0 < read[0] <= 0.8 * 247_406
 

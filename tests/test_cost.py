@@ -384,13 +384,13 @@ def test_best_in_batch_scores_each_row_once(seed, equal_counts):
 
 @pytest.mark.parametrize("n_lane, n_pole, first", [(5, 9, "lane"), (9, 5, "pole"), (7, 7, "lane")])
 def test_staged_bound_reads_the_term_with_fewer_points_first(n_lane, n_pole, first):
-    """The first stage sums only the term with fewer points; on a tie the
-    terms keep their order, lane first."""
+    """The first stage sums the cell ceilings of only the term with fewer
+    points; on a tie the terms keep their order, lane first."""
     rng = np.random.default_rng(0)
     ev = small_evaluator(rng)
     pts = rng.uniform([-2, -2, 4], [2, 2, 30], size=(9, 3))
     ev = with_points(ev, (pts[:n_lane], pts[:n_pole]))
-    sums, read = cost_module._sums, []
+    sums, read = cost_module._ceiling_sums, []
 
     def recording(q, t, hmap, k):
         read.append(hmap)
@@ -398,9 +398,77 @@ def test_staged_bound_reads_the_term_with_fewer_points_first(n_lane, n_pole, fir
 
     staged = cost_module._StagedBound(np.eye(3), np.zeros((2, 3)), ev)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cost_module, "_sums", recording)
+        mp.setattr(cost_module, "_ceiling_sums", recording)
         staged.tighten(np.arange(2))
     assert len(read) == 1 and read[0] is ev.terms[("lane", "pole").index(first)][1]
+
+
+def _assert_ceilings_cover(hmap, p_c, k):
+    """Each camera-frame point of p_c (n, 3), read alone by each kernel (a
+    point at the origin translated by its row): its cell ceiling / 255 is
+    at least every corner of the cell _lookup reads it from, and at least
+    its _lookup value up to the bound's rounding margin."""
+    origin = np.zeros((3, 1))
+    ceilings = cost_module._ceiling_sums(origin, p_c, hmap, k) / 255
+    values = cost_module._sums(origin, p_c, hmap, k)
+    corners = cost_module._lookup(p_c.T, ((slice(None), hmap),), k)[5]
+    assert (corners.max(axis=0) <= ceilings).all()
+    assert (values <= ceilings + cost_module._ROUNDING).all()
+
+
+def _edge_coordinates(rng, n):
+    """Pixel coordinates along an axis of n pixels: its first and last
+    pixel and a float on either side of each (the floats next to n - 1;
+    next to 0, the nearest that survive a principal point of 0.5 exactly),
+    points well out of frame, and random ones."""
+    last = n - 1.0
+    ends = [-2.0**-53, 0.0, 2.0**-54, np.nextafter(last, -np.inf), last, np.nextafter(last, np.inf)]
+    return np.concatenate([ends, [-3.0, n + 2.0], rng.uniform(-1.0, n, 12)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_cell_ceilings_cover_every_lookup(seed):
+    """On random maps in [0, 1] holding exact 0s, 1s and multiples of
+    1/255, every point's ceiling covers its value: points on the last
+    column and row and the floats on either side, points out of frame,
+    and points behind the camera at depth EPS_Z and beyond.  Each ceiling
+    is also within 2/255 of its cell's highest corner."""
+    rng = np.random.default_rng(seed)
+    h, w = (int(x) for x in rng.integers(2, 12, 2))
+    values = rng.random((h, w))
+    for fill in (0.0, 1.0, rng.integers(0, 256, (h, w)) / 255):
+        pick = rng.random((h, w)) < 0.2
+        values[pick] = np.broadcast_to(fill, (h, w))[pick]
+    hmap = HeightMap(values)
+    k = Intrinsics(1.0, 1.0, 0.5, 0.5, w, h)
+    u, v = np.meshgrid(_edge_coordinates(rng, w), _edge_coordinates(rng, h))
+    p_c = np.column_stack([u.ravel() - 0.5, v.ravel() - 0.5, np.ones(u.size)])
+    # z = 1 and unit focal lengths: the six edge coordinates of each axis
+    # project back to themselves
+    uv = project_points(k, p_c)[0].reshape(u.shape + (2,))
+    assert (uv[:6, :6] == np.stack([u, v], axis=-1)[:6, :6]).all()
+    behind = p_c[rng.choice(len(p_c), 40)] * [1.0, 1.0, 0.0] + [0.0, 0.0, EPS_Z]
+    behind[20:, 2] = -rng.uniform(0.0, 5.0, 20)
+    _assert_ceilings_cover(hmap, np.vstack([p_c, behind]), k)
+    cells = np.maximum.reduce([values[:-1, :-1], values[:-1, 1:], values[1:, :-1], values[1:, 1:]])
+    ceilings = hmap.cell_ceilings
+    assert ceilings.dtype == np.uint8 and not ceilings.flags.writeable
+    assert (ceilings[:-1, :-1] / 255 < cells + 2 / 255).all()
+
+
+def test_cell_ceilings_cover_the_canonical_frame(canonical_evaluator):
+    """Every point of both terms, at the true pose and at poses that put
+    points behind the camera and out of frame, on the IDT maps."""
+    ev, gt = canonical_evaluator
+    rng = np.random.default_rng(12)
+    poses = [gt] + [perturb(gt, rng, dt, math.radians(dtheta))
+                    for dt, dtheta in ((0.2, 1.0), (5.0, 30.0), (30.0, 90.0)) for _ in range(3)]
+    assert any(_behind_fraction(p, ev) > 0.0 for p in poses)
+    for pose in poses:
+        for rows, hmap in ev.terms:
+            p_c = pose.apply(ev.points[rows])
+            _assert_ceilings_cover(hmap, p_c, ev.intrinsics)
 
 
 # ---------------------------------------------------------------------------

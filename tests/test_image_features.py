@@ -439,6 +439,25 @@ def test_heightmap_needs_a_2x2_cell(shape):
     assert sample(HeightMap(np.full((2, 2), 0.5)), np.array([0.5]), np.array([1.0]))[0] == 0.5
 
 
+@pytest.mark.parametrize("value", [1 + 1e-12, -1e-12, np.nan])
+def test_heightmap_refuses_values_outside_zero_one(value):
+    """The cost's bounds hold for heights in [0, 1]: a map with one value
+    outside it, or a NaN, is refused."""
+    values = np.full((3, 4), 0.5)
+    values[1, 2] = value
+    with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+        HeightMap(values)
+
+
+def test_heightmap_takes_zero_and_one():
+    """0 and 1 themselves are in range, and value_range reports them."""
+    values = np.full((3, 4), 0.5)
+    values[0, 0], values[2, 3] = 0.0, 1.0
+    assert HeightMap(values).value_range == (0.0, 1.0)
+    assert HeightMap(np.zeros((2, 2))).value_range == (0.0, 0.0)
+    assert HeightMap(np.ones((2, 2))).cell_ceilings.tolist() == [[255, 255], [255, 255]]
+
+
 def test_heightmap_freezes_the_array_it_is_handed():
     values = np.full((3, 4), 0.5)
     hm = HeightMap(values)
