@@ -17,10 +17,11 @@ its value; value_pass scores one pose in one pass over every term and
 keeps its intermediates, its depth among them, from which finish_gradient
 takes the cost's analytic gradient; the refine stage finishes only the
 poses it moves to, and cost is value_pass's value.  Every exact score
-reads the height maps through one bilinear lookup, _lookup, and the bound
-reads the ceilings at the same cells: both take a point's cell from one
-rule, _cell.  A point is in frame when clamping its pixel coordinates to
-the frame leaves them unchanged.
+reads the height maps through one bilinear lookup, _lookup, which gathers
+each cell corner's code and then that code's level (no float map is
+built), and the bound reads the ceilings at the same cells: both take a
+point's cell from one rule, _cell.  A point is in frame when clamping its
+pixel coordinates to the frame leaves them unchanged.
 """
 from __future__ import annotations
 
@@ -55,8 +56,8 @@ class CostEvaluator:
             raise ValueError("cost evaluator needs non-empty point sets")
         k = self.intrinsics
         for i, (_, hmap) in enumerate(self.terms):
-            if hmap.values.shape != (k.height, k.width):
-                raise DimensionMismatch(f"term {i} height map has shape {hmap.values.shape}, "
+            if hmap.codes.shape != (k.height, k.width):
+                raise DimensionMismatch(f"term {i} height map has shape {hmap.codes.shape}, "
                                         f"intrinsics need {(k.height, k.width)}")
         points = np.concatenate(sets)
         points.setflags(write=False)
@@ -116,7 +117,8 @@ def _lookup(p_c, terms, k: Intrinsics):
     the depth divided by; cell holds the offsets (fu, fv) into each
     point's cell and their complements (gu, gv); corners (4, ..., P) the
     cell's top-left, top-right, bottom-left and bottom-right values, in
-    the order finish_gradient differentiates."""
+    the order finish_gradient differentiates: each corner's code, gathered
+    from the term's map, then that code's level."""
     i, (u0, v0), (u, v), (uc, vc), valid, zs = _cell(p_c, k)
     w = k.width
     ok = uc == u
@@ -126,13 +128,13 @@ def _lookup(p_c, terms, k: Intrinsics):
     gu, gv = 1 - fu, 1 - fv
     corners = np.empty((4,) + i.shape)
     for rows, hmap in terms:
-        g = hmap.values.ravel()
-        # flat gathers of the four neighbours: the same values as 2-D fancy
+        flat, cell = hmap.codes.ravel(), i[..., rows]
+        # flat gathers of the four neighbours' codes: the same as 2-D fancy
         # indexing, at a fraction of its cost.  Every index is in range, so
         # mode="clip" changes no value; it only spares take() the buffered
         # copy that mode="raise" makes of out.
         for row, offset in zip(corners[..., rows], (0, 1, w, w + 1)):
-            g[offset:].take(i[..., rows], out=row, mode="clip")
+            hmap.levels.take(flat[offset:].take(cell, mode="clip"), out=row, mode="clip")
     # the blend in place, in the order that sets its bits: each corner
     # times its u weight, times its v weight, added to val in turn
     val = corners[0] * gu

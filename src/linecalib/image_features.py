@@ -7,7 +7,7 @@ transform) and fitted 2D lines for the coarse pose solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,31 +34,55 @@ class SemanticMask:
         object.__setattr__(self, "bits", b)
 
 
-# rows of cells per block of HeightMap.cell_ceilings: each float temporary
-# stays at a few hundred KB on a 1242 px wide map
-_CEILING_ROWS = 32
-
-
 @dataclass(frozen=True, eq=False)
 class HeightMap:
-    """Per-pixel heights in [0, 1], kept C-ordered; a C float64 array is
-    frozen, not copied.  Values outside [0, 1] are a ValueError."""
+    """Per-pixel heights in [0, 1] as codes into a table of levels: the
+    height at a pixel is levels[codes[pixel]].  Both arrays are kept
+    read-only, the codes C-ordered (h, w), both sides >= 2 px; a level
+    outside [0, 1] or NaN, or a code that is no index of levels, is a
+    ValueError.  C-ordered int codes are frozen, not copied."""
 
-    values: np.ndarray       # (h, w) float in [0, 1], both sides >= 2 px
-    value_range: tuple[float, float] = field(init=False, repr=False)  # (lowest, highest)
+    levels: np.ndarray       # (L,) float64
+    codes: np.ndarray        # (h, w) ints in [0, L)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float, order="C")
-        if v.ndim != 2 or min(v.shape) < 2:
+        levels, codes = np.asarray(self.levels, dtype=float), np.asarray(self.codes, order="C")
+        if codes.ndim != 2 or min(codes.shape) < 2:
             # bilinear lookup needs a 2x2 cell
-            raise ValueError(f"height map must be at least 2x2, got shape {v.shape}")
-        lo, hi = float(v.min()), float(v.max())
+            raise ValueError(f"height map must be at least 2x2, got shape {codes.shape}")
+        n = levels.size
+        if levels.ndim != 1 or codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() >= n:
+            raise ValueError(f"height map codes must be ints in [0, {n})")
+        lo, hi = levels.min(), levels.max()
         # written so that a NaN fails it too
         if not (lo >= 0.0 and hi <= 1.0):
             raise ValueError(f"height map values must lie in [0, 1], got [{lo}, {hi}]")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "value_range", (lo, hi))
+        for name, array in (("levels", levels), ("codes", codes)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    @classmethod
+    def from_values(cls, values) -> HeightMap:
+        """The map of the float heights values (h, w): its levels are the
+        distinct bit patterns among values, so levels[codes] gives back
+        every value with its bits, -0.0 as -0.0, and its codes the
+        narrowest signed ints that index them."""
+        v = np.ascontiguousarray(values, dtype=float)
+        bits, codes = np.unique(v.view(np.uint64), return_inverse=True)
+        return cls(bits.view(float), codes.reshape(v.shape).astype(np.min_scalar_type(-len(bits))))
+
+    @property
+    def values(self) -> np.ndarray:
+        """The heights as a new float64 (h, w) array, for tests and
+        diagnostics: no kernel reads it."""
+        return self.levels.take(self.codes)
+
+    @cached_property
+    def value_range(self) -> tuple[float, float]:
+        """(lowest, highest) value that occurs in the map, built on first
+        use: a level that no code names does not count."""
+        occurring = self.levels[np.bincount(self.codes.ravel(), minlength=len(self.levels)) > 0]
+        return float(occurring.min()), float(occurring.max())
 
     @cached_property
     def cell_ceilings(self) -> np.ndarray:
@@ -66,18 +90,15 @@ class HeightMap:
         ceil(255 x) of the highest x of the four corners of the cell that
         the bilinear lookup reads there, plus 1 where c / 255 rounds below
         x, so c / 255 >= x.  The last row and column read the cell above
-        and to the left, as the lookup does.  The bytes are taken pixel by
-        pixel and then the highest of each cell: both steps keep order."""
-        v = self.values
-        out = np.empty(v.shape, dtype=np.uint8)
-        for y in range(0, len(v) - 1, _CEILING_ROWS):
-            rows = v[y:y + _CEILING_ROWS + 1]        # the block's cells and the row below
-            c = np.multiply(rows, 255)
-            np.ceil(c, out=c)
-            c += np.divide(c, 255) < rows
-            c = c.astype(np.uint8)
-            pairs = np.maximum(c[:, :-1], c[:, 1:])
-            np.maximum(pairs[:-1], pairs[1:], out=out[y:y + len(c) - 1, :-1])
+        and to the left, as the lookup does.  The bytes are taken level by
+        level, gathered by code and then the highest of each cell: both
+        steps keep order."""
+        x = self.levels
+        c = np.ceil(x * 255)
+        c += c / 255 < x
+        out = c.astype(np.uint8).take(self.codes)
+        pairs = np.maximum(out[:, :-1], out[:, 1:])
+        np.maximum(pairs[:-1], pairs[1:], out=out[:-1, :-1])
         out[:, -1] = out[:, -2]
         out[-1] = out[-2]
         out.setflags(write=False)
@@ -184,9 +205,10 @@ def idt_height_map(mask: SemanticMask, cfg: PipelineConfig) -> HeightMap:
     boundary pixel (_boundary).  On a shortest path from a pixel to the
     nearest pixel of the other value, the last pixel before it is a
     boundary pixel, and no boundary pixel is nearer, so d = D + 1 on both
-    sides.  The powers are looked up in a per-map table of gamma ** 1, 2,
-    ..., sliced from np.power(gamma, arange(h + w)), so each holds the
-    bits np.power gives its distance; the index is bits * (h + w - 1) + D.
+    sides.  The map's levels are a table of gamma ** 1, 2, ..., sliced
+    from np.power(gamma, arange(h + w)), so each holds the bits np.power
+    gives its distance, and its codes are bits * (h + w - 1) + D in the
+    field's ints.
     An empty mask has no boundary pixel, so nothing to decay from: it
     raises EmptyTarget, the pipeline's one check for an empty mask.
     """
@@ -197,10 +219,9 @@ def idt_height_map(mask: SemanticMask, cfg: PipelineConfig) -> HeightMap:
     n = sum(bits.shape)
     exps = np.arange(n, dtype=float)
     table = np.concatenate([np.power(cfg.gamma1, exps)[1:], np.power(cfg.gamma0, exps)[1:]])
-    # C order, as table[index] takes the index's layout (take() would copy it to intp)
-    index = np.multiply(bits, n - 1, dtype=d.dtype, order="C")
-    index += d
-    return HeightMap(table[index])
+    codes = np.multiply(bits, n - 1, dtype=d.dtype)
+    codes += d
+    return HeightMap(table, codes)
 
 
 @dataclass(frozen=True)

@@ -131,7 +131,7 @@ def test_no_candidate_above_zero_is_a_coarse_error(canonical_features, canonical
     that scores 0 never wins: the coarse stage fails with exit code 3."""
     spec, cf, _, _ = canonical_features
     k = spec.intrinsics
-    zero = HeightMap(np.zeros((k.height, k.width)))
+    zero = HeightMap.from_values(np.zeros((k.height, k.width)))
     ev = CostEvaluator(((cf.lane_points, zero), (cf.pole_points, zero)), k)
     report = CalibrationReport()
     with pytest.raises(NoValidCandidate) as info:

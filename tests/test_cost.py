@@ -37,7 +37,7 @@ def small_evaluator(rng, n_terms=2):
     """n_terms terms of 2 to 39 points in front of the camera, on random maps."""
     sets = [rng.uniform([-2, -2, 4], [2, 2, 30], size=(int(rng.integers(2, 40)), 3))
             for _ in range(n_terms)]
-    maps = [HeightMap(rng.random((96, 128))) for _ in range(n_terms)]
+    maps = [HeightMap.from_values(rng.random((96, 128))) for _ in range(n_terms)]
     return CostEvaluator(tuple(zip(sets, maps)), K)
 
 
@@ -84,7 +84,7 @@ def test_behind_camera_contributes_zero():
 def test_out_of_frame_contributes_zero():
     lane = np.array([[0.0, 0.0, 10.0]])
     pole = np.array([[0.0, 0.0, 10.0]])
-    hm = HeightMap(np.ones((96, 128)))
+    hm = HeightMap.from_values(np.ones((96, 128)))
     ev = CostEvaluator(((lane, hm), (pole, hm)), K)
     # push the projection far off the left edge
     e = Extrinsic(np.zeros(3), np.array([-50.0, 0.0, 0.0]))
@@ -92,7 +92,7 @@ def test_out_of_frame_contributes_zero():
 
 
 def test_empty_point_sets_rejected():
-    hm = HeightMap(np.ones((4, 4)))
+    hm = HeightMap.from_values(np.ones((4, 4)))
     with pytest.raises(ValueError):
         CostEvaluator(((np.zeros((0, 3)), hm), (np.ones((1, 3)), hm)), K)
 
@@ -104,7 +104,7 @@ def test_height_map_of_another_frame_rejected(cls, shape):
     transposed or foreign one would be scored against the wrong pixels.
     The error names the term by its index: the lane term is 0, the pole
     term 1, as build_evaluator orders them."""
-    right, wrong = HeightMap(np.ones((96, 128))), HeightMap(np.ones(shape))
+    right, wrong = HeightMap.from_values(np.ones((96, 128))), HeightMap.from_values(np.ones(shape))
     index = ("lane", "pole").index(cls)
     maps = (wrong, right) if index == 0 else (right, wrong)
     named = (rf"term {index} height map has shape \({shape[0]}, {shape[1]}\), "
@@ -116,7 +116,7 @@ def test_height_map_of_another_frame_rejected(cls, shape):
 def test_evaluator_points_are_one_read_only_array():
     rng = np.random.default_rng(1)
     lane, pole = rng.normal(size=(5, 3)), rng.normal(size=(2, 3))
-    hm = HeightMap(np.ones((96, 128)))
+    hm = HeightMap.from_values(np.ones((96, 128)))
     ev = CostEvaluator(((lane, hm), (pole, hm)), K)
     assert ev.points.tolist() == lane.tolist() + pole.tolist()
     assert [rows for rows, _ in ev.terms] == [slice(0, 5), slice(5, 7)]
@@ -310,7 +310,7 @@ def _pruning_case(rng, equal_counts=False):
     sets = term_points(small_evaluator(rng, int(rng.integers(1, 5))))
     n = min(map(len, sets)) if equal_counts else None
     lo = rng.uniform(0.0, 0.95)
-    ev = CostEvaluator(tuple((pts[:n], HeightMap(lo + (1 - lo) * rng.random((96, 128))))
+    ev = CostEvaluator(tuple((pts[:n], HeightMap.from_values(lo + (1 - lo) * rng.random((96, 128))))
                              for pts in sets), K)
     R = angle_axis_to_matrix(rng.normal(size=3) * 0.05)
     n = int(rng.integers(1, 20))
@@ -440,7 +440,7 @@ def test_cell_ceilings_cover_every_lookup(seed):
     for fill in (0.0, 1.0, rng.integers(0, 256, (h, w)) / 255):
         pick = rng.random((h, w)) < 0.2
         values[pick] = np.broadcast_to(fill, (h, w))[pick]
-    hmap = HeightMap(values)
+    hmap = HeightMap.from_values(values)
     k = Intrinsics(1.0, 1.0, 0.5, 0.5, w, h)
     u, v = np.meshgrid(_edge_coordinates(rng, w), _edge_coordinates(rng, h))
     p_c = np.column_stack([u.ravel() - 0.5, v.ravel() - 0.5, np.ones(u.size)])
@@ -455,11 +455,28 @@ def test_cell_ceilings_cover_every_lookup(seed):
     ceilings = hmap.cell_ceilings
     assert ceilings.dtype == np.uint8 and not ceilings.flags.writeable
     assert (ceilings[:-1, :-1] / 255 < cells + 2 / 255).all()
+    assert ceilings.tobytes() == _pixel_ceilings(values).tobytes()
+
+
+def _pixel_ceilings(values):
+    """The cell ceilings of the float map values (h, w), taken pixel by
+    pixel: each pixel's byte c = ceil(255 x), plus 1 where c / 255 rounds
+    below x, then the highest byte of each cell, the last row and column
+    reading the cell above and to the left."""
+    c = np.ceil(values * 255)
+    c += c / 255 < values
+    b = c.astype(np.uint8)
+    out = np.empty_like(b)
+    out[:-1, :-1] = np.maximum.reduce([b[:-1, :-1], b[:-1, 1:], b[1:, :-1], b[1:, 1:]])
+    out[:, -1] = out[:, -2]
+    out[-1] = out[-2]
+    return out
 
 
 def test_cell_ceilings_cover_the_canonical_frame(canonical_evaluator):
     """Every point of both terms, at the true pose and at poses that put
-    points behind the camera and out of frame, on the IDT maps."""
+    points behind the camera and out of frame, on the IDT maps, whose
+    ceilings are the bytes taken pixel by pixel from their values."""
     ev, gt = canonical_evaluator
     rng = np.random.default_rng(12)
     poses = [gt] + [perturb(gt, rng, dt, math.radians(dtheta))
@@ -469,6 +486,8 @@ def test_cell_ceilings_cover_the_canonical_frame(canonical_evaluator):
         for rows, hmap in ev.terms:
             p_c = pose.apply(ev.points[rows])
             _assert_ceilings_cover(hmap, p_c, ev.intrinsics)
+    for _, hmap in ev.terms:
+        assert hmap.cell_ceilings.tobytes() == _pixel_ceilings(hmap.values).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +583,8 @@ def test_value_pass_bits_match_per_class_oracle(seed):
     lo, hi = [-3, -3, -10], [3, 3, 30]
     n_terms = int(rng.integers(1, 4))
     sets = [rng.uniform(lo, hi, size=(int(rng.integers(1, 40)), 3)) for _ in range(n_terms)]
-    ev = CostEvaluator(tuple((pts, HeightMap(rng.random((96, 128)))) for pts in sets), K)
+    ev = CostEvaluator(tuple((pts, HeightMap.from_values(rng.random((96, 128))))
+                             for pts in sets), K)
     poses = [Extrinsic(rng.normal(size=3) * s, rng.normal(size=3) * 3 * s)
              for s in (0.05, 0.3, 1.0)]
     _assert_kernel_matches_oracle(poses, ev)
@@ -586,7 +606,7 @@ def test_one_point_terms_match_per_class_oracles(seed):
         z = rng.uniform(3.0, 30.0)
         return ((np.array([*(rng.uniform(-0.08, 0.08, 2) * z), z]) - e.t) @ e.matrix())[None]
 
-    hmaps = HeightMap(rng.random((96, 128))), HeightMap(rng.random((96, 128)))
+    hmaps = [HeightMap.from_values(rng.random((96, 128))) for _ in range(2)]
     ev = CostEvaluator(((one_point(), hmaps[0]), (one_point(), hmaps[1])), K)
     poses = [e] + [Extrinsic(e.r, e.t + rng.normal(size=3) * s) for s in (0.1, 0.5, 5.0) * 4]
     poses.append(Extrinsic(e.r, e.t - [0.0, 0.0, 100.0]))
@@ -645,7 +665,8 @@ def test_frame_edges_and_depth_limits_match_oracles():
     assert {0.0, w - 1.0} <= set(u.tolist()) and {0.0, h - 1.0} <= set(v.tolist())
     ahead = rng.uniform([-2, -2, 4], [2, 2, 30], size=(20, 3))
     for sets in ((special, ahead), (np.vstack([ahead, special]),), (special[::-1], special)):
-        ev = CostEvaluator(tuple((pts, HeightMap(rng.random((h, w)))) for pts in sets), K)
+        ev = CostEvaluator(tuple((pts, HeightMap.from_values(rng.random((h, w))))
+                                 for pts in sets), K)
         _assert_kernel_matches_oracle([e], ev)
         poses = [e, Extrinsic(e.r, [0.0, 0.0, 1e-3])]
         assert _assert_batch_matches_oracle(poses, ev)[0] > 0.0
@@ -675,8 +696,8 @@ def _affine_evaluator(ev):
     h, w = ev.intrinsics.height, ev.intrinsics.width
     u, v = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
     lane, pole = term_points(ev)
-    return CostEvaluator(((lane, HeightMap(0.3 + 2e-4 * u + 5e-4 * v)),
-                          (pole, HeightMap(0.9 - 3e-4 * u + 1e-4 * v))), ev.intrinsics)
+    return CostEvaluator(((lane, HeightMap.from_values(0.3 + 2e-4 * u + 5e-4 * v)),
+                          (pole, HeightMap.from_values(0.9 - 3e-4 * u + 1e-4 * v))), ev.intrinsics)
 
 
 def test_cost_gradient_matches_central_differences(canonical_evaluator):
@@ -716,3 +737,114 @@ def test_points_behind_or_out_of_frame_add_no_gradient(canonical_evaluator):
         value2, grad2 = vp2.value, finish_gradient(vp2)
         assert value2 == pytest.approx(value / 2, rel=1e-12)
         np.testing.assert_allclose(grad2, grad / 2, rtol=1e-9, atol=1e-12 * np.abs(grad).max())
+
+
+# ---------------------------------------------------------------------------
+# code maps against the float maps they stand for
+
+
+def _float_lookup(p_c, terms, k):
+    """cost._lookup as it read a float map: the four corners taken from
+    levels[codes], built in full, by four flat gathers, then the same blend."""
+    i, (u0, v0), (u, v), (uc, vc), valid, zs = cost_module._cell(p_c, k)
+    w = k.width
+    ok = uc == u
+    ok &= vc == v
+    fu = np.subtract(uc, u0, out=uc)
+    fv = np.subtract(vc, v0, out=vc)
+    gu, gv = 1 - fu, 1 - fv
+    corners = np.empty((4,) + i.shape)
+    for rows, hmap in terms:
+        g = hmap.levels[hmap.codes].ravel()
+        for row, offset in zip(corners[..., rows], (0, 1, w, w + 1)):
+            g[offset:].take(i[..., rows], out=row, mode="clip")
+    val = corners[0] * gu
+    val *= gv
+    term = np.multiply(corners[1], fu)
+    term *= gv
+    val += term
+    np.multiply(corners[2], gu, out=term)
+    term *= fv
+    val += term
+    np.multiply(corners[3], fu, out=term)
+    term *= fv
+    val += term
+    return np.where(valid & ok, val, 0.0), valid, ok, zs, (fu, fv, gu, gv), corners
+
+
+def _kernel_outputs(ev, poses, R, t):
+    """Every kernel's output on ev as bytes: _lookup of each pose's camera
+    points, value_pass with finish_gradient, cost_batch of the rows of t
+    at R, and best_in_batch of them at a floor of 0 and at one score."""
+    out = []
+    for e in poses:
+        p_c = e.apply(ev.points).T
+        looked = cost_module._lookup(p_c, ev.terms, ev.intrinsics)
+        out += [a.tobytes() for a in looked[:4] + looked[4] + looked[5:]]
+        vp = value_pass(e, ev)
+        out += [np.float64(vp.value).tobytes(), finish_gradient(vp).tobytes()]
+    scores = cost_batch(R, t, ev)
+    out.append(scores.tobytes())
+    for floor in (0.0, float(np.sort(scores)[len(scores) // 2])):
+        out.append(best_in_batch(R, t, ev, floor))
+    return out
+
+
+def _assert_code_maps_match_float_maps(ev, poses, R, t):
+    """Each kernel gives the same bits on ev's code maps as the float-map
+    lookup gives on the values they stand for."""
+    got = _kernel_outputs(ev, poses, R, t)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cost_module, "_lookup", _float_lookup)
+        want = _kernel_outputs(ev, poses, R, t)
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_code_maps_match_float_maps_on_random_maps(seed):
+    """One to four terms on maps from float values, with pruned batches."""
+    rng = np.random.default_rng(seed)
+    ev, R, t = _pruning_case(rng)
+    poses = [Extrinsic(rng.normal(size=3) * 0.3, rng.normal(size=3) * 3.0) for _ in range(3)]
+    _assert_code_maps_match_float_maps(ev, poses, R, t)
+
+
+def test_code_maps_match_float_maps_on_the_canonical_frame(canonical_evaluator):
+    """The IDT maps of a 375x1242 frame, int16 codes, at poses near the
+    truth and far from it."""
+    ev, gt = canonical_evaluator
+    assert all(hmap.codes.dtype == np.int16 for _, hmap in ev.terms)
+    rng = np.random.default_rng(15)
+    poses = [gt] + [perturb(gt, rng, dt, math.radians(dth))
+                    for dt, dth in ((0.2, 1.0), (5.0, 30.0), (30.0, 90.0))]
+    t = gt.t + rng.normal(size=(40, 3)) * rng.choice([0.05, 0.5, 5.0], size=(40, 1))
+    _assert_code_maps_match_float_maps(ev, poses, gt.matrix(), t)
+
+
+def test_code_maps_match_float_maps_past_int16():
+    """A 2x16,400 mask: h + w passes 16,384, so its distance field and its
+    map's codes are int32, and every kernel still reads the float map's
+    bits, codes from 0 past 8,000 and the inside's h + w - 1 included."""
+    from linecalib.config import PipelineConfig
+    from linecalib.image_features import SemanticMask, idt_height_map, l1_distance_field
+
+    rng = np.random.default_rng(16)
+    h, w = 2, 16400
+    bits = rng.random((h, w)) < 0.002
+    bits[:, :w // 2] = False
+    bits[:, -3:] = True
+    mask = SemanticMask("lane", bits)
+    hmap = idt_height_map(mask, PipelineConfig(gamma0=0.98, gamma1=0.999))
+    assert l1_distance_field(bits).dtype == hmap.codes.dtype == np.int32
+    assert hmap.codes.min() == 0 and hmap.codes.max() == h + w - 1
+    assert hmap.codes[~bits].max() > 8000
+    k = Intrinsics(fx=1000.0, fy=1.0, cx=w / 2, cy=0.5, width=w, height=h)
+    z = rng.uniform(2.0, 20.0, (2, 300))
+    sets = [np.column_stack([rng.uniform(-8.5, 8.5, 300) * zz,
+                             rng.uniform(-0.6, 0.6, 300) * zz, zz]) for zz in z]
+    ev = CostEvaluator(tuple((pts, hmap) for pts in sets), k)
+    poses = [Extrinsic.identity()] + [Extrinsic(rng.normal(size=3) * 0.01, rng.normal(size=3) * s)
+                                      for s in (0.1, 1.0, 10.0)]
+    t = rng.normal(size=(30, 3)) * rng.choice([0.1, 1.0], size=(30, 1))
+    _assert_code_maps_match_float_maps(ev, poses, np.eye(3), t)

@@ -136,7 +136,7 @@ def test_sweep_records_refine_error_of_a_zero_cost_start():
     tries scores 0: refine raises RefineError and the trial records it."""
     k = Intrinsics(fx=500.0, fy=500.0, cx=64.0, cy=48.0, width=128, height=96)
     pts = np.array([[0.0, 0.0, -50.0], [1.0, 0.0, -60.0]])
-    hm = HeightMap(np.full((96, 128), 0.5))
+    hm = HeightMap.from_values(np.full((96, 128), 0.5))
     ev = CostEvaluator(((pts, hm), (pts, hm)), k)
     trials = robustness_sweep(
         [ev], Extrinsic.identity(), 2, 1.0, 0.1, seed=0,

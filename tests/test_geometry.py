@@ -517,7 +517,7 @@ def _array_dataclass_factories():
     k = Intrinsics(fx=50.0, fy=50.0, cx=4.0, cy=3.0, width=8, height=6)
     pts = np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 5.0]])
     line = lambda: Line3D(np.zeros(3), np.array([1.0, 0.0, 0.0]))
-    height = lambda: HeightMap(np.full((6, 8), 0.5))
+    height = lambda: HeightMap.from_values(np.full((6, 8), 0.5))
     plane = lambda: Plane3D(np.array([0.0, 0.0, 1.0]), 1.5)
     return {
         "Extrinsic": lambda: Extrinsic(np.zeros(3), np.ones(3)),

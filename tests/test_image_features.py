@@ -381,7 +381,8 @@ def test_field_width_on_each_side_of_each_switch(shape, dtype):
     past that; on each side of each switch, masks with one set pixel at a
     far corner (so distances reach h + w - 2 and the sentinel is carried
     across every block) and with a set frame edge give the two-field
-    oracle's height map and the brute-force distances."""
+    oracle's height map and the brute-force distances; the map's codes are
+    the field's ints."""
     corner = np.zeros(shape, dtype=bool)
     corner[0, 0] = True
     edge = np.zeros(shape, dtype=bool)
@@ -392,20 +393,21 @@ def test_field_width_on_each_side_of_each_switch(shape, dtype):
         assert field.dtype == dtype
         assert np.array_equal(field, brute_l1(bits))
     for bits in (corner, edge, ~edge):
-        got = idt_height_map(SemanticMask("lane", bits), IDT).values
-        assert got.tobytes() == _idt_two_fields(bits, IDT).tobytes()
+        hm = idt_height_map(SemanticMask("lane", bits), IDT)
+        assert hm.codes.dtype == dtype
+        assert hm.values.tobytes() == _idt_two_fields(bits, IDT).tobytes()
 
 
-def test_idt_values_are_c_contiguous_for_the_cost_lookups(canonical_frame):
-    """The height map is C-contiguous, so the ravel() of cost._lookup's
-    flat gathers is a view, not a 3.7 MB copy on every cost lookup of a
-    375x1242 frame."""
+def test_idt_codes_are_c_contiguous_for_the_cost_lookups(canonical_frame):
+    """The height map's codes are C-contiguous, so the ravel() of
+    cost._lookup's flat gathers is a view, not a 0.9 MB copy on every
+    cost lookup of a 375x1242 frame."""
     lane = canonical_frame[2]
     for bits in (lane.bits, lane.bits.T, np.eye(5, 9, dtype=bool)):
         mask = SemanticMask("lane", bits)
         hm = idt_height_map(mask, IDT)
-        assert hm.values.flags.c_contiguous
-        assert np.shares_memory(hm.values.ravel(), hm.values)
+        assert hm.codes.flags.c_contiguous
+        assert np.shares_memory(hm.codes.ravel(), hm.codes)
         assert l1_distance_field(mask.bits).flags.c_contiguous
 
 
@@ -418,14 +420,14 @@ def sample(hm, u, v):
     cost's one lookup, cost._lookup, on a one-term tuple; 0 out of frame.
     (u, v) is the image of the camera point (u - 0.5, v - 0.5, 1) under
     unit focal lengths and the principal point (0.5, 0.5)."""
-    h, w = hm.values.shape
+    h, w = hm.codes.shape
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     p_c = np.stack([u - 0.5, v - 0.5, np.ones_like(u)])
     return _lookup(p_c, ((slice(None), hm),), Intrinsics(1.0, 1.0, 0.5, 0.5, w, h))[0]
 
 
 def test_heightmap_sampling_out_of_frame_zero():
-    hm = HeightMap(np.ones((4, 4)))
+    hm = HeightMap.from_values(np.ones((4, 4)))
     assert sample(hm, np.array([-1.0]), np.array([0.0]))[0] == 0.0
     assert sample(hm, np.array([3.5]), np.array([1.0]))[0] == 0.0
     assert sample(hm, np.array([3.0]), np.array([3.0]))[0] == 1.0
@@ -435,50 +437,104 @@ def test_heightmap_sampling_out_of_frame_zero():
 def test_heightmap_needs_a_2x2_cell(shape):
     """Bilinear lookup reads a 2x2 cell: a 1 px side has none."""
     with pytest.raises(ValueError, match="at least 2x2"):
-        HeightMap(np.full(shape, 0.5))
-    assert sample(HeightMap(np.full((2, 2), 0.5)), np.array([0.5]), np.array([1.0]))[0] == 0.5
+        HeightMap.from_values(np.full(shape, 0.5))
+    with pytest.raises(ValueError, match="at least 2x2"):
+        HeightMap([0.5], np.zeros(shape, dtype=np.int16))
+    hm = HeightMap.from_values(np.full((2, 2), 0.5))
+    assert sample(hm, np.array([0.5]), np.array([1.0]))[0] == 0.5
 
 
 @pytest.mark.parametrize("value", [1 + 1e-12, -1e-12, np.nan])
 def test_heightmap_refuses_values_outside_zero_one(value):
     """The cost's bounds hold for heights in [0, 1]: a map with one value
-    outside it, or a NaN, is refused."""
+    outside it, or a NaN, is refused, and so is a level outside it that no
+    code names."""
     values = np.full((3, 4), 0.5)
     values[1, 2] = value
     with pytest.raises(ValueError, match=r"in \[0, 1\]"):
-        HeightMap(values)
+        HeightMap.from_values(values)
+    with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+        HeightMap([0.5, value], np.zeros((3, 4), dtype=np.int16))
 
 
 def test_heightmap_takes_zero_and_one():
     """0 and 1 themselves are in range, and value_range reports them."""
     values = np.full((3, 4), 0.5)
     values[0, 0], values[2, 3] = 0.0, 1.0
-    assert HeightMap(values).value_range == (0.0, 1.0)
-    assert HeightMap(np.zeros((2, 2))).value_range == (0.0, 0.0)
-    assert HeightMap(np.ones((2, 2))).cell_ceilings.tolist() == [[255, 255], [255, 255]]
+    assert HeightMap.from_values(values).value_range == (0.0, 1.0)
+    assert HeightMap.from_values(np.zeros((2, 2))).value_range == (0.0, 0.0)
+    assert HeightMap.from_values(np.ones((2, 2))).cell_ceilings.tolist() == [[255, 255], [255, 255]]
+
+
+def test_value_range_is_the_lowest_and_highest_value_that_occurs(canonical_frame):
+    """value_range has the bits of the map's lowest and highest value, not
+    of its table's: on a frame-filling mask with gamma1 > gamma0 every
+    pixel is inside, so the table's highest level, gamma1, occurs nowhere."""
+    cfg = PipelineConfig(gamma0=0.9, gamma1=0.98)
+    lane = canonical_frame[2]
+    full = idt_height_map(SemanticMask("lane", np.ones_like(lane.bits)), cfg)
+    assert full.value_range == (full.values.min(), 0.9) and full.levels.max() == 0.98
+    for hm in (full, idt_height_map(lane, cfg), idt_height_map(lane, IDT)):
+        values = hm.values
+        want = np.array([values.min(), values.max()])
+        assert np.array(hm.value_range).tobytes() == want.tobytes()
 
 
 def test_heightmap_freezes_the_array_it_is_handed():
+    """C-ordered int codes and a float64 table are kept and frozen, not
+    copied; anything else is converted once, and the caller's array stays
+    writable.  Neither array of a map takes a write."""
+    levels, codes = np.array([0.25, 0.5]), np.zeros((3, 4), dtype=np.int16)
+    hm = HeightMap(levels, codes)
+    assert hm.levels is levels and hm.codes is codes
+    assert not levels.flags.writeable and not codes.flags.writeable
+    f_codes = np.asfortranarray(np.ones((3, 4), dtype=np.int64))
+    hm = HeightMap([0, 1], f_codes)
+    assert hm.levels.dtype == np.float64 and hm.codes.flags.c_contiguous
+    assert f_codes.flags.writeable
     values = np.full((3, 4), 0.5)
-    hm = HeightMap(values)
-    assert hm.values is values and not values.flags.writeable
-    ints = np.ones((3, 4), dtype=np.int64)
-    assert HeightMap(ints).values.dtype == np.float64 and ints.flags.writeable
+    hm = HeightMap.from_values(values)
+    assert values.flags.writeable
+    for array in (hm.levels, hm.codes):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_heightmap_codes_must_index_its_levels():
+    """Codes are ints in [0, L): a bool, float, negative or too high code
+    is a ValueError, not a clipped read."""
+    for codes in (np.zeros((2, 2), dtype=bool), np.zeros((2, 2)), np.full((2, 2), -1),
+                  np.full((2, 2), 2)):
+        with pytest.raises(ValueError, match=r"codes must be ints in \[0, 2\)"):
+            HeightMap([0.25, 0.5], codes)
+
+
+def test_heightmap_from_values_keeps_every_bit():
+    """from_values takes one level per distinct bit pattern, in the
+    narrowest signed int that indexes them: levels[codes] gives the values
+    back, -0.0 as -0.0, and value_range reads them."""
+    values = np.array([[0.5, -0.0, 0.0], [0.5, 1.0, 0.25]])
+    hm = HeightMap.from_values(values)
+    assert hm.levels.size == 5 and hm.codes.dtype == np.int8
+    assert hm.values.tobytes() == values.tobytes()
+    assert hm.value_range == (0.0, 1.0)
+    many = np.arange(300 * 2).reshape(300, 2) / 600
+    assert HeightMap.from_values(many).codes.dtype == np.int16
 
 
 def test_fortran_ordered_heightmap_is_stored_c_ordered(canonical_evaluator):
-    """A map handed in F-ordered, such as the transpose of a grid, is kept
-    C-ordered, so cost._lookup's ravel() of it is a view and not a copy of
-    the whole map on every kernel call; the costs keep their bits."""
+    """Codes handed in F-ordered, such as the transpose of a grid, are kept
+    C-ordered, so cost._lookup's ravel() of them is a view and not a copy
+    of the whole map on every kernel call; the costs keep their bits."""
     ev, gt = canonical_evaluator
-    maps = [np.asfortranarray(hmap.values) for _, hmap in ev.terms]
-    assert not any(m.flags.c_contiguous for m in maps)
-    f_ev = CostEvaluator(tuple((ev.points[rows], HeightMap(m))
-                               for (rows, _), m in zip(ev.terms, maps)), ev.intrinsics)
+    codes = [np.asfortranarray(hmap.codes) for _, hmap in ev.terms]
+    assert not any(c.flags.c_contiguous for c in codes)
+    f_ev = CostEvaluator(tuple((ev.points[rows], HeightMap(hmap.levels, c))
+                               for (rows, hmap), c in zip(ev.terms, codes)), ev.intrinsics)
     for (_, hmap), (_, f_map) in zip(ev.terms, f_ev.terms):
-        assert f_map.values.flags.c_contiguous
-        assert np.shares_memory(f_map.values.ravel(), f_map.values)
-        assert f_map.values.tobytes() == hmap.values.tobytes()
+        assert f_map.codes.flags.c_contiguous
+        assert np.shares_memory(f_map.codes.ravel(), f_map.codes)
+        assert f_map.codes.tobytes() == hmap.codes.tobytes()
     for e in (gt, Extrinsic(gt.r + 0.01, gt.t - 0.05)):
         want, got = value_pass(e, ev), value_pass(e, f_ev)
         assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
@@ -536,7 +592,7 @@ def test_load_mask_rejects_a_1px_side(tmp_path, shape):
 def test_bilinear_interpolates_between_neighbors(seed):
     rng = np.random.default_rng(seed)
     grid = rng.random((5, 5))
-    hm = HeightMap(grid)
+    hm = HeightMap.from_values(grid)
     u = float(rng.uniform(0, 3.999))
     v = float(rng.uniform(0, 3.999))
     val = sample(hm, np.array([u]), np.array([v]))[0]
@@ -552,7 +608,7 @@ def test_bilinear_flat_gathers_match_2d_indexing():
     """Any input shape; the same bits as 2-D fancy indexing of the grid."""
     rng = np.random.default_rng(4)
     grid = rng.random((37, 53))
-    hm = HeightMap(grid)
+    hm = HeightMap.from_values(grid)
     u = rng.uniform(-5.0, 58.0, size=(6, 40))
     v = rng.uniform(-5.0, 42.0, size=(6, 40))
     u[0, :4] = [0.0, 52.0, 51.5, 52.0]      # frame edges
@@ -803,10 +859,11 @@ def test_hough_tied_rows_match_the_vote_and_subtract_oracle(
 
 
 # traced peak allocations on canonical scene 0, in MiB, each just above
-# the figure measured: 5.46 for the IDT of the lane mask, 0.59 for its
-# Hough lines, and 14.94 for calibrate from the bundle's files, load
-# included (17.59 while load kept a float64 copy of the cloud)
-_IDT_PEAK_MIB, _HOUGH_PEAK_MIB, _CALIBRATE_PEAK_MIB = 5.6, 0.65, 15.3
+# the figure measured: 2.78 for the IDT of the lane mask (5.46 while it
+# built a float64 map), 0.59 for its Hough lines, and 13.25 for calibrate
+# from the bundle's files, load included (14.94 with float64 maps, 17.59
+# while load kept a float64 copy of the cloud)
+_IDT_PEAK_MIB, _HOUGH_PEAK_MIB, _CALIBRATE_PEAK_MIB = 2.86, 0.65, 13.6
 
 
 @pytest.fixture(scope="module")
@@ -839,6 +896,27 @@ def test_kernel_peak_allocation_on_a_full_frame(canonical_frame, canonical_bundl
     finally:
         tracemalloc.stop()
     assert peak <= limit_mib * 2**20
+
+
+def _owned_bytes(array):
+    """The size of the buffer that array's memory belongs to."""
+    while array.base is not None:
+        array = array.base
+    return array.nbytes
+
+
+def test_evaluator_maps_hold_two_bytes_a_pixel(canonical_features):
+    """The two maps of an extract_features evaluator hold at most 2 bytes
+    per pixel plus their level tables, and no float map: 1.83 MiB on a
+    375x1242 frame, against 7.29 MiB for two float64 maps."""
+    spec, _, ev, _ = canonical_features
+    k = spec.intrinsics
+    maps = [hmap for _, hmap in ev.terms]
+    held = sum(_owned_bytes(hmap.codes) + _owned_bytes(hmap.levels) for hmap in maps)
+    assert held <= 2 * (2 * k.height * k.width) + sum(hmap.levels.nbytes for hmap in maps)
+    for hmap in maps:
+        assert not any(isinstance(a, np.ndarray) and a.dtype == float and a.ndim == 2
+                       for a in vars(hmap).values())
 
 
 def test_hough_stops_when_a_peak_claims_no_pixel():

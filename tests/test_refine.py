@@ -37,8 +37,8 @@ def small_problem(rng):
     """A random start pose and an evaluator with random height maps whose
     points all lie in view of that start, so the start scores above zero."""
     start = Extrinsic(rng.normal(size=3) * 0.3, rng.normal(size=3) * 0.5)
-    lane_h = HeightMap(rng.random((96, 128)))
-    pole_h = HeightMap(rng.random((96, 128)))
+    lane_h = HeightMap.from_values(rng.random((96, 128)))
+    pole_h = HeightMap.from_values(rng.random((96, 128)))
     lane, pole = _points_in_view(rng, start), _points_in_view(rng, start)
     ev = CostEvaluator(((lane, lane_h), (pole, pole_h)), K)
     return start, ev
