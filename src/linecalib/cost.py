@@ -60,6 +60,8 @@ class CostEvaluator:
                 raise DimensionMismatch(f"term {i} height map has shape {hmap.codes.shape}, "
                                         f"intrinsics need {(k.height, k.width)}")
         points = np.concatenate(sets)
+        if not np.isfinite(points).all():
+            raise ValueError("cost evaluator needs finite points")
         points.setflags(write=False)
         edges = np.cumsum([0] + [len(p) for p in sets]).tolist()
         object.__setattr__(self, "points", points)
@@ -112,13 +114,14 @@ def _lookup(p_c, terms, k: Intrinsics):
     (3, ..., P), each term's rows read from its own map at its _cell: a
     point behind the camera (not valid) or out of frame (not ok) has the
     value 0.  ok is where clamping (u, v) to the frame leaves them
-    unchanged: 0 <= u <= w - 1 and 0 <= v <= h - 1, as PointCloud and
-    Extrinsic refuse non-finite values, so no coordinate is NaN.  zs is
-    the depth divided by; cell holds the offsets (fu, fv) into each
-    point's cell and their complements (gu, gv); corners (4, ..., P) the
-    cell's top-left, top-right, bottom-left and bottom-right values, in
-    the order finish_gradient differentiates: each corner's code, gathered
-    from the term's map, then that code's level."""
+    unchanged: 0 <= u <= w - 1 and 0 <= v <= h - 1, as CostEvaluator
+    refuses non-finite points and Extrinsic non-finite values (a caller of
+    cost_batch or best_in_batch hands in finite translations), so no
+    coordinate is NaN.  zs is the depth divided by; cell holds the offsets
+    (fu, fv) into each point's cell and their complements (gu, gv);
+    corners (4, ..., P) the cell's top-left, top-right, bottom-left and
+    bottom-right values, in the order finish_gradient differentiates: each
+    corner's code, gathered from the term's map, then that code's level."""
     i, (u0, v0), (u, v), (uc, vc), valid, zs = _cell(p_c, k)
     w = k.width
     ok = uc == u
@@ -218,7 +221,7 @@ class _StagedBound:
     _STAGE_FRACTIONS at a time, with the terms ordered by point count
     (fewer first; on a tie, in ev.terms order).  A stage reads only the
     points new to it, each at its cell ceiling (_ceiling_sums); a point
-    not yet read adds the map's highest value."""
+    not yet read adds its map's highest level, which bounds every value."""
 
     def __init__(self, R, t, ev: CostEvaluator):
         # columns of the product cost_batch takes, so that each point reads
@@ -229,7 +232,7 @@ class _StagedBound:
         self.terms = []
         for rows, hmap in sorted(ev.terms, key=lambda term: term[0].stop - term[0].start):
             strided = [q[:, rows][:, o::len(_STRIDE_ORDER)] for o in _STRIDE_ORDER]
-            self.terms.append((np.hstack(strided), hmap))
+            self.terms.append((np.hstack(strided), hmap, hmap.levels.max()))
         self.sums = np.zeros((len(self.terms), len(t)), dtype=np.int64)
         self.stage = 0         # stages summed so far
 
@@ -239,12 +242,12 @@ class _StagedBound:
         f0 = _STAGE_FRACTIONS[self.stage - 1] if self.stage else (0.0, 0.0)
         f = _STAGE_FRACTIONS[self.stage]
         bound = np.zeros(len(live))
-        for c, (q, hmap) in enumerate(self.terms):
+        for c, (q, hmap, top) in enumerate(self.terms):
             n = q.shape[1]
             m0, m = (int(fr[min(c, 1)] * n) for fr in (f0, f))
             if m > m0:
                 self.sums[c, live] += _ceiling_sums(q[:, m0:m], self.t[live], hmap, self.k)
-            bound += (self.sums[c, live] / 255 + (n - m) * hmap.value_range[1]) / n + _ROUNDING
+            bound += (self.sums[c, live] / 255 + (n - m) * top) / n + _ROUNDING
         self.stage += 1
         return bound
 

@@ -78,13 +78,6 @@ class HeightMap:
         return self.levels.take(self.codes)
 
     @cached_property
-    def value_range(self) -> tuple[float, float]:
-        """(lowest, highest) value that occurs in the map, built on first
-        use: a level that no code names does not count."""
-        occurring = self.levels[np.bincount(self.codes.ravel(), minlength=len(self.levels)) > 0]
-        return float(occurring.min()), float(occurring.max())
-
-    @cached_property
     def cell_ceilings(self) -> np.ndarray:
         """Read-only uint8 (h, w), built on first use: at each pixel, c =
         ceil(255 x) of the highest x of the four corners of the cell that

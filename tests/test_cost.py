@@ -97,6 +97,18 @@ def test_empty_point_sets_rejected():
         CostEvaluator(((np.zeros((0, 3)), hm), (np.ones((1, 3)), hm)), K)
 
 
+@pytest.mark.parametrize("bad, term", [(np.nan, 0), (np.inf, 1)])
+def test_non_finite_points_rejected(bad, term):
+    """A NaN or infinite point has no cell to read: the evaluator refuses
+    it, as it does an empty set, rather than letting the kernels cast it to
+    an int (numpy's "invalid value" warning, then a meaningless cell)."""
+    hm = HeightMap.from_values(np.full((96, 128), 0.5))
+    sets = [np.tile([0.0, 0.0, 10.0], (3, 1)) for _ in range(2)]
+    sets[term][1, term + 1] = bad
+    with pytest.raises(ValueError, match="finite points"):
+        CostEvaluator(tuple((pts, hm) for pts in sets), K)
+
+
 @pytest.mark.parametrize("cls", ["lane", "pole"])
 @pytest.mark.parametrize("shape", [(128, 96), (375, 1242)])
 def test_height_map_of_another_frame_rejected(cls, shape):

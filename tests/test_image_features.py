@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 
 from linecalib import cli
 from linecalib.config import PipelineConfig
-from linecalib.cost import CostEvaluator, _lookup, value_pass
+from linecalib.cost import (
+    _STAGE_FRACTIONS,
+    CostEvaluator,
+    _lookup,
+    _StagedBound,
+    best_in_batch,
+    cost_batch,
+    value_pass,
+)
 from linecalib.errors import DimensionMismatch, EmptyTarget, InsufficientLines, ParseError
 from linecalib.evaluation import calibration_error
 from linecalib.fileio import save_pnm
@@ -458,26 +466,42 @@ def test_heightmap_refuses_values_outside_zero_one(value):
 
 
 def test_heightmap_takes_zero_and_one():
-    """0 and 1 themselves are in range, and value_range reports them."""
+    """0 and 1 themselves are in range."""
     values = np.full((3, 4), 0.5)
     values[0, 0], values[2, 3] = 0.0, 1.0
-    assert HeightMap.from_values(values).value_range == (0.0, 1.0)
-    assert HeightMap.from_values(np.zeros((2, 2))).value_range == (0.0, 0.0)
+    HeightMap.from_values(values)
+    HeightMap.from_values(np.zeros((2, 2)))
     assert HeightMap.from_values(np.ones((2, 2))).cell_ceilings.tolist() == [[255, 255], [255, 255]]
 
 
-def test_value_range_is_the_lowest_and_highest_value_that_occurs(canonical_frame):
-    """value_range has the bits of the map's lowest and highest value, not
-    of its table's: on a frame-filling mask with gamma1 > gamma0 every
-    pixel is inside, so the table's highest level, gamma1, occurs nowhere."""
+def test_staged_bound_holds_where_the_top_level_occurs_nowhere(canonical_frame,
+                                                               canonical_evaluator):
+    """The staged bound takes each map's highest level for a point it has
+    not read.  On a frame-filling lane mask with gamma1 > gamma0 every
+    pixel is inside, so that level, gamma1, occurs nowhere: the bound is
+    looser there, and still at least every row's score at every stage, and
+    best_in_batch still returns the first argmax."""
     cfg = PipelineConfig(gamma0=0.9, gamma1=0.98)
-    lane = canonical_frame[2]
+    _, _, lane, pole, _ = canonical_frame
     full = idt_height_map(SemanticMask("lane", np.ones_like(lane.bits)), cfg)
-    assert full.value_range == (full.values.min(), 0.9) and full.levels.max() == 0.98
-    for hm in (full, idt_height_map(lane, cfg), idt_height_map(lane, IDT)):
-        values = hm.values
-        want = np.array([values.min(), values.max()])
-        assert np.array(hm.value_range).tobytes() == want.tobytes()
+    assert full.values.max() == 0.9 and full.levels.max() == 0.98
+    base, gt = canonical_evaluator
+    ev = CostEvaluator(((base.lane_points, full), (base.pole_points, idt_height_map(pole, cfg))),
+                       base.intrinsics)
+    rng = np.random.default_rng(0)
+    R = gt.matrix()
+    t = gt.t + rng.normal(size=(24, 3)) * rng.choice([0.02, 0.3, 3.0], size=(24, 1))
+    t[0, 2] = -1000.0
+    t = np.vstack([t, t[rng.integers(0, 24, 8)]])
+    scores = cost_batch(R, t, ev)
+    staged = _StagedBound(R, t, ev)
+    live = np.arange(len(t))
+    for _ in _STAGE_FRACTIONS:
+        assert (staged.tighten(live) >= scores[live]).all()
+        live = live[rng.random(len(live)) < 0.7]
+    for floor in (0.0, float(np.median(scores))):
+        k, score, _ = best_in_batch(R, t, ev, floor)
+        assert k == int(np.argmax(scores)) and np.float64(score).tobytes() == scores[k].tobytes()
 
 
 def test_heightmap_freezes_the_array_it_is_handed():
@@ -512,12 +536,11 @@ def test_heightmap_codes_must_index_its_levels():
 def test_heightmap_from_values_keeps_every_bit():
     """from_values takes one level per distinct bit pattern, in the
     narrowest signed int that indexes them: levels[codes] gives the values
-    back, -0.0 as -0.0, and value_range reads them."""
+    back, -0.0 as -0.0."""
     values = np.array([[0.5, -0.0, 0.0], [0.5, 1.0, 0.25]])
     hm = HeightMap.from_values(values)
     assert hm.levels.size == 5 and hm.codes.dtype == np.int8
     assert hm.values.tobytes() == values.tobytes()
-    assert hm.value_range == (0.0, 1.0)
     many = np.arange(300 * 2).reshape(300, 2) / 600
     assert HeightMap.from_values(many).codes.dtype == np.int16
 

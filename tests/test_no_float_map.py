@@ -1,8 +1,8 @@
 """No pipeline path builds a float height map.
 
 A HeightMap holds its heights as codes into a table of levels, and every
-kernel reads them through the codes (cost._lookup, HeightMap.cell_ceilings
-and HeightMap.value_range).  Its `values` property builds the full float64
+kernel reads them through the codes (cost._lookup and
+HeightMap.cell_ceilings).  Its `values` property builds the full float64
 map, for tests and diagnostics only; a `values` read in any module of the
 package other than image_features, where the property lives, would build
 it on a pipeline path.  The rule reads the source, so a dict's .values()
