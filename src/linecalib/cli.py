@@ -32,7 +32,7 @@ from .fileio import (
     save_pnm,
     save_text,
 )
-from .geometry import project_points
+from .geometry import project_points, vector_norm
 from .image_features import hough_lines, l1_distance_field, load_mask
 from .pipeline import CalibrationReport, calibrate, coarse_calibrate, extract_features
 from .refine import refine
@@ -207,10 +207,17 @@ def cmd_sweep(args) -> int:
         # the sweep draws offsets up to the bound and divides by it
         if not (0.0 < value < math.inf):
             raise ParseError(f"{flag} must be a positive finite number, got {value}")
+    if args.max_theta_deg > 180:
+        # an angle uniform in [-180, 180] degrees already reaches every rotation
+        raise ParseError(f"--max-theta-deg must be at most 180, got {args.max_theta_deg}")
     if args.trials < 1:
         raise ParseError(f"--trials must be at least 1, got {args.trials}")
     cfg = _load_cfg(args)
     ref = load_extrinsic(args.ref)
+    reach = vector_norm(ref.t) + args.max_t
+    if not math.isfinite(reach * reach):
+        raise ParseError("--max-t must be small enough that |t_ref| + max_t, the largest "
+                         f"perturbed translation, has a finite square, got {args.max_t}")
     rows = []
     for fi, frame in enumerate(args.frames):
         bundle = {key: Path(frame) / name for key, name in BUNDLE_FILES.items()}

@@ -22,7 +22,7 @@ from .errors import (
     NoLanePoints,
     NoPolePoints,
 )
-from .geometry import Line3D, Plane3D, _line_distance, right_singular_vectors
+from .geometry import Line3D, Plane3D, _line_distance
 
 # The P3L direction gates in the ground-parallel frame G: a lane line runs
 # within 2 deg of X, a pole line within 15 deg of Z.  FeatureSetCloud holds
@@ -294,7 +294,7 @@ def _near_lines(pts: np.ndarray, lines: list[ScoredLine3D], cfg: PipelineConfig)
 def _fit_line_lsq(pts: np.ndarray) -> Line3D:
     """Centroid + principal axis, direction sign canonicalized."""
     centroid = pts.mean(axis=0)
-    d = right_singular_vectors(pts - centroid)[0]
+    d = np.linalg.svd(pts - centroid, full_matrices=False)[2][0]
     k = int(np.argmax(np.abs(d)))
     if d[k] < 0:
         d = -d

@@ -6,6 +6,7 @@ typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .fileio import build_record, load_kv_file
@@ -76,6 +77,11 @@ class PipelineConfig(RefinementConfig):
         if not (self.grid_cell > 0
                 and self.grid_x_min < self.grid_x_max and self.grid_y_min < self.grid_y_max):
             raise ValueError("the pole grid needs grid_cell > 0 and min < max on each axis")
+        nx = (self.grid_x_max - self.grid_x_min) / self.grid_cell
+        ny = (self.grid_y_max - self.grid_y_min) / self.grid_cell
+        if not (math.isfinite(nx * ny) and math.ceil(nx) * math.ceil(ny) <= 2 ** 63):
+            # the flat cell ids cy * nx + cx run up to nx * ny - 1, as int64
+            raise ValueError("the pole grid must have at most 2**63 cells")
         if not (0 < self.gamma0 < 1) or not (0 < self.gamma1 < 1):
             raise ValueError("gamma0 and gamma1 must lie in (0, 1)")
         if min(self.plane_inlier_band, self.line_inlier_tol, self.lane_dist_max) <= 0:

@@ -15,7 +15,7 @@ import numpy as np
 from .config import PipelineConfig
 from .errors import DimensionMismatch, EmptyTarget, InsufficientLines, ParseError
 from .fileio import load_pgm
-from .geometry import Intrinsics, Line2D, right_singular_vectors
+from .geometry import Intrinsics, Line2D
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +230,7 @@ class ScoredLine2D:
 def _fit_line2d(us: np.ndarray, vs: np.ndarray) -> Line2D:
     """Total least-squares line through a pixel set (Line2D fixes its sign)."""
     mu, mv = us.mean(), vs.mean()
-    vt = right_singular_vectors(np.stack([us - mu, vs - mv], axis=1))
+    vt = np.linalg.svd(np.stack([us - mu, vs - mv], axis=1), full_matrices=False)[2]
     a, b = float(vt[1, 0]), float(vt[1, 1])
     return Line2D(a, b, -(a * mu + b * mv))
 

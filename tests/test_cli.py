@@ -369,11 +369,15 @@ def test_sweep_seeds_each_frame_by_its_index(bundle, tmp_path, capsys):
 @pytest.mark.parametrize("flag,value", [
     ("--max-t", "0"), ("--max-t", "-1"), ("--max-t", "nan"), ("--max-t", "inf"),
     ("--max-theta-deg", "0"), ("--max-theta-deg", "nan"),
+    # a perturbed t with no finite norm, an angle-axis norm past the floats
+    ("--max-t", "1e300"), ("--max-theta-deg", "1e300"), ("--max-theta-deg", "181"),
     ("--trials", "0"),
 ])
 def test_sweep_rejects_bad_bounds_and_counts(bundle, monkeypatch, capsys, flag, value):
-    """A perturbation bound that is not a positive finite number, or fewer
-    than one trial, is a parse error before any frame is swept."""
+    """A perturbation bound that is not a positive finite number, a
+    rotation bound above 180 degrees, a translation bound that takes the
+    perturbed t past the floats, or fewer than one trial, is a parse error
+    before any frame is swept."""
     import linecalib.cli as cli
 
     def never(*args, **kwargs):

@@ -67,6 +67,8 @@ def test_load_config_rejects_bad_value(tmp_path):
         "hough_min_support = -3\n", "hough_min_support = 0\n",
         "hough_lane_theta_margin_deg = 95\n", "hough_lane_theta_margin_deg = 90\n",
         "hough_lane_theta_margin_deg = -1\n",
+        # cell ids past int64: a traceback, wrapped ids, or cells cast from inf
+        "grid_x_max = 1e300\n", "grid_cell = 1e-9\n", "grid_y_min = -1e300\n",
     ):
         p.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError):

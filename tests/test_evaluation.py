@@ -91,15 +91,16 @@ def test_csv_row_shape():
 @MANY
 @given(st.integers(0, 2**32 - 1))
 def test_perturb_respects_magnitude_bounds(seed):
-    rng = np.random.default_rng(seed)
     ref = Extrinsic(np.array([0.2, -0.1, 0.3]), np.array([1.0, -2.0, 0.5]))
-    max_t, max_theta = 1.0, math.radians(6.0)
-    p = perturb(ref, rng, max_t, max_theta)
-    err = calibration_error(p, ref)
-    assert err.dt <= max_t + 1e-12
-    assert err.dtheta <= max_theta + 1e-9
-    m = perturbation_magnitude(err.dt, err.dtheta, max_t, max_theta)
-    assert m <= math.sqrt(2.0) + 1e-9
+    max_t = 1.0
+    # the sweep's default rotation bound, and its ceiling of 180 degrees
+    for max_theta in (math.radians(6.0), math.pi):
+        p = perturb(ref, np.random.default_rng(seed), max_t, max_theta)
+        err = calibration_error(p, ref)
+        assert err.dt <= max_t + 1e-12
+        assert err.dtheta <= max_theta + 1e-9
+        m = perturbation_magnitude(err.dt, err.dtheta, max_t, max_theta)
+        assert m <= math.sqrt(2.0) + 1e-9
 
 
 def test_perturbation_magnitude_definition():

@@ -21,7 +21,6 @@ from linecalib.geometry import (
     matrix_to_angle_axis,
     project_planes,
     project_points,
-    right_singular_vectors,
     rotation_geodesic,
     rot_x,
     rot_y,
@@ -542,29 +541,3 @@ def test_array_dataclasses_compare_by_identity(name):
     assert a == a and not a != a
     assert a != b and not a == b
     assert hash(a) == hash(a) and {a, b} == {a, b} and len({a, b}) == 2
-
-
-# ---------------------------------------------------------------------------
-# principal axes for the line fits
-
-
-def _centered_cloud(rng, m, n):
-    """m centered rows of an elongated n-D cloud away from the origin,
-    like the point sets the line fits hand over."""
-    x = rng.normal(size=(m, n)) * rng.uniform(0.01, 30.0, size=n) + rng.normal(size=n) * 20.0
-    return x - x.mean(axis=0)
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_right_singular_vectors_keep_the_bits_of_svd(n):
-    rng = np.random.default_rng(n)
-    cases = [_centered_cloud(rng, m, n) for m in range(2, 65)]
-    cases.append(_centered_cloud(rng, 131_072, n))
-    # exact pixel rows on one line, and a rank-deficient block
-    t = np.arange(40.0)
-    line = np.stack([3.0 * t, 2.0 * t - 7.0, t], axis=1)[:, :n]
-    cases.append(line - line.mean(axis=0))
-    cases.append(np.zeros((12, n)))
-    for x in cases:
-        want = np.linalg.svd(x, full_matrices=False)[2]
-        assert right_singular_vectors(x).tobytes() == want.tobytes(), x.shape
